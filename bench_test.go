@@ -244,11 +244,10 @@ func BenchmarkSimulatorHybrid(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorHybridFast is BenchmarkSimulatorHybrid on the
-// opt-in fast lane (exact=off, 1-minute amortized ARIMA refit): the
-// exact-vs-fast ratio of the two is the speedup BENCH_*.json's
-// fastmode section records.
-func BenchmarkSimulatorHybridFast(b *testing.B) {
+// BenchmarkSimulatorHybridRefit is BenchmarkSimulatorHybrid with the
+// opt-in 1-minute amortized ARIMA refit: the ratio of the two is the
+// speedup BENCH_*.json's refit section records.
+func BenchmarkSimulatorHybridRefit(b *testing.B) {
 	pop := benchPopulation(b)
 	pol := policy.MustFromSpec("hybrid?exact=off&refit=1m")
 	b.ResetTimer()

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchreport [-out BENCH_10.json] [-bench regexp] [-benchtime 2s] [-count 1] [-soak 2s]
+//	go run ./cmd/benchreport [-out BENCH_14.json] [-bench regexp] [-benchtime 2s] [-count 1] [-soak 2s]
 //	go run ./cmd/benchreport -cpus 1,2,4                 # multicore lanes
 //	go run ./cmd/benchreport -scale '<scenario>' -scale-fanout 4
 //	go run ./cmd/benchreport -compare old.json new.json  # diff two snapshots
@@ -25,12 +25,12 @@
 // its wall-clock and peak process RSS under "scale" — the trace-scale
 // headline measurement.
 //
-// When the run measures both lanes of the simulator benchmark
-// (BenchmarkSimulatorHybrid and BenchmarkSimulatorHybridFast), the
-// report carries a "fastmode" section: the exact-vs-fast speedup and
-// the decision flip rate the equivalence harness (internal/equiv)
-// measures over the benchmark population — the speedup and its
-// divergence cost, side by side.
+// When the run measures both BenchmarkSimulatorHybrid and
+// BenchmarkSimulatorHybridRefit, the report carries a "refit" section:
+// the speedup of the opt-in amortized ARIMA refit (refit=1m) and the
+// decision flip rate the equivalence harness (internal/equiv) measures
+// over the benchmark population — the speedup and its divergence
+// cost, side by side.
 //
 // -compare old.json new.json diffs two committed snapshots: shared
 // benchmarks whose ns/op grew by more than -threshold percent (±5%
@@ -102,14 +102,14 @@ type Report struct {
 	Multicore   []CPULane         `json:"multicore,omitempty"`
 	Soak        *serve.SoakResult `json:"soak,omitempty"`
 	Scale       *ScaleRun         `json:"scale,omitempty"`
-	FastMode    *FastMode         `json:"fastmode,omitempty"`
+	Refit       *Refit            `json:"refit,omitempty"`
 }
 
 var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+?)(-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
 
 func main() {
-	out := flag.String("out", "BENCH_10.json", "output file")
+	out := flag.String("out", "BENCH_14.json", "output file")
 	bench := flag.String("bench", defaultBenchRegexp, "benchmark regexp passed to go test")
 	benchtime := flag.String("benchtime", "2s", "per-benchmark time")
 	count := flag.Int("count", 1, "benchmark repetitions (minimum ns/op is kept)")
@@ -228,11 +228,11 @@ func main() {
 		rep.Entries = laneFor(laneCPUs[0])
 	}
 
-	if fm := fastModeSection(rep.Entries); fm != nil {
-		rep.FastMode = fm
+	if rs := refitSection(rep.Entries); rs != nil {
+		rep.Refit = rs
 		fmt.Fprintf(os.Stderr,
-			"benchreport: fastmode  %.2fx speedup  flip rate %.4f%% (%d/%d)\n",
-			fm.Speedup, fm.FlipRate*100, fm.Flips, fm.Invocations)
+			"benchreport: refit  %.2fx speedup  flip rate %.4f%% (%d/%d)\n",
+			rs.Speedup, rs.FlipRate*100, rs.Flips, rs.Invocations)
 	}
 
 	if *soak > 0 {

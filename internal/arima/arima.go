@@ -62,11 +62,6 @@ type fitCtx struct {
 	rowBuf   []float64
 	ys       []float64
 	ls       stats.LSScratch
-
-	// relaxed licenses reordered float accumulation (Options.Relaxed);
-	// contexts are pooled, so every getFitCtx site assigns it
-	// explicitly rather than trusting the previous user's setting.
-	relaxed bool
 }
 
 var fitCtxPool = sync.Pool{New: func() any { return new(fitCtx) }}
@@ -153,7 +148,6 @@ func Integrate(forecasts []float64, lasts []float64) []float64 {
 func FitOrder(series []float64, p, d, q int) (*Model, error) {
 	ctx := getFitCtx()
 	defer putFitCtx(ctx)
-	ctx.relaxed = false
 	m, err := fitOrderWith(ctx, series, p, d, q)
 	if err != nil {
 		return nil, err
@@ -225,12 +219,8 @@ func fitARMA(ctx *fitCtx, centered []float64, mean float64, p, d, q int) (*Model
 	resid := residualsInto(ctx.resid, centered, ar, ma)
 	n := float64(len(resid))
 	var rss float64
-	if ctx.relaxed {
-		rss = rssRelaxed(resid)
-	} else {
-		for _, e := range resid {
-			rss += e * e
-		}
+	for _, e := range resid {
+		rss += e * e
 	}
 	sigma2 := rss / n
 	if sigma2 <= 0 {
@@ -253,12 +243,6 @@ type Options struct {
 	MaxP int // default 3
 	MaxD int // default 1
 	MaxQ int // default 2
-
-	// Relaxed licenses reordered (multi-accumulator) float
-	// accumulation in the mean and residual-sum reductions. The fitted
-	// coefficients may differ from the default in the last bits; only
-	// the fast-mode policy lane (hybrid?exact=off) sets it.
-	Relaxed bool
 }
 
 // Fit searches (p,d,q) up to the bounds in opt and returns the model
@@ -274,7 +258,6 @@ func Fit(series []float64, opt Options) (*Model, error) {
 	}
 	ctx := getFitCtx()
 	defer putFitCtx(ctx)
-	ctx.relaxed = opt.Relaxed
 	var best *Model
 	for d := 0; d <= opt.MaxD; d++ {
 		// Difference, de-mean and length-gate once per differencing
@@ -284,12 +267,7 @@ func Fit(series []float64, opt Options) (*Model, error) {
 			continue
 		}
 		w := ctx.differenceInto(series, d)
-		var mean float64
-		if ctx.relaxed {
-			mean = stats.MeanRelaxed(w)
-		} else {
-			mean = stats.Mean(w)
-		}
+		mean := stats.Mean(w)
 		ctx.centered = grow(ctx.centered, len(w))
 		centered := ctx.centered
 		for i, v := range w {
@@ -408,24 +386,6 @@ func refineCSS(ctx *fitCtx, x []float64, ar, ma []float64) ([]float64, []float64
 		return refined[:p], refined[p:]
 	}
 	return ar, ma
-}
-
-// rssRelaxed is the residual sum of squares over four interleaved
-// accumulators — reordered relative to the sequential exact loop, so
-// only the relaxed (fast-mode) fit path may use it.
-func rssRelaxed(resid []float64) float64 {
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(resid); i += 4 {
-		s0 += resid[i] * resid[i]
-		s1 += resid[i+1] * resid[i+1]
-		s2 += resid[i+2] * resid[i+2]
-		s3 += resid[i+3] * resid[i+3]
-	}
-	for ; i < len(resid); i++ {
-		s0 += resid[i] * resid[i]
-	}
-	return (s0 + s1) + (s2 + s3)
 }
 
 // residuals computes one-step-ahead in-sample residuals of an ARMA

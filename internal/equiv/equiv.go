@@ -1,17 +1,18 @@
-// Package equiv is the tolerance-based equivalence harness between
-// the exact policy lane and the opt-in fast lane (hybrid?exact=off).
+// Package equiv is the tolerance-based equivalence harness for policy
+// variants that are licensed to decide differently from the written
+// semantics (internal/ithist/SEMANTICS.md).
 //
-// The exact lane is pinned bit-for-bit to the seed implementation;
-// the fast lane is licensed to diverge at CV ties and percentile
-// rounding boundaries (see internal/ithist's fast kernel). This
-// package turns "licensed to diverge" into a measured contract: it
-// runs both lanes over a trace, counts per-invocation decision flips
-// by merging the two run-length-encoded decision streams, compares
-// the end metrics the paper reports (per-app cold-start percentage
-// percentiles, wasted memory normalized to the exact lane, cluster
-// cold-start attribution totals), and asserts everything under
-// configurable tolerances. CI runs it over the golden scenario corpus
-// and the incident corpus, so a fast-kernel change that widens the
+// Exactly one such variant exists: hybrid's refit=<dur>, which reuses
+// an ARIMA fit for up to <dur> of observed idle time instead of
+// refitting per invocation as §4.2 mandates. This package turns
+// "licensed to differ" into a measured contract: it runs a base
+// policy and its variant over a trace, counts per-invocation decision
+// flips by merging the two run-length-encoded decision streams,
+// compares the end metrics the paper reports (per-app cold-start
+// percentage percentiles, wasted memory normalized to the base,
+// cluster cold-start attribution totals), and asserts everything
+// under configurable tolerances. CI runs it over the golden scenario
+// corpus and the incident corpus, so a change that widens the
 // divergence fails loudly instead of shipping as a silent behavioral
 // drift.
 package equiv
@@ -32,19 +33,19 @@ import (
 // distribution the harness compares (the paper's CDF summary points).
 var coldPcts = [3]float64{50, 75, 99}
 
-// Tolerances bounds the fast lane's divergence from the exact lane.
+// Tolerances bounds a variant's divergence from its base policy.
 // The zero value tolerates nothing; use DefaultTolerances for the
 // repo's CI contract.
 type Tolerances struct {
 	// MaxFlipRate is the largest acceptable fraction of invocations
-	// whose decision differs between the lanes (0.01 = 1%).
+	// whose decision differs between the two policies (0.01 = 1%).
 	MaxFlipRate float64
 	// MaxColdDelta is the largest acceptable absolute difference, in
 	// percentage points, at each compared percentile (p50/p75/p99) of
 	// the per-app cold-start percentage distribution.
 	MaxColdDelta float64
 	// MaxWasteDelta is the largest acceptable deviation, in points,
-	// of the fast lane's wasted memory normalized to the exact lane's
+	// of the variant's wasted memory normalized to the base's
 	// (100 = identical).
 	MaxWasteDelta float64
 	// MaxAttrDelta is the largest acceptable absolute difference in
@@ -72,25 +73,25 @@ type Attribution struct {
 	Failure    int64
 }
 
-// Report is the measured divergence of one exact-vs-fast comparison.
+// Report is the measured divergence of one base-vs-variant comparison.
 type Report struct {
 	Name string
 	// Invocations is the total decision count compared; Flips is how
-	// many of them differed between the lanes.
+	// many of them differed between the two policies.
 	Invocations int64
 	Flips       int64
-	// ColdExact and ColdFast are the per-app cold-start percentage
-	// percentiles (p50, p75, p99) of each lane.
-	ColdExact [3]float64
-	ColdFast  [3]float64
-	// WastePct is the fast lane's total wasted memory as a percentage
-	// of the exact lane's (100 = identical).
+	// ColdBase and ColdVariant are the per-app cold-start percentage
+	// percentiles (p50, p75, p99) of each policy.
+	ColdBase    [3]float64
+	ColdVariant [3]float64
+	// WastePct is the variant's total wasted memory as a percentage
+	// of the base's (100 = identical).
 	WastePct float64
 	// HasCluster marks that the attribution totals were measured
-	// (cluster comparison); AttrExact/AttrFast are zero otherwise.
-	HasCluster bool
-	AttrExact  Attribution
-	AttrFast   Attribution
+	// (cluster comparison); AttrBase/AttrVariant are zero otherwise.
+	HasCluster  bool
+	AttrBase    Attribution
+	AttrVariant Attribution
 }
 
 // FlipRate returns the fraction of compared decisions that differed.
@@ -105,7 +106,7 @@ func (r *Report) FlipRate() float64 {
 func (r *Report) ColdDeltas() [3]float64 {
 	var d [3]float64
 	for i := range d {
-		d[i] = abs(r.ColdFast[i] - r.ColdExact[i])
+		d[i] = abs(r.ColdVariant[i] - r.ColdBase[i])
 	}
 	return d
 }
@@ -125,23 +126,23 @@ func (r *Report) Check(tol Tolerances) error {
 	for i, d := range r.ColdDeltas() {
 		if d > tol.MaxColdDelta {
 			viol = append(viol, fmt.Sprintf("cold-start p%.0f delta %.3f points (%.3f vs %.3f) > %.3f",
-				coldPcts[i], d, r.ColdExact[i], r.ColdFast[i], tol.MaxColdDelta))
+				coldPcts[i], d, r.ColdBase[i], r.ColdVariant[i], tol.MaxColdDelta))
 		}
 	}
 	if d := r.WasteDelta(); d > tol.MaxWasteDelta {
-		viol = append(viol, fmt.Sprintf("normalized waste %.3f%% deviates from exact by %.3f points > %.3f",
+		viol = append(viol, fmt.Sprintf("normalized waste %.3f%% deviates from the base by %.3f points > %.3f",
 			r.WastePct, d, tol.MaxWasteDelta))
 	}
 	if r.HasCluster {
-		checkAttr := func(label string, e, f int64) {
-			if d := e - f; d > tol.MaxAttrDelta || -d > tol.MaxAttrDelta {
-				viol = append(viol, fmt.Sprintf("%s attribution %d (exact) vs %d (fast), |delta| > %d",
-					label, e, f, tol.MaxAttrDelta))
+		checkAttr := func(label string, b, v int64) {
+			if d := b - v; d > tol.MaxAttrDelta || -d > tol.MaxAttrDelta {
+				viol = append(viol, fmt.Sprintf("%s attribution %d (base) vs %d (variant), |delta| > %d",
+					label, b, v, tol.MaxAttrDelta))
 			}
 		}
-		checkAttr("cold-start", r.AttrExact.ColdStarts, r.AttrFast.ColdStarts)
-		checkAttr("eviction", r.AttrExact.Eviction, r.AttrFast.Eviction)
-		checkAttr("failure", r.AttrExact.Failure, r.AttrFast.Failure)
+		checkAttr("cold-start", r.AttrBase.ColdStarts, r.AttrVariant.ColdStarts)
+		checkAttr("eviction", r.AttrBase.Eviction, r.AttrVariant.Eviction)
+		checkAttr("failure", r.AttrBase.Failure, r.AttrVariant.Failure)
 	}
 	if len(viol) == 0 {
 		return nil
@@ -152,7 +153,7 @@ func (r *Report) Check(tol Tolerances) error {
 // CountFlips merge-walks two run-length-encoded decision streams and
 // returns the number of per-invocation positions whose decisions
 // differ, plus the number of positions compared. Streams of unequal
-// length count every unpaired trailing decision as a flip (the lanes
+// length count every unpaired trailing decision as a flip (the policies
 // disagreeing on how many decisions exist is the worst divergence).
 func CountFlips(a, b []policy.DecisionRun) (flips, total int64) {
 	ai, bi := 0, 0
@@ -186,13 +187,13 @@ func CountFlips(a, b []policy.DecisionRun) (flips, total int64) {
 	return flips, total
 }
 
-// CompareTrace runs the exact and fast policies over the trace and
+// CompareTrace runs the base and variant policies over the trace and
 // reports the divergence: per-invocation decision flips (from the
 // batch decision streams, app by app) and the end-metric deltas from
 // two full simulations.
-func CompareTrace(name string, tr *trace.Trace, exact, fast policy.Policy, opt sim.Options) *Report {
+func CompareTrace(name string, tr *trace.Trace, base, variant policy.Policy, opt sim.Options) *Report {
 	rep := &Report{Name: name}
-	var se, sf kernel.Scratch
+	var sb, sv kernel.Scratch
 	for _, app := range tr.Apps {
 		times := app.InvocationTimes()
 		if len(times) == 0 {
@@ -200,56 +201,55 @@ func CompareTrace(name string, tr *trace.Trace, exact, fast policy.Policy, opt s
 		}
 		var execs []float64
 		if opt.UseExecTime {
-			execs = se.ExecSeconds(app)
+			execs = sb.ExecSeconds(app)
 		}
-		idles := se.IdleTimes(times, execs)
-		// The fast scratch only re-encodes: DecideRuns' result aliases
-		// its scratch, so each lane needs its own.
-		runsE := se.DecideRuns(newApp(exact, app.ID), idles)
-		runsF := sf.DecideRuns(newApp(fast, app.ID), idles)
-		flips, total := CountFlips(runsE, runsF)
+		idles := sb.IdleTimes(times, execs)
+		// DecideRuns' result aliases its scratch, so each policy needs
+		// its own.
+		runsB := sb.DecideRuns(newApp(base, app.ID), idles)
+		runsV := sv.DecideRuns(newApp(variant, app.ID), idles)
+		flips, total := CountFlips(runsB, runsV)
 		rep.Flips += flips
 		rep.Invocations += total
 	}
 
-	resE := sim.Simulate(tr, exact, opt)
-	resF := sim.Simulate(tr, fast, opt)
-	rep.fillMetrics(resE, resF)
+	resB := sim.Simulate(tr, base, opt)
+	resV := sim.Simulate(tr, variant, opt)
+	rep.fillMetrics(resB, resV)
 	return rep
 }
 
 // CompareCluster is CompareTrace under the cluster engine: the flip
 // and metric comparison is identical (policy decisions do not depend
 // on cluster state), and additionally the cold-start attribution
-// totals of both lanes are captured from two cluster simulations.
-func CompareCluster(name string, tr *trace.Trace, exact, fast policy.Policy, cfg cluster.Config, opt sim.Options) *Report {
-	rep := CompareTrace(name, tr, exact, fast, opt)
+// totals of both policies are captured from two cluster simulations.
+func CompareCluster(name string, tr *trace.Trace, base, variant policy.Policy, cfg cluster.Config, opt sim.Options) *Report {
+	rep := CompareTrace(name, tr, base, variant, opt)
 	rep.HasCluster = true
-	rep.AttrExact = clusterAttr(cluster.Simulate(tr, exact, cfg))
-	rep.AttrFast = clusterAttr(cluster.Simulate(tr, fast, cfg))
+	rep.AttrBase = clusterAttr(cluster.Simulate(tr, base, cfg))
+	rep.AttrVariant = clusterAttr(cluster.Simulate(tr, variant, cfg))
 	return rep
 }
 
-func (r *Report) fillMetrics(resE, resF *sim.Result) {
-	pe := resE.ColdPercents()
-	pf := resF.ColdPercents()
+func (r *Report) fillMetrics(resB, resV *sim.Result) {
+	pb := resB.ColdPercents()
+	pv := resV.ColdPercents()
 	for i, p := range coldPcts {
-		r.ColdExact[i] = stats.Percentile(pe, p)
-		r.ColdFast[i] = stats.Percentile(pf, p)
+		r.ColdBase[i] = stats.Percentile(pb, p)
+		r.ColdVariant[i] = stats.Percentile(pv, p)
 	}
-	// Normalize the fast lane's waste to the exact lane's: 100 means
-	// the lanes waste identically. An exact lane that wastes nothing
-	// (degenerate tiny traces) reports 100 iff the fast lane also
-	// wastes nothing.
-	if resE.TotalWastedSeconds() == 0 {
-		if resF.TotalWastedSeconds() == 0 {
+	// Normalize the variant's waste to the base's: 100 means they
+	// waste identically. A base that wastes nothing (degenerate tiny
+	// traces) reports 100 iff the variant also wastes nothing.
+	if resB.TotalWastedSeconds() == 0 {
+		if resV.TotalWastedSeconds() == 0 {
 			r.WastePct = 100
 		} else {
 			r.WastePct = 200 // any waste over a zero baseline: out of tolerance
 		}
 		return
 	}
-	r.WastePct = 100 * resF.TotalWastedSeconds() / resE.TotalWastedSeconds()
+	r.WastePct = 100 * resV.TotalWastedSeconds() / resB.TotalWastedSeconds()
 }
 
 func clusterAttr(res *cluster.Result) Attribution {

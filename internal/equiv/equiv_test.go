@@ -50,12 +50,12 @@ func TestCheckViolations(t *testing.T) {
 		Name:        "synthetic",
 		Invocations: 1000,
 		Flips:       25, // 2.5%
-		ColdExact:   [3]float64{1, 2, 10},
-		ColdFast:    [3]float64{1, 2.7, 10}, // p75 off by 0.7
+		ColdBase:    [3]float64{1, 2, 10},
+		ColdVariant: [3]float64{1, 2.7, 10}, // p75 off by 0.7
 		WastePct:    103,                    // 3 points off
 		HasCluster:  true,
-		AttrExact:   Attribution{ColdStarts: 100, Eviction: 10, Failure: 5},
-		AttrFast:    Attribution{ColdStarts: 120, Eviction: 10, Failure: 5},
+		AttrBase:    Attribution{ColdStarts: 100, Eviction: 10, Failure: 5},
+		AttrVariant: Attribution{ColdStarts: 120, Eviction: 10, Failure: 5},
 	}
 	err := rep.Check(DefaultTolerances())
 	if err == nil {
@@ -72,9 +72,9 @@ func TestCheckViolations(t *testing.T) {
 
 	// Within tolerances: no error.
 	rep.Flips = 5
-	rep.ColdFast[1] = 2.2
+	rep.ColdVariant[1] = 2.2
 	rep.WastePct = 100.4
-	rep.AttrFast.ColdStarts = 103
+	rep.AttrVariant.ColdStarts = 103
 	if err := rep.Check(DefaultTolerances()); err != nil {
 		t.Errorf("expected clean check, got %v", err)
 	}
@@ -107,19 +107,18 @@ func synthTrace() *trace.Trace {
 	}
 }
 
-// TestCompareTraceExactVsFast runs the real hybrid lanes over a
+// TestCompareTraceRefit runs hybrid and its refit=1m variant over a
 // synthetic trace and asserts the harness's own plumbing: totals add
 // up, the divergence is within the CI tolerances, and comparing the
-// exact lane against itself reports zero flips.
-func TestCompareTraceExactVsFast(t *testing.T) {
+// base against itself reports zero flips.
+func TestCompareTraceRefit(t *testing.T) {
 	tr := synthTrace()
-	exact := policy.NewHybrid(policy.DefaultHybridConfig())
-	fastCfg := policy.DefaultHybridConfig()
-	fastCfg.FastMode = true
-	fastCfg.RefitInterval = time.Minute
-	fast := policy.NewHybrid(fastCfg)
+	base := policy.NewHybrid(policy.DefaultHybridConfig())
+	refitCfg := policy.DefaultHybridConfig()
+	refitCfg.RefitInterval = time.Minute
+	refit := policy.NewHybrid(refitCfg)
 
-	rep := CompareTrace("synth", tr, exact, fast, sim.Options{})
+	rep := CompareTrace("synth", tr, base, refit, sim.Options{})
 	if want := int64(430); rep.Invocations != want {
 		t.Errorf("compared %d invocations, want %d", rep.Invocations, want)
 	}
@@ -127,14 +126,14 @@ func TestCompareTraceExactVsFast(t *testing.T) {
 		t.Errorf("synthetic corpus out of tolerance: %v", err)
 	}
 
-	self := CompareTrace("self", tr, exact, policy.NewHybrid(policy.DefaultHybridConfig()), sim.Options{})
+	self := CompareTrace("self", tr, base, policy.NewHybrid(policy.DefaultHybridConfig()), sim.Options{})
 	if self.Flips != 0 {
-		t.Errorf("exact vs exact flipped %d decisions", self.Flips)
+		t.Errorf("base vs base flipped %d decisions", self.Flips)
 	}
 	if self.WastePct != 100 {
-		t.Errorf("exact vs exact WastePct = %v, want 100", self.WastePct)
+		t.Errorf("base vs base WastePct = %v, want 100", self.WastePct)
 	}
 	if d := self.ColdDeltas(); d[0] != 0 || d[1] != 0 || d[2] != 0 {
-		t.Errorf("exact vs exact cold deltas = %v, want zeros", d)
+		t.Errorf("base vs base cold deltas = %v, want zeros", d)
 	}
 }

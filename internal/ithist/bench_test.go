@@ -15,24 +15,13 @@ func benchIdles(n int) []time.Duration {
 	return idles
 }
 
-func BenchmarkKernelExact(b *testing.B) {
+func BenchmarkKernel(b *testing.B) {
 	idles := benchIdles(4000)
 	h := New(DefaultConfig())
 	var runs []WindowRun
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Reset()
-		runs = h.DecideSeq(idles, 2, 0.5, 2, runs[:0])
-	}
-}
-
-func BenchmarkKernelFast(b *testing.B) {
-	idles := benchIdles(4000)
-	h := New(DefaultConfig())
-	var runs []WindowRun
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Reset()
-		runs = h.DecideSeqFast(idles, 2, 0.5, 2, runs[:0])
+		runs, _ = h.DecideSeq(idles, 2, 0.5, 2, runs[:0])
 	}
 }

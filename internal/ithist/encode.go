@@ -3,6 +3,7 @@ package ithist
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -14,15 +15,18 @@ import (
 
 const encodingVersion = 1
 
-// Encode serializes the histogram (configuration and counters).
+// Encode serializes the histogram (configuration and counters). The
+// percentiles are stored in hundredths and the margin in
+// ten-thousandths, rounded to nearest, so any config with that many
+// decimals decodes to itself.
 func (h *Histogram) Encode() []byte {
 	buf := make([]byte, 0, 64+len(h.counts))
 	buf = binary.AppendUvarint(buf, encodingVersion)
 	buf = binary.AppendUvarint(buf, uint64(h.cfg.BinWidth))
 	buf = binary.AppendUvarint(buf, uint64(h.cfg.NumBins))
-	buf = binary.AppendUvarint(buf, uint64(h.cfg.HeadPercentile*100))
-	buf = binary.AppendUvarint(buf, uint64(h.cfg.TailPercentile*100))
-	buf = binary.AppendUvarint(buf, uint64(h.cfg.Margin*10000))
+	buf = binary.AppendUvarint(buf, uint64(math.Round(h.cfg.HeadPercentile*100)))
+	buf = binary.AppendUvarint(buf, uint64(math.Round(h.cfg.TailPercentile*100)))
+	buf = binary.AppendUvarint(buf, uint64(math.Round(h.cfg.Margin*10000)))
 	buf = binary.AppendUvarint(buf, uint64(h.oob))
 	for _, c := range h.counts {
 		buf = binary.AppendUvarint(buf, uint64(c))
@@ -78,10 +82,9 @@ func Decode(data []byte) (*Histogram, error) {
 			h.counts[i] = int64(c)
 			h.total += int64(c)
 			h.sumSq += int64(c) * int64(c)
-			h.cvReplace(0, float64(c))
 		}
 	}
-	h.rebuildCursors()
+	h.invalidateCursors()
 	return h, nil
 }
 
@@ -106,9 +109,8 @@ func (h *Histogram) Merge(other *Histogram, weight float64) error {
 		h.counts[i] += add
 		h.total += add
 		h.sumSq += h.counts[i]*h.counts[i] - oldC*oldC
-		h.cvReplace(float64(oldC), float64(h.counts[i]))
 	}
 	h.oob += int64(float64(other.oob)*weight + 0.5)
-	h.rebuildCursors()
+	h.invalidateCursors()
 	return nil
 }

@@ -38,6 +38,43 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeConfigRoundTrip covers every margin with two
+// decimals and every percentile with one: the encoding stores them as
+// scaled integers, and a truncating conversion lost a unit for inputs
+// like Margin 0.57 (0.57*10000 = 5699.999...) or HeadPercentile 2.3,
+// leaving the decoded histogram unmergeable with its live twin.
+func TestEncodeDecodeConfigRoundTrip(t *testing.T) {
+	roundTrip := func(cfg Config) {
+		t.Helper()
+		h := New(cfg)
+		h.Observe(7 * time.Minute)
+		got, err := Decode(h.Encode())
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if got.Config() != cfg {
+			t.Fatalf("decoded config %+v, want %+v", got.Config(), cfg)
+		}
+		if err := h.Merge(got, 1); err != nil {
+			t.Fatalf("%+v: merging the decoded twin: %v", cfg, err)
+		}
+	}
+	for m := 0; m < 100; m++ {
+		cfg := DefaultConfig()
+		cfg.Margin = float64(m) / 100
+		roundTrip(cfg)
+	}
+	for p := 0; p <= 1000; p++ {
+		cfg := DefaultConfig()
+		cfg.HeadPercentile = float64(p) / 10
+		cfg.TailPercentile = 100
+		roundTrip(cfg)
+		cfg.HeadPercentile = 0
+		cfg.TailPercentile = float64(p) / 10
+		roundTrip(cfg)
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,

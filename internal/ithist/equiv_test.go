@@ -98,77 +98,155 @@ func TestWindowsLazySyncMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// bruteRegime is the written semantics (SEMANTICS.md) evaluated from
+// the raw counts alone: no cursors, no memo, no incremental moment.
+func bruteRegime(h *Histogram, minObs int64, oobThr, cvThr float64) WindowRun {
+	var sumSq, total float64
+	for _, c := range h.counts {
+		sumSq += float64(c) * float64(c)
+		total += float64(c)
+	}
+	oob := float64(h.oob)
+	cnt := total + oob
+	std := WindowRun{Regime: RegimeStandard, Count: 1}
+	if cnt >= float64(minObs) && oob > oobThr*cnt {
+		return WindowRun{Regime: RegimeOOB, Count: 1}
+	}
+	if cnt < float64(minObs) || total == 0 {
+		return std
+	}
+	if float64(len(h.counts))*sumSq < (1+cvThr*cvThr)*total*total {
+		return std
+	}
+	pw, ka, _ := bruteWindows(h)
+	return WindowRun{PreWarm: pw, KeepAlive: ka, Regime: RegimeWindows, Count: 1}
+}
+
 // TestDecideSeqMatchesStepwise feeds the same idle sequence to the
 // batch kernel and to a step-by-step Observe/OOBHeavy/CVBelow/Windows
 // replica on an independent histogram, asserting the expanded runs
-// agree observation by observation and the two histograms end in
-// states that keep agreeing on subsequent windows.
+// agree observation by observation with each other and with the
+// brute-force evaluation of the written semantics, and that the two
+// histograms end in states that keep agreeing on subsequent windows.
+// The cases past the first three sit on DecideSeq's dispatch guards:
+// there the kernel must decline without observing anything, and the
+// per-call path alone must match the brute force.
 func TestDecideSeqMatchesStepwise(t *testing.T) {
-	const (
-		minObs = 2
-		oobThr = 0.5
-		cvThr  = 2.0
-	)
-	check := func(seed uint64) bool {
-		r := stats.NewRNG(seed)
-		n := 2 + r.Intn(300)
-		idles := make([]time.Duration, n)
-		for i := range idles {
-			idles[i] = randomIT(r, 4*time.Hour)
-		}
-
-		batch := New(DefaultConfig())
-		runs := batch.DecideSeq(idles, minObs, oobThr, cvThr, nil)
-
-		// Expand runs to one entry per observation.
-		var flat []WindowRun
-		for _, run := range runs {
-			for k := int32(0); k < run.Count; k++ {
-				flat = append(flat, WindowRun{PreWarm: run.PreWarm, KeepAlive: run.KeepAlive, Regime: run.Regime, Count: 1})
-			}
-		}
-		if len(flat) != n-1 {
-			t.Logf("seed %d: runs cover %d observations, want %d", seed, len(flat), n-1)
-			return false
-		}
-
-		step := New(DefaultConfig())
-		for i := 1; i < n; i++ {
-			step.Observe(idles[i])
-			want := WindowRun{Regime: RegimeStandard, Count: 1}
-			cnt := step.Total() + step.OutOfBounds()
-			if cnt >= minObs && step.OOBHeavy(oobThr) {
-				want.Regime = RegimeOOB
-			} else if cnt < minObs || step.CVBelow(cvThr) {
-				// standard
-			} else if pw, ka, ok := step.Windows(); ok {
-				want = WindowRun{PreWarm: pw, KeepAlive: ka, Regime: RegimeWindows, Count: 1}
-			}
-			if flat[i-1] != want {
-				t.Logf("seed %d obs %d: batch %+v stepwise %+v", seed, i, flat[i-1], want)
-				return false
-			}
-		}
-
-		// The spilled state must continue to agree with the stepwise
-		// histogram on further observations.
-		for i := 0; i < 20; i++ {
-			it := randomIT(r, 4*time.Hour)
-			batch.Observe(it)
-			step.Observe(it)
-			bpw, bka, bok := batch.Windows()
-			spw, ska, sok := step.Windows()
-			if bok != sok || bpw != spw || bka != ska ||
-				batch.Total() != step.Total() ||
-				batch.OutOfBounds() != step.OutOfBounds() ||
-				batch.BinCountCV() != step.BinCountCV() {
-				return false
-			}
-		}
-		return true
+	with := func(f func(*Config)) Config {
+		cfg := DefaultConfig()
+		f(&cfg)
+		return cfg
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name          string
+		cfg           Config
+		oobThr, cvThr float64
+		preload       int64 // per-bin count merged into two bins first
+		batched       bool
+	}{
+		{"default", DefaultConfig(), 0.5, 2, 0, true},
+		{"cv=5", DefaultConfig(), 0.5, 5, 0, true},
+		{"bins=10", with(func(c *Config) { c.NumBins = 10 }), 0.5, 2, 0, true},
+		{"cv=0.5", DefaultConfig(), 0.5, 0.5, 0, false},
+		{"oob=0.3", DefaultConfig(), 0.3, 2, 0, false},
+		{"head=2.5", with(func(c *Config) { c.HeadPercentile = 2.5 }), 0.5, 2, 0, false},
+		{"bins=2048", with(func(c *Config) { c.NumBins = 2048 }), 0.5, 2, 0, false},
+		// 2^26 observations are crossed in the middle of the batch.
+		{"straddle-2^26", DefaultConfig(), 0.5, 2, 1<<25 - 25, false},
+	}
+	const minObs = 2
+	for _, tc := range cases {
+		fresh := func() *Histogram {
+			h := New(tc.cfg)
+			if tc.preload > 0 {
+				src := New(tc.cfg)
+				src.Observe(3 * tc.cfg.BinWidth)
+				src.Observe(17 * tc.cfg.BinWidth)
+				if err := h.Merge(src, float64(tc.preload)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return h
+		}
+		check := func(seed uint64) bool {
+			r := stats.NewRNG(seed)
+			n := 100 + r.Intn(200)
+			idles := make([]time.Duration, n)
+			for i := range idles {
+				idles[i] = randomIT(r, tc.cfg.BinWidth*time.Duration(tc.cfg.NumBins))
+			}
+
+			batch := fresh()
+			before := batch.Total()
+			runs, ok := batch.DecideSeq(idles, minObs, tc.oobThr, tc.cvThr, nil)
+			if ok != tc.batched {
+				t.Logf("seed %d: DecideSeq ok = %v, want %v", seed, ok, tc.batched)
+				return false
+			}
+			if !ok && (len(runs) != 0 || batch.Total() != before || batch.OutOfBounds() != 0) {
+				t.Logf("seed %d: declined batch touched the histogram", seed)
+				return false
+			}
+
+			// Expand runs to one entry per observation.
+			var flat []WindowRun
+			for _, run := range runs {
+				for k := int32(0); k < run.Count; k++ {
+					flat = append(flat, WindowRun{PreWarm: run.PreWarm, KeepAlive: run.KeepAlive, Regime: run.Regime, Count: 1})
+				}
+			}
+			if ok && len(flat) != n-1 {
+				t.Logf("seed %d: runs cover %d observations, want %d", seed, len(flat), n-1)
+				return false
+			}
+
+			step := fresh()
+			for i := 1; i < n; i++ {
+				step.Observe(idles[i])
+				got := WindowRun{Regime: RegimeStandard, Count: 1}
+				cnt := step.Total() + step.OutOfBounds()
+				if cnt >= minObs && step.OOBHeavy(tc.oobThr) {
+					got.Regime = RegimeOOB
+				} else if cnt < minObs || step.CVBelow(tc.cvThr) {
+					// standard
+				} else if pw, ka, ok := step.Windows(); ok {
+					got = WindowRun{PreWarm: pw, KeepAlive: ka, Regime: RegimeWindows, Count: 1}
+				}
+				if want := bruteRegime(step, minObs, tc.oobThr, tc.cvThr); got != want {
+					t.Logf("seed %d obs %d: stepwise %+v brute force %+v", seed, i, got, want)
+					return false
+				}
+				if ok && flat[i-1] != got {
+					t.Logf("seed %d obs %d: batch %+v stepwise %+v", seed, i, flat[i-1], got)
+					return false
+				}
+			}
+			if !ok {
+				return true
+			}
+
+			// The spilled state must continue to agree with the stepwise
+			// histogram on further observations.
+			for i := 0; i < 20; i++ {
+				it := randomIT(r, 4*time.Hour)
+				batch.Observe(it)
+				step.Observe(it)
+				bpw, bka, bok := batch.Windows()
+				spw, ska, sok := step.Windows()
+				if bok != sok || bpw != spw || bka != ska ||
+					batch.Total() != step.Total() ||
+					batch.OutOfBounds() != step.OutOfBounds() ||
+					batch.BinCountCV() != step.BinCountCV() {
+					return false
+				}
+			}
+			return true
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -9,8 +9,11 @@
 // window; the tail (default 99th percentile, rounded up to the bin's
 // upper edge) selects the keep-alive window; a 10% margin widens both
 // for safety. Representativeness is judged by the coefficient of
-// variation of the bin counts, tracked incrementally with Welford's
-// algorithm so each update is O(1).
+// variation of the bin counts, tested in closed form from the sum of
+// squared counts — one integer add per observation. SEMANTICS.md in
+// this directory is the normative statement of every decision rule;
+// the batch kernel (DecideSeq) and the per-call methods both compute
+// it.
 //
 // The percentile bins that drive Windows are maintained incrementally:
 // each Observe adjusts a head and a tail cursor (amortized O(1), worst
@@ -96,29 +99,9 @@ type Histogram struct {
 	total  int64 // in-bounds observations
 	oob    int64 // out-of-bounds observations
 
-	// Welford state over the bin counts (n is always NumBins: a count
-	// moving from c to c+1 is a Replace, never an Add). Kept as plain
-	// fields rather than a stats.Welford so the batch decision kernel
-	// can carry them in registers; every update reproduces
-	// stats.Welford.Replace bit for bit.
-	cvMean float64
-	cvM2   float64
-
 	// sumSq is the sum of squared bin counts, the integer moment behind
-	// the fast-mode closed-form CV (see fast.go). It is maintained on
-	// every count mutation — one integer add per observation — so exact
-	// and fast consumers can share one histogram; the exact decision
-	// path never reads it.
+	// the representativeness gate (CVBelow).
 	sumSq int64
-	// cvStale marks the Welford moments as out of date after a fast
-	// batch (DecideSeqFast maintains only sumSq). Exact readers call
-	// fixWelford to rebuild them from the counts before use.
-	cvStale bool
-
-	// Precomputed constants for the hot path.
-	invBins  float64 // 1 / NumBins, for the O(1) CV update
-	headFrac float64 // HeadPercentile / 100
-	tailFrac float64 // TailPercentile / 100
 
 	head, tail cursor
 	syncedAt   int64 // h.total value at the last cursor sync
@@ -136,15 +119,8 @@ func New(cfg Config) *Histogram {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	h := &Histogram{
-		cfg:      cfg,
-		counts:   make([]int64, cfg.NumBins),
-		invBins:  1 / float64(cfg.NumBins),
-		headFrac: cfg.HeadPercentile / 100,
-		tailFrac: cfg.TailPercentile / 100,
-	}
-	h.head = cursor{bin: -1}
-	h.tail = cursor{bin: -1}
+	h := &Histogram{cfg: cfg, counts: make([]int64, cfg.NumBins)}
+	h.invalidateCursors()
 	return h
 }
 
@@ -185,37 +161,12 @@ func (h *Histogram) Observe(it time.Duration) {
 	h.counts[idx]++
 	h.total++
 	h.sumSq += 2*oldC + 1
-	h.cvInc1(float64(oldC))
 
 	if idx <= h.head.bin {
 		h.head.cum++
 	}
 	if idx <= h.tail.bin {
 		h.tail.cum++
-	}
-}
-
-// cvInc1 is stats.Welford.Replace(old, old+1) with n fixed at NumBins
-// and the 1/n quotient precomputed — bit-identical (the delta is
-// exactly 1 for integer counts), without the division.
-func (h *Histogram) cvInc1(old float64) {
-	oldMean := h.cvMean
-	h.cvMean += h.invBins
-	h.cvM2 += (old + 1) - h.cvMean + old - oldMean
-	if h.cvM2 < 0 {
-		h.cvM2 = 0
-	}
-}
-
-// cvReplace is stats.Welford.Replace(old, new) with n fixed at
-// NumBins, for the bulk mutation paths (Decode, Merge).
-func (h *Histogram) cvReplace(old, new float64) {
-	delta := new - old
-	oldMean := h.cvMean
-	h.cvMean += delta / float64(h.cfg.NumBins)
-	h.cvM2 += delta * (new - h.cvMean + old - oldMean)
-	if h.cvM2 < 0 {
-		h.cvM2 = 0
 	}
 }
 
@@ -239,146 +190,6 @@ type WindowRun struct {
 	Count     int32
 }
 
-// DecideSeq records idles[1:] in order (idles[0] precedes an app's
-// first invocation, which observes nothing) and appends the
-// per-observation regime evaluation to runs, run-length encoded. It
-// is the batch equivalent of, per observation:
-//
-//	Observe(it)
-//	cnt := Total() + OutOfBounds()
-//	cnt >= minObs && OOBHeavy(oobThr) -> RegimeOOB
-//	cnt < minObs || CVBelow(cvThr)    -> RegimeStandard
-//	pw, ka, ok := Windows(); !ok      -> RegimeStandard
-//	otherwise                         -> RegimeWindows with (pw, ka)
-//
-// producing bit-identical regimes and windows, but with the whole
-// histogram state — counters, Welford CV accumulator, percentile
-// cursors, window memo — carried in locals across the loop, so the
-// per-observation cost is a handful of register operations instead of
-// memory round-trips through three method calls. This is the §5.3
-// per-invocation budget realized: the policy layer consumes the runs
-// and only materializes per-invocation work on the rare regime
-// changes.
-func (h *Histogram) DecideSeq(idles []time.Duration, minObs int64, oobThr, cvThr float64, runs []WindowRun) []WindowRun {
-	if len(idles) <= 1 {
-		return runs
-	}
-	h.fixWelford()
-	counts := h.counts
-	binW := h.cfg.BinWidth
-	binIsMinute := binW == time.Minute
-	invBins := h.invBins
-	nf := float64(h.cfg.NumBins)
-	headFrac, tailFrac := h.headFrac, h.tailFrac
-	total, oob := h.total, h.oob
-	totalF := float64(total) // exact: counts stay far below 2^53
-	sumSq := h.sumSq
-	mean, m2 := h.cvMean, h.cvM2
-	head, tail := h.head, h.tail
-	syncedAt := h.syncedAt
-	winHead, winTail := h.winHead, h.winTail
-	winPW, winKA := h.winPreWarm, h.winKeepAlive
-	winValid := h.winValid
-	var cur WindowRun
-	have := false
-	for _, it := range idles[1:] {
-		// Observe.
-		if it < 0 {
-			oob++
-		} else {
-			var idx int
-			if binIsMinute {
-				idx = int(it / time.Minute)
-			} else {
-				idx = int(it / binW)
-			}
-			if idx >= len(counts) {
-				oob++
-			} else {
-				oldC := counts[idx]
-				old := float64(oldC)
-				counts[idx]++
-				total++
-				totalF++
-				sumSq += 2*oldC + 1
-				oldMean := mean
-				mean += invBins
-				m2 += (old + 1) - mean + old - oldMean
-				if m2 < 0 {
-					m2 = 0
-				}
-				if idx <= head.bin {
-					head.cum++
-				}
-				if idx <= tail.bin {
-					tail.cum++
-				}
-			}
-		}
-		// Regime selection, exactly as the single-call path orders it.
-		step := WindowRun{Regime: RegimeStandard, Count: 1}
-		cnt := total + oob
-		if cnt >= minObs && oob != 0 && float64(oob) > oobThr*float64(cnt) {
-			step.Regime = RegimeOOB
-		} else if cnt < minObs || cvBelow(mean, m2, nf, cvThr) {
-			// RegimeStandard: too few observations or CV below the
-			// representativeness threshold.
-		} else if total == 0 {
-			// No in-bounds mass: Windows would report !ok.
-		} else {
-			if syncedAt != total {
-				syncedAt = total
-				if head.bin < 0 {
-					head = cursorAtN(counts, headFrac, total)
-					tail = cursorAtN(counts, tailFrac, total)
-				} else {
-					head.walkF(counts, headFrac*totalF)
-					tail.walkF(counts, tailFrac*totalF)
-				}
-			}
-			if !winValid || winHead != head.bin || winTail != tail.bin {
-				winHead, winTail = head.bin, tail.bin
-				winPW, winKA = marginWindows(h.cfg, head.bin, tail.bin)
-				winValid = true
-			}
-			step = WindowRun{PreWarm: winPW, KeepAlive: winKA, Regime: RegimeWindows, Count: 1}
-		}
-		if have && step.Regime == cur.Regime && step.PreWarm == cur.PreWarm && step.KeepAlive == cur.KeepAlive {
-			cur.Count++
-		} else {
-			if have {
-				runs = append(runs, cur)
-			}
-			cur, have = step, true
-		}
-	}
-	runs = append(runs, cur)
-
-	// Spill the carried state back into the histogram.
-	h.total, h.oob = total, oob
-	h.sumSq = sumSq
-	h.cvMean, h.cvM2 = mean, m2
-	h.head, h.tail = head, tail
-	h.syncedAt = syncedAt
-	h.winHead, h.winTail = winHead, winTail
-	h.winPreWarm, h.winKeepAlive = winPW, winKA
-	h.winValid = winValid
-	return runs
-}
-
-// cvBelow is the CVBelow comparison on explicit state. It must use
-// the exact expression sqrt(m2/n)/|mean| < thr: the CV lands exactly
-// on the paper's threshold of 2 for structurally common count
-// patterns (e.g. two observations in two distinct bins), so an
-// algebraically equivalent squared comparison rounds differently and
-// flips real decisions.
-func cvBelow(mean, m2, nf, thr float64) bool {
-	if mean == 0 {
-		return 0 < thr
-	}
-	return math.Sqrt(m2/nf)/math.Abs(mean) < thr
-}
-
 // syncCursors restores both percentile-cursor invariants after any
 // number of Observe calls. The prefix counts are kept exact by
 // Observe, so the walk is amortized O(1): each cursor moves only as
@@ -390,54 +201,37 @@ func (h *Histogram) syncCursors() {
 		return
 	}
 	h.syncedAt = h.total
-	if h.head.bin < 0 {
-		// First consultation since Reset: locate the cursors by scan.
-		h.head = h.cursorAt(h.headFrac)
-		h.tail = h.cursorAt(h.tailFrac)
-		return
-	}
-	h.head.walk(h.counts, effTarget(h.headFrac, h.total))
-	h.tail.walk(h.counts, effTarget(h.tailFrac, h.total))
+	h.head.walk(h.counts, h.cfg.HeadPercentile*float64(h.total))
+	h.tail.walk(h.counts, h.cfg.TailPercentile*float64(h.total))
 }
 
-// effTarget converts a percentile fraction into the prefix-count
-// target. The percentile scan's "cumulative >= target" test over
-// integer prefix counts is unchanged by raising any target below 0.5
-// to 0.5 (a zero or tiny target is first satisfied at the first
-// occupied bin either way), which gives the cursors a single uniform
-// invariant.
-func effTarget(frac float64, total int64) float64 {
-	t := frac * float64(total)
-	if t < 0.5 {
-		t = 0.5
-	}
-	return t
-}
+// minTarget is the sub-half clamp on a cursor target tN = p*total (the
+// percentile test scaled by 100): "100*cum >= tN" over integer prefix
+// counts is unchanged by raising any target below 50 to 50 (a zero or
+// tiny target is first satisfied at the first occupied bin either
+// way), which gives the cursors a single uniform invariant.
+const minTarget = 50
 
 // walk restores the cursor invariant given an up-to-date prefix count:
-// bin becomes the smallest index with inclusive prefix count cum >=
-// target, with counts[bin] > 0. Prefix counts are exact in float64
-// (they are integers far below 2^53), so the comparisons reproduce the
-// full percentile scan bit for bit.
-// walkF is walk with the target supplied as frac*total, unclamped (the
-// batch kernel tracks the float total incrementally); it applies the
-// same sub-half clamp as effTarget.
-func (c *cursor) walkF(counts []int64, target float64) {
-	if target < 0.5 {
-		target = 0.5
+// bin becomes the smallest index whose inclusive prefix count cum has
+// 100*cum >= tN, with counts[bin] > 0. tN is percentile*total,
+// unclamped. For integral percentiles both sides are integers far
+// below 2^53, so the float comparison is the exact rational test the
+// batch kernel tracks in int64. An invalidated cursor (bin -1, cum 0)
+// walks up from the first bin, which is the locate-by-scan; the counts
+// must hold at least one observation.
+func (c *cursor) walk(counts []int64, tN float64) {
+	if tN < minTarget {
+		tN = minTarget
 	}
-	c.walk(counts, target)
-}
-
-func (c *cursor) walk(counts []int64, target float64) {
-	for float64(c.cum) < target {
+	for 100*float64(c.cum) < tN {
 		c.bin++
 		for counts[c.bin] == 0 {
 			c.bin++
 		}
 		c.cum += counts[c.bin]
 	}
-	for float64(c.cum-counts[c.bin]) >= target {
+	for 100*float64(c.cum-counts[c.bin]) >= tN {
 		c.cum -= counts[c.bin]
 		c.bin--
 		for counts[c.bin] == 0 {
@@ -470,43 +264,53 @@ func (h *Histogram) OOBHeavy(thr float64) bool {
 }
 
 // BinCountCV returns the coefficient of variation of the bin counts,
-// maintained incrementally. High CV means the ITs concentrate in few
-// bins (the histogram is representative); CV near zero means the mass
-// is spread out or absent.
+// for reporting: with S the sum of squared counts, T the in-bounds
+// total and n the bin count, CV^2 = n*S/T^2 - 1. High CV means the ITs
+// concentrate in few bins (the histogram is representative); CV near
+// zero means the mass is spread out or absent. Decisions use CVBelow,
+// which never rounds.
 func (h *Histogram) BinCountCV() float64 {
-	h.fixWelford()
-	if h.cvMean == 0 {
+	if h.total == 0 {
 		return 0
 	}
-	return math.Sqrt(h.cvM2/float64(h.cfg.NumBins)) / math.Abs(h.cvMean)
+	t := float64(h.total)
+	return math.Sqrt(math.Max(0, float64(h.cfg.NumBins)*float64(h.sumSq)/(t*t)-1))
 }
 
-// CVBelow reports BinCountCV() < thr without computing a square root
-// or division. This is the per-invocation representativeness gate of
-// the hybrid policy.
+// CVBelow reports whether the bin-count CV is below thr — the
+// per-invocation representativeness gate of the hybrid policy,
+// defined square- and division-free as n*S < (1+thr^2)*T^2 (a CV
+// exactly on thr is not below it). The comparison runs in int64
+// whenever 1+thr^2 is integral and the products fit, so ties resolve
+// by exact algebra; otherwise the same inequality in float64.
 func (h *Histogram) CVBelow(thr float64) bool {
-	h.fixWelford()
-	return cvBelow(h.cvMean, h.cvM2, float64(h.cfg.NumBins), thr)
+	if h.total == 0 {
+		// All-zero counts: the CV is defined as 0.
+		return thr > 0
+	}
+	nI := int64(h.cfg.NumBins)
+	if thrI, ok := intGate(thr, nI); ok && h.total < intSizeLimit {
+		return nI*h.sumSq < thrI*h.total*h.total
+	}
+	t := float64(h.total)
+	return float64(nI)*float64(h.sumSq) < (1+thr*thr)*t*t
 }
 
-// fixWelford rebuilds the Welford moments from the counts after a fast
-// batch (DecideSeqFast) left them stale. The rebuild is a plain
-// two-pass recomputation, not bit-identical to the incremental
-// history — only reachable once fast mode has touched the histogram,
-// where bit-exactness is already waived.
-func (h *Histogram) fixWelford() {
-	if !h.cvStale {
-		return
-	}
-	h.cvStale = false
-	mean := float64(h.total) * h.invBins
-	var m2 float64
-	for _, c := range h.counts {
-		d := float64(c) - mean
-		m2 += d * d
-	}
-	h.cvMean, h.cvM2 = mean, m2
+// intGate returns 1+thr^2 as the integer factor of the int64 gate,
+// and whether that form is available: the factor must be integral and
+// it and the bin count nI below 2^11, so that with fewer than
+// intSizeLimit observations neither product overflows.
+func intGate(thr float64, nI int64) (thrI int64, ok bool) {
+	thrSq1 := 1 + thr*thr
+	thrI = int64(thrSq1)
+	return thrI, float64(thrI) == thrSq1 && thrI < 1<<11 && nI < 1<<11
 }
+
+// intSizeLimit bounds the observation counts under which the int64
+// forms cannot overflow: with total < 2^26, total^2 < 2^52 leaves
+// eleven bits for the threshold factors and sixteen for the OOB
+// fraction scale.
+const intSizeLimit = 1 << 26
 
 // Count returns the count in bin idx.
 func (h *Histogram) Count(idx int) int64 { return h.counts[idx] }
@@ -524,14 +328,14 @@ func (h *Histogram) Counts() []int64 {
 // retained as the reference implementation the property tests compare
 // the cursors against.
 func (h *Histogram) percentileBin(p float64) int {
-	target := p / 100 * float64(h.total)
-	var cum float64
+	tN := p * float64(h.total)
+	var cum int64
 	for i, c := range h.counts {
 		if c == 0 {
 			continue
 		}
-		cum += float64(c)
-		if cum >= target {
+		cum += c
+		if 100*float64(cum) >= tN {
 			return i
 		}
 	}
@@ -601,47 +405,15 @@ func marginWindows(cfg Config, headBin, tailBin int) (preWarm, keepAlive time.Du
 	return preWarm, keepAlive
 }
 
-// rebuildCursors recomputes the percentile cursors and invalidates the
-// window memo after a bulk mutation of the counts (Decode, Merge). The
-// incremental path in Observe only handles single-count increments.
-func (h *Histogram) rebuildCursors() {
+// invalidateCursors drops the percentile cursors and the window memo
+// after a bulk mutation of the counts (Reset, Decode, Merge; Observe
+// only handles single-count increments). The next consultation
+// relocates them by scan.
+func (h *Histogram) invalidateCursors() {
+	h.head = cursor{bin: -1}
+	h.tail = cursor{bin: -1}
+	h.syncedAt = 0
 	h.winValid = false
-	h.syncedAt = h.total
-	if h.total == 0 {
-		h.head = cursor{bin: -1}
-		h.tail = cursor{bin: -1}
-		return
-	}
-	h.head = h.cursorAt(h.headFrac)
-	h.tail = h.cursorAt(h.tailFrac)
-}
-
-// cursorAt locates the percentile cursor by a full scan (cold path).
-func (h *Histogram) cursorAt(frac float64) cursor {
-	return cursorAtN(h.counts, frac, h.total)
-}
-
-// cursorAtN is cursorAt on explicit state, for the batch kernel.
-func cursorAtN(counts []int64, frac float64, total int64) cursor {
-	target := effTarget(frac, total)
-	var cum int64
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		if float64(cum) >= target {
-			return cursor{bin: i, cum: cum}
-		}
-	}
-	// Unreachable for valid targets (target <= total); fall back to the
-	// last occupied bin, mirroring percentileBin.
-	for i := len(counts) - 1; i >= 0; i-- {
-		if counts[i] > 0 {
-			return cursor{bin: i, cum: total}
-		}
-	}
-	return cursor{bin: -1}
 }
 
 // Reset clears all state (used when an application is redeployed).
@@ -650,13 +422,8 @@ func (h *Histogram) Reset() {
 		h.counts[i] = 0
 	}
 	h.total, h.oob = 0, 0
-	h.cvMean, h.cvM2 = 0, 0
 	h.sumSq = 0
-	h.cvStale = false
-	h.head = cursor{bin: -1}
-	h.tail = cursor{bin: -1}
-	h.syncedAt = 0
-	h.winValid = false
+	h.invalidateCursors()
 }
 
 // MemoryFootprintBytes returns the approximate per-app size of the
@@ -665,7 +432,7 @@ func (h *Histogram) Reset() {
 // plus a constant-size block of incremental percentile-cursor, CV, and
 // memoized-window state.)
 func (h *Histogram) MemoryFootprintBytes() int {
-	const fixed = 24 /* Welford */ + 2*16 /* cursors */ +
-		24 /* precomputed fractions */ + 48 /* generation + window memo */
+	const fixed = 3*8 /* totals + CV moment */ + 2*16 /* cursors */ +
+		48 /* generation + window memo */
 	return 8*len(h.counts) + fixed
 }

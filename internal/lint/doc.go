@@ -6,7 +6,7 @@
 // Encoding them as analyzers keeps every future change honest on
 // every push.
 //
-// The six analyzers:
+// The five analyzers:
 //
 //   - determinism: flags `range` over a map inside the deterministic
 //     result path (internal/sim, internal/cluster, internal/metrics,
@@ -15,13 +15,6 @@
 //     results. It also flags wall-clock reads (time.Now, time.Since,
 //     time.Until) and the global math/rand functions anywhere in the
 //     tree: results must depend only on the trace and the seed.
-//   - fastlane: the opt-in fast kernel (internal/ithist's Fast-named
-//     helpers, behind hybrid?exact=off) is licensed to diverge from
-//     the golden-pinned exact path; a fast helper reached from
-//     unguarded code would silently un-pin the goldens. Every use
-//     must sit inside fast-lane (Fast-named) code or the positive
-//     body of an if on FastMode (directly or via a one-hop local
-//     copy).
 //   - oblivious: a placement whose Oblivious() method returns a
 //     constant true promises that Place never consults
 //     View.ResidentMB (internal/cluster/placement.go). The engine

@@ -120,7 +120,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 
 // All returns the full wildlint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Fastlane, Oblivious, Release, SinkContract, SpecParams}
+	return []*Analyzer{Determinism, Oblivious, Release, SinkContract, SpecParams}
 }
 
 // ByName resolves a comma-separable analyzer name, or nil.

@@ -37,10 +37,6 @@ func TestSpecParamsFixture(t *testing.T) {
 	RunFixture(t, SpecParams, "specfix")
 }
 
-func TestFastlaneFixture(t *testing.T) {
-	RunFixture(t, Fastlane, "fastlanefix")
-}
-
 // TestAnnotationChecks covers the "checked annotation" half of the
 // grammar: a stale opt-out and an unknown verb are both findings.
 func TestAnnotationChecks(t *testing.T) {

@@ -100,8 +100,17 @@ func TestSeqOnPreObservedAppFallsBack(t *testing.T) {
 // TestSeqMatchesStepwiseDecisions expands the batch path's runs and
 // compares them decision by decision with a fresh app driven through
 // the per-call path, across mixed in-bounds/out-of-bounds sequences
-// (the ARIMA regime included).
+// (the ARIMA regime included). The configurations after the default
+// are ones the batch kernel's integer forms cannot represent, where
+// NextWindowsSeq must take the per-call walk itself.
 func TestSeqMatchesStepwiseDecisions(t *testing.T) {
+	for _, spec := range []string{"hybrid", "hybrid?cv=0.5", "hybrid?oob=0.3", "hybrid?head=2.5", "hybrid?bins=2048"} {
+		p := MustFromSpec(spec)
+		t.Run(spec, func(t *testing.T) { testSeqMatchesStepwise(t, p) })
+	}
+}
+
+func testSeqMatchesStepwise(t *testing.T, p Policy) {
 	for seed := uint64(0); seed < 12; seed++ {
 		r := stats.NewRNG(seed)
 		n := 2 + r.Intn(200)
@@ -113,7 +122,6 @@ func TestSeqMatchesStepwiseDecisions(t *testing.T) {
 				idles[i] = time.Duration(r.Float64() * float64(time.Hour))
 			}
 		}
-		p := NewHybrid(DefaultHybridConfig())
 		seqApp := p.NewApp("a").(*hybridApp)
 		runs := seqApp.NextWindowsSeq(idles, nil)
 

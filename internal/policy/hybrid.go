@@ -50,20 +50,12 @@ type HybridConfig struct {
 	// paper notes the model is replaceable (§4.2), and
 	// forecast.ExpSmoothing is a cheap drop-in.
 	Forecaster forecast.Forecaster
-	// FastMode (spec exact=off) relaxes the bit-exactness contract of
-	// the decision pipeline: the histogram gate uses closed-form CV
-	// moments with a square-free threshold comparison
-	// (ithist.DecideSeqFast), and the default ARIMA forecaster uses
-	// reordered float accumulation. Decisions may differ from the
-	// default lane at CV threshold ties; internal/equiv measures and
-	// bounds the divergence.
-	FastMode bool
 	// RefitInterval (spec refit=<dur>) amortizes the ARIMA refit for
 	// OOB-managed apps: a fitted forecast is reused until at least
 	// RefitInterval of observed idle (trace) time has accumulated since
 	// the fit, instead of refitting on every invocation. 0 keeps the
-	// paper's §4.2 refit-per-invocation semantics exactly. Nonzero
-	// requires FastMode.
+	// paper's §4.2 refit-per-invocation semantics exactly; nonzero is
+	// the one opt-in departure from them, measured by internal/equiv.
 	RefitInterval time.Duration
 }
 
@@ -106,9 +98,6 @@ func (c HybridConfig) Validate() error {
 	if c.RefitInterval < 0 {
 		return fmt.Errorf("policy: RefitInterval %v negative", c.RefitInterval)
 	}
-	if c.RefitInterval > 0 && !c.FastMode {
-		return fmt.Errorf("policy: RefitInterval %v requires FastMode (spec exact=off): amortized refits break the exact lane's refit-per-invocation pin", c.RefitInterval)
-	}
 	return nil
 }
 
@@ -137,11 +126,8 @@ func (p *Hybrid) Name() string {
 	if p.cfg.DisablePreWarm {
 		name += "-nopw"
 	}
-	if p.cfg.FastMode {
-		name += "-fast"
-		if p.cfg.RefitInterval > 0 {
-			name += fmt.Sprintf("-refit%s", p.cfg.RefitInterval)
-		}
+	if p.cfg.RefitInterval > 0 {
+		name += fmt.Sprintf("-refit%s", p.cfg.RefitInterval)
 	}
 	return name
 }
@@ -180,20 +166,11 @@ var defaultForecaster forecast.Forecaster = forecast.ARIMA{
 	Options: arima.Options{MaxP: 2, MaxD: 1, MaxQ: 1},
 }
 
-// defaultForecasterRelaxed is the same order search with reordered
-// float accumulation licensed — the fast lane's default.
-var defaultForecasterRelaxed forecast.Forecaster = forecast.ARIMA{
-	Options: arima.Options{MaxP: 2, MaxD: 1, MaxQ: 1, Relaxed: true},
-}
-
 // resolveForecaster returns the configured forecaster or the paper's
-// default ARIMA order search (relaxed accumulation in fast mode).
+// default ARIMA order search.
 func resolveForecaster(cfg HybridConfig) forecast.Forecaster {
 	if cfg.Forecaster != nil {
 		return cfg.Forecaster
-	}
-	if cfg.FastMode {
-		return defaultForecasterRelaxed
 	}
 	return defaultForecaster
 }
@@ -225,11 +202,11 @@ type hybridApp struct {
 	lastValid    bool
 
 	// Forecast memo: prediction fitted when obsSeen was fitSeen. The
-	// paper refits after every invocation of an ARIMA-managed app; on
-	// the exact lane the memo only skips refits when no new IT arrived,
-	// preserving that semantics. The fast lane (RefitInterval > 0)
-	// additionally reuses the memo while less than RefitInterval of
-	// observed idle time has passed since the fit (clock - fitAt).
+	// paper refits after every invocation of an ARIMA-managed app; with
+	// RefitInterval 0 the memo only skips refits when no new IT arrived,
+	// preserving that semantics. RefitInterval > 0 additionally reuses
+	// the memo while less than RefitInterval of observed idle time has
+	// passed since the fit (clock - fitAt).
 	fitSeen  uint64
 	fitPred  float64
 	fitOK    bool
@@ -237,8 +214,7 @@ type hybridApp struct {
 
 	// clock accumulates observed idle (trace) time and fitAt stamps
 	// the clock at the last actual fit, so clk - fitAt is the fit's
-	// age. Both only maintained in fast mode (the exact lane never
-	// reads them). The per-call path advances the clock on every
+	// age. The per-call path advances the clock on every
 	// observation; the batch kernel only across forecast-path (OOB)
 	// observations — the fit is only consulted there, and since fitAt
 	// comes from the same clock, stretches skipped by both cancel out
@@ -307,7 +283,7 @@ func (a *hybridApp) seriesMinutes() []float64 {
 // keep-alive.
 func (a *hybridApp) NextWindows(idle time.Duration, first bool) Decision {
 	if !first {
-		if a.cfg.FastMode && idle > 0 {
+		if idle > 0 {
 			a.clock += idle
 		}
 		a.hist.Observe(idle)
@@ -342,84 +318,67 @@ func (a *hybridApp) NextWindowsSeq(idles []time.Duration, runs []DecisionRun) []
 	if len(idles) == 0 {
 		return runs
 	}
-	if a.obsSeen != 0 {
-		// Not a fresh app: the batch path reconstructs the ARIMA
-		// series from idles alone and rebuilds the ring from it, which
-		// would silently drop the previously recorded ITs. Fall back
-		// to the per-call loop, which handles accumulated state.
-		acc := runAcc{cur: a.NextWindows(idles[0], true), curN: 1, runs: runs}
-		for i := 1; i < len(idles); i++ {
-			acc.emit(a.NextWindows(idles[i], false), 1)
+	acc := runAcc{runs: runs, cur: a.NextWindows(idles[0], true), curN: 1}
+	// The batch path needs a fresh app — it reconstructs the ARIMA
+	// series from idles alone and rebuilds the ring from it, which
+	// would silently drop previously recorded ITs — and a configuration
+	// the kernel's integer forms represent. Otherwise walk the per-call
+	// path, which handles both.
+	batched := false
+	if a.obsSeen == 0 {
+		a.wruns, batched = a.hist.DecideSeq(idles, a.cfg.MinObservations, a.cfg.OOBThreshold, a.cfg.CVThreshold, a.wruns[:0])
+	}
+	if !batched {
+		for _, idle := range idles[1:] {
+			acc.emit(a.NextWindows(idle, false), 1)
 		}
 		return append(acc.runs, DecisionRun{D: acc.cur, N: acc.curN})
 	}
-	acc := runAcc{runs: runs, cur: a.NextWindows(idles[0], true), curN: 1}
-	if len(idles) > 1 {
-		fast := a.cfg.FastMode
-		if fast {
-			a.wruns = a.hist.DecideSeqFast(idles, a.cfg.MinObservations, a.cfg.OOBThreshold, a.cfg.CVThreshold, a.wruns[:0])
-		} else {
-			a.wruns = a.hist.DecideSeq(idles, a.cfg.MinObservations, a.cfg.OOBThreshold, a.cfg.CVThreshold, a.wruns[:0])
-		}
-		standard := a.standard()
-		disablePW := a.cfg.DisablePreWarm
-		// Refit clock, fast mode only. The batch kernel advances it
-		// solely across forecast-path (OOB) observations: the fit is
-		// only consulted there, and fitAt is stamped from the same
-		// clock, so skipped stretches cancel out of the clk - fitAt
-		// age. Summing the windows/standard runs' idles too would put
-		// an O(invocations) pass on the hot path for apps that never
-		// touch the forecast.
-		clk := a.clock
-		idx := 1 // invocation index of the next run's first observation
-		for _, wr := range a.wruns {
-			switch wr.Regime {
-			case ithist.RegimeWindows:
-				if disablePW {
-					// Keep the app loaded from execution end through
-					// the tail.
-					acc.emit(Decision{PreWarm: 0, KeepAlive: wr.PreWarm + wr.KeepAlive, Mode: ModeHistogram}, wr.Count)
-				} else {
-					acc.emit(Decision{PreWarm: wr.PreWarm, KeepAlive: wr.KeepAlive, Mode: ModeHistogram}, wr.Count)
-				}
-			case ithist.RegimeStandard:
-				acc.emit(standard, wr.Count)
-			default: // ithist.RegimeOOB: the time-series path
-				for k := 0; k < int(wr.Count); k++ {
-					var d Decision
-					var ok bool
-					if fast {
-						if it := idles[idx+k]; it > 0 {
-							clk += it
-						}
-						d, ok = a.arimaFastAt(idles, idx+k, clk)
-					} else {
-						// Refit per invocation (§4.2).
-						d, ok = a.arimaDecisionAt(idles, idx+k)
-					}
-					if !ok {
-						d = standard
-					}
-					acc.emit(d, 1)
-				}
+	standard := a.standard()
+	disablePW := a.cfg.DisablePreWarm
+	// The batch advances the refit clock solely across forecast-path
+	// (OOB) observations: the fit is only consulted there, and fitAt is
+	// stamped from the same clock, so skipped stretches cancel out of
+	// the clk - fitAt age. Summing the windows/standard runs' idles too
+	// would put an O(invocations) pass on the hot path for apps that
+	// never touch the forecast.
+	clk := a.clock
+	idx := 1 // invocation index of the next run's first observation
+	for _, wr := range a.wruns {
+		switch wr.Regime {
+		case ithist.RegimeWindows:
+			if disablePW {
+				// Keep the app loaded from execution end through
+				// the tail.
+				acc.emit(Decision{PreWarm: 0, KeepAlive: wr.PreWarm + wr.KeepAlive, Mode: ModeHistogram}, wr.Count)
+			} else {
+				acc.emit(Decision{PreWarm: wr.PreWarm, KeepAlive: wr.KeepAlive, Mode: ModeHistogram}, wr.Count)
 			}
-			idx += int(wr.Count)
+		case ithist.RegimeStandard:
+			acc.emit(standard, wr.Count)
+		default: // ithist.RegimeOOB: the time-series path
+			for k := 0; k < int(wr.Count); k++ {
+				if it := idles[idx+k]; it > 0 {
+					clk += it
+				}
+				d, ok := a.arimaDecisionAt(idles, idx+k, clk)
+				if !ok {
+					d = standard
+				}
+				acc.emit(d, 1)
+			}
 		}
-		// Leave the ring and counters as the per-call path would have,
-		// so subsequent single NextWindows calls continue correctly.
-		a.rebuildRing(idles[1:])
-		a.clock = clk
+		idx += int(wr.Count)
 	}
+	// Leave the ring, counters and memos as the per-call path would
+	// have, so subsequent single NextWindows calls continue correctly:
+	// marking the forecast memo seen lets the next observation apply
+	// the refit gate (which never holds at RefitInterval 0).
+	a.rebuildRing(idles[1:])
+	a.clock = clk
 	a.lastValid = false
-	if a.cfg.FastMode && a.cfg.RefitInterval > 0 {
-		// Keep the forecast memo across the batch boundary: marking it
-		// seen lets the per-call path apply the interval gate instead
-		// of unconditionally refitting on the next observation.
-		if a.fitValid {
-			a.fitSeen = a.obsSeen
-		}
-	} else {
-		a.fitValid = false
+	if a.fitValid {
+		a.fitSeen = a.obsSeen
 	}
 	return append(acc.runs, DecisionRun{D: acc.cur, N: acc.curN})
 }
@@ -442,37 +401,12 @@ func (r *runAcc) emit(d Decision, n int32) {
 
 // arimaDecisionAt is arimaDecision with the IT series sliced directly
 // out of the idle sequence: after invocation j, the retained series is
-// the last ARIMAMaxSeries entries of idles[1 : j+1].
-func (a *hybridApp) arimaDecisionAt(idles []time.Duration, j int) (Decision, bool) {
-	if a.cfg.DisableARIMA || j < a.cfg.ARIMAMinSamples {
-		return Decision{}, false
-	}
-	lo := 1
-	if m := j - a.cfg.ARIMAMaxSeries + 1; m > lo {
-		lo = m
-	}
-	n := j - lo + 1
-	if cap(a.series) < n {
-		a.series = make([]float64, n)
-	}
-	s := a.series[:n]
-	for k := range s {
-		s[k] = idles[lo+k].Minutes()
-	}
-	predMinutes, ok := a.fc.PredictNext(s)
-	if !ok {
-		return Decision{}, false
-	}
-	return a.arimaWindows(predMinutes), true
-}
-
-// arimaFastAt is arimaDecisionAt with the fast lane's amortized refit:
-// a fit younger than RefitInterval of observed idle time (clk is the
-// clock after this invocation's idle) is reused through the forecast
-// memo, skipping both the minutes-series re-derivation and the fit.
-// With RefitInterval 0 the gate never holds and every invocation
-// refits, matching the exact lane's §4.2 semantics.
-func (a *hybridApp) arimaFastAt(idles []time.Duration, j int, clk time.Duration) (Decision, bool) {
+// the last ARIMAMaxSeries entries of idles[1 : j+1]. clk is the refit
+// clock after this invocation's idle; a fit younger than RefitInterval
+// is reused through the forecast memo, skipping both the
+// minutes-series re-derivation and the fit. With RefitInterval 0 the
+// gate never holds and every invocation refits (§4.2).
+func (a *hybridApp) arimaDecisionAt(idles []time.Duration, j int, clk time.Duration) (Decision, bool) {
 	if a.cfg.DisableARIMA || j < a.cfg.ARIMAMinSamples {
 		return Decision{}, false
 	}
@@ -520,7 +454,7 @@ func (a *hybridApp) decide() Decision {
 		}
 		return a.standard()
 	}
-	if total < a.cfg.MinObservations || a.cvBelow() {
+	if total < a.cfg.MinObservations || a.hist.CVBelow(a.cfg.CVThreshold) {
 		return a.standard()
 	}
 	pw, ka, ok := a.hist.Windows()
@@ -532,17 +466,6 @@ func (a *hybridApp) decide() Decision {
 		return Decision{PreWarm: 0, KeepAlive: pw + ka, Mode: ModeHistogram}
 	}
 	return Decision{PreWarm: pw, KeepAlive: ka, Mode: ModeHistogram}
-}
-
-// cvBelow is the representativeness gate: the exact Welford-based
-// comparison by default, the closed-form square-free comparison in
-// fast mode (the two can disagree when the CV sits exactly on the
-// threshold).
-func (a *hybridApp) cvBelow() bool {
-	if a.cfg.FastMode {
-		return a.hist.FastCVBelow(a.cfg.CVThreshold)
-	}
-	return a.hist.CVBelow(a.cfg.CVThreshold)
 }
 
 // standard is the conservative fallback: no unloading after execution
@@ -563,11 +486,11 @@ func (a *hybridApp) arimaDecision() (Decision, bool) {
 	// ARIMA-managed app (§4.2); these apps are invoked rarely, so the
 	// cost is off the critical path and negligible in aggregate. The
 	// memo only short-circuits refits on an unchanged series — except
-	// in fast mode with a refit interval, where a fit younger than
-	// RefitInterval of observed idle time is reused (and the minutes
-	// series not re-derived) even after new observations.
+	// with a refit interval, where a fit younger than RefitInterval of
+	// observed idle time is reused (and the minutes series not
+	// re-derived) even after new observations.
 	if !a.fitValid || a.fitSeen != a.obsSeen {
-		if a.fitValid && a.cfg.RefitInterval > 0 && a.clock-a.fitAt < a.cfg.RefitInterval {
+		if a.fitValid && a.clock-a.fitAt < a.cfg.RefitInterval {
 			a.fitSeen = a.obsSeen
 		} else {
 			a.fitPred, a.fitOK = a.fc.PredictNext(a.seriesMinutes())

@@ -230,6 +230,14 @@ func TestHybridName(t *testing.T) {
 	if got := NewHybrid(cfg).Name(); got != "hybrid-4h0m0s[5,99]-noarima" {
 		t.Fatalf("name = %q", got)
 	}
+	// exact=off alone selects nothing, so it names nothing; only the
+	// amortized refit is a different policy.
+	if got := MustFromSpec("hybrid?exact=off").Name(); got != p.Name() {
+		t.Fatalf("exact=off name = %q, want %q", got, p.Name())
+	}
+	if got := MustFromSpec("hybrid?exact=off&refit=1m").Name(); got != "hybrid-4h0m0s[5,99]-refit1m0s" {
+		t.Fatalf("name = %q", got)
+	}
 }
 
 func TestHybridCustomRange(t *testing.T) {

@@ -130,10 +130,9 @@ func buildNoUnload(*SpecParams) (Policy, error) { return NoUnloading{}, nil }
 //	arima-margin  forecast error allowance
 //	prewarm   on/off — off is the "no PW, KA:99th" Figure 17 variant
 //	forecaster    arima (default) or ses (exponential smoothing)
-//	exact     on/off — off selects the fast lane: closed-form CV
-//	          moments, square-free threshold comparison, reordered
-//	          float accumulation (decisions may differ at CV ties;
-//	          divergence measured by internal/equiv)
+//	exact     on/off — off acknowledges a departure from the paper's
+//	          semantics and is required by a nonzero refit; on its own
+//	          it changes nothing (kept so pre-PR-14 specs parse)
 //	refit     amortized ARIMA refit interval in observed idle time
 //	          (e.g. 1m); 0 (default) refits per invocation as §4.2
 //	          mandates; nonzero requires exact=off
@@ -187,7 +186,6 @@ func buildHybrid(p *SpecParams) (Policy, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.FastMode = !exact
 	if cfg.RefitInterval, err = p.Duration("refit", 0); err != nil {
 		return nil, err
 	}
@@ -195,7 +193,7 @@ func buildHybrid(p *SpecParams) (Policy, error) {
 		return nil, fmt.Errorf("parameter refit: must be non-negative, got %v", cfg.RefitInterval)
 	}
 	if cfg.RefitInterval > 0 && exact {
-		return nil, fmt.Errorf("parameter refit: requires exact=off (amortized refits relax the exact lane's refit-per-invocation pin)")
+		return nil, fmt.Errorf("parameter refit: requires exact=off (amortized refits depart from §4.2's refit per invocation)")
 	}
 	switch fc := p.String("forecaster", "arima"); fc {
 	case "arima":

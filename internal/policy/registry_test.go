@@ -104,6 +104,9 @@ func TestFromSpecErrors(t *testing.T) {
 		{"hybrid?cv=abc", "parameter cv"},
 		{"hybrid?arima=maybe", "invalid boolean"},
 		{"hybrid?forecaster=lstm", "unknown \"lstm\""},
+		{"hybrid?exact=maybe", "invalid boolean"},
+		{"hybrid?refit=1m", "requires exact=off"},
+		{"hybrid?exact=off&refit=-1m", "non-negative"},
 		{"hybrid?bins=0", "NumBins"},
 		{"hybrid?range=4h&binwidth=0s", "binwidth"},
 		{"nounload?ka=1m", "unknown parameters [ka]"},

@@ -71,7 +71,7 @@ func (a *adapterApp) NextWindows(idle time.Duration, first bool) policy.Decision
 			time.Duration(a.parent.cfg.Histogram.NumBins),
 		Mode: policy.ModeStandard,
 	}
-	if agg == nil || agg.Total() < 2 || agg.BinCountCV() < 2 {
+	if agg == nil || agg.Total() < 2 || agg.CVBelow(2) {
 		return standard
 	}
 	pw, ka, ok := agg.Windows()

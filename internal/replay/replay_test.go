@@ -11,11 +11,18 @@ import (
 )
 
 func fastPlatform(pol policy.Policy) *platform.Platform {
+	return scaledPlatform(pol, 2000)
+}
+
+// scaledPlatform runs the platform's clock at scale× wall time. Tests
+// asserting warm/cold outcomes need the keep-alive's distance from the
+// nearest gap to be far above scheduler jitter in *wall* time.
+func scaledPlatform(pol policy.Policy, scale float64) *platform.Platform {
 	return platform.NewPlatform(platform.Config{
 		NumInvokers:      2,
 		ColdStartDelay:   500 * time.Millisecond,
 		RuntimeInitDelay: 10 * time.Millisecond,
-		Clock:            platform.NewScaledClock(2000),
+		Clock:            platform.NewScaledClock(scale),
 	}, pol)
 }
 
@@ -38,7 +45,11 @@ func smallTrace() *trace.Trace {
 }
 
 func TestReplayFixedPolicy(t *testing.T) {
-	p := fastPlatform(policy.FixedKeepAlive{KeepAlive: 2 * time.Minute})
+	// A 3-minute keep-alive sits 2 virtual minutes from both app a's
+	// 1-minute gaps and app b's 5-minute gap; at 500x that is 240 ms of
+	// wall clock on either side, where 30 ms is within a loaded 2-vCPU
+	// box's scheduling jitter.
+	p := scaledPlatform(policy.FixedKeepAlive{KeepAlive: 3 * time.Minute}, 500)
 	defer p.Stop()
 	rep, err := Replay(context.Background(), p, smallTrace(), Options{})
 	if err != nil {
@@ -50,7 +61,7 @@ func TestReplayFixedPolicy(t *testing.T) {
 	if len(rep.Apps) != 2 {
 		t.Fatalf("apps = %d", len(rep.Apps))
 	}
-	// App a: invocations 1 min apart with 2-min keep-alive → only first
+	// App a: invocations 1 min apart with 3-min keep-alive → only first
 	// cold. App b: 5-min gap → both cold.
 	var a, b platform.AppOutcome
 	for _, ao := range rep.Apps {
