@@ -18,14 +18,8 @@
 // workers' sink states exactly as the in-process sweep would — results
 // are bit-identical, but the cells spread across address spaces.
 //
-// Deprecated aliases (kept so existing invocations work; they desugar
-// into the same scenario grammar):
-//
-//	coldsim -apps 400 -days 7               # synthetic trace
-//	coldsim -trace inv.csv -memory mem.csv  # real/saved trace
-//	coldsim -policies 'fixed?ka=20m,hybrid?range=4h&cv=5'
-//	coldsim -trace big.csv -shard 0/4       # first of 4 shards
-//	coldsim -cluster nodes=8,mem=4096,place=binpack
+// Without -scenario, coldsim runs defaultScenario: the §5.2 policy
+// line-up over a 400-app synthetic week.
 //
 // The wasted-memory column of the table output is normalized to the
 // 10-minute fixed keep-alive policy on the same trace and cluster
@@ -50,7 +44,9 @@ import (
 	wild "repro"
 )
 
-const defaultPolicies = "nounload,fixed?ka=10m,fixed?ka=1h,fixed?ka=2h,hybrid"
+// defaultScenario is what a bare coldsim runs.
+const defaultScenario = "source=gen:apps=400&days=7&seed=42&maxrate=2000&maxevents=20000; " +
+	"policy=[nounload,fixed?ka=10m,fixed?ka=1h,fixed?ka=2h,hybrid]"
 
 // baselineSpec normalizes wasted memory, as throughout §5.2.
 const baselineSpec = "fixed?ka=10m"
@@ -64,30 +60,16 @@ func main() {
 	log.SetPrefix("coldsim: ")
 
 	var (
-		scenarioFlag = flag.String("scenario", "",
-			"scenario or sweep grid (text grammar, JSON, or @file.json); replaces the deprecated flags below")
+		scenarioFlag = flag.String("scenario", defaultScenario,
+			fmt.Sprintf("scenario or sweep grid (text grammar, JSON, or @file.json; policies: %v; placements: %v)",
+				wild.PolicySpecs(), wild.PlacementNames()))
 		format = flag.String("format", "table", "output format: table, csv or json")
 		fanout = flag.Int("fanout", 0,
 			"run each cell as n shard worker processes (rewrites unsharded cells to shard=*/n)")
-
-		// Deprecated aliases, desugared into the scenario grammar.
-		tracePath = flag.String("trace", "", "deprecated: invocations CSV (source=csv:...)")
-		memPath   = flag.String("memory", "", "deprecated: memory CSV for cluster runs (cluster.memcsv=...)")
-		apps      = flag.Int("apps", 400, "deprecated: apps to synthesize (source=gen:apps=...)")
-		days      = flag.Float64("days", 7, "deprecated: days to synthesize (source=gen:days=...)")
-		seed      = flag.Uint64("seed", 42, "deprecated: synthesis seed (source=gen:seed=...)")
-		policies  = flag.String("policies", defaultPolicies,
-			fmt.Sprintf("deprecated: comma-separated policy specs (policy=[...]; registered: %v)", wild.PolicySpecs()))
-		shard       = flag.String("shard", "", "deprecated: i/n app shard (shard=i/n)")
-		clusterFlag = flag.String("cluster", "",
-			fmt.Sprintf("deprecated: nodes=N,mem=MB[,place=SPEC] (cluster.nodes=... ; placements: %v)", wild.PlacementNames()))
 	)
 	flag.Parse()
 
-	grid, err := resolveGrid(*scenarioFlag, deprecatedFlags{
-		trace: *tracePath, memory: *memPath, apps: *apps, days: *days,
-		seed: *seed, policies: *policies, shard: *shard, cluster: *clusterFlag,
-	})
+	grid, err := resolveGrid(*scenarioFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -150,90 +132,16 @@ func fatal(err error) {
 	log.Fatal(err)
 }
 
-// deprecatedFlags carries the pre-scenario flag values.
-type deprecatedFlags struct {
-	trace, memory   string
-	apps            int
-	days            float64
-	seed            uint64
-	policies, shard string
-	cluster         string
-}
-
-// resolveGrid returns the sweep grid: parsed from -scenario (inline
-// or @file), or desugared from the deprecated flags. Mixing the two
-// styles is an error.
-func resolveGrid(scenarioArg string, dep deprecatedFlags) (wild.ScenarioGrid, error) {
-	deprecatedSet := false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "trace", "memory", "apps", "days", "seed", "policies", "shard", "cluster":
-			deprecatedSet = true
+// resolveGrid parses the sweep grid from -scenario, inline or @file.
+func resolveGrid(scenarioArg string) (wild.ScenarioGrid, error) {
+	if path, ok := strings.CutPrefix(scenarioArg, "@"); ok {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return wild.ScenarioGrid{}, err
 		}
-	})
-	if scenarioArg != "" {
-		if deprecatedSet {
-			return wild.ScenarioGrid{}, fmt.Errorf("-scenario cannot be combined with the deprecated trace/policy/cluster flags")
-		}
-		if path, ok := strings.CutPrefix(scenarioArg, "@"); ok {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return wild.ScenarioGrid{}, err
-			}
-			scenarioArg = string(data)
-		}
-		return wild.ParseGrid(scenarioArg)
+		scenarioArg = string(data)
 	}
-	return desugar(dep)
-}
-
-// desugar translates the deprecated flags into the scenario grammar —
-// the flags survive as aliases, but the grammar is the only parser.
-func desugar(dep deprecatedFlags) (wild.ScenarioGrid, error) {
-	var parts []string
-	if dep.trace != "" {
-		parts = append(parts, "source=csv:"+dep.trace)
-	} else {
-		parts = append(parts, fmt.Sprintf(
-			"source=gen:apps=%d&days=%g&seed=%d&maxrate=2000&maxevents=20000",
-			dep.apps, dep.days, dep.seed))
-	}
-	var specs []string
-	for _, spec := range strings.Split(dep.policies, ",") {
-		if spec = strings.TrimSpace(spec); spec != "" {
-			specs = append(specs, spec)
-		}
-	}
-	parts = append(parts, "policy=["+strings.Join(specs, ",")+"]")
-	if dep.cluster != "" {
-		for _, kv := range strings.Split(dep.cluster, ",") {
-			kv = strings.TrimSpace(kv)
-			if kv == "" {
-				continue
-			}
-			key, val, ok := strings.Cut(kv, "=")
-			if !ok {
-				return wild.ScenarioGrid{}, fmt.Errorf("-cluster: want key=value, got %q", kv)
-			}
-			switch key {
-			case "nodes", "mem":
-				parts = append(parts, "cluster."+key+"="+val)
-			case "place":
-				parts = append(parts, "cluster.place="+val)
-			default:
-				return wild.ScenarioGrid{}, fmt.Errorf("-cluster: unknown key %q (nodes, mem, place)", key)
-			}
-		}
-		if dep.memory != "" {
-			parts = append(parts, "cluster.memcsv="+dep.memory)
-		}
-	} else if dep.memory != "" {
-		log.Printf("warning: -memory is only used by cluster runs; ignoring %s", dep.memory)
-	}
-	if dep.shard != "" {
-		parts = append(parts, "shard="+dep.shard)
-	}
-	return wild.ParseGrid(strings.Join(parts, "; "))
+	return wild.ParseGrid(scenarioArg)
 }
 
 // runTable renders the human table: one row per cell, wasted memory

@@ -1,22 +1,15 @@
 package main
 
 import (
-	"strings"
 	"testing"
 
 	wild "repro"
 )
 
-// TestDesugarDeprecatedFlags pins that the pre-scenario flags keep
-// working by desugaring into the scenario grammar — the grammar is
-// the only parser left.
-func TestDesugarDeprecatedFlags(t *testing.T) {
-	g, err := desugar(deprecatedFlags{
-		trace: "inv.csv", memory: "mem.csv",
-		policies: "fixed?ka=20m, hybrid?range=4h&cv=5",
-		shard:    "0/4",
-		cluster:  "nodes=8,mem=4096,place=binpack?order=invocations",
-	})
+// TestDefaultScenario pins what a bare coldsim runs: the five-policy
+// §5.2 line-up over the 400-app synthetic week.
+func TestDefaultScenario(t *testing.T) {
+	g, err := resolveGrid(defaultScenario)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,63 +17,18 @@ func TestDesugarDeprecatedFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 2 {
-		t.Fatalf("cells = %d, want 2", len(cells))
+	wantPolicies := []string{"nounload", "fixed?ka=10m", "fixed?ka=1h", "fixed?ka=2h", "hybrid"}
+	if len(cells) != len(wantPolicies) {
+		t.Fatalf("cells = %d, want %d", len(cells), len(wantPolicies))
 	}
-	want := wild.Scenario{
-		Source: "csv:inv.csv",
-		Policy: "fixed?ka=20m",
-		Cluster: &wild.ScenarioCluster{
-			Nodes: 8, NodeMemMB: 4096,
-			Placement: "binpack?order=invocations", MemCSV: "mem.csv",
-		},
-		Shard: "0/4",
-	}
-	if cells[0].String() != want.String() {
-		t.Fatalf("cell 0 = %q, want %q", cells[0].String(), want.String())
-	}
-	if cells[1].Policy != "hybrid?range=4h&cv=5" {
-		t.Fatalf("cell 1 policy = %q", cells[1].Policy)
-	}
-}
-
-// TestDesugarSynthetic pins the synthetic-trace desugaring (the old
-// -apps/-days/-seed flags).
-func TestDesugarSynthetic(t *testing.T) {
-	g, err := desugar(deprecatedFlags{
-		apps: 400, days: 7, seed: 42, policies: defaultPolicies,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, err := g.Scenarios()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 5 {
-		t.Fatalf("cells = %d, want 5 default policies", len(cells))
-	}
-	wantSrc := "gen:apps=400&days=7&seed=42&maxrate=2000&maxevents=20000"
-	if cells[0].Source != wantSrc {
-		t.Fatalf("source = %q, want %q", cells[0].Source, wantSrc)
-	}
-}
-
-// TestDesugarClusterErrors pins that unknown -cluster keys still fail
-// fast with the old guidance.
-func TestDesugarClusterErrors(t *testing.T) {
-	_, err := desugar(deprecatedFlags{policies: "hybrid", cluster: "nodes=8,memory=4096"})
-	if err == nil || !strings.Contains(err.Error(), `unknown key "memory"`) {
-		t.Fatalf("err = %v, want unknown key", err)
-	}
-	_, err = desugar(deprecatedFlags{policies: "hybrid", cluster: "nodes"})
-	if err == nil || !strings.Contains(err.Error(), "want key=value") {
-		t.Fatalf("err = %v, want key=value", err)
-	}
-	// Bad values surface through the scenario grammar now.
-	_, err = desugar(deprecatedFlags{policies: "hybrid", cluster: "nodes=zero"})
-	if err == nil || !strings.Contains(err.Error(), "cluster.nodes") {
-		t.Fatalf("err = %v, want cluster.nodes error", err)
+	for i, c := range cells {
+		want := wild.Scenario{
+			Source: "gen:apps=400&days=7&seed=42&maxrate=2000&maxevents=20000",
+			Policy: wantPolicies[i],
+		}
+		if c.String() != want.String() {
+			t.Fatalf("cell %d = %q, want %q", i, c.String(), want.String())
+		}
 	}
 }
 

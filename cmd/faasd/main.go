@@ -13,11 +13,13 @@
 // With -record, every invocation is captured and written out as an
 // incident bundle on shutdown (Ctrl-C), replayable with
 // coldsim -scenario 'source=bundle:traffic.bundle; policy=[...]'.
+//
+// Shutdown drains in-flight requests for at most shutdownTimeout and
+// then drops what is still open, so the bundle is always written.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -30,6 +32,36 @@ import (
 	"repro/internal/policy"
 	"repro/internal/serve"
 )
+
+// Server deadlines. A client that trickles its request header, or
+// parks an idle keep-alive connection, is cut off after these; a
+// request still in flight shutdownTimeout after Ctrl-C is dropped.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownTimeout   = 10 * time.Second
+)
+
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// shutdown drains srv gracefully for at most timeout, then closes the
+// connections that are still open and returns the drain's error.
+func shutdown(srv *http.Server, timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	err := srv.Shutdown(ctx)
+	if err != nil {
+		srv.Close()
+	}
+	return err
+}
 
 func main() {
 	log.SetFlags(0)
@@ -67,15 +99,18 @@ func main() {
 	fmt.Printf("faasd: %d invokers, policy %s, listening on %s\n",
 		*invokers, pol.Name(), *listen)
 
-	srv := &http.Server{Addr: *listen, Handler: api}
+	srv := newServer(*listen, api)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		srv.Shutdown(context.Background())
-	}()
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.ListenAndServe() }()
+	select {
+	case err := <-serveErr:
 		log.Fatal(err)
+	case <-ctx.Done():
+	}
+	if err := shutdown(srv, shutdownTimeout); err != nil {
+		log.Printf("shutdown: %v; dropped the requests still in flight", err)
 	}
 
 	if rec != nil {

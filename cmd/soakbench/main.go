@@ -1,8 +1,7 @@
 // Command soakbench drives the serving control plane
 // (internal/serve) at sustained high concurrency and reports
-// decision-latency percentiles and throughput — the serving
-// counterpart of cmd/benchreport's micro-benchmarks, and the CI soak
-// smoke gate.
+// decision-latency percentiles and throughput — the CI soak smoke
+// gate.
 //
 // Usage:
 //

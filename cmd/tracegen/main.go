@@ -16,11 +16,6 @@
 // CSV trio: one file, run-length + varint compressed invocation
 // columns, exec stats and memory carried natively.
 //
-// Deprecated aliases (desugared into the source grammar):
-//
-//	tracegen -apps 500 -days 7 -seed 42 -out ./trace
-//	tracegen -apps 100000 -shard 2/8 -out ./trace-shard2
-//
 // With a shard source only the selected interleaved app shard is
 // written — n invocations of tracegen (same seed) partition one large
 // population across files for multi-process simulation sweeps.
@@ -42,33 +37,14 @@ func main() {
 	log.SetPrefix("tracegen: ")
 
 	var (
-		source = flag.String("source", "",
-			fmt.Sprintf("trace source spec (schemes: %v); replaces the deprecated flags below", scenario.SourceNames()))
+		source = flag.String("source", "gen:apps=500&days=7&seed=42&maxrate=20000&maxevents=200000",
+			fmt.Sprintf("trace source spec (schemes: %v)", scenario.SourceNames()))
 		out    = flag.String("out", "trace", "output directory")
 		encode = flag.Bool("encode", false, "write a compact binary bundle (trace.bin) instead of the CSV trio")
-
-		// Deprecated aliases, desugared into the source grammar.
-		apps    = flag.Int("apps", 500, "deprecated: number of applications (gen:apps=...)")
-		days    = flag.Float64("days", 7, "deprecated: trace length in days (gen:days=...)")
-		seed    = flag.Uint64("seed", 42, "deprecated: random seed (gen:seed=...)")
-		maxRate = flag.Float64("max-rate", 20000, "deprecated: cap on invocations/day per function (gen:maxrate=...)")
-		maxEvts = flag.Int("max-events", 200000, "deprecated: cap on events per function (gen:maxevents=...)")
-		shard   = flag.String("shard", "", "deprecated: i/n interleaved app shard (shard:i/n of ...)")
 	)
 	flag.Parse()
 
-	spec := *source
-	if spec == "" {
-		spec = fmt.Sprintf("gen:apps=%d&days=%g&seed=%d&maxrate=%g&maxevents=%d",
-			*apps, *days, *seed, *maxRate, *maxEvts)
-		if *shard != "" {
-			spec = fmt.Sprintf("shard:%s of %s", *shard, spec)
-		}
-	} else if *shard != "" {
-		log.Fatal("-shard cannot be combined with -source; use 'shard:i/n of <spec>'")
-	}
-
-	factory, err := scenario.NewSource(spec)
+	factory, err := scenario.NewSource(*source)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,0 +1,72 @@
+package cluster
+
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/stats"
+)
+
+// TestEventQueueOrder drives the queue through random interleaved
+// pushes and pops — pushes land at, before and after the last popped
+// time, with ties on time and kind — and checks it against a slice
+// kept sorted by eventLess: every pop returns the earliest pending
+// event, and a final drain returns everything pushed. reset must leave
+// an empty queue that keeps its capacity.
+func TestEventQueueOrder(t *testing.T) {
+	cmp := func(a, b cevent) int {
+		switch {
+		case eventLess(a, b):
+			return -1
+		case eventLess(b, a):
+			return 1
+		}
+		return 0
+	}
+	rng := stats.NewRNG(42)
+	var q eventQueue
+	for trial := 0; trial < 20; trial++ {
+		var pending []cevent
+		lastPopped := 0.0
+		for op := 0; op < 2000 || q.n > 0; op++ {
+			if q.n != len(pending) {
+				t.Fatalf("trial %d op %d: n = %d, want %d", trial, op, q.n, len(pending))
+			}
+			if op < 2000 && (q.n == 0 || rng.Float64() < 0.55) {
+				// Whole seconds near lastPopped so equal times are common;
+				// app is unique per push so eventLess never ties.
+				ev := cevent{
+					t:    max(0, lastPopped+float64(int(rng.Float64()*40))-8),
+					kind: uint8(1 + int(rng.Float64()*4)), // evReload..evFlush
+					app:  int32(op),
+				}
+				q.push(ev)
+				i, _ := slices.BinarySearchFunc(pending, ev, cmp)
+				pending = slices.Insert(pending, i, ev)
+				continue
+			}
+			got, ok := q.peek()
+			if !ok {
+				t.Fatalf("trial %d op %d: empty peek with %d pending", trial, op, q.n)
+			}
+			q.pop()
+			if got != pending[0] {
+				t.Fatalf("trial %d op %d: popped %+v, want %+v", trial, op, got, pending[0])
+			}
+			pending = pending[1:]
+			lastPopped = got.t
+		}
+		if _, ok := q.peek(); ok {
+			t.Fatalf("trial %d: drained queue still peeks an event", trial)
+		}
+
+		// Abandon a non-empty queue, as a cancelled node does.
+		q.push(cevent{t: 5, kind: evUnload, app: 1})
+		q.push(cevent{t: 3, kind: evUnload, app: 2})
+		c := cap(q.h)
+		q.reset()
+		if q.n != 0 || len(q.h) != 0 || cap(q.h) != c {
+			t.Fatalf("trial %d: reset left n=%d len=%d cap=%d, want 0 0 %d", trial, q.n, len(q.h), cap(q.h), c)
+		}
+	}
+}

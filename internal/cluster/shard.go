@@ -67,13 +67,13 @@ type victimEntry struct {
 type shard struct {
 	e       *engine
 	invs    []inv
-	q       eventQueue    // timer-wheel container-event queue (wheel.go)
+	q       eventQueue    // container-event heap (queue.go)
 	skip    []victimEntry // pickVictim scratch: executing containers set aside
 	flushes []drainFlush  // pending drain-outs, indexed by evFlush events
 }
 
 // reset prepares a worker-owned shard for its next node, keeping the
-// queue's slot and buffer capacity.
+// queue's buffer capacity.
 func (s *shard) reset() {
 	s.flushes = s.flushes[:0]
 	s.q.reset()
@@ -619,8 +619,8 @@ func (nd *nodeState) advance(t, horizon float64) {
 
 // Event ordering: (time, kind, app) — reloads before unloads at equal
 // times, app index for determinism. The queue realizing the order is
-// the timer wheel in wheel.go; per-shard, so the sharded path keeps
-// one small queue per worker instead of one global heap.
+// the heap in queue.go; per-shard, so the sharded path keeps one small
+// queue per worker instead of one global heap.
 
 func eventLess(a, b cevent) bool {
 	if a.t != b.t {

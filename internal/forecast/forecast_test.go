@@ -109,3 +109,20 @@ func TestByName(t *testing.T) {
 		t.Fatal("expected error")
 	}
 }
+
+// BenchmarkExpSmoothingFit measures the cheap forecaster alternative
+// (bench/'s arima.fit_us is the ARIMA side).
+func BenchmarkExpSmoothingFit(b *testing.B) {
+	r := stats.NewRNG(6)
+	series := make([]float64, 50)
+	for i := range series {
+		series[i] = 300 + 20*r.NormFloat64()
+	}
+	fc := ExpSmoothing{}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := fc.PredictNext(series); !ok {
+			b.Fatal("no prediction")
+		}
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 func benchIdles(n int) []time.Duration {
@@ -23,5 +25,31 @@ func BenchmarkKernel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Reset()
 		runs, _ = h.DecideSeq(idles, 2, 0.5, 2, runs[:0])
+	}
+}
+
+// BenchmarkHistogramObserve measures the O(1) idle-time histogram
+// update (challenge #5 of §4.1).
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := New(DefaultConfig())
+	r := stats.NewRNG(2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(time.Duration(r.Float64() * float64(4*time.Hour)))
+	}
+}
+
+// BenchmarkHistogramWindows measures window computation.
+func BenchmarkHistogramWindows(b *testing.B) {
+	h := New(DefaultConfig())
+	r := stats.NewRNG(3)
+	for i := 0; i < 10000; i++ {
+		h.Observe(time.Duration(r.Float64() * float64(time.Hour)))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := h.Windows(); !ok {
+			b.Fatal("no windows")
+		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 var t0 = time.Date(2026, 6, 1, 12, 0, 0, 0, time.UTC)
@@ -254,5 +256,34 @@ func TestFileStoreBackedManager(t *testing.T) {
 	pw, _, _, ok := m2.Windows("svc", t0)
 	if !ok || pw != 18*time.Minute {
 		t.Fatalf("restored preWarm = %v ok=%v, want 18m", pw, ok)
+	}
+}
+
+// BenchmarkProdObserve measures the production manager's per-IT cost
+// (in-memory histogram update with daily rotation bookkeeping, §6).
+func BenchmarkProdObserve(b *testing.B) {
+	m := NewManager(DefaultConfig(), NewMemStore())
+	r := stats.NewRNG(7)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Observe("app", time.Duration(r.Float64()*float64(time.Hour)), t0)
+	}
+}
+
+// BenchmarkProdBackup measures the hourly backup of 100 apps.
+func BenchmarkProdBackup(b *testing.B) {
+	m := NewManager(DefaultConfig(), NewMemStore())
+	r := stats.NewRNG(8)
+	for a := 0; a < 100; a++ {
+		app := string(rune('a'+a/26)) + string(rune('a'+a%26))
+		for i := 0; i < 50; i++ {
+			m.Observe(app, time.Duration(r.Float64()*float64(time.Hour)), t0)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Backup(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

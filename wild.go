@@ -34,9 +34,8 @@
 //	_, err := wild.Run(ctx, src, wild.MustFromSpec("hybrid"), wild.WithSink(cold))
 //	fmt.Println(cold.ThirdQuartile())
 //
-// The pre-redesign entry points (Simulate, SimulateOpts, Replay,
-// RunExperiments) remain as thin wrappers and produce byte-identical
-// results.
+// The pre-redesign entry points (Simulate, SimulateOpts) remain as
+// thin wrappers and produce byte-identical results.
 package wild
 
 import (
@@ -373,12 +372,6 @@ func ReplayContext(ctx context.Context, p *Platform, tr *Trace, opt ReplayOption
 	return replay.Replay(ctx, p, tr, opt)
 }
 
-// Replay is ReplayContext with a background context (pre-redesign
-// signature).
-func Replay(p *Platform, tr *Trace, opt ReplayOptions) (*ReplayReport, error) {
-	return replay.Replay(context.Background(), p, tr, opt)
-}
-
 // Serving control plane: the concurrent keep-alive decision service
 // (internal/serve), the record/replay loop for captured incident
 // bundles, and the soak harness. Where Platform is a whole in-process
@@ -457,12 +450,6 @@ type (
 // replay.
 func RunExperimentsContext(ctx context.Context, cfg ExperimentConfig, progress io.Writer) ([]*Figure, error) {
 	return experiments.RunAll(ctx, cfg, progress)
-}
-
-// RunExperiments is RunExperimentsContext with a background context
-// (pre-redesign signature).
-func RunExperiments(cfg ExperimentConfig, progress io.Writer) ([]*Figure, error) {
-	return experiments.RunAll(context.Background(), cfg, progress)
 }
 
 // RenderFigures writes text renderings of figures to w.

@@ -87,7 +87,7 @@ func TestEndToEndPlatform(t *testing.T) {
 	}, NewHybrid(DefaultHybridConfig()))
 	defer p.Stop()
 
-	rep, err := Replay(p, pop.Trace, ReplayOptions{Limit: 20 * time.Minute})
+	rep, err := ReplayContext(context.Background(), p, pop.Trace, ReplayOptions{Limit: 20 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestRunExperimentsFacade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure pipeline")
 	}
-	figs, err := RunExperiments(ExperimentConfig{
+	figs, err := RunExperimentsContext(context.Background(), ExperimentConfig{
 		Seed: 8, NumApps: 60, Duration: 24 * time.Hour,
 		MaxDailyRate: 300, MaxEventsPerFunction: 1000,
 		SkipPlatform: true,
