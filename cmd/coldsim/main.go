@@ -36,6 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -84,7 +85,7 @@ func main() {
 	// -fanout n: unsharded cells become n-way shard fan-outs, and every
 	// unit runs in its own worker process (results are bit-identical to
 	// the in-process sweep).
-	run := wild.RunSweep
+	var run sweepFunc = wild.RunSweep
 	if *fanout > 0 {
 		for i := range cells {
 			if cells[i].Shard == "" {
@@ -103,17 +104,8 @@ func main() {
 			fatal(err)
 		}
 	case "csv", "json":
-		rep, err := run(ctx, cells)
-		if err != nil {
+		if err := runRaw(ctx, *format, cells, run, os.Stdout); err != nil {
 			fatal(err)
-		}
-		if *format == "csv" {
-			err = rep.WriteCSV(os.Stdout)
-		} else {
-			err = rep.WriteJSON(os.Stdout)
-		}
-		if err != nil {
-			log.Fatal(err)
 		}
 	default:
 		log.Fatalf("-format: unknown %q (table, csv, json)", *format)
@@ -144,12 +136,14 @@ func resolveGrid(scenarioArg string) (wild.ScenarioGrid, error) {
 	return wild.ParseGrid(scenarioArg)
 }
 
+// sweepFunc is RunSweep or its -fanout process form.
+type sweepFunc func(context.Context, []wild.Scenario, ...wild.ScenarioOption) (*wild.SweepReport, error)
+
 // runTable renders the human table: one row per cell, wasted memory
 // normalized to the fixed-10-minute baseline of the cell's group (all
 // assignments but the policy). Baseline cells missing from the sweep
 // run implicitly and are not printed.
-func runTable(ctx context.Context, cells []wild.Scenario,
-	run func(context.Context, []wild.Scenario, ...wild.ScenarioOption) (*wild.SweepReport, error)) error {
+func runTable(ctx context.Context, cells []wild.Scenario, run sweepFunc) error {
 	visible := len(cells)
 	cells = append(cells, missingBaselines(cells)...)
 
@@ -167,22 +161,7 @@ func runTable(ctx context.Context, cells []wild.Scenario,
 			}
 		}
 	}
-	warnedNoTable := map[string]bool{}
-	for _, c := range rep.Cells[:visible] {
-		if c.MemDefaulted > 0 {
-			log.Printf("warning: %s: %d apps missing from the memory table; charged the %d MB default",
-				c.Scenario, c.MemDefaulted, int(wild.DefaultAppMemoryMB))
-		}
-		// CSV invocation tables carry no memory column at all: a
-		// cluster run without cluster.memcsv charges every app the
-		// default, which should be visible.
-		if c.Scenario.Cluster != nil && c.Scenario.Cluster.MemCSV == "" &&
-			strings.HasPrefix(c.Scenario.Source, "csv:") && !warnedNoTable[c.Scenario.Source] {
-			warnedNoTable[c.Scenario.Source] = true
-			log.Printf("warning: no cluster.memcsv table for %s; every app charged the %d MB default",
-				c.Scenario.Source, int(wild.DefaultAppMemoryMB))
-		}
-	}
+	warnMemoryDefaults(rep.Cells[:visible])
 
 	labels := wild.ScenarioLabels(scenariosOf(rep))[:visible]
 	cols := displayColumns(rep)
@@ -206,6 +185,41 @@ func runTable(ctx context.Context, cells []wild.Scenario,
 		fmt.Println()
 	}
 	return nil
+}
+
+// runRaw writes the machine-readable report (format "csv" or "json")
+// to w.
+func runRaw(ctx context.Context, format string, cells []wild.Scenario, run sweepFunc, w io.Writer) error {
+	rep, err := run(ctx, cells)
+	if err != nil {
+		return err
+	}
+	warnMemoryDefaults(rep.Cells)
+	if format == "csv" {
+		return rep.WriteCSV(w)
+	}
+	return rep.WriteJSON(w)
+}
+
+// warnMemoryDefaults logs, for every output format, which cells
+// charged apps the default footprint instead of a measured one.
+func warnMemoryDefaults(cells []*wild.ScenarioResult) {
+	warnedNoTable := map[string]bool{}
+	for _, c := range cells {
+		if c.MemDefaulted > 0 {
+			log.Printf("warning: %s: %d apps missing from the memory table; charged the %d MB default",
+				c.Scenario, c.MemDefaulted, int(wild.DefaultAppMemoryMB))
+		}
+		// CSV invocation tables carry no memory column at all: a
+		// cluster run without cluster.memcsv charges every app the
+		// default, which should be visible.
+		if c.Scenario.Cluster != nil && c.Scenario.Cluster.MemCSV == "" &&
+			strings.HasPrefix(c.Scenario.Source, "csv:") && !warnedNoTable[c.Scenario.Source] {
+			warnedNoTable[c.Scenario.Source] = true
+			log.Printf("warning: no cluster.memcsv table for %s; every app charged the %d MB default",
+				c.Scenario.Source, int(wild.DefaultAppMemoryMB))
+		}
+	}
 }
 
 // missingBaselines returns one hidden fixed-10m baseline cell per

@@ -1,9 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"log"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	wild "repro"
+	"repro/internal/trace"
 )
 
 // TestDefaultScenario pins what a bare coldsim runs: the five-policy
@@ -63,5 +71,48 @@ func TestMissingBaselines(t *testing.T) {
 	}
 	if extra := missingBaselines(cells2); len(extra) != 0 {
 		t.Fatalf("unexpected extra baselines: %v", extra)
+	}
+}
+
+// TestRawFormatsWarnOnDefaultedMemory: a csv: cluster cell without
+// cluster.memcsv charges every app the default footprint, and the
+// machine-readable formats must say so on stderr like the table does
+// (stdout stays the bare report).
+func TestRawFormatsWarnOnDefaultedMemory(t *testing.T) {
+	tr := &trace.Trace{Duration: 10 * time.Minute, Apps: []*trace.App{
+		{ID: "a", Owner: "o", Functions: []*trace.Function{{ID: "fa", Invocations: []float64{0, 200, 400}}}},
+		{ID: "b", Owner: "o", Functions: []*trace.Function{{ID: "fb", Invocations: []float64{100, 300}}}},
+	}}
+	path := filepath.Join(t.TempDir(), "inv.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteInvocationsCSV(f, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g, err := wild.ParseGrid("source=csv:" + path + "; policy=fixed?ka=10m; cluster.nodes=1; cluster.mem=1024")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := g.Scenarios()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var logged, out bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	if err := runRaw(context.Background(), "csv", cells, wild.RunSweep, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(logged.String(), "no cluster.memcsv table for csv:"+path) {
+		t.Fatalf("-format csv logged %q, want the no-memory-table warning", logged.String())
+	}
+	if !strings.HasPrefix(out.String(), "scenario,") || strings.Contains(out.String(), "warning") {
+		t.Fatalf("stdout = %q, want the bare CSV report", out.String())
 	}
 }

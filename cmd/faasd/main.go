@@ -14,6 +14,7 @@
 // incident bundle on shutdown (Ctrl-C), replayable with
 // coldsim -scenario 'source=bundle:traffic.bundle; policy=[...]'.
 //
+// Request bodies are capped at 1 MiB and must arrive within 30 s.
 // Shutdown drains in-flight requests for at most shutdownTimeout and
 // then drops what is still open, so the bundle is always written.
 package main
@@ -33,20 +34,25 @@ import (
 	"repro/internal/serve"
 )
 
-// Server deadlines. A client that trickles its request header, or
-// parks an idle keep-alive connection, is cut off after these; a
-// request still in flight shutdownTimeout after Ctrl-C is dropped.
+// Server limits. A client that trickles its request header or body,
+// or parks an idle keep-alive connection, is cut off after these; a
+// request body past maxBodyBytes fails its read (action specs are a
+// few dozen bytes); a request still in flight shutdownTimeout after
+// Ctrl-C is dropped.
 const (
 	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
 	idleTimeout       = 2 * time.Minute
 	shutdownTimeout   = 10 * time.Second
+	maxBodyBytes      = 1 << 20
 )
 
 func newServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,
-		Handler:           h,
+		Handler:           http.MaxBytesHandler(h, maxBodyBytes),
 		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
 	}
 }

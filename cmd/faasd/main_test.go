@@ -6,13 +6,18 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/platform"
+	"repro/internal/policy"
 )
 
 // TestServerDeadlines pins the two halves of the fix: the server
-// carries header and idle timeouts, and shutdown returns within its
-// bound while a request is stalled mid-body, dropping that request.
+// carries header, body and idle timeouts, and shutdown returns within
+// its bound while a request is stalled mid-body, dropping that request.
 func TestServerDeadlines(t *testing.T) {
 	entered := make(chan struct{})
 	handlerDone := make(chan error, 1)
@@ -21,8 +26,9 @@ func TestServerDeadlines(t *testing.T) {
 		_, err := io.ReadAll(r.Body)
 		handlerDone <- err
 	}))
-	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
-		t.Fatalf("ReadHeaderTimeout = %v, IdleTimeout = %v, want both set", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, ReadTimeout = %v, IdleTimeout = %v, want all set",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
 	}
 
 	ln, err := net.Listen("tcp", srv.Addr)
@@ -62,5 +68,51 @@ func TestServerDeadlines(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("handler still blocked after shutdown closed its connection")
+	}
+}
+
+// TestBodyCap: an action spec larger than maxBodyBytes is refused and
+// registers nothing; one within the cap still registers.
+func TestBodyCap(t *testing.T) {
+	p := platform.NewPlatform(platform.Config{NumInvokers: 1}, policy.MustFromSpec("fixed?ka=10m"))
+	defer p.Stop()
+	ts := httptest.NewServer(newServer("", platform.NewAPI(p)).Handler)
+	defer ts.Close()
+
+	put := func(name, body string) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/actions/"+name, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	get := func(name string) int {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/actions/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	huge := `{"app":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	if code := put("x", huge); code < 400 || code > 499 {
+		t.Fatalf("PUT with a %d-byte body = %d, want 4xx", len(huge), code)
+	}
+	if code := get("x"); code != http.StatusNotFound {
+		t.Fatalf("GET /actions/x after the refused PUT = %d, want 404", code)
+	}
+	if code := put("y", `{"exec_ms":5,"memory_mb":64}`); code != http.StatusCreated {
+		t.Fatalf("PUT within the cap = %d, want 201", code)
+	}
+	if code := get("y"); code != http.StatusOK {
+		t.Fatalf("GET /actions/y = %d, want 200", code)
 	}
 }

@@ -45,7 +45,7 @@ func TestIncidentCorpusInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc, err := ParseScenario(string(data))
+			sc, err := scenario.ParseScenario(string(data))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -128,22 +128,6 @@ func Difference(xs []float64, d int) []float64 {
 	return out
 }
 
-// Integrate inverts Difference: given the last d values of the
-// original series's difference pyramid (lasts[i] is the last value of
-// the i-times-differenced series) and forecasts of the d-times
-// differenced series, it produces forecasts at the original scale.
-func Integrate(forecasts []float64, lasts []float64) []float64 {
-	out := append([]float64(nil), forecasts...)
-	for level := len(lasts) - 1; level >= 0; level-- {
-		cum := lasts[level]
-		for i := range out {
-			cum += out[i]
-			out[i] = cum
-		}
-	}
-	return out
-}
-
 // FitOrder fits an ARIMA model with fixed order (p,d,q) to series.
 func FitOrder(series []float64, p, d, q int) (*Model, error) {
 	ctx := getFitCtx()
@@ -577,22 +561,6 @@ func (m *Model) Forecast(h int) []float64 {
 // ForecastNext returns the one-step-ahead forecast.
 func (m *Model) ForecastNext() float64 {
 	return m.Forecast(1)[0]
-}
-
-// Update refits the model's coefficients on the series extended with
-// x, keeping the same order. The paper updates the model after every
-// invocation of an ARIMA-managed app. On failure (e.g. still too
-// short) the model keeps its previous coefficients but records x.
-func (m *Model) Update(x float64) {
-	m.series = append(m.series, x)
-	if refit, err := FitOrder(m.series, m.P, m.D, m.Q); err == nil {
-		*m = *refit
-	}
-}
-
-// Series returns a copy of the series the model currently holds.
-func (m *Model) Series() []float64 {
-	return append([]float64(nil), m.series...)
 }
 
 func maxInt(a, b int) int {

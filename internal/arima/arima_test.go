@@ -3,7 +3,6 @@ package arima
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/stats"
 )
@@ -31,54 +30,6 @@ func TestDifference(t *testing.T) {
 	d0[0] = 99
 	if xs[0] != 1 {
 		t.Fatal("Difference must not alias input")
-	}
-}
-
-func TestIntegrateInvertsDifference(t *testing.T) {
-	check := func(seed uint64) bool {
-		r := stats.NewRNG(seed)
-		n := int(seed%20) + 5
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.NormFloat64() * 10
-		}
-		d := int(seed % 3)
-		if n-d < 3 {
-			return true
-		}
-		diffed := Difference(xs, d)
-		// Build the pyramid of last values as Forecast does.
-		lasts := make([]float64, d)
-		cur := xs
-		for i := 0; i < d; i++ {
-			lasts[i] = cur[len(cur)-1]
-			cur = Difference(cur, 1)
-		}
-		// "Forecast" the actual future of a longer series: integrate the
-		// tail of the differenced series of the extended sequence.
-		// Simpler property: integrating diffed[k:] from the pyramid of
-		// xs[:k+d] recovers xs[k+d:].
-		k := len(diffed) / 2
-		if k == 0 {
-			return true
-		}
-		prefix := xs[:len(xs)-(len(diffed)-k)]
-		plasts := make([]float64, d)
-		pc := prefix
-		for i := 0; i < d; i++ {
-			plasts[i] = pc[len(pc)-1]
-			pc = Difference(pc, 1)
-		}
-		rec := Integrate(diffed[k:], plasts)
-		for i, v := range rec {
-			if math.Abs(v-xs[len(prefix)+i]) > 1e-6 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -238,47 +189,6 @@ func TestForecastHZeroOrNegative(t *testing.T) {
 	}
 	if m.Forecast(0) != nil || m.Forecast(-1) != nil {
 		t.Fatal("h<=0 should return nil")
-	}
-}
-
-func TestUpdateExtendsSeries(t *testing.T) {
-	xs := []float64{60, 61, 59, 60, 62, 58, 60, 61}
-	m, err := FitOrder(xs, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Update(100)
-	if got := len(m.Series()); got != 9 {
-		t.Fatalf("series len = %d", got)
-	}
-	// Mean model forecast should shift up after the new point.
-	if fc := m.ForecastNext(); fc <= 60 {
-		t.Fatalf("forecast = %v, want > 60 after high observation", fc)
-	}
-}
-
-func TestUpdateKeepsOrderOnRefit(t *testing.T) {
-	xs := genAR(0.5, 100, 21)
-	m, err := FitOrder(xs, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Update(0.5)
-	if m.P != 1 || m.D != 0 || m.Q != 0 {
-		t.Fatalf("order changed to (%d,%d,%d)", m.P, m.D, m.Q)
-	}
-}
-
-func TestSeriesIsCopy(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6}
-	m, err := FitOrder(xs, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := m.Series()
-	s[0] = 999
-	if m.Series()[0] != 1 {
-		t.Fatal("Series must return a copy")
 	}
 }
 

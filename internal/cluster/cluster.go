@@ -285,15 +285,6 @@ func (r *Result) TotalEvictions() int {
 	return sum
 }
 
-// TotalInvocations sums invocations across apps.
-func (r *Result) TotalInvocations() int {
-	var sum int
-	for _, a := range r.Apps {
-		sum += a.Invocations
-	}
-	return sum
-}
-
 // TotalWastedSeconds sums wasted memory time across apps.
 func (r *Result) TotalWastedSeconds() float64 {
 	var sum float64
@@ -301,26 +292,4 @@ func (r *Result) TotalWastedSeconds() float64 {
 		sum += a.WastedSeconds
 	}
 	return sum
-}
-
-// TotalWastedMBSeconds sums memory-weighted waste across apps.
-func (r *Result) TotalWastedMBSeconds() float64 {
-	var sum float64
-	for _, a := range r.Apps {
-		sum += a.WastedMBSeconds
-	}
-	return sum
-}
-
-// SimResult projects the cluster outcome onto the batch simulator's
-// result type (trace order preserved), so every batch metric — CDFs,
-// third-quartile cold percentage, Pareto frontiers — reads a cluster
-// run unchanged.
-func (r *Result) SimResult() *sim.Result {
-	out := &sim.Result{Policy: r.Policy, HorizonSeconds: r.HorizonSeconds}
-	out.Apps = make([]sim.AppResult, len(r.Apps))
-	for i, a := range r.Apps {
-		out.Apps[i] = a.AppResult
-	}
-	return out
 }

@@ -270,20 +270,3 @@ func TestWastedMBSecondsWeighting(t *testing.T) {
 		}
 	}
 }
-
-// TestSimResultProjection: the sim.Result view feeds batch metrics.
-func TestSimResultProjection(t *testing.T) {
-	tr := testPopulation(t)
-	pol := policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}
-	res := Simulate(tr, pol, Config{Nodes: 2, NodeMemMB: 900})
-	proj := res.SimResult()
-	if proj.Policy != res.Policy || proj.HorizonSeconds != res.HorizonSeconds {
-		t.Fatalf("projection header mismatch")
-	}
-	if proj.TotalColdStarts() != res.TotalColdStarts() {
-		t.Fatalf("projection cold starts %d != %d", proj.TotalColdStarts(), res.TotalColdStarts())
-	}
-	if proj.TotalWastedSeconds() != res.TotalWastedSeconds() {
-		t.Fatalf("projection waste mismatch")
-	}
-}

@@ -7,8 +7,6 @@
 package forecast
 
 import (
-	"fmt"
-
 	"repro/internal/arima"
 	"repro/internal/stats"
 )
@@ -120,18 +118,4 @@ func (f Mean) PredictNext(series []float64) (float64, bool) {
 		return 0, false
 	}
 	return m, true
-}
-
-// ByName returns a default-configured forecaster by name.
-func ByName(name string) (Forecaster, error) {
-	switch name {
-	case "arima":
-		return ARIMA{}, nil
-	case "expsmooth":
-		return ExpSmoothing{}, nil
-	case "mean":
-		return Mean{}, nil
-	default:
-		return nil, fmt.Errorf("forecast: unknown forecaster %q", name)
-	}
 }

@@ -95,21 +95,6 @@ func TestARIMAOnNoisyPeriodicITs(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"arima", "expsmooth", "mean"} {
-		f, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Name() != name {
-			t.Fatalf("name = %q, want %q", f.Name(), name)
-		}
-	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
 // BenchmarkExpSmoothingFit measures the cheap forecaster alternative
 // (bench/'s arima.fit_us is the ARIMA side).
 func BenchmarkExpSmoothingFit(b *testing.B) {

@@ -1,7 +1,6 @@
 package ithist
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -144,14 +143,13 @@ func TestMergeWeighted(t *testing.T) {
 	if a.Count(30) != 5 {
 		t.Fatalf("weighted count = %d, want 5", a.Count(30))
 	}
-	// CV bookkeeping must stay consistent with a fresh recompute (up
-	// to incremental-update round-off).
-	var w stats.Welford
-	for _, c := range a.Counts() {
-		w.Add(float64(c))
+	// CV bookkeeping must stay consistent with a fresh recompute.
+	var want int64
+	for _, c := range a.counts {
+		want += c * c
 	}
-	if got, want := a.BinCountCV(), w.CV(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("merged CV %v != recomputed %v", got, want)
+	if a.sumSq != want {
+		t.Fatalf("merged sumSq %d != recomputed %d", a.sumSq, want)
 	}
 }
 

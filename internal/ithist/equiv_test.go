@@ -236,7 +236,7 @@ func TestDecideSeqMatchesStepwise(t *testing.T) {
 				if bok != sok || bpw != spw || bka != ska ||
 					batch.Total() != step.Total() ||
 					batch.OutOfBounds() != step.OutOfBounds() ||
-					batch.BinCountCV() != step.BinCountCV() {
+					batch.sumSq != step.sumSq {
 					return false
 				}
 			}

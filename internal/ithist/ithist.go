@@ -24,7 +24,6 @@ package ithist
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -246,35 +245,11 @@ func (h *Histogram) Total() int64 { return h.total }
 // OutOfBounds returns the number of out-of-bounds idle times.
 func (h *Histogram) OutOfBounds() int64 { return h.oob }
 
-// OOBFraction returns the fraction of all observed ITs that were out
-// of bounds (0 when nothing was observed).
-func (h *Histogram) OOBFraction() float64 {
-	n := h.total + h.oob
-	if n == 0 {
-		return 0
-	}
-	return float64(h.oob) / float64(n)
-}
-
 // OOBHeavy reports whether the out-of-bounds fraction exceeds thr
-// (thr > 0), without the division OOBFraction pays. The common
-// all-in-bounds case exits on an integer test.
+// (thr > 0), division-free. The common all-in-bounds case exits on an
+// integer test.
 func (h *Histogram) OOBHeavy(thr float64) bool {
 	return h.oob != 0 && float64(h.oob) > thr*float64(h.total+h.oob)
-}
-
-// BinCountCV returns the coefficient of variation of the bin counts,
-// for reporting: with S the sum of squared counts, T the in-bounds
-// total and n the bin count, CV^2 = n*S/T^2 - 1. High CV means the ITs
-// concentrate in few bins (the histogram is representative); CV near
-// zero means the mass is spread out or absent. Decisions use CVBelow,
-// which never rounds.
-func (h *Histogram) BinCountCV() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	t := float64(h.total)
-	return math.Sqrt(math.Max(0, float64(h.cfg.NumBins)*float64(h.sumSq)/(t*t)-1))
 }
 
 // CVBelow reports whether the bin-count CV is below thr — the
@@ -314,13 +289,6 @@ const intSizeLimit = 1 << 26
 
 // Count returns the count in bin idx.
 func (h *Histogram) Count(idx int) int64 { return h.counts[idx] }
-
-// Counts returns a copy of the bin counts.
-func (h *Histogram) Counts() []int64 {
-	c := make([]int64, len(h.counts))
-	copy(c, h.counts)
-	return c
-}
 
 // percentileBin returns the index of the bin containing percentile p
 // of the in-bounds distribution by a full scan. Caller guarantees
@@ -424,15 +392,4 @@ func (h *Histogram) Reset() {
 	h.total, h.oob = 0, 0
 	h.sumSq = 0
 	h.invalidateCursors()
-}
-
-// MemoryFootprintBytes returns the approximate per-app size of the
-// histogram state, to document the §6 claim of ~960 bytes per app with
-// 240 4-byte buckets. (We store int64 counters, so 8 bytes per bin,
-// plus a constant-size block of incremental percentile-cursor, CV, and
-// memoized-window state.)
-func (h *Histogram) MemoryFootprintBytes() int {
-	const fixed = 3*8 /* totals + CV moment */ + 2*16 /* cursors */ +
-		48 /* generation + window memo */
-	return 8*len(h.counts) + fixed
 }

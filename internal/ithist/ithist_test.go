@@ -1,7 +1,6 @@
 package ithist
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -60,9 +59,6 @@ func TestObserveBinsAndOOB(t *testing.T) {
 	if h.OutOfBounds() != 2 {
 		t.Fatalf("oob = %d", h.OutOfBounds())
 	}
-	if got := h.OOBFraction(); got != 0.5 {
-		t.Fatalf("oob fraction = %v", got)
-	}
 	if h.Count(0) != 1 || h.Count(1) != 1 {
 		t.Fatal("wrong bins")
 	}
@@ -73,12 +69,6 @@ func TestObserveExactRangeBoundaryIsOOB(t *testing.T) {
 	h.Observe(4 * time.Hour) // == range → OOB
 	if h.Total() != 0 || h.OutOfBounds() != 1 {
 		t.Fatalf("total=%d oob=%d", h.Total(), h.OutOfBounds())
-	}
-}
-
-func TestOOBFractionEmpty(t *testing.T) {
-	if defaultHist().OOBFraction() != 0 {
-		t.Fatal("empty histogram OOB fraction should be 0")
 	}
 }
 
@@ -180,44 +170,6 @@ func TestWindowsZeroMargin(t *testing.T) {
 	}
 }
 
-func TestBinCountCVMatchesBatch(t *testing.T) {
-	check := func(seed uint64) bool {
-		r := stats.NewRNG(seed)
-		cfg := DefaultConfig()
-		cfg.NumBins = 24
-		h := New(cfg)
-		for i := 0; i < 200; i++ {
-			h.Observe(time.Duration(r.Float64() * float64(30*time.Minute)))
-		}
-		// Recompute CV from scratch.
-		var w stats.Welford
-		for _, c := range h.Counts() {
-			w.Add(float64(c))
-		}
-		return math.Abs(h.BinCountCV()-w.CV()) < 1e-6
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBinCountCVConcentratedVsFlat(t *testing.T) {
-	concentrated := defaultHist()
-	for i := 0; i < 1000; i++ {
-		concentrated.Observe(7 * time.Minute)
-	}
-	if cv := concentrated.BinCountCV(); cv < 10 {
-		t.Fatalf("concentrated CV = %v, want large", cv)
-	}
-	flat := defaultHist()
-	for b := 0; b < 240; b++ {
-		flat.Observe(time.Duration(b)*time.Minute + time.Second)
-	}
-	if cv := flat.BinCountCV(); cv > 0.1 {
-		t.Fatalf("flat CV = %v, want ~0", cv)
-	}
-}
-
 func TestReset(t *testing.T) {
 	h := defaultHist()
 	h.Observe(time.Minute)
@@ -226,22 +178,11 @@ func TestReset(t *testing.T) {
 	if h.Total() != 0 || h.OutOfBounds() != 0 {
 		t.Fatal("Reset did not clear counts")
 	}
-	if h.BinCountCV() != 0 {
+	if h.sumSq != 0 {
 		t.Fatal("Reset did not clear CV state")
 	}
 	if _, _, ok := h.Windows(); ok {
 		t.Fatal("Windows after Reset should not be ok")
-	}
-}
-
-func TestMemoryFootprint(t *testing.T) {
-	h := defaultHist()
-	got := h.MemoryFootprintBytes()
-	// 240 8-byte counters plus a constant-size block for the incremental
-	// percentile cursors, CV accumulator, and window memo; the counters
-	// must dominate (the §6 per-app budget is of order 1KB).
-	if extra := got - 240*8; extra < 0 || extra > 256 {
-		t.Fatalf("footprint = %d (extra %d outside [0,256])", got, got-240*8)
 	}
 }
 

@@ -59,7 +59,7 @@
 //	//wildlint:allow wallclock
 //		The next statement — or, when placed on a func declaration,
 //		the whole function — is intentionally wall-clock code
-//		(soak harnesses, progress timers, latency measurement).
+//		(progress timers, latency measurement).
 //		Checked by: determinism.
 //
 //	//wildlint:allow poolleak

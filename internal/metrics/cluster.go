@@ -2,15 +2,14 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cluster"
 )
 
-// Cluster sinks and summaries: the finite-memory engine's outcomes
-// separated into the quantities the infinite-memory evaluation cannot
-// express — cold starts the policy caused vs cold starts capacity
-// caused, and how full each node actually ran.
+// Cluster sinks: the finite-memory engine's outcomes separated into
+// the quantity the infinite-memory evaluation cannot express — cold
+// starts the policy caused vs cold starts capacity caused. (How full
+// each node ran is the scenario "util" sink.)
 
 // ClusterAttributionSink incrementally splits cold starts by cause as
 // cluster app outcomes stream past: eviction-induced (an
@@ -90,78 +89,4 @@ func (s *ClusterAttributionSink) Merge(other *ClusterAttributionSink) {
 func (s *ClusterAttributionSink) String() string {
 	return fmt.Sprintf("cold=%d (policy=%d, eviction=%d, failure=%d) evictions=%d",
 		s.coldStarts, s.PolicyColdStarts(), s.evictionColds, s.failureColds, s.evictions)
-}
-
-// NodeUtilization summarizes one node's memory utilization over a
-// cluster run.
-type NodeUtilization struct {
-	Node int
-	// MeanMB is the time-averaged resident memory.
-	MeanMB float64
-	// PeakMB is the high-water resident memory.
-	PeakMB float64
-	// MeanPct and PeakPct are the same against the node capacity
-	// (zero when the cluster is infinite).
-	MeanPct, PeakPct float64
-	// Evictions and FailedLoads echo the node's pressure activity.
-	Evictions, FailedLoads int
-}
-
-// ClusterUtilization derives per-node utilization summaries from a
-// cluster result; the full per-minute series stays available on
-// Result.NodeStats[i].UtilSeries.
-func ClusterUtilization(r *cluster.Result) []NodeUtilization {
-	out := make([]NodeUtilization, len(r.NodeStats))
-	for i, ns := range r.NodeStats {
-		u := NodeUtilization{
-			Node:        i,
-			PeakMB:      ns.PeakResidentMB,
-			Evictions:   ns.Evictions,
-			FailedLoads: ns.FailedLoads,
-		}
-		if r.HorizonSeconds > 0 {
-			u.MeanMB = ns.ResidentMBSeconds / r.HorizonSeconds
-		}
-		if r.NodeMemMB > 0 {
-			u.MeanPct = 100 * u.MeanMB / r.NodeMemMB
-			u.PeakPct = 100 * u.PeakMB / r.NodeMemMB
-		}
-		out[i] = u
-	}
-	return out
-}
-
-// MeanClusterUtilizationPct averages the per-node mean utilization
-// percentage (zero when the cluster is infinite).
-func MeanClusterUtilizationPct(r *cluster.Result) float64 {
-	if r.NodeMemMB <= 0 || len(r.NodeStats) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, ns := range r.NodeStats {
-		sum += ns.ResidentMBSeconds
-	}
-	denom := r.HorizonSeconds * r.NodeMemMB * float64(len(r.NodeStats))
-	if denom == 0 {
-		return 0
-	}
-	return 100 * sum / denom
-}
-
-// PeakUtilizationMinute returns the minute index and mean resident MB
-// of the busiest minute across all nodes (-1 when there is no data) —
-// a quick read on when the cluster was tightest.
-func PeakUtilizationMinute(r *cluster.Result) (minute int, mb float64) {
-	minute, mb = -1, math.Inf(-1)
-	for _, ns := range r.NodeStats {
-		for m, v := range ns.UtilSeries {
-			if v > mb {
-				minute, mb = m, v
-			}
-		}
-	}
-	if minute < 0 {
-		return -1, 0
-	}
-	return minute, mb
 }

@@ -125,44 +125,6 @@ func TestClusterAttributionSink(t *testing.T) {
 	}
 }
 
-// TestClusterUtilization checks the summaries on the fixture: one
-// 150 MB container resident for the whole 1000 s horizon on a 200 MB
-// node.
-func TestClusterUtilization(t *testing.T) {
-	res := clusterFixture()
-	util := ClusterUtilization(res)
-	if len(util) != 1 {
-		t.Fatalf("%d nodes, want 1", len(util))
-	}
-	u := util[0]
-	if u.MeanMB != 150 || u.PeakMB != 150 {
-		t.Errorf("mean/peak %v/%v MB, want 150/150", u.MeanMB, u.PeakMB)
-	}
-	if u.MeanPct != 75 || u.PeakPct != 75 {
-		t.Errorf("mean/peak %v%%/%v%%, want 75/75", u.MeanPct, u.PeakPct)
-	}
-	if u.Evictions != 4 {
-		t.Errorf("evictions %d, want 4", u.Evictions)
-	}
-	if got := MeanClusterUtilizationPct(res); got != 75 {
-		t.Errorf("cluster mean utilization %v%%, want 75", got)
-	}
-	if m, mb := PeakUtilizationMinute(res); m != 0 || mb != 150 {
-		t.Errorf("peak minute %d@%vMB, want 0@150 (all minutes equal, first wins)", m, mb)
-	}
-
-	// Infinite clusters report no percentages.
-	appC := &trace.App{ID: "c", Functions: []*trace.Function{{ID: "fc", Invocations: []float64{0}}}}
-	tr := &trace.Trace{Duration: 600 * time.Second, Apps: []*trace.App{appC}}
-	inf := cluster.Simulate(tr, policy.FixedKeepAlive{KeepAlive: 60 * time.Second}, cluster.Config{Nodes: 1})
-	if pct := MeanClusterUtilizationPct(inf); pct != 0 {
-		t.Errorf("infinite cluster utilization %v%%, want 0", pct)
-	}
-	if u := ClusterUtilization(inf)[0]; u.MeanPct != 0 || u.PeakPct != 0 {
-		t.Errorf("infinite cluster per-node percentages %v/%v, want 0/0", u.MeanPct, u.PeakPct)
-	}
-}
-
 // TestClusterSinksThroughRun wires both sink kinds through
 // cluster.Run and cross-checks them against the returned result.
 func TestClusterSinksThroughRun(t *testing.T) {
@@ -191,8 +153,5 @@ func TestClusterSinksThroughRun(t *testing.T) {
 	}
 	if wasted.TotalWastedSeconds() != res.TotalWastedSeconds() {
 		t.Errorf("sim sink waste %v, result %v", wasted.TotalWastedSeconds(), res.TotalWastedSeconds())
-	}
-	if sr := res.SimResult(); ThirdQuartileColdPercent(sr) <= 0 {
-		t.Errorf("batch metrics over the projection returned %v", ThirdQuartileColdPercent(sr))
 	}
 }

@@ -12,7 +12,7 @@ import (
 // minor, giving ≤ 1/16 (6.25%) relative error across the full int64
 // nanosecond range with 960 counters and no allocation. Observe is
 // wait-free (one atomic add), so it can sit on a hot path sampled by
-// many goroutines — the soak harness drives it from every decision.
+// many goroutines — the platform feeds it from every invocation.
 //
 // Quantile and Merge read the counters with plain atomic loads; they
 // are intended for after-the-run reporting (a concurrent Observe may

@@ -1,24 +1,13 @@
 // Package metrics aggregates simulation results into the quantities
-// the paper's evaluation reports: per-app cold-start CDFs, the
-// 3rd-quartile cold-start percentage, wasted memory normalized to the
-// 10-minute fixed keep-alive baseline, and Pareto frontiers over
-// (cold starts, memory) as in Figure 15.
+// the paper's evaluation reports: the per-app cold-start percentage
+// distribution and its 3rd quartile, and wasted memory normalized to
+// the 10-minute fixed keep-alive baseline.
 package metrics
 
 import (
-	"fmt"
-	"math"
-	"sort"
-
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
-
-// ColdStartCDF returns the empirical CDF of per-app cold start
-// percentages for a simulation result.
-func ColdStartCDF(r *sim.Result) *stats.ECDF {
-	return stats.NewECDF(r.ColdPercents())
-}
 
 // ThirdQuartileColdPercent returns the 75th percentile of the per-app
 // cold-start percentage distribution, the headline metric of §5.2.
@@ -44,63 +33,4 @@ func NormalizedWastedMemory(r, baseline *sim.Result) float64 {
 		s.Consume(i, a)
 	}
 	return s.NormalizedTo(baseline.TotalWastedSeconds())
-}
-
-// TradeoffPoint is one policy's position in the Figure 15 plane.
-type TradeoffPoint struct {
-	Policy string
-	// ColdQ3 is the 3rd-quartile app cold-start percentage.
-	ColdQ3 float64
-	// WastedPct is wasted memory normalized to the baseline (percent).
-	WastedPct float64
-}
-
-// Tradeoff computes the (cold starts, wasted memory) point for each
-// result against the baseline.
-func Tradeoff(results []*sim.Result, baseline *sim.Result) []TradeoffPoint {
-	pts := make([]TradeoffPoint, 0, len(results))
-	for _, r := range results {
-		pts = append(pts, TradeoffPoint{
-			Policy:    r.Policy,
-			ColdQ3:    ThirdQuartileColdPercent(r),
-			WastedPct: NormalizedWastedMemory(r, baseline),
-		})
-	}
-	return pts
-}
-
-// ParetoFrontier returns the subset of points not dominated in the
-// minimize-both sense (lower cold starts and lower wasted memory),
-// sorted by ColdQ3 ascending.
-func ParetoFrontier(pts []TradeoffPoint) []TradeoffPoint {
-	sorted := append([]TradeoffPoint(nil), pts...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].ColdQ3 != sorted[j].ColdQ3 {
-			return sorted[i].ColdQ3 < sorted[j].ColdQ3
-		}
-		return sorted[i].WastedPct < sorted[j].WastedPct
-	})
-	var frontier []TradeoffPoint
-	minWaste := math.Inf(1)
-	for _, p := range sorted {
-		if p.WastedPct < minWaste {
-			frontier = append(frontier, p)
-			minWaste = p.WastedPct
-		}
-	}
-	return frontier
-}
-
-// Dominates reports whether a dominates b (a no worse in both
-// dimensions, strictly better in at least one).
-func Dominates(a, b TradeoffPoint) bool {
-	if a.ColdQ3 > b.ColdQ3 || a.WastedPct > b.WastedPct {
-		return false
-	}
-	return a.ColdQ3 < b.ColdQ3 || a.WastedPct < b.WastedPct
-}
-
-// String renders a point for reports.
-func (p TradeoffPoint) String() string {
-	return fmt.Sprintf("%-28s coldQ3=%6.2f%%  wastedMem=%7.2f%%", p.Policy, p.ColdQ3, p.WastedPct)
 }

@@ -37,14 +37,6 @@ func TestThirdQuartileEmpty(t *testing.T) {
 	}
 }
 
-func TestColdStartCDF(t *testing.T) {
-	r := mkResult("p", 0, 0, 50, 100)
-	cdf := ColdStartCDF(r)
-	if got := cdf.At(50); math.Abs(got-2.0/3) > 1e-9 {
-		t.Fatalf("At(50) = %v", got)
-	}
-}
-
 func TestNormalizedWastedMemory(t *testing.T) {
 	a := mkResult("a", 150, 10)
 	b := mkResult("b", 100, 10)
@@ -53,46 +45,5 @@ func TestNormalizedWastedMemory(t *testing.T) {
 	}
 	if got := NormalizedWastedMemory(a, mkResult("z", 0, 10)); got != 0 {
 		t.Fatalf("zero baseline should yield 0, got %v", got)
-	}
-}
-
-func TestTradeoffAndPareto(t *testing.T) {
-	baseline := mkResult("base", 100, 50, 50, 50, 50)
-	r1 := mkResult("good", 80, 10, 10, 10, 10)  // dominates r2
-	r2 := mkResult("bad", 120, 30, 30, 30, 30)  // dominated
-	r3 := mkResult("cheap", 40, 60, 60, 60, 60) // frontier (cheapest)
-	pts := Tradeoff([]*sim.Result{r1, r2, r3}, baseline)
-	if len(pts) != 3 {
-		t.Fatalf("pts = %d", len(pts))
-	}
-	frontier := ParetoFrontier(pts)
-	names := map[string]bool{}
-	for _, p := range frontier {
-		names[p.Policy] = true
-	}
-	if !names["good"] || !names["cheap"] || names["bad"] {
-		t.Fatalf("frontier = %v", frontier)
-	}
-}
-
-func TestDominates(t *testing.T) {
-	a := TradeoffPoint{ColdQ3: 10, WastedPct: 80}
-	b := TradeoffPoint{ColdQ3: 20, WastedPct: 90}
-	if !Dominates(a, b) || Dominates(b, a) {
-		t.Fatal("dominance wrong")
-	}
-	if Dominates(a, a) {
-		t.Fatal("a point must not dominate itself")
-	}
-	c := TradeoffPoint{ColdQ3: 5, WastedPct: 100}
-	if Dominates(a, c) || Dominates(c, a) {
-		t.Fatal("incomparable points must not dominate")
-	}
-}
-
-func TestTradeoffPointString(t *testing.T) {
-	p := TradeoffPoint{Policy: "x", ColdQ3: 1, WastedPct: 2}
-	if p.String() == "" {
-		t.Fatal("empty String")
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // coldBins is the fixed resolution of the streaming cold-start
 // distribution: percentages in [0, 100] quantized to 0.01 points
-// (10001 bins, ~80 KB), bounding any quantile or ECDF read-out error
-// at half a bin — invisible at the two decimals reports print.
+// (10001 bins, ~80 KB), bounding any quantile read-out error at half
+// a bin — invisible at the two decimals reports print.
 const coldBins = 10001
 
 // ColdStartSink incrementally aggregates the per-app cold-start
@@ -51,8 +51,8 @@ func (s *ColdStartSink) AppCount() int64 { return s.count }
 
 // Merge folds other's distribution into s. The bins are integer
 // counts, so merging the sinks of a sharded run reproduces the
-// unsharded sink exactly — quantiles and ECDF included — which is
-// what makes the sink the multi-process scale-out aggregate.
+// unsharded sink exactly — quantiles included — which is what makes
+// the sink the multi-process scale-out aggregate.
 func (s *ColdStartSink) Merge(other *ColdStartSink) {
 	for b, n := range other.bins {
 		s.bins[b] += n
@@ -105,26 +105,6 @@ func (s *ColdStartSink) valuesAt(lo, hi int64) (loV, hiV float64) {
 // ThirdQuartile returns the 75th percentile — the paper's headline
 // metric — from the streamed distribution.
 func (s *ColdStartSink) ThirdQuartile() float64 { return s.Quantile(75) }
-
-// ECDF returns the empirical CDF evaluated at x percent: the fraction
-// of apps whose cold-start percentage is <= x (to bin resolution).
-func (s *ColdStartSink) ECDF(x float64) float64 {
-	if s.count == 0 {
-		return 0
-	}
-	hi := int(math.Floor(x / 100 * (coldBins - 1)))
-	if hi < 0 {
-		return 0
-	}
-	if hi >= coldBins {
-		hi = coldBins - 1
-	}
-	var seen int64
-	for b := 0; b <= hi; b++ {
-		seen += s.bins[b]
-	}
-	return float64(seen) / float64(s.count)
-}
 
 // WastedMemorySink incrementally totals wasted memory time plus the
 // invocation and cold-start counters the evaluation normalizes by.

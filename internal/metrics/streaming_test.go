@@ -61,36 +61,10 @@ func TestColdStartSinkMatchesBatchQuantiles(t *testing.T) {
 	}
 }
 
-func TestColdStartSinkECDF(t *testing.T) {
-	apps := fakeResults(300)
-	sink := NewColdStartSink()
-	for i, a := range apps {
-		sink.Consume(i, a)
-	}
-	exact := batchResult(apps).ColdPercents()
-	for _, x := range []float64{-1, 0, 5, 25.5, 50, 99.99, 100, 150} {
-		var cnt int
-		for _, v := range exact {
-			// Compare against values quantized the way the sink bins.
-			q := math.Round(v/100*(10000)) / 10000 * 100
-			if q <= x+1e-9 {
-				cnt++
-			}
-		}
-		want := float64(cnt) / float64(len(exact))
-		if got := sink.ECDF(x); math.Abs(got-want) > 0.02 {
-			t.Errorf("ECDF(%v) = %v, want ~%v", x, got, want)
-		}
-	}
-}
-
 func TestColdStartSinkEmpty(t *testing.T) {
 	sink := NewColdStartSink()
 	if q := sink.Quantile(75); q != 0 {
 		t.Fatalf("empty Quantile = %v", q)
-	}
-	if e := sink.ECDF(50); e != 0 {
-		t.Fatalf("empty ECDF = %v", e)
 	}
 }
 

@@ -214,10 +214,10 @@ func TestAPIConcurrentInvokeStats(t *testing.T) {
 	for _, ao := range p.AppOutcomes() {
 		invokes += ao.Invocations
 	}
-	if got := p.Controller().Decider().Decisions(); got != int64(invokes) {
+	if got := p.Controller().dec.Decisions(); got != int64(invokes) {
 		t.Fatalf("decision service served %d decisions, platform saw %d invokes", got, invokes)
 	}
-	if got := p.LatencyHistogram().Count(); got != int64(invokes) {
+	if got := p.latHist.Count(); got != int64(invokes) {
 		t.Fatalf("latency histogram holds %d samples, want %d", got, invokes)
 	}
 }

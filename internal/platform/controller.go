@@ -24,10 +24,10 @@ type dispatchState struct {
 
 // Controller mirrors the OpenWhisk Controller with the paper's
 // modified Load Balancer (§4.3, modification #1). Keep-alive
-// decisions flow through the internal/serve decision service — the
-// same hot path the soak harness benchmarks — while the controller
-// keeps what is platform-specific: invoker pinning, activation
-// dispatch, and pre-warm scheduling on the (possibly scaled) clock.
+// decisions flow through the internal/serve decision service, while
+// the controller keeps what is platform-specific: invoker pinning,
+// activation dispatch, and pre-warm scheduling on the (possibly
+// scaled) clock.
 type Controller struct {
 	clock Clock
 	bus   *Bus
@@ -61,9 +61,6 @@ func NewController(clock Clock, bus *Bus, pol policy.Policy, n int) *Controller 
 // routed through the controller is captured (at the platform clock's
 // timestamps) for later bundle export. Attach before traffic starts.
 func (c *Controller) SetRecorder(r *serve.Recorder) { c.rec = r }
-
-// Decider exposes the underlying decision service.
-func (c *Controller) Decider() *serve.Controller { return c.dec }
 
 // state returns (creating if needed) the app's dispatch state. Apps
 // are pinned to an invoker by hash, the simplest
@@ -166,9 +163,4 @@ func (c *Controller) PolicyOverhead() (mean time.Duration, count int64) {
 		return 0, 0
 	}
 	return c.overheadTotal / time.Duration(c.overheadCount), c.overheadCount
-}
-
-// InvokerFor returns the invoker index an app is pinned to.
-func (c *Controller) InvokerFor(app string, memoryMB float64) int {
-	return c.state(app, memoryMB).invoker
 }

@@ -156,11 +156,6 @@ func (p *Platform) AppOutcomes() []AppOutcome {
 	return out
 }
 
-// LatencyHistogram returns the platform's streaming invocation
-// latency histogram (virtual time): constant-memory percentiles for
-// serving runs too long to keep the full latency slice.
-func (p *Platform) LatencyHistogram() *metrics.LatencyHistogram { return p.latHist }
-
 // Latencies returns a copy of all recorded invocation latencies
 // (virtual time).
 func (p *Platform) Latencies() []time.Duration {
@@ -184,6 +179,3 @@ func (p *Platform) ClusterStats() InvokerStats {
 	}
 	return total
 }
-
-// Invokers returns the platform's invokers (read-only use).
-func (p *Platform) Invokers() []*Invoker { return p.invokers }

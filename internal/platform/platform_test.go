@@ -134,7 +134,7 @@ func TestUnloadAfterExecWithPrewarmWindow(t *testing.T) {
 	if _, err := p.Invoke("app", "fn", 0, 256); err != nil {
 		t.Fatal(err)
 	}
-	inv := p.Invokers()[p.Controller().InvokerFor("app", 256)]
+	inv := p.invokers[p.Controller().state("app", 256).invoker]
 	// Immediately after execution the container must be gone.
 	time.Sleep(20 * time.Millisecond) // let unload settle (real time)
 	if inv.Loaded("app") {

@@ -586,16 +586,6 @@ func (r *SweepReport) MetricNames() []string {
 	return names
 }
 
-// Labels returns one compact label per cell: the assignments that
-// vary across the sweep.
-func (r *SweepReport) Labels() []string {
-	cells := make([]Scenario, len(r.Cells))
-	for i, c := range r.Cells {
-		cells[i] = c.Scenario
-	}
-	return Labels(cells)
-}
-
 // WriteCSV renders the report as CSV: a scenario column (canonical
 // string) and one column per metric; cells without a metric leave the
 // field empty.

@@ -53,12 +53,6 @@ func metaFor(name string, tr *trace.Trace) BundleMeta {
 	return m
 }
 
-// WriteTraceBundle writes tr as an incident bundle. The counts in the
-// header describe tr exactly as the row codec will reproduce it.
-func WriteTraceBundle(w io.Writer, name string, tr *trace.Trace) error {
-	return writeBundle(w, metaFor(name, tr), tr)
-}
-
 // WriteBundle writes the recorded stream as an incident bundle.
 // horizon bounds the bundle's minute columns (0 = last recorded
 // minute); see Recorder.Trace for the truncation rule.
@@ -69,10 +63,6 @@ func (r *Recorder) WriteBundle(w io.Writer, name string, horizon time.Duration) 
 	r.mu.Lock()
 	meta.Early = r.early
 	r.mu.Unlock()
-	return writeBundle(w, meta, tr)
-}
-
-func writeBundle(w io.Writer, meta BundleMeta, tr *trace.Trace) error {
 	hdr, err := json.Marshal(meta)
 	if err != nil {
 		return fmt.Errorf("serve: encoding bundle header: %w", err)
@@ -101,14 +91,13 @@ func readBundleMeta(br *bufio.Reader) (BundleMeta, error) {
 }
 
 // ReadBundle parses an incident bundle into its header and a
-// materialized trace.
+// materialized trace (StreamBundle, collected).
 func ReadBundle(r io.Reader) (BundleMeta, *trace.Trace, error) {
-	br := bufio.NewReader(r)
-	meta, err := readBundleMeta(br)
+	meta, src, err := StreamBundle(r)
 	if err != nil {
 		return BundleMeta{}, nil, err
 	}
-	tr, err := trace.ReadInvocationsCSV(br)
+	tr, err := trace.Collect(src)
 	if err != nil {
 		return BundleMeta{}, nil, err
 	}

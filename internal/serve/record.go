@@ -42,9 +42,6 @@ func NewRecorder(epoch time.Time) *Recorder {
 	return &Recorder{epoch: epoch, apps: make(map[string]*recApp)}
 }
 
-// Epoch returns the recorder's time anchor.
-func (r *Recorder) Epoch() time.Time { return r.epoch }
-
 // Record captures one invocation of app/fn at time at, with the HTTP
 // trigger (the serving path's trigger class). Events before the epoch
 // are dropped (and counted in Meta().Early).

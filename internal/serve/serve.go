@@ -88,9 +88,6 @@ func NewController(pol policy.Policy, cfg Config) *Controller {
 	return c
 }
 
-// Policy returns the policy the controller serves.
-func (c *Controller) Policy() policy.Policy { return c.pol }
-
 // shardOf is FNV-1a over the app ID (inlined so the hot path hashes
 // without an allocation or a hash.Hash).
 func shardOf(app string) uint32 {

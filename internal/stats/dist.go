@@ -28,11 +28,6 @@ func (d LogNormal) Quantile(q float64) float64 {
 	return math.Exp(d.Mu + d.Sigma*normalQuantile(q))
 }
 
-// Mean returns E[X].
-func (d LogNormal) Mean() float64 {
-	return math.Exp(d.Mu + d.Sigma*d.Sigma/2)
-}
-
 // Burr is the Burr type XII distribution with shape parameters C and K
 // and scale Lambda. The paper fits per-application allocated memory
 // with Burr(c=11.652, k=0.221, lambda=107.083) MB (Figure 8).
@@ -65,27 +60,6 @@ func (d Burr) Quantile(q float64) float64 {
 func (d Burr) Sample(r *RNG) float64 {
 	return d.Quantile(r.Float64Open())
 }
-
-// Exponential is the exponential distribution with the given Rate.
-type Exponential struct {
-	Rate float64
-}
-
-// Sample draws one variate.
-func (d Exponential) Sample(r *RNG) float64 {
-	return r.ExpFloat64() / d.Rate
-}
-
-// CDF returns P(X <= x).
-func (d Exponential) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return 1 - math.Exp(-d.Rate*x)
-}
-
-// Mean returns 1/Rate.
-func (d Exponential) Mean() float64 { return 1 / d.Rate }
 
 // HyperExp is a two-phase hyper-exponential distribution: with
 // probability P the variate is Exp(Rate1), otherwise Exp(Rate2).
@@ -130,45 +104,6 @@ func HyperExpForCV(mean, cv float64) HyperExp {
 	r1 := 2 * p / mean
 	r2 := 2 * (1 - p) / mean
 	return HyperExp{P: p, Rate1: r1, Rate2: r2}
-}
-
-// Zipf samples ranks {1..N} with probability proportional to
-// rank^(-S). It precomputes the CDF for O(log N) sampling and is used
-// to produce the heavy-tailed popularity skew of Figure 5(b).
-type Zipf struct {
-	cdf []float64
-}
-
-// NewZipf builds a Zipf sampler over n ranks with exponent s > 0.
-func NewZipf(n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("stats: NewZipf with non-positive n")
-	}
-	cdf := make([]float64, n)
-	var total float64
-	for i := 0; i < n; i++ {
-		total += math.Pow(float64(i+1), -s)
-		cdf[i] = total
-	}
-	for i := range cdf {
-		cdf[i] /= total
-	}
-	return &Zipf{cdf: cdf}
-}
-
-// Sample returns a rank in [1, N].
-func (z *Zipf) Sample(r *RNG) int {
-	u := r.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
 }
 
 // Poisson draws a Poisson-distributed count with the given mean using
@@ -234,9 +169,6 @@ func normalQuantile(p float64) float64 {
 			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
 	}
 }
-
-// NormalQuantile exposes the standard normal quantile function.
-func NormalQuantile(p float64) float64 { return normalQuantile(p) }
 
 // PiecewiseLogCDF is a distribution defined by CDF anchor points whose
 // X values are interpolated log-linearly between anchors. The workload

@@ -64,12 +64,3 @@ func (e *ECDF) Points(n int) []Point {
 	}
 	return pts
 }
-
-// PointsAt renders P(X <= x) at the given x values.
-func (e *ECDF) PointsAt(xs []float64) []Point {
-	pts := make([]Point, 0, len(xs))
-	for _, x := range xs {
-		pts = append(pts, Point{X: x, Y: e.At(x)})
-	}
-	return pts
-}

@@ -97,11 +97,3 @@ func TestECDFDoesNotAliasInput(t *testing.T) {
 		t.Fatal("ECDF must copy its input")
 	}
 }
-
-func TestECDFPointsAt(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 3, 4})
-	pts := e.PointsAt([]float64{0, 2, 5})
-	if len(pts) != 3 || pts[0].Y != 0 || pts[1].Y != 0.5 || pts[2].Y != 1 {
-		t.Fatalf("pts = %+v", pts)
-	}
-}

@@ -194,15 +194,11 @@ func lsMatrix(hdrs *[][]float64, buf *[]float64, rows, cols int, zero bool) [][]
 	return m
 }
 
-// SolveLinear solves A x = b by Gaussian elimination with partial
-// pivoting. A is row-major n x n and is not modified. It returns false
-// if the system is singular (to working precision).
-func SolveLinear(a [][]float64, b []float64) ([]float64, bool) {
-	return SolveLinearInto(nil, a, b)
-}
-
-// SolveLinearInto is SolveLinear with workspace drawn from s (may be
-// nil). The arithmetic is identical; only allocation behavior differs.
+// SolveLinearInto solves A x = b by Gaussian elimination with partial
+// pivoting, with workspace drawn from s (may be nil; the arithmetic is
+// identical, only allocation behavior differs). A is row-major n x n
+// and is not modified. It returns false if the system is singular (to
+// working precision).
 func SolveLinearInto(s *LSScratch, a [][]float64, b []float64) ([]float64, bool) {
 	n := len(b)
 	if len(a) != n {
@@ -255,16 +251,12 @@ func SolveLinearInto(s *LSScratch, a [][]float64, b []float64) ([]float64, bool)
 	return x, true
 }
 
-// OLS fits y = X beta by ordinary least squares via the normal
-// equations (X'X) beta = X'y. X is row-major with one row per
-// observation. It returns false if X'X is singular.
-func OLS(x [][]float64, y []float64) ([]float64, bool) {
-	return OLSInto(nil, x, y)
-}
-
-// OLSInto is OLS with workspace drawn from s (may be nil). The
-// arithmetic — including the accumulation order of the normal
-// equations — is identical; only allocation behavior differs.
+// OLSInto fits y = X beta by ordinary least squares via the normal
+// equations (X'X) beta = X'y, with workspace drawn from s (may be nil;
+// the arithmetic — including the accumulation order of the normal
+// equations — is identical, only allocation behavior differs). X is
+// row-major with one row per observation. It returns false if X'X is
+// singular.
 func OLSInto(s *LSScratch, x [][]float64, y []float64) ([]float64, bool) {
 	nobs := len(x)
 	if nobs == 0 || nobs != len(y) {

@@ -60,7 +60,7 @@ func TestSolveLinearKnownSystem(t *testing.T) {
 		{-2, 1, 2},
 	}
 	b := []float64{8, -11, -3}
-	x, ok := SolveLinear(a, b)
+	x, ok := SolveLinearInto(nil, a, b)
 	if !ok {
 		t.Fatal("solver reported singular")
 	}
@@ -77,7 +77,7 @@ func TestSolveLinearSingular(t *testing.T) {
 		{1, 2},
 		{2, 4},
 	}
-	if _, ok := SolveLinear(a, []float64{1, 2}); ok {
+	if _, ok := SolveLinearInto(nil, a, []float64{1, 2}); ok {
 		t.Fatal("singular system should report !ok")
 	}
 }
@@ -88,7 +88,7 @@ func TestSolveLinearNeedsPivoting(t *testing.T) {
 		{0, 1},
 		{1, 0},
 	}
-	x, ok := SolveLinear(a, []float64{2, 3})
+	x, ok := SolveLinearInto(nil, a, []float64{2, 3})
 	if !ok || math.Abs(x[0]-3) > 1e-12 || math.Abs(x[1]-2) > 1e-12 {
 		t.Fatalf("x = %v ok=%v", x, ok)
 	}
@@ -105,7 +105,7 @@ func TestOLSRecoversCoefficients(t *testing.T) {
 		x = append(x, []float64{1, a, b})
 		y = append(y, 2+3*a-1.5*b+0.01*r.NormFloat64())
 	}
-	beta, ok := OLS(x, y)
+	beta, ok := OLSInto(nil, x, y)
 	if !ok {
 		t.Fatal("OLS failed")
 	}
@@ -118,12 +118,12 @@ func TestOLSRecoversCoefficients(t *testing.T) {
 }
 
 func TestOLSDegenerate(t *testing.T) {
-	if _, ok := OLS(nil, nil); ok {
+	if _, ok := OLSInto(nil, nil, nil); ok {
 		t.Fatal("empty OLS should fail")
 	}
 	// Collinear columns.
 	x := [][]float64{{1, 2}, {2, 4}, {3, 6}}
-	if _, ok := OLS(x, []float64{1, 2, 3}); ok {
+	if _, ok := OLSInto(nil, x, []float64{1, 2, 3}); ok {
 		t.Fatal("collinear OLS should fail")
 	}
 }

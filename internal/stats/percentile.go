@@ -49,46 +49,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// WeightedSample is one (value, weight) observation, e.g. an average
-// execution time observed over `weight` samples, as in the paper's
-// weighted-percentile construction (§3.1).
-type WeightedSample struct {
-	Value  float64
-	Weight float64
-}
-
-// WeightedPercentile computes the p-th percentile of a weighted sample
-// set, equivalent to percentiles over a distribution where each Value
-// is replicated Weight times. Weights must be positive. It panics on an
-// empty set or p outside [0,100].
-func WeightedPercentile(samples []WeightedSample, p float64) float64 {
-	if len(samples) == 0 {
-		panic("stats: WeightedPercentile of empty set")
-	}
-	if p < 0 || p > 100 {
-		panic(fmt.Sprintf("stats: percentile %v out of range", p))
-	}
-	s := make([]WeightedSample, len(samples))
-	copy(s, samples)
-	sort.Slice(s, func(i, j int) bool { return s[i].Value < s[j].Value })
-	var total float64
-	for _, ws := range s {
-		if ws.Weight <= 0 {
-			panic("stats: WeightedPercentile with non-positive weight")
-		}
-		total += ws.Weight
-	}
-	target := p / 100 * total
-	var cum float64
-	for _, ws := range s {
-		cum += ws.Weight
-		if cum >= target {
-			return ws.Value
-		}
-	}
-	return s[len(s)-1].Value
-}
-
 // Mean returns the arithmetic mean of xs (0 for an empty slice).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

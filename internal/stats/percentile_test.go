@@ -95,51 +95,6 @@ func TestPercentileSortedAgrees(t *testing.T) {
 	}
 }
 
-func TestWeightedPercentileReplication(t *testing.T) {
-	// Weighted percentiles must equal plain percentiles over the
-	// replicated sample (the paper's construction in §3.1).
-	samples := []WeightedSample{
-		{Value: 100, Weight: 45},
-		{Value: 10, Weight: 5},
-		{Value: 500, Weight: 50},
-	}
-	var replicated []float64
-	for _, s := range samples {
-		for i := 0; i < int(s.Weight); i++ {
-			replicated = append(replicated, s.Value)
-		}
-	}
-	sort.Float64s(replicated)
-	for _, p := range []float64{1, 5, 25, 50, 75, 95, 99} {
-		got := WeightedPercentile(samples, p)
-		// Nearest-rank on replicated data.
-		idx := int(math.Ceil(p/100*float64(len(replicated)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		want := replicated[idx]
-		if got != want {
-			t.Errorf("p=%v: got %v, want %v", p, got, want)
-		}
-	}
-}
-
-func TestWeightedPercentileSingle(t *testing.T) {
-	s := []WeightedSample{{Value: 3.14, Weight: 10}}
-	if got := WeightedPercentile(s, 50); got != 3.14 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestWeightedPercentilePanicsOnBadWeight(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	WeightedPercentile([]WeightedSample{{Value: 1, Weight: 0}}, 50)
-}
-
 func TestMeanVarianceCV(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if Mean(xs) != 5 {

@@ -1,9 +1,8 @@
 // Package stats provides the statistical substrate used across the
-// reproduction: deterministic random number generation, online moment
-// tracking (Welford), weighted percentiles, empirical CDFs, fixed-bin
-// histograms, the distribution samplers the workload generator is
-// calibrated with (log-normal, Burr XII, hyper-exponential, Zipf, ...),
-// and the small numerical-optimization and linear-algebra helpers that
+// reproduction: deterministic random number generation, percentiles,
+// empirical CDFs, the distribution samplers the workload generator is
+// calibrated with (log-normal, Burr XII, hyper-exponential, ...), and
+// the small numerical-optimization and linear-algebra helpers that
 // back the ARIMA estimator.
 //
 // Everything is stdlib-only and deterministic given a seed, so every
@@ -66,14 +65,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("stats: Int63n with non-positive n")
-	}
-	return int64(r.Uint64() % uint64(n))
-}
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
@@ -107,12 +98,4 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

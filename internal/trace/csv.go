@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"time"
 )
 
 // The CSV schemas mirror the AzurePublicDataset release:
@@ -100,52 +99,16 @@ func formatMillis(seconds float64) string {
 	return strconv.FormatFloat(seconds*1000, 'f', 3, 64)
 }
 
-// ReadInvocationsCSV parses an invocation-count table into a Trace.
-// Per-minute counts become timestamps spaced evenly within each
-// minute; minute m (1-based column) covers seconds [60(m-1), 60m).
-// Functions sharing a HashApp are grouped into one App.
+// ReadInvocationsCSV parses an invocation-count table into a
+// materialized Trace: the batch form of StreamInvocationsCSV (one
+// decode loop, so the two cannot drift). Rows must be grouped by
+// HashApp; a HashApp reappearing after its group ended is an error.
 func ReadInvocationsCSV(r io.Reader) (*Trace, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	src, err := StreamInvocationsCSV(r)
 	if err != nil {
-		return nil, fmt.Errorf("trace: reading invocations header: %w", err)
-	}
-	if err := checkInvocationsHeader(header); err != nil {
 		return nil, err
 	}
-	minutes := len(header) - 4
-
-	apps := make(map[string]*App)
-	var order []string
-	var counts []int
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading invocations line %d: %w", line, err)
-		}
-		owner, appID, fn, err := parseInvocationRow(rec, minutes, line, &counts)
-		if err != nil {
-			return nil, err
-		}
-		app, ok := apps[appID]
-		if !ok {
-			app = &App{ID: appID, Owner: owner}
-			apps[appID] = app
-			order = append(order, appID)
-		}
-		app.Functions = append(app.Functions, fn)
-	}
-
-	tr := &Trace{Duration: time.Duration(minutes) * time.Minute}
-	for _, id := range order {
-		tr.Apps = append(tr.Apps, apps[id])
-	}
-	return tr, nil
+	return Collect(src)
 }
 
 // ApplyDurationsCSV parses a durations table and fills ExecStats on
@@ -207,19 +170,12 @@ func ApplyDurationsCSV(r io.Reader, tr *Trace) error {
 // would place and evict them for free.
 const DefaultAppMemoryMB = 170
 
-// ApplyMemoryCSV parses a memory table and fills MemoryMB on the
-// matching apps of tr. Unknown apps are ignored; apps without a row
-// keep MemoryMB == 0 (see ApplyMemoryCSVDefault).
-func ApplyMemoryCSV(r io.Reader, tr *Trace) error {
-	_, err := applyMemoryCSV(r, tr, 0)
-	return err
-}
-
-// ApplyMemoryCSVDefault is ApplyMemoryCSV plus a fallback: apps of tr
-// still carrying MemoryMB == 0 after the table is applied (no row, or
-// a zero row) are charged defaultMB instead, and the count of such
-// defaulted apps is returned so callers can surface the data gap.
-// defaultMB <= 0 applies DefaultAppMemoryMB.
+// ApplyMemoryCSVDefault parses a memory table and fills MemoryMB on
+// the matching apps of tr; unknown apps are ignored. Apps of tr still
+// carrying MemoryMB == 0 after the table is applied (no row, or a zero
+// row) are charged defaultMB instead, and the count of such defaulted
+// apps is returned so callers can surface the data gap. defaultMB <= 0
+// applies DefaultAppMemoryMB.
 func ApplyMemoryCSVDefault(r io.Reader, tr *Trace, defaultMB float64) (defaulted int, err error) {
 	if defaultMB <= 0 {
 		defaultMB = DefaultAppMemoryMB

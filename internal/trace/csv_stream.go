@@ -12,8 +12,9 @@ import (
 // CSVSource streams an AzurePublicDataset-style invocations table as a
 // Source, holding one application in memory at a time: rows are parsed
 // as they are read and consecutive rows sharing a HashApp group into
-// one App. Unlike ReadInvocationsCSV, the file is never materialized,
-// so traces far larger than RAM stream through in constant memory.
+// one App. The file is never materialized (ReadInvocationsCSV is this
+// source, collected), so traces far larger than RAM stream through in
+// constant memory.
 //
 // Rows must be grouped by HashApp (WriteInvocationsCSV emits them that
 // way, as does the published dataset). A HashApp reappearing after its

@@ -37,10 +37,12 @@ func syntheticCSVTrace(t *testing.T, apps, minutes, perMinute int) (*Trace, []by
 	return tr, buf.Bytes()
 }
 
-// TestStreamMatchesBatchReader proves the streaming source and the
-// batch reader decode the same CSV into identical traces.
+// TestStreamMatchesBatchReader pins both readers to the trace that was
+// written: syntheticCSVTrace places invocations on the codec's
+// canonical timestamps, so decoding its CSV — streamed and collected,
+// or through the batch form — must reproduce it exactly.
 func TestStreamMatchesBatchReader(t *testing.T) {
-	_, data := syntheticCSVTrace(t, 17, 12, 3)
+	want, data := syntheticCSVTrace(t, 17, 12, 3)
 
 	batch, err := ReadInvocationsCSV(bytes.NewReader(data))
 	if err != nil {
@@ -54,40 +56,48 @@ func TestStreamMatchesBatchReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for name, got := range map[string]*Trace{"batch": batch, "streamed": streamed} {
+		requireSameTrace(t, name, got, want)
+	}
+}
 
-	if streamed.Duration != batch.Duration {
-		t.Fatalf("duration %v vs %v", streamed.Duration, batch.Duration)
+// requireSameTrace fails unless got equals want app for app, function
+// for function, timestamp for timestamp.
+func requireSameTrace(t *testing.T, name string, got, want *Trace) {
+	t.Helper()
+	if got.Duration != want.Duration {
+		t.Fatalf("%s: duration %v vs %v", name, got.Duration, want.Duration)
 	}
-	if len(streamed.Apps) != len(batch.Apps) {
-		t.Fatalf("apps %d vs %d", len(streamed.Apps), len(batch.Apps))
+	if len(got.Apps) != len(want.Apps) {
+		t.Fatalf("%s: apps %d vs %d", name, len(got.Apps), len(want.Apps))
 	}
-	for i, want := range batch.Apps {
-		got := streamed.Apps[i]
-		if got.ID != want.ID || got.Owner != want.Owner || len(got.Functions) != len(want.Functions) {
-			t.Fatalf("app %d: %s/%s/%d vs %s/%s/%d", i,
-				got.ID, got.Owner, len(got.Functions), want.ID, want.Owner, len(want.Functions))
+	for i, wapp := range want.Apps {
+		gapp := got.Apps[i]
+		if gapp.ID != wapp.ID || gapp.Owner != wapp.Owner || len(gapp.Functions) != len(wapp.Functions) {
+			t.Fatalf("%s: app %d: %s/%s/%d vs %s/%s/%d", name, i,
+				gapp.ID, gapp.Owner, len(gapp.Functions), wapp.ID, wapp.Owner, len(wapp.Functions))
 		}
-		for j, wfn := range want.Functions {
-			gfn := got.Functions[j]
+		for j, wfn := range wapp.Functions {
+			gfn := gapp.Functions[j]
 			if gfn.ID != wfn.ID || gfn.Trigger != wfn.Trigger {
-				t.Fatalf("app %s fn %d metadata differs", want.ID, j)
+				t.Fatalf("%s: app %s fn %d metadata differs", name, wapp.ID, j)
 			}
 			if len(gfn.Invocations) != len(wfn.Invocations) {
-				t.Fatalf("app %s fn %s: %d vs %d invocations",
-					want.ID, wfn.ID, len(gfn.Invocations), len(wfn.Invocations))
+				t.Fatalf("%s: app %s fn %s: %d vs %d invocations",
+					name, wapp.ID, wfn.ID, len(gfn.Invocations), len(wfn.Invocations))
 			}
 			for k := range wfn.Invocations {
 				if gfn.Invocations[k] != wfn.Invocations[k] {
-					t.Fatalf("app %s fn %s invocation %d: %v vs %v",
-						want.ID, wfn.ID, k, gfn.Invocations[k], wfn.Invocations[k])
+					t.Fatalf("%s: app %s fn %s invocation %d: %v vs %v",
+						name, wapp.ID, wfn.ID, k, gfn.Invocations[k], wfn.Invocations[k])
 				}
 			}
 		}
 	}
 }
 
-// TestStreamMalformedRows mirrors the batch reader's error cases plus
-// the streaming-only non-contiguous-app detection.
+// TestStreamMalformedRows: every malformed table is an error, and
+// errors are sticky.
 func TestStreamMalformedRows(t *testing.T) {
 	const header = "HashOwner,HashApp,HashFunction,Trigger,1\n"
 	cases := []struct {
@@ -126,27 +136,32 @@ func TestStreamMalformedRows(t *testing.T) {
 	}
 }
 
-// TestStreamErrorMessagesMatchBatch pins that shared-row parsing gives
-// both readers the same diagnostics.
+// TestStreamErrorMessagesMatchBatch pins the row diagnostics both
+// forms report: the failing line and the reason, and — the one
+// behaviour the batch form lost when it became Collect over the stream
+// — a HashApp whose rows are split is an error, not a silent regroup.
 func TestStreamErrorMessagesMatchBatch(t *testing.T) {
-	const bad = "HashOwner,HashApp,HashFunction,Trigger,1\no,a,f,http,1\no,b,g,bogus,2\n"
-	_, batchErr := ReadInvocationsCSV(strings.NewReader(bad))
-	if batchErr == nil {
-		t.Fatal("batch reader accepted bad trigger")
-	}
-	src, err := StreamInvocationsCSV(strings.NewReader(bad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamErr error
-	for streamErr == nil {
-		_, streamErr = src.Next()
-	}
-	if streamErr == io.EOF {
-		t.Fatal("stream reader accepted bad trigger")
-	}
-	if streamErr.Error() != batchErr.Error() {
-		t.Fatalf("diagnostics differ:\n  stream: %v\n  batch:  %v", streamErr, batchErr)
+	const header = "HashOwner,HashApp,HashFunction,Trigger,1\n"
+	for _, c := range []struct{ name, csv, want string }{
+		{"bad trigger", header + "o,a,f,http,1\no,b,g,bogus,2\n", "trace: line 3: "},
+		{"split app", header + "o,a,f1,http,1\no,b,f2,http,1\no,a,f3,http,1\n",
+			"trace: line 4: rows for app a are not contiguous"},
+	} {
+		_, batchErr := ReadInvocationsCSV(strings.NewReader(c.csv))
+		if batchErr == nil || !strings.HasPrefix(batchErr.Error(), c.want) {
+			t.Errorf("%s: batch reader error %v, want prefix %q", c.name, batchErr, c.want)
+		}
+		src, err := StreamInvocationsCSV(strings.NewReader(c.csv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var streamErr error
+		for streamErr == nil {
+			_, streamErr = src.Next()
+		}
+		if streamErr == io.EOF || !strings.HasPrefix(streamErr.Error(), c.want) {
+			t.Errorf("%s: stream reader error %v, want prefix %q", c.name, streamErr, c.want)
+		}
 	}
 }
 

@@ -141,8 +141,8 @@ func TestMemoryCSVRoundTrip(t *testing.T) {
 	for _, app := range fresh.Apps {
 		app.MemoryMB = 0
 	}
-	if err := ApplyMemoryCSV(&buf, fresh); err != nil {
-		t.Fatal(err)
+	if defaulted, err := ApplyMemoryCSVDefault(&buf, fresh, 0); err != nil || defaulted != 0 {
+		t.Fatalf("defaulted=%d err=%v", defaulted, err)
 	}
 	if fresh.Apps[0].MemoryMB != 170.5 {
 		t.Fatalf("memory = %v", fresh.Apps[0].MemoryMB)
@@ -190,8 +190,7 @@ func TestApplyMemoryCSVDefault(t *testing.T) {
 		t.Fatalf("defaulted=%d memory=%v, want %d/99", defaulted, tr.Apps[1].MemoryMB, len(tr.Apps)-1)
 	}
 
-	// Full coverage defaults nothing; plain ApplyMemoryCSV never
-	// defaults.
+	// Full coverage defaults nothing.
 	tr = sampleTrace()
 	var buf bytes.Buffer
 	if err := WriteMemoryCSV(&buf, tr); err != nil {
@@ -200,18 +199,6 @@ func TestApplyMemoryCSVDefault(t *testing.T) {
 	table := buf.String()
 	if defaulted, err = ApplyMemoryCSVDefault(strings.NewReader(table), tr, 0); err != nil || defaulted != 0 {
 		t.Fatalf("full table: defaulted=%d err=%v", defaulted, err)
-	}
-	fresh := sampleTrace()
-	for _, app := range fresh.Apps {
-		app.MemoryMB = 0
-	}
-	if err := ApplyMemoryCSV(strings.NewReader(csvData), fresh); err != nil {
-		t.Fatal(err)
-	}
-	for _, app := range fresh.Apps[1:] {
-		if app.MemoryMB != 0 {
-			t.Fatalf("ApplyMemoryCSV must not default, app %s got %v", app.ID, app.MemoryMB)
-		}
 	}
 }
 
@@ -232,7 +219,7 @@ func TestApplyDurationsMissingColumn(t *testing.T) {
 }
 
 func TestApplyMemoryMissingColumn(t *testing.T) {
-	if err := ApplyMemoryCSV(strings.NewReader("X,Y\n"), sampleTrace()); err == nil {
+	if _, err := ApplyMemoryCSVDefault(strings.NewReader("X,Y\n"), sampleTrace(), 0); err == nil {
 		t.Fatal("expected error for missing columns")
 	}
 }

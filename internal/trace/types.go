@@ -105,10 +105,6 @@ func (a *App) InvocationTimes() []float64 {
 	return merged
 }
 
-// InvalidateCache drops the cached merged invocation times; call it
-// after mutating any function's Invocations.
-func (a *App) InvalidateCache() { a.merged = nil }
-
 // WarmCaches precomputes every app's merged invocation times, leaving
 // no lazy cache writes behind. Call it before handing one trace to
 // several simulations running concurrently (InvocationTimes memoizes
@@ -127,16 +123,6 @@ func (a *App) TotalInvocations() int {
 		n += len(fn.Invocations)
 	}
 	return n
-}
-
-// HasTrigger reports whether any function has the given trigger.
-func (a *App) HasTrigger(t TriggerType) bool {
-	for _, fn := range a.Functions {
-		if fn.Trigger == t {
-			return true
-		}
-	}
-	return false
 }
 
 // TriggerSet returns the bitmask of trigger classes present in the

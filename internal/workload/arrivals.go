@@ -261,18 +261,3 @@ func sessionTimeOfDay(r *stats.RNG, profile *DiurnalProfile) float64 {
 	}
 	return windowStart + r.Float64()*windowLen
 }
-
-// mergeSorted merges pre-sorted timestamp slices into one sorted
-// slice.
-func mergeSorted(lists ...[]float64) []float64 {
-	var total int
-	for _, l := range lists {
-		total += len(l)
-	}
-	out := make([]float64, 0, total)
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	sort.Float64s(out)
-	return out
-}

@@ -179,16 +179,6 @@ func TestArrivalsSorted(t *testing.T) {
 	}
 }
 
-func TestMergeSorted(t *testing.T) {
-	m := mergeSorted([]float64{1, 4, 9}, []float64{2, 3}, nil)
-	want := []float64{1, 2, 3, 4, 9}
-	for i := range want {
-		if m[i] != want[i] {
-			t.Fatalf("merged = %v", m)
-		}
-	}
-}
-
 func TestArrivalKindString(t *testing.T) {
 	kinds := []ArrivalKind{KindTimer, KindPeriodicExternal, KindPoisson, KindBursty, ArrivalKind(99)}
 	for _, k := range kinds {

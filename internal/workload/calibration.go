@@ -89,34 +89,6 @@ var triggerCombos = []struct {
 	{1<<trace.TriggerHTTP | 1<<trace.TriggerOrchestration, 0.0103},
 }
 
-// sampleTriggerCombo draws an app's trigger-set bitmask: the explicit
-// Figure 3(b) rows cover ~89.5% of apps; the remainder samples 2–3
-// trigger classes weighted by Figure 3(a)'s marginals.
-func sampleTriggerCombo(r *stats.RNG) uint8 {
-	u := r.Float64()
-	var cum float64
-	for _, c := range triggerCombos {
-		cum += c.frac
-		if u <= cum {
-			return c.mask
-		}
-	}
-	// Tail: random 2–3 distinct triggers weighted by marginal app share
-	// (Figure 3a): H 64, T 29, Q 24, S 7, E 6, O 3, o 6.
-	weights := []float64{64, 24, 6, 3, 29, 7, 6} // indexed by TriggerType
-	n := 2 + r.Intn(2)
-	var mask uint8
-	for bits := 0; bits < n; {
-		t := sampleWeighted(r, weights)
-		bit := uint8(1) << t
-		if mask&bit == 0 {
-			mask |= bit
-			bits++
-		}
-	}
-	return mask
-}
-
 // sampleTriggerComboSized draws a trigger combination conditioned on
 // the app's function count, keeping BOTH marginals calibrated:
 // single-function apps can only hold single-trigger combos, so those

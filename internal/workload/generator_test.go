@@ -83,24 +83,6 @@ func TestFunctionsPerAppDistribution(t *testing.T) {
 	}
 }
 
-func TestTriggerComboDistribution(t *testing.T) {
-	r := stats.NewRNG(10)
-	const n = 100000
-	counts := make(map[uint8]int)
-	for i := 0; i < n; i++ {
-		counts[sampleTriggerCombo(r)]++
-	}
-	// Figure 3(b): HTTP-only 43.27%, Timer-only 13.36%.
-	httpOnly := float64(counts[1<<trace.TriggerHTTP]) / n
-	if math.Abs(httpOnly-0.4327) > 0.01 {
-		t.Fatalf("HTTP-only = %v, want ~0.4327", httpOnly)
-	}
-	timerOnly := float64(counts[1<<trace.TriggerTimer]) / n
-	if math.Abs(timerOnly-0.1336) > 0.01 {
-		t.Fatalf("Timer-only = %v, want ~0.1336", timerOnly)
-	}
-}
-
 func TestGeneratedTriggerShares(t *testing.T) {
 	pop := genTestPop(t, Config{Seed: 11, NumApps: 2000, Duration: 2 * time.Hour})
 	counts := make(map[trace.TriggerType]int)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/equiv"
 	"repro/internal/policy"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -185,7 +186,7 @@ func readIncident(t *testing.T, path string) Scenario {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := ParseScenario(string(data))
+	sc, err := scenario.ParseScenario(string(data))
 	if err != nil {
 		t.Fatal(err)
 	}

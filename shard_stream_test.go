@@ -5,12 +5,16 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // TestShardedStreamingRunMergesToWhole is the streaming counterpart
-// of the facade shard-sum test: the n interleaved shards of a
-// streaming source, each run through Run with incremental sinks, must
-// merge to the unsharded run's aggregates — integer counters and the
+// of TestEndToEndStreamingAPI's shard sum: the n interleaved shards
+// of a streaming source, each run through Run with incremental sinks,
+// must merge to the unsharded run's aggregates — integer counters and the
 // binned cold-start distribution exactly, the float waste total up to
 // summation order. This is the contract multi-process scale-out
 // relies on: n processes each simulate one shard and a reducer merges
@@ -30,7 +34,7 @@ func TestShardedStreamingRunMergesToWhole(t *testing.T) {
 		return cold, wasted
 	}
 
-	wholeSrc, err := GeneratorSource(cfg)
+	wholeSrc, err := workload.NewSource(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,27 +43,22 @@ func TestShardedStreamingRunMergesToWhole(t *testing.T) {
 	for _, n := range []int{2, 3, 5} {
 		mergedCold, mergedWasted := NewColdStartSink(), NewWastedMemorySink()
 		for i := 0; i < n; i++ {
-			src, err := GeneratorSource(cfg)
+			src, err := workload.NewSource(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, wasted := runSinks(Shard(src, i, n))
+			cold, wasted := runSinks(trace.Shard(src, i, n))
 			mergedCold.Merge(cold)
 			mergedWasted.Merge(wasted)
 		}
 		if mergedCold.AppCount() != wholeCold.AppCount() {
 			t.Fatalf("n=%d: merged %d apps, whole %d", n, mergedCold.AppCount(), wholeCold.AppCount())
 		}
-		// The distribution is integer bins: every quantile and ECDF
-		// read-out must agree exactly with the unsharded sink.
+		// The distribution is integer bins: every quantile read-out must
+		// agree exactly with the unsharded sink.
 		for _, p := range []float64{0, 10, 25, 50, 75, 90, 99, 100} {
 			if g, w := mergedCold.Quantile(p), wholeCold.Quantile(p); g != w {
 				t.Errorf("n=%d: Quantile(%g) merged %v, whole %v", n, p, g, w)
-			}
-		}
-		for _, x := range []float64{0, 1, 5, 25, 50, 100} {
-			if g, w := mergedCold.ECDF(x), wholeCold.ECDF(x); g != w {
-				t.Errorf("n=%d: ECDF(%g) merged %v, whole %v", n, x, g, w)
 			}
 		}
 		if mergedWasted.Apps() != wholeWasted.Apps() ||
@@ -80,7 +79,7 @@ func TestShardedStreamingRunMergesToWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := Simulate(pop.Trace, MustFromSpec("hybrid"))
+	batch := sim.Simulate(pop.Trace, MustFromSpec("hybrid"), sim.Options{})
 	if got, want := wholeWasted.TotalColdStarts(), int64(batch.TotalColdStarts()); got != want {
 		t.Errorf("streamed cold starts %d, batch %d", got, want)
 	}

@@ -5,9 +5,16 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
+	"repro/internal/metrics"
+	"repro/internal/policy"
+	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
-// TestEndToEndSimulation exercises the public facade: generate,
+// TestEndToEndSimulation runs the batch pipeline end to end: generate,
 // simulate two policies, compare metrics.
 func TestEndToEndSimulation(t *testing.T) {
 	pop, err := Generate(WorkloadConfig{
@@ -21,24 +28,24 @@ func TestEndToEndSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fixed := Simulate(pop.Trace, FixedKeepAlive{KeepAlive: 10 * time.Minute})
-	hybrid := Simulate(pop.Trace, NewHybrid(DefaultHybridConfig()))
+	fixed := sim.Simulate(pop.Trace, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}, sim.Options{})
+	hybrid := sim.Simulate(pop.Trace, MustFromSpec("hybrid"), sim.Options{})
 
 	if fixed.TotalInvocations() != hybrid.TotalInvocations() {
 		t.Fatal("policies saw different invocation counts")
 	}
-	fq := ThirdQuartileColdPercent(fixed)
-	hq := ThirdQuartileColdPercent(hybrid)
+	fq := metrics.ThirdQuartileColdPercent(fixed)
+	hq := metrics.ThirdQuartileColdPercent(hybrid)
 	if hq >= fq {
 		t.Fatalf("hybrid Q3 %.1f should beat fixed %.1f", hq, fq)
 	}
-	if nm := NormalizedWastedMemory(hybrid, fixed); nm <= 0 || nm > 200 {
+	if nm := metrics.NormalizedWastedMemory(hybrid, fixed); nm <= 0 || nm > 200 {
 		t.Fatalf("normalized memory = %v", nm)
 	}
 }
 
 // TestEndToEndCSVRoundTrip writes and re-reads a trace through the
-// facade and re-simulates; minute-binned cold starts for the fixed
+// dataset CSV codec and re-simulates; minute-binned cold starts for the fixed
 // policy must be close (binning loses only sub-minute detail).
 func TestEndToEndCSVRoundTrip(t *testing.T) {
 	pop, err := Generate(WorkloadConfig{
@@ -49,18 +56,18 @@ func TestEndToEndCSVRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteInvocationsCSV(&buf, pop.Trace); err != nil {
+	if err := trace.WriteInvocationsCSV(&buf, pop.Trace); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadInvocationsCSV(&buf)
+	back, err := trace.ReadInvocationsCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.TotalInvocations() != pop.Trace.TotalInvocations() {
 		t.Fatal("invocation count changed in round trip")
 	}
-	orig := Simulate(pop.Trace, FixedKeepAlive{KeepAlive: 30 * time.Minute})
-	rt := Simulate(back, FixedKeepAlive{KeepAlive: 30 * time.Minute})
+	orig := sim.Simulate(pop.Trace, policy.FixedKeepAlive{KeepAlive: 30 * time.Minute}, sim.Options{})
+	rt := sim.Simulate(back, policy.FixedKeepAlive{KeepAlive: 30 * time.Minute}, sim.Options{})
 	oc, rc := orig.TotalColdStarts(), rt.TotalColdStarts()
 	diff := oc - rc
 	if diff < 0 {
@@ -84,7 +91,7 @@ func TestEndToEndPlatform(t *testing.T) {
 	p := NewPlatform(PlatformConfig{
 		NumInvokers: 2,
 		Clock:       NewScaledClock(3600),
-	}, NewHybrid(DefaultHybridConfig()))
+	}, MustFromSpec("hybrid"))
 	defer p.Stop()
 
 	rep, err := ReplayContext(context.Background(), p, pop.Trace, ReplayOptions{Limit: 20 * time.Minute})
@@ -99,13 +106,13 @@ func TestEndToEndPlatform(t *testing.T) {
 	}
 }
 
-// TestRunExperimentsFacade regenerates the simulation figures through
-// the facade on a tiny population.
+// TestRunExperimentsFacade regenerates the simulation figures on a
+// tiny population, the way cmd/experiments does.
 func TestRunExperimentsFacade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure pipeline")
 	}
-	figs, err := RunExperimentsContext(context.Background(), ExperimentConfig{
+	figs, err := experiments.RunAll(context.Background(), experiments.Config{
 		Seed: 8, NumApps: 60, Duration: 24 * time.Hour,
 		MaxDailyRate: 300, MaxEventsPerFunction: 1000,
 		SkipPlatform: true,
@@ -117,14 +124,14 @@ func TestRunExperimentsFacade(t *testing.T) {
 		t.Fatalf("figures = %d, want 17", len(figs))
 	}
 	var buf bytes.Buffer
-	RenderFigures(figs, &buf)
+	experiments.RenderAll(figs, &buf)
 	if buf.Len() == 0 {
 		t.Fatal("empty rendering")
 	}
 }
 
-// TestEndToEndStreamingAPI exercises the redesigned public surface:
-// registry specs, generator sources, shards, and streaming sinks.
+// TestEndToEndStreamingAPI exercises the streaming surface: registry
+// specs, generator sources, shards, and streaming sinks.
 func TestEndToEndStreamingAPI(t *testing.T) {
 	cfg := WorkloadConfig{
 		Seed: 9, NumApps: 40, Duration: 12 * time.Hour,
@@ -134,14 +141,14 @@ func TestEndToEndStreamingAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, err := FromSpec("hybrid?range=1h")
+	pol, err := policy.FromSpec("hybrid?range=1h")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Simulate(pop.Trace, pol)
+	want := sim.Simulate(pop.Trace, pol, sim.Options{})
 
 	// Generator source, no sinks: identical to batch Simulate.
-	src, err := GeneratorSource(cfg)
+	src, err := workload.NewSource(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +171,11 @@ func TestEndToEndStreamingAPI(t *testing.T) {
 	var appTotal int64
 	for i := 0; i < n; i++ {
 		wasted := NewWastedMemorySink()
-		shardSrc, err := GeneratorSource(cfg)
+		shardSrc, err := workload.NewSource(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(context.Background(), Shard(shardSrc, i, n),
+		if _, err := Run(context.Background(), trace.Shard(shardSrc, i, n),
 			MustFromSpec("hybrid?range=1h"), WithSink(wasted)); err != nil {
 			t.Fatal(err)
 		}
