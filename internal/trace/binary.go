@@ -50,8 +50,12 @@ const (
 	binaryMaxMinutes = 1 << 24 // ~31 years at 1-minute resolution
 	binaryMaxString  = 1 << 20
 	binaryMaxFns     = 1 << 22
-	binaryMaxInvs    = 1 << 31 // expanded invocations per function
 )
+
+// maxFunctionInvs bounds one function's expanded invocations, for this
+// decoder and the CSV reader alike: a hostile count is an error, not a
+// makeslice panic or a total that wraps negative.
+const maxFunctionInvs uint64 = 1 << 31
 
 // WriteBinary encodes tr to w in the binary trace format.
 func WriteBinary(w io.Writer, tr *Trace) error {
@@ -321,7 +325,7 @@ func (s *BinarySource) readFunction() (*Function, error) {
 				id, length, covered, s.minutes)
 		}
 		total += length * count
-		if total > binaryMaxInvs {
+		if total > maxFunctionInvs {
 			return nil, fmt.Errorf("function %s: invocation column overflows", id)
 		}
 		if count > 0 {

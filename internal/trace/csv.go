@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -18,33 +20,49 @@ import (
 
 // WriteInvocationsCSV writes the per-minute invocation-count table for
 // tr to w. One row per function; the count columns cover the whole
-// trace duration at 1-minute resolution.
+// trace duration at 1-minute resolution. Only the four ID fields go
+// through encoding/csv, so quoting is its; the counts, which never
+// need any, are appended as digits to a reused row buffer.
 func WriteInvocationsCSV(w io.Writer, tr *Trace) error {
-	cw := csv.NewWriter(w)
-	minutes := int(tr.Duration.Minutes())
-	header := make([]string, 0, 4+minutes)
-	header = append(header, "HashOwner", "HashApp", "HashFunction", "Trigger")
-	for m := 1; m <= minutes; m++ {
-		header = append(header, strconv.Itoa(m))
+	bw := bufio.NewWriter(w)
+	var ids bytes.Buffer
+	cw := csv.NewWriter(&ids)
+	var row []byte
+	startRow := func(fields ...string) {
+		ids.Reset()
+		cw.Write(fields) // cannot fail: default delimiter, in-memory buffer
+		cw.Flush()
+		row = append(row[:0], ids.Bytes()[:ids.Len()-1]...) // without the newline
 	}
-	if err := cw.Write(header); err != nil {
+	endRow := func() error {
+		row = append(row, '\n')
+		_, err := bw.Write(row)
+		return err
+	}
+
+	startRow("HashOwner", "HashApp", "HashFunction", "Trigger")
+	for m, minutes := 1, int(tr.Duration.Minutes()); m <= minutes; m++ {
+		row = strconv.AppendInt(append(row, ','), int64(m), 10)
+	}
+	if err := endRow(); err != nil {
 		return fmt.Errorf("trace: writing invocations header: %w", err)
 	}
-	row := make([]string, len(header))
 	for _, app := range tr.Apps {
 		for _, fn := range app.Functions {
-			row[0], row[1], row[2], row[3] = app.Owner, app.ID, fn.ID, fn.Trigger.String()
-			counts := MinuteCounts(fn.Invocations, tr.Duration)
-			for m := 0; m < minutes; m++ {
-				row[4+m] = strconv.Itoa(counts[m])
+			startRow(app.Owner, app.ID, fn.ID, fn.Trigger.String())
+			for _, n := range MinuteCounts(fn.Invocations, tr.Duration) {
+				if n == 0 { // most of the table
+					row = append(row, ',', '0')
+					continue
+				}
+				row = strconv.AppendInt(append(row, ','), int64(n), 10)
 			}
-			if err := cw.Write(row); err != nil {
+			if err := endRow(); err != nil {
 				return fmt.Errorf("trace: writing invocations row: %w", err)
 			}
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return bw.Flush()
 }
 
 // WriteDurationsCSV writes the per-function execution-time summary

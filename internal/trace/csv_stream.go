@@ -1,7 +1,11 @@
 package trace
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -24,7 +28,10 @@ import (
 // — the invocation payloads, which dominate any real trace, never
 // accumulate.
 type CSVSource struct {
-	cr      *csv.Reader
+	br      *bufio.Reader
+	cr      *csv.Reader // set at the first line holding a quote byte; reads the rest of the table
+	long    []byte      // a row longer than br's buffer, accumulated
+	phys    int         // physical lines br has delivered, to place cr's parse errors
 	dur     time.Duration
 	minutes int
 	line    int // 1-based line of the most recently read row
@@ -35,32 +42,36 @@ type CSVSource struct {
 	pendingOwner string
 	pendingApp   string
 
-	seen   map[string]struct{} // app IDs whose groups have ended
-	counts []int               // per-row minute-count scratch, reused across rows
-	err    error               // sticky terminal state (io.EOF or failure)
+	seen  map[string]struct{} // app IDs whose groups have ended
+	nz    []minuteCount       // the current row's non-zero cells, reused across rows
+	total uint64              // the current row's invocations
+	err   error               // sticky terminal state (io.EOF or failure)
 }
+
+// minuteCount is one non-zero cell of a row: n invocations in minute m.
+type minuteCount struct{ m, n int }
+
+// csvBufSize holds many dataset rows (1440 two-byte cells a day); at
+// 256 KiB TestStreamConstantMemory's live-heap pin fails.
+const csvBufSize = 64 << 10
 
 // StreamInvocationsCSV opens an invocations table for streaming. The
 // header is read eagerly so the horizon is known before the first app.
 func StreamInvocationsCSV(r io.Reader) (*CSVSource, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	s := &CSVSource{br: bufio.NewReaderSize(r, csvBufSize), line: 1, seen: make(map[string]struct{})}
+	line, header, err := s.next()
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading invocations header: %w", err)
+	}
+	if header == nil {
+		header = strings.Split(string(line), ",")
 	}
 	if err := checkInvocationsHeader(header); err != nil {
 		return nil, err
 	}
-	minutes := len(header) - 4
-	return &CSVSource{
-		cr:      cr,
-		dur:     time.Duration(minutes) * time.Minute,
-		minutes: minutes,
-		line:    1,
-		seen:    make(map[string]struct{}),
-	}, nil
+	s.minutes = len(header) - 4
+	s.dur = time.Duration(s.minutes) * time.Minute
+	return s, nil
 }
 
 // Horizon implements Source.
@@ -113,9 +124,55 @@ func (s *CSVSource) Next() (*App, error) {
 	}
 }
 
-// readRow reads and parses one data row.
+// next reads the next non-empty row under encoding/csv's line rules
+// (\r\n is \n, a lone \r before EOF is dropped, empty lines are
+// skipped). A row without a quote byte is just its fields joined by
+// commas and comes back as line, terminator stripped, valid until the
+// following call. The first line holding a quote goes, with the rest of
+// the input, to encoding/csv (quoted fields may span lines, a bare
+// quote is its ErrBareQuote), and rows come back as rec from then on.
+func (s *CSVSource) next() (line []byte, rec []string, err error) {
+	for s.cr == nil {
+		line, err = s.br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			s.long = append(s.long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = s.br.ReadSlice('\n')
+				s.long = append(s.long, line...)
+			}
+			line = s.long
+		}
+		if len(line) == 0 || (err != nil && err != io.EOF) {
+			return nil, nil, err
+		}
+		if bytes.IndexByte(line, '"') >= 0 {
+			s.cr = csv.NewReader(io.MultiReader(bytes.NewReader(bytes.Clone(line)), s.br))
+			s.cr.FieldsPerRecord = -1
+			s.cr.ReuseRecord = true
+			break
+		}
+		s.phys++
+		line = bytes.TrimSuffix(bytes.TrimSuffix(line, []byte{'\n'}), []byte{'\r'})
+		if len(line) > 0 {
+			return line, nil, nil
+		}
+	}
+	rec, err = s.cr.Read()
+	var perr *csv.ParseError
+	if errors.As(err, &perr) {
+		perr.StartLine += s.phys
+		perr.Line += s.phys
+	}
+	return nil, rec, err
+}
+
+// readRow reads and parses one data row into a Function plus its
+// owning IDs. The non-zero cells are parsed into a scratch first so
+// the invocation slice is allocated exactly once at its final size,
+// not grown by appends across thousands of minute columns (pinned by
+// TestStreamCSVAllocsPerRow in binary_test.go).
 func (s *CSVSource) readRow() (owner, appID string, fn *Function, err error) {
-	rec, err := s.cr.Read()
+	line, rec, err := s.next()
 	if err == io.EOF {
 		return "", "", nil, io.EOF
 	}
@@ -123,7 +180,108 @@ func (s *CSVSource) readRow() (owner, appID string, fn *Function, err error) {
 	if err != nil {
 		return "", "", nil, fmt.Errorf("trace: reading invocations line %d: %w", s.line, err)
 	}
-	return parseInvocationRow(rec, s.minutes, s.line, &s.counts)
+	fields := len(rec)
+	if rec == nil {
+		fields = bytes.Count(line, []byte{','}) + 1
+	}
+	if fields != s.minutes+4 {
+		return "", "", nil, fmt.Errorf("trace: line %d has %d fields, want %d", s.line, fields, s.minutes+4)
+	}
+	var id [4]string // new strings: rec and line are reused buffers
+	for i := range id {
+		if rec != nil {
+			id[i] = strings.Clone(rec[i])
+			continue
+		}
+		var field []byte
+		field, line, _ = bytes.Cut(line, []byte{','})
+		id[i] = string(field)
+	}
+	trig, err := ParseTrigger(id[3])
+	if err != nil {
+		return "", "", nil, fmt.Errorf("trace: line %d: %w", s.line, err)
+	}
+
+	s.nz, s.total = s.nz[:0], 0
+	if rec == nil {
+		err = s.parseCells(line)
+	} else {
+		for m := 0; m < s.minutes && err == nil; m++ {
+			n, cellErr := parseCount(rec[4+m])
+			err = s.addCount(m, n, cellErr)
+		}
+	}
+	if err != nil {
+		return "", "", nil, err
+	}
+
+	fn = &Function{ID: id[2], Trigger: trig}
+	if s.total > 0 {
+		fn.Invocations = make([]float64, 0, s.total)
+		for _, c := range s.nz {
+			fn.Invocations = SpreadMinute(fn.Invocations, c.m, c.n)
+		}
+	}
+	return id[0], id[1], fn, nil
+}
+
+// zeroCells is "0,0,0,0," read as a little-endian uint64.
+const zeroCells = 0x2c302c302c302c30
+
+// parseCells parses a quote-free row's minute cells, whose number
+// readRow has checked. Four zero cells — most of the dataset (§3: 45%
+// of apps average at most one invocation an hour) — are one compare.
+func (s *CSVSource) parseCells(cells []byte) error {
+	for m := 0; ; m++ {
+		for len(cells) >= 8 && binary.LittleEndian.Uint64(cells) == zeroCells {
+			cells, m = cells[8:], m+4
+		}
+		end := bytes.IndexByte(cells, ',')
+		if end < 0 {
+			end = len(cells)
+		}
+		n, err := parseCount(cells[:end])
+		if err := s.addCount(m, n, err); err != nil || end == len(cells) {
+			return err
+		}
+		cells = cells[end+1:]
+	}
+}
+
+// plainDigits is how many decimal digits always fit an int.
+const plainDigits = 9 + 9*(strconv.IntSize/64)
+
+// parseCount is the one count parser, for both row forms: a cell of
+// plain digits is read in a digit loop and anything else — empty,
+// signed, too long, not a number — by strconv.Atoi, which so defines
+// every value and every error text.
+func parseCount[T string | []byte](cell T) (int, error) {
+	n, plain := 0, len(cell) > 0 && len(cell) <= plainDigits
+	for i := 0; plain && i < len(cell); i++ {
+		d := cell[i] - '0'
+		n, plain = n*10+int(d), d <= 9
+	}
+	if !plain {
+		return strconv.Atoi(string(cell))
+	}
+	return n, nil
+}
+
+// addCount adds minute m's parsed cell to the current row, bounding
+// the row's total before anything is allocated for it.
+func (s *CSVSource) addCount(m, n int, err error) error {
+	switch {
+	case err != nil:
+		return fmt.Errorf("trace: line %d minute %d: %w", s.line, m+1, err)
+	case n < 0:
+		return fmt.Errorf("trace: line %d minute %d: negative count", s.line, m+1)
+	case uint64(n) > maxFunctionInvs-s.total:
+		return fmt.Errorf("trace: line %d: function has more than %d invocations", s.line, maxFunctionInvs)
+	case n > 0:
+		s.total += uint64(n)
+		s.nz = append(s.nz, minuteCount{m, n})
+	}
+	return nil
 }
 
 // checkInvocationsHeader validates the fixed leading columns of an
@@ -133,48 +291,6 @@ func checkInvocationsHeader(header []string) error {
 		return fmt.Errorf("trace: unexpected invocations header %v", header[:min(4, len(header))])
 	}
 	return nil
-}
-
-// parseInvocationRow parses one data row of an invocations table into
-// a Function plus its owning IDs. The returned strings are cloned out
-// of rec, which may be a buffer the CSV reader reuses. scratch holds
-// the caller's reusable minute-count buffer: counts are parsed into it
-// first so the invocation slice can be allocated exactly once at its
-// final size, instead of growing by appends across thousands of minute
-// columns (the dominant per-row allocation cost at trace scale; pinned
-// by TestStreamCSVAllocsPerRow).
-func parseInvocationRow(rec []string, minutes, line int, scratch *[]int) (owner, appID string, fn *Function, err error) {
-	if len(rec) != minutes+4 {
-		return "", "", nil, fmt.Errorf("trace: line %d has %d fields, want %d", line, len(rec), minutes+4)
-	}
-	trig, err := ParseTrigger(rec[3])
-	if err != nil {
-		return "", "", nil, fmt.Errorf("trace: line %d: %w", line, err)
-	}
-	counts := (*scratch)[:0]
-	total := 0
-	for m := 0; m < minutes; m++ {
-		n, err := strconv.Atoi(rec[4+m])
-		if err != nil {
-			return "", "", nil, fmt.Errorf("trace: line %d minute %d: %w", line, m+1, err)
-		}
-		if n < 0 {
-			return "", "", nil, fmt.Errorf("trace: line %d minute %d: negative count", line, m+1)
-		}
-		counts = append(counts, n)
-		total += n
-	}
-	*scratch = counts
-	fn = &Function{ID: strings.Clone(rec[2]), Trigger: trig}
-	if total > 0 {
-		fn.Invocations = make([]float64, 0, total)
-		for m, n := range counts {
-			if n > 0 {
-				fn.Invocations = SpreadMinute(fn.Invocations, m, n)
-			}
-		}
-	}
-	return strings.Clone(rec[0]), strings.Clone(rec[1]), fn, nil
 }
 
 // SpreadMinute appends minute m's n invocations to dst at the codec's

@@ -146,6 +146,12 @@ func TestStreamErrorMessagesMatchBatch(t *testing.T) {
 		{"bad trigger", header + "o,a,f,http,1\no,b,g,bogus,2\n", "trace: line 3: "},
 		{"split app", header + "o,a,f1,http,1\no,b,f2,http,1\no,a,f3,http,1\n",
 			"trace: line 4: rows for app a are not contiguous"},
+		// Hostile counts: the first used to panic in makeslice, the
+		// second to wrap the total negative and decode as no invocations.
+		{"huge count", header + "o,a,f,http,1\no,b,g,http,4000000000000000000\n",
+			"trace: line 3: function has more than 2147483648 invocations"},
+		{"overflowing sum", "HashOwner,HashApp,HashFunction,Trigger,1,2\no,a,f,http,9223372036854775807,9223372036854775807\n",
+			"trace: line 2: function has more than 2147483648 invocations"},
 	} {
 		_, batchErr := ReadInvocationsCSV(strings.NewReader(c.csv))
 		if batchErr == nil || !strings.HasPrefix(batchErr.Error(), c.want) {
@@ -163,6 +169,33 @@ func TestStreamErrorMessagesMatchBatch(t *testing.T) {
 			t.Errorf("%s: stream reader error %v, want prefix %q", c.name, streamErr, c.want)
 		}
 	}
+}
+
+// TestStreamRowLongerThanBuffer: a row that does not fit the reader's
+// buffer is accumulated across refills and decodes as the reference
+// decodes it — zero runs, counts and a line end all falling on either
+// side of a refill.
+func TestStreamRowLongerThanBuffer(t *testing.T) {
+	const minutes = 40000
+	var b strings.Builder
+	b.WriteString("HashOwner,HashApp,HashFunction,Trigger")
+	for m := 1; m <= minutes; m++ {
+		fmt.Fprintf(&b, ",%d", m)
+	}
+	for row, every := range []int{0, 7, 1, 16381} {
+		fmt.Fprintf(&b, "\no,app%d,f,http", row/2)
+		for m := 0; m < minutes; m++ {
+			if every > 0 && m%every == 0 {
+				fmt.Fprintf(&b, ",%d", 1+m%13)
+			} else {
+				b.WriteString(",0")
+			}
+		}
+	}
+	if b.Len() < 4*csvBufSize {
+		t.Fatalf("table of %d bytes does not overflow the %d-byte buffer", b.Len(), csvBufSize)
+	}
+	requireMatchesReference(t, []byte(b.String()))
 }
 
 // drainSource consumes src discarding apps, returning the app count.

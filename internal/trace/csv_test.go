@@ -2,6 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -229,5 +233,73 @@ func TestSortAppsByID(t *testing.T) {
 	SortAppsByID(tr)
 	if tr.Apps[0].ID != "a" || tr.Apps[2].ID != "c" {
 		t.Fatalf("order = %v %v %v", tr.Apps[0].ID, tr.Apps[1].ID, tr.Apps[2].ID)
+	}
+}
+
+// refWriteInvocationsCSV is the writer WriteInvocationsCSV replaced,
+// every field through a csv.Writer: the reference its output is pinned
+// to byte for byte.
+func refWriteInvocationsCSV(w io.Writer, tr *Trace) error {
+	cw := csv.NewWriter(w)
+	minutes := int(tr.Duration.Minutes())
+	row := []string{"HashOwner", "HashApp", "HashFunction", "Trigger"}
+	for m := 1; m <= minutes; m++ {
+		row = append(row, strconv.Itoa(m))
+	}
+	if err := cw.Write(row); err != nil {
+		return err
+	}
+	for _, app := range tr.Apps {
+		for _, fn := range app.Functions {
+			row[0], row[1], row[2], row[3] = app.Owner, app.ID, fn.ID, fn.Trigger.String()
+			for m, n := range MinuteCounts(fn.Invocations, tr.Duration) {
+				row[4+m] = strconv.Itoa(n)
+			}
+			if err := cw.Write(row); err != nil {
+				return err
+			}
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// TestWriteInvocationsCSVQuoting: the row builder quotes IDs exactly as
+// encoding/csv does (it is encoding/csv that quotes them), with and
+// without count columns, and what it writes streams back — through the
+// reader's quote fallback — to the trace that was written.
+func TestWriteInvocationsCSVQuoting(t *testing.T) {
+	ids := []string{"a,b", `say "hi"`, " lead", "two\nlines", "", "plain", "cr\rmid", `\.`, "ünï"}
+	for _, minutes := range []int{0, 1, 11} {
+		tr := &Trace{Duration: time.Duration(minutes) * time.Minute}
+		for i, id := range ids {
+			app := &App{ID: id, Owner: ids[(i+1)%len(ids)]}
+			for f := 0; f < 1+i%2; f++ {
+				fn := &Function{ID: ids[(i+f+2)%len(ids)], Trigger: TriggerType(i % NumTriggers)}
+				for m := f; m < minutes; m += 1 + i {
+					fn.Invocations = SpreadMinute(fn.Invocations, m, 1+12*i)
+				}
+				app.Functions = append(app.Functions, fn)
+			}
+			tr.Apps = append(tr.Apps, app)
+		}
+		var got, want bytes.Buffer
+		if err := WriteInvocationsCSV(&got, tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := refWriteInvocationsCSV(&want, tr); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%d minutes: wrote\n%s\nencoding/csv writes\n%s", minutes, got.Bytes(), want.Bytes())
+		}
+		if minutes == 0 {
+			continue // a table without count columns has no reader
+		}
+		back, err := ReadInvocationsCSV(&got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameTrace(t, fmt.Sprintf("%d minutes", minutes), back, tr)
 	}
 }
