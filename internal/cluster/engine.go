@@ -186,19 +186,11 @@ func (e *engine) workerCount(limit int) int {
 // just-in-time production is bit-identical to the old up-front
 // materialization.
 func (e *engine) produceWalk(ai int32, sc *kernel.Scratch, wk *appWalk) {
-	app := e.tr.Apps[ai]
-	times := app.InvocationTimes()
+	times, execs, runs := sc.Walk(e.pol, e.tr.Apps[ai], e.cfg.UseExecTime)
 	*wk = appWalk{times: times}
 	if len(times) > 0 {
-		if e.cfg.UseExecTime {
-			wk.execs = append([]float64(nil), sc.ExecSeconds(app)...)
-		}
-		ap := e.pol.NewApp(app.ID)
-		idles := sc.IdleTimes(times, wk.execs)
-		wk.runs = append([]policy.DecisionRun(nil), sc.DecideRuns(ap, idles)...)
-		if rel, ok := ap.(policy.Releasable); ok {
-			rel.Release()
-		}
+		wk.execs = append([]float64(nil), execs...)
+		wk.runs = append([]policy.DecisionRun(nil), runs...)
 	}
 	st := &e.states[ai]
 	st.walk = wk

@@ -145,30 +145,26 @@ func parseEvent(s string) (Event, error) {
 	}
 	ev.At = at
 
-	p, err := spec.Parse(params)
+	ev, err = spec.Build(params, func(p *spec.Params) (Event, error) {
+		var err error
+		if ev.Node, err = p.Int("node", -1); err != nil {
+			return ev, err
+		}
+		if ev.Node < 0 {
+			return ev, fmt.Errorf("missing node=N")
+		}
+		if ev.Kind == EventResize {
+			if ev.MemMB, err = p.Float("mem", math.NaN()); err != nil {
+				return ev, err
+			}
+			if math.IsNaN(ev.MemMB) {
+				return ev, fmt.Errorf("resize needs mem=MB (0 = infinite)")
+			}
+		}
+		return ev, nil
+	})
 	if err != nil {
 		return Event{}, fmt.Errorf("cluster: event %q: %w", s, err)
-	}
-	node, err := p.Int("node", -1)
-	if err != nil {
-		return Event{}, fmt.Errorf("cluster: event %q: %w", s, err)
-	}
-	if node < 0 {
-		return Event{}, fmt.Errorf("cluster: event %q: missing node=N", s)
-	}
-	ev.Node = node
-	if ev.Kind == EventResize {
-		mem, err := p.Float("mem", math.NaN())
-		if err != nil {
-			return Event{}, fmt.Errorf("cluster: event %q: %w", s, err)
-		}
-		if math.IsNaN(mem) {
-			return Event{}, fmt.Errorf("cluster: event %q: resize needs mem=MB (0 = infinite)", s)
-		}
-		ev.MemMB = mem
-	}
-	if left := p.Unused(); len(left) > 0 {
-		return Event{}, fmt.Errorf("cluster: event %q: unknown parameters %v (known: %v)", s, left, p.Known())
 	}
 	return ev, nil
 }

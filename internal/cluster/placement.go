@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync"
 
 	"repro/internal/spec"
 )
@@ -87,11 +86,8 @@ type TracePreparer interface {
 // Oblivious() == true must honor the contract: during pre-assignment
 // the engine hands Place a View whose ResidentMB panics, so a
 // placement that claims obliviousness but reads residency fails loudly
-// instead of silently diverging. The wildlint oblivious analyzer
-// (internal/lint) additionally proves the contract at compile time for
-// in-repo placements: a constant-true Oblivious() whose Place call
-// graph reaches View.ResidentMB fails the CI lint job before it can
-// panic at runtime.
+// instead of silently diverging. TestEveryObliviousPlacementRunsSharded
+// puts every registered placement that claims it through that view.
 type Oblivious interface {
 	Placement
 	// Oblivious reports whether Place never consults View.ResidentMB.
@@ -301,58 +297,18 @@ func (p *BinPackPlacement) Place(app Footprint, view View) int {
 // PlacementBuilder constructs a placement from a spec's parameters.
 type PlacementBuilder func(p *spec.Params) (Placement, error)
 
-var (
-	placementMu  sync.RWMutex
-	placementReg = map[string]PlacementBuilder{}
-)
+var placementReg = spec.NewRegistry[Placement]("cluster: unknown placement", "cluster: placement spec")
 
 // RegisterPlacement adds a named placement builder. Registering a
 // duplicate name panics (programming error).
-func RegisterPlacement(name string, b PlacementBuilder) {
-	placementMu.Lock()
-	defer placementMu.Unlock()
-	if _, dup := placementReg[name]; dup {
-		panic(fmt.Sprintf("cluster: RegisterPlacement(%q) called twice", name))
-	}
-	placementReg[name] = b
-}
+func RegisterPlacement(name string, b PlacementBuilder) { placementReg.Register(name, b) }
 
 // NewPlacement builds a registered placement from a spec ("hash",
 // "binpack?order=invocations"). Bare names select the defaults.
-func NewPlacement(s string) (Placement, error) {
-	name, query := spec.Split(s)
-	placementMu.RLock()
-	b, ok := placementReg[name]
-	placementMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown placement %q (registered: %v)", name, PlacementNames())
-	}
-	p, err := spec.Parse(query)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: placement spec %q: %w", s, err)
-	}
-	pl, err := b(p)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: placement spec %q: %w", s, err)
-	}
-	if left := p.Unused(); len(left) > 0 {
-		return nil, fmt.Errorf("cluster: placement spec %q: unknown parameters %v (known: %v)", s, left, p.Known())
-	}
-	return pl, nil
-}
+func NewPlacement(s string) (Placement, error) { return placementReg.New(s) }
 
 // PlacementNames returns the registered placement names, sorted.
-func PlacementNames() []string {
-	placementMu.RLock()
-	defer placementMu.RUnlock()
-	names := make([]string, 0, len(placementReg))
-	//wildlint:orderinvariant
-	for n := range placementReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func PlacementNames() []string { return placementReg.Names() }
 
 func init() {
 	RegisterPlacement("hash", func(p *spec.Params) (Placement, error) {

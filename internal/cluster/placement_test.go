@@ -186,3 +186,31 @@ func TestObliviousContractEnforced(t *testing.T) {
 	Simulate(tr, policy.FixedKeepAlive{KeepAlive: time.Minute},
 		Config{Nodes: 2, NodeMemMB: 512, Placement: lyingPlacement{}})
 }
+
+// TestEveryObliviousPlacementRunsSharded holds the oblivious contract
+// registry-wide: every registered placement that reports Oblivious()
+// must complete a sharded run — pre-assignment hands Place the static
+// view, whose ResidentMB panics — and reproduce the global path. A
+// placement registered later is covered without anyone editing a list.
+func TestEveryObliviousPlacementRunsSharded(t *testing.T) {
+	tr := &trace.Trace{Duration: 1000 * time.Second, Apps: []*trace.App{
+		{ID: "a", MemoryMB: 150, Functions: []*trace.Function{{ID: "f", Invocations: []float64{0, 200, 400}}}},
+		{ID: "b", MemoryMB: 150, Functions: []*trace.Function{{ID: "f", Invocations: []float64{100, 300}}}},
+		{ID: "c", MemoryMB: 64, Functions: []*trace.Function{{ID: "f", Invocations: []float64{50}}}},
+	}}
+	pol := func() policy.Policy { return policy.FixedKeepAlive{KeepAlive: 600 * time.Second} }
+	ran := 0
+	for _, name := range PlacementNames() {
+		if o, ok := mustPlacement(t, name).(Oblivious); !ok || !o.Oblivious() {
+			continue
+		}
+		ran++
+		res := runBothPaths(t, name, tr, pol, Config{Nodes: 2, NodeMemMB: 200}, name)
+		if len(res.Apps) != 3 || res.TotalColdStarts() < 3 {
+			t.Errorf("%s: %d apps, %d cold starts; want 3 apps, each cold at least once", name, len(res.Apps), res.TotalColdStarts())
+		}
+	}
+	if ran < 2 {
+		t.Fatalf("only %d oblivious placements registered; hash and binpack are built in", ran)
+	}
+}

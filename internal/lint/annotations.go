@@ -14,10 +14,10 @@ const annotationPrefix = "//wildlint:"
 
 // Annotation is one parsed wildlint directive.
 type Annotation struct {
-	// Verb is the directive name ("orderinvariant", "allow", "owner").
+	// Verb is the directive name ("orderinvariant", "allow").
 	Verb string
-	// Arg is the first argument ("wallclock", "poolleak"); empty for
-	// argument-less verbs.
+	// Arg is the first argument ("wallclock"); empty for argument-less
+	// verbs.
 	Arg string
 	// Pos is the comment's position.
 	Pos token.Pos

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"strings"
 )
@@ -131,10 +130,4 @@ func wallClockAllowed(pass *Pass, n ast.Node, stack []ast.Node) bool {
 		}
 	}
 	return false
-}
-
-// constTrue reports whether expr is the constant true in this package.
-func constTrue(pass *Pass, expr ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[expr]
-	return ok && tv.Value != nil && tv.Value.Kind() == constant.Bool && constant.BoolVal(tv.Value)
 }

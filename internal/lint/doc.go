@@ -1,12 +1,11 @@
-// Package lint is wildlint: a static-analysis suite that enforces
-// this repository's semantic contracts at compile time. The contracts
-// it checks otherwise live only in doc comments and runtime tests —
-// the Oblivious placement rule is a runtime panic, pool hygiene an
-// AllocsPerRun regression, sink fan-out completeness nothing at all.
-// Encoding them as analyzers keeps every future change honest on
-// every push.
+// Package lint is wildlint: the one contract of this repository that
+// only a static pass can hold. Results are pinned bit for bit, so they
+// must depend on the trace and the seed alone — and a stray map range
+// or time.Now() in the result path passes every test on the day it is
+// written, because the goldens only move when the iteration order or
+// the clock happens to.
 //
-// The five analyzers:
+// The analyzer:
 //
 //   - determinism: flags `range` over a map inside the deterministic
 //     result path (internal/sim, internal/cluster, internal/metrics,
@@ -15,32 +14,17 @@
 //     results. It also flags wall-clock reads (time.Now, time.Since,
 //     time.Until) and the global math/rand functions anywhere in the
 //     tree: results must depend only on the trace and the seed.
-//   - oblivious: a placement whose Oblivious() method returns a
-//     constant true promises that Place never consults
-//     View.ResidentMB (internal/cluster/placement.go). The engine
-//     enforces this at runtime with a panicking view during
-//     pre-assignment; this analyzer proves it at compile time by
-//     walking Place's intra-package static call graph and rejecting
-//     any reachable ResidentMB method call or method value.
-//   - release: pool hygiene for policy.Releasable state and the
-//     kernel's scratch-owned run slices. A value acquired from a pool
-//     (sync.Pool.Get or a Policy.NewApp call) must, on every path
-//     through the acquiring function, either be released
-//     (Release/ReleaseRuns/Pool.Put, including via the
-//     `if r, ok := v.(policy.Releasable)` idiom) or escape to an
-//     owner (returned, passed along, or stored under a
-//     //wildlint:owner annotation). Scratch.DecideRuns results must
-//     not escape the acquiring function without a copy.
-//   - sinkcontract: every concrete sink type registered through
-//     RegisterSink / RegisterScenarioSink must implement Merge and
-//     the MarshalState/UnmarshalState codec. Merge is compelled by
-//     the Sink interface, but the codec is only discovered at runtime
-//     by the multi-process fan-out (internal/scenario/procs.go) — a
-//     sink without it silently breaks RunSweepProcs.
-//   - specparams: every spec factory built on internal/spec must
-//     check Params.Unused() in the function that calls spec.Parse,
-//     so unknown-key errors stay uniform across policies, placements,
-//     sources and sinks.
+//
+// Four other contracts need no analyzer because they are held by
+// construction, each checked by a seeded violation in real code
+// (CHANGES.md PR 23 has the table): a sink without its state codec
+// does not compile (the codec is part of scenario.Sink); a component
+// spec's leftover-key check cannot be skipped (spec.Build is the only
+// way to a *spec.Params); the batch engines cannot leak pooled policy
+// state (kernel.Scratch.Walk acquires, walks and releases in one
+// call); and a placement that claims Oblivious() but reads residency
+// panics in every sharded run, which a test performs for every
+// registered placement.
 //
 // # Annotation grammar
 //
@@ -62,17 +46,6 @@
 //		(progress timers, latency measurement).
 //		Checked by: determinism.
 //
-//	//wildlint:allow poolleak
-//		The acquisition in the next statement may drop the pooled
-//		value on some path (e.g. discarding an incompatible pooled
-//		shape and building fresh). Checked by: release.
-//
-//	//wildlint:owner
-//		The store in this statement transfers ownership of a pooled
-//		value to a long-lived owner that releases it later (e.g. the
-//		serve.Controller's per-app entries, released by
-//		Controller.Release). Checked by: release.
-//
 // # Running
 //
 //	go run ./cmd/wildlint ./...
@@ -88,8 +61,5 @@
 // dependencies, so the driver loads packages with `go list -export
 // -deps -json` and type-checks against the gc export data via
 // go/importer's lookup hook — the same mechanism x/tools' drivers
-// use. Analyzers are intra-package and syntax+types based: dynamic
-// calls through function values are not traced (the oblivious and
-// release analyzers document this), which has not been a limitation
-// on this codebase's shapes.
+// use. Analyzers are intra-package and syntax+types based.
 package lint

@@ -13,10 +13,10 @@ import (
 // are in the documented grammar.
 func knownAnnotation(ann *Annotation) bool {
 	switch ann.Verb {
-	case "orderinvariant", "owner":
+	case "orderinvariant":
 		return ann.Arg == ""
 	case "allow":
-		return ann.Arg == "wallclock" || ann.Arg == "poolleak"
+		return ann.Arg == "wallclock"
 	}
 	return false
 }
@@ -96,7 +96,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 					Analyzer: "wildlint",
 					Pos:      pkg.Fset.Position(ann.Pos),
 					Message: fmt.Sprintf("unknown wildlint annotation %q; the grammar is "+
-						"orderinvariant | allow wallclock | allow poolleak | owner (see internal/lint)",
+						"orderinvariant | allow wallclock (see internal/lint)",
 						strings.TrimSpace(ann.Verb+" "+ann.Arg)),
 				})
 			}
@@ -120,7 +120,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 
 // All returns the full wildlint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Oblivious, Release, SinkContract, SpecParams}
+	return []*Analyzer{Determinism}
 }
 
 // ByName resolves a comma-separable analyzer name, or nil.

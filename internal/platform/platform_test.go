@@ -210,8 +210,11 @@ func TestAppOutcomesAggregation(t *testing.T) {
 	if cp := outs[1].ColdPercent(); cp != 100 {
 		t.Fatalf("y cold%% = %v", cp)
 	}
-	if len(p.Latencies()) != 4 {
-		t.Fatalf("latencies = %d", len(p.Latencies()))
+	if n := p.latHist.Count(); n != 4 {
+		t.Fatalf("latencies = %d", n)
+	}
+	if mean, p99 := p.LatencyStats(); mean <= 0 || p99 < mean {
+		t.Fatalf("latency stats: mean=%v p99=%v", mean, p99)
 	}
 }
 

@@ -146,7 +146,6 @@ var hybridAppPool sync.Pool
 func (p *Hybrid) NewApp(string) AppPolicy {
 	// A pooled app with an incompatible histogram shape is deliberately
 	// dropped (below) rather than re-pooled.
-	//wildlint:allow poolleak
 	if v := hybridAppPool.Get(); v != nil {
 		a := v.(*hybridApp)
 		if a.hist.Config() == p.cfg.Histogram {

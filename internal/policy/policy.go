@@ -89,10 +89,9 @@ type Policy interface {
 // a subsequent NewApp on the same policy configuration may then reuse
 // the backing state instead of allocating.
 //
-// The wildlint release analyzer (internal/lint) enforces the hygiene
-// half of this contract statically: a NewApp result must be released
-// on every path through the acquiring function or escape to an owner
-// (annotated //wildlint:owner when stored into a structure).
+// The batch engines never hold an AppPolicy: kernel.Scratch.Walk
+// acquires, walks and releases in one call. serve.Controller is the
+// one long-lived owner and hands its entries back in Release.
 type Releasable interface {
 	Release()
 }

@@ -2,8 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/forecast"
@@ -32,58 +30,19 @@ type SpecParams = spec.Params
 // Builder constructs a policy from a spec's parameters.
 type Builder func(p *SpecParams) (Policy, error)
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Builder{}
-)
+var registry = spec.NewRegistry[Policy]("policy: unknown policy", "policy: spec")
 
 // Register adds a named policy builder. Downstream users extend the
 // spec language with their own policies the same way the built-ins
 // are wired. Registering a duplicate name panics (programming error).
-func Register(name string, b Builder) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("policy: Register(%q) called twice", name))
-	}
-	registry[name] = b
-}
+func Register(name string, b Builder) { registry.Register(name, b) }
 
 // SpecNames returns the registered policy names, sorted.
-func SpecNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func SpecNames() []string { return registry.Names() }
 
 // FromSpec parses a policy spec ("hybrid?cv=2&range=4h") and builds
 // the policy through the registry.
-func FromSpec(s string) (Policy, error) {
-	name, query := spec.Split(s)
-	regMu.RLock()
-	b, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("policy: unknown policy %q (registered: %v)", name, SpecNames())
-	}
-	p, err := spec.Parse(query)
-	if err != nil {
-		return nil, fmt.Errorf("policy: spec %q: %w", s, err)
-	}
-	pol, err := b(p)
-	if err != nil {
-		return nil, fmt.Errorf("policy: spec %q: %w", s, err)
-	}
-	if left := p.Unused(); len(left) > 0 {
-		return nil, fmt.Errorf("policy: spec %q: unknown parameters %v (known: %v)", s, left, p.Known())
-	}
-	return pol, nil
-}
+func FromSpec(s string) (Policy, error) { return registry.New(s) }
 
 // MustFromSpec is FromSpec panicking on error, for code-supplied specs.
 func MustFromSpec(spec string) Policy {

@@ -227,3 +227,40 @@ func TestReplayPreCanceled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestScheduleOrdersTiesByAppAndFunction: the dataset CSV's canonical
+// timestamps (60m + 60k/n) give every function with the same count in
+// the same minute the same times, so two apps can share every
+// timestamp. The firing order of such ties must be (app, fn) — a
+// property of the trace, not of the order apps are listed in or of
+// what an unstable sort leaves behind.
+func TestScheduleOrdersTiesByAppAndFunction(t *testing.T) {
+	var times []float64
+	for m := 0; m < 40; m++ {
+		times = append(times, float64(60*m), float64(60*m+30))
+	}
+	app := func(id string) *trace.App {
+		return &trace.App{ID: id, MemoryMB: 64, Functions: []*trace.Function{
+			{ID: "f", Invocations: times},
+			{ID: "g", Invocations: times},
+		}}
+	}
+	fwd := &trace.Trace{Duration: time.Hour, Apps: []*trace.App{app("a"), app("b")}}
+	rev := &trace.Trace{Duration: time.Hour, Apps: []*trace.App{app("b"), app("a")}}
+
+	got := schedule(fwd, Options{})
+	if len(got) != 4*len(times) {
+		t.Fatalf("scheduled %d events, want %d", len(got), 4*len(times))
+	}
+	for i, ev := range got {
+		want := event{t: times[i/4], app: "ab"[i/2%2 : i/2%2+1], fn: "fg"[i%2 : i%2+1], mem: 64}
+		if ev != want {
+			t.Fatalf("event %d = %+v, want %+v", i, ev, want)
+		}
+	}
+	for i, ev := range schedule(rev, Options{}) {
+		if ev != got[i] {
+			t.Fatalf("listing the apps in the other order changed event %d: %+v, want %+v", i, ev, got[i])
+		}
+	}
+}

@@ -29,14 +29,6 @@ import (
 // reacts to it; RunSweepProcs sets it on the children it spawns.
 const ProcWorkerEnv = "WILD_SCENARIO_WORKER"
 
-// stateCodec is implemented by sinks whose complete merge state can
-// cross a process boundary. All builtin sinks implement it; custom
-// sinks that don't are rejected by RunSweepProcs workers.
-type stateCodec interface {
-	MarshalState() ([]byte, error)
-	UnmarshalState([]byte) error
-}
-
 // procRequest is what a worker reads from stdin.
 type procRequest struct {
 	Scenario Scenario `json:"scenario"`
@@ -88,11 +80,7 @@ func runWorker(in io.Reader, out io.Writer) error {
 		MemDefaulted: cell.MemDefaulted,
 	}
 	for _, cs := range cell.Sinks {
-		codec, ok := cs.Sink.(stateCodec)
-		if !ok {
-			return fmt.Errorf("sink %q cannot cross a process boundary", cs.Spec)
-		}
-		state, err := codec.MarshalState()
+		state, err := cs.Sink.MarshalState()
 		if err != nil {
 			return fmt.Errorf("marshaling sink %q: %w", cs.Spec, err)
 		}
@@ -226,11 +214,7 @@ func runProcUnit(ctx context.Context, exe string, u unit) (unitResult, error) {
 		if err != nil {
 			return unitResult{}, fmt.Errorf("worker sink %q: %w", ps.Spec, err)
 		}
-		codec, ok := built.(stateCodec)
-		if !ok {
-			return unitResult{}, fmt.Errorf("worker sink %q cannot cross a process boundary", ps.Spec)
-		}
-		if err := codec.UnmarshalState(ps.State); err != nil {
+		if err := built.UnmarshalState(ps.State); err != nil {
 			return unitResult{}, fmt.Errorf("worker sink %q state: %w", ps.Spec, err)
 		}
 		res.sinks[i] = CellSink{Spec: ps.Spec, Sink: built}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -138,5 +139,47 @@ func TestRunSweepProcsBadCell(t *testing.T) {
 	var ce *CellError
 	if !errors.As(err, &ce) || ce.Index != 1 {
 		t.Fatalf("want CellError for cell 1, got %v", err)
+	}
+}
+
+// TestEverySinkStateRoundTrips holds the codec half of the Sink
+// interface registry-wide: after consuming a small cluster run (the
+// one run kind every sink accepts), each registered sink's
+// MarshalState, fed to a fresh sink of the same spec, must reproduce
+// its Metrics exactly — what RunSweepProcs relies on per worker.
+func TestEverySinkStateRoundTrips(t *testing.T) {
+	names := SinkNames()
+	sc := mustParse(t, "source="+smallGen+"; policy=fixed?ka=10m; cluster.nodes=2; cluster.mem=400")
+	sc.Sinks = names
+	cell, err := RunScenario(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cell.Sinks) != len(names) || len(names) < 4 {
+		t.Fatalf("ran %d sinks for %d registered names (4 are built in)", len(cell.Sinks), len(names))
+	}
+	for _, cs := range cell.Sinks {
+		state, err := cs.Sink.MarshalState()
+		if err != nil {
+			t.Fatalf("%s: MarshalState: %v", cs.Spec, err)
+		}
+		fresh, err := NewSink(cs.Sink.Spec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.UnmarshalState(state); err != nil {
+			t.Fatalf("%s: UnmarshalState: %v", cs.Spec, err)
+		}
+		want, got := cs.Sink.Metrics(), fresh.Metrics()
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: metrics after the round trip\n got %v\nwant %v", cs.Spec, got, want)
+		}
+		fed := false
+		for _, m := range want {
+			fed = fed || m.Value != 0
+		}
+		if !fed {
+			t.Errorf("%s: every metric is zero before the round trip; the run fed it nothing", cs.Spec)
+		}
 	}
 }

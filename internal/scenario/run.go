@@ -354,11 +354,7 @@ func validateCell(sc Scenario) error {
 		}
 	}
 	if sc.Cluster != nil {
-		placeSpec := sc.Cluster.Placement
-		if placeSpec == "" {
-			placeSpec = "hash"
-		}
-		if _, err := cluster.NewPlacement(placeSpec); err != nil {
+		if _, err := cluster.NewPlacement(sc.Cluster.placement()); err != nil {
 			return err
 		}
 		if sc.Cluster.MemCSV != "" {
@@ -453,11 +449,7 @@ func runUnit(ctx context.Context, u unit) (unitResult, error) {
 			return unitResult{}, err
 		}
 	}
-	placeSpec := sc.Cluster.Placement
-	if placeSpec == "" {
-		placeSpec = "hash"
-	}
-	place, err := cluster.NewPlacement(placeSpec)
+	place, err := cluster.NewPlacement(sc.Cluster.placement())
 	if err != nil {
 		return unitResult{}, err
 	}

@@ -87,6 +87,16 @@ type ClusterSpec struct {
 	Events string `json:"events,omitempty"`
 }
 
+// placement is the one place the empty Placement becomes "hash". It
+// cannot be normalize: the canonical text omits defaults, and a
+// scenario built as a struct literal never passes through a parser.
+func (c *ClusterSpec) placement() string {
+	if c.Placement == "" {
+		return "hash"
+	}
+	return c.Placement
+}
+
 // scenarioKeys lists the text-grammar field keys in canonical order
 // (the order String emits).
 var scenarioKeys = []string{

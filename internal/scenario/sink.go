@@ -3,9 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
@@ -41,6 +39,12 @@ type Sink interface {
 	// Merge folds another sink of the same spec into this one (shard
 	// aggregation); merging different specs or types is an error.
 	Merge(other Sink) error
+	// MarshalState and UnmarshalState carry the sink's complete merge
+	// state across a process boundary: RunSweepProcs workers marshal
+	// their drained sinks, the parent unmarshals each into a fresh
+	// sink of the same spec and merges as usual.
+	MarshalState() ([]byte, error)
+	UnmarshalState([]byte) error
 }
 
 // clusterObserver is the optional Sink extension for whole-run
@@ -53,57 +57,17 @@ type clusterObserver interface {
 // SinkBuilder constructs a sink from a spec's parameters.
 type SinkBuilder func(p *spec.Params) (Sink, error)
 
-var (
-	sinkMu  sync.RWMutex
-	sinkReg = map[string]SinkBuilder{}
-)
+var sinkReg = spec.NewRegistry[Sink]("scenario: unknown sink", "scenario: sink spec")
 
 // RegisterSink adds a named sink builder. Registering a duplicate
 // name panics (programming error).
-func RegisterSink(name string, b SinkBuilder) {
-	sinkMu.Lock()
-	defer sinkMu.Unlock()
-	if _, dup := sinkReg[name]; dup {
-		panic(fmt.Sprintf("scenario: RegisterSink(%q) called twice", name))
-	}
-	sinkReg[name] = b
-}
+func RegisterSink(name string, b SinkBuilder) { sinkReg.Register(name, b) }
 
 // SinkNames returns the registered sink names, sorted.
-func SinkNames() []string {
-	sinkMu.RLock()
-	defer sinkMu.RUnlock()
-	names := make([]string, 0, len(sinkReg))
-	//wildlint:orderinvariant
-	for n := range sinkReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func SinkNames() []string { return sinkReg.Names() }
 
 // NewSink builds a registered sink from a spec ("coldstart?q=50,75").
-func NewSink(s string) (Sink, error) {
-	name, query := spec.Split(s)
-	sinkMu.RLock()
-	b, ok := sinkReg[name]
-	sinkMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("scenario: unknown sink %q (registered: %v)", name, SinkNames())
-	}
-	p, err := spec.Parse(query)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: sink spec %q: %w", s, err)
-	}
-	sink, err := b(p)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: sink spec %q: %w", s, err)
-	}
-	if left := p.Unused(); len(left) > 0 {
-		return nil, fmt.Errorf("scenario: sink spec %q: unknown parameters %v (known: %v)", s, left, p.Known())
-	}
-	return sink, nil
-}
+func NewSink(s string) (Sink, error) { return sinkReg.New(s) }
 
 // coldStartScenarioSink reports quantiles of the per-app cold-start
 // percentage distribution. Bins are integer counts, so Merge is exact.

@@ -339,60 +339,7 @@ func init() {
 		return &tracecFactory{path: rest}, nil
 	})
 	RegisterSource("gen", func(rest string) (SourceFactory, error) {
-		p, err := spec.Parse(rest)
-		if err != nil {
-			return nil, err
-		}
-		var cfg workload.Config
-		apps, err := p.Int("apps", 500)
-		if err != nil {
-			return nil, err
-		}
-		cfg.NumApps = apps
-		days, err := p.Float("days", 7)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Duration = time.Duration(days * 24 * float64(time.Hour))
-		if cfg.Seed, err = p.Uint64("seed", 42); err != nil {
-			return nil, err
-		}
-		if cfg.MaxDailyRate, err = p.Float("maxrate", 20000); err != nil {
-			return nil, err
-		}
-		if cfg.MaxEventsPerFunction, err = p.Int("maxevents", 200000); err != nil {
-			return nil, err
-		}
-		// Shaped arrival modes ("mode=ramp&rps0=10&rps1=20&step=5",
-		// "mode=burst&rps0=2&rps1=50", "mode=diurnal&rps0=1&rps1=30");
-		// workload.Config.Validate rejects shaped parameters without a
-		// mode and mode-mismatched ones.
-		cfg.Mode = p.String("mode", "")
-		if cfg.RPS0, err = p.Float("rps0", 0); err != nil {
-			return nil, err
-		}
-		if cfg.RPS1, err = p.Float("rps1", 0); err != nil {
-			return nil, err
-		}
-		if cfg.StepRPS, err = p.Float("step", 0); err != nil {
-			return nil, err
-		}
-		if cfg.SlotMins, err = p.Int("slot", 0); err != nil {
-			return nil, err
-		}
-		if cfg.PeriodMins, err = p.Int("period", 0); err != nil {
-			return nil, err
-		}
-		if cfg.BurstMins, err = p.Int("burst", 0); err != nil {
-			return nil, err
-		}
-		if left := p.Unused(); len(left) > 0 {
-			return nil, fmt.Errorf("unknown parameters %v (known: %v)", left, p.Known())
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		return &genFactory{cfg: cfg}, nil
+		return spec.Build(rest, buildGen)
 	})
 	RegisterSource("shard", func(rest string) (SourceFactory, error) {
 		designator, innerSpec, ok := strings.Cut(rest, " of ")
@@ -409,6 +356,57 @@ func init() {
 		}
 		return &shardFactory{inner: inner, i: i, n: n}, nil
 	})
+}
+
+// buildGen builds the synthetic-generation source from "gen:"'s query.
+func buildGen(p *spec.Params) (SourceFactory, error) {
+	var cfg workload.Config
+	apps, err := p.Int("apps", 500)
+	if err != nil {
+		return nil, err
+	}
+	cfg.NumApps = apps
+	days, err := p.Float("days", 7)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Duration = time.Duration(days * 24 * float64(time.Hour))
+	if cfg.Seed, err = p.Uint64("seed", 42); err != nil {
+		return nil, err
+	}
+	if cfg.MaxDailyRate, err = p.Float("maxrate", 20000); err != nil {
+		return nil, err
+	}
+	if cfg.MaxEventsPerFunction, err = p.Int("maxevents", 200000); err != nil {
+		return nil, err
+	}
+	// Shaped arrival modes ("mode=ramp&rps0=10&rps1=20&step=5",
+	// "mode=burst&rps0=2&rps1=50", "mode=diurnal&rps0=1&rps1=30");
+	// workload.Config.Validate rejects shaped parameters without a
+	// mode and mode-mismatched ones.
+	cfg.Mode = p.String("mode", "")
+	if cfg.RPS0, err = p.Float("rps0", 0); err != nil {
+		return nil, err
+	}
+	if cfg.RPS1, err = p.Float("rps1", 0); err != nil {
+		return nil, err
+	}
+	if cfg.StepRPS, err = p.Float("step", 0); err != nil {
+		return nil, err
+	}
+	if cfg.SlotMins, err = p.Int("slot", 0); err != nil {
+		return nil, err
+	}
+	if cfg.PeriodMins, err = p.Int("period", 0); err != nil {
+		return nil, err
+	}
+	if cfg.BurstMins, err = p.Int("burst", 0); err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return &genFactory{cfg: cfg}, nil
 }
 
 // sourceForScenario resolves sc's source factory with the seed

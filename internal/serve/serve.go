@@ -156,7 +156,6 @@ func (c *Controller) register(sh *shard, app string) *appEntry {
 	}
 	// The controller owns the pooled policy state; Controller.Release
 	// returns every entry to the pools.
-	//wildlint:owner
 	e := &appEntry{pol: c.pol.NewApp(app)}
 	sh.apps[app] = e
 	return e

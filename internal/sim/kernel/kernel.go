@@ -36,6 +36,26 @@ type mergeSrc struct {
 	pos   int
 }
 
+// Walk is one app's whole decision walk: it acquires the app's policy
+// state, computes exec times (when useExec) and idle times, takes the
+// decisions, and hands pooled state (policy.Releasable) back before
+// returning — the batch engines never hold an AppPolicy, so they
+// cannot leak one. times is the app's memoized invocation list; execs
+// (nil unless useExec) and runs alias the scratch like the results of
+// the methods below.
+func (s *Scratch) Walk(pol policy.Policy, app *trace.App, useExec bool) (times, execs []float64, runs []policy.DecisionRun) {
+	times = app.InvocationTimes()
+	if useExec {
+		execs = s.ExecSeconds(app)
+	}
+	ap := pol.NewApp(app.ID)
+	runs = s.DecideRuns(ap, s.IdleTimes(times, execs))
+	if r, ok := ap.(policy.Releasable); ok {
+		r.Release()
+	}
+	return times, execs, runs
+}
+
 // ExecSeconds fills the scratch exec buffer with per-invocation
 // execution times for the app, in invocation-time order. Each
 // function's invocation list is already sorted, so the lists are k-way

@@ -205,3 +205,58 @@ func TestClassifyAndTrailingWaste(t *testing.T) {
 		}
 	}
 }
+
+// countingPolicy hands out Releasable app state and counts both ends
+// of its life cycle.
+type countingPolicy struct{ acquired, released int }
+
+func (p *countingPolicy) Name() string { return "counting" }
+
+func (p *countingPolicy) NewApp(string) policy.AppPolicy {
+	p.acquired++
+	return &countingApp{pol: p}
+}
+
+type countingApp struct {
+	flipPolicy
+	pol *countingPolicy
+}
+
+func (a *countingApp) Release() { a.pol.released++ }
+
+// TestWalkReleasesEveryAppExactlyOnce pins the pool-hygiene contract
+// where it now lives: Walk is the only place the batch engines
+// (internal/sim, internal/cluster) acquire per-app policy state, and
+// it hands each acquisition back exactly once — the zero-invocation
+// app included — with and without exec times.
+func TestWalkReleasesEveryAppExactlyOnce(t *testing.T) {
+	apps := []*trace.App{
+		{ID: "busy", Functions: []*trace.Function{
+			{ID: "f", Invocations: []float64{0, 60, 120}, ExecStats: trace.ExecStats{AvgSeconds: 1}},
+			{ID: "g", Invocations: []float64{30, 90}, ExecStats: trace.ExecStats{AvgSeconds: 2}},
+		}},
+		{ID: "once", Functions: []*trace.Function{{ID: "f", Invocations: []float64{5}}}},
+		{ID: "never", Functions: []*trace.Function{{ID: "f"}}},
+	}
+	pol := &countingPolicy{}
+	var s Scratch
+	for _, useExec := range []bool{false, true} {
+		for _, app := range apps {
+			before := pol.released
+			times, execs, runs := s.Walk(pol, app, useExec)
+			if pol.released != before+1 || pol.acquired != pol.released {
+				t.Fatalf("%s (exec=%v): %d acquired, %d released after the walk", app.ID, useExec, pol.acquired, pol.released)
+			}
+			var covered int32
+			for _, r := range runs {
+				covered += r.N
+			}
+			if int(covered) != len(times) || len(times) != app.TotalInvocations() {
+				t.Fatalf("%s: runs cover %d of %d invocations (app has %d)", app.ID, covered, len(times), app.TotalInvocations())
+			}
+			if useExec != (execs != nil) || (useExec && len(execs) != len(times)) {
+				t.Fatalf("%s (exec=%v): %d exec times for %d invocations", app.ID, useExec, len(execs), len(times))
+			}
+		}
+	}
+}

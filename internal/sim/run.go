@@ -202,11 +202,7 @@ func runStream(ctx context.Context, src trace.Source, pol policy.Policy, cfg run
 			defer wg.Done()
 			var ar arena
 			for it := range ch {
-				ap := pol.NewApp(it.app.ID)
-				r := simulateApp(&ar, it.app, ap, horizon, cfg.opt)
-				if rel, ok := ap.(policy.Releasable); ok {
-					rel.Release()
-				}
+				r := simulateApp(&ar, it.app, pol, horizon, cfg.opt)
 				mu.Lock()
 				for _, s := range cfg.sinks {
 					s.Consume(it.idx, r)

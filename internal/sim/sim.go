@@ -129,12 +129,7 @@ func simulateCtx(ctx context.Context, tr *trace.Trace, pol policy.Policy, opt Op
 	})
 
 	runOne := func(ar *arena, idx int32) {
-		app := tr.Apps[idx]
-		ap := pol.NewApp(app.ID)
-		res.Apps[idx] = simulateApp(ar, app, ap, res.HorizonSeconds, opt)
-		if r, ok := ap.(policy.Releasable); ok {
-			r.Release()
-		}
+		res.Apps[idx] = simulateApp(ar, tr.Apps[idx], pol, res.HorizonSeconds, opt)
 	}
 
 	if workers == 1 {
@@ -197,22 +192,15 @@ func simulateCtx(ctx context.Context, tr *trace.Trace, pol policy.Policy, opt Op
 // idle times, batch decisions, then the Figure 9 classification (see
 // kernel.Classify for the window semantics). The first invocation is
 // always cold (§5.1).
-func simulateApp(ar *arena, app *trace.App, ap policy.AppPolicy, horizon float64, opt Options) AppResult {
-	times := app.InvocationTimes()
+func simulateApp(ar *arena, app *trace.App, pol policy.Policy, horizon float64, opt Options) AppResult {
+	// Pass 1: idle times; pass 2: decisions as run-length-encoded
+	// spans (one batch call when the policy supports it).
+	times, execs, runs := ar.Walk(pol, app, opt.UseExecTime)
 	n := len(times)
 	res := AppResult{AppID: app.ID, Invocations: n}
 	if n == 0 {
 		return res
 	}
-	var execs []float64
-	if opt.UseExecTime {
-		execs = ar.ExecSeconds(app)
-	}
-
-	// Pass 1: idle times; pass 2: decisions as run-length-encoded
-	// spans (one batch call when the policy supports it).
-	idles := ar.IdleTimes(times, execs)
-	runs := ar.DecideRuns(ap, idles)
 
 	// Pass 3: classify arrivals against the previous decision and
 	// accumulate wasted memory time. Mode counts and the

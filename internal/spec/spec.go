@@ -7,9 +7,9 @@
 // policy, "binpack?order=invocations" for a placement,
 // "coldstart?q=50,75,99" for a metrics sink. Params carries the parsed
 // parameters to a builder with typed accessors that record which keys
-// were consumed, so a registry can reject specs with leftover
-// (misspelled) keys — a typo fails fast instead of silently
-// configuring the default.
+// were consumed, and Build — the only way to a Params — rejects specs
+// with leftover (misspelled) keys, so a typo fails fast instead of
+// silently configuring the default.
 package spec
 
 import (
@@ -18,20 +18,94 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
-// Split splits a component spec into its registry name and raw query
-// ("hybrid?cv=2" -> "hybrid", "cv=2"). A spec without '?' is all name.
-func Split(s string) (name, query string) {
-	if i := strings.IndexByte(s, '?'); i >= 0 {
-		return s[:i], s[i+1:]
-	}
-	return s, ""
+// Registry is the name -> builder table behind one kind of component
+// ("policy", "placement", "sink"). New is the only place a component
+// spec is taken apart, so every registry rejects unknown names and
+// leftover keys the same way, and no builder can be reached around
+// the leftover-key check.
+type Registry[T any] struct {
+	unknown, badSpec string // error prefixes
+
+	mu       sync.RWMutex
+	builders map[string]func(*Params) (T, error)
 }
 
-// Parse parses a raw query string into Params.
-func Parse(query string) (*Params, error) {
+// NewRegistry returns an empty registry whose errors start with the
+// given prefixes: unknown for an unregistered name ("cluster: unknown
+// placement"), badSpec for a spec that fails to build ("cluster:
+// placement spec").
+func NewRegistry[T any](unknown, badSpec string) *Registry[T] {
+	return &Registry[T]{unknown: unknown, badSpec: badSpec, builders: map[string]func(*Params) (T, error){}}
+}
+
+// Register adds a named builder. Registering a duplicate name panics
+// (programming error).
+func (r *Registry[T]) Register(name string, b func(*Params) (T, error)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.builders[name]; dup {
+		panic(fmt.Sprintf("%s %q registered twice", r.badSpec, name))
+	}
+	r.builders[name] = b
+}
+
+// Names returns the registered names, sorted.
+func (r *Registry[T]) Names() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	names := make([]string, 0, len(r.builders))
+	for n := range r.builders {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// New builds the component a spec names ("hybrid?cv=2" is builder
+// "hybrid" over the query "cv=2"; a spec without '?' is all name).
+func (r *Registry[T]) New(s string) (T, error) {
+	name, query, _ := strings.Cut(s, "?")
+	r.mu.RLock()
+	b, ok := r.builders[name]
+	r.mu.RUnlock()
+	if !ok {
+		var zero T
+		return zero, fmt.Errorf("%s %q (registered: %v)", r.unknown, name, r.Names())
+	}
+	v, err := Build(query, b)
+	if err != nil {
+		return v, fmt.Errorf("%s %q: %w", r.badSpec, s, err)
+	}
+	return v, nil
+}
+
+// Build parses a raw query, hands the parameters to build and then
+// rejects every key no accessor consumed. It is the only way to a
+// *Params, so the leftover-key check cannot be forgotten: registries
+// go through it in New, and the two grammars that carry a query
+// without a registry name ("gen:apps=3", "fail@1h:node=2") call it
+// directly.
+func Build[T any](query string, build func(*Params) (T, error)) (T, error) {
+	var zero T
+	p, err := parse(query)
+	if err != nil {
+		return zero, err
+	}
+	v, err := build(p)
+	if err != nil {
+		return zero, err
+	}
+	if left := p.Unused(); len(left) > 0 {
+		return zero, fmt.Errorf("unknown parameters %v (known: %v)", left, p.Known())
+	}
+	return v, nil
+}
+
+func parse(query string) (*Params, error) {
 	vals, err := url.ParseQuery(query)
 	if err != nil {
 		return nil, err
@@ -40,8 +114,8 @@ func Parse(query string) (*Params, error) {
 }
 
 // Params carries a spec's parsed parameters to a builder. Typed
-// accessors record which keys were consumed; registries reject specs
-// with leftover (misspelled) keys afterwards via Unused.
+// accessors record which keys were consumed; Build rejects specs with
+// leftover (misspelled) keys afterwards via Unused.
 type Params struct {
 	vals  url.Values
 	used  map[string]bool

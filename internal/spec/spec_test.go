@@ -10,7 +10,7 @@ import (
 // typed accessor asked for — present in the query or not — so
 // registries can list a builder's vocabulary in unknown-key errors.
 func TestKnownTracksAccessedKeys(t *testing.T) {
-	p, err := Parse("ka=10m&typo=1")
+	p, err := parse("ka=10m&typo=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestKnownTracksAccessedKeys(t *testing.T) {
 // TestKnownEmptyBeforeAccess pins the zero state: no accessor calls,
 // no known keys.
 func TestKnownEmptyBeforeAccess(t *testing.T) {
-	p, err := Parse("a=1")
+	p, err := parse("a=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestKnownEmptyBeforeAccess(t *testing.T) {
 // TestAccessorsStillConsume pins that adding known-key tracking did
 // not change the consume semantics Unused depends on.
 func TestAccessorsStillConsume(t *testing.T) {
-	p, err := Parse("d=5m&f=1.5&i=3&b=on&s=x&u=7&l=1:2")
+	p, err := parse("d=5m&f=1.5&i=3&b=on&s=x&u=7&l=1:2")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,12 @@ import (
 )
 
 // TestUnknownKeyErrorsListKnownKeys pins the unknown-parameter
-// diagnostics across the component registries: a misspelled key must
-// fail fast AND name the keys the builder actually understands, so
-// the fix is one glance away. Each case misspells a real parameter
-// and asserts both the rejection and the vocabulary listing.
+// diagnostics across everything that parses a query — the three
+// name?k=v registries, gen:'s query and the cluster event list, all
+// through spec.Build: a misspelled key must fail fast AND name the
+// keys the builder actually understands, so the fix is one glance
+// away. Each case misspells a real parameter and asserts both the
+// rejection and the vocabulary listing.
 func TestUnknownKeyErrorsListKnownKeys(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -49,6 +51,24 @@ func TestUnknownKeyErrorsListKnownKeys(t *testing.T) {
 			},
 			wantUnknown: "quantiles",
 			wantKnown:   []string{"q"},
+		},
+		{
+			name: "source",
+			build: func() error {
+				_, err := scenario.NewSource("gen:aps=3")
+				return err
+			},
+			wantUnknown: "aps",
+			wantKnown:   []string{"apps", "days", "seed"},
+		},
+		{
+			name: "cluster.events",
+			build: func() error {
+				_, err := cluster.ParseEvents("resize@1h:node=1&mem=512&nod=2")
+				return err
+			},
+			wantUnknown: "nod",
+			wantKnown:   []string{"mem", "node"},
 		},
 	}
 	for _, c := range cases {
