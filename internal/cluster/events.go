@@ -160,6 +160,10 @@ func parseEvent(s string) (Event, error) {
 			if math.IsNaN(ev.MemMB) {
 				return ev, fmt.Errorf("resize needs mem=MB (0 = infinite)")
 			}
+			if math.IsInf(ev.MemMB, 0) {
+				// +Inf would render as "+Inf", which a query reads as " Inf".
+				return ev, fmt.Errorf("resize needs a finite mem=MB (0 = infinite), got %g", ev.MemMB)
+			}
 		}
 		return ev, nil
 	})

@@ -88,6 +88,7 @@ func TestParseEventsErrors(t *testing.T) {
 		{"fail@-5s:node=0", "non-negative"},
 		{"fail@soon:node=0", "want a duration"},
 		{"resize@1h:node=0", "resize needs mem"},
+		{"resize@1h:node=0&mem=Inf", "finite mem"},
 		{"fail@1h:node=0&mem=5", "unknown parameters"},
 	} {
 		if _, err := ParseEvents(tc.in); err == nil || !strings.Contains(err.Error(), tc.want) {

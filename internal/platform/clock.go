@@ -1,10 +1,14 @@
 // Package platform implements an in-process FaaS control plane
 // mirroring the OpenWhisk architecture the paper modifies (§4.3,
 // Figure 13): a REST front end, a Controller with a Load Balancer that
-// owns per-application policy state, a channel-based message bus (the
-// Kafka stand-in), and Invokers that host application containers,
-// honouring the keep-alive duration carried on each activation
-// message and pre-warming containers on request.
+// owns per-application policy state, and Invokers that host
+// application containers, honouring the keep-alive duration carried on
+// each activation and pre-warming containers on request.
+//
+// The controller calls the pinned invoker directly, on the caller's
+// goroutine. OpenWhisk puts Kafka between the two; it is omitted
+// because every activation here is blocking — the caller waits for the
+// outcome — so a queue would only add a hand-off per invocation.
 //
 // Containers are simulated workers: a cold start costs a configurable
 // delay and function execution occupies the container for the

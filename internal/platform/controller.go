@@ -4,22 +4,25 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/policy"
 	"repro/internal/serve"
 )
 
-// dispatchState is the controller's per-application dispatch
-// bookkeeping: the invoker pin, the registered memory footprint and
-// the pending pre-warm timer. The policy side of per-app state (the
-// histogram, idle tracking, decision path) lives in the serve
-// controller, behind its sharded locks.
+// dispatchState is the controller's per-application bookkeeping: the
+// invoker pin, the registered memory footprint, the pending pre-warm
+// timer and the app's invocation counters. The policy side of per-app
+// state (the histogram, idle tracking, decision path) lives in the
+// serve controller, behind its sharded locks.
 type dispatchState struct {
-	mu       sync.Mutex
-	memoryMB float64
-	invoker  int
-	prewarm  *time.Timer
+	mu          sync.Mutex
+	memoryMB    float64
+	invoker     int
+	prewarm     *time.Timer
+	invocations int
+	coldStarts  int
 }
 
 // Controller mirrors the OpenWhisk Controller with the paper's
@@ -29,38 +32,35 @@ type dispatchState struct {
 // activation dispatch, and pre-warm scheduling on the (possibly
 // scaled) clock.
 type Controller struct {
-	clock Clock
-	bus   *Bus
-	dec   *serve.Controller
-	rec   *serve.Recorder // optional incident-stream capture
-	n     int             // invokers
+	clock    Clock
+	dec      *serve.Controller
+	rec      *serve.Recorder // optional incident-stream capture
+	invokers []*Invoker
+
+	// life is the platform lock: every invocation and every pre-warm
+	// holds it shared, stop holds it exclusively, so stop returns only
+	// after in-flight work and nothing loads a container after it.
+	life    sync.RWMutex
+	stopped bool
 
 	mu   sync.Mutex
 	apps map[string]*dispatchState
 
-	// PolicyOverhead accumulates time spent in policy decisions (real
-	// time), backing the §5.3 overhead measurements.
-	overheadMu    sync.Mutex
-	overheadTotal time.Duration
-	overheadCount int64
+	// overheadNs and overheadCount accumulate the real time spent in
+	// policy decisions, backing the §5.3 overhead measurements.
+	overheadNs    atomic.Int64
+	overheadCount atomic.Int64
 }
 
-// NewController creates a controller balancing across n invokers,
-// with decisions served by a fresh serve.Controller over pol.
-func NewController(clock Clock, bus *Bus, pol policy.Policy, n int) *Controller {
+func newController(clock Clock, pol policy.Policy, invokers []*Invoker, rec *serve.Recorder) *Controller {
 	return &Controller{
-		clock: clock,
-		bus:   bus,
-		dec:   serve.NewController(pol, serve.Config{}),
-		n:     n,
-		apps:  make(map[string]*dispatchState),
+		clock:    clock,
+		dec:      serve.NewController(pol, serve.Config{}),
+		rec:      rec,
+		invokers: invokers,
+		apps:     make(map[string]*dispatchState),
 	}
 }
-
-// SetRecorder attaches an incident-stream recorder: every invocation
-// routed through the controller is captured (at the platform clock's
-// timestamps) for later bundle export. Attach before traffic starts.
-func (c *Controller) SetRecorder(r *serve.Recorder) { c.rec = r }
 
 // state returns (creating if needed) the app's dispatch state. Apps
 // are pinned to an invoker by hash, the simplest
@@ -75,16 +75,21 @@ func (c *Controller) state(app string, memoryMB float64) *dispatchState {
 		h.Write([]byte(app))
 		st = &dispatchState{
 			memoryMB: memoryMB,
-			invoker:  int(h.Sum32()) % c.n,
+			invoker:  int(h.Sum32()) % len(c.invokers),
 		}
 		c.apps[app] = st
 	}
 	return st
 }
 
-// Invoke runs one function invocation through the platform and blocks
-// until it completes, returning the outcome.
+// Invoke runs one function invocation on its app's invoker, on the
+// caller's goroutine, and returns the outcome once it completes.
 func (c *Controller) Invoke(app, fn string, exec time.Duration, memoryMB float64) (Outcome, error) {
+	c.life.RLock()
+	defer c.life.RUnlock()
+	if c.stopped {
+		return Outcome{}, fmt.Errorf("platform: invoking %s/%s: platform stopped", app, fn)
+	}
 	st := c.state(app, memoryMB)
 
 	// Cancel any pending pre-warm; the invocation supersedes it.
@@ -93,7 +98,7 @@ func (c *Controller) Invoke(app, fn string, exec time.Duration, memoryMB float64
 		st.prewarm.Stop()
 		st.prewarm = nil
 	}
-	invoker := st.invoker
+	inv := c.invokers[st.invoker]
 	st.mu.Unlock()
 
 	// Policy decision for the window after this execution: idle time
@@ -102,39 +107,62 @@ func (c *Controller) Invoke(app, fn string, exec time.Duration, memoryMB float64
 	now := c.clock.Now()
 	t0 := time.Now() //wildlint:allow wallclock
 	d := c.dec.Decide(app, now)
-	c.recordOverhead(time.Since(t0)) //wildlint:allow wallclock
+	c.overheadNs.Add(int64(time.Since(t0))) //wildlint:allow wallclock
+	c.overheadCount.Add(1)
 	if c.rec != nil {
 		c.rec.Record(app, fn, now)
 	}
 
-	reply := make(chan Outcome, 1)
-	msg := ActivationMessage{
-		App: app, Function: fn, Exec: exec, MemoryMB: memoryMB,
-		KeepAlive:       keepAliveFor(d),
-		UnloadAfterExec: !d.Forever && d.PreWarm > 0,
-		Reply:           reply,
-	}
-	if err := c.bus.Publish(InvokerTopic(invoker), msg); err != nil {
-		return Outcome{}, fmt.Errorf("platform: dispatching %s/%s: %w", app, fn, err)
-	}
-	out := <-reply
+	ka := keepAliveFor(d)
+	prewarm := !d.Forever && d.PreWarm > 0
+	out := inv.activate(activation{
+		app: app, fn: fn, exec: exec, memoryMB: memoryMB,
+		keepAlive: ka, unloadAfterExec: prewarm,
+	})
 
 	c.dec.CompleteExec(app, out.End)
 	st.mu.Lock()
+	st.invocations++
+	if out.Cold {
+		st.coldStarts++
+	}
 	// Schedule the pre-warm after the execution that just finished.
-	if !d.Forever && d.PreWarm > 0 {
-		ka := keepAliveFor(d)
+	if prewarm {
 		mem := st.memoryMB
 		st.prewarm = c.clock.AfterFunc(d.PreWarm, func() {
-			// Ignore a full-queue error: a missed pre-warm only costs a
-			// cold start, exactly as in the real system.
-			_ = c.bus.Publish(InvokerTopic(invoker), PrewarmMessage{
-				App: app, MemoryMB: mem, KeepAlive: ka,
-			})
+			c.life.RLock()
+			defer c.life.RUnlock()
+			if !c.stopped {
+				inv.prewarm(app, mem, ka)
+			}
 		})
 	}
 	st.mu.Unlock()
 	return out, nil
+}
+
+// stop waits out in-flight invocations, cancels pending pre-warms and
+// drops every container. Invocations after it return an error.
+func (c *Controller) stop() {
+	c.life.Lock()
+	defer c.life.Unlock()
+	if c.stopped {
+		return
+	}
+	c.stopped = true
+	c.mu.Lock()
+	for _, st := range c.apps {
+		st.mu.Lock()
+		if st.prewarm != nil {
+			st.prewarm.Stop()
+			st.prewarm = nil
+		}
+		st.mu.Unlock()
+	}
+	c.mu.Unlock()
+	for _, inv := range c.invokers {
+		inv.dropAll()
+	}
 }
 
 // keepAliveFor translates a policy decision into the keep-alive stamp
@@ -147,20 +175,12 @@ func keepAliveFor(d policy.Decision) time.Duration {
 	return d.KeepAlive
 }
 
-func (c *Controller) recordOverhead(d time.Duration) {
-	c.overheadMu.Lock()
-	c.overheadTotal += d
-	c.overheadCount++
-	c.overheadMu.Unlock()
-}
-
 // PolicyOverhead returns the mean real-time cost of one policy
 // decision and the number of decisions made.
 func (c *Controller) PolicyOverhead() (mean time.Duration, count int64) {
-	c.overheadMu.Lock()
-	defer c.overheadMu.Unlock()
-	if c.overheadCount == 0 {
+	count = c.overheadCount.Load()
+	if count == 0 {
 		return 0, 0
 	}
-	return c.overheadTotal / time.Duration(c.overheadCount), c.overheadCount
+	return time.Duration(c.overheadNs.Load() / count), count
 }

@@ -5,11 +5,43 @@ import (
 	"time"
 )
 
+// activation is one invocation the controller hands an invoker,
+// mirroring OpenWhisk's activation message, which the paper extends
+// with a keep-alive field (§4.3, modification #2): the policy's
+// retention travels with the invocation it follows.
+type activation struct {
+	app, fn string
+	// exec is the function's execution duration (virtual time).
+	exec     time.Duration
+	memoryMB float64
+	// keepAlive is the container retention the policy chose.
+	keepAlive time.Duration
+	// unloadAfterExec removes the container right after the execution
+	// ends (the policy will pre-warm later).
+	unloadAfterExec bool
+}
+
+// Outcome reports one completed invocation.
+type Outcome struct {
+	App      string
+	Function string
+	Cold     bool
+	// Latency is the virtual time from activation receipt to
+	// execution completion (cold-start delay + init + exec).
+	Latency time.Duration
+	// Start and End are virtual timestamps of the execution.
+	Start time.Time
+	End   time.Time
+	// Invoker is the index of the serving invoker.
+	Invoker int
+}
+
 // container is a loaded application instance on an invoker, the unit
 // the keep-alive policy manages (the "worker" of §2). Its lifecycle is
 // driven by the invoker's ContainerProxy logic: loaded on cold start
 // or pre-warm, refreshed on each use, unloaded when its keep-alive
-// timer fires or the controller orders an unload.
+// timer fires, right after an execution the policy follows with a
+// pre-warm, or when the platform stops.
 type container struct {
 	app      string
 	memoryMB float64
@@ -36,7 +68,9 @@ type InvokerStats struct {
 
 // Invoker hosts containers and executes activations, mirroring the
 // OpenWhisk Invoker with the paper's modified ContainerProxy that
-// honours per-activation keep-alive (§4.3, modification #3).
+// honours per-activation keep-alive (§4.3, modification #3). It has no
+// goroutine of its own: activations run on the invoking caller's,
+// pre-warms and keep-alive expiries on clock timers'.
 type Invoker struct {
 	id    int
 	clock Clock
@@ -50,49 +84,20 @@ type Invoker struct {
 	mu         sync.Mutex
 	containers map[string]*container
 	stats      InvokerStats
-
-	wg   sync.WaitGroup
-	quit chan struct{}
 }
 
-// NewInvoker creates an invoker consuming from the given topic.
-func NewInvoker(id int, clock Clock, coldStart, runtimeInit time.Duration) *Invoker {
+func newInvoker(id int, clock Clock, coldStart, runtimeInit time.Duration) *Invoker {
 	return &Invoker{
 		id:          id,
 		clock:       clock,
 		coldStart:   coldStart,
 		runtimeInit: runtimeInit,
 		containers:  make(map[string]*container),
-		quit:        make(chan struct{}),
 	}
 }
 
-// Serve consumes messages from queue until it is closed.
-func (inv *Invoker) Serve(queue <-chan any) {
-	inv.wg.Add(1)
-	go func() {
-		defer inv.wg.Done()
-		for msg := range queue {
-			switch m := msg.(type) {
-			case ActivationMessage:
-				inv.wg.Add(1)
-				go func() {
-					defer inv.wg.Done()
-					inv.handleActivation(m)
-				}()
-			case PrewarmMessage:
-				inv.handlePrewarm(m)
-			case UnloadMessage:
-				inv.unload(m.App)
-			}
-		}
-	}()
-}
-
-// Stop waits for in-flight work to finish and halts keep-alive timers.
-func (inv *Invoker) Stop() {
-	close(inv.quit)
-	inv.wg.Wait()
+// dropAll unloads every container, settling its memory integral.
+func (inv *Invoker) dropAll() {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
 	for app, c := range inv.containers {
@@ -109,13 +114,14 @@ func (inv *Invoker) Stats() InvokerStats {
 	return s
 }
 
-// handleActivation runs one invocation: warm if a container is
-// loaded, otherwise a cold start pays the instantiation delay.
-func (inv *Invoker) handleActivation(m ActivationMessage) {
+// activate runs one invocation and blocks until it completes: warm if
+// a container is loaded, otherwise a cold start pays the instantiation
+// delay.
+func (inv *Invoker) activate(a activation) Outcome {
 	arrive := inv.clock.Now()
 
 	inv.mu.Lock()
-	c, warm := inv.containers[m.App]
+	c, warm := inv.containers[a.app]
 	if warm {
 		c.busy++
 		if c.timer != nil {
@@ -130,11 +136,11 @@ func (inv *Invoker) handleActivation(m ActivationMessage) {
 		inv.clock.Sleep(inv.coldStart + inv.runtimeInit)
 		inv.mu.Lock()
 		// Another in-flight activation may have raced us; reuse if so.
-		if existing, ok := inv.containers[m.App]; ok {
+		if existing, ok := inv.containers[a.app]; ok {
 			c = existing
 		} else {
-			c = &container{app: m.App, memoryMB: m.MemoryMB, loadedAt: inv.clock.Now()}
-			inv.containers[m.App] = c
+			c = &container{app: a.app, memoryMB: a.memoryMB, loadedAt: inv.clock.Now()}
+			inv.containers[a.app] = c
 		}
 		c.busy++
 		if c.timer != nil {
@@ -150,43 +156,40 @@ func (inv *Invoker) handleActivation(m ActivationMessage) {
 	}
 
 	start := inv.clock.Now()
-	if m.Exec > 0 {
-		inv.clock.Sleep(m.Exec)
+	if a.exec > 0 {
+		inv.clock.Sleep(a.exec)
 	}
 	end := inv.clock.Now()
-	latency := end.Sub(arrive)
 
 	inv.mu.Lock()
 	c.busy--
 	if c.busy == 0 {
-		if m.UnloadAfterExec {
-			inv.dropLocked(m.App, c)
+		if a.unloadAfterExec {
+			inv.dropLocked(a.app, c)
 		} else {
-			inv.armKeepAliveLocked(c, m.KeepAlive)
+			inv.armKeepAliveLocked(c, a.keepAlive)
 		}
 	}
 	inv.mu.Unlock()
 
-	if m.Reply != nil {
-		m.Reply <- Outcome{
-			App: m.App, Function: m.Function,
-			Cold: !warm, Latency: latency,
-			Start: start, End: end, Invoker: inv.id,
-		}
+	return Outcome{
+		App: a.app, Function: a.fn,
+		Cold: !warm, Latency: end.Sub(arrive),
+		Start: start, End: end, Invoker: inv.id,
 	}
 }
 
-// handlePrewarm loads a container ahead of a predicted invocation.
-func (inv *Invoker) handlePrewarm(m PrewarmMessage) {
+// prewarm loads a container ahead of a predicted invocation.
+func (inv *Invoker) prewarm(app string, memoryMB float64, keepAlive time.Duration) {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
-	if _, ok := inv.containers[m.App]; ok {
+	if _, ok := inv.containers[app]; ok {
 		return // already loaded
 	}
-	c := &container{app: m.App, memoryMB: m.MemoryMB, loadedAt: inv.clock.Now()}
-	inv.containers[m.App] = c
+	c := &container{app: app, memoryMB: memoryMB, loadedAt: inv.clock.Now()}
+	inv.containers[app] = c
 	inv.stats.Prewarms++
-	inv.armKeepAliveLocked(c, m.KeepAlive)
+	inv.armKeepAliveLocked(c, keepAlive)
 }
 
 // armKeepAliveLocked (re)sets a container's keep-alive timer.
@@ -209,17 +212,6 @@ func (inv *Invoker) armKeepAliveLocked(c *container, ka time.Duration) {
 		}
 		inv.dropLocked(app, cur)
 	})
-}
-
-// unload drops an app's idle container on controller request.
-func (inv *Invoker) unload(app string) {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	c, ok := inv.containers[app]
-	if !ok || c.busy > 0 {
-		return
-	}
-	inv.dropLocked(app, c)
 }
 
 // dropLocked removes a container and settles its memory integral.

@@ -2,7 +2,7 @@ package platform
 
 import (
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -48,19 +48,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Platform wires the controller, message bus and invokers into a
-// runnable in-process FaaS cluster (Figure 13).
+// Platform wires the controller and invokers into a runnable
+// in-process FaaS cluster (Figure 13). The controller calls the pinned
+// invoker directly: OpenWhisk's Kafka queue between the two is
+// omitted because every activation is blocking — the caller waits for
+// its outcome — so a queue would add a hand-off per invocation and
+// bound nothing.
 type Platform struct {
 	cfg        Config
-	bus        *Bus
 	controller *Controller
-	invokers   []*Invoker
 
-	mu      sync.Mutex
-	perApp  map[string]*AppOutcome
 	latHist *metrics.LatencyHistogram // bounded: 960 counters however long the platform lives
-	latSum  time.Duration             // exact, so the mean carries no bucket error
-	stopped bool
+	latSum  atomic.Int64              // nanoseconds, exact, so the mean carries no bucket error
 }
 
 // AppOutcome summarizes one application's invocations on the platform.
@@ -81,22 +80,15 @@ func (a AppOutcome) ColdPercent() float64 {
 // NewPlatform assembles a platform running pol. Call Stop when done.
 func NewPlatform(cfg Config, pol policy.Policy) *Platform {
 	cfg = cfg.withDefaults()
-	p := &Platform{
-		cfg:     cfg,
-		bus:     NewBus(),
-		perApp:  make(map[string]*AppOutcome),
-		latHist: metrics.NewLatencyHistogram(),
+	invokers := make([]*Invoker, cfg.NumInvokers)
+	for i := range invokers {
+		invokers[i] = newInvoker(i, cfg.Clock, cfg.ColdStartDelay, cfg.RuntimeInitDelay)
 	}
-	p.controller = NewController(cfg.Clock, p.bus, pol, cfg.NumInvokers)
-	if cfg.Recorder != nil {
-		p.controller.SetRecorder(cfg.Recorder)
+	return &Platform{
+		cfg:        cfg,
+		controller: newController(cfg.Clock, pol, invokers, cfg.Recorder),
+		latHist:    metrics.NewLatencyHistogram(),
 	}
-	for i := 0; i < cfg.NumInvokers; i++ {
-		inv := NewInvoker(i, cfg.Clock, cfg.ColdStartDelay, cfg.RuntimeInitDelay)
-		inv.Serve(p.bus.Subscribe(InvokerTopic(i)))
-		p.invokers = append(p.invokers, inv)
-	}
-	return p
 }
 
 // Invoke runs one invocation synchronously and records its outcome.
@@ -105,38 +97,15 @@ func (p *Platform) Invoke(app, fn string, exec time.Duration, memoryMB float64) 
 	if err != nil {
 		return out, err
 	}
-	p.mu.Lock()
-	ao, ok := p.perApp[app]
-	if !ok {
-		ao = &AppOutcome{App: app}
-		p.perApp[app] = ao
-	}
-	ao.Invocations++
-	if out.Cold {
-		ao.ColdStarts++
-	}
-	p.latSum += out.Latency
+	p.latSum.Add(int64(out.Latency))
 	p.latHist.Observe(out.Latency)
-	p.mu.Unlock()
 	return out, nil
 }
 
-// Stop drains the cluster: closes the bus, waits for invokers, and
-// settles memory integrals.
-func (p *Platform) Stop() {
-	p.mu.Lock()
-	if p.stopped {
-		p.mu.Unlock()
-		return
-	}
-	p.stopped = true
-	p.mu.Unlock()
-
-	p.bus.Close()
-	for _, inv := range p.invokers {
-		inv.Stop()
-	}
-}
+// Stop waits for in-flight invocations to finish, cancels pending
+// pre-warms and unloads every container. Invocations after Stop return
+// an error. Stop is idempotent.
+func (p *Platform) Stop() { p.controller.stop() }
 
 // Controller exposes the controller (for overhead measurements).
 func (p *Platform) Controller() *Controller { return p.controller }
@@ -144,13 +113,19 @@ func (p *Platform) Controller() *Controller { return p.controller }
 // Clock returns the platform's time source.
 func (p *Platform) Clock() Clock { return p.cfg.Clock }
 
-// AppOutcomes returns per-app summaries sorted by app ID.
+// AppOutcomes returns per-app summaries of the completed invocations,
+// sorted by app ID.
 func (p *Platform) AppOutcomes() []AppOutcome {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]AppOutcome, 0, len(p.perApp))
-	for _, ao := range p.perApp {
-		out = append(out, *ao)
+	c := p.controller
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]AppOutcome, 0, len(c.apps))
+	for app, st := range c.apps {
+		st.mu.Lock()
+		if st.invocations > 0 {
+			out = append(out, AppOutcome{App: app, Invocations: st.invocations, ColdStarts: st.coldStarts})
+		}
+		st.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].App < out[j].App })
 	return out
@@ -159,21 +134,20 @@ func (p *Platform) AppOutcomes() []AppOutcome {
 // LatencyStats summarizes the recorded invocation latencies (virtual
 // time): the exact mean, and the 99th percentile as the upper edge of
 // its histogram bucket — at most 6.25% above the exact sample. Both
-// are zero before the first invocation.
+// are zero before the first invocation. Read it once invocations have
+// quiesced: the sum and the histogram are updated separately.
 func (p *Platform) LatencyStats() (mean, p99 time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	n := p.latHist.Count()
 	if n == 0 {
 		return 0, 0
 	}
-	return p.latSum / time.Duration(n), p.latHist.Quantile(99)
+	return time.Duration(p.latSum.Load() / n), p.latHist.Quantile(99)
 }
 
 // ClusterStats aggregates invoker counters, settling memory first.
 func (p *Platform) ClusterStats() InvokerStats {
 	var total InvokerStats
-	for _, inv := range p.invokers {
+	for _, inv := range p.controller.invokers {
 		inv.SettleMemory()
 		s := inv.Stats()
 		total.ColdStarts += s.ColdStarts

@@ -134,9 +134,8 @@ func TestUnloadAfterExecWithPrewarmWindow(t *testing.T) {
 	if _, err := p.Invoke("app", "fn", 0, 256); err != nil {
 		t.Fatal(err)
 	}
-	inv := p.invokers[p.Controller().state("app", 256).invoker]
-	// Immediately after execution the container must be gone.
-	time.Sleep(20 * time.Millisecond) // let unload settle (real time)
+	inv := p.controller.invokers[p.controller.state("app", 256).invoker]
+	// The unload happens before Invoke returns.
 	if inv.Loaded("app") {
 		t.Fatal("container should be unloaded right after execution")
 	}
@@ -271,38 +270,69 @@ func TestScaledClockClampsScale(t *testing.T) {
 	}
 }
 
-func TestBusPublishSubscribe(t *testing.T) {
-	b := NewBus()
-	if err := b.Publish("t", 42); err != nil {
+// sleepSignalClock is a ScaledClock that announces every Sleep it
+// starts, so a test can act while an invocation is mid-execution.
+type sleepSignalClock struct {
+	*ScaledClock
+	sleeps chan time.Duration
+}
+
+func (c sleepSignalClock) Sleep(d time.Duration) {
+	c.sleeps <- d
+	c.ScaledClock.Sleep(d)
+}
+
+func TestStopWaitsForInFlightInvoke(t *testing.T) {
+	cfg := fastCfg()
+	// Sized to the invocation's two sleeps (cold start, execution).
+	clock := sleepSignalClock{NewScaledClock(1000), make(chan time.Duration, 2)}
+	cfg.Clock = clock
+	p := NewPlatform(cfg, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
+
+	const exec = time.Minute // 60ms real
+	type result struct {
+		out Outcome
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		out, err := p.Invoke("app", "fn", exec, 128)
+		done <- result{out, err}
+	}()
+	for d := range clock.sleeps {
+		if d == exec {
+			break // the execution has started
+		}
+	}
+	p.Stop()
+	stoppedAt := clock.Now()
+
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("in-flight Invoke failed: %v", r.err)
+	}
+	if r.out.End.After(stoppedAt) {
+		t.Fatalf("Stop returned at %v, before the in-flight execution ended at %v", stoppedAt, r.out.End)
+	}
+	if s := p.ClusterStats(); s.LoadedContainers != 0 || s.Unloads != 1 {
+		t.Fatalf("after Stop: %d containers loaded, %d unloads; want 0 and 1", s.LoadedContainers, s.Unloads)
+	}
+	if _, err := p.Invoke("app", "fn", 0, 128); err == nil {
+		t.Fatal("Invoke after Stop succeeded")
+	}
+}
+
+func TestStopCancelsPendingPrewarm(t *testing.T) {
+	p := NewPlatform(fastCfg(), alwaysPrewarmPolicy{pw: time.Minute, ka: 2 * time.Minute})
+	if _, err := p.Invoke("app", "fn", 0, 256); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case v := <-b.Subscribe("t"):
-		if v.(int) != 42 {
-			t.Fatalf("got %v", v)
-		}
-	default:
-		t.Fatal("message not delivered")
-	}
-}
-
-func TestBusClosedRejectsPublish(t *testing.T) {
-	b := NewBus()
-	b.Close()
-	if err := b.Publish("t", 1); err == nil {
-		t.Fatal("expected error on closed bus")
-	}
-	b.Close() // idempotent
-}
-
-func TestBusFullTopic(t *testing.T) {
-	b := NewBus()
-	for i := 0; i < topicBuffer; i++ {
-		if err := b.Publish("t", i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Publish("t", -1); err == nil {
-		t.Fatal("expected backpressure error")
+	p.Stop()
+	// The pre-warm may have fired before Stop on a loaded box; it must
+	// not fire after.
+	before := p.ClusterStats().Prewarms
+	p.cfg.Clock.Sleep(2 * time.Minute) // past the pre-warm window
+	if s := p.ClusterStats(); s.Prewarms != before || s.LoadedContainers != 0 {
+		t.Fatalf("pre-warm scheduled before Stop ran after it: %d pre-warms at Stop, then %+v", before, s)
 	}
 }

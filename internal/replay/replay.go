@@ -151,22 +151,19 @@ func schedule(tr *trace.Trace, opt Options) []event {
 }
 
 // sleepCtx waits d on the (possibly scaled) clock, returning early
-// with ctx.Err() on cancellation. Clock sleeps don't take a context,
-// so the sleep runs in a goroutine raced against ctx; on cancellation
-// the goroutine is abandoned and expires with its timer.
+// with ctx.Err() on cancellation, when it stops the clock timer so an
+// abandoned wait leaves nothing behind.
 func sleepCtx(ctx context.Context, clock platform.Clock, d time.Duration) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	done := make(chan struct{})
-	go func() {
-		clock.Sleep(d)
-		close(done)
-	}()
+	t := clock.AfterFunc(d, func() { close(done) })
 	select {
 	case <-done:
 		return nil
 	case <-ctx.Done():
+		t.Stop()
 		return ctx.Err()
 	}
 }

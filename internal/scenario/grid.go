@@ -89,6 +89,9 @@ func ParseGrid(s string) (Grid, error) {
 				if err := probe.set(key, v); err != nil {
 					return Grid{}, err
 				}
+				if err := probe.normalize(); err != nil {
+					return Grid{}, err
+				}
 			}
 			g.Axes = append(g.Axes, Axis{Key: key, Values: values})
 			continue

@@ -8,9 +8,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"runtime"
 	"strings"
-	"sync"
 )
 
 // Process fan-out: RunSweepProcs runs each schedulable unit of a sweep
@@ -123,48 +121,11 @@ func RunSweepProcs(ctx context.Context, cells []Scenario, procs int, opts ...Opt
 		return nil, err
 	}
 
-	if procs <= 0 {
-		procs = runtime.GOMAXPROCS(0)
-	}
-	if procs > len(units) {
-		procs = len(units)
-	}
-	results := make([]unitResult, len(units))
-	errs := make([]error, len(units))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	go func() {
-		defer close(next)
-		for i := range units {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	for w := 0; w < procs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				res, err := runProcUnit(ctx, exe, units[i])
-				if err != nil {
-					errs[i] = &CellError{Index: units[i].cell, Scenario: units[i].sc, Err: err}
-					continue
-				}
-				results[i] = res
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	results, err := runUnits(ctx, units, procs, func(ctx context.Context, u unit) (unitResult, error) {
+		return runProcUnit(ctx, exe, u)
+	})
+	if err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return assembleReport(cells, unitsPerCell, results)
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/policy"
@@ -207,52 +208,10 @@ func RunSweep(ctx context.Context, cells []Scenario, opts ...Option) (*SweepRepo
 		return nil, err
 	}
 
-	workers := o.sweepWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(units) {
-		workers = len(units)
-	}
-
-	results := make([]unitResult, len(units))
-	errs := make([]error, len(units))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	go func() {
-		defer close(next)
-		for i := range units {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				res, err := runUnit(ctx, units[i])
-				if err != nil {
-					errs[i] = &CellError{Index: units[i].cell, Scenario: units[i].sc, Err: err}
-					continue
-				}
-				results[i] = res
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	results, err := runUnits(ctx, units, o.sweepWorkers, runUnit)
+	if err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	return assembleReport(cells, unitsPerCell, results)
 }
 
@@ -292,6 +251,50 @@ func expandUnits(cells []Scenario, opens []openFn) ([]unit, [][]int, error) {
 		}
 	}
 	return units, unitsPerCell, nil
+}
+
+// runUnits executes every unit with run on at most workers goroutines
+// (0 = GOMAXPROCS), in the pool both sweep paths share: workers take
+// the next unit off an atomic cursor until the units run out or ctx is
+// done. It returns ctx.Err() when the context ended, otherwise the
+// first failed unit's error (in unit order) as a CellError.
+func runUnits(ctx context.Context, units []unit, workers int, run func(context.Context, unit) (unitResult, error)) ([]unitResult, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(units))
+	results := make([]unitResult, len(units))
+	errs := make([]error, len(units))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= len(units) {
+					return
+				}
+				res, err := run(ctx, units[i])
+				if err != nil {
+					errs[i] = &CellError{Index: units[i].cell, Scenario: units[i].sc, Err: err}
+					continue
+				}
+				results[i] = res
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
 }
 
 // assembleReport merges the executed units back into per-cell results:

@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -46,7 +47,7 @@ type Scenario struct {
 	// Cluster, when non-nil, runs the finite-memory multi-node engine
 	// instead of the per-app batch simulator.
 	Cluster *ClusterSpec `json:"cluster,omitempty"`
-	// Sinks lists metric-sink specs ("coldstart?q=50,75", "waste",
+	// Sinks lists metric-sink specs ("coldstart?q=50:75", "waste",
 	// "attribution", "util"). Empty selects the defaults: coldstart and
 	// waste, plus attribution and util on cluster runs.
 	Sinks []string `json:"sinks,omitempty"`
@@ -151,9 +152,9 @@ func parseScenarioJSON(data []byte) (Scenario, error) {
 	return sc, nil
 }
 
-// set assigns one text-grammar field. It is also the assignment path
-// Grid axes use, so every way of building a scenario validates
-// identically.
+// set assigns one text-grammar field, parsing but not validating it:
+// range checks live in normalize, which every parse path — text, JSON
+// and Grid axes, which assign through set — runs afterwards.
 func (sc *Scenario) set(key, val string) error {
 	switch key {
 	case "source":
@@ -162,13 +163,13 @@ func (sc *Scenario) set(key, val string) error {
 		sc.Policy = val
 	case "cluster.nodes":
 		n, err := strconv.Atoi(val)
-		if err != nil || n <= 0 {
+		if err != nil {
 			return fmt.Errorf("scenario: cluster.nodes: want a positive integer, got %q", val)
 		}
 		sc.ensureCluster().Nodes = n
 	case "cluster.mem":
 		mb, err := strconv.ParseFloat(val, 64)
-		if err != nil || mb < 0 {
+		if err != nil {
 			return fmt.Errorf("scenario: cluster.mem: want MB per node (0 = infinite), got %q", val)
 		}
 		sc.ensureCluster().NodeMemMB = mb
@@ -191,22 +192,14 @@ func (sc *Scenario) set(key, val string) error {
 		}
 		sc.ensureCluster().Events = cluster.EventsString(evs)
 	case "sinks":
-		sc.Sinks = nil
-		for _, s := range strings.Split(val, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				sc.Sinks = append(sc.Sinks, s)
-			}
-		}
+		sc.Sinks = strings.Split(val, ",")
 	case "workers":
 		n, err := strconv.Atoi(val)
-		if err != nil || n < 0 {
+		if err != nil {
 			return fmt.Errorf("scenario: workers: want a non-negative integer, got %q", val)
 		}
 		sc.Workers = n
 	case "shard":
-		if _, _, _, err := parseShardField(val); err != nil {
-			return err
-		}
 		sc.Shard = val
 	case "exectime":
 		switch val {
@@ -238,24 +231,61 @@ func (sc *Scenario) ensureCluster() *ClusterSpec {
 	return sc.Cluster
 }
 
-// normalize applies structural invariants shared by the text and JSON
-// parse paths: a present cluster section has Nodes >= 1, and the
-// shard designator is well-formed.
+// normalize is the one validator of both forms: ParseScenario runs it
+// after the text or JSON decode, and grids after every axis
+// assignment. It trims string fields, drops empty sinks, gives a
+// present cluster section at least one node, canonicalizes the event
+// list, and rejects what the text form cannot carry or would not
+// re-parse: a negative count, a negative or non-finite memory size, a
+// ';' in any field (it separates fields) and a ',' inside a sink spec
+// (it separates sinks; quantile lists take ':'). So a scenario that
+// parses renders a String that parses back to the same String.
 func (sc *Scenario) normalize() error {
-	if sc.Cluster != nil {
-		if sc.Cluster.Nodes == 0 {
-			sc.Cluster.Nodes = 1
+	type field struct {
+		key string
+		val *string
+	}
+	fields := []field{{"source", &sc.Source}, {"policy", &sc.Policy}, {"shard", &sc.Shard}}
+	if c := sc.Cluster; c != nil {
+		fields = append(fields, field{"cluster.place", &c.Placement}, field{"cluster.memcsv", &c.MemCSV})
+	}
+	for _, f := range fields {
+		*f.val = strings.TrimSpace(*f.val)
+		if strings.Contains(*f.val, ";") {
+			return fmt.Errorf("scenario: %s: %q contains ';', which separates fields", f.key, *f.val)
 		}
-		if sc.Cluster.Nodes < 0 {
-			return fmt.Errorf("scenario: cluster.nodes: want a positive integer, got %d", sc.Cluster.Nodes)
+	}
+	var sinks []string
+	for _, s := range sc.Sinks {
+		s = strings.TrimSpace(s)
+		if strings.ContainsAny(s, ";,") {
+			return fmt.Errorf("scenario: sinks: %q contains ';' or ',', which separate fields and sinks (list quantiles with ':')", s)
+		}
+		if s != "" {
+			sinks = append(sinks, s)
+		}
+	}
+	sc.Sinks = sinks
+	if sc.Workers < 0 {
+		return fmt.Errorf("scenario: workers: want a non-negative integer, got %d", sc.Workers)
+	}
+	if c := sc.Cluster; c != nil {
+		if c.Nodes == 0 {
+			c.Nodes = 1
+		}
+		if c.Nodes < 0 {
+			return fmt.Errorf("scenario: cluster.nodes: want a positive integer, got %d", c.Nodes)
+		}
+		if c.NodeMemMB < 0 || math.IsNaN(c.NodeMemMB) || math.IsInf(c.NodeMemMB, 0) {
+			return fmt.Errorf("scenario: cluster.mem: want finite MB per node >= 0 (0 = infinite), got %g", c.NodeMemMB)
 		}
 		// Canonicalize the event list (the JSON path accepts the same
 		// grammar, including ';' separators, as raw text).
-		evs, err := cluster.ParseEvents(sc.Cluster.Events)
+		evs, err := cluster.ParseEvents(c.Events)
 		if err != nil {
 			return fmt.Errorf("scenario: cluster.events: %w", err)
 		}
-		sc.Cluster.Events = cluster.EventsString(evs)
+		c.Events = cluster.EventsString(evs)
 	}
 	if sc.Shard != "" {
 		if _, _, _, err := parseShardField(sc.Shard); err != nil {

@@ -66,6 +66,12 @@ func TestScenarioTextJSONAgree(t *testing.T) {
 			"source=gen:apps=10; policy=hybrid; cluster.mem=2048",
 			`{"source": "gen:apps=10", "policy": "hybrid", "cluster": {"mem": 2048}}`,
 		},
+		{
+			// JSON strings are trimmed and empty sinks dropped, as the
+			// text grammar's field split does.
+			"policy=hybrid; sinks=coldstart?q=50:75, waste",
+			`{"policy": " hybrid ", "sinks": ["coldstart?q=50:75", "", " waste "]}`,
+		},
 	}
 	for _, c := range cases {
 		fromText, err := ParseScenario(c.text)
@@ -116,6 +122,14 @@ func TestScenarioParseErrors(t *testing.T) {
 		{"cluster.nodes=2; cluster.events=boom@1h:node=0", "cluster.events"},
 		{"cluster.nodes=2; cluster.events=fail@1h", "cluster.events"},
 		{`{"cluster": {"nodes": 2, "events": "fail@-1h:node=0"}}`, "cluster.events"},
+		// The JSON form is held to the text form's rules (normalize
+		// validates both), and neither takes what String cannot render.
+		{`{"cluster": {"mem": -5}}`, "cluster.mem"},
+		{`{"workers": -3}`, "workers"},
+		{"cluster.mem=NaN", "cluster.mem"},
+		{"cluster.mem=Inf", "cluster.mem"},
+		{`{"source": "csv:a;b"}`, "separates fields"},
+		{`{"sinks": ["coldstart?q=50,75"]}`, "list quantiles with ':'"},
 	}
 	for _, c := range cases {
 		_, err := ParseScenario(c.spec)

@@ -13,7 +13,7 @@ import (
 
 // The sink registry maps short names to builders of metric sinks,
 // extending the policy-spec discipline to the measurement axis. A
-// sink spec is "name?key=value" ("coldstart?q=50,75,99", "waste",
+// sink spec is "name?key=value" ("coldstart?q=50:75:99", "waste",
 // "attribution", "util"); a built Sink consumes one run's outcomes
 // and reports named summary metrics, and same-spec sinks merge
 // exactly (integer counters and binned distributions) so sharded runs
@@ -66,7 +66,7 @@ func RegisterSink(name string, b SinkBuilder) { sinkReg.Register(name, b) }
 // SinkNames returns the registered sink names, sorted.
 func SinkNames() []string { return sinkReg.Names() }
 
-// NewSink builds a registered sink from a spec ("coldstart?q=50,75").
+// NewSink builds a registered sink from a spec ("coldstart?q=50:75").
 func NewSink(s string) (Sink, error) { return sinkReg.New(s) }
 
 // coldStartScenarioSink reports quantiles of the per-app cold-start

@@ -5,7 +5,7 @@
 //
 // with URL query syntax after the name — "hybrid?cv=2&range=4h" for a
 // policy, "binpack?order=invocations" for a placement,
-// "coldstart?q=50,75,99" for a metrics sink. Params carries the parsed
+// "coldstart?q=50:75:99" for a metrics sink. Params carries the parsed
 // parameters to a builder with typed accessors that record which keys
 // were consumed, and Build — the only way to a Params — rejects specs
 // with leftover (misspelled) keys, so a typo fails fast instead of
