@@ -323,17 +323,12 @@ func (e *engine) preassign() {
 // whole merged invocation stream — the only schedule under which a
 // view-dependent placement's residency reads are well-defined.
 func (e *engine) runGlobal(ctx context.Context) error {
-	total := 0
-	for ai := range e.states {
-		total += len(e.states[ai].walk.times)
+	all := make([]int32, len(e.states))
+	for ai := range all {
+		all[ai] = int32(ai)
 	}
-	sh := shard{e: e, invs: make([]inv, 0, total)}
-	for ai := range e.states {
-		for _, t := range e.states[ai].walk.times {
-			sh.invs = append(sh.invs, inv{t: t, app: int32(ai)})
-		}
-	}
-	sortInvs(sh.invs)
+	sh := shard{e: e}
+	sh.buildStream(all)
 	// Timed cluster events enter the queue up front; cevent.app carries
 	// the event's Config.Events index, so equal-time events pop in
 	// spec order. Events past the horizon cannot be observed.
@@ -348,9 +343,9 @@ func (e *engine) runGlobal(ctx context.Context) error {
 // runSharded is the oblivious-placement fast path: every app is
 // pre-assigned and each node's timeline runs to completion
 // independently, workerCount at a time. Walks are produced per node
-// just in time — a worker computes its current node's walks, buckets
-// and sorts that node's invocation stream, replays the timeline, and
-// releases the walks before stealing the next node. Only
+// just in time — a worker computes its current node's walks, builds
+// that node's invocation stream (buildStream), replays the timeline,
+// and releases the walks before stealing the next node. Only
 // O(workers × apps-per-node) walks are ever live, instead of O(apps);
 // everything else (assignment, per-app results) stays O(apps) scalars.
 // Node timelines share no mutable state (all cluster coupling is
@@ -402,21 +397,10 @@ func (e *engine) runSharded(ctx context.Context) error {
 					walks = make([]appWalk, len(apps))
 				}
 				walks = walks[:len(apps)]
-				total := 0
 				for wi, ai := range apps {
 					e.produceWalk(ai, &sc, &walks[wi])
-					total += len(walks[wi].times)
 				}
-				sh.invs = sh.invs[:0]
-				if cap(sh.invs) < total {
-					sh.invs = make([]inv, 0, total)
-				}
-				for wi, ai := range apps {
-					for _, t := range walks[wi].times {
-						sh.invs = append(sh.invs, inv{t: t, app: ai})
-					}
-				}
-				sortInvs(sh.invs)
+				sh.buildStream(apps)
 				sh.reset()
 				errs[n] = sh.timeline(ctx)
 				e.releaseWalks(apps)

@@ -82,7 +82,8 @@ type Event struct {
 func (ev Event) String() string {
 	s := fmt.Sprintf("%s@%s:node=%d", ev.Kind, formatEventTime(ev.At), ev.Node)
 	if ev.Kind == EventResize {
-		s += "&mem=" + strconv.FormatFloat(ev.MemMB, 'g', -1, 64)
+		// Plain decimal: an exponent's '+' would decode as a space.
+		s += "&mem=" + strconv.FormatFloat(ev.MemMB, 'f', -1, 64)
 	}
 	return s
 }
@@ -209,12 +210,19 @@ func formatEventTime(sec float64) string {
 	return s
 }
 
-// validateEvents checks event targets against the cluster shape.
+// validateEvents holds programmatic events to the rules ParseEvents
+// enforces, and checks their targets against the cluster shape.
 func validateEvents(evs []Event, nodes int) error {
 	for _, ev := range evs {
-		if ev.Node >= nodes {
-			return fmt.Errorf("cluster: event %s: node %d out of range (cluster has %d nodes)",
-				ev, ev.Node, nodes)
+		switch {
+		case ev.Kind > EventResize:
+			return fmt.Errorf("cluster: event %s: unknown kind", ev)
+		case ev.At < 0 || math.IsNaN(ev.At) || math.IsInf(ev.At, 0):
+			return fmt.Errorf("cluster: event %s: want a non-negative finite time", ev)
+		case ev.Node < 0 || ev.Node >= nodes:
+			return fmt.Errorf("cluster: event %s: node %d out of range (cluster has %d nodes)", ev, ev.Node, nodes)
+		case ev.Kind == EventResize && (math.IsNaN(ev.MemMB) || math.IsInf(ev.MemMB, 0)):
+			return fmt.Errorf("cluster: event %s: resize needs a finite mem=MB (0 = infinite)", ev)
 		}
 	}
 	return nil

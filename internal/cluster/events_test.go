@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -95,12 +96,27 @@ func TestParseEventsErrors(t *testing.T) {
 			t.Errorf("ParseEvents(%q) = %v, want error containing %q", tc.in, err, tc.want)
 		}
 	}
-	// Node targets are validated against the cluster shape at run time.
+	// Programmatic events skip the parser: the run holds them to the
+	// same rules and checks node targets against the cluster shape.
 	tr := &trace.Trace{Duration: 100 * time.Second, Apps: []*trace.App{fn("a", 100, 0, 0)}}
-	_, err := Run(t.Context(), trace.NewTraceSource(tr), policy.FixedKeepAlive{KeepAlive: time.Minute},
-		Config{Nodes: 2, Events: []Event{{At: 10, Kind: EventFail, Node: 5}}})
-	if err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("out-of-range event node: %v", err)
+	for _, tc := range []struct {
+		ev   Event
+		want string
+	}{
+		{Event{At: 10, Kind: EventFail, Node: 5}, "out of range"},
+		{Event{At: 10, Kind: EventFail, Node: -1}, "out of range"},
+		{Event{At: math.NaN(), Kind: EventFail, Node: 0}, "non-negative finite"},
+		{Event{At: -1, Kind: EventDrain, Node: 0}, "non-negative finite"},
+		{Event{At: math.Inf(1), Kind: EventJoin, Node: 0}, "non-negative finite"},
+		{Event{At: 10, Kind: EventKind(9), Node: 0}, "unknown kind"},
+		{Event{At: 10, Kind: EventResize, Node: 0, MemMB: math.NaN()}, "finite mem"},
+		{Event{At: 10, Kind: EventResize, Node: 0, MemMB: math.Inf(1)}, "finite mem"},
+	} {
+		_, err := simulate(t.Context(), tr, policy.FixedKeepAlive{KeepAlive: time.Minute},
+			Config{Nodes: 2, Events: []Event{tc.ev}})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("event %+v: %v, want error containing %q", tc.ev, err, tc.want)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 const (
 	evCluster = iota // Config.Events incident; app = event index, gen-free
 	evReload
-	evInvoke // implicit: the merged invocation stream, never heaped
+	evInvoke // implicit: the shard's invocation stream (buildStream), never heaped
 	evUnload
 	evFlush // drained container's execution ended; app = flush index, gen-free
 )
@@ -41,7 +41,7 @@ type drainFlush struct {
 	memMB float64
 }
 
-// inv is one invocation in a shard's merged stream.
+// inv is one invocation in a shard's stream.
 type inv struct {
 	t   float64
 	app int32
@@ -57,8 +57,9 @@ type victimEntry struct {
 	vix      uint32
 }
 
-// shard drives one slice of the cluster: a merged invocation stream
-// and the container-event queue for the apps on its nodes. The sharded
+// shard drives one slice of the cluster: an invocation stream, built
+// by buildStream in (time, app) order from its apps' walks, and the
+// container-event queue for the apps on its nodes. The sharded
 // (oblivious-placement) path runs one shard per node; the global
 // (view-dependent) path runs a single shard spanning every node. All
 // per-node mechanics below are identical on both paths — only the
@@ -68,6 +69,7 @@ type shard struct {
 	e       *engine
 	invs    []inv
 	q       eventQueue    // container-event heap (queue.go)
+	buckets []int32       // buildStream scratch: per-bucket counts, then offsets
 	skip    []victimEntry // pickVictim scratch: executing containers set aside
 	flushes []drainFlush  // pending drain-outs, indexed by evFlush events
 }
@@ -79,20 +81,66 @@ func (s *shard) reset() {
 	s.q.reset()
 }
 
-// sortInvs orders a merged invocation stream by (time, app index) —
-// the same total order the event comparators use. The comparison-based
-// sort avoids sort.Slice's reflection; equal keys only arise for one
-// app's simultaneous invocations, which are indistinguishable.
-func sortInvs(invs []inv) {
-	slices.SortFunc(invs, func(a, b inv) int {
-		if a.t != b.t {
-			if a.t < b.t {
-				return -1
-			}
-			return 1
+// cmpInv orders a merged invocation stream by (time, app index) — the
+// same total order the event comparators use. Equal keys only arise
+// for one app's simultaneous invocations, which are indistinguishable.
+func cmpInv(a, b inv) int {
+	if a.t != b.t {
+		if a.t < b.t {
+			return -1
 		}
-		return int(a.app) - int(b.app)
-	})
+		return 1
+	}
+	return int(a.app) - int(b.app)
+}
+
+// buildStream fills s.invs with the apps' invocations in cmpInv order:
+// one pass counts them into nb equal-width time buckets over
+// [0, horizon], a second writes each straight into its bucket's slots,
+// and only each bucket's handful is compared. The clamped bucket index
+// is monotone in t, so the stream is exactly the sorted one. Both
+// buffers are reused across nodes; the cap bounds the counts' memory.
+func (s *shard) buildStream(apps []int32) {
+	states := s.e.states
+	n := 0
+	for _, ai := range apps {
+		n += len(states[ai].walk.times)
+	}
+	s.invs = slices.Grow(s.invs[:0], n)[:n]
+	nb := min(n/4+1, 1<<16)
+	s.buckets = slices.Grow(s.buckets[:0], nb)[:nb]
+	counts := s.buckets
+	clear(counts)
+	scale := 0.0
+	if s.e.horizon > 0 {
+		scale = float64(nb) / s.e.horizon
+	}
+	bucket := func(t float64) int { return int(min(max(t*scale, 0), float64(nb-1))) }
+	for _, ai := range apps {
+		for _, t := range states[ai].walk.times {
+			counts[bucket(t)]++
+		}
+	}
+	var start int32
+	for b, c := range counts {
+		counts[b] = start
+		start += c
+	}
+	// Scatter: counts[b] advances from bucket b's start to its end.
+	for _, ai := range apps {
+		for _, t := range states[ai].walk.times {
+			b := bucket(t)
+			s.invs[counts[b]] = inv{t: t, app: ai}
+			counts[b]++
+		}
+	}
+	lo := int32(0)
+	for _, hi := range counts {
+		if hi-lo > 1 {
+			slices.SortFunc(s.invs[lo:hi], cmpInv)
+		}
+		lo = hi
+	}
 }
 
 // timeline is the discrete-event loop: the shard's invocation stream
