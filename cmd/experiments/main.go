@@ -64,7 +64,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	start := time.Now() //wildlint:allow wallclock
+	start := time.Now()
 	figs, err := experiments.RunAll(ctx, cfg, os.Stderr)
 	if err != nil {
 		log.Fatal(err)
@@ -81,7 +81,7 @@ func main() {
 	}
 	fmt.Fprintf(w, "Serverless in the Wild — regenerated evaluation (%d apps, %v days, seed %d)\n",
 		*apps, *days, *seed)
-	fmt.Fprintf(w, "run time: %v\n\n", time.Since(start).Round(time.Second)) //wildlint:allow wallclock
+	fmt.Fprintf(w, "run time: %v\n\n", time.Since(start).Round(time.Second))
 	experiments.RenderAll(figs, w)
 	if *out != "" {
 		fmt.Printf("report written to %s\n", *out)

@@ -94,7 +94,7 @@ func main() {
 	}
 	var rec *serve.Recorder
 	if *record != "" {
-		rec = serve.NewRecorder(time.Now()) //wildlint:allow wallclock
+		rec = serve.NewRecorder(time.Now())
 		cfg.Recorder = rec
 	}
 

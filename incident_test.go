@@ -15,8 +15,8 @@ import (
 )
 
 // TestIncidentCorpusInvariant runs every checked-in incident scenario
-// (testdata/scenarios/*.json — the chaos-event corpus the CI golden
-// matrix diffs) against the batch simulator and asserts the cold-start
+// (testdata/scenarios/*.json — the chaos-event corpus whose goldens
+// TestDeterminismByReexecution diffs byte for byte) against the batch simulator and asserts the cold-start
 // attribution identity app by app:
 //
 //	cluster cold starts = policy cold starts (sim)
@@ -52,11 +52,6 @@ func TestIncidentCorpusInvariant(t *testing.T) {
 			if sc.Cluster == nil || sc.Cluster.Events == "" {
 				t.Fatalf("incident scenario %s carries no cluster.events", name)
 			}
-			// Goldens must stay in lockstep with the scenarios.
-			if _, err := os.Stat(strings.TrimSuffix(path, ".json") + ".golden"); err != nil {
-				t.Errorf("incident %s has no golden: %v", name, err)
-			}
-
 			tr := incidentTrace(t, sc.Source)
 			events, err := cluster.ParseEvents(sc.Cluster.Events)
 			if err != nil {
@@ -128,8 +123,8 @@ func incidentTrace(t *testing.T, spec string) *trace.Trace {
 
 // TestIncidentGoldensParse pins that the committed goldens are the
 // JSON report format (one cell per incident) and carry the failure
-// attribution metric — the CI matrix diffs them byte for byte, this
-// keeps them structurally honest even when regenerated.
+// attribution metric — TestDeterminismByReexecution diffs them byte
+// for byte, this keeps them structurally honest even when regenerated.
 func TestIncidentGoldensParse(t *testing.T) {
 	goldens, err := filepath.Glob(filepath.Join("testdata", "scenarios", "*.golden"))
 	if err != nil {

@@ -52,9 +52,8 @@ func (c Config) withDefaults() Config {
 // RunAll regenerates every figure. Progress lines go to progress (may
 // be nil). Cancellation via ctx is honored between figures and inside
 // the platform replay (the longest single step); a canceled run
-// returns ctx.Err() with no figures.
-//
-//wildlint:allow wallclock — per-figure progress timers
+// returns ctx.Err() with no figures. Progress lines carry per-figure
+// wall-clock timers; the figures themselves never read the clock.
 func RunAll(ctx context.Context, cfg Config, progress io.Writer) ([]*Figure, error) {
 	cfg = cfg.withDefaults()
 	logf := func(format string, args ...any) {

@@ -41,7 +41,6 @@ func (s *ColdStartSink) UnmarshalState(data []byte) error {
 	}
 	*s = ColdStartSink{count: st.Count}
 	// Order-invariant: each entry writes its own fixed bin index.
-	//wildlint:orderinvariant
 	for b, n := range st.Bins {
 		if b < 0 || b >= coldBins {
 			return fmt.Errorf("metrics: cold-start state bin %d out of range", b)

@@ -108,9 +108,8 @@ func (s *ColdStartSink) ThirdQuartile() float64 { return s.Quantile(75) }
 
 // WastedMemorySink incrementally totals wasted memory time plus the
 // invocation and cold-start counters the evaluation normalizes by.
-// The float total is summed in sink-arrival order, which is
-// nondeterministic under a parallel Run — run-to-run results may
-// differ in the low bits (the integer counters are exact always).
+// The float total is summed in sink-arrival order, which every engine
+// makes ascending app order, so it repeats to the last bit.
 type WastedMemorySink struct {
 	wastedSeconds float64
 	invocations   int64

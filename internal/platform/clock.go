@@ -34,8 +34,6 @@ type Clock interface {
 type RealClock struct{}
 
 // Now implements Clock.
-//
-//wildlint:allow wallclock
 func (RealClock) Now() time.Time { return time.Now() }
 
 // Sleep implements Clock.
@@ -56,8 +54,6 @@ type ScaledClock struct {
 
 // NewScaledClock creates a clock running scale× real time. Scale must
 // be >= 1.
-//
-//wildlint:allow wallclock
 func NewScaledClock(scale float64) *ScaledClock {
 	if scale < 1 {
 		scale = 1
@@ -66,8 +62,6 @@ func NewScaledClock(scale float64) *ScaledClock {
 }
 
 // Now implements Clock.
-//
-//wildlint:allow wallclock
 func (c *ScaledClock) Now() time.Time {
 	elapsed := time.Since(c.start)
 	return c.start.Add(time.Duration(float64(elapsed) * c.scale))

@@ -105,9 +105,9 @@ func (c *Controller) Invoke(app, fn string, exec time.Duration, memoryMB float64
 	// runs from the last execution end to this arrival (§3.4), tracked
 	// inside the decision service.
 	now := c.clock.Now()
-	t0 := time.Now() //wildlint:allow wallclock
+	t0 := time.Now()
 	d := c.dec.Decide(app, now)
-	c.overheadNs.Add(int64(time.Since(t0))) //wildlint:allow wallclock
+	c.overheadNs.Add(int64(time.Since(t0)))
 	c.overheadCount.Add(1)
 	if c.rec != nil {
 		c.rec.Record(app, fn, now)

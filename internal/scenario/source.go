@@ -82,7 +82,7 @@ func SourceNames() []string {
 	sourceMu.RLock()
 	defer sourceMu.RUnlock()
 	names := make([]string, 0, len(sourceReg))
-	//wildlint:orderinvariant
+	// Map order is discarded by the sort below.
 	for n := range sourceReg {
 		names = append(names, n)
 	}

@@ -20,15 +20,12 @@ type RunInfo struct {
 
 // ResultSink consumes per-app outcomes as the engine produces them.
 // index is the 0-based position of the app in the source's sequence.
-// Run serializes Consume calls (no locking needed inside sinks), but
-// under parallelism they arrive in nondeterministic index order —
-// order-sensitive aggregates (e.g. float summation) may therefore
-// differ in low bits between runs; index-addressed sinks (Collector)
-// are fully deterministic.
+// Run serializes Consume calls (no locking needed inside sinks) and
+// makes them in ascending index order on every path, so even
+// order-sensitive aggregates (float sums) repeat to the last bit.
 //
-// Sinks whose aggregates are commutative (totals, histograms) need
-// only Consume; sinks that also want the run's metadata additionally
-// implement RunStarter.
+// Sinks that also want the run's metadata additionally implement
+// RunStarter.
 type ResultSink interface {
 	Consume(index int, r AppResult)
 }
@@ -162,6 +159,9 @@ func runBatch(ctx context.Context, tr *trace.Trace, pol policy.Policy, cfg runCo
 // runStream simulates a one-at-a-time source: a producer goroutine
 // pulls apps, a bounded channel caps the apps in flight at
 // O(workers), and workers push outcomes to the sinks under a mutex.
+// Outcomes that finish ahead of a slower, lower-indexed app wait in a
+// reorder buffer rather than blocking their worker, so the sinks see
+// ascending index order, exactly as runBatch feeds them.
 func runStream(ctx context.Context, src trace.Source, pol policy.Policy, cfg runConfig) error {
 	workers := cfg.opt.Workers
 	if workers <= 0 {
@@ -194,7 +194,9 @@ func runStream(ctx context.Context, src trace.Source, pol policy.Policy, cfg run
 		}
 	}()
 
-	var mu sync.Mutex // serializes sink access
+	var mu sync.Mutex // serializes sink access and guards next, early
+	next := 0         // the index the sinks consume next
+	early := map[int]AppResult{}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -204,8 +206,19 @@ func runStream(ctx context.Context, src trace.Source, pol policy.Policy, cfg run
 			for it := range ch {
 				r := simulateApp(&ar, it.app, pol, horizon, cfg.opt)
 				mu.Lock()
-				for _, s := range cfg.sinks {
-					s.Consume(it.idx, r)
+				if it.idx != next {
+					early[it.idx] = r
+					mu.Unlock()
+					continue
+				}
+				for ok := true; ok; {
+					for _, s := range cfg.sinks {
+						s.Consume(next, r)
+					}
+					next++
+					if r, ok = early[next]; ok {
+						delete(early, next)
+					}
 				}
 				mu.Unlock()
 			}
