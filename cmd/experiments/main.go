@@ -1,13 +1,13 @@
 // Command experiments regenerates every table and figure of the
 // paper's evaluation (Figures 1-8 characterization, Figures 14-19
 // simulation, Figure 20 platform replay) and writes a text report.
-// Ctrl-C cancels the run cleanly (figure sweeps and the scaled-time
-// platform replay both honor the signal).
+// Ctrl-C cancels the run cleanly. The platform replay runs in virtual
+// time and repeats to the last digit, bar its real-time overhead note.
 //
 // Usage:
 //
 //	experiments -apps 1000 -days 7 -out experiments.txt
-//	experiments -skip-platform          # omit the scaled-time replay
+//	experiments -skip-platform          # omit the figure-20 replay
 //	experiments -policies 'hybrid?cv=5,fixed?ka=30m'   # extra sweep
 package main
 
@@ -36,7 +36,6 @@ func main() {
 		skipPlat = flag.Bool("skip-platform", false, "skip the figure-20 platform replay")
 		platApps = flag.Int("platform-apps", 68, "apps in the platform replay")
 		platHrs  = flag.Float64("platform-hours", 8, "platform replay window (hours)")
-		scale    = flag.Float64("platform-scale", 1800, "platform clock speedup")
 		policies = flag.String("policies", "", "comma-separated policy specs for an extra sweep (e.g. 'hybrid?cv=5,fixed?ka=30m')")
 	)
 	flag.Parse()
@@ -49,7 +48,6 @@ func main() {
 		Platform: experiments.PlatformConfig{
 			Apps:   *platApps,
 			Window: time.Duration(*platHrs * float64(time.Hour)),
-			Scale:  *scale,
 			Seed:   *seed,
 		},
 	}

@@ -138,6 +138,7 @@ func firstDiff(want, got []byte) string {
 var goldenPinnedPackages = []string{
 	"sim", "sim/kernel", "cluster", "metrics", "scenario",
 	"workload", "trace", "policy", "ithist", "arima", "stats",
+	"replay",
 }
 
 // randAllowed are the math/rand and math/rand/v2 names that touch no

@@ -1,7 +1,7 @@
-// Platform replay: boot the in-process OpenWhisk-analogue cluster on
-// an accelerated clock, replay a mid-popularity slice of a workload
-// under the fixed and hybrid policies, and compare cold starts, worker
-// memory and latency — the paper's §5.3 experiment in miniature.
+// Platform replay: boot the in-process OpenWhisk-analogue cluster in
+// virtual time, replay a mid-popularity slice of a workload under the
+// fixed and hybrid policies, and compare cold starts, worker memory
+// and latency — the paper's §5.3 experiment in miniature.
 package main
 
 import (
@@ -19,7 +19,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	// Replays run in (scaled) real time; Ctrl-C cancels mid-flight.
+	// Ctrl-C cancels a replay mid-flight.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -34,27 +34,20 @@ func main() {
 		log.Fatal(err)
 	}
 	// The paper replays 68 mid-popularity apps for 8 hours; we replay a
-	// smaller slice at 3600x so the example finishes in seconds.
+	// smaller slice.
 	sel := replay.SelectMidPopularity(pop.Trace, 24, 1)
 	window := 2 * time.Hour
 
 	run := func(pol wild.Policy) *wild.ReplayReport {
-		p := wild.NewPlatform(wild.PlatformConfig{
-			NumInvokers: 4,
-			Clock:       wild.NewScaledClock(3600),
-		}, pol)
-		defer p.Stop()
-		rep, err := wild.ReplayContext(ctx, p, sel, wild.ReplayOptions{
-			Limit: window, UseExecTime: true, Concurrency: 128,
-		})
+		rep, err := wild.ReplayContext(ctx, wild.PlatformConfig{NumInvokers: 4}, pol, sel,
+			wild.ReplayOptions{Limit: window, UseExecTime: true})
 		if err != nil {
 			log.Fatal(err)
 		}
 		return rep
 	}
 
-	fmt.Printf("replaying %d apps for %v of trace time (3600x real time)...\n\n",
-		len(sel.Apps), window)
+	fmt.Printf("replaying %d apps for %v of trace time...\n\n", len(sel.Apps), window)
 	fixed := run(wild.MustFromSpec("fixed?ka=10m"))
 	hybrid := run(wild.MustFromSpec("hybrid"))
 

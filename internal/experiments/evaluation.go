@@ -305,8 +305,6 @@ type PlatformConfig struct {
 	Apps int
 	// Window truncates the replay (paper: 8 hours).
 	Window time.Duration
-	// Scale is the virtual-clock speedup (e.g. 1800 replays 8h in 16s).
-	Scale float64
 	// Invokers is the worker count (paper: 18).
 	Invokers int
 	// Seed drives the app selection.
@@ -320,9 +318,6 @@ func (c PlatformConfig) withDefaults() PlatformConfig {
 	if c.Window == 0 {
 		c.Window = 8 * time.Hour
 	}
-	if c.Scale == 0 {
-		c.Scale = 1800
-	}
 	if c.Invokers == 0 {
 		c.Invokers = 18
 	}
@@ -333,7 +328,7 @@ func (c PlatformConfig) withDefaults() PlatformConfig {
 // policy vs the 10-minute fixed keep-alive on the in-process platform,
 // replaying mid-popularity apps. It reports the cold-start CDFs, the
 // worker-memory reduction, latency improvements and policy overhead.
-// The replay runs in scaled real time; ctx cancels it mid-flight.
+// The replay runs in virtual time; ctx cancels it mid-flight.
 func Figure20(ctx context.Context, tr *trace.Trace, cfg PlatformConfig) (*Figure, error) {
 	cfg = cfg.withDefaults()
 	f := &Figure{
@@ -360,15 +355,8 @@ func Figure20(ctx context.Context, tr *trace.Trace, cfg PlatformConfig) (*Figure
 	// container instantiation and runtime init are eliminated on warm
 	// starts).
 	run := func(pol policy.Policy) (*replay.Report, error) {
-		p := platform.NewPlatform(platform.Config{
-			NumInvokers: cfg.Invokers,
-			Clock:       platform.NewScaledClock(cfg.Scale),
-		}, pol)
-		defer p.Stop()
-		return replay.Replay(ctx, p, sel, replay.Options{
-			Limit:       cfg.Window,
-			Concurrency: 256,
-		})
+		return replay.Replay(ctx, platform.Config{NumInvokers: cfg.Invokers}, pol, sel,
+			replay.Options{Limit: cfg.Window})
 	}
 
 	fixedRep, err := run(policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
@@ -389,27 +377,10 @@ func Figure20(ctx context.Context, tr *trace.Trace, cfg PlatformConfig) (*Figure
 		f.AddNote("worker memory reduction: %.1f%% (paper: 15.6%%)",
 			100*(1-hybridRep.Cluster.MemoryMBSeconds/fixedRep.Cluster.MemoryMBSeconds))
 	}
-	// Latency: measuring wall latency through the scaled clock
-	// amplifies scheduler jitter (1ms of real descheduling is seconds
-	// of virtual time), so the latency comparison uses the
-	// deterministic cold-start-attributable overhead instead — the
-	// same mechanism behind the paper's latency reductions (warm
-	// containers skip instantiation and runtime init).
-	coldOverhead := func(r *replay.Report) float64 {
-		var cold, inv int
-		for _, a := range r.Apps {
-			cold += a.ColdStarts
-			inv += a.Invocations
-		}
-		if inv == 0 {
-			return 0
-		}
-		return float64(cold) / float64(inv)
-	}
-	fo, ho := coldOverhead(fixedRep), coldOverhead(hybridRep)
-	if fo > 0 {
-		f.AddNote("cold-start-attributable latency reduction: %.1f%% (paper: 32.5%% mean / 82.4%% p99)",
-			100*(1-ho/fo))
+	if fixedRep.MeanLatency > 0 {
+		f.AddNote("latency reduction: %.1f%% mean / %.1f%% p99 (paper: 32.5%% mean / 82.4%% p99)",
+			100*(1-float64(hybridRep.MeanLatency)/float64(fixedRep.MeanLatency)),
+			100*(1-float64(hybridRep.P99Latency)/float64(fixedRep.P99Latency)))
 	}
 	f.AddNote("hybrid policy decision overhead: %v mean (paper: 835.7us in Scala)",
 		hybridRep.PolicyOverheadMean)

@@ -141,9 +141,6 @@ func TestFigure19ARIMAHelpsAlwaysCold(t *testing.T) {
 }
 
 func TestFigure20PlatformExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("platform replay runs in scaled real time")
-	}
 	pop, err := workload.Generate(workload.Config{
 		Seed: 9, NumApps: 120, Duration: 24 * time.Hour,
 		MaxDailyRate: 400, MaxEventsPerFunction: 500,
@@ -152,7 +149,7 @@ func TestFigure20PlatformExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, err := Figure20(context.Background(), pop.Trace, PlatformConfig{
-		Apps: 20, Window: time.Hour, Scale: 3600, Invokers: 4, Seed: 1,
+		Apps: 20, Window: time.Hour, Invokers: 4, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

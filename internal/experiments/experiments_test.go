@@ -180,7 +180,7 @@ func BenchmarkFigures(b *testing.B) {
 		{"17", onTrace(Figure17)}, {"18", onTrace(Figure18)}, {"19", onTrace(Figure19)},
 		{"20", func() (*Figure, error) {
 			return Figure20(context.Background(), pop.Trace, PlatformConfig{
-				Apps: 12, Window: 30 * time.Minute, Scale: 7200, Invokers: 4, Seed: 1,
+				Apps: 12, Window: 30 * time.Minute, Invokers: 4, Seed: 1,
 			})
 		}},
 		{"ForecasterAblation", onTrace(ForecasterAblation)},

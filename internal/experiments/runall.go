@@ -22,8 +22,7 @@ type Config struct {
 	MaxEventsPerFunction int
 	// Workers bounds simulation parallelism (0 = GOMAXPROCS).
 	Workers int
-	// SkipPlatform disables the Figure 20 platform replay (which runs
-	// in scaled real time).
+	// SkipPlatform disables the Figure 20 platform replay.
 	SkipPlatform bool
 	// Platform configures Figure 20.
 	Platform PlatformConfig
@@ -51,9 +50,9 @@ func (c Config) withDefaults() Config {
 
 // RunAll regenerates every figure. Progress lines go to progress (may
 // be nil). Cancellation via ctx is honored between figures and inside
-// the platform replay (the longest single step); a canceled run
-// returns ctx.Err() with no figures. Progress lines carry per-figure
-// wall-clock timers; the figures themselves never read the clock.
+// the platform replay; a canceled run returns ctx.Err() with no
+// figures. Progress lines carry per-figure wall-clock timers; the
+// figures themselves never read the clock.
 func RunAll(ctx context.Context, cfg Config, progress io.Writer) ([]*Figure, error) {
 	cfg = cfg.withDefaults()
 	logf := func(format string, args ...any) {

@@ -7,20 +7,23 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/serve"
 )
 
 // dispatchState is the controller's per-application bookkeeping: the
 // invoker pin, the registered memory footprint, the pending pre-warm
-// timer and the app's invocation counters. The policy side of per-app
-// state (the histogram, idle tracking, decision path) lives in the
-// serve controller, behind its sharded locks.
+// and the app's invocation counters. The policy side of per-app state
+// (the histogram, idle tracking, decision path) lives in the serve
+// controller, behind its sharded locks.
 type dispatchState struct {
 	mu          sync.Mutex
 	memoryMB    float64
 	invoker     int
-	prewarm     *time.Timer
+	prewarm     Timer     // pending pre-warm, due at prewarmAt
+	prewarmAt   time.Time // and loading for prewarmKA
+	prewarmKA   time.Duration
 	invocations int
 	coldStarts  int
 }
@@ -29,22 +32,25 @@ type dispatchState struct {
 // modified Load Balancer (§4.3, modification #1). Keep-alive
 // decisions flow through the internal/serve decision service, while
 // the controller keeps what is platform-specific: invoker pinning,
-// activation dispatch, and pre-warm scheduling on the (possibly
-// scaled) clock.
+// activation dispatch, and pre-warm scheduling on the platform clock.
 type Controller struct {
 	clock    Clock
 	dec      *serve.Controller
 	rec      *serve.Recorder // optional incident-stream capture
 	invokers []*Invoker
 
-	// life is the platform lock: every invocation and every pre-warm
-	// holds it shared, stop holds it exclusively, so stop returns only
-	// after in-flight work and nothing loads a container after it.
-	life    sync.RWMutex
-	stopped bool
+	// life guards stopped: invocations and pre-warms hold it shared
+	// while they start, stop exclusively, so nothing starts or loads a
+	// container after stop, which waits out inflight invocations.
+	life     sync.RWMutex
+	stopped  bool
+	inflight sync.WaitGroup
 
 	mu   sync.Mutex
 	apps map[string]*dispatchState
+
+	latHist *metrics.LatencyHistogram // bounded: 960 counters however long the platform lives
+	latSum  atomic.Int64              // nanoseconds, exact, so the mean carries no bucket error
 
 	// overheadNs and overheadCount accumulate the real time spent in
 	// policy decisions, backing the §5.3 overhead measurements.
@@ -59,6 +65,7 @@ func newController(clock Clock, pol policy.Policy, invokers []*Invoker, rec *ser
 		rec:      rec,
 		invokers: invokers,
 		apps:     make(map[string]*dispatchState),
+		latHist:  metrics.NewLatencyHistogram(),
 	}
 }
 
@@ -82,29 +89,35 @@ func (c *Controller) state(app string, memoryMB float64) *dispatchState {
 	return st
 }
 
-// Invoke runs one function invocation on its app's invoker, on the
-// caller's goroutine, and returns the outcome once it completes.
-func (c *Controller) Invoke(app, fn string, exec time.Duration, memoryMB float64) (Outcome, error) {
+// invoke starts one function invocation on its app's invoker and calls
+// done with the outcome once it completes.
+func (c *Controller) invoke(app, fn string, exec time.Duration, memoryMB float64, done func(Outcome, error)) {
 	c.life.RLock()
-	defer c.life.RUnlock()
 	if c.stopped {
-		return Outcome{}, fmt.Errorf("platform: invoking %s/%s: platform stopped", app, fn)
+		c.life.RUnlock()
+		done(Outcome{}, fmt.Errorf("platform: invoking %s/%s: platform stopped", app, fn))
+		return
 	}
+	c.inflight.Add(1)
 	st := c.state(app, memoryMB)
+	now := c.clock.Now()
 
-	// Cancel any pending pre-warm; the invocation supersedes it.
+	// Cancel any pending pre-warm; the invocation supersedes it. One
+	// due now has not fired only because it ties with this arrival: it
+	// loads first, as the simulator's reload-before-invocation order
+	// has it (kernel.Classify).
 	st.mu.Lock()
-	if st.prewarm != nil {
-		st.prewarm.Stop()
-		st.prewarm = nil
-	}
 	inv := c.invokers[st.invoker]
+	if st.prewarm != nil && st.prewarm.Stop() && !now.Before(st.prewarmAt) {
+		inv.prewarm(app, st.memoryMB, st.prewarmKA)
+	}
+	st.prewarm = nil
 	st.mu.Unlock()
+	c.life.RUnlock()
 
 	// Policy decision for the window after this execution: idle time
 	// runs from the last execution end to this arrival (§3.4), tracked
 	// inside the decision service.
-	now := c.clock.Now()
 	t0 := time.Now()
 	d := c.dec.Decide(app, now)
 	c.overheadNs.Add(int64(time.Since(t0)))
@@ -113,43 +126,55 @@ func (c *Controller) Invoke(app, fn string, exec time.Duration, memoryMB float64
 		c.rec.Record(app, fn, now)
 	}
 
-	ka := keepAliveFor(d)
+	ka := d.KeepAlive
+	if d.Forever {
+		ka = 365 * 24 * time.Hour // effectively infinite at experiment scale
+	}
 	prewarm := !d.Forever && d.PreWarm > 0
-	out := inv.activate(activation{
+	inv.activate(activation{
 		app: app, fn: fn, exec: exec, memoryMB: memoryMB,
 		keepAlive: ka, unloadAfterExec: prewarm,
-	})
-
-	c.dec.CompleteExec(app, out.End)
-	st.mu.Lock()
-	st.invocations++
-	if out.Cold {
-		st.coldStarts++
-	}
-	// Schedule the pre-warm after the execution that just finished.
-	if prewarm {
-		mem := st.memoryMB
-		st.prewarm = c.clock.AfterFunc(d.PreWarm, func() {
-			c.life.RLock()
-			defer c.life.RUnlock()
-			if !c.stopped {
-				inv.prewarm(app, mem, ka)
+	}, func(out Outcome) {
+		c.dec.CompleteExec(app, out.End)
+		c.latSum.Add(int64(out.Latency))
+		c.latHist.Observe(out.Latency)
+		st.mu.Lock()
+		st.invocations++
+		if out.Cold {
+			st.coldStarts++
+		}
+		// Schedule the pre-warm after the execution that just finished,
+		// replacing one an overlapping execution scheduled.
+		if prewarm {
+			if st.prewarm != nil {
+				st.prewarm.Stop()
 			}
-		})
-	}
-	st.mu.Unlock()
-	return out, nil
+			mem := st.memoryMB
+			st.prewarmAt, st.prewarmKA = out.End.Add(d.PreWarm), ka
+			st.prewarm = c.clock.AfterFunc(d.PreWarm, func() {
+				c.life.RLock()
+				defer c.life.RUnlock()
+				if !c.stopped {
+					inv.prewarm(app, mem, ka)
+				}
+			})
+		}
+		st.mu.Unlock()
+		done(out, nil)
+		c.inflight.Done()
+	})
 }
 
 // stop waits out in-flight invocations, cancels pending pre-warms and
 // drops every container. Invocations after it return an error.
 func (c *Controller) stop() {
 	c.life.Lock()
-	defer c.life.Unlock()
-	if c.stopped {
-		return
-	}
 	c.stopped = true
+	c.life.Unlock()
+	c.inflight.Wait()
+
+	c.life.Lock()
+	defer c.life.Unlock()
 	c.mu.Lock()
 	for _, st := range c.apps {
 		st.mu.Lock()
@@ -163,16 +188,6 @@ func (c *Controller) stop() {
 	for _, inv := range c.invokers {
 		inv.dropAll()
 	}
-}
-
-// keepAliveFor translates a policy decision into the keep-alive stamp
-// carried on the activation; Forever maps to a year, effectively
-// infinite at experiment scale.
-func keepAliveFor(d policy.Decision) time.Duration {
-	if d.Forever {
-		return 365 * 24 * time.Hour
-	}
-	return d.KeepAlive
 }
 
 // PolicyOverhead returns the mean real-time cost of one policy

@@ -1,6 +1,8 @@
 package platform
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"time"
 )
@@ -46,10 +48,8 @@ type container struct {
 	app      string
 	memoryMB float64
 	loadedAt time.Time
-	busy     int // in-flight executions
-	// keepAlive is the retention currently in force.
-	keepAlive time.Duration
-	timer     *time.Timer
+	busy     int   // in-flight executions
+	timer    Timer // pending keep-alive expiry
 }
 
 // InvokerStats summarizes one invoker's activity.
@@ -69,8 +69,9 @@ type InvokerStats struct {
 // Invoker hosts containers and executes activations, mirroring the
 // OpenWhisk Invoker with the paper's modified ContainerProxy that
 // honours per-activation keep-alive (§4.3, modification #3). It has no
-// goroutine of its own: activations run on the invoking caller's,
-// pre-warms and keep-alive expiries on clock timers'.
+// goroutine of its own: an activation starts on the invoking caller's
+// and goes on in clock timer callbacks, as pre-warms and keep-alive
+// expiries do.
 type Invoker struct {
 	id    int
 	clock Clock
@@ -98,6 +99,7 @@ func newInvoker(id int, clock Clock, coldStart, runtimeInit time.Duration) *Invo
 
 // dropAll unloads every container, settling its memory integral.
 func (inv *Invoker) dropAll() {
+	inv.settledStats()
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
 	for app, c := range inv.containers {
@@ -105,78 +107,69 @@ func (inv *Invoker) dropAll() {
 	}
 }
 
-// Stats returns a snapshot of the invoker's counters.
-func (inv *Invoker) Stats() InvokerStats {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	s := inv.stats
-	s.LoadedContainers = len(inv.containers)
-	return s
-}
-
-// activate runs one invocation and blocks until it completes: warm if
-// a container is loaded, otherwise a cold start pays the instantiation
-// delay.
-func (inv *Invoker) activate(a activation) Outcome {
+// activate runs one invocation and calls done with its outcome once it
+// completes: warm if a container is loaded, otherwise after a cold
+// start pays the instantiation delay. The cold start and the execution
+// are clock timers, so activate never blocks; a warm zero-length
+// execution completes before it returns.
+func (inv *Invoker) activate(a activation, done func(Outcome)) {
 	arrive := inv.clock.Now()
-
-	inv.mu.Lock()
-	c, warm := inv.containers[a.app]
-	if warm {
-		c.busy++
-		if c.timer != nil {
-			c.timer.Stop()
-			c.timer = nil
-		}
-	}
-	inv.mu.Unlock()
-
-	if !warm {
-		// Cold start: instantiate the container, load runtime.
-		inv.clock.Sleep(inv.coldStart + inv.runtimeInit)
-		inv.mu.Lock()
-		// Another in-flight activation may have raced us; reuse if so.
-		if existing, ok := inv.containers[a.app]; ok {
-			c = existing
-		} else {
+	// run starts the execution, on the app's container if one is loaded
+	// (another in-flight cold start may have loaded it). The caller holds
+	// inv.mu, which run releases.
+	run := func(cold bool) {
+		c, ok := inv.containers[a.app]
+		if !ok {
 			c = &container{app: a.app, memoryMB: a.memoryMB, loadedAt: inv.clock.Now()}
 			inv.containers[a.app] = c
 		}
+		if cold {
+			inv.stats.ColdStarts++
+		} else {
+			inv.stats.WarmStarts++
+		}
 		c.busy++
 		if c.timer != nil {
 			c.timer.Stop()
 			c.timer = nil
 		}
-		inv.stats.ColdStarts++
 		inv.mu.Unlock()
-	} else {
-		inv.mu.Lock()
-		inv.stats.WarmStarts++
-		inv.mu.Unlock()
-	}
-
-	start := inv.clock.Now()
-	if a.exec > 0 {
-		inv.clock.Sleep(a.exec)
-	}
-	end := inv.clock.Now()
-
-	inv.mu.Lock()
-	c.busy--
-	if c.busy == 0 {
-		if a.unloadAfterExec {
-			inv.dropLocked(a.app, c)
+		start := inv.clock.Now()
+		finish := func() {
+			end := inv.clock.Now()
+			inv.mu.Lock()
+			c.busy--
+			if c.busy == 0 {
+				if a.unloadAfterExec {
+					inv.dropLocked(a.app, c)
+				} else {
+					inv.armKeepAliveLocked(c, a.keepAlive)
+				}
+			}
+			inv.mu.Unlock()
+			done(Outcome{
+				App: a.app, Function: a.fn,
+				Cold: cold, Latency: end.Sub(arrive),
+				Start: start, End: end, Invoker: inv.id,
+			})
+		}
+		if a.exec > 0 {
+			inv.clock.AfterFunc(a.exec, finish)
 		} else {
-			inv.armKeepAliveLocked(c, a.keepAlive)
+			finish()
 		}
 	}
-	inv.mu.Unlock()
-
-	return Outcome{
-		App: a.app, Function: a.fn,
-		Cold: !warm, Latency: end.Sub(arrive),
-		Start: start, End: end, Invoker: inv.id,
+	inv.mu.Lock()
+	if _, warm := inv.containers[a.app]; warm {
+		run(false)
+		return
 	}
+	inv.mu.Unlock()
+	// Cold start: instantiate the container, load runtime.
+	inv.clock.AfterFunc(inv.coldStart+inv.runtimeInit, func() {
+		inv.mu.Lock()
+		run(true)
+	})
 }
 
 // prewarm loads a container ahead of a predicted invocation.
@@ -201,7 +194,6 @@ func (inv *Invoker) armKeepAliveLocked(c *container, ka time.Duration) {
 	if ka <= 0 {
 		ka = time.Nanosecond
 	}
-	c.keepAlive = ka
 	app := c.app
 	c.timer = inv.clock.AfterFunc(ka, func() {
 		inv.mu.Lock()
@@ -229,24 +221,19 @@ func (inv *Invoker) dropLocked(app string, c *container) {
 	delete(inv.containers, app)
 }
 
-// SettleMemory folds the memory of still-loaded containers into the
-// integral as of now (call when an experiment ends).
-func (inv *Invoker) SettleMemory() {
+// settledStats folds the memory of still-loaded containers into the
+// integral as of now, in app order so that it repeats to the last bit,
+// and returns the invoker's counters.
+func (inv *Invoker) settledStats() InvokerStats {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
 	now := inv.clock.Now()
-	for _, c := range inv.containers {
-		if resident := now.Sub(c.loadedAt); resident > 0 {
-			inv.stats.MemoryMBSeconds += c.memoryMB * resident.Seconds()
-			c.loadedAt = now
-		}
+	for _, app := range slices.Sorted(maps.Keys(inv.containers)) {
+		c := inv.containers[app]
+		inv.stats.MemoryMBSeconds += c.memoryMB * now.Sub(c.loadedAt).Seconds()
+		c.loadedAt = now
 	}
-}
-
-// Loaded reports whether the app currently has a container.
-func (inv *Invoker) Loaded(app string) bool {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	_, ok := inv.containers[app]
-	return ok
+	s := inv.stats
+	s.LoadedContainers = len(inv.containers)
+	return s
 }

@@ -2,10 +2,8 @@ package platform
 
 import (
 	"sort"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/serve"
 )
@@ -22,13 +20,13 @@ type Config struct {
 	// RuntimeInitDelay is the language runtime initiation cost
 	// (default 10ms, §5.3's O(10ms)).
 	RuntimeInitDelay time.Duration
-	// Clock is the time source (default RealClock). Use a ScaledClock
-	// to replay hours of trace in seconds.
+	// Clock is the time source (default RealClock). A VirtualClock
+	// replays hours of trace in milliseconds.
 	Clock Clock
 	// Recorder, when set, captures every invocation routed through the
 	// controller (at the platform clock's timestamps) into an incident
-	// bundle recorder, for later what-if replay via
-	// replay.ReplayBundle.
+	// bundle recorder, for later what-if replay as a source=bundle:
+	// cell (scenario.RunSweep, coldsim -scenario).
 	Recorder *serve.Recorder
 }
 
@@ -51,15 +49,11 @@ func (c Config) withDefaults() Config {
 // Platform wires the controller and invokers into a runnable
 // in-process FaaS cluster (Figure 13). The controller calls the pinned
 // invoker directly: OpenWhisk's Kafka queue between the two is
-// omitted because every activation is blocking — the caller waits for
-// its outcome — so a queue would add a hand-off per invocation and
-// bound nothing.
+// omitted because an activation only changes state and sets clock
+// timers, so a queue would add a hand-off per invocation and bound
+// nothing.
 type Platform struct {
-	cfg        Config
 	controller *Controller
-
-	latHist *metrics.LatencyHistogram // bounded: 960 counters however long the platform lives
-	latSum  atomic.Int64              // nanoseconds, exact, so the mean carries no bucket error
 }
 
 // AppOutcome summarizes one application's invocations on the platform.
@@ -84,34 +78,38 @@ func NewPlatform(cfg Config, pol policy.Policy) *Platform {
 	for i := range invokers {
 		invokers[i] = newInvoker(i, cfg.Clock, cfg.ColdStartDelay, cfg.RuntimeInitDelay)
 	}
-	return &Platform{
-		cfg:        cfg,
-		controller: newController(cfg.Clock, pol, invokers, cfg.Recorder),
-		latHist:    metrics.NewLatencyHistogram(),
-	}
+	return &Platform{controller: newController(cfg.Clock, pol, invokers, cfg.Recorder)}
 }
 
-// Invoke runs one invocation synchronously and records its outcome.
-func (p *Platform) Invoke(app, fn string, exec time.Duration, memoryMB float64) (Outcome, error) {
-	out, err := p.controller.Invoke(app, fn, exec, memoryMB)
-	if err != nil {
-		return out, err
-	}
-	p.latSum.Add(int64(out.Latency))
-	p.latHist.Observe(out.Latency)
-	return out, nil
+// InvokeAsync starts one invocation and calls done with its outcome
+// once it completes, from the platform clock's timer callback, or
+// before InvokeAsync returns when a warm zero-length execution or an
+// error needs no timer.
+func (p *Platform) InvokeAsync(app, fn string, exec time.Duration, memoryMB float64, done func(Outcome, error)) {
+	p.controller.invoke(app, fn, exec, memoryMB, done)
+}
+
+// Invoke runs one invocation and blocks until it completes. It is for
+// live clocks, whose timers fire on their own; on a VirtualClock use
+// InvokeAsync and step the clock.
+func (p *Platform) Invoke(app, fn string, exec time.Duration, memoryMB float64) (out Outcome, err error) {
+	done := make(chan struct{})
+	p.InvokeAsync(app, fn, exec, memoryMB, func(o Outcome, e error) {
+		out, err = o, e
+		close(done)
+	})
+	<-done
+	return out, err
 }
 
 // Stop waits for in-flight invocations to finish, cancels pending
 // pre-warms and unloads every container. Invocations after Stop return
-// an error. Stop is idempotent.
+// an error. Stop is idempotent. On a VirtualClock, step the clock until
+// in-flight invocations complete before calling Stop.
 func (p *Platform) Stop() { p.controller.stop() }
 
 // Controller exposes the controller (for overhead measurements).
 func (p *Platform) Controller() *Controller { return p.controller }
-
-// Clock returns the platform's time source.
-func (p *Platform) Clock() Clock { return p.cfg.Clock }
 
 // AppOutcomes returns per-app summaries of the completed invocations,
 // sorted by app ID.
@@ -137,19 +135,19 @@ func (p *Platform) AppOutcomes() []AppOutcome {
 // are zero before the first invocation. Read it once invocations have
 // quiesced: the sum and the histogram are updated separately.
 func (p *Platform) LatencyStats() (mean, p99 time.Duration) {
-	n := p.latHist.Count()
+	c := p.controller
+	n := c.latHist.Count()
 	if n == 0 {
 		return 0, 0
 	}
-	return time.Duration(p.latSum.Load() / n), p.latHist.Quantile(99)
+	return time.Duration(c.latSum.Load() / n), c.latHist.Quantile(99)
 }
 
 // ClusterStats aggregates invoker counters, settling memory first.
 func (p *Platform) ClusterStats() InvokerStats {
 	var total InvokerStats
 	for _, inv := range p.controller.invokers {
-		inv.SettleMemory()
-		s := inv.Stats()
+		s := inv.settledStats()
 		total.ColdStarts += s.ColdStarts
 		total.WarmStarts += s.WarmStarts
 		total.Prewarms += s.Prewarms

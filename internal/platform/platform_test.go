@@ -1,79 +1,113 @@
 package platform
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/policy"
 )
 
-// fastCfg is a platform config with tiny real-time delays suited to
-// unit tests: virtual time is 1000x real time, so a virtual minute
-// passes in 60ms.
-func fastCfg() Config {
-	return Config{
-		NumInvokers:      2,
-		ColdStartDelay:   500 * time.Millisecond, // 0.5ms real
-		RuntimeInitDelay: 10 * time.Millisecond,
-		Clock:            NewScaledClock(1000),
+// virtualPlatform builds a two-invoker platform with the default
+// delays (500 ms cold start + 10 ms runtime init) on a virtual clock
+// starting at the zero time, which the test steps.
+func virtualPlatform(pol policy.Policy) (*Platform, *VirtualClock) {
+	clk := &VirtualClock{}
+	return NewPlatform(Config{NumInvokers: 2, Clock: clk}, pol), clk
+}
+
+// at is the virtual time d after the clock's start.
+func at(d time.Duration) time.Time { return time.Time{}.Add(d) }
+
+// invoke runs one invocation of app to completion, stepping clk until
+// it finishes.
+func invoke(t *testing.T, p *Platform, clk *VirtualClock, app string, exec time.Duration, mem float64) Outcome {
+	t.Helper()
+	var out *Outcome
+	p.InvokeAsync(app, "fn", exec, mem, func(o Outcome, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = &o
+	})
+	for out == nil && clk.Step() {
 	}
+	if out == nil {
+		t.Fatalf("invocation of %s never completed", app)
+	}
+	return *out
 }
 
 func TestColdThenWarm(t *testing.T) {
-	p := NewPlatform(fastCfg(), policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
+	p, clk := virtualPlatform(policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
 	defer p.Stop()
 
-	out1, err := p.Invoke("app1", "fn", 100*time.Millisecond, 128)
-	if err != nil {
-		t.Fatal(err)
+	if out := invoke(t, p, clk, "app1", 100*time.Millisecond, 128); !out.Cold || out.Latency != 610*time.Millisecond {
+		t.Fatalf("first invocation: cold=%v latency=%v, want cold in 610ms", out.Cold, out.Latency)
 	}
-	if !out1.Cold {
-		t.Fatal("first invocation must be cold")
-	}
-	out2, err := p.Invoke("app1", "fn", 100*time.Millisecond, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out2.Cold {
-		t.Fatal("second invocation within keep-alive must be warm")
-	}
-	if out2.Latency >= out1.Latency {
-		t.Fatalf("warm latency %v should beat cold %v", out2.Latency, out1.Latency)
+	if out := invoke(t, p, clk, "app1", 100*time.Millisecond, 128); out.Cold || out.Latency != 100*time.Millisecond {
+		t.Fatalf("second invocation: cold=%v latency=%v, want warm in 100ms", out.Cold, out.Latency)
 	}
 }
 
 func TestKeepAliveExpiryCausesCold(t *testing.T) {
-	p := NewPlatform(fastCfg(), policy.FixedKeepAlive{KeepAlive: time.Minute})
+	p, clk := virtualPlatform(policy.FixedKeepAlive{KeepAlive: time.Minute})
 	defer p.Stop()
 
-	if _, err := p.Invoke("app1", "fn", 0, 128); err != nil {
-		t.Fatal(err)
-	}
-	// Wait 3 virtual minutes (3ms real * 60... = 180ms real).
-	p.cfg.Clock.Sleep(3 * time.Minute)
-	out, err := p.Invoke("app1", "fn", 0, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Cold {
+	first := invoke(t, p, clk, "app1", 0, 128)
+	clk.RunUntil(first.End.Add(3 * time.Minute))
+	if out := invoke(t, p, clk, "app1", 0, 128); !out.Cold {
 		t.Fatal("invocation after keep-alive expiry must be cold")
 	}
-	stats := p.ClusterStats()
-	if stats.Unloads == 0 {
-		t.Fatal("expected at least one container unload")
+	if s := p.ClusterStats(); s.Unloads != 1 {
+		t.Fatalf("unloads = %d, want 1", s.Unloads)
+	}
+}
+
+// TestWindowEdgesAreInclusive pins the platform to the simulator's
+// order at equal times (kernel.Classify): a pre-warm due at an
+// arrival's instant loads first, and a keep-alive ending at it expires
+// after. One nanosecond outside either window is cold.
+func TestWindowEdgesAreInclusive(t *testing.T) {
+	const ka = time.Minute
+	p, clk := virtualPlatform(policy.FixedKeepAlive{KeepAlive: ka})
+	defer p.Stop()
+	edge := invoke(t, p, clk, "edge", 0, 64)
+	late := invoke(t, p, clk, "late", 0, 64)
+	clk.RunUntil(edge.End.Add(ka))
+	if out := invoke(t, p, clk, "edge", 0, 64); out.Cold {
+		t.Fatal("arrival exactly keep-alive after the execution was cold")
+	}
+	clk.RunUntil(late.End.Add(ka + time.Nanosecond))
+	if out := invoke(t, p, clk, "late", 0, 64); !out.Cold {
+		t.Fatal("arrival 1ns past the keep-alive was warm")
+	}
+
+	const pw = 5 * time.Minute
+	p, clk = virtualPlatform(alwaysPrewarmPolicy{pw: pw, ka: 2 * time.Minute})
+	defer p.Stop()
+	edge = invoke(t, p, clk, "edge", 0, 64)
+	early := invoke(t, p, clk, "early", 0, 64)
+	clk.RunUntil(edge.End.Add(pw))
+	if out := invoke(t, p, clk, "edge", 0, 64); out.Cold {
+		t.Fatal("arrival exactly at the pre-warm did not find the pre-warmed container")
+	}
+	clk.RunUntil(early.End.Add(pw - time.Nanosecond))
+	if out := invoke(t, p, clk, "early", 0, 64); !out.Cold {
+		t.Fatal("arrival 1ns before the pre-warm was warm")
+	}
+	if s := p.ClusterStats(); s.Prewarms != 1 {
+		t.Fatalf("pre-warms = %d, want 1", s.Prewarms)
 	}
 }
 
 func TestAppsPinnedToInvoker(t *testing.T) {
-	p := NewPlatform(fastCfg(), policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
+	p, clk := virtualPlatform(policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
 	defer p.Stop()
 	var invokers []int
 	for i := 0; i < 3; i++ {
-		out, err := p.Invoke("pinned", "fn", 0, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		invokers = append(invokers, out.Invoker)
+		invokers = append(invokers, invoke(t, p, clk, "pinned", 0, 64).Invoker)
 	}
 	if invokers[0] != invokers[1] || invokers[1] != invokers[2] {
 		t.Fatalf("app moved invokers: %v", invokers)
@@ -81,81 +115,83 @@ func TestAppsPinnedToInvoker(t *testing.T) {
 }
 
 func TestDistinctAppsIsolatedContainers(t *testing.T) {
-	p := NewPlatform(fastCfg(), policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
+	p, clk := virtualPlatform(policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
 	defer p.Stop()
-	if _, err := p.Invoke("a", "f", 0, 64); err != nil {
-		t.Fatal(err)
-	}
-	out, err := p.Invoke("b", "f", 0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Cold {
+	invoke(t, p, clk, "a", 0, 64)
+	if out := invoke(t, p, clk, "b", 0, 64); !out.Cold {
 		t.Fatal("first invocation of a different app must be cold")
 	}
 }
 
 func TestPrewarmProducesWarmStart(t *testing.T) {
 	// Hybrid policy with a pattern: invoke every 2 virtual minutes so
-	// the histogram learns, then check a later invocation is warm via
-	// pre-warming (or kept alive), not cold.
+	// the histogram learns; only the first invocation may be cold.
 	cfg := policy.DefaultHybridConfig()
 	cfg.MinObservations = 2
-	p := NewPlatform(fastCfg(), policy.NewHybrid(cfg))
+	p, clk := virtualPlatform(policy.NewHybrid(cfg))
 	defer p.Stop()
 
-	clock := p.cfg.Clock
 	var colds int
 	const rounds = 12
 	for i := 0; i < rounds; i++ {
-		out, err := p.Invoke("periodic", "fn", 0, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Cold {
+		clk.RunUntil(at(time.Duration(i) * 2 * time.Minute))
+		if invoke(t, p, clk, "periodic", 0, 100).Cold {
 			colds++
 		}
-		clock.Sleep(2 * time.Minute)
 	}
-	// The first is necessarily cold; the policy should keep the rest
-	// warm (standard keep-alive covers a 2-minute gap trivially).
-	if colds > 2 {
-		t.Fatalf("cold starts = %d/%d, policy failed to keep app warm", colds, rounds)
+	if colds != 1 {
+		t.Fatalf("cold starts = %d/%d, want only the first", colds, rounds)
 	}
 }
 
 func TestUnloadAfterExecWithPrewarmWindow(t *testing.T) {
-	// A policy that always returns PW=5min, KA=2min: container must be
-	// dropped right after execution, then prewarmed ~5 virtual minutes
-	// later.
-	p := NewPlatform(fastCfg(), alwaysPrewarmPolicy{pw: 5 * time.Minute, ka: 2 * time.Minute})
+	// A policy that always returns PW=5min, KA=2min: the container is
+	// dropped right after execution, then pre-warmed exactly 5 virtual
+	// minutes later.
+	const pw = 5 * time.Minute
+	p, clk := virtualPlatform(alwaysPrewarmPolicy{pw: pw, ka: 2 * time.Minute})
 	defer p.Stop()
 
-	if _, err := p.Invoke("app", "fn", 0, 256); err != nil {
-		t.Fatal(err)
-	}
-	inv := p.controller.invokers[p.controller.state("app", 256).invoker]
-	// The unload happens before Invoke returns.
-	if inv.Loaded("app") {
+	end := invoke(t, p, clk, "app", 0, 256).End
+	loaded := func() bool { return p.ClusterStats().LoadedContainers == 1 }
+	if loaded() {
 		t.Fatal("container should be unloaded right after execution")
 	}
-	// After the pre-warm window it must be loaded again.
-	p.cfg.Clock.Sleep(6 * time.Minute)
-	time.Sleep(20 * time.Millisecond)
-	if !inv.Loaded("app") {
-		t.Fatal("container should be pre-warmed after the window")
+	clk.RunUntil(end.Add(pw))
+	if loaded() {
+		t.Fatal("container pre-warmed before the window ended")
+	}
+	if !clk.Step() || !clk.Now().Equal(end.Add(pw)) || !loaded() {
+		t.Fatalf("container not pre-warmed at the window's end (clock at %v)", clk.Now().Sub(end))
 	}
 	// An invocation now is warm (middle scenario of Figure 9).
-	out, err := p.Invoke("app", "fn", 0, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Cold {
+	if out := invoke(t, p, clk, "app", 0, 256); out.Cold {
 		t.Fatal("invocation after pre-warm must be warm")
 	}
-	s := p.ClusterStats()
-	if s.Prewarms == 0 {
-		t.Fatal("expected prewarm count > 0")
+	if s := p.ClusterStats(); s.Prewarms != 1 {
+		t.Fatalf("pre-warms = %d, want 1", s.Prewarms)
+	}
+}
+
+// TestOverlappingExecutionsKeepOnePrewarm: when two executions of one
+// app overlap, each completion schedules a pre-warm, and the later one
+// must replace the earlier, or the next arrival cannot cancel it.
+func TestOverlappingExecutionsKeepOnePrewarm(t *testing.T) {
+	const pw = 5 * time.Minute
+	p, clk := virtualPlatform(alwaysPrewarmPolicy{pw: pw, ka: 2 * time.Minute})
+	defer p.Stop()
+
+	p.InvokeAsync("app", "a", 2*time.Minute, 64, func(Outcome, error) {})
+	clk.RunUntil(at(time.Minute))
+	invoke(t, p, clk, "app", 0, 64) // warm on a's container, pre-warm due at 6m
+	clk.RunUntil(at(5 * time.Minute))
+	end := invoke(t, p, clk, "app", 0, 64).End
+	clk.RunUntil(end.Add(pw))
+	if s := p.ClusterStats(); s.Prewarms != 0 {
+		t.Fatalf("%d pre-warm(s) fired before the last execution's, due at %v", s.Prewarms, end.Add(pw).Sub(at(0)))
+	}
+	if !clk.Step() || p.ClusterStats().Prewarms != 1 {
+		t.Fatal("the last execution's pre-warm did not fire")
 	}
 }
 
@@ -174,31 +210,22 @@ func (a alwaysPrewarmApp) NextWindows(time.Duration, bool) policy.Decision {
 }
 
 func TestMemoryAccounting(t *testing.T) {
-	p := NewPlatform(fastCfg(), policy.FixedKeepAlive{KeepAlive: time.Minute})
-	if _, err := p.Invoke("app", "fn", 0, 100); err != nil {
-		t.Fatal(err)
+	p, clk := virtualPlatform(policy.FixedKeepAlive{KeepAlive: time.Minute})
+	defer p.Stop()
+	end := invoke(t, p, clk, "app", 0, 100).End
+	clk.RunUntil(end.Add(30 * time.Second)) // half the keep-alive
+	if s := p.ClusterStats(); s.MemoryMBSeconds != 3000 {
+		t.Fatalf("memory integral = %v MB·s, want 100 MB for 30 s", s.MemoryMBSeconds)
 	}
-	p.cfg.Clock.Sleep(30 * time.Second) // half the keep-alive
-	s := p.ClusterStats()               // settles memory
-	// ~30 virtual seconds at 100MB → ~3000 MB·s; generous tolerance for
-	// scheduler jitter at 1000x.
-	if s.MemoryMBSeconds < 1000 || s.MemoryMBSeconds > 12000 {
-		t.Fatalf("memory integral = %v MB·s", s.MemoryMBSeconds)
-	}
-	p.Stop()
 }
 
 func TestAppOutcomesAggregation(t *testing.T) {
-	p := NewPlatform(fastCfg(), policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
+	p, clk := virtualPlatform(policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
 	defer p.Stop()
 	for i := 0; i < 3; i++ {
-		if _, err := p.Invoke("x", "f", 0, 64); err != nil {
-			t.Fatal(err)
-		}
+		invoke(t, p, clk, "x", 0, 64)
 	}
-	if _, err := p.Invoke("y", "f", 0, 64); err != nil {
-		t.Fatal(err)
-	}
+	invoke(t, p, clk, "y", 0, 64)
 	outs := p.AppOutcomes()
 	if len(outs) != 2 {
 		t.Fatalf("apps = %d", len(outs))
@@ -209,21 +236,20 @@ func TestAppOutcomesAggregation(t *testing.T) {
 	if cp := outs[1].ColdPercent(); cp != 100 {
 		t.Fatalf("y cold%% = %v", cp)
 	}
-	if n := p.latHist.Count(); n != 4 {
+	if n := p.controller.latHist.Count(); n != 4 {
 		t.Fatalf("latencies = %d", n)
 	}
-	if mean, p99 := p.LatencyStats(); mean <= 0 || p99 < mean {
+	// Two cold starts of 510 ms and two warm zero-length executions.
+	if mean, p99 := p.LatencyStats(); mean != 255*time.Millisecond || p99 < 510*time.Millisecond {
 		t.Fatalf("latency stats: mean=%v p99=%v", mean, p99)
 	}
 }
 
 func TestPolicyOverheadMeasured(t *testing.T) {
-	p := NewPlatform(fastCfg(), policy.NewHybrid(policy.DefaultHybridConfig()))
+	p, clk := virtualPlatform(policy.NewHybrid(policy.DefaultHybridConfig()))
 	defer p.Stop()
 	for i := 0; i < 5; i++ {
-		if _, err := p.Invoke("app", "fn", 0, 64); err != nil {
-			t.Fatal(err)
-		}
+		invoke(t, p, clk, "app", 0, 64)
 	}
 	mean, count := p.Controller().PolicyOverhead()
 	if count != 5 {
@@ -237,13 +263,13 @@ func TestPolicyOverheadMeasured(t *testing.T) {
 }
 
 func TestStopIdempotent(t *testing.T) {
-	p := NewPlatform(fastCfg(), policy.FixedKeepAlive{KeepAlive: time.Minute})
+	p, _ := virtualPlatform(policy.FixedKeepAlive{KeepAlive: time.Minute})
 	p.Stop()
 	p.Stop() // must not panic
 }
 
 func TestInvokeAfterStopErrors(t *testing.T) {
-	p := NewPlatform(fastCfg(), policy.FixedKeepAlive{KeepAlive: time.Minute})
+	p, _ := virtualPlatform(policy.FixedKeepAlive{KeepAlive: time.Minute})
 	p.Stop()
 	if _, err := p.Invoke("app", "fn", 0, 64); err == nil {
 		t.Fatal("expected error after Stop")
@@ -270,49 +296,33 @@ func TestScaledClockClampsScale(t *testing.T) {
 	}
 }
 
-// sleepSignalClock is a ScaledClock that announces every Sleep it
-// starts, so a test can act while an invocation is mid-execution.
-type sleepSignalClock struct {
-	*ScaledClock
-	sleeps chan time.Duration
-}
-
-func (c sleepSignalClock) Sleep(d time.Duration) {
-	c.sleeps <- d
-	c.ScaledClock.Sleep(d)
-}
-
 func TestStopWaitsForInFlightInvoke(t *testing.T) {
-	cfg := fastCfg()
-	// Sized to the invocation's two sleeps (cold start, execution).
-	clock := sleepSignalClock{NewScaledClock(1000), make(chan time.Duration, 2)}
-	cfg.Clock = clock
-	p := NewPlatform(cfg, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
+	p, clk := virtualPlatform(policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
+	var stopped atomic.Bool
+	completed := false
+	p.InvokeAsync("app", "fn", time.Minute, 128, func(_ Outcome, err error) {
+		completed = err == nil && !stopped.Load()
+	})
+	clk.Step() // the cold start: the execution is now in flight
 
-	const exec = time.Minute // 60ms real
-	type result struct {
-		out Outcome
-		err error
-	}
-	done := make(chan result, 1)
+	stopDone := make(chan struct{})
 	go func() {
-		out, err := p.Invoke("app", "fn", exec, 128)
-		done <- result{out, err}
+		p.Stop()
+		stopped.Store(true)
+		close(stopDone)
 	}()
-	for d := range clock.sleeps {
-		if d == exec {
-			break // the execution has started
+	for c := p.controller; ; runtime.Gosched() {
+		c.life.RLock()
+		closed := c.stopped
+		c.life.RUnlock()
+		if closed {
+			break
 		}
 	}
-	p.Stop()
-	stoppedAt := clock.Now()
-
-	r := <-done
-	if r.err != nil {
-		t.Fatalf("in-flight Invoke failed: %v", r.err)
-	}
-	if r.out.End.After(stoppedAt) {
-		t.Fatalf("Stop returned at %v, before the in-flight execution ended at %v", stoppedAt, r.out.End)
+	clk.Step() // the execution ends; only now may Stop return
+	<-stopDone
+	if !completed {
+		t.Fatal("the in-flight invocation failed, or completed after Stop returned")
 	}
 	if s := p.ClusterStats(); s.LoadedContainers != 0 || s.Unloads != 1 {
 		t.Fatalf("after Stop: %d containers loaded, %d unloads; want 0 and 1", s.LoadedContainers, s.Unloads)
@@ -323,16 +333,12 @@ func TestStopWaitsForInFlightInvoke(t *testing.T) {
 }
 
 func TestStopCancelsPendingPrewarm(t *testing.T) {
-	p := NewPlatform(fastCfg(), alwaysPrewarmPolicy{pw: time.Minute, ka: 2 * time.Minute})
-	if _, err := p.Invoke("app", "fn", 0, 256); err != nil {
-		t.Fatal(err)
-	}
+	p, clk := virtualPlatform(alwaysPrewarmPolicy{pw: time.Minute, ka: 2 * time.Minute})
+	invoke(t, p, clk, "app", 0, 256)
 	p.Stop()
-	// The pre-warm may have fired before Stop on a loaded box; it must
-	// not fire after.
-	before := p.ClusterStats().Prewarms
-	p.cfg.Clock.Sleep(2 * time.Minute) // past the pre-warm window
-	if s := p.ClusterStats(); s.Prewarms != before || s.LoadedContainers != 0 {
-		t.Fatalf("pre-warm scheduled before Stop ran after it: %d pre-warms at Stop, then %+v", before, s)
+	for clk.Step() { // past the pre-warm window
+	}
+	if s := p.ClusterStats(); s.Prewarms != 0 || s.LoadedContainers != 0 {
+		t.Fatalf("pre-warm scheduled before Stop ran after it: %+v", s)
 	}
 }

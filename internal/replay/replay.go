@@ -1,28 +1,24 @@
 // Package replay drives the in-process FaaS platform with invocation
 // traces, standing in for the FaaSProfiler trace replayer the paper
 // uses for its OpenWhisk experiments (§5.1, §5.3). Invocations fire at
-// their trace timestamps on the platform's (possibly accelerated)
-// clock, and the report aggregates the same quantities the paper's
-// Figure 20 shows: per-app cold-start percentages plus cluster memory
-// and latency statistics.
+// their trace timestamps on a virtual clock, and the report aggregates
+// the same quantities the paper's Figure 20 shows: per-app cold-start
+// percentages plus cluster memory and latency statistics.
 package replay
 
 import (
 	"context"
-	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/platform"
+	"repro/internal/policy"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
 // Options configures a replay run.
 type Options struct {
-	// Concurrency bounds in-flight invocations (default 64).
-	Concurrency int
 	// UseExecTime runs each function for its trace average execution
 	// time; otherwise executions are instantaneous.
 	UseExecTime bool
@@ -57,50 +53,34 @@ type event struct {
 	mem  float64
 }
 
-// Replay fires tr's invocations at p and blocks until all complete or
-// ctx is canceled. A replay runs in (scaled) real time — hours of
-// trace at low scale factors — so cancellation is checked before every
-// event and interrupts waits on the virtual clock; on cancellation the
-// in-flight invocations are drained and ctx.Err() is returned.
-func Replay(ctx context.Context, p *platform.Platform, tr *trace.Trace, opt Options) (*Report, error) {
-	if opt.Concurrency <= 0 {
-		opt.Concurrency = 64
-	}
+// Replay fires tr's invocations at a platform built from cfg and pol,
+// on a virtual clock of its own (cfg.Clock is ignored) that it steps
+// from this goroutine, so a replay repeats bit for bit, bar the
+// real-time PolicyOverheadMean. Cancellation is checked before every
+// arrival; on cancellation the in-flight invocations are drained and
+// ctx.Err() is returned.
+func Replay(ctx context.Context, cfg platform.Config, pol policy.Policy, tr *trace.Trace, opt Options) (*Report, error) {
 	events := schedule(tr, opt)
+	clock := &platform.VirtualClock{}
+	cfg.Clock = clock
+	p := platform.NewPlatform(cfg, pol)
+	defer p.Stop()
 
-	clock := p.Clock()
-	start := clock.Now()
-	sem := make(chan struct{}, opt.Concurrency)
-	var wg sync.WaitGroup
-	var firstErr error
-	var errMu sync.Once
-
+	// The platform is this replay's own and never stopped before the
+	// end, so no invocation fails.
+	pending := 0
 	for _, ev := range events {
-		// Wait on the virtual clock until the event is due.
-		due := start.Add(time.Duration(ev.t * float64(time.Second)))
-		if wait := due.Sub(clock.Now()); wait > 0 {
-			if err := sleepCtx(ctx, clock, wait); err != nil {
-				break
-			}
-		} else if ctx.Err() != nil {
+		if ctx.Err() != nil {
 			break
 		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(ev event) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if _, err := p.Invoke(ev.app, ev.fn, ev.exec, ev.mem); err != nil {
-				errMu.Do(func() { firstErr = fmt.Errorf("replay: %s/%s: %w", ev.app, ev.fn, err) })
-			}
-		}(ev)
+		clock.RunUntil(time.Time{}.Add(time.Duration(ev.t * float64(time.Second))))
+		pending++
+		p.InvokeAsync(ev.app, ev.fn, ev.exec, ev.mem, func(platform.Outcome, error) { pending-- })
 	}
-	wg.Wait()
+	for pending > 0 && clock.Step() {
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 
 	rep := &Report{
@@ -150,24 +130,6 @@ func schedule(tr *trace.Trace, opt Options) []event {
 	return events
 }
 
-// sleepCtx waits d on the (possibly scaled) clock, returning early
-// with ctx.Err() on cancellation, when it stops the clock timer so an
-// abandoned wait leaves nothing behind.
-func sleepCtx(ctx context.Context, clock platform.Clock, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	done := make(chan struct{})
-	t := clock.AfterFunc(d, func() { close(done) })
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		t.Stop()
-		return ctx.Err()
-	}
-}
-
 // ColdPercents returns the per-app cold-start percentages of a report.
 func (r *Report) ColdPercents() []float64 {
 	out := make([]float64, 0, len(r.Apps))
@@ -185,16 +147,12 @@ func (r *Report) ColdPercents() []float64 {
 // 12,383 invocations from 68 apps over 8 hours (~180 per app), i.e.
 // inter-arrival gaps of minutes — busy enough for the policy to learn
 // within the replay window, far from the always-warm top of the
-// popularity range. SelectMidPopularity therefore samples from the
-// [0.55, 0.92] popularity quantile band. Selection is deterministic
-// given seed.
+// popularity range. SelectMidPopularity therefore samples n apps
+// uniformly from the [0.55, 0.92] quantile band of the per-app
+// invocation-count distribution. Selection is deterministic given
+// seed.
 func SelectMidPopularity(tr *trace.Trace, n int, seed uint64) *trace.Trace {
-	return SelectPopularityBand(tr, n, seed, 0.55, 0.92)
-}
-
-// SelectPopularityBand samples n apps uniformly from the [loQ, hiQ]
-// quantile band of the per-app invocation-count distribution.
-func SelectPopularityBand(tr *trace.Trace, n int, seed uint64, loQ, hiQ float64) *trace.Trace {
+	const loQ, hiQ = 0.55, 0.92
 	type ranked struct {
 		app *trace.App
 		inv int

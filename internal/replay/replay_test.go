@@ -2,29 +2,19 @@ package replay
 
 import (
 	"context"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/platform"
 	"repro/internal/policy"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
-func fastPlatform(pol policy.Policy) *platform.Platform {
-	return scaledPlatform(pol, 2000)
-}
-
-// scaledPlatform runs the platform's clock at scale× wall time. Tests
-// asserting warm/cold outcomes need the keep-alive's distance from the
-// nearest gap to be far above scheduler jitter in *wall* time.
-func scaledPlatform(pol policy.Policy, scale float64) *platform.Platform {
-	return platform.NewPlatform(platform.Config{
-		NumInvokers:      2,
-		ColdStartDelay:   500 * time.Millisecond,
-		RuntimeInitDelay: 10 * time.Millisecond,
-		Clock:            platform.NewScaledClock(scale),
-	}, pol)
-}
+// cfg is two invokers with the default 500 ms cold start + 10 ms init.
+var cfg = platform.Config{NumInvokers: 2}
 
 func smallTrace() *trace.Trace {
 	return &trace.Trace{
@@ -45,13 +35,7 @@ func smallTrace() *trace.Trace {
 }
 
 func TestReplayFixedPolicy(t *testing.T) {
-	// A 3-minute keep-alive sits 2 virtual minutes from both app a's
-	// 1-minute gaps and app b's 5-minute gap; at 500x that is 240 ms of
-	// wall clock on either side, where 30 ms is within a loaded 2-vCPU
-	// box's scheduling jitter.
-	p := scaledPlatform(policy.FixedKeepAlive{KeepAlive: 3 * time.Minute}, 500)
-	defer p.Stop()
-	rep, err := Replay(context.Background(), p, smallTrace(), Options{})
+	rep, err := Replay(context.Background(), cfg, policy.FixedKeepAlive{KeepAlive: 3 * time.Minute}, smallTrace(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,33 +47,23 @@ func TestReplayFixedPolicy(t *testing.T) {
 	}
 	// App a: invocations 1 min apart with 3-min keep-alive → only first
 	// cold. App b: 5-min gap → both cold.
-	var a, b platform.AppOutcome
-	for _, ao := range rep.Apps {
-		switch ao.App {
-		case "a":
-			a = ao
-		case "b":
-			b = ao
-		}
+	if a, b := rep.Apps[0], rep.Apps[1]; a.ColdStarts != 1 || b.ColdStarts != 2 {
+		t.Fatalf("cold starts: %+v, want a 1 and b 2", rep.Apps)
 	}
-	if a.ColdStarts != 1 {
-		t.Fatalf("app a cold = %d, want 1", a.ColdStarts)
+	// Three cold starts of 510 ms, four warm zero-length executions.
+	if want := 3 * 510 * time.Millisecond / 7; rep.MeanLatency != want || rep.P99Latency < 510*time.Millisecond {
+		t.Fatalf("latencies: mean=%v p99=%v, want mean %v", rep.MeanLatency, rep.P99Latency, want)
 	}
-	if b.ColdStarts != 2 {
-		t.Fatalf("app b cold = %d, want 2", b.ColdStarts)
-	}
-	if rep.MeanLatency <= 0 || rep.P99Latency < rep.MeanLatency {
-		t.Fatalf("latencies: mean=%v p99=%v", rep.MeanLatency, rep.P99Latency)
-	}
-	if rep.Cluster.MemoryMBSeconds <= 0 {
-		t.Fatal("expected memory accounting")
+	// The replay ends with b's last cold start, at 330.51 s. By then a
+	// has been loaded since 0.51 s (330 s × 100 MB), and b's first
+	// container stayed 180 s (× 50 MB) until its keep-alive ran out.
+	if rep.Cluster.MemoryMBSeconds != 330*100+180*50 {
+		t.Fatalf("memory = %v MB·s, want %v", rep.Cluster.MemoryMBSeconds, 330*100+180*50)
 	}
 }
 
 func TestReplayLimit(t *testing.T) {
-	p := fastPlatform(policy.FixedKeepAlive{KeepAlive: time.Minute})
-	defer p.Stop()
-	rep, err := Replay(context.Background(), p, smallTrace(), Options{Limit: 90 * time.Second})
+	rep, err := Replay(context.Background(), cfg, policy.FixedKeepAlive{KeepAlive: time.Minute}, smallTrace(), Options{Limit: 90 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,15 +74,14 @@ func TestReplayLimit(t *testing.T) {
 }
 
 func TestReplayWithExecTime(t *testing.T) {
-	p := fastPlatform(policy.FixedKeepAlive{KeepAlive: 2 * time.Minute})
-	defer p.Stop()
-	rep, err := Replay(context.Background(), p, smallTrace(), Options{UseExecTime: true})
+	rep, err := Replay(context.Background(), cfg, policy.FixedKeepAlive{KeepAlive: 2 * time.Minute}, smallTrace(), Options{UseExecTime: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm latencies now include ~0.5 virtual seconds of execution.
-	if rep.MeanLatency < 100*time.Millisecond {
-		t.Fatalf("mean latency = %v, want >= exec time", rep.MeanLatency)
+	// a: one cold start (510 + 500 ms), four warm 500 ms executions;
+	// b: two cold starts (510 + 100 ms) 5 minutes apart.
+	if want := (1010 + 4*500 + 2*610) * time.Millisecond / 7; rep.MeanLatency != want {
+		t.Fatalf("mean latency = %v, want %v", rep.MeanLatency, want)
 	}
 }
 
@@ -124,15 +97,11 @@ func TestReplayHybridReducesColdStarts(t *testing.T) {
 			Functions: []*trace.Function{{ID: "f", Trigger: trace.TriggerTimer, Invocations: times}}}},
 	}
 
-	pf := fastPlatform(policy.FixedKeepAlive{KeepAlive: time.Minute})
-	fixedRep, err := Replay(context.Background(), pf, tr, Options{})
-	pf.Stop()
+	fixedRep, err := Replay(context.Background(), cfg, policy.FixedKeepAlive{KeepAlive: time.Minute}, tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph := fastPlatform(policy.NewHybrid(policy.DefaultHybridConfig()))
-	hybridRep, err := Replay(context.Background(), ph, tr, Options{})
-	ph.Stop()
+	hybridRep, err := Replay(context.Background(), cfg, policy.NewHybrid(policy.DefaultHybridConfig()), tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +111,38 @@ func TestReplayHybridReducesColdStarts(t *testing.T) {
 	}
 }
 
-func TestReplayAfterStopErrors(t *testing.T) {
-	p := fastPlatform(policy.FixedKeepAlive{KeepAlive: time.Minute})
-	p.Stop()
-	if _, err := Replay(context.Background(), p, smallTrace(), Options{}); err == nil {
-		t.Fatal("expected error replaying on stopped platform")
+// TestReplayRepeats: a replay is a function of its inputs. The same
+// hybrid replay, with execution times, run three times under
+// GOMAXPROCS 1 and 2, gives equal reports field by field; only the
+// policy overhead, measured in real time, may differ.
+func TestReplayRepeats(t *testing.T) {
+	pop, err := workload.Generate(workload.Config{
+		Seed: 3, NumApps: 60, Duration: 6 * time.Hour,
+		MaxDailyRate: 2000, MaxEventsPerFunction: 2000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *Report
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		for i := 0; i < 3; i++ {
+			rep, err := Replay(context.Background(), platform.Config{NumInvokers: 4},
+				policy.NewHybrid(policy.DefaultHybridConfig()), pop.Trace, Options{UseExecTime: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep.PolicyOverheadMean = 0
+			if first == nil {
+				first = rep
+			} else if !reflect.DeepEqual(rep, first) {
+				t.Errorf("GOMAXPROCS %d run %d differs:\n got %+v\nwant %+v", procs, i, rep, first)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+	if first.Invocations == 0 || first.Cluster.ColdStarts == 0 || first.Cluster.WarmStarts == 0 {
+		t.Fatalf("degenerate replay: %+v", first)
 	}
 }
 
@@ -191,39 +187,39 @@ func TestSelectMidPopularityFewApps(t *testing.T) {
 	}
 }
 
-// TestReplayCancellation proves a replay blocked on the virtual clock
-// returns promptly when its context is canceled — the previously
-// unstoppable long-run case. The platform runs at 1x real time with
-// events minutes apart, so only cancellation can end the replay fast.
-func TestReplayCancellation(t *testing.T) {
-	p := platform.NewPlatform(platform.Config{NumInvokers: 1}, policy.NoUnloading{})
-	defer p.Stop()
+// policyFunc is a policy whose every app decides with f.
+type policyFunc func() policy.Decision
 
+func (f policyFunc) Name() string                                    { return "test-func" }
+func (f policyFunc) NewApp(string) policy.AppPolicy                  { return f }
+func (f policyFunc) NextWindows(time.Duration, bool) policy.Decision { return f() }
+
+// TestReplayCancellation: a replay canceled mid-flight, here by its
+// policy's 3rd decision, returns context.Canceled and fires no arrival
+// after the cancellation.
+func TestReplayCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := Replay(ctx, p, smallTrace(), Options{})
-		done <- err
-	}()
-	time.Sleep(50 * time.Millisecond) // let the replay park on the clock
-	cancel()
-	select {
-	case err := <-done:
-		if err != context.Canceled {
-			t.Fatalf("err = %v, want context.Canceled", err)
+	defer cancel()
+	decisions := 0
+	pol := policyFunc(func() policy.Decision {
+		if decisions++; decisions == 3 {
+			cancel()
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("replay did not return after cancellation")
+		return policy.Decision{Forever: true}
+	})
+	if _, err := Replay(ctx, cfg, pol, smallTrace(), Options{}); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if decisions != 3 {
+		t.Fatalf("%d decisions, want the replay to stop at the 3rd of 7", decisions)
 	}
 }
 
 // TestReplayPreCanceled pins the immediate-return path.
 func TestReplayPreCanceled(t *testing.T) {
-	p := fastPlatform(policy.NoUnloading{})
-	defer p.Stop()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Replay(ctx, p, smallTrace(), Options{}); err != context.Canceled {
+	if _, err := Replay(ctx, cfg, policy.NoUnloading{}, smallTrace(), Options{}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -12,7 +12,8 @@ import (
 // native resolution — per-function per-minute counts, the
 // AzurePublicDataset schema — so a serving incident can be written
 // out as a bundle and replayed through the simulator against
-// candidate policies (replay.ReplayBundle).
+// candidate policies, as a source=bundle: cell (scenario.RunSweep,
+// coldsim -scenario).
 //
 // Recording at minute-count resolution (rather than raw timestamps)
 // is what makes the loop exact: the bundle's rows go through the same

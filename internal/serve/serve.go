@@ -20,8 +20,8 @@
 //
 // A Recorder can sit beside a controller and capture the live
 // invocation stream into a versioned incident bundle (see bundle.go)
-// for later what-if replay through the simulator
-// (replay.ReplayBundle).
+// for later what-if replay through the simulator as a source=bundle:
+// cell (scenario.RunSweep, coldsim -scenario).
 package serve
 
 import (

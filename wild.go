@@ -20,8 +20,8 @@
 //     tracec:, shard:), policy, cluster shape, sinks, sharding — one
 //     serializable value; ParseGrid expands list-valued fields into the
 //     cells of a sweep and RunSweep / RunSweepProcs execute them.
-//   - NewPlatform + ReplayContext drive the in-process FaaS platform
-//     (§5.3) on a scaled clock.
+//   - ReplayContext drives the in-process FaaS platform (§5.3) in
+//     virtual time.
 //
 // Quick start (examples/quickstart):
 //
@@ -142,27 +142,17 @@ func PlacementNames() []string { return cluster.PlacementNames() }
 type (
 	// PlatformConfig parameterizes the in-process FaaS cluster.
 	PlatformConfig = platform.Config
-	// Platform is the in-process FaaS cluster.
-	Platform = platform.Platform
 	// ReplayOptions configures trace replay against the platform.
 	ReplayOptions = replay.Options
 	// ReplayReport is the outcome of a replay.
 	ReplayReport = replay.Report
 )
 
-// NewPlatform assembles an in-process FaaS cluster running pol.
-func NewPlatform(cfg PlatformConfig, pol Policy) *Platform {
-	return platform.NewPlatform(cfg, pol)
-}
-
-// NewScaledClock returns a clock running scale× real time, for
-// replaying hours of trace in seconds.
-func NewScaledClock(scale float64) platform.Clock { return platform.NewScaledClock(scale) }
-
-// ReplayContext fires tr's invocations at p and reports outcomes;
-// cancellation interrupts the (scaled) real-time replay mid-flight.
-func ReplayContext(ctx context.Context, p *Platform, tr *Trace, opt ReplayOptions) (*ReplayReport, error) {
-	return replay.Replay(ctx, p, tr, opt)
+// ReplayContext fires tr's invocations at an in-process FaaS cluster
+// built from cfg and running pol, in virtual time, and reports
+// outcomes; cancellation stops it mid-flight.
+func ReplayContext(ctx context.Context, cfg PlatformConfig, pol Policy, tr *Trace, opt ReplayOptions) (*ReplayReport, error) {
+	return replay.Replay(ctx, cfg, pol, tr, opt)
 }
 
 // Scenarios and sweeps: the declarative configuration path. A

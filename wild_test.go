@@ -88,13 +88,8 @@ func TestEndToEndPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPlatform(PlatformConfig{
-		NumInvokers: 2,
-		Clock:       NewScaledClock(3600),
-	}, MustFromSpec("hybrid"))
-	defer p.Stop()
-
-	rep, err := ReplayContext(context.Background(), p, pop.Trace, ReplayOptions{Limit: 20 * time.Minute})
+	rep, err := ReplayContext(context.Background(), PlatformConfig{NumInvokers: 2},
+		MustFromSpec("hybrid"), pop.Trace, ReplayOptions{Limit: 20 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
