@@ -10,8 +10,10 @@ import (
 // The binary encoding backs the production implementation's hourly
 // database backups (§6): a fixed header (version, config) followed by
 // varint-encoded bin counts and the OOB counter. A 240-bin histogram
-// with small counts encodes to a few hundred bytes, in line with the
-// paper's 960-byte in-memory footprint.
+// with small counts encodes to a few hundred bytes; in memory its dense
+// form is 960 bytes of uint32 counters (and the small form, before the
+// ninth in-bounds observation, no bin array at all). Either form
+// encodes the same bytes, and Decode returns the dense form.
 
 const encodingVersion = 1
 
@@ -20,7 +22,7 @@ const encodingVersion = 1
 // ten-thousandths, rounded to nearest, so any config with that many
 // decimals decodes to itself.
 func (h *Histogram) Encode() []byte {
-	buf := make([]byte, 0, 64+len(h.counts))
+	buf := make([]byte, 0, 64+h.cfg.NumBins)
 	buf = binary.AppendUvarint(buf, encodingVersion)
 	buf = binary.AppendUvarint(buf, uint64(h.cfg.BinWidth))
 	buf = binary.AppendUvarint(buf, uint64(h.cfg.NumBins))
@@ -28,13 +30,16 @@ func (h *Histogram) Encode() []byte {
 	buf = binary.AppendUvarint(buf, uint64(math.Round(h.cfg.TailPercentile*100)))
 	buf = binary.AppendUvarint(buf, uint64(math.Round(h.cfg.Margin*10000)))
 	buf = binary.AppendUvarint(buf, uint64(h.oob))
-	for _, c := range h.counts {
-		buf = binary.AppendUvarint(buf, uint64(c))
+	for i := 0; i < h.cfg.NumBins; i++ {
+		buf = binary.AppendUvarint(buf, uint64(h.Count(i)))
 	}
 	return buf
 }
 
-// Decode reconstructs a histogram serialized by Encode.
+// Decode reconstructs a histogram serialized by Encode. It rejects,
+// rather than wraps, any input no Observe or Merge sequence produces:
+// more bins than bytes left to count them, or counts past the
+// saturation cap.
 func Decode(data []byte) (*Histogram, error) {
 	read := func() (uint64, error) {
 		v, n := binary.Uvarint(data)
@@ -71,20 +76,29 @@ func Decode(data []byte) (*Histogram, error) {
 	if err != nil {
 		return nil, err
 	}
+	if oob > maxCount {
+		return nil, fmt.Errorf("ithist: out-of-bounds count %d exceeds the cap %d", oob, maxCount)
+	}
+	// Each count takes at least one byte: bound the allocation by the
+	// input before making it.
+	if cfg.NumBins > len(data) {
+		return nil, fmt.Errorf("ithist: truncated encoding: %d bins, %d bytes left", cfg.NumBins, len(data))
+	}
 	h := New(cfg)
 	h.oob = int64(oob)
-	for i := 0; i < cfg.NumBins; i++ {
+	counts := h.dense()
+	for i := range counts {
 		c, err := read()
 		if err != nil {
 			return nil, err
 		}
-		if c > 0 {
-			h.counts[i] = int64(c)
-			h.total += int64(c)
-			h.sumSq += int64(c) * int64(c)
+		if c > uint64(maxCount-h.total) {
+			return nil, fmt.Errorf("ithist: bin %d count %d takes the total past the cap %d", i, c, maxCount)
 		}
+		counts[i] = uint32(c)
+		h.total += int64(c)
+		h.sumSq += int64(c) * int64(c)
 	}
-	h.invalidateCursors()
 	return h, nil
 }
 
@@ -92,25 +106,38 @@ func Decode(data []byte) (*Histogram, error) {
 // rounded to the nearest integer; weight 1 is a plain sum). The
 // production implementation aggregates daily histograms in a weighted
 // fashion to favor recent days (§6). Histogram configurations must
-// match.
+// match, and weight must be finite and non-negative. Bins are added in
+// ascending order, each clamped so T stays within the saturation cap;
+// oob is clamped the same way.
 func (h *Histogram) Merge(other *Histogram, weight float64) error {
 	if h.cfg != other.cfg {
 		return fmt.Errorf("ithist: merging incompatible configs")
 	}
-	if weight < 0 {
-		return fmt.Errorf("ithist: negative merge weight %v", weight)
+	if !(weight >= 0) || math.IsInf(weight, 1) {
+		return fmt.Errorf("ithist: merge weight %v is not finite and non-negative", weight)
 	}
-	for i, c := range other.counts {
-		add := int64(float64(c)*weight + 0.5)
+	counts := h.dense()
+	for i := range counts {
+		add := scaled(other.Count(i), weight, maxCount-h.total)
 		if add == 0 {
 			continue
 		}
-		oldC := h.counts[i]
-		h.counts[i] += add
+		oldC := int64(counts[i])
+		newC := oldC + add
+		counts[i] = uint32(newC)
 		h.total += add
-		h.sumSq += h.counts[i]*h.counts[i] - oldC*oldC
+		h.sumSq += newC*newC - oldC*oldC
 	}
-	h.oob += int64(float64(other.oob)*weight + 0.5)
+	h.oob += scaled(other.oob, weight, maxCount-h.oob)
 	h.invalidateCursors()
 	return nil
+}
+
+// scaled rounds c*weight to the nearest integer, clamped to room.
+func scaled(c int64, weight float64, room int64) int64 {
+	f := float64(c)*weight + 0.5
+	if f >= float64(room) {
+		return room
+	}
+	return int64(f)
 }

@@ -1,6 +1,8 @@
 package ithist
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -74,17 +76,41 @@ func TestEncodeDecodeConfigRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{0xff},
-		{1},          // truncated after version
-		{2, 1, 2, 3}, // wrong version
+// uvarints encodes vals the way Encode lays out its fields.
+func uvarints(vals ...uint64) []byte {
+	var b []byte
+	for _, v := range vals {
+		b = binary.AppendUvarint(b, v)
 	}
-	for i, data := range cases {
-		if _, err := Decode(data); err == nil {
-			t.Errorf("case %d: expected error", i)
+	return b
+}
+
+func TestDecodeRejectsGarbage(t *testing.T) {
+	// version, bin width, bins, head, tail, margin, oob, counts...
+	minute := uint64(time.Minute)
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"empty", nil},
+		{"bad varint", []byte{0xff}},
+		{"truncated after version", []byte{1}},
+		{"wrong version", []byte{2, 1, 2, 3}},
+		// Allocating 2^33 bins was an unrecoverable out-of-memory crash.
+		{"more bins than bytes", uvarints(1, 1, 1<<33, 0, 0, 0, 0)},
+		{"count past the cap", uvarints(1, minute, 1, 500, 9900, 1000, 0, 1<<63+5)},
+		{"counts summing past the cap", uvarints(1, minute, 2, 500, 9900, 1000, 0, maxCount, 1)},
+		{"oob past int64", uvarints(1, minute, 1, 500, 9900, 1000, 1<<63+1, 0)},
+		{"oob past the cap", uvarints(1, minute, 1, 500, 9900, 1000, maxCount+1, 0)},
+	}
+	for _, tc := range cases {
+		if h, err := Decode(tc.data); err == nil {
+			t.Errorf("%s: decoded T=%d oob=%d, want an error", tc.name, h.Total(), h.OutOfBounds())
 		}
+	}
+	h, err := Decode(uvarints(1, minute, 2, 500, 9900, 1000, maxCount, maxCount-1, 1))
+	if err != nil || h.Total() != maxCount || h.OutOfBounds() != maxCount {
+		t.Fatalf("counts at the cap: %v", err)
 	}
 }
 
@@ -145,7 +171,7 @@ func TestMergeWeighted(t *testing.T) {
 	}
 	// CV bookkeeping must stay consistent with a fresh recompute.
 	var want int64
-	for _, c := range a.counts {
+	for _, c := range binCounts(a) {
 		want += c * c
 	}
 	if a.sumSq != want {
@@ -164,5 +190,24 @@ func TestMergeErrors(t *testing.T) {
 	c := New(DefaultConfig())
 	if err := a.Merge(c, -1); err == nil {
 		t.Fatal("expected negative weight error")
+	}
+}
+
+// TestMergeRejectsNonFiniteWeight: int64(NaN * c) wrote MinInt64 into
+// every bin, empty ones included, before non-finite weights were
+// rejected.
+func TestMergeRejectsNonFiniteWeight(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		a := New(DefaultConfig())
+		a.Observe(3 * time.Minute)
+		b := New(DefaultConfig())
+		b.Observe(5 * time.Minute)
+		b.Observe(5 * time.Hour)
+		if err := a.Merge(b, w); err == nil {
+			t.Errorf("weight %v: merged, want an error", w)
+		}
+		if a.Total() != 1 || a.OutOfBounds() != 0 || a.Count(3) != 1 || a.Count(5) != 0 || a.Count(0) != 0 {
+			t.Errorf("weight %v: rejected merge changed the histogram", w)
+		}
 	}
 }

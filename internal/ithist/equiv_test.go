@@ -1,12 +1,23 @@
 package ithist
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/stats"
 )
+
+// binCounts reads every bin through Count, so brute-force checks see
+// the same counts whichever form the histogram is in.
+func binCounts(h *Histogram) []int64 {
+	c := make([]int64, h.cfg.NumBins)
+	for i := range c {
+		c[i] = h.Count(i)
+	}
+	return c
+}
 
 // bruteWindows recomputes the windows from scratch with the reference
 // full-scan percentileBin, bypassing the cursors and the memo.
@@ -102,7 +113,8 @@ func TestWindowsLazySyncMatchesBruteForce(t *testing.T) {
 // the raw counts alone: no cursors, no memo, no incremental moment.
 func bruteRegime(h *Histogram, minObs int64, oobThr, cvThr float64) WindowRun {
 	var sumSq, total float64
-	for _, c := range h.counts {
+	counts := binCounts(h)
+	for _, c := range counts {
 		sumSq += float64(c) * float64(c)
 		total += float64(c)
 	}
@@ -115,11 +127,26 @@ func bruteRegime(h *Histogram, minObs int64, oobThr, cvThr float64) WindowRun {
 	if cnt < float64(minObs) || total == 0 {
 		return std
 	}
-	if float64(len(h.counts))*sumSq < (1+cvThr*cvThr)*total*total {
+	if float64(len(counts))*sumSq < (1+cvThr*cvThr)*total*total {
 		return std
 	}
 	pw, ka, _ := bruteWindows(h)
 	return WindowRun{PreWarm: pw, KeepAlive: ka, Regime: RegimeWindows, Count: 1}
+}
+
+// stepRegime is DecideSeq's per-observation evaluation spelled out
+// with the per-call methods.
+func stepRegime(h *Histogram, minObs int64, oobThr, cvThr float64) WindowRun {
+	cnt := h.Total() + h.OutOfBounds()
+	if cnt >= minObs && h.OOBHeavy(oobThr) {
+		return WindowRun{Regime: RegimeOOB, Count: 1}
+	}
+	if cnt >= minObs && !h.CVBelow(cvThr) {
+		if pw, ka, ok := h.Windows(); ok {
+			return WindowRun{PreWarm: pw, KeepAlive: ka, Regime: RegimeWindows, Count: 1}
+		}
+	}
+	return WindowRun{Regime: RegimeStandard, Count: 1}
 }
 
 // TestDecideSeqMatchesStepwise feeds the same idle sequence to the
@@ -203,15 +230,7 @@ func TestDecideSeqMatchesStepwise(t *testing.T) {
 			step := fresh()
 			for i := 1; i < n; i++ {
 				step.Observe(idles[i])
-				got := WindowRun{Regime: RegimeStandard, Count: 1}
-				cnt := step.Total() + step.OutOfBounds()
-				if cnt >= minObs && step.OOBHeavy(tc.oobThr) {
-					got.Regime = RegimeOOB
-				} else if cnt < minObs || step.CVBelow(tc.cvThr) {
-					// standard
-				} else if pw, ka, ok := step.Windows(); ok {
-					got = WindowRun{PreWarm: pw, KeepAlive: ka, Regime: RegimeWindows, Count: 1}
-				}
+				got := stepRegime(step, minObs, tc.oobThr, tc.cvThr)
 				if want := bruteRegime(step, minObs, tc.oobThr, tc.cvThr); got != want {
 					t.Logf("seed %d obs %d: stepwise %+v brute force %+v", seed, i, got, want)
 					return false
@@ -264,5 +283,147 @@ func TestObserveAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Observe+Windows allocs/op = %v, want 0", allocs)
+	}
+}
+
+// TestSmallFormMatchesDense feeds the same idle sequences to a fresh
+// histogram, which starts in the small form and promotes itself on its
+// ninth in-bounds observation, and to one forced dense from the start.
+// After every observation the two must agree on every observable: T,
+// S, oob, each bin's count, the synced cursors, CVBelow, Windows and
+// the regime. A third, small-form histogram is consulted only now and
+// then, so its cursors lag across the promotion and catch up by a
+// walk. Each case then reuses all three after Reset, as the sim and
+// cluster pools do: a promoted histogram stays dense, a small one
+// stays small, and both still agree.
+func TestSmallFormMatchesDense(t *testing.T) {
+	cfgs := []Config{
+		DefaultConfig(),
+		{BinWidth: time.Minute, NumBins: 10, HeadPercentile: 5, TailPercentile: 99, Margin: 0.10},
+		{BinWidth: 30 * time.Second, NumBins: 17, HeadPercentile: 0, TailPercentile: 100, Margin: 0},
+		{BinWidth: time.Minute, NumBins: 240, HeadPercentile: 2.5, TailPercentile: 50, Margin: 0.25},
+	}
+	// idles draws a sequence crossing the promotion point: all in one
+	// bin, from two or three bins, or spread with OOB and negative idles.
+	idles := func(r *stats.RNG, cfg Config) []time.Duration {
+		rng := cfg.BinWidth * time.Duration(cfg.NumBins)
+		seq := make([]time.Duration, r.Intn(3*smallCap))
+		bins := []time.Duration{
+			time.Duration(r.Float64() * float64(rng)),
+			time.Duration(r.Float64() * float64(rng)),
+			time.Duration(r.Float64() * float64(rng)),
+		}
+		mode := r.Intn(3)
+		for i := range seq {
+			switch mode {
+			case 0:
+				seq[i] = bins[0]
+			case 1:
+				seq[i] = bins[r.Intn(len(bins))]
+			default:
+				seq[i] = randomIT(r, rng)
+			}
+		}
+		return seq
+	}
+	check := func(seed uint64) bool {
+		r := stats.NewRNG(seed)
+		cfg := cfgs[r.Intn(len(cfgs))]
+		small, lazy, dense := New(cfg), New(cfg), New(cfg)
+		dense.dense()
+		for round := 0; round < 2; round++ {
+			if round == 1 {
+				wasDense := small.counts != nil
+				small.Reset()
+				lazy.Reset()
+				dense.Reset()
+				if (small.counts != nil) != wasDense || dense.counts == nil {
+					t.Logf("seed %d: Reset changed the form", seed)
+					return false
+				}
+			}
+			for i, it := range idles(r, cfg) {
+				small.Observe(it)
+				lazy.Observe(it)
+				dense.Observe(it)
+				if small.Total() > smallCap && small.counts == nil {
+					t.Logf("seed %d obs %d: %d in-bounds observations and no bin array", seed, i, small.Total())
+					return false
+				}
+				if msg := sameState(small, dense); msg != "" {
+					t.Logf("seed %d round %d obs %d: %s", seed, round, i, msg)
+					return false
+				}
+				if r.Intn(4) == 0 {
+					if msg := sameState(lazy, dense); msg != "" {
+						t.Logf("seed %d round %d obs %d, lazy: %s", seed, round, i, msg)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameState compares every observable of a and b, syncing both
+// histograms' cursors, and describes the first difference.
+func sameState(a, b *Histogram) string {
+	if a.Total() != b.Total() || a.sumSq != b.sumSq || a.OutOfBounds() != b.OutOfBounds() {
+		return fmt.Sprintf("T, S, oob = %d, %d, %d vs %d, %d, %d",
+			a.Total(), a.sumSq, a.OutOfBounds(), b.Total(), b.sumSq, b.OutOfBounds())
+	}
+	for i := 0; i < a.cfg.NumBins; i++ {
+		if a.Count(i) != b.Count(i) {
+			return fmt.Sprintf("bin %d: %d vs %d", i, a.Count(i), b.Count(i))
+		}
+	}
+	for _, thr := range []float64{0, 0.5, 1, 2, 5} {
+		if a.CVBelow(thr) != b.CVBelow(thr) {
+			return fmt.Sprintf("CVBelow(%v) differs", thr)
+		}
+	}
+	apw, aka, aok := a.Windows()
+	bpw, bka, bok := b.Windows()
+	if apw != bpw || aka != bka || aok != bok {
+		return fmt.Sprintf("windows (%v, %v, %v) vs (%v, %v, %v)", apw, aka, aok, bpw, bka, bok)
+	}
+	if aok && (a.head != b.head || a.tail != b.tail) {
+		return fmt.Sprintf("cursors %+v %+v vs %+v %+v", a.head, a.tail, b.head, b.tail)
+	}
+	for _, minObs := range []int64{2, 5} {
+		if ar, br := stepRegime(a, minObs, 0.5, 2), stepRegime(b, minObs, 0.5, 2); ar != br {
+			return fmt.Sprintf("regime %+v vs %+v", ar, br)
+		}
+	}
+	return ""
+}
+
+// TestSmallFormAllocs pins the small form's allocations: the first
+// smallCap in-bounds observations allocate nothing beyond the
+// Histogram itself, the next one allocates the bin array, and a reused
+// histogram that has one allocates nothing at all.
+func TestSmallFormAllocs(t *testing.T) {
+	var h *Histogram
+	observe := func(n int) {
+		for i := 0; i < n; i++ {
+			h.Observe(time.Duration(i) * 7 * time.Minute)
+			h.Windows()
+		}
+	}
+	for _, tc := range []struct{ n, allocs int }{{smallCap, 1}, {smallCap + 1, 2}} {
+		a := testing.AllocsPerRun(20, func() {
+			h = New(DefaultConfig())
+			observe(tc.n)
+		})
+		if a != float64(tc.allocs) {
+			t.Errorf("New + %d observations: %v allocs, want %d", tc.n, a, tc.allocs)
+		}
+	}
+	if a := testing.AllocsPerRun(20, func() { h.Reset(); observe(3 * smallCap) }); a != 0 || h.counts == nil {
+		t.Errorf("reused dense histogram: %v allocs, want 0", a)
 	}
 }

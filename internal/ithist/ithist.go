@@ -2,13 +2,12 @@
 // histogram (§4.2), the centerpiece of the hybrid keep-alive policy.
 //
 // The histogram uses 1-minute bins over a configurable range (default
-// 4 hours, i.e. 240 bins ~ 960 bytes of counters, matching the Azure
-// production implementation in §6). Idle times beyond the range are
-// counted as out-of-bounds (OOB). The head (default 5th percentile,
-// rounded down to the bin's lower edge) selects the pre-warming
-// window; the tail (default 99th percentile, rounded up to the bin's
-// upper edge) selects the keep-alive window; a 10% margin widens both
-// for safety. Representativeness is judged by the coefficient of
+// 4 hours, i.e. 240 bins). Idle times beyond the range are counted as
+// out-of-bounds (OOB). The head (default 5th percentile, rounded down
+// to the bin's lower edge) selects the pre-warming window; the tail
+// (default 99th percentile, rounded up to the bin's upper edge)
+// selects the keep-alive window; a 10% margin widens both for
+// safety. Representativeness is judged by the coefficient of
 // variation of the bin counts, tested in closed form from the sum of
 // squared counts — one integer add per observation. SEMANTICS.md in
 // this directory is the normative statement of every decision rule;
@@ -20,6 +19,15 @@
 // case one walk over the bins), and Windows memoizes the derived
 // window pair keyed on the cursor bins, so the per-invocation decision
 // cost is constant instead of an O(NumBins) scan.
+//
+// The dense form of the bins is one uint32 counter each, 960 bytes at
+// the default, the size §6 gives for the Azure production
+// implementation. Most applications are invoked rarely (§3: 45% at
+// most once an hour), so a histogram starts in a small form instead:
+// it holds its first smallCap in-bounds bin indices inline, sorted,
+// and allocates the bin array only on the next in-bounds observation
+// or when the batch kernel runs. The form is a representation only;
+// every method answers the same in both.
 package ithist
 
 import (
@@ -91,12 +99,30 @@ type cursor struct {
 	cum int64
 }
 
+// smallCap is the number of in-bounds observations the small form
+// holds before the histogram allocates its bin array.
+const smallCap = 8
+
+// maxSmallBins bounds the configurations the small form serves: it
+// stores bin indices as uint16. Wider histograms are dense from New.
+const maxSmallBins = 1 << 16
+
+// maxCount is the saturation cap on the in-bounds total and the OOB
+// count (SEMANTICS.md, Saturation): ⌊√(2⁶³−1)⌋, so that S ≤ T² fits
+// int64 and every bin, never above T, fits uint32.
+const maxCount = 3037000499
+
 // Histogram tracks an application's idle-time distribution.
 type Histogram struct {
-	cfg    Config
-	counts []int64
-	total  int64 // in-bounds observations
-	oob    int64 // out-of-bounds observations
+	cfg Config
+	// counts is the dense form, one counter per bin; nil while the
+	// small form holds the in-bounds observations.
+	counts []uint32
+	// small is the small form: while counts is nil, the bins of the
+	// total in-bounds observations, ascending.
+	small [smallCap]uint16
+	total int64 // in-bounds observations
+	oob   int64 // out-of-bounds observations
 
 	// sumSq is the sum of squared bin counts, the integer moment behind
 	// the representativeness gate (CVBelow).
@@ -105,11 +131,16 @@ type Histogram struct {
 	head, tail cursor
 	syncedAt   int64 // h.total value at the last cursor sync
 
-	// Memoized Windows result, valid for (winHead, winTail).
+	// Memoized Windows result, valid for cursor bins (winHead,
+	// winTail); winHead -1 marks it invalid.
 	winHead, winTail int
 	winPreWarm       time.Duration
 	winKeepAlive     time.Duration
-	winValid         bool
+
+	// Pads the struct to 192 B, three whole cache lines: a histogram
+	// is written on every observation, and pools hand neighbouring
+	// ones to different goroutines, which must not share a line.
+	_ [16]byte
 }
 
 // New creates a histogram with the given configuration. It panics on
@@ -118,9 +149,41 @@ func New(cfg Config) *Histogram {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	h := &Histogram{cfg: cfg, counts: make([]int64, cfg.NumBins)}
+	h := &Histogram{cfg: cfg}
+	if cfg.NumBins > maxSmallBins {
+		h.counts = make([]uint32, cfg.NumBins)
+	}
 	h.invalidateCursors()
 	return h
+}
+
+// dense returns the bin array, first moving the small form's
+// observations into a freshly allocated one. The cursors carry over
+// unchanged: bin indices and prefix counts do not depend on the form.
+func (h *Histogram) dense() []uint32 {
+	if h.counts == nil {
+		h.counts = make([]uint32, h.cfg.NumBins)
+		for _, b := range h.small[:h.total] {
+			h.counts[b]++
+		}
+	}
+	return h.counts
+}
+
+// insertSmall records in-bounds bin idx in the small form, which has
+// room for it, and returns the bin's count before the insert.
+func (h *Histogram) insertSmall(idx int) int64 {
+	s := h.small[:h.total+1]
+	j := len(s) - 1
+	for ; j > 0 && int(s[j-1]) > idx; j-- {
+		s[j] = s[j-1]
+	}
+	s[j] = uint16(idx)
+	var c int64
+	for k := j - 1; k >= 0 && int(s[k]) == idx; k-- {
+		c++
+	}
+	return c
 }
 
 // Config returns the histogram's configuration.
@@ -139,25 +202,40 @@ func (h *Histogram) Range() time.Duration {
 // — is deferred to syncCursors, so applications whose windows are
 // never consulted (the policy's standard-fallback regime) don't pay
 // for it.
+//
+// An observation that would take T or oob past maxCount is not
+// recorded (SEMANTICS.md, Saturation).
 func (h *Histogram) Observe(it time.Duration) {
-	if it < 0 {
-		h.oob++
+	idx := -1
+	if it >= 0 {
+		if h.cfg.BinWidth == time.Minute {
+			// Constant divisor lets the compiler avoid a hardware divide
+			// on the common path (the paper's 1-minute bins).
+			idx = int(it / time.Minute)
+		} else {
+			idx = int(it / h.cfg.BinWidth)
+		}
+	}
+	var oldC int64
+	switch {
+	case uint(idx) < uint(len(h.counts)): // dense form, in bounds
+		if h.total == maxCount {
+			return
+		}
+		oldC = int64(h.counts[idx])
+		h.counts[idx]++
+	case uint(idx) >= uint(h.cfg.NumBins):
+		if h.oob < maxCount {
+			h.oob++
+		}
 		return
+	case h.total < smallCap:
+		oldC = h.insertSmall(idx)
+	default: // the in-bounds observation the small form has no room for
+		counts := h.dense()
+		oldC = int64(counts[idx])
+		counts[idx]++
 	}
-	var idx int
-	if h.cfg.BinWidth == time.Minute {
-		// Constant divisor lets the compiler avoid a hardware divide on
-		// the common path (the paper's 1-minute bins).
-		idx = int(it / time.Minute)
-	} else {
-		idx = int(it / h.cfg.BinWidth)
-	}
-	if idx >= len(h.counts) { // len(counts) == cfg.NumBins; elides the bound check below
-		h.oob++
-		return
-	}
-	oldC := h.counts[idx]
-	h.counts[idx]++
 	h.total++
 	h.sumSq += 2*oldC + 1
 
@@ -200,8 +278,33 @@ func (h *Histogram) syncCursors() {
 		return
 	}
 	h.syncedAt = h.total
-	h.head.walk(h.counts, h.cfg.HeadPercentile*float64(h.total))
-	h.tail.walk(h.counts, h.cfg.TailPercentile*float64(h.total))
+	tH, tT := h.cfg.HeadPercentile*float64(h.total), h.cfg.TailPercentile*float64(h.total)
+	if h.counts == nil {
+		h.head, h.tail = h.locateSmall(tH), h.locateSmall(tT)
+		return
+	}
+	h.head.walk(h.counts, tH)
+	h.tail.walk(h.counts, tT)
+}
+
+// locateSmall is walk's result for the small form, found from the
+// sorted bin list: the percentile bin holds the k-th smallest
+// observation for the least k with 100*k >= tN, and its prefix count
+// runs through the last observation in that bin. total must be > 0.
+func (h *Histogram) locateSmall(tN float64) cursor {
+	if tN < minTarget {
+		tN = minTarget
+	}
+	s := h.small[:h.total]
+	k := 1
+	for 100*float64(k) < tN {
+		k++
+	}
+	bin := s[k-1]
+	for k < len(s) && s[k] == bin {
+		k++
+	}
+	return cursor{bin: int(bin), cum: int64(k)}
 }
 
 // minTarget is the sub-half clamp on a cursor target tN = p*total (the
@@ -219,7 +322,7 @@ const minTarget = 50
 // batch kernel tracks in int64. An invalidated cursor (bin -1, cum 0)
 // walks up from the first bin, which is the locate-by-scan; the counts
 // must hold at least one observation.
-func (c *cursor) walk(counts []int64, tN float64) {
+func (c *cursor) walk(counts []uint32, tN float64) {
 	if tN < minTarget {
 		tN = minTarget
 	}
@@ -228,10 +331,10 @@ func (c *cursor) walk(counts []int64, tN float64) {
 		for counts[c.bin] == 0 {
 			c.bin++
 		}
-		c.cum += counts[c.bin]
+		c.cum += int64(counts[c.bin])
 	}
-	for 100*float64(c.cum-counts[c.bin]) >= tN {
-		c.cum -= counts[c.bin]
+	for 100*float64(c.cum-int64(counts[c.bin])) >= tN {
+		c.cum -= int64(counts[c.bin])
 		c.bin--
 		for counts[c.bin] == 0 {
 			c.bin--
@@ -288,7 +391,18 @@ func intGate(thr float64, nI int64) (thrI int64, ok bool) {
 const intSizeLimit = 1 << 26
 
 // Count returns the count in bin idx.
-func (h *Histogram) Count(idx int) int64 { return h.counts[idx] }
+func (h *Histogram) Count(idx int) int64 {
+	if h.counts != nil {
+		return int64(h.counts[idx])
+	}
+	var c int64
+	for _, b := range h.small[:h.total] {
+		if int(b) == idx {
+			c++
+		}
+	}
+	return c
+}
 
 // percentileBin returns the index of the bin containing percentile p
 // of the in-bounds distribution by a full scan. Caller guarantees
@@ -298,7 +412,9 @@ func (h *Histogram) Count(idx int) int64 { return h.counts[idx] }
 func (h *Histogram) percentileBin(p float64) int {
 	tN := p * float64(h.total)
 	var cum int64
-	for i, c := range h.counts {
+	last := 0
+	for i := 0; i < h.cfg.NumBins; i++ {
+		c := h.Count(i)
 		if c == 0 {
 			continue
 		}
@@ -306,13 +422,9 @@ func (h *Histogram) percentileBin(p float64) int {
 		if 100*float64(cum) >= tN {
 			return i
 		}
+		last = i
 	}
-	for i := len(h.counts) - 1; i >= 0; i-- {
-		if h.counts[i] > 0 {
-			return i
-		}
-	}
-	return 0
+	return last
 }
 
 // Windows computes the pre-warming and keep-alive windows from the
@@ -339,7 +451,7 @@ func (h *Histogram) Windows() (preWarm, keepAlive time.Duration, ok bool) {
 		return 0, 0, false
 	}
 	h.syncCursors()
-	if !h.winValid || h.winHead != h.head.bin || h.winTail != h.tail.bin {
+	if h.winHead != h.head.bin || h.winTail != h.tail.bin {
 		h.computeWindows()
 	}
 	return h.winPreWarm, h.winKeepAlive, true
@@ -349,7 +461,6 @@ func (h *Histogram) Windows() (preWarm, keepAlive time.Duration, ok bool) {
 func (h *Histogram) computeWindows() {
 	h.winHead, h.winTail = h.head.bin, h.tail.bin
 	h.winPreWarm, h.winKeepAlive = marginWindows(h.cfg, h.head.bin, h.tail.bin)
-	h.winValid = true
 }
 
 // marginWindows derives the window pair from the percentile bins (the
@@ -381,14 +492,14 @@ func (h *Histogram) invalidateCursors() {
 	h.head = cursor{bin: -1}
 	h.tail = cursor{bin: -1}
 	h.syncedAt = 0
-	h.winValid = false
+	h.winHead = -1
 }
 
-// Reset clears all state (used when an application is redeployed).
+// Reset clears all state (used when an application is redeployed, and
+// when pooled state is reused). A bin array already allocated is kept,
+// zeroed, so a reused histogram allocates nothing.
 func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
+	clear(h.counts)
 	h.total, h.oob = 0, 0
 	h.sumSq = 0
 	h.invalidateCursors()

@@ -1,6 +1,8 @@
 package ithist
 
 import (
+	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 	"time"
@@ -229,5 +231,106 @@ func TestPercentileBinProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fillBin drives bin's count up by n, as n observations there would,
+// through one weighted Merge: the cap sits billions of Observe calls
+// away.
+func fillBin(t *testing.T, h *Histogram, bin int, n int64) {
+	t.Helper()
+	src := New(h.cfg)
+	src.Observe(time.Duration(bin) * h.cfg.BinWidth)
+	if err := h.Merge(src, float64(n)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkRecount compares T, S and the synced cursors with a brute-force
+// recount of the bins, S in big integers so that a wrapped S cannot
+// agree by wrapping the same way.
+func checkRecount(t *testing.T, h *Histogram) {
+	t.Helper()
+	var total int64
+	sumSq := new(big.Int)
+	for _, c := range binCounts(h) {
+		total += c
+		sumSq.Add(sumSq, new(big.Int).Mul(big.NewInt(c), big.NewInt(c)))
+	}
+	if h.Total() != total || !sumSq.IsInt64() || h.sumSq != sumSq.Int64() {
+		t.Fatalf("T, S = %d, %d; recount %d, %v", h.Total(), h.sumSq, total, sumSq)
+	}
+	if h.Total() > maxCount || h.OutOfBounds() > maxCount {
+		t.Fatalf("T, oob = %d, %d past the cap %d", h.Total(), h.OutOfBounds(), maxCount)
+	}
+	pw, ka, ok := h.Windows()
+	bpw, bka, bok := bruteWindows(h)
+	if pw != bpw || ka != bka || ok != bok {
+		t.Fatalf("windows (%v, %v, %v), recount (%v, %v, %v)", pw, ka, ok, bpw, bka, bok)
+	}
+	if ok && (h.head.bin != h.percentileBin(h.cfg.HeadPercentile) || h.tail.bin != h.percentileBin(h.cfg.TailPercentile)) {
+		t.Fatalf("cursor bins %d, %d; recount %d, %d", h.head.bin, h.tail.bin,
+			h.percentileBin(h.cfg.HeadPercentile), h.percentileBin(h.cfg.TailPercentile))
+	}
+}
+
+// TestSaturation drives one bin to the cap (SEMANTICS.md, Saturation)
+// and checks that no later Observe or Merge wraps T or S: past the cap
+// an observation is not recorded, and a merge is clamped.
+func TestSaturation(t *testing.T) {
+	h := New(DefaultConfig())
+	for i := 0; i < 20; i++ {
+		h.Observe(3 * time.Minute)
+		h.Windows() // keep the cursors synced, so later walks start from them
+	}
+	fillBin(t, h, 3, maxCount-21)
+	checkRecount(t, h)
+	h.Observe(3 * time.Minute) // the last count that fits
+	if h.Count(3) != maxCount || h.Total() != maxCount {
+		t.Fatalf("bin 3 holds %d, T = %d; want both at the cap %d", h.Count(3), h.Total(), maxCount)
+	}
+	checkRecount(t, h)
+	h.Observe(3 * time.Minute)
+	h.Observe(200 * time.Minute)
+	if h.Count(3) != maxCount || h.Count(200) != 0 || h.Total() != maxCount {
+		t.Fatalf("saturated histogram recorded an in-bounds observation")
+	}
+	checkRecount(t, h)
+	// All mass in one of 240 bins: CV = √239 ≈ 15.46.
+	if h.CVBelow(15) || !h.CVBelow(16) {
+		t.Fatal("CVBelow at the cap: want CV between 15 and 16")
+	}
+
+	// A merge into a saturated histogram adds nothing; into a nearly
+	// full one, bins fill in ascending order up to the cap.
+	fillBin(t, h, 200, 5)
+	if h.Count(200) != 0 {
+		t.Fatal("merge into a saturated histogram was recorded")
+	}
+	g := New(DefaultConfig())
+	fillBin(t, g, 100, maxCount/2)
+	src := New(g.cfg)
+	src.Observe(50 * time.Minute)
+	src.Observe(150 * time.Minute)
+	if err := g.Merge(src, maxCount/2+10); err != nil {
+		t.Fatal(err)
+	}
+	if g.Count(50) != maxCount-maxCount/2 || g.Count(150) != 0 || g.Total() != maxCount {
+		t.Fatalf("clamped merge: bins 50, 100, 150 = %d, %d, %d", g.Count(50), g.Count(100), g.Count(150))
+	}
+	checkRecount(t, g)
+
+	// oob saturates the same way, so T + oob cannot wrap either.
+	src = New(g.cfg)
+	src.Observe(-time.Second)
+	if err := g.Merge(src, math.MaxFloat64); err != nil {
+		t.Fatal(err)
+	}
+	g.Observe(5 * time.Hour)
+	if g.OutOfBounds() != maxCount || g.Total()+g.OutOfBounds() < 0 {
+		t.Fatalf("oob = %d, want the cap %d", g.OutOfBounds(), maxCount)
+	}
+	if !g.OOBHeavy(0.49) || g.OOBHeavy(0.5) {
+		t.Fatal("OOBHeavy at the cap: an even split is not above 0.5")
 	}
 }

@@ -35,6 +35,10 @@ const (
 // defaults — cv=2, 5th/99th percentiles, OOB 0.5 — qualify). For any
 // other configuration DecideSeq observes nothing and reports false;
 // the caller walks the per-call methods above instead.
+//
+// A run it accepts promotes the histogram to its dense form. It needs
+// no saturation check (SEMANTICS.md, Saturation): it declines any run
+// that would reach 2^26 observations, far below maxCount.
 func (h *Histogram) DecideSeq(idles []time.Duration, minObs int64, oobThr, cvThr float64, runs []WindowRun) ([]WindowRun, bool) {
 	if len(idles) <= 1 {
 		return runs, true
@@ -53,6 +57,7 @@ func (h *Histogram) DecideSeq(idles []time.Duration, minObs int64, oobThr, cvThr
 		float64(int64(oobQ)) != oobQ || oobQ < 0 || oobQ > 1<<16 {
 		return runs, false
 	}
+	h.dense()
 	return h.decideSeq(idles, minObs, nI, thrI, pHead, pTail, int64(oobQ), runs), true
 }
 
@@ -67,7 +72,6 @@ func (h *Histogram) decideSeq(idles []time.Duration, minObs, nI, thrI, pHead, pT
 	syncedAt := h.syncedAt
 	winHead, winTail := h.winHead, h.winTail
 	winPW, winKA := h.winPreWarm, h.winKeepAlive
-	winValid := h.winValid
 	winGen := int64(0)
 	curKey := int64(-1)
 	var curCount int32
@@ -132,7 +136,7 @@ func (h *Histogram) decideSeq(idles []time.Duration, minObs, nI, thrI, pHead, pT
 				counts[idx] = c + 1
 				total++
 				tsq += total<<1 - 1
-				sumSq += 2*c + 1
+				sumSq += 2*int64(c) + 1
 				leH := int64(idx-head.bin-1) >> 63 // -1 iff idx <= head.bin
 				leT := int64(idx-tail.bin-1) >> 63
 				head.cum -= leH
@@ -181,23 +185,22 @@ func (h *Histogram) decideSeq(idles []time.Duration, minObs, nI, thrI, pHead, pT
 				head.walk(counts, float64(tH))
 				tail.walk(counts, float64(tT))
 			}
-			if !winValid || winHead != head.bin || winTail != tail.bin {
+			if winHead != head.bin || winTail != tail.bin {
 				pw, ka := marginWindows(h.cfg, head.bin, tail.bin)
 				// Bump the run key only when the window values change:
 				// distinct cursor bins can margin-round to identical
 				// windows, which belong to one run.
-				if !winValid || pw != winPW || ka != winKA {
+				if winHead < 0 || pw != winPW || ka != winKA {
 					winGen++
 				}
 				winHead, winTail = head.bin, tail.bin
 				winPW, winKA = pw, ka
-				winValid = true
 			}
 			if total >= clampFree {
 				mHf = 100*head.cum - tH
-				mHb = tH - 100*(head.cum-counts[head.bin])
+				mHb = tH - 100*(head.cum-int64(counts[head.bin]))
 				mTf = 100*tail.cum - tT
-				mTb = tT - 100*(tail.cum-counts[tail.bin])
+				mTb = tT - 100*(tail.cum-int64(counts[tail.bin]))
 				margValid = true
 			}
 			key = 2 + winGen
@@ -229,6 +232,5 @@ func (h *Histogram) decideSeq(idles []time.Duration, minObs, nI, thrI, pHead, pT
 	h.syncedAt = syncedAt
 	h.winHead, h.winTail = winHead, winTail
 	h.winPreWarm, h.winKeepAlive = winPW, winKA
-	h.winValid = winValid
 	return runs
 }

@@ -138,7 +138,8 @@ func (p *Hybrid) Config() HybridConfig { return p.cfg }
 // hybridAppPool recycles per-app policy state across NewApp/Release
 // cycles (sim walks hundreds of thousands of apps per policy sweep; a
 // recycled app reuses its histogram and ring-buffer backing instead of
-// allocating ~2KB each).
+// allocating them again: 384 B for an app whose histogram is still in
+// its small form, plus the 960 B bin array once it is dense).
 var hybridAppPool sync.Pool
 
 // NewApp implements Policy. If a previously Released app with the same
@@ -149,13 +150,13 @@ func (p *Hybrid) NewApp(string) AppPolicy {
 	if v := hybridAppPool.Get(); v != nil {
 		a := v.(*hybridApp)
 		if a.hist.Config() == p.cfg.Histogram {
-			a.reset(p.cfg)
+			a.reset(&p.cfg)
 			return a
 		}
 		// Incompatible histogram shape: drop it and build fresh.
 	}
 	a := &hybridApp{hist: ithist.New(p.cfg.Histogram)}
-	a.reset(p.cfg)
+	a.reset(&p.cfg)
 	return a
 }
 
@@ -165,19 +166,9 @@ var defaultForecaster forecast.Forecaster = forecast.ARIMA{
 	Options: arima.Options{MaxP: 2, MaxD: 1, MaxQ: 1},
 }
 
-// resolveForecaster returns the configured forecaster or the paper's
-// default ARIMA order search.
-func resolveForecaster(cfg HybridConfig) forecast.Forecaster {
-	if cfg.Forecaster != nil {
-		return cfg.Forecaster
-	}
-	return defaultForecaster
-}
-
 type hybridApp struct {
-	cfg  HybridConfig
+	cfg  *HybridConfig // the policy's, shared by all its apps
 	hist *ithist.Histogram
-	fc   forecast.Forecaster
 
 	// its is the retained idle-time series feeding the forecaster: a
 	// fixed-capacity ring (capacity ARIMAMaxSeries) holding the raw
@@ -220,12 +211,17 @@ type hybridApp struct {
 	// of the age.
 	clock time.Duration
 	fitAt time.Duration
+
+	// Pads the struct to 192 B, three whole cache lines, for the
+	// reason ithist.Histogram is padded: app state is written on every
+	// decision, and the pool hands neighbouring apps to different
+	// goroutines.
+	_ [8]byte
 }
 
 // reset prepares a fresh or recycled app for a new lifetime.
-func (a *hybridApp) reset(cfg HybridConfig) {
+func (a *hybridApp) reset(cfg *HybridConfig) {
 	a.cfg = cfg
-	a.fc = resolveForecaster(cfg)
 	a.hist.Reset()
 	a.its = a.its[:0]
 	a.itsHead = 0
@@ -422,7 +418,7 @@ func (a *hybridApp) arimaDecisionAt(idles []time.Duration, j int, clk time.Durat
 		for k := range s {
 			s[k] = idles[lo+k].Minutes()
 		}
-		a.fitPred, a.fitOK = a.fc.PredictNext(s)
+		a.fitPred, a.fitOK = a.forecaster().PredictNext(s)
 		a.fitAt = clk
 		a.fitValid = true
 	}
@@ -492,7 +488,7 @@ func (a *hybridApp) arimaDecision() (Decision, bool) {
 		if a.fitValid && a.clock-a.fitAt < a.cfg.RefitInterval {
 			a.fitSeen = a.obsSeen
 		} else {
-			a.fitPred, a.fitOK = a.fc.PredictNext(a.seriesMinutes())
+			a.fitPred, a.fitOK = a.forecaster().PredictNext(a.seriesMinutes())
 			a.fitSeen = a.obsSeen
 			a.fitAt = a.clock
 			a.fitValid = true
@@ -502,6 +498,15 @@ func (a *hybridApp) arimaDecision() (Decision, bool) {
 		return Decision{}, false
 	}
 	return a.arimaWindows(a.fitPred), true
+}
+
+// forecaster returns the configured forecaster or the paper's default
+// ARIMA order search.
+func (a *hybridApp) forecaster() forecast.Forecaster {
+	if a.cfg.Forecaster != nil {
+		return a.cfg.Forecaster
+	}
+	return defaultForecaster
 }
 
 // arimaWindows converts a next-IT prediction (in minutes) into the
