@@ -12,6 +12,7 @@
 //	coldsim -scenario @sweep.json           # JSON {"base", "axes", "cells"}
 //	coldsim -scenario ... -format csv       # machine-readable report
 //	coldsim -scenario ... -fanout 8         # 8 shard worker processes per cell
+//	coldsim -scenario ... -cpuprofile cpu.prof -memprofile mem.prof
 //
 // -fanout n rewrites unsharded cells to shard=*/n and runs every unit
 // in its own worker process (this binary re-exec'd), merging the
@@ -67,6 +68,8 @@ func main() {
 		format = flag.String("format", "table", "output format: table, csv or json")
 		fanout = flag.Int("fanout", 0,
 			"run each cell as n shard worker processes (rewrites unsharded cells to shard=*/n)")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to `file` (go tool pprof)")
+		memProfile = flag.String("memprofile", "", "write a heap profile at the end of the run to `file` (go tool pprof)")
 	)
 	flag.Parse()
 
@@ -98,17 +101,28 @@ func main() {
 		}
 	}
 
-	switch *format {
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		log.Fatal(err)
+	}
+	err = runFormat(ctx, *format, cells, run)
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
+	if err != nil {
+		fatal(err)
+	}
+}
+
+// runFormat runs the sweep and writes the report in the -format named.
+func runFormat(ctx context.Context, format string, cells []wild.Scenario, run sweepFunc) error {
+	switch format {
 	case "table":
-		if err := runTable(ctx, cells, run); err != nil {
-			fatal(err)
-		}
+		return runTable(ctx, cells, run)
 	case "csv", "json":
-		if err := runRaw(ctx, *format, cells, run, os.Stdout); err != nil {
-			fatal(err)
-		}
+		return runRaw(ctx, format, cells, run, os.Stdout)
 	default:
-		log.Fatalf("-format: unknown %q (table, csv, json)", *format)
+		return fmt.Errorf("-format: unknown %q (table, csv, json)", format)
 	}
 }
 

@@ -23,8 +23,9 @@ type appWalk struct {
 }
 
 // bytes is the heap footprint the walk's owned slices pin: the run and
-// exec copies. times alias the trace's memoized merge — trace memory,
-// which exists either way, not walk memory.
+// exec copies. times aliases trace memory — the function's own list for
+// a single-function app, the app's merged list otherwise — which exists
+// either way, not walk memory.
 func (w *appWalk) bytes() int64 {
 	return int64(cap(w.execs))*8 + int64(cap(w.runs))*int64(unsafe.Sizeof(policy.DecisionRun{}))
 }

@@ -344,9 +344,9 @@ func Figure20(ctx context.Context, tr *trace.Trace, cfg PlatformConfig) (*Figure
 	sel := selectByWindowActivity(tr, cfg.Apps, cfg.Seed, cfg.Window, 100, 400)
 	uniform := &trace.Trace{Duration: sel.Duration}
 	for _, app := range sel.Apps {
-		cp := *app
+		cp := app.Clone()
 		cp.MemoryMB = 128
-		uniform.Apps = append(uniform.Apps, &cp)
+		uniform.Apps = append(uniform.Apps, cp)
 	}
 	sel = uniform
 

@@ -89,7 +89,9 @@ type runOptions struct {
 // cell, overriding the cells' Source specs (the Seed field is ignored
 // too). This is how callers that hold a trace in memory — the
 // experiment harness, tests — drive the scenario path without a
-// serializable source.
+// serializable source. Each function's Invocations must be ascending
+// (trace.Trace.Validate checks it): an app's invocation order is merged
+// from those lists, not re-sorted. Cells share the trace concurrently.
 func WithFixedTrace(tr *trace.Trace) Option {
 	return func(o *runOptions) { o.fixedTrace = tr }
 }
@@ -177,10 +179,6 @@ func RunSweep(ctx context.Context, cells []Scenario, opts ...Option) (*SweepRepo
 	opens := make([]openFn, len(cells))
 	if o.fixedTrace != nil {
 		tr := o.fixedTrace
-		// Every cell simulates over the same trace concurrently: warm
-		// the per-app caches so no lazy memoization races (the same
-		// discipline the shared source factories follow).
-		tr.WarmCaches()
 		for i := range cells {
 			opens[i] = func() (trace.Source, func() error, error) {
 				return trace.NewTraceSource(tr), func() error { return nil }, nil
@@ -544,8 +542,7 @@ func materialize(src trace.Source) (*trace.Trace, error) {
 func applyMemCSV(tr *trace.Trace, path string) (*trace.Trace, int, error) {
 	clone := &trace.Trace{Duration: tr.Duration, Apps: make([]*trace.App, len(tr.Apps))}
 	for i, a := range tr.Apps {
-		cp := *a
-		clone.Apps[i] = &cp
+		clone.Apps[i] = a.Clone()
 	}
 	f, err := os.Open(path)
 	if err != nil {

@@ -406,3 +406,57 @@ func TestCellErrorIdentifiesFailingCell(t *testing.T) {
 		t.Errorf("RunScenario error %v: want *CellError with Index 0", err)
 	}
 }
+
+// TestFixedTraceSharedUnwarmed runs cells concurrently over one
+// un-warmed trace with multi-function apps, so the cells race to
+// memoize the same merged invocation lists; under -race this guards
+// the memo's publication. The report must equal a run over a warmed
+// copy.
+func TestFixedTraceSharedUnwarmed(t *testing.T) {
+	gen := func() *trace.Trace {
+		pop, err := workload.Generate(workload.Config{
+			Seed: 5, NumApps: 60, Duration: 24 * time.Hour,
+			MaxDailyRate: 300, MaxEventsPerFunction: 800,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pop.Trace
+	}
+	cold, warm := gen(), gen()
+	multi := 0
+	for _, app := range cold.Apps {
+		if len(app.Functions) > 1 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatal("population has no multi-function app")
+	}
+	for _, app := range warm.Apps {
+		app.InvocationTimes() // memoize every merge before any cell runs
+	}
+
+	g, err := ParseGrid("policy=[fixed?ka=10m,fixed?ka=1h,hybrid,hybrid?arima=off]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := g.Scenarios()
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := func(tr *trace.Trace) string {
+		rep, err := RunSweep(context.Background(), cells, WithFixedTrace(tr), WithSweepWorkers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if got, want := report(cold), report(warm); got != want {
+		t.Fatalf("un-warmed report differs from the warmed one:\n%s\nvs\n%s", got, want)
+	}
+}

@@ -208,11 +208,6 @@ func (f *genFactory) Open() (trace.Source, func() error, error) {
 			return
 		}
 		f.tr, f.err = trace.Collect(src)
-		if f.err == nil {
-			// The trace is about to be shared across concurrently-running
-			// cells: leave no lazy cache writes behind.
-			f.tr.WarmCaches()
-		}
 	})
 	if f.err != nil {
 		return nil, nil, f.err
@@ -266,9 +261,6 @@ func (f *shardFactory) Open() (trace.Source, func() error, error) {
 			f.tr, f.err = trace.Collect(trace.Shard(src, f.i, f.n))
 			if cerr := release(); f.err == nil {
 				f.err = cerr
-			}
-			if f.err == nil {
-				f.tr.WarmCaches() // shared across opens, like genFactory
 			}
 		})
 		if f.err != nil {

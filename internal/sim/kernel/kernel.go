@@ -40,7 +40,8 @@ type mergeSrc struct {
 // state, computes exec times (when useExec) and idle times, takes the
 // decisions, and hands pooled state (policy.Releasable) back before
 // returning — the batch engines never hold an AppPolicy, so they
-// cannot leak one. times is the app's memoized invocation list; execs
+// cannot leak one. times is the app's invocation order
+// (trace.App.InvocationTimes: trace memory, not scratch); execs
 // (nil unless useExec) and runs alias the scratch like the results of
 // the methods below.
 func (s *Scratch) Walk(pol policy.Policy, app *trace.App, useExec bool) (times, execs []float64, runs []policy.DecisionRun) {

@@ -2,7 +2,8 @@ package trace
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"sync/atomic"
 	"time"
 )
 
@@ -41,7 +42,9 @@ type App struct {
 	// MemoryMB is the app's average allocated memory in MB.
 	MemoryMB float64
 
-	merged []float64 // cached merged invocation times
+	// merged memoizes the merge of two or more non-empty function
+	// lists; it stays nil for single-function apps.
+	merged atomic.Pointer[[]float64]
 }
 
 // Trace is a complete workload: a set of applications observed for
@@ -69,7 +72,7 @@ func (tr *Trace) Validate() error {
 			}
 			seen[fn.ID] = true
 			for i, ts := range fn.Invocations {
-				if ts < 0 || ts > horizon {
+				if !(ts >= 0 && ts <= horizon) { // NaN included
 					return fmt.Errorf("trace: function %s invocation %d at %v outside [0, %v]",
 						fn.ID, i, ts, horizon)
 				}
@@ -82,38 +85,114 @@ func (tr *Trace) Validate() error {
 	return nil
 }
 
-// InvocationTimes returns the app's merged, sorted invocation times in
-// seconds from trace start (the union over its functions). The result
-// is cached; callers must not modify it. The memoization is not
-// synchronized — within one simulation each app is walked by exactly
-// one worker, but a trace shared across concurrently-running
-// simulations must be warmed first (Trace.WarmCaches).
+// InvocationTimes returns the app's invocation times in seconds from
+// trace start, ascending: the union over its functions, which relies on
+// each function's list being ascending. Callers must not modify the
+// result. An app with at most one non-empty function gets that
+// function's own list, without a copy. Otherwise the lists are merged
+// once and the result is memoized; the memo is published atomically,
+// so concurrent callers on a shared trace are safe.
 func (a *App) InvocationTimes() []float64 {
-	if a.merged != nil {
-		return a.merged
+	if p := a.merged.Load(); p != nil {
+		return *p
 	}
-	var total int
+	var only []float64
+	lists := 0
 	for _, fn := range a.Functions {
-		total += len(fn.Invocations)
+		if len(fn.Invocations) > 0 {
+			only = fn.Invocations
+			lists++
+		}
 	}
-	merged := make([]float64, 0, total)
-	for _, fn := range a.Functions {
-		merged = append(merged, fn.Invocations...)
+	if lists <= 1 {
+		return only
 	}
-	sort.Float64s(merged)
-	a.merged = merged
+	merged := mergeSorted(a.Functions)
+	if !a.merged.CompareAndSwap(nil, &merged) {
+		return *a.merged.Load()
+	}
 	return merged
 }
 
-// WarmCaches precomputes every app's merged invocation times, leaving
-// no lazy cache writes behind. Call it before handing one trace to
-// several simulations running concurrently (InvocationTimes memoizes
-// without synchronization); the sweep engine warms every trace it
-// shares across cells.
+// mergeSorted merges the k ≥ 2 non-empty ascending invocation lists
+// of fns in rounds of pairwise merges, O(n log k). Ties keep function
+// order, so the result equals a stable sort of the concatenation. The
+// rounds alternate between the result and one scratch buffer, starting
+// in whichever makes the last round land in the result.
+func mergeSorted(fns []*Function) []float64 {
+	var stack [16][]float64 // most apps have few functions: keep segs off the heap
+	segs := stack[:0]
+	n := 0
+	for _, fn := range fns {
+		if len(fn.Invocations) > 0 {
+			segs = append(segs, fn.Invocations)
+			n += len(fn.Invocations)
+		}
+	}
+	out := make([]float64, n)
+	dst, other := out, []float64(nil)
+	if rounds := bits.Len(uint(len(segs) - 1)); rounds > 1 {
+		other = make([]float64, n)
+		if rounds%2 == 0 {
+			dst, other = other, dst
+		}
+	}
+	for len(segs) > 1 {
+		// next reuses segs' array: slot i/2 is written after slot i is read.
+		next, off := segs[:0], 0
+		for i := 0; i < len(segs); i += 2 {
+			var seg []float64
+			if i+1 < len(segs) {
+				seg = dst[off : off+len(segs[i])+len(segs[i+1])]
+				merge2(seg, segs[i], segs[i+1])
+			} else {
+				seg = dst[off : off+len(segs[i])]
+				copy(seg, segs[i])
+			}
+			next = append(next, seg)
+			off += len(seg)
+		}
+		segs = next
+		dst, other = other, dst
+	}
+	return out
+}
+
+// merge2 merges ascending a and b into dst (len(a)+len(b)), taking a's
+// element on ties.
+func merge2(dst, a, b []float64) {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j] < a[i] {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
+}
+
+// WarmCaches precomputes the merged invocation times of every
+// multi-function app. It is no longer needed for safety — the memo is
+// published atomically — but it moves the merges up front, for a
+// caller that wants them out of a timed walk.
 func (t *Trace) WarmCaches() {
 	for _, a := range t.Apps {
 		a.InvocationTimes()
 	}
+}
+
+// Clone returns a shallow copy of the app that shares its function
+// lists and merged invocation times; callers change only app-level
+// fields (ID, Owner, MemoryMB) on it.
+func (a *App) Clone() *App {
+	c := &App{ID: a.ID, Owner: a.Owner, Functions: a.Functions, MemoryMB: a.MemoryMB}
+	c.merged.Store(a.merged.Load())
+	return c
 }
 
 // TotalInvocations returns the number of invocations across the app.

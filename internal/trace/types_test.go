@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -52,12 +55,77 @@ func TestAppInvocationTimesMergesAndSorts(t *testing.T) {
 	}
 }
 
-func TestAppInvocationTimesCached(t *testing.T) {
-	app := mkApp("a", &Function{ID: "f", Invocations: []float64{1}})
+func TestAppInvocationTimesAliasesSingleFunction(t *testing.T) {
+	fn := &Function{ID: "f", Invocations: []float64{1, 2, 2, 7}}
+	for _, app := range []*App{
+		mkApp("one", fn),
+		mkApp("among-empty", &Function{ID: "e1"}, fn, &Function{ID: "e2", Invocations: []float64{}}),
+	} {
+		if got := app.InvocationTimes(); len(got) != len(fn.Invocations) || &got[0] != &fn.Invocations[0] {
+			t.Fatalf("%s: got %v, want the function's own list", app.ID, got)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { app.InvocationTimes() }); allocs != 0 {
+			t.Fatalf("%s: %v allocs per call, want 0", app.ID, allocs)
+		}
+	}
+	if got := mkApp("empty", &Function{ID: "e"}).InvocationTimes(); len(got) != 0 {
+		t.Fatalf("empty app: got %v", got)
+	}
+}
+
+// TestAppInvocationTimesMergeMatchesSort pins the merge to what it
+// replaced: the concatenation of every list, sorted.
+func TestAppInvocationTimesMergeMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(33, 1))
+	for iter := 0; iter < 300; iter++ {
+		k := 1 + rng.IntN(8)
+		if iter%10 == 0 {
+			k = 1 + rng.IntN(200)
+		}
+		var fns []*Function
+		var want []float64
+		for f := 0; f < k; f++ {
+			var inv []float64
+			if rng.IntN(4) > 0 { // a quarter of the functions stay empty
+				n := 1 + rng.IntN(50)
+				for range n {
+					// A coarse grid makes ties within and across
+					// functions common.
+					inv = append(inv, float64(rng.IntN(200))*0.25)
+				}
+				sort.Float64s(inv)
+			}
+			fns = append(fns, &Function{ID: fmt.Sprint(f), Invocations: inv})
+			want = append(want, inv...)
+		}
+		sort.Float64s(want)
+		got := mkApp("a", fns...).InvocationTimes()
+		if len(got) != len(want) {
+			t.Fatalf("iter %d (k=%d): %d times, want %d", iter, k, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("iter %d (k=%d): time %d is %v, want %v", iter, k, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestAppInvocationTimesMemoized(t *testing.T) {
+	app := mkApp("a",
+		&Function{ID: "f1", Invocations: []float64{1, 3}},
+		&Function{ID: "f2", Invocations: []float64{2}},
+		&Function{ID: "f3", Invocations: []float64{0, 4}})
 	first := app.InvocationTimes()
-	app.Functions[0].Invocations = append(app.Functions[0].Invocations, 2)
-	if len(app.InvocationTimes()) != len(first) {
-		t.Fatal("expected the memoized result")
+	var again []float64
+	if allocs := testing.AllocsPerRun(100, func() { again = app.InvocationTimes() }); allocs != 0 {
+		t.Fatalf("%v allocs per repeated call, want 0", allocs)
+	}
+	if &again[0] != &first[0] {
+		t.Fatal("repeated call did not return the memo")
+	}
+	if c := app.Clone(); &c.InvocationTimes()[0] != &first[0] {
+		t.Fatal("Clone dropped the memo")
 	}
 }
 
@@ -135,6 +203,8 @@ func TestValidateRejectsBadTraces(t *testing.T) {
 			mkApp("a", &Function{ID: "f", Invocations: []float64{-1}})}}},
 		{"beyond horizon", &Trace{Duration: time.Hour, Apps: []*App{
 			mkApp("a", &Function{ID: "f", Invocations: []float64{3601}})}}},
+		{"NaN", &Trace{Duration: time.Hour, Apps: []*App{
+			mkApp("a", &Function{ID: "f", Invocations: []float64{1, math.NaN()}})}}},
 	}
 	for _, c := range cases {
 		if err := c.tr.Validate(); err == nil {

@@ -63,7 +63,9 @@ type (
 )
 
 // SourceFromTrace adapts an in-memory trace. Run detects this source
-// and takes its batch work-stealing fast path.
+// and takes its batch work-stealing fast path. Each function's
+// Invocations must be ascending (trace.Trace.Validate checks it): an
+// app's invocation order is merged from those lists, not re-sorted.
 func SourceFromTrace(tr *Trace) TraceSource { return trace.NewTraceSource(tr) }
 
 // DefaultAppMemoryMB is the paper's median per-app allocated memory
