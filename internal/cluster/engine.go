@@ -65,6 +65,7 @@ type nodeState struct {
 	down        bool          // failed or drained out of service
 	residentCnt int           // containers resident now (finite runs)
 	victims     []victimEntry // min-heap on (unloadAt, app), lazily invalidated
+	parked      []victimEntry // candidates found executing: min-heap on (execEnd, app), lazily invalidated
 	stats       NodeStats
 }
 

@@ -79,6 +79,78 @@ func TestEvictionSkipsExecutingContainer(t *testing.T) {
 	}
 }
 
+// TestEvictionRestoresAfterExecution: an executing container passed
+// over by one eviction is a candidate again once its execution ends.
+//
+// Layout (node cap 250 MB, exec times on): app x (100 MB) executes from
+// t=0 to t=400 under a plain keep-alive window (unloadAt 500), the
+// soonest expiry on the node. At t=100 z's load passes x over (it is
+// executing) and evicts y (unloadAt 10010). At t=450 x is idle and
+// still holds the soonest expiry ahead of z (1100), so w's load must
+// evict x — booking the 50 s it sat idle after its execution.
+func TestEvictionRestoresAfterExecution(t *testing.T) {
+	tr := &trace.Trace{Duration: 2000 * time.Second, Apps: []*trace.App{
+		fn("x", 100, 400, 0),
+		fn("y", 100, 0, 10),
+		fn("z", 100, 0, 100),
+		fn("w", 100, 0, 450),
+	}}
+	pol := scriptPolicy{decisions: map[string][]policy.Decision{
+		"x": {{KeepAlive: 100 * time.Second}},
+		"y": {{KeepAlive: 10000 * time.Second}},
+		"z": {{KeepAlive: 1000 * time.Second}},
+		"w": {{KeepAlive: 60 * time.Second}},
+	}}
+	res := Simulate(tr, pol, Config{Nodes: 1, NodeMemMB: 250, UseExecTime: true})
+	x, y, z := res.Apps[0], res.Apps[1], res.Apps[2]
+	if x.Evictions != 1 || y.Evictions != 1 || z.Evictions != 0 {
+		t.Errorf("evictions x=%d y=%d z=%d, want 1/1/0", x.Evictions, y.Evictions, z.Evictions)
+	}
+	if x.WastedSeconds != 50 {
+		t.Errorf("app x wasted %v s, want 50 (idle from its exec end at 400 to the eviction at 450)", x.WastedSeconds)
+	}
+	if ns := res.NodeStats[0]; ns.Evictions != 2 || ns.FailedLoads != 0 {
+		t.Errorf("node evictions=%d failedLoads=%d, want 2/0", ns.Evictions, ns.FailedLoads)
+	}
+}
+
+// TestParkedEntriesStayParked pins that executing containers are not
+// re-sifted: once the first selection has parked the K executing
+// containers holding the soonest expiries, each later selection before
+// their executions end pops only its own victim, and the parked heap
+// keeps exactly K entries.
+func TestParkedEntriesStayParked(t *testing.T) {
+	const k, idle = 5, 6
+	s, nd := newVictimNode(k + idle)
+	for ai := int32(0); ai < k; ai++ {
+		loadVictim(s, ai, 0, 1000, float64(10+ai)) // executing until 1000
+	}
+	for ai := int32(k); ai < k+idle; ai++ {
+		loadVictim(s, ai, 0, 0, float64(100+ai))
+	}
+	for sel := 0; sel < idle; sel++ {
+		n := len(nd.victims)
+		now := float64(50 + sel)
+		got := s.pickVictim(nd, now)
+		if want := int32(k + sel); got != want {
+			t.Fatalf("selection %d: victim %d, want %d", sel, got, want)
+		}
+		s.evict(got, now)
+		if len(nd.parked) != k {
+			t.Fatalf("selection %d: %d parked entries, want %d", sel, len(nd.parked), k)
+		}
+		if sel > 0 && len(nd.victims) != n-1 {
+			t.Fatalf("selection %d: victim heap %d -> %d, want one pop", sel, n, len(nd.victims))
+		}
+	}
+	if got := s.pickVictim(nd, 999); got != -1 || len(nd.parked) != k {
+		t.Fatalf("only executing containers left: victim %d with %d parked, want -1 with %d", got, len(nd.parked), k)
+	}
+	if got := s.pickVictim(nd, 1000); got != 0 || len(nd.parked) != 0 {
+		t.Fatalf("at the executions' end: victim %d with %d parked, want 0 with 0", got, len(nd.parked))
+	}
+}
+
 // TestEvictionAtExecEndBoundary pins the execEnd == t boundary: a
 // container whose execution ends exactly at the pressuring load's time
 // is idle, hence evictable — and with the soonest expiry it is chosen

@@ -1,9 +1,11 @@
 package cluster
 
 // eventQueue is one shard's pending container events: a binary heap
-// over eventLess. The invocation stream runs behind the peeked event
-// time, so pushes may land at or before the last popped event. The
-// zero value is an empty queue.
+// over eventLess. Event times are monotone per shard: a push is never
+// earlier than the last popped time (every event is scheduled at or
+// after the instant being processed), but it may precede the pending
+// minimum, so the queue is a heap rather than a FIFO. The zero value
+// is an empty queue.
 type eventQueue struct {
 	n int // pending events
 	h []cevent

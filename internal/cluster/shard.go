@@ -48,9 +48,10 @@ type inv struct {
 }
 
 // victimEntry is one candidate in a node's victim index: the app's
-// container ordered by scheduled expiry. Entries are never updated in
-// place — each refresh pushes a new entry with a bumped per-app
-// version (appState.vix) and older entries die lazily on pop.
+// container ordered by scheduled expiry (by execution end while it
+// sits in the parked heap). Entries are never updated in place — each
+// refresh pushes a new entry with a bumped per-app version
+// (appState.vix) and older entries die lazily on pop.
 type victimEntry struct {
 	unloadAt float64
 	app      int32
@@ -68,10 +69,9 @@ type victimEntry struct {
 type shard struct {
 	e       *engine
 	invs    []inv
-	q       eventQueue    // container-event heap (queue.go)
-	buckets []int32       // buildStream scratch: per-bucket counts, then offsets
-	skip    []victimEntry // pickVictim scratch: executing containers set aside
-	flushes []drainFlush  // pending drain-outs, indexed by evFlush events
+	q       eventQueue   // container-event heap (queue.go)
+	buckets []int32      // buildStream scratch: per-bucket counts, then offsets
+	flushes []drainFlush // pending drain-outs, indexed by evFlush events
 }
 
 // reset prepares a worker-owned shard for its next node, keeping the
@@ -389,33 +389,34 @@ func (s *shard) load(ai int32, t float64) bool {
 // its remaining keep-alive had the least predicted value. The victim
 // index pops candidates in (unloadAt, app) order; stale entries
 // (superseded windows, departed containers) are discarded, and
-// containers mid-execution are set aside and re-indexed after
-// selection — they stay resident and may be victims later. Returns -1
-// when nothing is evictable.
+// containers mid-execution move to the node's parked heap, keyed by
+// execEnd, until their execution ends — they stay resident and may be
+// victims later. A live entry's execEnd never changes without a vix
+// bump and t is monotone per shard, so every idle live entry is in
+// victims when the choice is made. Returns -1 when nothing is
+// evictable.
 func (s *shard) pickVictim(nd *nodeState, t float64) int32 {
-	skip := s.skip[:0]
-	best := int32(-1)
+	for len(nd.parked) > 0 && nd.parked[0].unloadAt <= t {
+		ent := nd.parked[0]
+		heapPopVictim(&nd.parked)
+		if st := &s.e.states[ent.app]; st.resident && ent.vix == st.vix {
+			s.pushVictim(nd, victimEntry{unloadAt: st.unloadAt, app: ent.app, vix: ent.vix})
+		}
+	}
 	for len(nd.victims) > 0 {
 		ent := nd.victims[0]
+		heapPopVictim(&nd.victims)
 		st := &s.e.states[ent.app]
 		if !st.resident || ent.vix != st.vix {
-			popVictim(nd) // stale
-			continue
+			continue // stale
 		}
 		if st.execEnd > t {
-			popVictim(nd) // executing: never a victim (until execEnd)
-			skip = append(skip, ent)
+			heapPushVictim(&nd.parked, victimEntry{unloadAt: st.execEnd, app: ent.app, vix: ent.vix})
 			continue
 		}
-		popVictim(nd) // the caller evicts it now
-		best = ent.app
-		break
+		return ent.app // the caller evicts it now
 	}
-	for _, ent := range skip {
-		s.pushVictim(nd, ent)
-	}
-	s.skip = skip[:0]
-	return best
+	return -1
 }
 
 // evict reclaims one idle container under pressure at time t: its
@@ -682,8 +683,9 @@ func eventLess(a, b cevent) bool {
 
 func (s *shard) pushEvent(ev cevent) { s.q.push(ev) }
 
-// Victim index heap: ordered by (unloadAt, app). Stale entries are
-// tolerated and skipped on pop; pushVictim compacts the index when
+// Victim index heaps: victims is ordered by (unloadAt, app), parked by
+// (execEnd, app) — both keys live in victimEntry.unloadAt. Stale entries
+// are tolerated and skipped on pop; pushVictim compacts the index when
 // stale entries outnumber the live containers, keeping its size
 // O(resident) regardless of window churn.
 
@@ -698,23 +700,29 @@ func (s *shard) pushVictim(nd *nodeState, ent victimEntry) {
 	if len(nd.victims) >= 64 && len(nd.victims) > 3*nd.residentCnt {
 		s.compactVictims(nd)
 	}
-	nd.victims = append(nd.victims, ent)
-	i := len(nd.victims) - 1
+	heapPushVictim(&nd.victims, ent)
+}
+
+func heapPushVictim(h *[]victimEntry, ent victimEntry) {
+	*h = append(*h, ent)
+	hs := *h
+	i := len(hs) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !victimLess(nd.victims[i], nd.victims[parent]) {
+		if !victimLess(hs[i], hs[parent]) {
 			break
 		}
-		nd.victims[i], nd.victims[parent] = nd.victims[parent], nd.victims[i]
+		hs[i], hs[parent] = hs[parent], hs[i]
 		i = parent
 	}
 }
 
-func popVictim(nd *nodeState) {
-	n := len(nd.victims) - 1
-	nd.victims[0] = nd.victims[n]
-	nd.victims = nd.victims[:n]
-	siftDownVictim(nd.victims, 0)
+func heapPopVictim(h *[]victimEntry) {
+	hs := *h
+	n := len(hs) - 1
+	hs[0] = hs[n]
+	*h = hs[:n]
+	siftDownVictim(hs[:n], 0)
 }
 
 func siftDownVictim(h []victimEntry, i int) {
