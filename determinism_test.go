@@ -61,7 +61,7 @@ func TestDeterminismByReexecution(t *testing.T) {
 	if err := os.WriteFile(csvPath, csvBuf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mem, err := trace.ReadInvocationsCSV(&csvBuf)
+	mem, err := collectCSV(&csvBuf)
 	if err != nil {
 		t.Fatal(err)
 	}

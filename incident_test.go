@@ -41,14 +41,7 @@ func TestIncidentCorpusInvariant(t *testing.T) {
 	for _, path := range files {
 		name := strings.TrimSuffix(filepath.Base(path), ".json")
 		t.Run(name, func(t *testing.T) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, err := scenario.ParseScenario(string(data))
-			if err != nil {
-				t.Fatal(err)
-			}
+			sc := readIncident(t, path)
 			if sc.Cluster == nil || sc.Cluster.Events == "" {
 				t.Fatalf("incident scenario %s carries no cluster.events", name)
 			}
@@ -163,4 +156,22 @@ func TestIncidentGoldensParse(t *testing.T) {
 			t.Errorf("%s: golden carries no failure_cold_starts metric", path)
 		}
 	}
+}
+
+// readIncident parses one incident scenario file: a 1-cell grid, no
+// axes and no extra cells.
+func readIncident(t *testing.T, path string) Scenario {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := scenario.ParseGrid(string(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Axes) != 0 || len(g.Cells) != 0 {
+		t.Fatalf("%s is a grid of %d axes and %d cells, not one scenario", path, len(g.Axes), len(g.Cells))
+	}
+	return g.Base
 }

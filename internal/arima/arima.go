@@ -13,7 +13,6 @@ package arima
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 
@@ -79,7 +78,8 @@ func grow(buf []float64, n int) []float64 {
 }
 
 // differenceInto computes the d-th order difference of xs into the
-// context's diff buffer, producing the same values as Difference.
+// context's diff buffer (nil once the series runs out); xs is not
+// modified.
 func (c *fitCtx) differenceInto(xs []float64, d int) []float64 {
 	c.diff = grow(c.diff, len(xs))
 	out := c.diff
@@ -112,34 +112,6 @@ func (c *fitCtx) designRows(nRows, k int) ([][]float64, []float64) {
 	return c.rows, c.ys
 }
 
-// Difference applies d-th order differencing to xs.
-func Difference(xs []float64, d int) []float64 {
-	out := append([]float64(nil), xs...)
-	for i := 0; i < d; i++ {
-		if len(out) < 2 {
-			return nil
-		}
-		next := make([]float64, len(out)-1)
-		for j := 1; j < len(out); j++ {
-			next[j-1] = out[j] - out[j-1]
-		}
-		out = next
-	}
-	return out
-}
-
-// FitOrder fits an ARIMA model with fixed order (p,d,q) to series.
-func FitOrder(series []float64, p, d, q int) (*Model, error) {
-	ctx := getFitCtx()
-	defer putFitCtx(ctx)
-	m, err := fitOrderWith(ctx, series, p, d, q)
-	if err != nil {
-		return nil, err
-	}
-	m.series = append([]float64(nil), series...)
-	return m, nil
-}
-
 // needObs returns the minimum differenced-series length for an
 // ARMA(p,q) fit at differencing level d: enough observations to
 // estimate all parameters with a few degrees of freedom to spare.
@@ -154,29 +126,6 @@ func needObs(p, d, q int) int {
 // errSingular marks a least-squares stage whose normal equations were
 // singular to working precision.
 var errSingular = errors.New("arima: fit failed (singular)")
-
-// fitOrderWith is FitOrder on a caller-provided scratch context,
-// leaving the model's series unset (Fit attaches the series copy to
-// the order-search winner only, instead of once per candidate).
-func fitOrderWith(ctx *fitCtx, series []float64, p, d, q int) (*Model, error) {
-	if p < 0 || d < 0 || q < 0 {
-		return nil, fmt.Errorf("arima: negative order (%d,%d,%d)", p, d, q)
-	}
-	// Length-gate before differencing touches (and copies) the series:
-	// d-th differencing shortens the series by exactly d.
-	lenW := len(series) - d
-	if lenW < needObs(p, d, q) || lenW < 2 {
-		return nil, ErrTooShort
-	}
-	w := ctx.differenceInto(series, d)
-	mean := stats.Mean(w)
-	ctx.centered = grow(ctx.centered, len(w))
-	centered := ctx.centered
-	for i, v := range w {
-		centered[i] = v - mean
-	}
-	return fitARMA(ctx, centered, mean, p, d, q)
-}
 
 // fitARMA fits ARMA(p,q) to the centered d-times-differenced series.
 // The caller has already length-gated the series against needObs.
@@ -372,12 +321,6 @@ func refineCSS(ctx *fitCtx, x []float64, ar, ma []float64) ([]float64, []float64
 	return ar, ma
 }
 
-// residuals computes one-step-ahead in-sample residuals of an ARMA
-// model on a centered series, conditioning on zero pre-sample values.
-func residuals(x []float64, ar, ma []float64) []float64 {
-	return residualsInto(make([]float64, len(x)), x, ar, ma)
-}
-
 // cssRSS computes the conditional sum of squares of the ARMA(p,q)
 // residuals in a single fused pass — the inner loop of every
 // Nelder–Mead objective evaluation. The residual values, the order of
@@ -454,7 +397,9 @@ func cssRSS(eps, x []float64, ar, ma []float64) float64 {
 	return rss
 }
 
-// residualsInto is residuals writing into eps (len(eps) == len(x)).
+// residualsInto writes the one-step-ahead in-sample residuals of an
+// ARMA model on a centered series into eps (len(eps) == len(x)),
+// conditioning on zero pre-sample values.
 // Every entry is written in index order before it is read, so eps need
 // not be cleared. The warm-up prefix (t < max(p,q)) carries the
 // pre-sample guards; past it all lags exist, so the steady-state loop

@@ -8,29 +8,53 @@ import (
 )
 
 func TestDifference(t *testing.T) {
+	var ctx fitCtx
 	xs := []float64{1, 3, 6, 10}
-	d1 := Difference(xs, 1)
+	d1 := ctx.differenceInto(xs, 1)
 	want := []float64{2, 3, 4}
 	for i := range want {
 		if d1[i] != want[i] {
 			t.Fatalf("d1 = %v", d1)
 		}
 	}
-	d2 := Difference(xs, 2)
-	if len(d2) != 2 || d2[0] != 1 || d2[1] != 1 {
+	if d2 := ctx.differenceInto(xs, 2); len(d2) != 2 || d2[0] != 1 || d2[1] != 1 {
 		t.Fatalf("d2 = %v", d2)
 	}
-	if Difference([]float64{5}, 1) != nil {
+	if ctx.differenceInto([]float64{5}, 1) != nil {
 		t.Fatal("differencing a singleton should give nil")
 	}
-	d0 := Difference(xs, 0)
+	d0 := ctx.differenceInto(xs, 0)
 	if len(d0) != 4 {
 		t.Fatal("d=0 should copy")
 	}
 	d0[0] = 99
 	if xs[0] != 1 {
-		t.Fatal("Difference must not alias input")
+		t.Fatal("differenceInto must not alias input")
 	}
+}
+
+// fitOrder fits a fixed-order ARIMA(p,d,q) through the steps Fit runs
+// for each candidate of its order search: length gate, differenceInto,
+// de-mean, fitARMA.
+func fitOrder(series []float64, p, d, q int) (*Model, error) {
+	lenW := len(series) - d
+	if lenW < 2 || lenW < needObs(p, d, q) {
+		return nil, ErrTooShort
+	}
+	ctx := getFitCtx()
+	defer putFitCtx(ctx)
+	w := ctx.differenceInto(series, d)
+	mean := stats.Mean(w)
+	centered := make([]float64, len(w))
+	for i, v := range w {
+		centered[i] = v - mean
+	}
+	m, err := fitARMA(ctx, centered, mean, p, d, q)
+	if err != nil {
+		return nil, err
+	}
+	m.series = append([]float64(nil), series...)
+	return m, nil
 }
 
 // genAR produces a synthetic AR(1) series with the given coefficient.
@@ -45,7 +69,7 @@ func genAR(phi float64, n int, seed uint64) []float64 {
 
 func TestFitOrderAR1Recovery(t *testing.T) {
 	xs := genAR(0.7, 2000, 42)
-	m, err := FitOrder(xs, 1, 0, 0)
+	m, err := fitOrder(xs, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +91,7 @@ func TestFitOrderMA1Recovery(t *testing.T) {
 		xs[i] = eps + 0.6*prevEps
 		prevEps = eps
 	}
-	m, err := FitOrder(xs, 0, 0, 1)
+	m, err := fitOrder(xs, 0, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +108,7 @@ func TestFitOrderWithDrift(t *testing.T) {
 	for i := 1; i < n; i++ {
 		xs[i] = xs[i-1] + 2 + 0.1*r.NormFloat64()
 	}
-	m, err := FitOrder(xs, 0, 1, 0)
+	m, err := fitOrder(xs, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +123,7 @@ func TestFitOrderWithDrift(t *testing.T) {
 }
 
 func TestFitOrderErrors(t *testing.T) {
-	if _, err := FitOrder([]float64{1, 2, 3}, -1, 0, 0); err == nil {
-		t.Fatal("negative order should error")
-	}
-	if _, err := FitOrder([]float64{1, 2}, 3, 0, 0); err != ErrTooShort {
+	if _, err := fitOrder([]float64{1, 2}, 3, 0, 0); err != ErrTooShort {
 		t.Fatalf("want ErrTooShort, got %v", err)
 	}
 }
@@ -115,7 +136,7 @@ func TestFitAutoSelectsReasonableModel(t *testing.T) {
 	}
 	// The chosen model must forecast better than the unconditional mean.
 	train, test := xs[:700], xs[700:]
-	mt, err := FitOrder(train, m.P, m.D, m.Q)
+	mt, err := fitOrder(train, m.P, m.D, m.Q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +173,7 @@ func TestFitShortSeriesStillWorks(t *testing.T) {
 
 func TestForecastMeanModel(t *testing.T) {
 	xs := []float64{10, 12, 8, 11, 9, 10, 10, 12, 8}
-	m, err := FitOrder(xs, 0, 0, 0)
+	m, err := fitOrder(xs, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +204,7 @@ func TestForecastPeriodicITs(t *testing.T) {
 }
 
 func TestForecastHZeroOrNegative(t *testing.T) {
-	m, err := FitOrder([]float64{1, 2, 3, 4, 5, 6}, 0, 0, 0)
+	m, err := fitOrder([]float64{1, 2, 3, 4, 5, 6}, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +235,7 @@ func TestForecastStationarity(t *testing.T) {
 	for i := range xs {
 		xs[i] += 50
 	}
-	m, err := FitOrder(xs, 1, 0, 0)
+	m, err := fitOrder(xs, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

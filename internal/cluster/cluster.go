@@ -79,9 +79,6 @@ type Config struct {
 	// execution time instead of 0 (§3.4 idle-time semantics). A
 	// container is not evictable while executing.
 	UseExecTime bool
-	// DefaultAppMemMB is charged for apps whose MemoryMB is zero
-	// (absent from the memory table); default trace.DefaultAppMemoryMB.
-	DefaultAppMemMB float64
 	// Workers bounds the simulation parallelism (default GOMAXPROCS):
 	// per-app decision walks are streamed Workers wide just ahead of
 	// the node timelines that consume them, and with an Oblivious
@@ -267,29 +264,11 @@ func (r *Result) TotalEvictionColdStarts() int {
 	return sum
 }
 
-// TotalFailureColdStarts sums the failure-induced cold starts.
-func (r *Result) TotalFailureColdStarts() int {
-	var sum int
-	for _, a := range r.Apps {
-		sum += a.FailureColdStarts
-	}
-	return sum
-}
-
 // TotalEvictions sums container evictions across apps.
 func (r *Result) TotalEvictions() int {
 	var sum int
 	for _, a := range r.Apps {
 		sum += a.Evictions
-	}
-	return sum
-}
-
-// TotalWastedSeconds sums wasted memory time across apps.
-func (r *Result) TotalWastedSeconds() float64 {
-	var sum float64
-	for _, a := range r.Apps {
-		sum += a.WastedSeconds
 	}
 	return sum
 }

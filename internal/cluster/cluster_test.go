@@ -241,7 +241,7 @@ func TestAppLargerThanNode(t *testing.T) {
 }
 
 // TestDefaultMemoryCharge: apps without a memory row are charged the
-// configured default so they stay visible to capacity accounting.
+// paper's median so they stay visible to capacity accounting.
 func TestDefaultMemoryCharge(t *testing.T) {
 	tr := &trace.Trace{Duration: 600 * time.Second, Apps: []*trace.App{
 		{ID: "nomem", Functions: []*trace.Function{{ID: "f", Invocations: []float64{0}}}},
@@ -252,11 +252,6 @@ func TestDefaultMemoryCharge(t *testing.T) {
 	}
 	if res.NodeStats[0].PeakResidentMB != trace.DefaultAppMemoryMB {
 		t.Errorf("peak %v MB, want %v", res.NodeStats[0].PeakResidentMB, trace.DefaultAppMemoryMB)
-	}
-	res = Simulate(tr, policy.FixedKeepAlive{KeepAlive: 60 * time.Second},
-		Config{Nodes: 1, NodeMemMB: 4096, DefaultAppMemMB: 256})
-	if res.Apps[0].MemoryMB != 256 {
-		t.Errorf("charged %v MB, want the configured 256", res.Apps[0].MemoryMB)
 	}
 }
 

@@ -110,9 +110,6 @@ func runEngine(ctx context.Context, tr *trace.Trace, pol policy.Policy, cfg Conf
 	if cfg.Placement == nil {
 		cfg.Placement = HashPlacement{}
 	}
-	if cfg.DefaultAppMemMB <= 0 {
-		cfg.DefaultAppMemMB = trace.DefaultAppMemoryMB
-	}
 	capMB := cfg.NodeMemMB
 	if capMB <= 0 {
 		capMB = math.Inf(1)
@@ -272,7 +269,7 @@ func (e *engine) initStates(tr *trace.Trace) {
 		st := &e.states[i]
 		st.memMB = app.MemoryMB
 		if st.memMB <= 0 {
-			st.memMB = e.cfg.DefaultAppMemMB
+			st.memMB = trace.DefaultAppMemoryMB
 		}
 		st.node = -1
 		st.res = AppResult{
@@ -305,7 +302,7 @@ func (e *engine) initStates(tr *trace.Trace) {
 // Oblivious contract on custom placements. Apps with no invocations
 // never load and keep Node == -1, exactly as on the lazy global path.
 func (e *engine) preassign() {
-	view := staticView{nodes: len(e.nodes), capMB: e.capMB}
+	view := staticView{nodes: len(e.nodes)}
 	for ai := range e.states {
 		st := &e.states[ai]
 		if st.res.Invocations == 0 {
@@ -463,9 +460,6 @@ func (e *engine) finish(polName string) *Result {
 
 // NumNodes implements View.
 func (e *engine) NumNodes() int { return len(e.nodes) }
-
-// CapacityMB implements View.
-func (e *engine) CapacityMB() float64 { return e.capMB }
 
 // ResidentMB implements View.
 func (e *engine) ResidentMB(node int) float64 { return e.nodes[node].residentMB }

@@ -35,9 +35,6 @@ type Footprint struct {
 type View interface {
 	// NumNodes returns the node count.
 	NumNodes() int
-	// CapacityMB returns the per-node memory capacity (+Inf when the
-	// cluster is infinite).
-	CapacityMB() float64
 	// ResidentMB returns the memory currently resident on a node.
 	ResidentMB(node int) float64
 	// Up reports whether a node is in service. Nodes only leave
@@ -69,10 +66,9 @@ type TracePreparer interface {
 
 // Oblivious is an optional Placement extension marking a placement as
 // view-oblivious: Place's result depends only on the app's Footprint,
-// the static cluster shape (View.NumNodes, View.CapacityMB) and
-// whatever Prepare precomputed — never on live residency
-// (View.ResidentMB). hash and binpack are oblivious; least-loaded is
-// not.
+// the static cluster shape (View.NumNodes) and whatever Prepare
+// precomputed — never on live residency (View.ResidentMB). hash and
+// binpack are oblivious; least-loaded is not.
 //
 // The engine runs oblivious placements on the parallel per-node path:
 // every app is pre-assigned before the run, the invocation stream is
@@ -98,14 +94,10 @@ type Oblivious interface {
 // pre-assignment: the cluster shape is visible, live residency is not.
 type staticView struct {
 	nodes int
-	capMB float64
 }
 
 // NumNodes implements View.
 func (v staticView) NumNodes() int { return v.nodes }
-
-// CapacityMB implements View.
-func (v staticView) CapacityMB() float64 { return v.capMB }
 
 // ResidentMB implements View by enforcing the Oblivious contract.
 func (v staticView) ResidentMB(int) float64 {

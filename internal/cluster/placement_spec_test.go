@@ -60,7 +60,7 @@ func TestPlacementSpecErrors(t *testing.T) {
 // TestHashPlacementSeedChangesSpread pins that distinct seeds give
 // distinct (deterministic) spreads.
 func TestHashPlacementSeedChangesSpread(t *testing.T) {
-	view := fakeView{cap: 1024, mbs: make([]float64, 8)}
+	view := fakeView{mbs: make([]float64, 8)}
 	diff := 0
 	for i := 0; i < 64; i++ {
 		app := Footprint{ID: strings.Repeat("x", i%7) + "app"}
@@ -87,7 +87,7 @@ func TestBinPackOrderInvocations(t *testing.T) {
 		{ID: "warm-mid", MemMB: 600, Invocations: 100},
 	}
 	p.Prepare(apps, 2, 1000)
-	view := fakeView{cap: 1000, mbs: make([]float64, 2)}
+	view := fakeView{mbs: make([]float64, 2)}
 	// hot-small (1000 inv) packs first onto node 0, warm-mid fits with
 	// it (100+600), quiet-big overflows to node 1.
 	want := map[string]int{"hot-small": 0, "warm-mid": 0, "quiet-big": 1}

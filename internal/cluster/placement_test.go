@@ -12,18 +12,16 @@ import (
 // fakeView is a placement test double; a nil down slice means every
 // node is in service.
 type fakeView struct {
-	cap  float64
 	mbs  []float64
 	down []bool
 }
 
 func (v fakeView) NumNodes() int               { return len(v.mbs) }
-func (v fakeView) CapacityMB() float64         { return v.cap }
 func (v fakeView) ResidentMB(node int) float64 { return v.mbs[node] }
 func (v fakeView) Up(node int) bool            { return v.down == nil || !v.down[node] }
 
 func TestHashPlacementDeterministicAndSpread(t *testing.T) {
-	view := fakeView{cap: 1024, mbs: make([]float64, 8)}
+	view := fakeView{mbs: make([]float64, 8)}
 	counts := make([]int, 8)
 	for i := 0; i < 400; i++ {
 		app := Footprint{ID: fmt.Sprintf("app-%d", i)}
@@ -41,7 +39,7 @@ func TestHashPlacementDeterministicAndSpread(t *testing.T) {
 }
 
 func TestLeastLoadedPlacement(t *testing.T) {
-	view := fakeView{cap: 1024, mbs: []float64{300, 100, 100, 500}}
+	view := fakeView{mbs: []float64{300, 100, 100, 500}}
 	// Ties resolve to the lowest index.
 	if n := (LeastLoadedPlacement{}).Place(Footprint{ID: "x"}, view); n != 1 {
 		t.Fatalf("placed on node %d, want 1 (least loaded, lowest index)", n)
@@ -57,7 +55,7 @@ func TestBinPackLargestFirst(t *testing.T) {
 		{ID: "small-2", MemMB: 100},
 	}
 	p.Prepare(apps, 2, 1000)
-	view := fakeView{cap: 1000, mbs: make([]float64, 2)}
+	view := fakeView{mbs: make([]float64, 2)}
 	// Largest-first: big(900)→node0, mid(600)→node1 (doesn't fit with
 	// big), small-1(100)→node0 (fits: 900+100), small-2(100)→node1.
 	want := map[string]int{"big": 0, "mid": 1, "small-1": 0, "small-2": 1}
@@ -80,7 +78,7 @@ func TestBinPackSpillsToLeastAssigned(t *testing.T) {
 		{ID: "c", MemMB: 800},
 	}
 	p.Prepare(apps, 2, 1000)
-	view := fakeView{cap: 1000, mbs: make([]float64, 2)}
+	view := fakeView{mbs: make([]float64, 2)}
 	na, nb := p.Place(Footprint{ID: "a"}, view), p.Place(Footprint{ID: "b"}, view)
 	if na == nb {
 		t.Fatalf("a and b share node %d; first-fit should separate them", na)

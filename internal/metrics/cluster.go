@@ -40,15 +40,6 @@ func (s *ClusterAttributionSink) Consume(_ int, r cluster.AppResult) {
 	s.evictions += int64(r.Evictions)
 }
 
-// Apps returns the number of apps consumed.
-func (s *ClusterAttributionSink) Apps() int64 { return s.apps }
-
-// TotalInvocations returns the accumulated invocation count.
-func (s *ClusterAttributionSink) TotalInvocations() int64 { return s.invocations }
-
-// TotalColdStarts returns all cold starts.
-func (s *ClusterAttributionSink) TotalColdStarts() int64 { return s.coldStarts }
-
 // EvictionColdStarts returns the capacity-attributed cold starts.
 func (s *ClusterAttributionSink) EvictionColdStarts() int64 { return s.evictionColds }
 

@@ -61,8 +61,8 @@ func TestSinkMerge(t *testing.T) {
 	for _, s := range shardWs {
 		mergedW.Merge(s)
 	}
-	if merged.AppCount() != whole.AppCount() {
-		t.Fatalf("merged apps %d, whole %d", merged.AppCount(), whole.AppCount())
+	if merged.count != whole.count {
+		t.Fatalf("merged apps %d, whole %d", merged.count, whole.count)
 	}
 	// The distribution bins are integers: quantiles must agree exactly.
 	for _, p := range []float64{0, 25, 50, 75, 99, 100} {
@@ -101,10 +101,10 @@ func TestClusterAttributionSink(t *testing.T) {
 	for i, a := range res.Apps {
 		sink.Consume(i, a)
 	}
-	if sink.Apps() != 2 || sink.TotalInvocations() != 5 {
-		t.Fatalf("apps=%d invocations=%d, want 2/5", sink.Apps(), sink.TotalInvocations())
+	if sink.apps != 2 || sink.invocations != 5 {
+		t.Fatalf("apps=%d invocations=%d, want 2/5", sink.apps, sink.invocations)
 	}
-	if sink.TotalColdStarts() != 5 || sink.EvictionColdStarts() != 3 || sink.PolicyColdStarts() != 2 {
+	if sink.coldStarts != 5 || sink.EvictionColdStarts() != 3 || sink.PolicyColdStarts() != 2 {
 		t.Errorf("attribution %s, want cold=5 policy=2 eviction=3", sink)
 	}
 	if sink.Evictions() != 4 {
@@ -120,7 +120,7 @@ func TestClusterAttributionSink(t *testing.T) {
 		twin.Consume(i, a)
 	}
 	twin.Merge(sink)
-	if twin.TotalColdStarts() != 10 || twin.EvictionColdStarts() != 6 || twin.Evictions() != 8 {
+	if twin.coldStarts != 10 || twin.EvictionColdStarts() != 6 || twin.Evictions() != 8 {
 		t.Errorf("merged attribution %s", twin)
 	}
 }
@@ -144,14 +144,18 @@ func TestClusterSinksThroughRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int(attr.TotalColdStarts()) != res.TotalColdStarts() {
-		t.Errorf("attribution sink cold %d, result %d", attr.TotalColdStarts(), res.TotalColdStarts())
+	if int(attr.coldStarts) != res.TotalColdStarts() {
+		t.Errorf("attribution sink cold %d, result %d", attr.coldStarts, res.TotalColdStarts())
 	}
 	if int(attr.EvictionColdStarts()) != res.TotalEvictionColdStarts() {
 		t.Errorf("attribution sink eviction cold %d, result %d",
 			attr.EvictionColdStarts(), res.TotalEvictionColdStarts())
 	}
-	if wasted.TotalWastedSeconds() != res.TotalWastedSeconds() {
-		t.Errorf("sim sink waste %v, result %v", wasted.TotalWastedSeconds(), res.TotalWastedSeconds())
+	var want float64
+	for _, a := range res.Apps {
+		want += a.WastedSeconds
+	}
+	if wasted.TotalWastedSeconds() != want {
+		t.Errorf("sim sink waste %v, result %v", wasted.TotalWastedSeconds(), want)
 	}
 }

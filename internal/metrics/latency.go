@@ -83,15 +83,3 @@ func (h *LatencyHistogram) Quantile(p float64) time.Duration {
 	}
 	return time.Duration(latencyBucketMax(len(h.counts) - 1))
 }
-
-// Merge folds other's samples into h (bucket-exact, like the
-// repository's other binned sinks: merging shards equals observing
-// the union).
-func (h *LatencyHistogram) Merge(other *LatencyHistogram) {
-	for i := range h.counts {
-		if n := other.counts[i].Load(); n != 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	h.total.Add(other.total.Load())
-}

@@ -88,31 +88,6 @@ func TestLatencyQuantileEmptyAndEdges(t *testing.T) {
 	}
 }
 
-// TestLatencyMergeExact checks merging shards equals observing the
-// union, bucket for bucket.
-func TestLatencyMergeExact(t *testing.T) {
-	r := stats.NewRNG(11)
-	a, b, all := NewLatencyHistogram(), NewLatencyHistogram(), NewLatencyHistogram()
-	for i := 0; i < 5000; i++ {
-		d := time.Duration(r.Intn(1 << 30))
-		if i%2 == 0 {
-			a.Observe(d)
-		} else {
-			b.Observe(d)
-		}
-		all.Observe(d)
-	}
-	a.Merge(b)
-	if a.Count() != all.Count() {
-		t.Fatalf("merged Count = %d, want %d", a.Count(), all.Count())
-	}
-	for _, p := range []float64{1, 25, 50, 75, 99, 99.9} {
-		if a.Quantile(p) != all.Quantile(p) {
-			t.Fatalf("p%v: merged %v, union %v", p, a.Quantile(p), all.Quantile(p))
-		}
-	}
-}
-
 // TestLatencyConcurrentObserve hammers Observe from many goroutines
 // (run under -race) and checks no samples are lost.
 func TestLatencyConcurrentObserve(t *testing.T) {

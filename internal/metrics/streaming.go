@@ -45,10 +45,6 @@ func (s *ColdStartSink) Consume(_ int, r sim.AppResult) {
 	s.count++
 }
 
-// AppCount returns the number of apps observed (zero-invocation apps
-// excluded).
-func (s *ColdStartSink) AppCount() int64 { return s.count }
-
 // Merge folds other's distribution into s. The bins are integer
 // counts, so merging the sinks of a sharded run reproduces the
 // unsharded sink exactly — quantiles included — which is what makes

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/policy"
 	"repro/internal/serve"
+	"repro/internal/trace"
 )
 
 // liveCfg runs the platform on a live clock, the surface the HTTP API
@@ -251,7 +252,11 @@ func TestAPIInvokesRecordedAsBundle(t *testing.T) {
 	if err := rec.WriteBundle(&buf, "api-capture", 0); err != nil {
 		t.Fatal(err)
 	}
-	meta, tr, err := serve.ReadBundle(&buf)
+	meta, src, err := serve.StreamBundle(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Collect(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,9 +126,7 @@ func TestDistinctAppsIsolatedContainers(t *testing.T) {
 func TestPrewarmProducesWarmStart(t *testing.T) {
 	// Hybrid policy with a pattern: invoke every 2 virtual minutes so
 	// the histogram learns; only the first invocation may be cold.
-	cfg := policy.DefaultHybridConfig()
-	cfg.MinObservations = 2
-	p, clk := virtualPlatform(policy.NewHybrid(cfg))
+	p, clk := virtualPlatform(policy.NewHybrid(policy.DefaultHybridConfig()))
 	defer p.Stop()
 
 	var colds int

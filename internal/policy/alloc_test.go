@@ -37,7 +37,7 @@ func TestNextWindowsSteadyStateAllocs(t *testing.T) {
 	r := stats.NewRNG(3)
 	// Warm past the ring capacity (ARIMAMaxSeries) with in-bounds idle
 	// times so the histogram regime, not the ARIMA path, is active.
-	for i := 0; i <= DefaultHybridConfig().ARIMAMaxSeries+16; i++ {
+	for i := 0; i <= ARIMAMaxSeries+16; i++ {
 		ap.NextWindows(time.Duration(r.Float64()*float64(30*time.Minute)), i == 0)
 	}
 	allocs := testing.AllocsPerRun(2000, func() {

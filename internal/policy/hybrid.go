@@ -10,6 +10,18 @@ import (
 	"repro/internal/ithist"
 )
 
+// Fixed parameters of the hybrid policy; no spec key sets them.
+const (
+	// MinObservations is the minimum number of recorded ITs before the
+	// histogram may be trusted at all.
+	MinObservations = 2
+	// ARIMAMinSamples is the minimum IT count before fitting ARIMA.
+	ARIMAMinSamples = 4
+	// ARIMAMaxSeries caps the retained IT series length (oldest
+	// dropped), bounding per-app state.
+	ARIMAMaxSeries = 1000
+)
+
 // HybridConfig parameterizes the hybrid histogram policy. The zero
 // value is invalid; start from DefaultHybridConfig.
 type HybridConfig struct {
@@ -20,9 +32,6 @@ type HybridConfig struct {
 	// for the histogram to be considered representative (the paper
 	// selects 2; Figure 18).
 	CVThreshold float64
-	// MinObservations is the minimum number of recorded ITs before the
-	// histogram may be trusted at all.
-	MinObservations int64
 	// OOBThreshold is the fraction of out-of-bounds ITs above which
 	// the policy switches to the ARIMA path ("too many OOB ITs",
 	// Figure 10).
@@ -31,11 +40,6 @@ type HybridConfig struct {
 	// pre-warm window is the prediction minus the margin, and the
 	// keep-alive window spans the margin on both sides of it (§4.2).
 	ARIMAMargin float64
-	// ARIMAMinSamples is the minimum IT count before fitting ARIMA.
-	ARIMAMinSamples int
-	// ARIMAMaxSeries caps the retained IT series length (oldest
-	// dropped), bounding per-app state.
-	ARIMAMaxSeries int
 	// DisableARIMA turns the time-series path off; apps with OOB-heavy
 	// IT distributions fall back to the standard keep-alive (used for
 	// the Figure 19 ablation).
@@ -64,13 +68,10 @@ type HybridConfig struct {
 // OOB threshold, 15% ARIMA margin.
 func DefaultHybridConfig() HybridConfig {
 	return HybridConfig{
-		Histogram:       ithist.DefaultConfig(),
-		CVThreshold:     2,
-		MinObservations: 2,
-		OOBThreshold:    0.5,
-		ARIMAMargin:     0.15,
-		ARIMAMinSamples: 4,
-		ARIMAMaxSeries:  1000,
+		Histogram:    ithist.DefaultConfig(),
+		CVThreshold:  2,
+		OOBThreshold: 0.5,
+		ARIMAMargin:  0.15,
 	}
 }
 
@@ -87,13 +88,6 @@ func (c HybridConfig) Validate() error {
 	}
 	if c.ARIMAMargin <= 0 || c.ARIMAMargin >= 1 {
 		return fmt.Errorf("policy: ARIMAMargin %v out of (0,1)", c.ARIMAMargin)
-	}
-	if c.ARIMAMinSamples < 3 {
-		return fmt.Errorf("policy: ARIMAMinSamples %d too small", c.ARIMAMinSamples)
-	}
-	if c.ARIMAMaxSeries < c.ARIMAMinSamples {
-		return fmt.Errorf("policy: ARIMAMaxSeries %d < ARIMAMinSamples %d",
-			c.ARIMAMaxSeries, c.ARIMAMinSamples)
 	}
 	if c.RefitInterval < 0 {
 		return fmt.Errorf("policy: RefitInterval %v negative", c.RefitInterval)
@@ -241,7 +235,7 @@ func (a *hybridApp) Release() { hybridAppPool.Put(a) }
 // entry, so steady state allocates nothing.
 func (a *hybridApp) pushIT(idle time.Duration) {
 	a.obsSeen++
-	if len(a.its) < a.cfg.ARIMAMaxSeries {
+	if len(a.its) < ARIMAMaxSeries {
 		a.its = append(a.its, idle)
 		return
 	}
@@ -321,7 +315,7 @@ func (a *hybridApp) NextWindowsSeq(idles []time.Duration, runs []DecisionRun) []
 	// path, which handles both.
 	batched := false
 	if a.obsSeen == 0 {
-		a.wruns, batched = a.hist.DecideSeq(idles, a.cfg.MinObservations, a.cfg.OOBThreshold, a.cfg.CVThreshold, a.wruns[:0])
+		a.wruns, batched = a.hist.DecideSeq(idles, MinObservations, a.cfg.OOBThreshold, a.cfg.CVThreshold, a.wruns[:0])
 	}
 	if !batched {
 		for _, idle := range idles[1:] {
@@ -402,12 +396,12 @@ func (r *runAcc) emit(d Decision, n int32) {
 // minutes-series re-derivation and the fit. With RefitInterval 0 the
 // gate never holds and every invocation refits (§4.2).
 func (a *hybridApp) arimaDecisionAt(idles []time.Duration, j int, clk time.Duration) (Decision, bool) {
-	if a.cfg.DisableARIMA || j < a.cfg.ARIMAMinSamples {
+	if a.cfg.DisableARIMA || j < ARIMAMinSamples {
 		return Decision{}, false
 	}
 	if !a.fitValid || clk-a.fitAt >= a.cfg.RefitInterval {
 		lo := 1
-		if m := j - a.cfg.ARIMAMaxSeries + 1; m > lo {
+		if m := j - ARIMAMaxSeries + 1; m > lo {
 			lo = m
 		}
 		n := j - lo + 1
@@ -433,8 +427,8 @@ func (a *hybridApp) arimaDecisionAt(idles []time.Duration, j int, clk time.Durat
 // counter — the state the per-call path would have accumulated.
 func (a *hybridApp) rebuildRing(observed []time.Duration) {
 	a.obsSeen += uint64(len(observed))
-	if len(observed) > a.cfg.ARIMAMaxSeries {
-		observed = observed[len(observed)-a.cfg.ARIMAMaxSeries:]
+	if len(observed) > ARIMAMaxSeries {
+		observed = observed[len(observed)-ARIMAMaxSeries:]
 	}
 	a.its = append(a.its[:0], observed...)
 	a.itsHead = 0
@@ -443,13 +437,13 @@ func (a *hybridApp) rebuildRing(observed []time.Duration) {
 // decide runs the Figure 10 regime selection on the current state.
 func (a *hybridApp) decide() Decision {
 	total := a.hist.Total() + a.hist.OutOfBounds()
-	if total >= a.cfg.MinObservations && a.hist.OOBHeavy(a.cfg.OOBThreshold) {
+	if total >= MinObservations && a.hist.OOBHeavy(a.cfg.OOBThreshold) {
 		if d, ok := a.arimaDecision(); ok {
 			return d
 		}
 		return a.standard()
 	}
-	if total < a.cfg.MinObservations || a.hist.CVBelow(a.cfg.CVThreshold) {
+	if total < MinObservations || a.hist.CVBelow(a.cfg.CVThreshold) {
 		return a.standard()
 	}
 	pw, ka, ok := a.hist.Windows()
@@ -474,7 +468,7 @@ func (a *hybridApp) standard() Decision {
 // margin: pre-warm = pred*(1-margin), keep-alive = 2*margin*pred
 // (margin on each side of the prediction).
 func (a *hybridApp) arimaDecision() (Decision, bool) {
-	if a.cfg.DisableARIMA || len(a.its) < a.cfg.ARIMAMinSamples {
+	if a.cfg.DisableARIMA || len(a.its) < ARIMAMinSamples {
 		return Decision{}, false
 	}
 	// The paper rebuilds the model after every invocation of an

@@ -28,8 +28,6 @@ func TestHybridConfigValidation(t *testing.T) {
 		mk(func(c *HybridConfig) { c.OOBThreshold = 1.5 }),
 		mk(func(c *HybridConfig) { c.ARIMAMargin = 0 }),
 		mk(func(c *HybridConfig) { c.ARIMAMargin = 1 }),
-		mk(func(c *HybridConfig) { c.ARIMAMinSamples = 1 }),
-		mk(func(c *HybridConfig) { c.ARIMAMaxSeries = 2 }),
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -180,17 +178,14 @@ func TestHybridTooFewSamplesForARIMA(t *testing.T) {
 }
 
 func TestHybridSeriesCapped(t *testing.T) {
-	cfg := DefaultHybridConfig()
-	cfg.ARIMAMaxSeries = 10
-	cfg.ARIMAMinSamples = 4
-	a := NewHybrid(cfg).NewApp("app").(*hybridApp)
+	a := NewHybrid(DefaultHybridConfig()).NewApp("app").(*hybridApp)
 	first := true
-	for i := 0; i < 50; i++ {
+	for i := 0; i < ARIMAMaxSeries+50; i++ {
 		a.NextWindows(time.Minute, first)
 		first = false
 	}
-	if len(a.its) > 10 {
-		t.Fatalf("series len = %d, want <= 10", len(a.its))
+	if len(a.its) != ARIMAMaxSeries {
+		t.Fatalf("series len = %d, want the cap %d", len(a.its), ARIMAMaxSeries)
 	}
 }
 

@@ -148,7 +148,7 @@ func TestRunSweepProcsBadCell(t *testing.T) {
 // MarshalState, fed to a fresh sink of the same spec, must reproduce
 // its Metrics exactly — what RunSweepProcs relies on per worker.
 func TestEverySinkStateRoundTrips(t *testing.T) {
-	names := SinkNames()
+	names := sinkReg.Names()
 	sc := mustParse(t, "source="+smallGen+"; policy=fixed?ka=10m; cluster.nodes=2; cluster.mem=400")
 	sc.Sinks = names
 	cell, err := RunScenario(context.Background(), sc)

@@ -81,8 +81,7 @@ func (c *CellResult) Metrics() []Metric {
 type Option func(*runOptions)
 
 type runOptions struct {
-	fixedTrace   *trace.Trace
-	sweepWorkers int
+	fixedTrace *trace.Trace
 }
 
 // WithFixedTrace supplies an already-materialized trace to every
@@ -94,13 +93,6 @@ type runOptions struct {
 // from those lists, not re-sorted. Cells share the trace concurrently.
 func WithFixedTrace(tr *trace.Trace) Option {
 	return func(o *runOptions) { o.fixedTrace = tr }
-}
-
-// WithSweepWorkers bounds how many cells (and fanned-out shard runs)
-// execute concurrently (default GOMAXPROCS). Results are independent
-// of the bound.
-func WithSweepWorkers(n int) Option {
-	return func(o *runOptions) { o.sweepWorkers = n }
 }
 
 // RunScenario executes one scenario and returns its drained sinks.
@@ -155,7 +147,7 @@ type unitResult struct {
 }
 
 // RunSweep executes the expanded cells of a grid concurrently over a
-// bounded worker pool and returns the per-cell sink summaries.
+// GOMAXPROCS-wide worker pool and returns the per-cell sink summaries.
 //
 // Cells with byte-identical resolved source specs share one
 // materialized trace (sources are deterministic, so sharing changes
@@ -206,7 +198,7 @@ func RunSweep(ctx context.Context, cells []Scenario, opts ...Option) (*SweepRepo
 		return nil, err
 	}
 
-	results, err := runUnits(ctx, units, o.sweepWorkers, runUnit)
+	results, err := runUnits(ctx, units, 0, runUnit)
 	if err != nil {
 		return nil, err
 	}
@@ -549,7 +541,7 @@ func applyMemCSV(tr *trace.Trace, path string) (*trace.Trace, int, error) {
 		return nil, 0, err
 	}
 	defer f.Close()
-	defaulted, err := trace.ApplyMemoryCSVDefault(f, clone, 0)
+	defaulted, err := trace.ApplyMemoryCSVDefault(f, clone)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,7 +58,7 @@ func TestRunSweepMatchesSequential(t *testing.T) {
 		"source=" + smallGen + "; policy=fixed?ka=10m; cluster.nodes=2; cluster.mem=400; shard=*/2",
 	}
 	for _, s := range extra {
-		sc, err := ParseScenario(s)
+		sc, err := parseCell(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +66,7 @@ func TestRunSweepMatchesSequential(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	sweep, err := RunSweep(ctx, cells, WithSweepWorkers(3))
+	sweep, err := RunSweep(ctx, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +94,49 @@ func TestRunSweepMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestRunUnitsBound pins the sweep pool both sweep paths share: at
+// most workers units run at once, and 1, 2 or 3 workers over the same
+// units return the same results in unit order.
+func TestRunUnitsBound(t *testing.T) {
+	units := make([]unit, 12)
+	for i := range units {
+		units[i] = unit{cell: i / 3, shardIdx: i % 3}
+	}
+	var want []unitResult
+	for workers := 1; workers <= 3; workers++ {
+		var running, peak atomic.Int64
+		got, err := runUnits(context.Background(), units, workers, func(_ context.Context, u unit) (unitResult, error) {
+			n := running.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			runtime.Gosched()
+			running.Add(-1)
+			return unitResult{policyName: fmt.Sprintf("cell %d shard %d", u.cell, u.shardIdx), defaulted: u.cell}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := peak.Load(); p > int64(workers) {
+			t.Errorf("%d workers: %d units ran at once", workers, p)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d workers: results %v, want %v", workers, got, want)
+		}
+	}
+	if len(want) != len(units) || want[4].policyName != "cell 1 shard 1" {
+		t.Fatalf("results %v are not in unit order", want)
+	}
+}
+
 // TestScenarioMatchesDirectRun pins the scenario path against the
 // underlying engines driven by hand: same sinks, same numbers.
 func TestScenarioMatchesDirectRun(t *testing.T) {
 	ctx := context.Background()
-	sc, err := ParseScenario("source=" + smallGen + "; policy=fixed?ka=10m")
+	sc, err := parseCell("source=" + smallGen + "; policy=fixed?ka=10m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +315,7 @@ func TestSweepReportRender(t *testing.T) {
 
 func mustParse(t *testing.T, s string) Scenario {
 	t.Helper()
-	sc, err := ParseScenario(s)
+	sc, err := parseCell(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,6 +478,8 @@ func TestFixedTraceSharedUnwarmed(t *testing.T) {
 		app.InvocationTimes() // memoize every merge before any cell runs
 	}
 
+	// The sweep runs GOMAXPROCS cells at once; two make the race.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g, err := ParseGrid("policy=[fixed?ka=10m,fixed?ka=1h,hybrid,hybrid?arima=off]")
 	if err != nil {
 		t.Fatal(err)
@@ -446,7 +489,7 @@ func TestFixedTraceSharedUnwarmed(t *testing.T) {
 		t.Fatal(err)
 	}
 	report := func(tr *trace.Trace) string {
-		rep, err := RunSweep(context.Background(), cells, WithFixedTrace(tr), WithSweepWorkers(2))
+		rep, err := RunSweep(context.Background(), cells, WithFixedTrace(tr))
 		if err != nil {
 			t.Fatal(err)
 		}

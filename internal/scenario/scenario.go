@@ -1,13 +1,14 @@
 // Package scenario makes a whole simulation run — trace source,
 // policy, cluster shape, metric sinks, sharding — one first-class,
 // serializable value. A Scenario is configuration as data: it parses
-// from a compact text grammar or JSON, prints back canonically
-// (ParseScenario / Scenario.String round-trip), and is built entirely
-// from component registries (policy specs, placement specs, source
-// specs, sink specs), so every binary, example and experiment drives
-// the system through one declarative path instead of per-flag
-// plumbing. On top of it, Grid expands list-valued fields into the
-// cells of a sweep and RunSweep executes them (see grid.go, run.go).
+// from a compact text grammar or JSON (ParseGrid, as a 1-cell grid),
+// prints back canonically (ParseGrid / Scenario.String round-trip),
+// and is built entirely from component registries (policy specs,
+// placement specs, source specs, sink specs), so every binary, example
+// and experiment drives the system through one declarative path
+// instead of per-flag plumbing. On top of it, Grid expands list-valued
+// fields into the cells of a sweep and RunSweep executes them (see
+// grid.go, run.go).
 //
 // The text grammar is semicolon-separated field assignments:
 //
@@ -106,38 +107,6 @@ var scenarioKeys = []string{
 	"sinks", "workers", "shard", "exectime", "seed",
 }
 
-// ParseScenario parses a scenario from the text grammar, or from JSON
-// when s starts with '{'.
-func ParseScenario(s string) (Scenario, error) {
-	if strings.HasPrefix(strings.TrimSpace(s), "{") {
-		return parseScenarioJSON([]byte(s))
-	}
-	var sc Scenario
-	seen := map[string]bool{}
-	for _, part := range strings.Split(s, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return Scenario{}, fmt.Errorf("scenario: want key=value, got %q", part)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		if seen[key] {
-			return Scenario{}, fmt.Errorf("scenario: duplicate field %q", key)
-		}
-		seen[key] = true
-		if err := sc.set(key, val); err != nil {
-			return Scenario{}, err
-		}
-	}
-	if err := sc.normalize(); err != nil {
-		return Scenario{}, err
-	}
-	return sc, nil
-}
-
 // parseScenarioJSON decodes the JSON form, rejecting unknown fields.
 func parseScenarioJSON(data []byte) (Scenario, error) {
 	var sc Scenario
@@ -231,15 +200,15 @@ func (sc *Scenario) ensureCluster() *ClusterSpec {
 	return sc.Cluster
 }
 
-// normalize is the one validator of both forms: ParseScenario runs it
-// after the text or JSON decode, and grids after every axis
-// assignment. It trims string fields, drops empty sinks, gives a
-// present cluster section at least one node, canonicalizes the event
-// list, and rejects what the text form cannot carry or would not
-// re-parse: a negative count, a negative or non-finite memory size, a
-// ';' in any field (it separates fields) and a ',' inside a sink spec
-// (it separates sinks; quantile lists take ':'). So a scenario that
-// parses renders a String that parses back to the same String.
+// normalize is the one validator of both forms: ParseGrid runs it
+// after the text or JSON decode, and after every axis assignment. It
+// trims string fields, drops empty sinks, gives a present cluster
+// section at least one node, canonicalizes the event list, and
+// rejects what the text form cannot carry or would not re-parse: a
+// negative count, a negative or non-finite memory size, a ';' in any
+// field (it separates fields) and a ',' inside a sink spec (it
+// separates sinks; quantile lists take ':'). So a scenario that parses
+// renders a String that parses back to the same String.
 func (sc *Scenario) normalize() error {
 	type field struct {
 		key string
@@ -313,7 +282,7 @@ func parseShardField(s string) (i, n int, all bool, err error) {
 }
 
 // String renders the canonical text form: fields in fixed order,
-// defaults omitted, so ParseScenario(sc.String()) reproduces sc
+// defaults omitted, so ParseGrid(sc.String()) reproduces sc
 // exactly and equal scenarios render equal strings (the property the
 // sweep engine's source-sharing and the report's cell labels key on).
 func (sc Scenario) String() string {

@@ -2,10 +2,24 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// parseCell parses s with ParseGrid and returns the base of the 1-cell
+// grid a scenario spec is: no axes and no extra cells.
+func parseCell(s string) (Scenario, error) {
+	g, err := ParseGrid(s)
+	if err != nil {
+		return Scenario{}, err
+	}
+	if len(g.Axes) != 0 || len(g.Cells) != 0 {
+		return Scenario{}, fmt.Errorf("%q is a grid of %d axes and %d cells, not one scenario", s, len(g.Axes), len(g.Cells))
+	}
+	return g.Base, nil
+}
 
 // TestScenarioRoundTrip pins the codec contract: parse → String →
 // parse is the identity, and String is canonical (two equal scenarios
@@ -27,14 +41,14 @@ func TestScenarioRoundTrip(t *testing.T) {
 		"",
 	}
 	for _, s := range specs {
-		sc, err := ParseScenario(s)
+		sc, err := parseCell(s)
 		if err != nil {
-			t.Fatalf("ParseScenario(%q): %v", s, err)
+			t.Fatalf("parseCell(%q): %v", s, err)
 		}
 		canon := sc.String()
-		sc2, err := ParseScenario(canon)
+		sc2, err := parseCell(canon)
 		if err != nil {
-			t.Fatalf("ParseScenario(String(%q) = %q): %v", s, canon, err)
+			t.Fatalf("parseCell(String(%q) = %q): %v", s, canon, err)
 		}
 		if !reflect.DeepEqual(sc, sc2) {
 			t.Errorf("round trip of %q: %+v != %+v (via %q)", s, sc, sc2, canon)
@@ -74,11 +88,11 @@ func TestScenarioTextJSONAgree(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		fromText, err := ParseScenario(c.text)
+		fromText, err := parseCell(c.text)
 		if err != nil {
 			t.Fatalf("text %q: %v", c.text, err)
 		}
-		fromJSON, err := ParseScenario(c.jsonSpec)
+		fromJSON, err := parseCell(c.jsonSpec)
 		if err != nil {
 			t.Fatalf("json %q: %v", c.jsonSpec, err)
 		}
@@ -89,7 +103,7 @@ func TestScenarioTextJSONAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reparsed, err := ParseScenario(string(data))
+		reparsed, err := parseCell(string(data))
 		if err != nil {
 			t.Fatalf("reparse of %s: %v", data, err)
 		}
@@ -130,9 +144,11 @@ func TestScenarioParseErrors(t *testing.T) {
 		{"cluster.mem=Inf", "cluster.mem"},
 		{`{"source": "csv:a;b"}`, "separates fields"},
 		{`{"sinks": ["coldstart?q=50,75"]}`, "list quantiles with ':'"},
+		// Bytes after the JSON value are an error, not ignored.
+		{`{}0`, "after top-level value"},
 	}
 	for _, c := range cases {
-		_, err := ParseScenario(c.spec)
+		_, err := parseCell(c.spec)
 		if err == nil {
 			t.Errorf("spec %q: no error", c.spec)
 			continue
@@ -253,11 +269,11 @@ func TestLabels(t *testing.T) {
 // separates text-grammar fields), and both normalize to the canonical
 // comma-separated form.
 func TestClusterEventsCodec(t *testing.T) {
-	empty, err := ParseScenario("policy=hybrid; cluster.events=")
+	empty, err := parseCell("policy=hybrid; cluster.events=")
 	if err != nil {
 		t.Fatal(err)
 	}
-	absent, err := ParseScenario("policy=hybrid")
+	absent, err := parseCell("policy=hybrid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +284,7 @@ func TestClusterEventsCodec(t *testing.T) {
 		t.Errorf("empty cluster.events materialized a Cluster section: %+v", empty.Cluster)
 	}
 
-	fromJSON, err := ParseScenario(
+	fromJSON, err := parseCell(
 		`{"policy": "hybrid", "cluster": {"nodes": 2, "events": "fail@36h:node=1; join@48h:node=1"}}`)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +293,7 @@ func TestClusterEventsCodec(t *testing.T) {
 	if fromJSON.Cluster == nil || fromJSON.Cluster.Events != canon {
 		t.Fatalf("JSON ';' events normalized to %+v, want %q", fromJSON.Cluster, canon)
 	}
-	fromText, err := ParseScenario("policy=hybrid; cluster.nodes=2; cluster.events=" + canon)
+	fromText, err := parseCell("policy=hybrid; cluster.nodes=2; cluster.events=" + canon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,9 +63,6 @@ var sinkReg = spec.NewRegistry[Sink]("scenario: unknown sink", "scenario: sink s
 // name panics (programming error).
 func RegisterSink(name string, b SinkBuilder) { sinkReg.Register(name, b) }
 
-// SinkNames returns the registered sink names, sorted.
-func SinkNames() []string { return sinkReg.Names() }
-
 // NewSink builds a registered sink from a spec ("coldstart?q=50:75").
 func NewSink(s string) (Sink, error) { return sinkReg.New(s) }
 

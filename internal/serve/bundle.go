@@ -90,20 +90,6 @@ func readBundleMeta(br *bufio.Reader) (BundleMeta, error) {
 	return meta, nil
 }
 
-// ReadBundle parses an incident bundle into its header and a
-// materialized trace (StreamBundle, collected).
-func ReadBundle(r io.Reader) (BundleMeta, *trace.Trace, error) {
-	meta, src, err := StreamBundle(r)
-	if err != nil {
-		return BundleMeta{}, nil, err
-	}
-	tr, err := trace.Collect(src)
-	if err != nil {
-		return BundleMeta{}, nil, err
-	}
-	return meta, tr, nil
-}
-
 // StreamBundle opens an incident bundle as a constant-memory
 // streaming trace source (one app in memory at a time), for the
 // scenario engine's "bundle:" source scheme.

@@ -51,10 +51,7 @@ func TestBundleRoundTripBitIdentical(t *testing.T) {
 		}
 		raw := buf.Bytes()
 
-		meta, tr, err := serve.ReadBundle(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
+		meta, tr := collectBundle(t, bytes.NewReader(raw))
 		if meta.Name != "round-trip" || meta.Version != serve.BundleVersion {
 			t.Fatalf("seed %d: meta = %+v", seed, meta)
 		}
@@ -77,6 +74,21 @@ func TestBundleRoundTripBitIdentical(t *testing.T) {
 			t.Fatalf("seed %d: bundle body differs from WriteInvocationsCSV output", seed)
 		}
 	}
+}
+
+// collectBundle reads a whole bundle the way the "bundle:" source
+// does: StreamBundle, then trace.Collect.
+func collectBundle(t *testing.T, r io.Reader) (serve.BundleMeta, *trace.Trace) {
+	t.Helper()
+	meta, src, err := serve.StreamBundle(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Collect(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return meta, tr
 }
 
 func sameTrace(t *testing.T, got, want *trace.Trace) {
@@ -113,44 +125,6 @@ func sameTrace(t *testing.T, got, want *trace.Trace) {
 	}
 }
 
-// TestStreamBundleMatchesReadBundle checks the constant-memory reader
-// (the path the "bundle:" source takes) and its collected form both
-// yield the recorder's own trace.
-func TestStreamBundleMatchesReadBundle(t *testing.T) {
-	rec := serve.NewRecorder(testEpoch)
-	recordRandom(rec, 9, 4, 2, 200)
-	var buf bytes.Buffer
-	if err := rec.WriteBundle(&buf, "stream", 0); err != nil {
-		t.Fatal(err)
-	}
-	want := rec.Trace(0)
-
-	metaA, tr, err := serve.ReadBundle(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTrace(t, tr, want)
-	metaB, src, err := serve.StreamBundle(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if metaA != metaB {
-		t.Fatalf("meta mismatch: %+v vs %+v", metaA, metaB)
-	}
-	streamed := &trace.Trace{Duration: src.Horizon()}
-	for {
-		app, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed.Apps = append(streamed.Apps, app)
-	}
-	sameTrace(t, streamed, want)
-}
-
 // TestBundleHorizonTruncates pins the horizon rule: a nonzero horizon
 // bounds the minute columns, dropping later events.
 func TestBundleHorizonTruncates(t *testing.T) {
@@ -161,10 +135,7 @@ func TestBundleHorizonTruncates(t *testing.T) {
 	if err := rec.WriteBundle(&buf, "short", 5*time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	meta, tr, err := serve.ReadBundle(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	meta, tr := collectBundle(t, &buf)
 	if meta.Minutes != 5 || meta.Invocations != 1 {
 		t.Fatalf("meta = %+v, want 5 minutes / 1 invocation", meta)
 	}
@@ -187,10 +158,7 @@ func TestRecorderDropsEarlyEvents(t *testing.T) {
 	if err := rec.WriteBundle(&buf, "early", 0); err != nil {
 		t.Fatal(err)
 	}
-	meta, _, err := serve.ReadBundle(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	meta, _ := collectBundle(t, &buf)
 	if meta.Early != 1 || meta.Invocations != 1 {
 		t.Fatalf("meta = %+v, want Early=1 Invocations=1", meta)
 	}
@@ -199,8 +167,8 @@ func TestRecorderDropsEarlyEvents(t *testing.T) {
 	}
 }
 
-// TestReadBundleRejectsBadHeaders covers the header error paths:
-// garbage instead of JSON, and a version from the future.
+// TestReadBundleRejectsBadHeaders covers StreamBundle's header error
+// paths: garbage instead of JSON, and a version from the future.
 func TestReadBundleRejectsBadHeaders(t *testing.T) {
 	cases := map[string]string{
 		"garbage":        "HashOwner,HashApp,HashFunction,Trigger,1\n",
@@ -208,9 +176,6 @@ func TestReadBundleRejectsBadHeaders(t *testing.T) {
 		"future version": `{"version":2,"minutes":1}` + "\n",
 	}
 	for name, in := range cases {
-		if _, _, err := serve.ReadBundle(strings.NewReader(in)); err == nil {
-			t.Fatalf("%s: ReadBundle accepted %q", name, in)
-		}
 		if _, _, err := serve.StreamBundle(strings.NewReader(in)); err == nil {
 			t.Fatalf("%s: StreamBundle accepted %q", name, in)
 		}

@@ -197,7 +197,7 @@ func TestDecideSteadyStateAllocs(t *testing.T) {
 	defer ctrl.Release()
 	r := stats.NewRNG(3)
 	vt := epoch
-	for i := 0; i <= policy.DefaultHybridConfig().ARIMAMaxSeries+16; i++ {
+	for i := 0; i <= policy.ARIMAMaxSeries+16; i++ {
 		vt = vt.Add(time.Duration(r.Float64() * float64(30*time.Minute)))
 		ctrl.Decide("app", vt)
 	}

@@ -250,24 +250,6 @@ func (r *Result) TotalWastedSeconds() float64 {
 	return sum
 }
 
-// TotalColdStarts sums cold starts across apps.
-func (r *Result) TotalColdStarts() int {
-	var sum int
-	for _, a := range r.Apps {
-		sum += a.ColdStarts
-	}
-	return sum
-}
-
-// TotalInvocations sums invocations across apps.
-func (r *Result) TotalInvocations() int {
-	var sum int
-	for _, a := range r.Apps {
-		sum += a.Invocations
-	}
-	return sum
-}
-
 // AlwaysColdFraction returns the fraction of apps whose every
 // invocation was cold. With excludeSingleInvocation, apps invoked only
 // once — which no policy can help (§5.2, Figure 19) — are excluded

@@ -263,11 +263,13 @@ func TestResultAggregates(t *testing.T) {
 		},
 	}
 	res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}, Options{})
-	if res.TotalInvocations() != 3 {
-		t.Fatalf("invocations = %d", res.TotalInvocations())
+	var inv, cold int
+	for _, a := range res.Apps {
+		inv += a.Invocations
+		cold += a.ColdStarts
 	}
-	if res.TotalColdStarts() != 3 { // app a: both cold; app b: 1 cold
-		t.Fatalf("cold = %d", res.TotalColdStarts())
+	if inv != 3 || cold != 3 { // app a: both cold; app b: 1 cold
+		t.Fatalf("invocations = %d, cold = %d, want 3 and 3", inv, cold)
 	}
 	if got := len(res.ColdPercents()); got != 2 {
 		t.Fatalf("cold percents len = %d", got)

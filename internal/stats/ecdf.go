@@ -17,9 +17,6 @@ func NewECDF(xs []float64) *ECDF {
 	return &ECDF{sorted: s}
 }
 
-// Len returns the number of underlying observations.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
 // At returns P(X <= x), the fraction of observations <= x.
 func (e *ECDF) At(x float64) float64 {
 	if len(e.sorted) == 0 {

@@ -389,13 +389,3 @@ func noEOF(err error) error {
 	}
 	return err
 }
-
-// ReadBinary decodes a complete binary trace from r (the batch
-// counterpart of NewBinarySource, mirroring ReadInvocationsCSV).
-func ReadBinary(r io.Reader) (*Trace, error) {
-	src, err := NewBinarySource(r)
-	if err != nil {
-		return nil, err
-	}
-	return Collect(src)
-}

@@ -62,7 +62,7 @@ func FuzzBinarySource(f *testing.F) {
 		if err := trace.WriteBinary(&enc1, got); err != nil {
 			t.Fatalf("re-encoding a decoded trace: %v", err)
 		}
-		again, err := trace.ReadBinary(bytes.NewReader(enc1.Bytes()))
+		again, err := decodeAll(enc1.Bytes())
 		if err != nil {
 			t.Fatalf("decoding a re-encoded trace: %v", err)
 		}

@@ -33,7 +33,11 @@ func csvCanonical(t testing.TB, tr *trace.Trace) *trace.Trace {
 	if err := trace.WriteInvocationsCSV(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	out, err := trace.ReadInvocationsCSV(&buf)
+	src, err := trace.StreamInvocationsCSV(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := trace.Collect(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +102,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 			}
 			t.Logf("binary %d bytes for %d apps / %d invocations",
 				buf.Len(), len(orig.Apps), orig.TotalInvocations())
-			got, err := trace.ReadBinary(bytes.NewReader(buf.Bytes()))
+			got, err := decodeAll(buf.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +199,7 @@ func TestBinaryEdgeShapes(t *testing.T) {
 		if err := trace.WriteBinary(&buf, tc.tr); err != nil {
 			t.Fatalf("trace %d: %v", i, err)
 		}
-		got, err := trace.ReadBinary(bytes.NewReader(buf.Bytes()))
+		got, err := decodeAll(buf.Bytes())
 		if err != nil {
 			t.Fatalf("trace %d: %v", i, err)
 		}
@@ -286,8 +290,14 @@ func TestBinaryCorrupt(t *testing.T) {
 	})
 }
 
+// decodeAll is what a binary does with a whole WILDTRC1 stream:
+// Collect over the stream decoder.
 func decodeAll(data []byte) (*trace.Trace, error) {
-	return trace.ReadBinary(bytes.NewReader(data))
+	src, err := trace.NewBinarySource(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return trace.Collect(src)
 }
 
 // TestBinarySourceAllocs pins the binary reader's per-app allocation

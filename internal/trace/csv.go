@@ -117,70 +117,6 @@ func formatMillis(seconds float64) string {
 	return strconv.FormatFloat(seconds*1000, 'f', 3, 64)
 }
 
-// ReadInvocationsCSV parses an invocation-count table into a
-// materialized Trace: the batch form of StreamInvocationsCSV (one
-// decode loop, so the two cannot drift). Rows must be grouped by
-// HashApp; a HashApp reappearing after its group ended is an error.
-func ReadInvocationsCSV(r io.Reader) (*Trace, error) {
-	src, err := StreamInvocationsCSV(r)
-	if err != nil {
-		return nil, err
-	}
-	return Collect(src)
-}
-
-// ApplyDurationsCSV parses a durations table and fills ExecStats on
-// the matching functions of tr. Unknown functions are ignored; rows in
-// milliseconds are converted to seconds.
-func ApplyDurationsCSV(r io.Reader, tr *Trace) error {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
-	if err != nil {
-		return fmt.Errorf("trace: reading durations header: %w", err)
-	}
-	col := indexColumns(header)
-	for _, need := range []string{"HashFunction", "Average", "Count", "Minimum", "Maximum"} {
-		if _, ok := col[need]; !ok {
-			return fmt.Errorf("trace: durations header missing %s", need)
-		}
-	}
-	fns := make(map[string]*Function)
-	for _, app := range tr.Apps {
-		for _, fn := range app.Functions {
-			fns[fn.ID] = fn
-		}
-	}
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("trace: reading durations line %d: %w", line, err)
-		}
-		fn, ok := fns[rec[col["HashFunction"]]]
-		if !ok {
-			continue
-		}
-		avg, err1 := strconv.ParseFloat(rec[col["Average"]], 64)
-		minMs, err2 := strconv.ParseFloat(rec[col["Minimum"]], 64)
-		maxMs, err3 := strconv.ParseFloat(rec[col["Maximum"]], 64)
-		count, err4 := strconv.ParseInt(rec[col["Count"]], 10, 64)
-		for _, e := range []error{err1, err2, err3, err4} {
-			if e != nil {
-				return fmt.Errorf("trace: durations line %d: %w", line, e)
-			}
-		}
-		fn.ExecStats = ExecStats{
-			AvgSeconds: avg / 1000,
-			MinSeconds: minMs / 1000,
-			MaxSeconds: maxMs / 1000,
-			Count:      count,
-		}
-	}
-}
-
 // DefaultAppMemoryMB is the paper's median per-application allocated
 // memory (Figure 8: ~170 MB), the fallback charge for apps absent
 // from a memory table. Without a default such apps keep MemoryMB == 0
@@ -191,17 +127,9 @@ const DefaultAppMemoryMB = 170
 // ApplyMemoryCSVDefault parses a memory table and fills MemoryMB on
 // the matching apps of tr; unknown apps are ignored. Apps of tr still
 // carrying MemoryMB == 0 after the table is applied (no row, or a zero
-// row) are charged defaultMB instead, and the count of such defaulted
-// apps is returned so callers can surface the data gap. defaultMB <= 0
-// applies DefaultAppMemoryMB.
-func ApplyMemoryCSVDefault(r io.Reader, tr *Trace, defaultMB float64) (defaulted int, err error) {
-	if defaultMB <= 0 {
-		defaultMB = DefaultAppMemoryMB
-	}
-	return applyMemoryCSV(r, tr, defaultMB)
-}
-
-func applyMemoryCSV(r io.Reader, tr *Trace, defaultMB float64) (defaulted int, err error) {
+// row) are charged DefaultAppMemoryMB instead, and the count of such
+// defaulted apps is returned so callers can surface the data gap.
+func ApplyMemoryCSVDefault(r io.Reader, tr *Trace) (defaulted int, err error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	header, err := cr.Read()
@@ -236,12 +164,10 @@ func applyMemoryCSV(r io.Reader, tr *Trace, defaultMB float64) (defaulted int, e
 		}
 		app.MemoryMB = mb
 	}
-	if defaultMB > 0 {
-		for _, app := range tr.Apps {
-			if app.MemoryMB == 0 {
-				app.MemoryMB = defaultMB
-				defaulted++
-			}
+	for _, app := range tr.Apps {
+		if app.MemoryMB == 0 {
+			app.MemoryMB = DefaultAppMemoryMB
+			defaulted++
 		}
 	}
 	return defaulted, nil

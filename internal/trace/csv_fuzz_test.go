@@ -126,7 +126,7 @@ func fuzzExpansion(data []byte) (sum int, ok bool) {
 func requireMatchesReference(t *testing.T, data []byte) {
 	t.Helper()
 	want, wantErr := refReadInvocationsCSV(data)
-	got, gotErr := ReadInvocationsCSV(bytes.NewReader(data))
+	got, gotErr := collectCSV(bytes.NewReader(data))
 	if wantErr != nil || gotErr != nil {
 		if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
 			t.Fatalf("reader error %v, reference error %v", gotErr, wantErr)

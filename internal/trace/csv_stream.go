@@ -16,8 +16,8 @@ import (
 // CSVSource streams an AzurePublicDataset-style invocations table as a
 // Source, holding one application in memory at a time: rows are parsed
 // as they are read and consecutive rows sharing a HashApp group into
-// one App. The file is never materialized (ReadInvocationsCSV is this
-// source, collected), so traces far larger than RAM stream through in
+// one App. The file is never materialized (Collect over this source
+// is the batch form), so traces far larger than RAM stream through in
 // constant memory.
 //
 // Rows must be grouped by HashApp (WriteInvocationsCSV emits them that

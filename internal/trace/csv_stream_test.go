@@ -37,28 +37,17 @@ func syntheticCSVTrace(t *testing.T, apps, minutes, perMinute int) (*Trace, []by
 	return tr, buf.Bytes()
 }
 
-// TestStreamMatchesBatchReader pins both readers to the trace that was
+// TestStreamMatchesBatchReader pins the reader to the trace that was
 // written: syntheticCSVTrace places invocations on the codec's
-// canonical timestamps, so decoding its CSV — streamed and collected,
-// or through the batch form — must reproduce it exactly.
+// canonical timestamps, so decoding its CSV, streamed and collected,
+// must reproduce it exactly.
 func TestStreamMatchesBatchReader(t *testing.T) {
 	want, data := syntheticCSVTrace(t, 17, 12, 3)
-
-	batch, err := ReadInvocationsCSV(bytes.NewReader(data))
+	got, err := collectCSV(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := StreamInvocationsCSV(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := Collect(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, got := range map[string]*Trace{"batch": batch, "streamed": streamed} {
-		requireSameTrace(t, name, got, want)
-	}
+	requireSameTrace(t, "streamed", got, want)
 }
 
 // requireSameTrace fails unless got equals want app for app, function
@@ -153,7 +142,7 @@ func TestStreamErrorMessagesMatchBatch(t *testing.T) {
 		{"overflowing sum", "HashOwner,HashApp,HashFunction,Trigger,1,2\no,a,f,http,9223372036854775807,9223372036854775807\n",
 			"trace: line 2: function has more than 2147483648 invocations"},
 	} {
-		_, batchErr := ReadInvocationsCSV(strings.NewReader(c.csv))
+		_, batchErr := collectCSV(strings.NewReader(c.csv))
 		if batchErr == nil || !strings.HasPrefix(batchErr.Error(), c.want) {
 			t.Errorf("%s: batch reader error %v, want prefix %q", c.name, batchErr, c.want)
 		}
@@ -267,7 +256,7 @@ func TestStreamConstantMemory(t *testing.T) {
 		return src // retain only the source itself
 	})
 	materialized, tr := measureLive(func() any {
-		tr, err := ReadInvocationsCSV(bytes.NewReader(large))
+		tr, err := collectCSV(bytes.NewReader(large))
 		if err != nil {
 			t.Fatal(err)
 		}

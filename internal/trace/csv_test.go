@@ -40,13 +40,23 @@ func sampleTrace() *Trace {
 	}
 }
 
+// collectCSV is what a binary does with a whole invocations table:
+// Collect over the stream reader.
+func collectCSV(r io.Reader) (*Trace, error) {
+	src, err := StreamInvocationsCSV(r)
+	if err != nil {
+		return nil, err
+	}
+	return Collect(src)
+}
+
 func TestInvocationsCSVRoundTrip(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
 	if err := WriteInvocationsCSV(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadInvocationsCSV(&buf)
+	got, err := collectCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +93,7 @@ func TestInvocationsCSVRoundTrip(t *testing.T) {
 func TestReadInvocationsSpacesWithinMinute(t *testing.T) {
 	csvData := "HashOwner,HashApp,HashFunction,Trigger,1,2\n" +
 		"o,a,f,http,3,0\n"
-	tr, err := ReadInvocationsCSV(strings.NewReader(csvData))
+	tr, err := collectCSV(strings.NewReader(csvData))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,31 +117,25 @@ func TestReadInvocationsErrors(t *testing.T) {
 		"HashOwner,HashApp,HashFunction,Trigger,1,2\no,a,f,http,1\n", // short row
 	}
 	for i, data := range cases {
-		if _, err := ReadInvocationsCSV(strings.NewReader(data)); err == nil {
+		if _, err := collectCSV(strings.NewReader(data)); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
 }
 
+// TestDurationsCSVRoundTrip pins the durations table tracegen writes:
+// milliseconds at three decimals, one row per function.
 func TestDurationsCSVRoundTrip(t *testing.T) {
-	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := WriteDurationsCSV(&buf, tr); err != nil {
+	if err := WriteDurationsCSV(&buf, sampleTrace()); err != nil {
 		t.Fatal(err)
 	}
-	// Strip the stats, re-apply from CSV.
-	fresh := sampleTrace()
-	for _, app := range fresh.Apps {
-		for _, fn := range app.Functions {
-			fn.ExecStats = ExecStats{}
-		}
-	}
-	if err := ApplyDurationsCSV(&buf, fresh); err != nil {
-		t.Fatal(err)
-	}
-	got := fresh.Apps[0].Functions[0].ExecStats
-	if got.AvgSeconds != 0.5 || got.MinSeconds != 0.1 || got.MaxSeconds != 2 || got.Count != 4 {
-		t.Fatalf("stats = %+v", got)
+	want := "HashOwner,HashApp,HashFunction,Average,Count,Minimum,Maximum\n" +
+		"own1,app1,fn1,500.000,4,100.000,2000.000\n" +
+		"own1,app1,fn2,1500.000,3,1000.000,2000.000\n" +
+		"own2,app2,fn3,0.000,0,0.000,0.000\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("durations table:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -145,7 +149,7 @@ func TestMemoryCSVRoundTrip(t *testing.T) {
 	for _, app := range fresh.Apps {
 		app.MemoryMB = 0
 	}
-	if defaulted, err := ApplyMemoryCSVDefault(&buf, fresh, 0); err != nil || defaulted != 0 {
+	if defaulted, err := ApplyMemoryCSVDefault(&buf, fresh); err != nil || defaulted != 0 {
 		t.Fatalf("defaulted=%d err=%v", defaulted, err)
 	}
 	if fresh.Apps[0].MemoryMB != 170.5 {
@@ -165,7 +169,7 @@ func TestApplyMemoryCSVDefault(t *testing.T) {
 	for _, app := range tr.Apps {
 		app.MemoryMB = 0
 	}
-	defaulted, err := ApplyMemoryCSVDefault(strings.NewReader(csvData), tr, 0)
+	defaulted, err := ApplyMemoryCSVDefault(strings.NewReader(csvData), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,19 +185,6 @@ func TestApplyMemoryCSVDefault(t *testing.T) {
 		}
 	}
 
-	// An explicit default overrides the paper's median.
-	tr = sampleTrace()
-	for _, app := range tr.Apps {
-		app.MemoryMB = 0
-	}
-	defaulted, err = ApplyMemoryCSVDefault(strings.NewReader(csvData), tr, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if defaulted != len(tr.Apps)-1 || tr.Apps[1].MemoryMB != 99 {
-		t.Fatalf("defaulted=%d memory=%v, want %d/99", defaulted, tr.Apps[1].MemoryMB, len(tr.Apps)-1)
-	}
-
 	// Full coverage defaults nothing.
 	tr = sampleTrace()
 	var buf bytes.Buffer
@@ -201,29 +192,13 @@ func TestApplyMemoryCSVDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := buf.String()
-	if defaulted, err = ApplyMemoryCSVDefault(strings.NewReader(table), tr, 0); err != nil || defaulted != 0 {
+	if defaulted, err = ApplyMemoryCSVDefault(strings.NewReader(table), tr); err != nil || defaulted != 0 {
 		t.Fatalf("full table: defaulted=%d err=%v", defaulted, err)
 	}
 }
 
-func TestApplyDurationsIgnoresUnknownFunctions(t *testing.T) {
-	csvData := "HashOwner,HashApp,HashFunction,Average,Count,Minimum,Maximum\n" +
-		"o,a,nope,100,1,50,200\n"
-	tr := sampleTrace()
-	if err := ApplyDurationsCSV(strings.NewReader(csvData), tr); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestApplyDurationsMissingColumn(t *testing.T) {
-	csvData := "HashOwner,HashApp,HashFunction\n"
-	if err := ApplyDurationsCSV(strings.NewReader(csvData), sampleTrace()); err == nil {
-		t.Fatal("expected error for missing columns")
-	}
-}
-
 func TestApplyMemoryMissingColumn(t *testing.T) {
-	if _, err := ApplyMemoryCSVDefault(strings.NewReader("X,Y\n"), sampleTrace(), 0); err == nil {
+	if _, err := ApplyMemoryCSVDefault(strings.NewReader("X,Y\n"), sampleTrace()); err == nil {
 		t.Fatal("expected error for missing columns")
 	}
 }
@@ -296,7 +271,7 @@ func TestWriteInvocationsCSVQuoting(t *testing.T) {
 		if minutes == 0 {
 			continue // a table without count columns has no reader
 		}
-		back, err := ReadInvocationsCSV(&got)
+		back, err := collectCSV(&got)
 		if err != nil {
 			t.Fatal(err)
 		}

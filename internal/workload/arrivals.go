@@ -32,24 +32,6 @@ const (
 	KindSession
 )
 
-// String returns a short label.
-func (k ArrivalKind) String() string {
-	switch k {
-	case KindTimer:
-		return "timer"
-	case KindPeriodicExternal:
-		return "periodic"
-	case KindPoisson:
-		return "poisson"
-	case KindBursty:
-		return "bursty"
-	case KindSession:
-		return "session"
-	default:
-		return "unknown"
-	}
-}
-
 // DiurnalProfile models Figure 4's platform load shape: a constant
 // baseline of roughly half the traffic plus a diurnal bump that
 // shrinks on weekends. Factor is normalized to mean 1 over a week so

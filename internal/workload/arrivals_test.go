@@ -179,15 +179,6 @@ func TestArrivalsSorted(t *testing.T) {
 	}
 }
 
-func TestArrivalKindString(t *testing.T) {
-	kinds := []ArrivalKind{KindTimer, KindPeriodicExternal, KindPoisson, KindBursty, ArrivalKind(99)}
-	for _, k := range kinds {
-		if k.String() == "" {
-			t.Fatal("empty kind string")
-		}
-	}
-}
-
 func TestRoundToSchedule(t *testing.T) {
 	cases := []struct{ in, want float64 }{
 		{55, 60},

@@ -57,7 +57,7 @@ func TestProducersEmitAscendingLists(t *testing.T) {
 			return trace.StreamInvocationsCSV(bytes.NewReader(csvBytes.Bytes()))
 		}},
 		{"csv batch", func() (trace.Source, error) {
-			tr, err := trace.ReadInvocationsCSV(bytes.NewReader(csvBytes.Bytes()))
+			tr, err := collectCSV(bytes.NewReader(csvBytes.Bytes()))
 			return trace.NewTraceSource(tr), err
 		}},
 		{"WILDTRC1", func() (trace.Source, error) {

@@ -1,7 +1,6 @@
 package wild
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/equiv"
 	"repro/internal/policy"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -177,18 +175,4 @@ func TestRefitClusterAttributionInvariant(t *testing.T) {
 	if evict == 0 {
 		t.Error("pressure incident produced no eviction-induced cold starts under refit= (vacuous)")
 	}
-}
-
-// readIncident parses one incident scenario file.
-func readIncident(t *testing.T, path string) Scenario {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := scenario.ParseScenario(string(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sc
 }

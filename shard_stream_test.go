@@ -51,9 +51,6 @@ func TestShardedStreamingRunMergesToWhole(t *testing.T) {
 			mergedCold.Merge(cold)
 			mergedWasted.Merge(wasted)
 		}
-		if mergedCold.AppCount() != wholeCold.AppCount() {
-			t.Fatalf("n=%d: merged %d apps, whole %d", n, mergedCold.AppCount(), wholeCold.AppCount())
-		}
 		// The distribution is integer bins: every quantile read-out must
 		// agree exactly with the unsharded sink.
 		for _, p := range []float64{0, 10, 25, 50, 75, 90, 99, 100} {
@@ -80,8 +77,8 @@ func TestShardedStreamingRunMergesToWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := sim.Simulate(pop.Trace, MustFromSpec("hybrid"), sim.Options{})
-	if got, want := wholeWasted.TotalColdStarts(), int64(batch.TotalColdStarts()); got != want {
-		t.Errorf("streamed cold starts %d, batch %d", got, want)
+	if _, cold := totals(batch); wholeWasted.TotalColdStarts() != int64(cold) {
+		t.Errorf("streamed cold starts %d, batch %d", wholeWasted.TotalColdStarts(), cold)
 	}
 	if g, w := wholeWasted.TotalWastedSeconds(), batch.TotalWastedSeconds(); math.Abs(g-w) > 1e-9*math.Abs(w) {
 		t.Errorf("streamed waste %v, batch %v", g, w)

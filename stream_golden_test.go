@@ -15,7 +15,7 @@ import (
 // CSV schema, streaming it back through a constant-memory CSVSource
 // and Run must produce results identical — cold starts, wasted
 // seconds bit patterns, mode counts — to materializing the same CSV
-// with ReadInvocationsCSV and running batch Simulate, for every
+// with trace.Collect and running batch Simulate, for every
 // golden scenario.
 func TestStreamingRunMatchesBatchSimulate(t *testing.T) {
 	pop := goldenPopulation(t)
@@ -25,7 +25,7 @@ func TestStreamingRunMatchesBatchSimulate(t *testing.T) {
 	}
 	data := buf.Bytes()
 
-	batchTrace, err := trace.ReadInvocationsCSV(bytes.NewReader(data))
+	batchTrace, err := collectCSV(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,11 +192,11 @@ type (
 // form. A plain scenario parses as a 1-cell grid.
 func ParseGrid(s string) (ScenarioGrid, error) { return scenario.ParseGrid(s) }
 
-// RunSweep executes expanded grid cells concurrently over a bounded
-// worker pool, sharing materialized traces across cells with
-// identical sources and merging fanned-out shard cells ("*/n") via
-// the sinks' exact Merges. Results are bit-identical to running each
-// cell sequentially.
+// RunSweep executes expanded grid cells concurrently over a
+// GOMAXPROCS-wide worker pool, sharing materialized traces across
+// cells with identical sources and merging fanned-out shard cells
+// ("*/n") via the sinks' exact Merges. Results are bit-identical to
+// running each cell sequentially.
 func RunSweep(ctx context.Context, cells []Scenario, opts ...ScenarioOption) (*SweepReport, error) {
 	return scenario.RunSweep(ctx, cells, opts...)
 }
