@@ -68,6 +68,16 @@ func TestDeterminismByReexecution(t *testing.T) {
 	stream := "source=csv:" + csvPath + "; policy=[fixed?ka=10m,hybrid?range=10m]; workers=4; sinks=coldstart,waste"
 	cases = append(cases, detCase{"csv-stream", stream, sweepJSON(t, stream, scenario.WithFixedTrace(mem))})
 
+	// The sharded cluster path, pinned absolutely: every incident above
+	// is least-loaded and so runs the global path. Hash placement on 3
+	// nodes with exec times, under enough pressure that ~1 in 10 hybrid
+	// arrivals is an eviction cold start, over rarely-invoked apps whose
+	// hybrid windows pre-warm. The golden was written by the heap-driven
+	// engine that preceded the derived container schedule.
+	const sharded = "source=gen:apps=300&days=2&seed=9&maxrate=200&maxevents=300; policy=[hybrid,fixed?ka=10m]; " +
+		"cluster.nodes=3; cluster.mem=6000; cluster.place=hash; exectime=on; sinks=coldstart,waste,attribution,util"
+	cases = append(cases, detCase{"sharded_prewarm", sharded, mustRead(t, filepath.Join("testdata", "sharded_prewarm.golden"))})
+
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

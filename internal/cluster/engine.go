@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -18,14 +19,24 @@ import (
 // output): invocation times, exec times, and RLE decisions.
 type appWalk struct {
 	times []float64
-	execs []float64 // nil without exec times
+	execs []float64 // per invocation; nil when every invocation's is exec
+	exec  float64   // the shared exec time when execs is nil (0 without exec times)
 	runs  []policy.DecisionRun
 }
 
-// bytes is the heap footprint the walk's owned slices pin: the run and
-// exec copies. times aliases trace memory — the function's own list for
-// a single-function app, the app's merged list otherwise — which exists
-// either way, not walk memory.
+// execAt returns invocation i's exec time.
+func (w *appWalk) execAt(i int) float64 {
+	if w.execs != nil {
+		return w.execs[i]
+	}
+	return w.exec
+}
+
+// bytes is the heap footprint the walk's owned slices pin: the run
+// copy and, when exec times vary, the exec copy. times aliases trace
+// memory — the function's own list for a single-function app, the
+// app's merged list otherwise — which exists either way, not walk
+// memory.
 func (w *appWalk) bytes() int64 {
 	return int64(cap(w.execs))*8 + int64(cap(w.runs))*int64(unsafe.Sizeof(policy.DecisionRun{}))
 }
@@ -42,7 +53,6 @@ type appState struct {
 	execEnd float64 // container unevictable before this
 	inv     int     // next invocation index
 	node    int32
-	gen     uint32 // current window generation (event invalidation)
 	vix     uint32 // version of the latest victim-index entry
 	// Current window residency.
 	resident bool
@@ -188,7 +198,14 @@ func (e *engine) produceWalk(ai int32, sc *kernel.Scratch, wk *appWalk) {
 	times, execs, runs := sc.Walk(e.pol, e.tr.Apps[ai], e.cfg.UseExecTime)
 	*wk = appWalk{times: times}
 	if len(times) > 0 {
-		wk.execs = append([]float64(nil), execs...)
+		// Exec times are per-function constants, so most walks share
+		// one value and store it instead of a copy.
+		if len(execs) > 0 {
+			wk.exec = execs[0]
+			if slices.ContainsFunc(execs, func(x float64) bool { return x != wk.exec }) {
+				wk.execs = append([]float64(nil), execs...)
+			}
+		}
 		wk.runs = append([]policy.DecisionRun(nil), runs...)
 	}
 	st := &e.states[ai]
@@ -319,8 +336,8 @@ func (e *engine) preassign() {
 }
 
 // runGlobal drives every node on one sequential shard holding the
-// whole merged invocation stream — the only schedule under which a
-// view-dependent placement's residency reads are well-defined.
+// whole merged stream — the only schedule under which a view-dependent
+// placement's residency reads are well-defined.
 func (e *engine) runGlobal(ctx context.Context) error {
 	all := make([]int32, len(e.states))
 	for ai := range all {
@@ -333,7 +350,7 @@ func (e *engine) runGlobal(ctx context.Context) error {
 	// spec order. Events past the horizon cannot be observed.
 	for idx, ev := range e.cfg.Events {
 		if ev.At <= e.horizon {
-			sh.pushEvent(cevent{t: ev.At, kind: evCluster, app: int32(idx)})
+			sh.q.push(cevent{t: ev.At, kind: evCluster, app: int32(idx)})
 		}
 	}
 	return sh.timeline(ctx)
@@ -343,8 +360,8 @@ func (e *engine) runGlobal(ctx context.Context) error {
 // pre-assigned and each node's timeline runs to completion
 // independently, workerCount at a time. Walks are produced per node
 // just in time — a worker computes its current node's walks, builds
-// that node's invocation stream (buildStream), replays the timeline,
-// and releases the walks before stealing the next node. Only
+// that node's stream (buildStream), replays the timeline, and releases
+// the walks before stealing the next node. Only
 // O(workers × apps-per-node) walks are ever live, instead of O(apps);
 // everything else (assignment, per-app results) stays O(apps) scalars.
 // Node timelines share no mutable state (all cluster coupling is

@@ -1,18 +1,21 @@
 package cluster
 
-// eventQueue is one shard's pending container events: a binary heap
-// over eventLess. Event times are monotone per shard: a push is never
-// earlier than the last popped time (every event is scheduled at or
-// after the instant being processed), but it may precede the pending
-// minimum, so the queue is a heap rather than a FIFO. The zero value
-// is an empty queue.
+// eventQueue is one shard's pending cluster events and drain flushes —
+// the events that depend on the run itself; every reload and unload is
+// derived into the stream instead (buildStream). It is a binary heap
+// over eventLess: a flush is never earlier than the last popped time,
+// but it may precede the pending minimum. On the sharded path it stays
+// empty. The zero value is an empty queue.
 type eventQueue struct {
 	n int // pending events
 	h []cevent
 }
 
-// push enqueues ev.
+// push enqueues ev, which must be an evCluster or evFlush event.
 func (q *eventQueue) push(ev cevent) {
+	if ev.kind != evCluster && ev.kind != evFlush {
+		panic("cluster: only cluster events and drain flushes are queued")
+	}
 	q.n++
 	heapPush(&q.h, ev)
 }

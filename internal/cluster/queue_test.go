@@ -7,6 +7,23 @@ import (
 	"repro/internal/stats"
 )
 
+// TestEventQueueHoldsOnlyRunEvents: reloads, invocations and unloads
+// are derived into the stream, so queueing one is a bug the queue
+// refuses loudly.
+func TestEventQueueHoldsOnlyRunEvents(t *testing.T) {
+	for _, kind := range []uint8{evReload, evInvoke, evUnload} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("pushing kind %d did not panic", kind)
+				}
+			}()
+			var q eventQueue
+			q.push(cevent{t: 1, kind: kind})
+		}()
+	}
+}
+
 // TestEventQueueOrder drives the queue through random interleaved
 // pushes and pops — pushes land at, before and after the last popped
 // time, with ties on time and kind — and checks it against a slice
@@ -37,8 +54,11 @@ func TestEventQueueOrder(t *testing.T) {
 				// app is unique per push so eventLess never ties.
 				ev := cevent{
 					t:    max(0, lastPopped+float64(int(rng.Float64()*40))-8),
-					kind: uint8(1 + int(rng.Float64()*4)), // evReload..evFlush
+					kind: evCluster,
 					app:  int32(op),
+				}
+				if rng.Float64() < 0.5 {
+					ev.kind = evFlush
 				}
 				q.push(ev)
 				i, _ := slices.BinarySearchFunc(pending, ev, cmp)
@@ -61,8 +81,8 @@ func TestEventQueueOrder(t *testing.T) {
 		}
 
 		// Abandon a non-empty queue, as a cancelled node does.
-		q.push(cevent{t: 5, kind: evUnload, app: 1})
-		q.push(cevent{t: 3, kind: evUnload, app: 2})
+		q.push(cevent{t: 5, kind: evFlush, app: 1})
+		q.push(cevent{t: 3, kind: evCluster, app: 2})
 		c := cap(q.h)
 		q.reset()
 		if q.n != 0 || len(q.h) != 0 || cap(q.h) != c {

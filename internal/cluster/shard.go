@@ -14,23 +14,24 @@ import (
 // invocations, keep-alive expiries (an arrival exactly at the window
 // end is warm), and drain flushes last — the order realizes
 // kernel.Classify's inclusive boundaries, and lets a fail at t retire
-// a reload at t before it fires.
+// a reload at t before it fires. Reloads, invocations and unloads are
+// a pure function of each app's walk: buildStream derives them into
+// the shard's stream. Only cluster events and flushes, which depend on
+// the run itself, go through the event queue.
 const (
-	evCluster = iota // Config.Events incident; app = event index, gen-free
-	evReload
-	evInvoke // implicit: the shard's invocation stream (buildStream), never heaped
-	evUnload
-	evFlush // drained container's execution ended; app = flush index, gen-free
+	evCluster = iota // Config.Events incident, queued; app = event index
+	evReload         // stream: pre-warm reload
+	evInvoke         // stream: invocation
+	evUnload         // stream: keep-alive or pre-warm unload
+	evFlush          // drained container's execution ended, queued; app = flush index
 )
 
-// cevent is one timed event, invalidated lazily by the owning app's
-// window generation (evCluster/evFlush carry no generation: app is an
-// index into Config.Events / shard.flushes instead).
+// cevent is one queued event: app indexes Config.Events (evCluster) or
+// shard.flushes (evFlush).
 type cevent struct {
 	t    float64
 	kind uint8
 	app  int32
-	gen  uint32
 }
 
 // drainFlush is the node-level release of one draining container: the
@@ -41,10 +42,12 @@ type drainFlush struct {
 	memMB float64
 }
 
-// inv is one invocation in a shard's stream.
-type inv struct {
-	t   float64
-	app int32
+// sev is one entry of a shard's stream: an invocation, or a reload or
+// unload derived from the app's walk.
+type sev struct {
+	t    float64
+	app  int32
+	kind uint8
 }
 
 // victimEntry is one candidate in a node's victim index: the app's
@@ -58,19 +61,20 @@ type victimEntry struct {
 	vix      uint32
 }
 
-// shard drives one slice of the cluster: an invocation stream, built
-// by buildStream in (time, app) order from its apps' walks, and the
-// container-event queue for the apps on its nodes. The sharded
-// (oblivious-placement) path runs one shard per node; the global
-// (view-dependent) path runs a single shard spanning every node. All
-// per-node mechanics below are identical on both paths — only the
-// event interleaving across nodes differs, and that interleaving is
-// unobservable node-locally.
+// shard drives one slice of the cluster: a stream, built by
+// buildStream in (time, kind, app) order from its apps' walks, holding
+// their invocations and every reload and unload their windows
+// prescribe, and the event queue of cluster events and drain flushes.
+// The sharded (oblivious-placement) path runs one shard per node; the
+// global (view-dependent) path runs a single shard spanning every
+// node. All per-node mechanics below are identical on both paths —
+// only the event interleaving across nodes differs, and that
+// interleaving is unobservable node-locally.
 type shard struct {
 	e       *engine
-	invs    []inv
-	q       eventQueue   // container-event heap (queue.go)
-	buckets []int32      // buildStream scratch: per-bucket counts, then offsets
+	stream  []sev
+	q       eventQueue   // cluster events and drain flushes (queue.go)
+	slots   []int32      // buildStream scratch: per-slot counts, then offsets
 	flushes []drainFlush // pending drain-outs, indexed by evFlush events
 }
 
@@ -81,24 +85,31 @@ func (s *shard) reset() {
 	s.q.reset()
 }
 
-// cmpInv orders a merged invocation stream by (time, app index) — the
-// same total order the event comparators use. Equal keys only arise
-// for one app's simultaneous invocations, which are indistinguishable.
-func cmpInv(a, b inv) int {
+// cmpSev orders a stream by (time, kind, app) — eventLess's order.
+// Equal keys only arise for one app's simultaneous entries of one
+// kind, which are indistinguishable.
+func cmpSev(a, b sev) int {
 	if a.t != b.t {
 		if a.t < b.t {
 			return -1
 		}
 		return 1
 	}
+	if a.kind != b.kind {
+		return int(a.kind) - int(b.kind)
+	}
 	return int(a.app) - int(b.app)
 }
 
-// buildStream fills s.invs with the apps' invocations in cmpInv order:
-// one pass counts them into nb equal-width time buckets over
-// [0, horizon], a second writes each straight into its bucket's slots,
-// and only each bucket's handful is compared. The clamped bucket index
-// is monotone in t, so the stream is exactly the sorted one. Both
+// buildStream fills s.stream with the apps' invocations and derived
+// container events in cmpSev order: one pass counts them into nb
+// equal-width time buckets over [0, horizon], a second derives them
+// again and writes each straight into its bucket, and only each
+// bucket's handful is compared. The clamped bucket index is monotone
+// in t, so the stream is exactly the sorted one. Each bucket is three
+// slots — reloads, invocations, unloads — and every app's entries of
+// one kind are ascending, so the app-ordered scatter lands each
+// equal-time run (long on minute-lattice traces) already sorted. Both
 // buffers are reused across nodes; the cap bounds the counts' memory.
 func (s *shard) buildStream(apps []int32) {
 	states := s.e.states
@@ -106,92 +117,158 @@ func (s *shard) buildStream(apps []int32) {
 	for _, ai := range apps {
 		n += len(states[ai].walk.times)
 	}
-	s.invs = slices.Grow(s.invs[:0], n)[:n]
 	nb := min(n/4+1, 1<<16)
-	s.buckets = slices.Grow(s.buckets[:0], nb)[:nb]
-	counts := s.buckets
-	clear(counts)
-	scale := 0.0
+	s.slots = slices.Grow(s.slots[:0], 3*nb)[:3*nb]
+	clear(s.slots)
+	p := streamPass{slots: s.slots, last: float64(nb - 1), horizon: s.e.horizon}
 	if s.e.horizon > 0 {
-		scale = float64(nb) / s.e.horizon
+		p.scale = float64(nb) / s.e.horizon
 	}
-	bucket := func(t float64) int { return int(min(max(t*scale, 0), float64(nb-1))) }
 	for _, ai := range apps {
-		for _, t := range states[ai].walk.times {
-			counts[bucket(t)]++
-		}
+		p.app(ai, states[ai].walk)
 	}
 	var start int32
-	for b, c := range counts {
-		counts[b] = start
+	for k, c := range s.slots {
+		s.slots[k] = start
 		start += c
 	}
-	// Scatter: counts[b] advances from bucket b's start to its end.
+	// Scatter: slots[k] advances from slot k's start to its end.
+	s.stream = slices.Grow(s.stream[:0], int(start))[:start]
+	p.out, p.place = s.stream, true
 	for _, ai := range apps {
-		for _, t := range states[ai].walk.times {
-			b := bucket(t)
-			s.invs[counts[b]] = inv{t: t, app: ai}
-			counts[b]++
-		}
+		p.app(ai, states[ai].walk)
 	}
 	lo := int32(0)
-	for _, hi := range counts {
-		if hi-lo > 1 {
-			slices.SortFunc(s.invs[lo:hi], cmpInv)
+	for k := 2; k < len(s.slots); k += 3 {
+		if hi := s.slots[k]; hi-lo > 1 {
+			slices.SortFunc(s.stream[lo:hi], cmpSev)
 		}
-		lo = hi
+		lo = s.slots[k]
 	}
 }
 
-// timeline is the discrete-event loop: the shard's invocation stream
-// and its container-event queue advance together in time order.
-func (s *shard) timeline(ctx context.Context) error {
-	ii := 0
-	for steps := 0; ii < len(s.invs) || s.q.n > 0; steps++ {
-		if steps&4095 == 4095 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if ev, ok := s.q.peek(); ok {
-			if ii >= len(s.invs) || ev.t < s.invs[ii].t ||
-				(ev.t == s.invs[ii].t && ev.kind <= evReload) {
-				s.q.pop()
-				switch ev.kind {
-				case evCluster:
-					s.applyClusterEvent(int(ev.app), ev.t)
-					continue
-				case evFlush:
-					s.applyFlush(int(ev.app), ev.t)
-					continue
-				}
-				st := &s.e.states[ev.app]
-				if ev.gen != st.gen {
-					continue // superseded window
-				}
-				switch ev.kind {
-				case evUnload:
-					if st.resident {
-						s.removeResident(ev.app, ev.t)
-					}
-				case evReload:
-					s.reload(ev.app, ev.t)
+// streamPass is one of buildStream's two passes over the walks: the
+// count pass bumps each entry's slot count, the scatter pass (place)
+// writes the entry at its slot's cursor and advances it.
+type streamPass struct {
+	slots                []int32
+	out                  []sev
+	place                bool
+	scale, last, horizon float64
+}
+
+// put files one entry under its time bucket's slot for kind. The clamp
+// is two branches rather than min/max, whose NaN handling measured
+// ~15% slower over the whole pass.
+func (p *streamPass) put(t float64, kind uint8, ai int32) {
+	x := t * p.scale
+	if x > p.last {
+		x = p.last
+	}
+	if !(x >= 0) {
+		x = 0
+	}
+	k := 3*int(x) + int(kind-evReload)
+	if p.place {
+		p.out[p.slots[k]] = sev{t: t, app: ai, kind: kind}
+	}
+	p.slots[k]++
+}
+
+// app feeds the pass one app's invocations and, after each, the
+// container events its window prescribes (schedule's residency plan):
+//   - a keep-alive window unloads at end + KaSec;
+//   - a pre-warmed window unloads at the execution end (immediately,
+//     in schedule, when there is no execution time), reloads at
+//     end + PwSec and unloads again at reload + KaSec.
+//
+// An event is derived only if it can fire: before the horizon and
+// before the app's next arrival — strictly for unloads (an arrival at
+// the window end is warm and opens the next window), inclusively for
+// reloads (reloads sort before invocations). Every event therefore
+// fires inside its own window, and a window that dies first (failed
+// load, evict, displace) is dead and not resident, which makes its
+// remaining events no-ops. A reload also needs load > t: a pre-warm
+// below half an ulp of end (for a 1 ns pre-warm, only past 2^24 s, or
+// 194 days, of trace) would sort before the invocation opening its
+// window, so it rounds to none.
+func (p *streamPass) app(ai int32, w *appWalk) {
+	times, horizon := w.times, p.horizon
+	i := 0
+	for _, r := range w.runs {
+		d := r.D
+		pw, ka := d.PreWarm.Seconds(), d.KeepAlive.Seconds()
+		for stop := i + int(r.N); i < stop; i++ {
+			t := times[i]
+			p.put(t, evInvoke, ai)
+			if d.Forever {
+				continue
+			}
+			next := math.Inf(1)
+			if i+1 < len(times) {
+				next = times[i+1]
+			}
+			end := t + w.execAt(i)
+			if d.PreWarm == 0 {
+				if u := end + ka; u < horizon && u < next {
+					p.put(u, evUnload, ai)
 				}
 				continue
 			}
+			if end > t && end < horizon && end < next {
+				p.put(end, evUnload, ai)
+			}
+			if load := end + pw; t < load && load < horizon && load <= next {
+				p.put(load, evReload, ai)
+				if u := load + ka; u < horizon && u < next {
+					p.put(u, evUnload, ai)
+				}
+			}
 		}
-		in := s.invs[ii]
-		ii++
-		s.invoke(in.app, in.t)
+	}
+}
+
+// timeline is the discrete-event loop: the shard's stream and its
+// event queue advance together in (time, kind) order. The queue is
+// empty on the sharded path.
+func (s *shard) timeline(ctx context.Context) error {
+	si := 0
+	for steps := 0; si < len(s.stream) || s.q.n > 0; steps++ {
+		if steps&4095 == 4095 && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if ev, ok := s.q.peek(); ok && (si >= len(s.stream) || ev.t < s.stream[si].t ||
+			(ev.t == s.stream[si].t && ev.kind < s.stream[si].kind)) {
+			s.q.pop()
+			if ev.kind == evCluster {
+				s.applyClusterEvent(int(ev.app), ev.t)
+			} else {
+				s.applyFlush(int(ev.app), ev.t)
+			}
+			continue
+		}
+		en := s.stream[si]
+		si++
+		switch en.kind {
+		case evInvoke:
+			s.invoke(en.app, en.t)
+		case evReload:
+			s.reload(en.app, en.t)
+		case evUnload:
+			if s.e.states[en.app].resident {
+				s.removeResident(en.app, en.t)
+			}
+		}
 	}
 	return nil
 }
 
 // invoke processes one arrival: classify against the previous window
 // (eviction overrides the nominal outcome), load on cold, advance the
-// decision cursor, and schedule the next window.
+// decision cursor, and open the next window.
 func (s *shard) invoke(ai int32, t float64) {
 	e := s.e
 	st := &e.states[ai]
-	wk := st.walk
 	i := st.inv
 	st.inv++
 
@@ -222,7 +299,6 @@ func (s *shard) invoke(ai int32, t float64) {
 	}
 	st.dead = false
 	st.deadByFail = false
-	st.gen++ // retire the previous window's pending events
 
 	// A warm hit continues the resident container. A cold start loads
 	// now — unless the container is still in memory (overlapping
@@ -237,81 +313,45 @@ func (s *shard) invoke(ai int32, t float64) {
 	// Advance to the decision governing this invocation, then open its
 	// window from the execution end.
 	st.cur.Step(&st.res.ModeCounts)
-	st.prevEnd = t
-	if wk.execs != nil {
-		st.prevEnd += wk.execs[i]
-	}
+	st.prevEnd = t + st.walk.execAt(i)
 	if st.prevEnd > st.execEnd {
 		st.execEnd = st.prevEnd
 	}
 	if !st.dead {
-		s.schedule(ai)
+		s.schedule(ai, t)
 	}
 }
 
 // schedule opens the window st.cur.D prescribes after the execution
-// ending at st.prevEnd: residency plan, expiry events, pre-warm
-// reloads.
-//
-// Events that cannot fire are never heaped: an unload or reload is
-// observable only if it happens before the app's next arrival (known
-// from the precomputed walk) — an earlier arrival retires the window
-// (gen bump) and the event would pop as stale. Unloads are superseded
-// by an arrival at the same instant (invocations process before
-// expiries at equal times), reloads are not (reloads process first),
-// hence the strict vs inclusive comparisons. For hot apps whose
-// windows rarely expire this removes almost all heap traffic.
-func (s *shard) schedule(ai int32) {
-	e := s.e
-	st := &e.states[ai]
-	d := st.cur.D
-	next := s.nextArrival(ai)
-	switch {
+// ending at st.prevEnd, for the invocation at t: the residency plan
+// and the container's scheduled expiry. The window's unloads and
+// pre-warm reload are already in the stream (streamPass.app).
+func (s *shard) schedule(ai int32, t float64) {
+	st := &s.e.states[ai]
+	switch d := st.cur.D; {
 	case d.Forever:
 		st.loadedAt = st.prevEnd
 		s.setExpiry(ai, st, math.Inf(1))
 	case d.PreWarm == 0:
 		st.loadedAt = st.prevEnd
 		s.setExpiry(ai, st, st.prevEnd+st.cur.KaSec)
-		if st.unloadAt < e.horizon && st.unloadAt < next {
-			s.pushEvent(cevent{t: st.unloadAt, kind: evUnload, app: ai, gen: st.gen})
+	case st.prevEnd <= t:
+		// Pre-warmed window with zero execution time: the unload is
+		// immediate.
+		if st.resident {
+			s.removeResident(ai, st.prevEnd)
 		}
 	default:
-		// Pre-warmed window: unload at execution end, reload PreWarm
-		// later (the reload event re-checks memory pressure).
-		if st.prevEnd <= st.walk.times[st.inv-1] {
-			// Zero execution time: the unload is immediate.
-			if st.resident {
-				s.removeResident(ai, st.prevEnd)
-			}
-		} else {
-			s.setExpiry(ai, st, st.prevEnd)
-			if st.prevEnd < e.horizon && st.prevEnd < next {
-				s.pushEvent(cevent{t: st.prevEnd, kind: evUnload, app: ai, gen: st.gen})
-			}
-		}
-		if loadAt := st.prevEnd + st.cur.PwSec; loadAt < e.horizon && loadAt <= next {
-			s.pushEvent(cevent{t: loadAt, kind: evReload, app: ai, gen: st.gen})
-		}
+		// Pre-warmed window: unload at execution end, reload PwSec
+		// later (the reload re-checks memory pressure).
+		s.setExpiry(ai, st, st.prevEnd)
 	}
-}
-
-// nextArrival returns the app's next invocation time (+Inf after the
-// last one). The timeline has already consumed invocations below
-// st.inv, so this is the next arrival the stream will deliver.
-func (s *shard) nextArrival(ai int32) float64 {
-	st := &s.e.states[ai]
-	if st.inv < len(st.walk.times) {
-		return st.walk.times[st.inv]
-	}
-	return math.Inf(1)
 }
 
 // reload serves a pre-warm: the container comes back under the same
 // window, pressure permitting.
 func (s *shard) reload(ai int32, t float64) {
-	e := s.e
-	st := &e.states[ai]
+	st := &s.e.states[ai]
 	if st.resident || st.dead {
 		return
 	}
@@ -321,9 +361,6 @@ func (s *shard) reload(ai int32, t float64) {
 	}
 	st.loadedAt = t
 	s.setExpiry(ai, st, t+st.cur.KaSec)
-	if st.unloadAt < e.horizon && st.unloadAt < s.nextArrival(ai) {
-		s.pushEvent(cevent{t: st.unloadAt, kind: evUnload, app: ai, gen: st.gen})
-	}
 }
 
 // setExpiry records the container's scheduled expiry and, on finite
@@ -430,7 +467,6 @@ func (s *shard) evict(ai int32, t float64) {
 	s.e.nodes[st.node].stats.Evictions++
 	st.dead = true
 	st.deadByFail = false // pressure, not a node event
-	st.gen++              // retire the window's pending events
 	s.removeResident(ai, t)
 }
 
@@ -499,7 +535,7 @@ func (s *shard) drainNode(node int, t float64) {
 				// segment never starts.
 				st.resident = false
 				s.flushes = append(s.flushes, drainFlush{node: int32(node), memMB: st.memMB})
-				s.pushEvent(cevent{t: st.execEnd, kind: evFlush, app: int32(len(s.flushes) - 1)})
+				s.q.push(cevent{t: st.execEnd, kind: evFlush, app: int32(len(s.flushes) - 1)})
 			} else {
 				st.res.WastedSeconds += t - st.loadedAt
 				s.removeResident(int32(ai), t)
@@ -552,7 +588,6 @@ func (s *shard) displace(ai int32) {
 		st.dead = true
 		st.deadByFail = true
 	}
-	st.gen++ // retire the window's pending events
 	s.replaceApp(ai)
 }
 
@@ -666,11 +701,9 @@ func (nd *nodeState) advance(t, horizon float64) {
 	}
 }
 
-// Event ordering: (time, kind, app) — reloads before unloads at equal
-// times, app index for determinism. The queue realizing the order is
-// the heap in queue.go; per-shard, so the sharded path keeps one small
-// queue per worker instead of one global heap.
-
+// eventLess orders the queue by (time, kind, app): at equal times
+// cluster events before the stream and flushes after it, app index
+// (the Config.Events or flush index) for determinism.
 func eventLess(a, b cevent) bool {
 	if a.t != b.t {
 		return a.t < b.t
@@ -680,8 +713,6 @@ func eventLess(a, b cevent) bool {
 	}
 	return a.app < b.app
 }
-
-func (s *shard) pushEvent(ev cevent) { s.q.push(ev) }
 
 // Victim index heaps: victims is ordered by (unloadAt, app), parked by
 // (execEnd, app) — both keys live in victimEntry.unloadAt. Stale entries

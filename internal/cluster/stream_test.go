@@ -3,12 +3,14 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/policy"
+	"repro/internal/sim/kernel"
 	"repro/internal/trace"
 )
 
@@ -92,26 +94,155 @@ func TestStreamingWalkMemory(t *testing.T) {
 	}
 }
 
-// streamShard builds a shard over synthetic walks: app i's invocation
-// times are times[i] (sorted, like every walk's).
-func streamShard(horizon float64, times [][]float64) (*shard, []int32) {
-	e := &engine{horizon: horizon, states: make([]appState, len(times))}
-	apps := make([]int32, len(times))
-	for i, ts := range times {
-		slices.Sort(ts)
-		e.states[i].walk = &appWalk{times: ts}
+// streamShard builds a shard over synthetic walks: app i's walk is
+// walks[i], whose times are sorted like every walk's.
+func streamShard(horizon float64, walks []appWalk) (*shard, []int32) {
+	e := &engine{horizon: horizon, states: make([]appState, len(walks))}
+	apps := make([]int32, len(walks))
+	for i := range walks {
+		slices.Sort(walks[i].times)
+		e.states[i].walk = &walks[i]
 		apps[i] = int32(i)
 	}
 	return &shard{e: e}, apps
 }
 
-// TestBuildStreamOrder pins buildStream to the comparison sort it
-// replaces: element by element, its stream equals slices.SortFunc with
-// cmpInv over the same invocations, including the shapes that stress
-// the bucketing — one bucket holding everything, times on both ends of
-// the horizon, ties within and across apps, a zero horizon, streams
-// shorter than the bucket count, and streams long enough that the
-// bucket cap binds.
+// refEntry is one entry of the reference stream, tagged with the
+// window (invocation index) it belongs to.
+type refEntry struct {
+	sev
+	window int
+}
+
+// refStream is the brute-force reference for buildStream: every
+// invocation plus, per window, the unloads and the reload the timeline
+// once pushed onto an event heap from schedule and reload — stepped
+// with the timeline's own RunCursor, kept when they can fire (before
+// the horizon and the app's next arrival, strictly for unloads; a
+// reload also strictly after its invocation) — all sorted by cmpSev.
+func refStream(sh *shard, apps []int32) []refEntry {
+	var out []refEntry
+	for _, ai := range apps {
+		w := sh.e.states[ai].walk
+		var cur kernel.RunCursor
+		var modes [policy.NumModes]int
+		cur.Reset(w.runs)
+		for i, t := range w.times {
+			cur.Step(&modes)
+			out = append(out, refEntry{sev{t: t, app: ai, kind: evInvoke}, i})
+			next := math.Inf(1)
+			if i+1 < len(w.times) {
+				next = w.times[i+1]
+			}
+			end := t + w.exec
+			if w.execs != nil {
+				end = t + w.execs[i]
+			}
+			unload := func(at float64) {
+				if at < sh.e.horizon && at < next {
+					out = append(out, refEntry{sev{t: at, app: ai, kind: evUnload}, i})
+				}
+			}
+			switch {
+			case cur.D.Forever:
+			case cur.D.PreWarm == 0:
+				unload(end + cur.KaSec)
+			default:
+				if end > t {
+					unload(end)
+				}
+				if load := end + cur.PwSec; load > t && load < sh.e.horizon && load <= next {
+					out = append(out, refEntry{sev{t: load, app: ai, kind: evReload}, i})
+					unload(load + cur.KaSec)
+				}
+			}
+		}
+	}
+	slices.SortStableFunc(out, func(a, b refEntry) int { return cmpSev(a.sev, b.sev) })
+	return out
+}
+
+// checkStream builds sh's stream over apps and compares it with the
+// reference entry by entry, then checks that every derived event sorts
+// strictly inside its own window: after the invocation opening it and
+// before the app's next arrival.
+func checkStream(t *testing.T, sh *shard, apps []int32) []refEntry {
+	t.Helper()
+	want := refStream(sh, apps)
+	sh.buildStream(apps)
+	if len(sh.stream) != len(want) {
+		t.Fatalf("stream has %d entries, want %d", len(sh.stream), len(want))
+	}
+	for i := range want {
+		if sh.stream[i] != want[i].sev {
+			t.Fatalf("stream[%d] = %+v, want %+v", i, sh.stream[i], want[i].sev)
+		}
+	}
+	for _, r := range want {
+		if r.kind == evInvoke {
+			continue
+		}
+		times := sh.e.states[r.app].walk.times
+		opens := sev{t: times[r.window], app: r.app, kind: evInvoke}
+		if cmpSev(opens, r.sev) >= 0 {
+			t.Fatalf("%+v sorts before the invocation opening window %d (%+v)", r.sev, r.window, opens)
+		}
+		if r.window+1 < len(times) {
+			if next := (sev{t: times[r.window+1], app: r.app, kind: evInvoke}); cmpSev(r.sev, next) >= 0 {
+				t.Fatalf("%+v of window %d sorts at or after the next arrival (%+v)", r.sev, r.window, next)
+			}
+		}
+	}
+	return want
+}
+
+// withRuns gives each app a decision-run sequence over its invocations
+// mixing forever, keep-alive and pre-warm windows, and exec times that
+// are absent, one shared value, or per invocation. Window and exec
+// lengths are multiples of unit, so on a lattice of unit-spaced
+// arrivals derived events share instants with arrivals.
+func withRuns(rng *rand.Rand, unit float64, times [][]float64) []appWalk {
+	dur := func(k int) time.Duration { return time.Duration(float64(k) * unit * float64(time.Second)) }
+	walks := make([]appWalk, len(times))
+	for i, ts := range times {
+		w := &walks[i]
+		w.times = ts
+		switch rng.IntN(3) {
+		case 1:
+			w.exec = float64(rng.IntN(3)) * unit / 2
+		case 2:
+			w.execs = make([]float64, len(ts))
+			for j := range w.execs {
+				w.execs[j] = float64(rng.IntN(3)) * unit / 2
+			}
+		}
+		for left := len(ts); left > 0; {
+			n := 1 + rng.IntN(left)
+			left -= n
+			var d policy.Decision
+			switch rng.IntN(5) {
+			case 0:
+				d.Forever = true
+			case 1, 2:
+				d.KeepAlive = dur(rng.IntN(4))
+			default:
+				d.PreWarm = max(dur(1+rng.IntN(3)), 1)
+				d.KeepAlive = dur(rng.IntN(4))
+			}
+			w.runs = append(w.runs, policy.DecisionRun{D: d, N: int32(n)})
+		}
+	}
+	return walks
+}
+
+// TestBuildStreamOrder pins buildStream to the brute-force reference:
+// element by element, its stream equals every invocation plus every
+// derived reload and unload sorted with cmpSev, and every derived
+// event falls inside its own window. The shapes stress the bucketing —
+// one bucket holding everything, times on both ends of the horizon,
+// ties within and across apps (and between reloads, unloads and
+// arrivals), a zero horizon, streams shorter than the bucket count,
+// and streams long enough that the bucket cap binds.
 func TestBuildStreamOrder(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	// gen draws per-app invocation times from draw.
@@ -127,39 +258,36 @@ func TestBuildStreamOrder(t *testing.T) {
 	}
 	const h = 3600.0
 	for _, tc := range []struct {
-		name    string
-		horizon float64
-		times   [][]float64
+		name          string
+		horizon, unit float64
+		times         [][]float64
 	}{
-		{"random", h, gen(50, 40, func() float64 { return rng.Float64() * h })},
-		{"one-instant", h, gen(30, 20, func() float64 { return h / 3 })},
-		{"both-ends", h, gen(20, 10, func() float64 { return float64(rng.IntN(2)) * h })},
-		{"ties", h, gen(40, 30, func() float64 { return float64(rng.IntN(8)) * h / 8 })},
-		{"zero-horizon", 0, gen(20, 10, func() float64 { return float64(rng.IntN(5)) })},
-		{"empty", h, [][]float64{nil, nil}},
-		{"tiny", h, [][]float64{{h}, {0, h / 2}}},
-		{"cap-binds", 86400, gen(100, 3000, func() float64 { return rng.Float64() * 86400 })},
+		{"random", h, 97, gen(50, 40, func() float64 { return rng.Float64() * h })},
+		{"one-instant", h, h / 6, gen(30, 20, func() float64 { return h / 3 })},
+		{"both-ends", h, h / 4, gen(20, 10, func() float64 { return float64(rng.IntN(2)) * h })},
+		{"ties", h, h / 8, gen(40, 30, func() float64 { return float64(rng.IntN(8)) * h / 8 })},
+		{"zero-horizon", 0, 1, gen(20, 10, func() float64 { return float64(rng.IntN(5)) })},
+		{"empty", h, 60, [][]float64{nil, nil}},
+		{"tiny", h, h / 2, [][]float64{{h}, {0, h / 2}}},
+		{"cap-binds", 86400, 600, gen(100, 3000, func() float64 { return rng.Float64() * 86400 })},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sh, apps := streamShard(tc.horizon, tc.times)
-			var want []inv
-			for ai, ts := range tc.times {
-				for _, x := range ts {
-					want = append(want, inv{t: x, app: int32(ai)})
+			sh, apps := streamShard(tc.horizon, withRuns(rng, tc.unit, tc.times))
+			want := checkStream(t, sh, apps)
+			invs, events := 0, 0
+			for _, r := range want {
+				if r.kind == evInvoke {
+					invs++
+				} else {
+					events++
 				}
 			}
-			slices.SortFunc(want, cmpInv)
-			if tc.name == "cap-binds" && len(want) <= 4<<16 {
-				t.Fatalf("%d invocations: the bucket cap does not bind", len(want))
+			if tc.name == "cap-binds" && invs <= 4<<16 {
+				t.Fatalf("%d invocations: the bucket cap does not bind", invs)
 			}
-			sh.buildStream(apps)
-			if len(sh.invs) != len(want) {
-				t.Fatalf("stream has %d invocations, want %d", len(sh.invs), len(want))
-			}
-			for i := range want {
-				if sh.invs[i] != want[i] {
-					t.Fatalf("stream[%d] = %+v, want %+v", i, sh.invs[i], want[i])
-				}
+			if tc.horizon > 0 && invs > 20 && events == 0 {
+				// A zero horizon is the one shape where nothing can fire.
+				t.Fatalf("%d invocations derived no events: the fixture is vacuous", invs)
 			}
 		})
 	}
@@ -176,7 +304,7 @@ func TestBuildStreamAllocs(t *testing.T) {
 			times[i] = append(times[i], rng.Float64()*7200)
 		}
 	}
-	sh, apps := streamShard(7200, times)
+	sh, apps := streamShard(7200, withRuns(rng, 120, times))
 	first, second := apps[:100], apps[100:] // two nodes of 5000 invocations
 	sh.buildStream(first)
 	node := 0
