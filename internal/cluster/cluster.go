@@ -209,7 +209,7 @@ func Run(ctx context.Context, src trace.Source, pol policy.Policy, cfg Config, o
 	for _, o := range opts {
 		o(&rc)
 	}
-	tr, err := materialize(src)
+	tr, err := trace.Collect(src)
 	if err != nil {
 		return nil, err
 	}
@@ -232,16 +232,6 @@ func Run(ctx context.Context, src trace.Source, pol policy.Policy, cfg Config, o
 		}
 	}
 	return res, nil
-}
-
-// materialize recovers the in-memory trace behind src without
-// re-walking consumed apps (the trace.BatchTrace contract sim.Run
-// also uses), collecting streaming sources fully.
-func materialize(src trace.Source) (*trace.Trace, error) {
-	if tr := trace.BatchTrace(src); tr != nil {
-		return tr, nil
-	}
-	return trace.Collect(src)
 }
 
 // Result helpers.

@@ -432,7 +432,7 @@ func runUnit(ctx context.Context, u unit) (unitResult, error) {
 	// Cluster run: the timeline needs the whole (shard of the)
 	// workload; the memory table, when present, applies to a private
 	// copy so a trace shared across cells stays pristine.
-	tr, err := materialize(src)
+	tr, err := trace.Collect(src)
 	if err != nil {
 		return unitResult{}, err
 	}
@@ -518,15 +518,6 @@ func shardOf(src trace.Source, i, n int) (trace.Source, error) {
 		return trace.NewTraceSource(sh), nil
 	}
 	return trace.Shard(src, i, n), nil
-}
-
-// materialize recovers the in-memory trace behind src without
-// re-walking consumed apps, collecting streaming sources fully.
-func materialize(src trace.Source) (*trace.Trace, error) {
-	if tr := trace.BatchTrace(src); tr != nil {
-		return tr, nil
-	}
-	return trace.Collect(src)
 }
 
 // applyMemCSV applies a per-app memory table to a private copy of tr

@@ -2,12 +2,14 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"runtime/debug"
+	"sync"
 	"time"
 )
 
@@ -50,6 +52,16 @@ const (
 	binaryMaxMinutes = 1 << 24 // ~31 years at 1-minute resolution
 	binaryMaxString  = 1 << 20
 	binaryMaxFns     = 1 << 22
+)
+
+// The smallest encodings of an app record (two string lengths, memory,
+// function count) and a function record (ID length, trigger, exec
+// stats, exec count). A slice presized from a claimed count is capped
+// at what the remaining bytes can hold, so a hostile header costs no
+// memory.
+const (
+	minAppRecord = 1 + 1 + 8 + 1
+	minFnRecord  = 1 + 1 + 24 + 1
 )
 
 // maxFunctionInvs bounds one function's expanded invocations, for this
@@ -108,104 +120,122 @@ func WriteBinary(w io.Writer, tr *Trace) error {
 	return bw.Flush()
 }
 
-// byteScanner is what the decoder needs: buffered byte-wise reads for
-// varints plus bulk reads for strings. Both *bufio.Reader (streaming)
-// and *bytes.Reader (mmap) satisfy it.
-type byteScanner interface {
-	io.Reader
-	io.ByteReader
-}
+// errMappingChanged is the error for a fault while reading a mapped
+// trace: the file shrank under the mapping.
+var errMappingChanged = errors.New("trace: binary trace changed while mapped")
+
+var errVarintOverflow = errors.New("varint overflows a 64-bit integer")
 
 // BinarySource streams a binary trace bundle as a Source, one app at a
-// time in constant memory — the tracec counterpart of CSVSource.
+// time — the tracec counterpart of CSVSource. It decodes straight from
+// the file's bytes: a read-only mapping where the platform allows, the
+// whole file read into memory otherwise. Collect decodes its remaining
+// records on every core.
 type BinarySource struct {
-	r       byteScanner
-	dur     time.Duration
-	minutes int
-	apps    int // remaining app records
-	err     error
-	closer  func() error
+	rec    recordReader
+	dur    time.Duration
+	apps   int // remaining app records
+	err    error
+	closer func() error
+}
 
+// recordReader walks WILDTRC1 app records in data from off. It is the
+// one record walker: Next decodes with it, and Collect runs one copy to
+// skim record boundaries and one per worker to decode.
+type recordReader struct {
+	data    []byte
+	off     int
+	minutes uint64
 	// Decode scratch, reused across records so a steady-state Next
 	// allocates only the app's own structures (pinned by
 	// TestBinarySourceAllocs).
-	strBuf []byte
-	f64Buf [8]byte
-	runs   []colRun
+	runs []colRun
 }
 
 // colRun is one decoded run of the invocation column: count
 // invocations per minute for length minutes starting at start.
 type colRun struct{ start, length, count uint64 }
 
-// NewBinarySource opens a binary trace for streaming from r, reading
-// the header eagerly so the horizon is known before the first app.
+// NewBinarySource opens a binary trace for streaming from r. It reads
+// r in full, then the header, so the horizon is known before the first
+// app.
 func NewBinarySource(r io.Reader) (*BinarySource, error) {
-	bs, ok := r.(byteScanner)
-	if !ok {
-		bs = bufio.NewReaderSize(r, 1<<16)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: reading binary trace: %w", err)
 	}
-	return newBinarySource(bs, nil)
+	return newBinarySource(data, nil)
 }
 
 // OpenBinaryFile opens a binary trace file, memory-mapping it when the
-// platform allows (the column decode then walks the page cache
-// directly) and falling back to buffered reads. Callers should Close
+// platform allows (the decode then walks the page cache directly) and
+// reading the whole file into memory otherwise. Callers should Close
 // the source; draining it to io.EOF also releases the file.
 func OpenBinaryFile(path string) (*BinarySource, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: opening binary trace: %w", err)
 	}
-	if data, ok := mmapFile(f); ok {
-		src, err := newBinarySource(bytes.NewReader(data), func() error {
-			munmapFile(data)
-			return f.Close()
-		})
-		if err != nil {
-			munmapFile(data)
-			f.Close()
-			return nil, err
-		}
-		return src, nil
+	data, ok := mmapFile(f)
+	if !ok {
+		defer f.Close()
+		return NewBinarySource(f)
 	}
-	src, err := newBinarySource(bufio.NewReaderSize(f, 1<<20), f.Close)
+	src, err := newBinarySource(data, func() error {
+		munmapFile(data)
+		return f.Close()
+	})
 	if err != nil {
+		munmapFile(data)
 		f.Close()
 		return nil, err
 	}
 	return src, nil
 }
 
-func newBinarySource(r byteScanner, closer func() error) (*BinarySource, error) {
-	var magic [len(binaryMagic)]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading binary magic: %w", noEOF(err))
+func newBinarySource(data []byte, closer func() error) (_ *BinarySource, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer recoverFault(&err)
+	if len(data) < len(binaryMagic) {
+		return nil, fmt.Errorf("trace: reading binary magic: %w", io.ErrUnexpectedEOF)
 	}
-	if string(magic[:]) != binaryMagic {
+	if magic := data[:len(binaryMagic)]; string(magic) != binaryMagic {
 		return nil, fmt.Errorf("trace: not a binary trace (magic %q)", magic)
 	}
-	minutes, err := readUvarint(r, "minutes")
+	r := recordReader{data: data, off: len(binaryMagic)}
+	minutes, err := r.uvarint("minutes")
 	if err != nil {
 		return nil, err
 	}
 	if minutes > binaryMaxMinutes {
 		return nil, fmt.Errorf("trace: binary trace claims %d minutes", minutes)
 	}
-	apps, err := readUvarint(r, "app count")
+	apps, err := r.uvarint("app count")
 	if err != nil {
 		return nil, err
 	}
 	if apps > math.MaxInt32 {
 		return nil, fmt.Errorf("trace: binary trace claims %d apps", apps)
 	}
+	r.minutes = minutes
 	return &BinarySource{
-		r:       r,
-		dur:     time.Duration(minutes) * time.Minute,
-		minutes: int(minutes),
-		apps:    int(apps),
-		closer:  closer,
+		rec:    r,
+		dur:    time.Duration(minutes) * time.Minute,
+		apps:   int(apps),
+		closer: closer,
 	}, nil
+}
+
+// recoverFault, deferred after debug.SetPanicOnFault(true), turns a
+// memory fault (a read past the end of a mapped file that shrank) into
+// errMappingChanged. Any other panic goes on.
+func recoverFault(err *error) {
+	if r := recover(); r != nil {
+		if _, ok := r.(interface{ Addr() uintptr }); !ok {
+			panic(r)
+		}
+		*err = errMappingChanged
+	}
 }
 
 // Horizon implements Source.
@@ -232,7 +262,7 @@ func (s *BinarySource) Next() (*App, error) {
 		s.Close()
 		return nil, io.EOF
 	}
-	app, err := s.readApp()
+	app, err := s.decode()
 	if err != nil {
 		s.err = err
 		s.Close()
@@ -242,103 +272,230 @@ func (s *BinarySource) Next() (*App, error) {
 	return app, nil
 }
 
-func (s *BinarySource) readApp() (*App, error) {
-	owner, err := s.readString("owner")
+func (s *BinarySource) decode() (_ *App, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer recoverFault(&err)
+	return s.rec.app(false)
+}
+
+// collectChunk is how many records the skim hands a worker at a time:
+// enough to amortize the channel, few enough that every worker stays
+// busy to the end and the skim runs only a few chunks ahead.
+const collectChunk = 256
+
+// decodeParallel decodes the source's remaining records on workers
+// goroutines and returns them in file order. The calling goroutine
+// skims record boundaries (the walker without strings or column
+// expansion) and hands the workers a chunk of records as soon as it has
+// found them, so pages are touched at decode pace. The skim stops at
+// the first record it rejects, or faults on, and leaves the source at
+// that record: Collect goes on there with Next, so it returns exactly
+// the error a Next loop returns.
+func (s *BinarySource) decodeParallel(workers int) ([]*App, error) {
+	if s.err != nil || s.apps == 0 {
+		return nil, nil
+	}
+	data, minutes := s.rec.data, s.rec.minutes
+	apps := make([]*App, min(s.apps, (len(data)-s.rec.off)/minAppRecord+1))
+	workers = max(1, min(workers, (len(apps)+collectChunk-1)/collectChunk))
+
+	// One buffered chunk per worker lets the skim stay that far ahead of
+	// the decoders and no further, so pages are touched at decode pace.
+	type chunk struct{ first, off, n int }
+	chunks := make(chan chunk, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := range workers {
+		go func() {
+			defer wg.Done()
+			r := recordReader{data: data, minutes: minutes}
+			for c := range chunks {
+				if errs[w] == nil {
+					errs[w] = r.decodeChunk(c.off, apps[c.first:c.first+c.n])
+				}
+			}
+		}()
+	}
+
+	skim := recordReader{data: data, off: s.rec.off, minutes: minutes}
+	k, first, start := 0, 0, skim.off
+	for k < len(apps) {
+		at := skim.off
+		if skim.skip() != nil {
+			skim.off = at
+			break
+		}
+		if k++; k-first == collectChunk {
+			chunks <- chunk{first, start, k - first}
+			first, start = k, skim.off
+		}
+	}
+	if k > first {
+		chunks <- chunk{first, start, k - first}
+	}
+	close(chunks)
+	wg.Wait()
+
+	s.rec.off = skim.off
+	s.apps -= k
+	// Workers see only records the skim accepted, which pass the same
+	// checks again, so a worker fails only on a fault.
+	for _, err := range errs {
+		if err != nil {
+			s.err = err
+			s.Close()
+			return nil, err
+		}
+	}
+	return apps[:k], nil
+}
+
+// skip walks one record without decoding it.
+func (r *recordReader) skip() (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer recoverFault(&err)
+	_, err = r.app(true)
+	return err
+}
+
+// decodeChunk decodes len(dst) records starting at off into dst.
+func (r *recordReader) decodeChunk(off int, dst []*App) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer recoverFault(&err)
+	r.off = off
+	for i := range dst {
+		if dst[i], err = r.app(false); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// app walks the record at r.off. With skim set it only finds the
+// record's end: every bounds and consistency check runs, but no string
+// is allocated, no column is expanded and no *App is returned (and an
+// error names no app or function).
+func (r *recordReader) app(skim bool) (*App, error) {
+	owner, err := r.str("owner", skim)
 	if err != nil {
 		return nil, err
 	}
-	id, err := s.readString("app ID")
+	id, err := r.str("app ID", skim)
 	if err != nil {
 		return nil, err
 	}
-	memMB, err := s.readF64("memory")
+	memMB, err := r.f64("memory")
 	if err != nil {
 		return nil, err
 	}
-	nfns, err := readUvarint(s.r, "function count")
+	nfns, err := r.uvarint("function count")
 	if err != nil {
 		return nil, err
 	}
 	if nfns > binaryMaxFns {
 		return nil, fmt.Errorf("trace: app %s claims %d functions", id, nfns)
 	}
-	app := &App{ID: id, Owner: owner, MemoryMB: memMB,
-		Functions: make([]*Function, 0, nfns)}
+	var app *App
+	if !skim {
+		app = &App{ID: id, Owner: owner, MemoryMB: memMB,
+			Functions: make([]*Function, 0, min(nfns, uint64(len(r.data)-r.off)/minFnRecord+1))}
+	}
 	for i := uint64(0); i < nfns; i++ {
-		fn, err := s.readFunction()
+		fn, err := r.function(skim)
 		if err != nil {
 			return nil, fmt.Errorf("trace: app %s: %w", id, err)
 		}
-		app.Functions = append(app.Functions, fn)
+		if !skim {
+			app.Functions = append(app.Functions, fn)
+		}
 	}
 	return app, nil
 }
 
-func (s *BinarySource) readFunction() (*Function, error) {
-	id, err := s.readString("function ID")
+func (r *recordReader) function(skim bool) (*Function, error) {
+	id, err := r.str("function ID", skim)
 	if err != nil {
 		return nil, err
 	}
-	trig, err := s.r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("reading trigger: %w", noEOF(err))
+	if r.off >= len(r.data) {
+		return nil, fmt.Errorf("reading trigger: %w", io.ErrUnexpectedEOF)
 	}
+	trig := r.data[r.off]
+	r.off++
 	if int(trig) >= NumTriggers {
 		return nil, fmt.Errorf("function %s: unknown trigger %d", id, trig)
 	}
-	fn := &Function{ID: id, Trigger: TriggerType(trig)}
-	if fn.ExecStats.AvgSeconds, err = s.readF64("exec avg"); err != nil {
+	var st ExecStats
+	if st.AvgSeconds, err = r.f64("exec avg"); err != nil {
 		return nil, err
 	}
-	if fn.ExecStats.MinSeconds, err = s.readF64("exec min"); err != nil {
+	if st.MinSeconds, err = r.f64("exec min"); err != nil {
 		return nil, err
 	}
-	if fn.ExecStats.MaxSeconds, err = s.readF64("exec max"); err != nil {
+	if st.MaxSeconds, err = r.f64("exec max"); err != nil {
 		return nil, err
 	}
-	count, err := readUvarint(s.r, "exec count")
+	count, err := r.uvarint("exec count")
 	if err != nil {
 		return nil, err
 	}
 	if count > math.MaxInt64 {
 		return nil, fmt.Errorf("function %s: exec count overflow", id)
 	}
-	fn.ExecStats.Count = int64(count)
+	st.Count = int64(count)
 
 	// The invocation column: runs must tile the horizon exactly. The
 	// expansion allocates once (the total is known from the runs) and
 	// goes through SpreadMinute, the canonical count-to-timestamp
 	// definition shared with the CSV readers.
-	runs := s.runs[:0]
+	runs := r.runs[:0]
 	covered, total := uint64(0), uint64(0)
-	for covered < uint64(s.minutes) {
-		length, err := readUvarint(s.r, "run length")
-		if err != nil {
-			return nil, fmt.Errorf("function %s: %w", id, err)
+	data, off := r.data, r.off
+	for covered < r.minutes {
+		// Most runs are two one-byte varints: read those in place.
+		var length, count uint64
+		if off+1 < len(data) && data[off]|data[off+1] < 0x80 {
+			length, count = uint64(data[off]), uint64(data[off+1])
+			off += 2
+		} else {
+			r.off = off
+			if length, err = r.uvarint("run length"); err == nil {
+				count, err = r.uvarint("run count")
+			}
+			if err != nil {
+				return nil, fmt.Errorf("function %s: %w", id, err)
+			}
+			off = r.off
 		}
-		count, err := readUvarint(s.r, "run count")
-		if err != nil {
-			return nil, fmt.Errorf("function %s: %w", id, err)
-		}
-		if length == 0 || covered+length > uint64(s.minutes) {
+		if length == 0 || length > r.minutes-covered {
 			return nil, fmt.Errorf("function %s: run of %d minutes at %d overruns the %d-minute horizon",
-				id, length, covered, s.minutes)
+				id, length, covered, r.minutes)
+		}
+		// length ≤ 2^24 and count ≤ 2^31 here, so neither the product
+		// nor the sum wraps before the bound trips.
+		if count > maxFunctionInvs {
+			return nil, fmt.Errorf("function %s: invocation column overflows", id)
 		}
 		total += length * count
 		if total > maxFunctionInvs {
 			return nil, fmt.Errorf("function %s: invocation column overflows", id)
 		}
-		if count > 0 {
+		if count > 0 && !skim {
 			runs = append(runs, colRun{covered, length, count})
 		}
 		covered += length
 	}
-	s.runs = runs
+	r.off, r.runs = off, runs
+	if skim {
+		return nil, nil
+	}
+	fn := &Function{ID: id, Trigger: TriggerType(trig), ExecStats: st}
 	if total > 0 {
 		inv := make([]float64, 0, total)
-		for _, r := range runs {
-			for k := uint64(0); k < r.length; k++ {
-				inv = SpreadMinute(inv, int(r.start+k), int(r.count))
+		for _, run := range runs {
+			for k := uint64(0); k < run.length; k++ {
+				inv = SpreadMinute(inv, int(run.start+k), int(run.count))
 			}
 		}
 		fn.Invocations = inv
@@ -346,46 +503,55 @@ func (s *BinarySource) readFunction() (*Function, error) {
 	return fn, nil
 }
 
-func (s *BinarySource) readString(what string) (string, error) {
-	n, err := readUvarint(s.r, what)
+// str reads a length-prefixed string; a skim checks its bounds only.
+func (r *recordReader) str(what string, skim bool) (string, error) {
+	n, err := r.uvarint(what)
 	if err != nil {
 		return "", err
 	}
 	if n > binaryMaxString {
 		return "", fmt.Errorf("trace: %s of %d bytes", what, n)
 	}
-	if uint64(cap(s.strBuf)) < n {
-		s.strBuf = make([]byte, n)
+	if n > uint64(len(r.data)-r.off) {
+		return "", fmt.Errorf("trace: reading %s: %w", what, io.ErrUnexpectedEOF)
 	}
-	b := s.strBuf[:n]
-	if _, err := io.ReadFull(s.r, b); err != nil {
-		return "", fmt.Errorf("trace: reading %s: %w", what, noEOF(err))
+	a := r.off
+	r.off += int(n)
+	if skim {
+		return "", nil
 	}
-	return string(b), nil
+	return string(r.data[a:r.off]), nil
 }
 
-func (s *BinarySource) readF64(what string) (float64, error) {
-	// s.f64Buf rather than a local: a stack buffer would escape through
-	// the io.ReadFull interface call and cost an allocation per field.
-	if _, err := io.ReadFull(s.r, s.f64Buf[:]); err != nil {
-		return 0, fmt.Errorf("trace: reading %s: %w", what, noEOF(err))
+func (r *recordReader) f64(what string) (float64, error) {
+	if len(r.data)-r.off < 8 {
+		return 0, fmt.Errorf("trace: reading %s: %w", what, io.ErrUnexpectedEOF)
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(s.f64Buf[:])), nil
+	v := binary.LittleEndian.Uint64(r.data[r.off:])
+	r.off += 8
+	return math.Float64frombits(v), nil
 }
 
-func readUvarint(r io.ByteReader, what string) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("trace: reading %s: %w", what, noEOF(err))
+// uvarint reads an unsigned varint; the one-byte case, most of a
+// column, stays inline.
+func (r *recordReader) uvarint(what string) (uint64, error) {
+	if r.off < len(r.data) && r.data[r.off] < 0x80 {
+		v := r.data[r.off]
+		r.off++
+		return uint64(v), nil
 	}
+	return r.uvarintLong(what)
+}
+
+func (r *recordReader) uvarintLong(what string) (uint64, error) {
+	v, n := binary.Uvarint(r.data[r.off:])
+	if n <= 0 {
+		err := io.ErrUnexpectedEOF
+		if n < 0 {
+			err = errVarintOverflow
+		}
+		return 0, fmt.Errorf("trace: reading %s: %w", what, err)
+	}
+	r.off += n
 	return v, nil
-}
-
-// noEOF turns a bare io.EOF into io.ErrUnexpectedEOF: inside a record,
-// end-of-input means truncation, not a clean end.
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }

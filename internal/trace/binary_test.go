@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -141,7 +142,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 // TestBinaryFileRoundTrip exercises OpenBinaryFile (the mmap-or-
-// buffered path) against the in-memory reader.
+// read-whole path) against the in-memory reader.
 func TestBinaryFileRoundTrip(t *testing.T) {
 	orig := genTrace(t, workload.Config{
 		Seed: 11, NumApps: 25, Duration: 4 * time.Hour,
@@ -276,6 +277,29 @@ func TestBinaryCorrupt(t *testing.T) {
 		data[i+1] = 0xee
 		if _, err := decodeAll(data); err == nil {
 			t.Fatal("unknown trigger accepted")
+		}
+	})
+	t.Run("wrapping run fields", func(t *testing.T) {
+		// A run length that wraps the minutes covered, and a run count
+		// whose product with its length wraps to zero, must fail, not
+		// decode into a silently different column.
+		record := func(runs ...uint64) []byte {
+			data := binary.AppendUvarint([]byte("WILDTRC1"), 2)
+			data = append(data, 1, 1, 'o', 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 'f', 0)
+			data = append(data, make([]byte, 24)...)
+			data = append(data, 0)
+			for _, v := range runs {
+				data = binary.AppendUvarint(data, v)
+			}
+			return data
+		}
+		for name, data := range map[string][]byte{
+			"length": record(1, 0, math.MaxUint64, 0, 2, 0),
+			"count":  record(2, 1<<63),
+		} {
+			if _, err := decodeAll(data); err == nil {
+				t.Fatalf("wrapping run %s accepted", name)
+			}
 		}
 	})
 	t.Run("flipped count bits", func(t *testing.T) {

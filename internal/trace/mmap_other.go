@@ -4,7 +4,7 @@ package trace
 
 import "os"
 
-// Non-unix platforms always take the buffered read path.
+// Non-unix platforms always read the whole file into memory.
 func mmapFile(f *os.File) ([]byte, bool) { return nil, false }
 
 func munmapFile(data []byte) {}

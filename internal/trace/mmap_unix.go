@@ -8,7 +8,8 @@ import (
 )
 
 // mmapFile maps f read-only. Returns ok=false (caller falls back to
-// buffered reads) for empty files, oversized files, or mmap failure.
+// reading the whole file) for empty files, oversized files, or mmap
+// failure.
 func mmapFile(f *os.File) ([]byte, bool) {
 	fi, err := f.Stat()
 	if err != nil || fi.Size() <= 0 || fi.Size() > int64(int(^uint(0)>>1)) {
