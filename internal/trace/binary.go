@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"runtime/debug"
-	"sync"
 	"time"
 )
 
@@ -54,15 +53,11 @@ const (
 	binaryMaxFns     = 1 << 22
 )
 
-// The smallest encodings of an app record (two string lengths, memory,
-// function count) and a function record (ID length, trigger, exec
-// stats, exec count). A slice presized from a claimed count is capped
-// at what the remaining bytes can hold, so a hostile header costs no
-// memory.
-const (
-	minAppRecord = 1 + 1 + 8 + 1
-	minFnRecord  = 1 + 1 + 24 + 1
-)
+// minFnRecord is the smallest encoding of a function record (ID
+// length, trigger, exec stats, exec count). An app's function slice,
+// presized from its claimed count, is capped at what the remaining
+// bytes can hold, so a hostile count costs no memory.
+const minFnRecord = 1 + 1 + 24 + 1
 
 // maxFunctionInvs bounds one function's expanded invocations, for this
 // decoder and the CSV reader alike: a hostile count is an error, not a
@@ -129,23 +124,14 @@ var errVarintOverflow = errors.New("varint overflows a 64-bit integer")
 // BinarySource streams a binary trace bundle as a Source, one app at a
 // time — the tracec counterpart of CSVSource. It decodes straight from
 // the file's bytes: a read-only mapping where the platform allows, the
-// whole file read into memory otherwise. Collect decodes its remaining
-// records on every core.
+// whole file read into memory otherwise.
 type BinarySource struct {
-	rec    recordReader
-	dur    time.Duration
-	apps   int // remaining app records
-	err    error
-	closer func() error
-}
-
-// recordReader walks WILDTRC1 app records in data from off. It is the
-// one record walker: Next decodes with it, and Collect runs one copy to
-// skim record boundaries and one per worker to decode.
-type recordReader struct {
 	data    []byte
 	off     int
 	minutes uint64
+	apps    int // remaining app records
+	err     error
+	closer  func() error
 	// Decode scratch, reused across records so a steady-state Next
 	// allocates only the app's own structures (pinned by
 	// TestBinarySourceAllocs).
@@ -178,8 +164,13 @@ func OpenBinaryFile(path string) (*BinarySource, error) {
 	}
 	data, ok := mmapFile(f)
 	if !ok {
-		defer f.Close()
-		return NewBinarySource(f)
+		f.Close()
+		// os.ReadFile sizes its buffer from the file's size, so the
+		// fallback holds the file once, with no growth slack.
+		if data, err = os.ReadFile(path); err != nil {
+			return nil, fmt.Errorf("trace: reading binary trace: %w", err)
+		}
+		return newBinarySource(data, nil)
 	}
 	src, err := newBinarySource(data, func() error {
 		munmapFile(data)
@@ -202,7 +193,7 @@ func newBinarySource(data []byte, closer func() error) (_ *BinarySource, err err
 	if magic := data[:len(binaryMagic)]; string(magic) != binaryMagic {
 		return nil, fmt.Errorf("trace: not a binary trace (magic %q)", magic)
 	}
-	r := recordReader{data: data, off: len(binaryMagic)}
+	r := &BinarySource{data: data, off: len(binaryMagic), closer: closer}
 	minutes, err := r.uvarint("minutes")
 	if err != nil {
 		return nil, err
@@ -217,13 +208,8 @@ func newBinarySource(data []byte, closer func() error) (_ *BinarySource, err err
 	if apps > math.MaxInt32 {
 		return nil, fmt.Errorf("trace: binary trace claims %d apps", apps)
 	}
-	r.minutes = minutes
-	return &BinarySource{
-		rec:    r,
-		dur:    time.Duration(minutes) * time.Minute,
-		apps:   int(apps),
-		closer: closer,
-	}, nil
+	r.minutes, r.apps = minutes, int(apps)
+	return r, nil
 }
 
 // recoverFault, deferred after debug.SetPanicOnFault(true), turns a
@@ -239,7 +225,9 @@ func recoverFault(err *error) {
 }
 
 // Horizon implements Source.
-func (s *BinarySource) Horizon() time.Duration { return s.dur }
+func (s *BinarySource) Horizon() time.Duration {
+	return time.Duration(s.minutes) * time.Minute
+}
 
 // Close releases the backing file or mapping. Safe to call more than
 // once and after the source is drained.
@@ -275,168 +263,66 @@ func (s *BinarySource) Next() (*App, error) {
 func (s *BinarySource) decode() (_ *App, err error) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer recoverFault(&err)
-	return s.rec.app(false)
+	return s.app()
 }
 
-// collectChunk is how many records the skim hands a worker at a time:
-// enough to amortize the channel, few enough that every worker stays
-// busy to the end and the skim runs only a few chunks ahead.
-const collectChunk = 256
-
-// decodeParallel decodes the source's remaining records on workers
-// goroutines and returns them in file order. The calling goroutine
-// skims record boundaries (the walker without strings or column
-// expansion) and hands the workers a chunk of records as soon as it has
-// found them, so pages are touched at decode pace. The skim stops at
-// the first record it rejects, or faults on, and leaves the source at
-// that record: Collect goes on there with Next, so it returns exactly
-// the error a Next loop returns.
-func (s *BinarySource) decodeParallel(workers int) ([]*App, error) {
-	if s.err != nil || s.apps == 0 {
-		return nil, nil
-	}
-	data, minutes := s.rec.data, s.rec.minutes
-	apps := make([]*App, min(s.apps, (len(data)-s.rec.off)/minAppRecord+1))
-	workers = max(1, min(workers, (len(apps)+collectChunk-1)/collectChunk))
-
-	// One buffered chunk per worker lets the skim stay that far ahead of
-	// the decoders and no further, so pages are touched at decode pace.
-	type chunk struct{ first, off, n int }
-	chunks := make(chan chunk, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := range workers {
-		go func() {
-			defer wg.Done()
-			r := recordReader{data: data, minutes: minutes}
-			for c := range chunks {
-				if errs[w] == nil {
-					errs[w] = r.decodeChunk(c.off, apps[c.first:c.first+c.n])
-				}
-			}
-		}()
-	}
-
-	skim := recordReader{data: data, off: s.rec.off, minutes: minutes}
-	k, first, start := 0, 0, skim.off
-	for k < len(apps) {
-		at := skim.off
-		if skim.skip() != nil {
-			skim.off = at
-			break
-		}
-		if k++; k-first == collectChunk {
-			chunks <- chunk{first, start, k - first}
-			first, start = k, skim.off
-		}
-	}
-	if k > first {
-		chunks <- chunk{first, start, k - first}
-	}
-	close(chunks)
-	wg.Wait()
-
-	s.rec.off = skim.off
-	s.apps -= k
-	// Workers see only records the skim accepted, which pass the same
-	// checks again, so a worker fails only on a fault.
-	for _, err := range errs {
-		if err != nil {
-			s.err = err
-			s.Close()
-			return nil, err
-		}
-	}
-	return apps[:k], nil
-}
-
-// skip walks one record without decoding it.
-func (r *recordReader) skip() (err error) {
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	defer recoverFault(&err)
-	_, err = r.app(true)
-	return err
-}
-
-// decodeChunk decodes len(dst) records starting at off into dst.
-func (r *recordReader) decodeChunk(off int, dst []*App) (err error) {
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	defer recoverFault(&err)
-	r.off = off
-	for i := range dst {
-		if dst[i], err = r.app(false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// app walks the record at r.off. With skim set it only finds the
-// record's end: every bounds and consistency check runs, but no string
-// is allocated, no column is expanded and no *App is returned (and an
-// error names no app or function).
-func (r *recordReader) app(skim bool) (*App, error) {
-	owner, err := r.str("owner", skim)
+// app decodes the record at s.off.
+func (s *BinarySource) app() (*App, error) {
+	owner, err := s.str("owner")
 	if err != nil {
 		return nil, err
 	}
-	id, err := r.str("app ID", skim)
+	id, err := s.str("app ID")
 	if err != nil {
 		return nil, err
 	}
-	memMB, err := r.f64("memory")
+	memMB, err := s.f64("memory")
 	if err != nil {
 		return nil, err
 	}
-	nfns, err := r.uvarint("function count")
+	nfns, err := s.uvarint("function count")
 	if err != nil {
 		return nil, err
 	}
 	if nfns > binaryMaxFns {
 		return nil, fmt.Errorf("trace: app %s claims %d functions", id, nfns)
 	}
-	var app *App
-	if !skim {
-		app = &App{ID: id, Owner: owner, MemoryMB: memMB,
-			Functions: make([]*Function, 0, min(nfns, uint64(len(r.data)-r.off)/minFnRecord+1))}
-	}
+	app := &App{ID: id, Owner: owner, MemoryMB: memMB,
+		Functions: make([]*Function, 0, min(nfns, uint64(len(s.data)-s.off)/minFnRecord+1))}
 	for i := uint64(0); i < nfns; i++ {
-		fn, err := r.function(skim)
+		fn, err := s.function()
 		if err != nil {
 			return nil, fmt.Errorf("trace: app %s: %w", id, err)
 		}
-		if !skim {
-			app.Functions = append(app.Functions, fn)
-		}
+		app.Functions = append(app.Functions, fn)
 	}
 	return app, nil
 }
 
-func (r *recordReader) function(skim bool) (*Function, error) {
-	id, err := r.str("function ID", skim)
+func (s *BinarySource) function() (*Function, error) {
+	id, err := s.str("function ID")
 	if err != nil {
 		return nil, err
 	}
-	if r.off >= len(r.data) {
+	if s.off >= len(s.data) {
 		return nil, fmt.Errorf("reading trigger: %w", io.ErrUnexpectedEOF)
 	}
-	trig := r.data[r.off]
-	r.off++
+	trig := s.data[s.off]
+	s.off++
 	if int(trig) >= NumTriggers {
 		return nil, fmt.Errorf("function %s: unknown trigger %d", id, trig)
 	}
 	var st ExecStats
-	if st.AvgSeconds, err = r.f64("exec avg"); err != nil {
+	if st.AvgSeconds, err = s.f64("exec avg"); err != nil {
 		return nil, err
 	}
-	if st.MinSeconds, err = r.f64("exec min"); err != nil {
+	if st.MinSeconds, err = s.f64("exec min"); err != nil {
 		return nil, err
 	}
-	if st.MaxSeconds, err = r.f64("exec max"); err != nil {
+	if st.MaxSeconds, err = s.f64("exec max"); err != nil {
 		return nil, err
 	}
-	count, err := r.uvarint("exec count")
+	count, err := s.uvarint("exec count")
 	if err != nil {
 		return nil, err
 	}
@@ -447,30 +333,30 @@ func (r *recordReader) function(skim bool) (*Function, error) {
 
 	// The invocation column: runs must tile the horizon exactly. The
 	// expansion allocates once (the total is known from the runs) and
-	// goes through SpreadMinute, the canonical count-to-timestamp
-	// definition shared with the CSV readers.
-	runs := r.runs[:0]
+	// follows SpreadMinute, the canonical count-to-timestamp definition
+	// shared with the CSV readers.
+	runs := s.runs[:0]
 	covered, total := uint64(0), uint64(0)
-	data, off := r.data, r.off
-	for covered < r.minutes {
+	data, off := s.data, s.off
+	for covered < s.minutes {
 		// Most runs are two one-byte varints: read those in place.
 		var length, count uint64
 		if off+1 < len(data) && data[off]|data[off+1] < 0x80 {
 			length, count = uint64(data[off]), uint64(data[off+1])
 			off += 2
 		} else {
-			r.off = off
-			if length, err = r.uvarint("run length"); err == nil {
-				count, err = r.uvarint("run count")
+			s.off = off
+			if length, err = s.uvarint("run length"); err == nil {
+				count, err = s.uvarint("run count")
 			}
 			if err != nil {
 				return nil, fmt.Errorf("function %s: %w", id, err)
 			}
-			off = r.off
+			off = s.off
 		}
-		if length == 0 || length > r.minutes-covered {
+		if length == 0 || length > s.minutes-covered {
 			return nil, fmt.Errorf("function %s: run of %d minutes at %d overruns the %d-minute horizon",
-				id, length, covered, r.minutes)
+				id, length, covered, s.minutes)
 		}
 		// length ≤ 2^24 and count ≤ 2^31 here, so neither the product
 		// nor the sum wraps before the bound trips.
@@ -481,21 +367,29 @@ func (r *recordReader) function(skim bool) (*Function, error) {
 		if total > maxFunctionInvs {
 			return nil, fmt.Errorf("function %s: invocation column overflows", id)
 		}
-		if count > 0 && !skim {
+		if count > 0 {
 			runs = append(runs, colRun{covered, length, count})
 		}
 		covered += length
 	}
-	r.off, r.runs = off, runs
-	if skim {
-		return nil, nil
-	}
+	s.off, s.runs = off, runs
 	fn := &Function{ID: id, Trigger: TriggerType(trig), ExecStats: st}
 	if total > 0 {
-		inv := make([]float64, 0, total)
+		inv := make([]float64, total)
+		i := 0
 		for _, run := range runs {
-			for k := uint64(0); k < run.length; k++ {
-				inv = SpreadMinute(inv, int(run.start+k), int(run.count))
+			m, end := int(run.start), int(run.start+run.length)
+			if run.count == 1 {
+				// SpreadMinute's one invocation in minute m, written
+				// in place: the commonest run of a sparse column.
+				for ; m < end; m++ {
+					inv[i] = float64(m) * 60
+					i++
+				}
+				continue
+			}
+			for ; m < end; m++ {
+				i += len(SpreadMinute(inv[i:i], m, int(run.count)))
 			}
 		}
 		fn.Invocations = inv
@@ -503,48 +397,45 @@ func (r *recordReader) function(skim bool) (*Function, error) {
 	return fn, nil
 }
 
-// str reads a length-prefixed string; a skim checks its bounds only.
-func (r *recordReader) str(what string, skim bool) (string, error) {
-	n, err := r.uvarint(what)
+// str reads a length-prefixed string.
+func (s *BinarySource) str(what string) (string, error) {
+	n, err := s.uvarint(what)
 	if err != nil {
 		return "", err
 	}
 	if n > binaryMaxString {
 		return "", fmt.Errorf("trace: %s of %d bytes", what, n)
 	}
-	if n > uint64(len(r.data)-r.off) {
+	if n > uint64(len(s.data)-s.off) {
 		return "", fmt.Errorf("trace: reading %s: %w", what, io.ErrUnexpectedEOF)
 	}
-	a := r.off
-	r.off += int(n)
-	if skim {
-		return "", nil
-	}
-	return string(r.data[a:r.off]), nil
+	a := s.off
+	s.off += int(n)
+	return string(s.data[a:s.off]), nil
 }
 
-func (r *recordReader) f64(what string) (float64, error) {
-	if len(r.data)-r.off < 8 {
+func (s *BinarySource) f64(what string) (float64, error) {
+	if len(s.data)-s.off < 8 {
 		return 0, fmt.Errorf("trace: reading %s: %w", what, io.ErrUnexpectedEOF)
 	}
-	v := binary.LittleEndian.Uint64(r.data[r.off:])
-	r.off += 8
+	v := binary.LittleEndian.Uint64(s.data[s.off:])
+	s.off += 8
 	return math.Float64frombits(v), nil
 }
 
 // uvarint reads an unsigned varint; the one-byte case, most of a
 // column, stays inline.
-func (r *recordReader) uvarint(what string) (uint64, error) {
-	if r.off < len(r.data) && r.data[r.off] < 0x80 {
-		v := r.data[r.off]
-		r.off++
+func (s *BinarySource) uvarint(what string) (uint64, error) {
+	if s.off < len(s.data) && s.data[s.off] < 0x80 {
+		v := s.data[s.off]
+		s.off++
 		return uint64(v), nil
 	}
-	return r.uvarintLong(what)
+	return s.uvarintLong(what)
 }
 
-func (r *recordReader) uvarintLong(what string) (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.off:])
+func (s *BinarySource) uvarintLong(what string) (uint64, error) {
+	v, n := binary.Uvarint(s.data[s.off:])
 	if n <= 0 {
 		err := io.ErrUnexpectedEOF
 		if n < 0 {
@@ -552,6 +443,6 @@ func (r *recordReader) uvarintLong(what string) (uint64, error) {
 		}
 		return 0, fmt.Errorf("trace: reading %s: %w", what, err)
 	}
-	r.off += n
+	s.off += n
 	return v, nil
 }

@@ -16,11 +16,8 @@ import (
 // FuzzBinarySource holds the WILDTRC1 decoder to its contract on any
 // bytes: an error, or a trace whose every function list is ascending
 // within [0, horizon] — the order App.InvocationTimes merges without
-// re-sorting — and that survives a WriteBinary round trip. The parallel
-// Collect, on one worker and on three, must give exactly what the Next
-// loop gives: the same trace bit for bit, or the same error text. The
-// mmap path (OpenBinaryFile) decodes the same bytes through the same
-// code.
+// re-sorting — and that survives a WriteBinary round trip. The mmap
+// path (OpenBinaryFile) decodes the same bytes through the same code.
 func FuzzBinarySource(f *testing.F) {
 	tr := genTrace(f, workload.Config{Seed: 11, NumApps: 4, Duration: 2 * time.Hour,
 		MaxDailyRate: 2000, MaxEventsPerFunction: 200})
@@ -42,22 +39,11 @@ func FuzzBinarySource(f *testing.F) {
 		if binaryWork(data) > 1<<20 {
 			return
 		}
-		open := func() *trace.BinarySource {
-			src, err := trace.NewBinarySource(bytes.NewReader(data))
-			if err != nil {
-				return nil
-			}
-			return src
-		}
-		src := open()
-		if src == nil {
+		src, err := trace.NewBinarySource(bytes.NewReader(data))
+		if err != nil {
 			return
 		}
-		got, err := nextLoop(src)
-		for _, workers := range []int{1, 3} {
-			par, parErr := trace.CollectWorkers(open(), workers)
-			requireSameOutcome(t, par, parErr, got, err)
-		}
+		got, err := trace.Collect(src)
 		if err != nil {
 			return
 		}

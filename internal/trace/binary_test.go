@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -395,4 +396,51 @@ func syntheticBinaryTrace(apps, minutes, perMinute int) *trace.Trace {
 		})
 	}
 	return tr
+}
+
+// mixedApps builds n small apps with one to three functions each,
+// varied triggers, exec stats and columns over a one-hour horizon.
+func mixedApps(n int) *trace.Trace {
+	tr := &trace.Trace{Duration: time.Hour}
+	for i := range n {
+		app := &trace.App{ID: fmt.Sprintf("app%04d", i), Owner: fmt.Sprintf("own%d", i%7), MemoryMB: float64(64 + i%5*32)}
+		for j := range i%3 + 1 {
+			fn := &trace.Function{ID: fmt.Sprintf("fn%04d-%d", i, j), Trigger: trace.TriggerType((i + j) % trace.NumTriggers),
+				ExecStats: trace.ExecStats{AvgSeconds: 0.1 * float64(j+1), MinSeconds: 0.05, MaxSeconds: float64(i%4 + 1), Count: int64(i + j)}}
+			for m := (i + 3*j) % 9; m < 60; m += 7 + (i+j)%11 {
+				fn.Invocations = trace.SpreadMinute(fn.Invocations, m, 1+(i*j+m)%4)
+			}
+			app.Functions = append(app.Functions, fn)
+		}
+		tr.Apps = append(tr.Apps, app)
+	}
+	return tr
+}
+
+func encode(t testing.TB, tr *trace.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.WriteBinary(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBinaryHostileHeader feeds a valid magic and a header claiming
+// 2^31-1 apps on a few bytes: decoding fails, and nothing is sized from
+// the claim.
+func TestBinaryHostileHeader(t *testing.T) {
+	data := []byte("WILDTRC1")
+	data = binary.AppendUvarint(data, 60)
+	data = binary.AppendUvarint(data, math.MaxInt32)
+	data = append(data, 3, 'o', 'w', 'n', 1, 'a', 0, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := decodeAll(data); err == nil {
+		t.Fatalf("decoded a %d-byte input claiming 2^31-1 apps", len(data))
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("allocated %d bytes on a %d-byte input", grew, len(data))
+	}
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -152,24 +151,12 @@ func BatchTrace(src Source) *Trace {
 // NewTraceSource, useful when a streaming producer (a CSV stream, a
 // shard, a generator) must feed a consumer that needs the whole trace.
 // The trace behind a batch-backed source comes back as BatchTrace
-// returns it, not copied, so callers must not mutate it. A
-// *BinarySource decodes its remaining records on GOMAXPROCS goroutines;
-// the trace, or the error, is the one a Next loop would give.
+// returns it, not copied, so callers must not mutate it.
 func Collect(src Source) (*Trace, error) {
 	if tr := BatchTrace(src); tr != nil {
 		return tr, nil
 	}
-	return collect(src, runtime.GOMAXPROCS(0))
-}
-
-func collect(src Source, workers int) (*Trace, error) {
 	tr := &Trace{Duration: src.Horizon()}
-	if bs, ok := src.(*BinarySource); ok {
-		var err error
-		if tr.Apps, err = bs.decodeParallel(workers); err != nil {
-			return nil, err
-		}
-	}
 	for {
 		app, err := src.Next()
 		if err == io.EOF {
