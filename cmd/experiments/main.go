@@ -1,6 +1,7 @@
 // Command experiments regenerates every table and figure of the
 // paper's evaluation (Figures 1-8 characterization, Figures 14-19
-// simulation, Figure 20 platform replay) and writes a text report.
+// simulation as one grid sweep, each printing the `coldsim -scenario`
+// grid that reruns it, Figure 20 platform replay) as a text report.
 // Ctrl-C cancels the run cleanly. The platform replay runs in virtual
 // time and repeats to the last digit, bar its real-time overhead note.
 //

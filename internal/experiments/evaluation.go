@@ -3,257 +3,324 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/policy"
 	"repro/internal/replay"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
-// fixedKeepAlives are the keep-alive lengths swept in Figure 14/15.
-var fixedKeepAlives = []time.Duration{
-	5 * time.Minute, 10 * time.Minute, 20 * time.Minute, 30 * time.Minute,
-	45 * time.Minute, 60 * time.Minute, 90 * time.Minute, 120 * time.Minute,
+// The §5.2 figures are policy grids over one trace: each names the
+// policy specs of its grid and reduces the executed cells. Section5
+// runs the union of the grids as one scenario sweep, so a policy shared
+// by several figures simulates once.
+
+// baseline is the 10-minute fixed keep-alive policy every §5.2
+// wasted-memory column is normalized to.
+const baseline = "fixed?ka=10m"
+
+// evalSinks feed every column: the per-app cold-start distribution and
+// the wasted-memory total.
+var evalSinks = []string{"coldstart?q=75", "waste"}
+
+// variant is a labelled policy spec: one row or series of a figure.
+// The default hybrid has range 4h, cutoffs [5,99], CV 2 and ARIMA.
+type variant struct{ label, spec string }
+
+var (
+	fixedKeepAlives = []string{
+		"fixed?ka=5m", baseline, "fixed?ka=20m", "fixed?ka=30m",
+		"fixed?ka=45m", "fixed?ka=1h", "fixed?ka=90m", "fixed?ka=2h",
+	}
+	hybridRanges   = []string{"hybrid?range=1h", "hybrid?range=2h", "hybrid?range=3h", "hybrid"}
+	cutoffVariants = []variant{
+		{"hybrid[0,100]", "hybrid?head=0&tail=100"}, {"hybrid[5,100]", "hybrid?tail=100"},
+		{"hybrid[1,99]", "hybrid?head=1"}, {"hybrid[5,99]", "hybrid"},
+		{"hybrid[1,95]", "hybrid?head=1&tail=95"}, {"hybrid[5,95]", "hybrid?tail=95"},
+	}
+	preWarmVariants = []variant{
+		{"no PW, KA:99th", "hybrid?prewarm=off"}, {"PW:1st, KA:99th", "hybrid?head=1"},
+		{"PW:5th, KA:99th", "hybrid"},
+	}
+	cvThresholds = []variant{
+		{"CV=0", "hybrid?cv=0"}, {"CV=2", "hybrid"}, {"CV=5", "hybrid?cv=5"}, {"CV=10", "hybrid?cv=10"},
+	}
+	alwaysColdPolicies = []string{"fixed?ka=4h", "hybrid?arima=off", "hybrid"}
+	// Figure 19b's "arima" row is the default hybrid: Figure 19's cell.
+	forecasters = []variant{
+		{"none (standard fallback)", "hybrid?arima=off"}, {"arima", "hybrid"},
+		{"expsmooth", "hybrid?forecaster=ses"}, {"mean", "hybrid?forecaster=mean"},
+	}
+	rangeSweep = []variant{
+		{"30m0s", "hybrid?range=30m"}, {"1h0m0s", "hybrid?range=1h"}, {"2h0m0s", "hybrid?range=2h"},
+		{"4h0m0s", "hybrid"}, {"8h0m0s", "hybrid?range=8h"},
+	}
+)
+
+// policiesOf returns the extra specs followed by the variants' specs.
+func policiesOf(vs []variant, extra ...string) []string {
+	for _, v := range vs {
+		extra = append(extra, v.spec)
+	}
+	return extra
 }
 
-// hybridRanges are the histogram ranges swept in Figure 15.
-var hybridRanges = []time.Duration{time.Hour, 2 * time.Hour, 3 * time.Hour, 4 * time.Hour}
-
-// hybridWithRange returns the default hybrid policy with the given
-// histogram range.
-func hybridWithRange(r time.Duration) *policy.Hybrid {
-	cfg := policy.DefaultHybridConfig()
-	cfg.Histogram.NumBins = int(r / cfg.Histogram.BinWidth)
-	return policy.NewHybrid(cfg)
+// evalFigure is one §5.2 figure as data: the policy axis of its grid
+// and the reducer that turns the executed cells into the figure.
+type evalFigure struct {
+	policies []string
+	reduce   func(cells) *Figure
 }
 
-// baseline10min simulates the 10-minute fixed keep-alive policy — the
-// normalization baseline used throughout §5.2.
-func baseline10min(tr *trace.Trace, workers int) *sim.Result {
-	return sim.Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute},
-		sim.Options{Workers: workers})
+// section5 lists the §5.2 figures in report order.
+var section5 = []evalFigure{
+	{append([]string{"nounload"}, fixedKeepAlives...), figure14},
+	{append(append([]string(nil), fixedKeepAlives...), hybridRanges...), figure15},
+	{policiesOf(cutoffVariants, baseline), figure16},
+	{policiesOf(preWarmVariants, baseline), figure17},
+	{policiesOf(cvThresholds, baseline), figure18},
+	{alwaysColdPolicies, figure19},
+	{policiesOf(forecasters), figure19b},
+	{policiesOf(rangeSweep, baseline), figureRangeSweep},
 }
 
-// Figure14 reproduces the cold-start CDFs of the fixed keep-alive
+// Section5 regenerates the §5.2 simulation figures (14–19, 19b and the
+// range sweep) over tr, running the grids' distinct policies as one
+// sweep; workers bounds each cell's parallelism (0 = GOMAXPROCS). src
+// is the gen: source spec that generates tr: each figure prints its
+// grid over src as a note, so `coldsim -scenario` reruns the figure.
+func Section5(ctx context.Context, tr *trace.Trace, src string, workers int) ([]*Figure, error) {
+	c, err := runGrid(ctx, scenario.Scenario{Sinks: evalSinks, Workers: workers},
+		section5Policies(), scenario.WithFixedTrace(tr))
+	if err != nil {
+		return nil, err
+	}
+	figs := make([]*Figure, len(section5))
+	for i, ef := range section5 {
+		figs[i] = ef.reduce(c)
+		figs[i].AddNote("grid: coldsim -scenario '%s; policy=[%s]'",
+			scenario.Scenario{Source: src, Sinks: evalSinks}, strings.Join(ef.policies, ","))
+	}
+	return figs, nil
+}
+
+// section5Policies returns the distinct policies of the §5.2 grids.
+func section5Policies() []string {
+	var all []string
+	for _, ef := range section5 {
+		all = append(all, ef.policies...)
+	}
+	slices.Sort(all)
+	return slices.Compact(all)
+}
+
+// cells maps each policy spec of a grid to its executed cell.
+type cells map[string]*scenario.CellResult
+
+// runGrid runs the grid of base over a policy axis and keys the cells
+// by spec.
+func runGrid(ctx context.Context, base scenario.Scenario, policies []string, opts ...scenario.Option) (cells, error) {
+	scs, err := scenario.Grid{Base: base, Axes: []scenario.Axis{{Key: "policy", Values: policies}}}.Scenarios()
+	if err != nil {
+		return nil, err
+	}
+	rep, err := scenario.RunSweep(ctx, scs, opts...)
+	if err != nil {
+		return nil, err
+	}
+	c := make(cells, len(policies))
+	for i, p := range policies {
+		c[p] = rep.Cells[i]
+	}
+	return c, nil
+}
+
+// q3 returns spec's 3rd-quartile app cold-start percentage.
+func (c cells) q3(spec string) float64 {
+	v, _ := c[spec].Metric("cold_p75")
+	return v
+}
+
+// wastedMem returns spec's wasted memory time as a percentage of the
+// baseline's (0 when the baseline wastes none).
+func (c cells) wastedMem(spec string) float64 {
+	base, _ := c[baseline].Metric("wasted_seconds")
+	if base == 0 {
+		return 0
+	}
+	w, _ := c[spec].Metric("wasted_seconds")
+	return 100 * w / base
+}
+
+// coldDist is the read side of the coldstart sink (a
+// metrics.ColdStartSink).
+type coldDist interface {
+	Quantile(p float64) float64
+	AlwaysColdFraction(excludeSingleInvocation bool) float64
+}
+
+// cold returns spec's per-app cold-start distribution.
+func (c cells) cold(spec string) coldDist {
+	for _, s := range c[spec].Sinks {
+		if d, ok := s.Sink.(coldDist); ok {
+			return d
+		}
+	}
+	panic("experiments: cell " + spec + " has no coldstart sink")
+}
+
+// cdf returns spec's per-app cold-start CDF at 64 quantiles.
+func (c cells) cdf(spec string) []stats.Point {
+	d := c.cold(spec)
+	pts := make([]stats.Point, 64)
+	for i := range pts {
+		q := float64(i) / float64(len(pts)-1)
+		pts[i] = stats.Point{X: d.Quantile(100 * q), Y: q}
+	}
+	return pts
+}
+
+// tradeoffHeader heads a table of tradeoffRows.
+func tradeoffHeader(first string) []string {
+	return []string{first, "ColdQ3 (%)", "WastedMem (% of fixed-10m)"}
+}
+
+// tradeoffRow tabulates spec's 3rd-quartile cold start and normalized
+// wasted memory under label.
+func (c cells) tradeoffRow(label, spec string) []string {
+	return []string{label, fmt.Sprintf("%.2f", c.q3(spec)), fmt.Sprintf("%.2f", c.wastedMem(spec))}
+}
+
+// tradeoffPoint is spec's point on the Figure 15 plane.
+func (c cells) tradeoffPoint(spec string) stats.Point {
+	return stats.Point{X: c.q3(spec), Y: c.wastedMem(spec)}
+}
+
+// alwaysColdHeader heads a table of alwaysColdRows.
+func alwaysColdHeader(first string) []string {
+	return []string{first, "Always-cold (%)", "Always-cold excl. 1-invocation (%)"}
+}
+
+// alwaysColdRow tabulates spec's always-cold app percentages under
+// label.
+func (c cells) alwaysColdRow(label, spec string) []string {
+	d := c.cold(spec)
+	return []string{label,
+		fmt.Sprintf("%.2f", 100*d.AlwaysColdFraction(false)),
+		fmt.Sprintf("%.2f", 100*d.AlwaysColdFraction(true)),
+	}
+}
+
+// figure14 reproduces the cold-start CDFs of the fixed keep-alive
 // policy across keep-alive lengths, plus the no-unloading bound.
-func Figure14(tr *trace.Trace, workers int) *Figure {
+func figure14(c cells) *Figure {
 	f := &Figure{
 		ID: "figure-14", Title: "Cold start behavior of the fixed keep-alive policy",
 		XLabel: "app cold start (%)", YLabel: "CDF",
 	}
-	noUnload := sim.Simulate(tr, policy.NoUnloading{}, sim.Options{Workers: workers})
-	f.Series = append(f.Series, Series{
-		Name: "no unloading", Points: cdfPoints(noUnload.ColdPercents(), 64),
-	})
+	f.Series = append(f.Series, Series{Name: "no unloading", Points: c.cdf("nounload")})
 	for _, ka := range fixedKeepAlives {
-		r := sim.Simulate(tr, policy.FixedKeepAlive{KeepAlive: ka}, sim.Options{Workers: workers})
-		f.Series = append(f.Series, Series{
-			Name: r.Policy, Points: cdfPoints(r.ColdPercents(), 64),
-		})
-		if ka == 10*time.Minute || ka == 60*time.Minute {
-			f.AddNote("%s: 75th-pct app cold start %.1f%% (paper: 50.3%% at 10min, 25%% at 1h)",
-				r.Policy, metrics.ThirdQuartileColdPercent(r))
-		}
+		f.Series = append(f.Series, Series{Name: c[ka].PolicyName, Points: c.cdf(ka)})
+	}
+	for _, ka := range []string{baseline, "fixed?ka=1h"} {
+		f.AddNote("%s: 75th-pct app cold start %.1f%% (paper: 50.3%% at 10min, 25%% at 1h)",
+			c[ka].PolicyName, c.q3(ka))
 	}
 	f.AddNote("no-unloading always-cold apps: %.1f%% (paper: ~3.5%%, single-invocation apps)",
-		100*noUnload.AlwaysColdFraction(false))
+		100*c.cold("nounload").AlwaysColdFraction(false))
 	return f
 }
 
-// Figure15 reproduces the cold-start vs wasted-memory trade-off:
+// figure15 reproduces the cold-start vs wasted-memory trade-off:
 // fixed keep-alive sweep vs the hybrid policy across histogram ranges.
-func Figure15(tr *trace.Trace, workers int) *Figure {
+func figure15(c cells) *Figure {
 	f := &Figure{
 		ID: "figure-15", Title: "Trade-off between cold starts and wasted memory time",
 		XLabel: "3rd-quartile app cold start (%)", YLabel: "normalized wasted memory (%)",
 	}
-	base := baseline10min(tr, workers)
-
+	f.Table = [][]string{tradeoffHeader("Policy")}
 	var fixedPts, hybridPts []stats.Point
-	f.Table = [][]string{{"Policy", "ColdQ3 (%)", "WastedMem (% of fixed-10m)"}}
-	for _, ka := range fixedKeepAlives {
-		r := sim.Simulate(tr, policy.FixedKeepAlive{KeepAlive: ka}, sim.Options{Workers: workers})
-		q3 := metrics.ThirdQuartileColdPercent(r)
-		wm := metrics.NormalizedWastedMemory(r, base)
-		fixedPts = append(fixedPts, stats.Point{X: q3, Y: wm})
-		f.Table = append(f.Table, []string{r.Policy, fmt.Sprintf("%.2f", q3), fmt.Sprintf("%.2f", wm)})
+	for _, p := range fixedKeepAlives {
+		fixedPts = append(fixedPts, c.tradeoffPoint(p))
+		f.Table = append(f.Table, c.tradeoffRow(c[p].PolicyName, p))
 	}
-	var hybrid4hQ3, fixed10Q3 float64
-	fixed10Q3 = metrics.ThirdQuartileColdPercent(base)
-	for _, rng := range hybridRanges {
-		r := sim.Simulate(tr, hybridWithRange(rng), sim.Options{Workers: workers})
-		q3 := metrics.ThirdQuartileColdPercent(r)
-		wm := metrics.NormalizedWastedMemory(r, base)
-		hybridPts = append(hybridPts, stats.Point{X: q3, Y: wm})
-		f.Table = append(f.Table, []string{r.Policy, fmt.Sprintf("%.2f", q3), fmt.Sprintf("%.2f", wm)})
-		if rng == 4*time.Hour {
-			hybrid4hQ3 = q3
-		}
+	for _, p := range hybridRanges {
+		hybridPts = append(hybridPts, c.tradeoffPoint(p))
+		f.Table = append(f.Table, c.tradeoffRow(c[p].PolicyName, p))
 	}
 	f.Series = []Series{
 		{Name: "fixed keep-alive", Points: fixedPts},
 		{Name: "hybrid (1-4h range)", Points: hybridPts},
 	}
-	if hybrid4hQ3 > 0 {
+	if hybrid4hQ3 := c.q3("hybrid"); hybrid4hQ3 > 0 {
 		f.AddNote("fixed-10min cold starts / hybrid-4h cold starts at Q3: %.2fx (paper: ~2.5x at equal memory)",
-			fixed10Q3/hybrid4hQ3)
+			c.q3(baseline)/hybrid4hQ3)
 	}
 	return f
 }
 
-// cutoffVariants are the Figure 16 head/tail percentile combinations.
-var cutoffVariants = []struct{ head, tail float64 }{
-	{0, 100}, {5, 100}, {1, 99}, {5, 99}, {1, 95}, {5, 95},
+// cdfTradeoff fills f with one CDF series and one trade-off row per
+// variant.
+func cdfTradeoff(f *Figure, c cells, first string, vs []variant) *Figure {
+	f.XLabel, f.YLabel = "app cold start (%)", "CDF"
+	f.Table = [][]string{tradeoffHeader(first)}
+	for _, v := range vs {
+		f.Series = append(f.Series, Series{Name: v.label, Points: c.cdf(v.spec)})
+		f.Table = append(f.Table, c.tradeoffRow(v.label, v.spec))
+	}
+	return f
 }
 
-// Figure16 reproduces the cutoff-percentile sensitivity study.
-func Figure16(tr *trace.Trace, workers int) *Figure {
-	f := &Figure{
-		ID: "figure-16", Title: "Impact of the histogram cutoff percentiles",
-		XLabel: "app cold start (%)", YLabel: "CDF",
-	}
-	base := baseline10min(tr, workers)
-	f.Table = [][]string{{"Variant", "ColdQ3 (%)", "WastedMem (% of fixed-10m)"}}
-	var wm0100, wm599 float64
-	for _, v := range cutoffVariants {
-		cfg := policy.DefaultHybridConfig()
-		cfg.Histogram.HeadPercentile = v.head
-		cfg.Histogram.TailPercentile = v.tail
-		r := sim.Simulate(tr, policy.NewHybrid(cfg), sim.Options{Workers: workers})
-		name := fmt.Sprintf("hybrid[%g,%g]", v.head, v.tail)
-		f.Series = append(f.Series, Series{Name: name, Points: cdfPoints(r.ColdPercents(), 64)})
-		q3 := metrics.ThirdQuartileColdPercent(r)
-		wm := metrics.NormalizedWastedMemory(r, base)
-		f.Table = append(f.Table, []string{name, fmt.Sprintf("%.2f", q3), fmt.Sprintf("%.2f", wm)})
-		switch {
-		case v.head == 0 && v.tail == 100:
-			wm0100 = wm
-		case v.head == 5 && v.tail == 99:
-			wm599 = wm
-		}
-	}
-	if wm0100 > 0 {
+// figure16 reproduces the cutoff-percentile sensitivity study.
+func figure16(c cells) *Figure {
+	f := cdfTradeoff(&Figure{ID: "figure-16", Title: "Impact of the histogram cutoff percentiles"},
+		c, "Variant", cutoffVariants)
+	if wm0100 := c.wastedMem("hybrid?head=0&tail=100"); wm0100 > 0 {
 		f.AddNote("[5,99] vs [0,100] wasted memory: %.1f%% lower (paper: ~15%%)",
-			100*(1-wm599/wm0100))
+			100*(1-c.wastedMem("hybrid")/wm0100))
 	}
 	return f
 }
 
-// Figure17 reproduces the pre-warming ablation: hybrid without
+// figure17 reproduces the pre-warming ablation: hybrid without
 // pre-warming vs pre-warming at the 1st and 5th percentile heads.
-func Figure17(tr *trace.Trace, workers int) *Figure {
-	f := &Figure{
-		ID: "figure-17", Title: "Impact of unloading and pre-warming",
-		XLabel: "app cold start (%)", YLabel: "CDF",
-	}
-	base := baseline10min(tr, workers)
-	f.Table = [][]string{{"Variant", "ColdQ3 (%)", "WastedMem (% of fixed-10m)"}}
-
-	variants := []struct {
-		name string
-		cfg  policy.HybridConfig
-	}{
-		{"no PW, KA:99th", func() policy.HybridConfig {
-			c := policy.DefaultHybridConfig()
-			c.DisablePreWarm = true
-			return c
-		}()},
-		{"PW:1st, KA:99th", func() policy.HybridConfig {
-			c := policy.DefaultHybridConfig()
-			c.Histogram.HeadPercentile = 1
-			return c
-		}()},
-		{"PW:5th, KA:99th", policy.DefaultHybridConfig()},
-	}
-	var noPW, pw5 float64
-	for _, v := range variants {
-		r := sim.Simulate(tr, policy.NewHybrid(v.cfg), sim.Options{Workers: workers})
-		f.Series = append(f.Series, Series{Name: v.name, Points: cdfPoints(r.ColdPercents(), 64)})
-		q3 := metrics.ThirdQuartileColdPercent(r)
-		wm := metrics.NormalizedWastedMemory(r, base)
-		f.Table = append(f.Table, []string{v.name, fmt.Sprintf("%.2f", q3), fmt.Sprintf("%.2f", wm)})
-		switch v.name {
-		case "no PW, KA:99th":
-			noPW = wm
-		case "PW:5th, KA:99th":
-			pw5 = wm
-		}
-	}
-	if noPW > 0 {
+func figure17(c cells) *Figure {
+	f := cdfTradeoff(&Figure{ID: "figure-17", Title: "Impact of unloading and pre-warming"},
+		c, "Variant", preWarmVariants)
+	if noPW := c.wastedMem("hybrid?prewarm=off"); noPW > 0 {
 		f.AddNote("pre-warming (5th) vs no-PW wasted memory: %.1f%% lower (paper: significant reduction)",
-			100*(1-pw5/noPW))
+			100*(1-c.wastedMem("hybrid")/noPW))
 	}
 	return f
 }
 
-// cvThresholds are the Figure 18 representativeness thresholds.
-var cvThresholds = []float64{0, 2, 5, 10}
-
-// Figure18 reproduces the CV-threshold study.
-func Figure18(tr *trace.Trace, workers int) *Figure {
-	f := &Figure{
+// figure18 reproduces the CV-threshold study.
+func figure18(c cells) *Figure {
+	f := cdfTradeoff(&Figure{
 		ID: "figure-18", Title: "Impact of the histogram representativeness (CV) threshold",
-		XLabel: "app cold start (%)", YLabel: "CDF",
-	}
-	base := baseline10min(tr, workers)
-	f.Table = [][]string{{"CV threshold", "ColdQ3 (%)", "WastedMem (% of fixed-10m)"}}
-	for _, cv := range cvThresholds {
-		cfg := policy.DefaultHybridConfig()
-		cfg.CVThreshold = cv
-		r := sim.Simulate(tr, policy.NewHybrid(cfg), sim.Options{Workers: workers})
-		name := fmt.Sprintf("CV=%g", cv)
-		f.Series = append(f.Series, Series{Name: name, Points: cdfPoints(r.ColdPercents(), 64)})
-		f.Table = append(f.Table, []string{
-			name,
-			fmt.Sprintf("%.2f", metrics.ThirdQuartileColdPercent(r)),
-			fmt.Sprintf("%.2f", metrics.NormalizedWastedMemory(r, base)),
-		})
-	}
+	}, c, "CV threshold", cvThresholds)
 	f.AddNote("paper selects CV=2: gains over CV=0, negligible benefit beyond")
 	return f
 }
 
-// Figure19 reproduces the always-cold-applications study: fixed
+// figure19 reproduces the always-cold-applications study: fixed
 // keep-alive (4h), hybrid without ARIMA, and the full hybrid.
-func Figure19(tr *trace.Trace, workers int) *Figure {
+func figure19(c cells) *Figure {
 	f := &Figure{
 		ID: "figure-19", Title: "Percentage of applications that always experience cold starts",
 	}
-	policies := []policy.Policy{
-		policy.FixedKeepAlive{KeepAlive: 4 * time.Hour},
-		func() policy.Policy {
-			cfg := policy.DefaultHybridConfig()
-			cfg.DisableARIMA = true
-			return policy.NewHybrid(cfg)
-		}(),
-		policy.NewHybrid(policy.DefaultHybridConfig()),
+	f.Table = [][]string{alwaysColdHeader("Policy")}
+	for _, p := range alwaysColdPolicies {
+		f.Table = append(f.Table, c.alwaysColdRow(c[p].PolicyName, p))
 	}
-	f.Table = [][]string{{"Policy", "Always-cold (%)", "Always-cold excl. 1-invocation (%)"}}
-	var noARIMA, full float64
-	for _, p := range policies {
-		r := sim.Simulate(tr, p, sim.Options{Workers: workers})
-		all := 100 * r.AlwaysColdFraction(false)
-		excl := 100 * r.AlwaysColdFraction(true)
-		f.Table = append(f.Table, []string{
-			r.Policy, fmt.Sprintf("%.2f", all), fmt.Sprintf("%.2f", excl),
-		})
-		switch p.(type) {
-		case *policy.Hybrid:
-			if p.Name() == "hybrid-4h0m0s[5,99]-noarima" {
-				noARIMA = excl
-			} else {
-				full = excl
-			}
-		}
-	}
-	if noARIMA > 0 {
+	if noARIMA := c.cold("hybrid?arima=off").AlwaysColdFraction(true); noARIMA > 0 {
 		f.AddNote("ARIMA reduces always-cold (excl. single-invocation) by %.0f%% (paper: 75%%, 6.9%% -> 1.7%%)",
-			100*(1-full/noARIMA))
+			100*(1-c.cold("hybrid").AlwaysColdFraction(true)/noARIMA))
 	}
 	return f
 }
@@ -261,39 +328,24 @@ func Figure19(tr *trace.Trace, workers int) *Figure {
 // PolicySweep simulates an arbitrary set of registry policy specs
 // (e.g. "hybrid?cv=5", "fixed?ka=30m") over tr and tabulates their
 // (cold starts, wasted memory) trade-off against the 10-minute fixed
-// baseline — the Figure 15 plane for user-supplied policies. It is a
-// thin Grid consumer: the specs become a policy axis, the baseline is
-// cell 0, and the scenario sweep engine runs the cells.
+// baseline — the Figure 15 plane for user-supplied policies. The specs
+// become a policy axis after the baseline, run by the same grid sweep
+// as the §5.2 figures.
 func PolicySweep(ctx context.Context, tr *trace.Trace, specs []string, workers int) (*Figure, error) {
 	f := &Figure{
 		ID: "extra-policy-sweep", Title: "Custom policy sweep (registry specs)",
 		XLabel: "3rd-quartile app cold start (%)", YLabel: "normalized wasted memory (%)",
 	}
-	cells, err := scenario.Grid{
-		Base: scenario.Scenario{Sinks: []string{"coldstart", "waste"}, Workers: workers},
-		Axes: []scenario.Axis{{Key: "policy", Values: append([]string{"fixed?ka=10m"}, specs...)}},
-	}.Scenarios()
+	c, err := runGrid(ctx, scenario.Scenario{Sinks: evalSinks, Workers: workers},
+		append([]string{baseline}, specs...), scenario.WithFixedTrace(tr))
 	if err != nil {
 		return nil, err
 	}
-	rep, err := scenario.RunSweep(ctx, cells, scenario.WithFixedTrace(tr))
-	if err != nil {
-		return nil, err
-	}
-	baseWasted, _ := rep.Cells[0].Metric("wasted_seconds")
-	f.Table = [][]string{{"Spec", "Policy", "ColdQ3 (%)", "WastedMem (% of fixed-10m)"}}
+	f.Table = [][]string{append([]string{"Spec"}, tradeoffHeader("Policy")...)}
 	var pts []stats.Point
-	for i, c := range rep.Cells[1:] {
-		q3, _ := c.Metric("cold_p75")
-		wasted, _ := c.Metric("wasted_seconds")
-		wm := 0.0
-		if baseWasted > 0 {
-			wm = 100 * wasted / baseWasted
-		}
-		pts = append(pts, stats.Point{X: q3, Y: wm})
-		f.Table = append(f.Table, []string{
-			specs[i], c.PolicyName, fmt.Sprintf("%.2f", q3), fmt.Sprintf("%.2f", wm),
-		})
+	for _, spec := range specs {
+		pts = append(pts, c.tradeoffPoint(spec))
+		f.Table = append(f.Table, append([]string{spec}, c.tradeoffRow(c[spec].PolicyName, spec)...))
 	}
 	f.Series = []Series{{Name: "custom policies", Points: pts}}
 	return f, nil

@@ -4,29 +4,124 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/scenario"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// evalTrace generates a small 3-day trace for evaluation tests.
+// evalConfig sizes the small 3-day population of the evaluation tests.
+var evalConfig = Config{
+	Seed: 7, NumApps: 150, Duration: 3 * 24 * time.Hour,
+	MaxDailyRate: 1000, MaxEventsPerFunction: 4000,
+}
+
+// evalTrace generates the evaluation tests' trace.
 func evalTrace(t *testing.T) *trace.Trace {
 	t.Helper()
-	pop, err := workload.Generate(workload.Config{
-		Seed: 7, NumApps: 150, Duration: 3 * 24 * time.Hour,
-		MaxDailyRate: 1000, MaxEventsPerFunction: 4000,
-	})
+	pop, err := workload.Generate(evalConfig.workload())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return pop.Trace
 }
 
+// renderSection5 runs the §5.2 figures over evalTrace and renders them.
+func renderSection5(t *testing.T) ([]*Figure, []byte) {
+	t.Helper()
+	figs, err := Section5(context.Background(), evalTrace(t), evalConfig.source(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	RenderAll(figs, &buf)
+	return figs, buf.Bytes()
+}
+
+var section5Once struct {
+	sync.Once
+	figs map[string]*Figure
+}
+
+// section5Figure returns one §5.2 figure over evalTrace; the sweep runs
+// once per test binary.
+func section5Figure(t *testing.T, id string) *Figure {
+	t.Helper()
+	section5Once.Do(func() {
+		figs, _ := renderSection5(t)
+		section5Once.figs = map[string]*Figure{}
+		for _, f := range figs {
+			section5Once.figs[f.ID] = f
+		}
+	})
+	f := section5Once.figs[id]
+	if f == nil {
+		t.Fatalf("figure %q not produced", id)
+	}
+	return f
+}
+
+// TestSection5RunsEachPolicyOnce pins the deduplication: the grids name
+// 50 policy cells, 28 of them distinct.
+func TestSection5RunsEachPolicyOnce(t *testing.T) {
+	total := 0
+	for _, ef := range section5 {
+		total += len(ef.policies)
+	}
+	if got := len(section5Policies()); total != 50 || got != 28 {
+		t.Fatalf("grids name %d policies, %d distinct; want 50 and 28", total, got)
+	}
+}
+
+// TestSection5GridsReproduceFigures parses each figure's printed grid,
+// runs it from its gen: source, and requires the figure to come back
+// byte for byte.
+func TestSection5GridsReproduceFigures(t *testing.T) {
+	figs, _ := renderSection5(t)
+	for i, f := range figs {
+		note := f.Notes[len(f.Notes)-1]
+		text, ok := strings.CutPrefix(note, "grid: coldsim -scenario '")
+		if !ok || !strings.HasSuffix(text, "'") {
+			t.Fatalf("%s: last note %q is not a grid", f.ID, note)
+		}
+		g, err := scenario.ParseGrid(strings.TrimSuffix(text, "'"))
+		if err != nil {
+			t.Fatalf("%s: %v", f.ID, err)
+		}
+		c, err := runGrid(context.Background(), g.Base, g.Axes[0].Values)
+		if err != nil {
+			t.Fatalf("%s: %v", f.ID, err)
+		}
+		got := section5[i].reduce(c)
+		got.Notes = append(got.Notes, note)
+		var want, have bytes.Buffer
+		f.Render(&want)
+		got.Render(&have)
+		if have.String() != want.String() {
+			t.Errorf("%s: grid reproduces\n%s\nwant\n%s", f.ID, have.String(), want.String())
+		}
+	}
+}
+
+// TestSection5DeterministicAcrossGOMAXPROCS renders the §5.2 figures
+// under GOMAXPROCS 1 and 2 and requires identical bytes.
+func TestSection5DeterministicAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	_, one := renderSection5(t)
+	runtime.GOMAXPROCS(2)
+	_, two := renderSection5(t)
+	if !bytes.Equal(one, two) {
+		t.Fatalf("GOMAXPROCS 1 and 2 render differently:\n%s\n---\n%s", one, two)
+	}
+}
+
 func TestFigure14ColdStartsDecreaseWithKeepAlive(t *testing.T) {
-	tr := evalTrace(t)
-	f := Figure14(tr, 0)
+	f := section5Figure(t, "figure-14")
 	checkFigure(t, f, 1+8)
 	// Longer keep-alive → weakly fewer cold starts at the 75th pct.
 	q3At := func(name string) float64 {
@@ -49,8 +144,7 @@ func TestFigure14ColdStartsDecreaseWithKeepAlive(t *testing.T) {
 }
 
 func TestFigure15HybridDominatesFixed(t *testing.T) {
-	tr := evalTrace(t)
-	f := Figure15(tr, 0)
+	f := section5Figure(t, "figure-15")
 	if len(f.Series) != 2 {
 		t.Fatalf("series = %d", len(f.Series))
 	}
@@ -71,8 +165,7 @@ func TestFigure15HybridDominatesFixed(t *testing.T) {
 }
 
 func TestFigure16CutoffsSaveMemory(t *testing.T) {
-	tr := evalTrace(t)
-	f := Figure16(tr, 0)
+	f := section5Figure(t, "figure-16")
 	checkFigure(t, f, len(cutoffVariants))
 	if len(f.Table) != len(cutoffVariants)+1 {
 		t.Fatalf("table rows = %d", len(f.Table))
@@ -80,8 +173,7 @@ func TestFigure16CutoffsSaveMemory(t *testing.T) {
 }
 
 func TestFigure17PreWarmingSavesMemory(t *testing.T) {
-	tr := evalTrace(t)
-	f := Figure17(tr, 0)
+	f := section5Figure(t, "figure-17")
 	checkFigure(t, f, 3)
 	// Parse the table: PW:5th must use less memory than no-PW.
 	var noPW, pw5 string
@@ -109,14 +201,11 @@ func TestFigure17PreWarmingSavesMemory(t *testing.T) {
 }
 
 func TestFigure18(t *testing.T) {
-	tr := evalTrace(t)
-	f := Figure18(tr, 0)
-	checkFigure(t, f, len(cvThresholds))
+	checkFigure(t, section5Figure(t, "figure-18"), len(cvThresholds))
 }
 
 func TestFigure19ARIMAHelpsAlwaysCold(t *testing.T) {
-	tr := evalTrace(t)
-	f := Figure19(tr, 0)
+	f := section5Figure(t, "figure-19")
 	if len(f.Table) != 4 {
 		t.Fatalf("table rows = %d", len(f.Table))
 	}

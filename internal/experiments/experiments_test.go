@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -151,48 +150,50 @@ func TestRenderTable(t *testing.T) {
 	}
 }
 
-// BenchmarkFigures regenerates each of the paper's figures (and the
-// forecaster ablation) over one 300-app, 3-day population, one
-// sub-benchmark per figure. Figure 20 replays through the in-process
-// platform in scaled real time, so its workload is kept small.
+// BenchmarkFigures regenerates each of the paper's figures over one
+// 300-app, 3-day population: one sub-benchmark per §3 figure, one for
+// the §5.2 grid sweep (Figures 14–19, 19b and the range sweep) and one
+// for Figure 20, which replays through the in-process platform in
+// virtual time, so its workload is kept small.
 func BenchmarkFigures(b *testing.B) {
-	pop, err := workload.Generate(workload.Config{
+	cfg := Config{
 		Seed: 2024, NumApps: 300, Duration: 3 * 24 * time.Hour,
 		MaxDailyRate: 1000, MaxEventsPerFunction: 8000,
-	})
+	}
+	pop, err := workload.Generate(cfg.workload())
 	if err != nil {
 		b.Fatal(err)
 	}
-	onPop := func(fn func(*workload.Population) *Figure) func() (*Figure, error) {
-		return func() (*Figure, error) { return fn(pop), nil }
-	}
-	onTrace := func(fn func(*trace.Trace, int) *Figure) func() (*Figure, error) {
-		return func() (*Figure, error) { return fn(pop.Trace, 0), nil }
+	onPop := func(fn func(*workload.Population) *Figure) func() ([]*Figure, error) {
+		return func() ([]*Figure, error) { return []*Figure{fn(pop)}, nil }
 	}
 	for _, fig := range []struct {
 		name string
-		fn   func() (*Figure, error)
+		fn   func() ([]*Figure, error)
 	}{
 		{"1", onPop(Figure1)}, {"2", onPop(Figure2)}, {"3", onPop(Figure3)},
 		{"4", onPop(Figure4)}, {"5", onPop(Figure5)}, {"6", onPop(Figure6)},
 		{"7", onPop(Figure7)}, {"8", onPop(Figure8)}, {"12", onPop(Figure12)},
-		{"14", onTrace(Figure14)}, {"15", onTrace(Figure15)}, {"16", onTrace(Figure16)},
-		{"17", onTrace(Figure17)}, {"18", onTrace(Figure18)}, {"19", onTrace(Figure19)},
-		{"20", func() (*Figure, error) {
-			return Figure20(context.Background(), pop.Trace, PlatformConfig{
+		{"Section5", func() ([]*Figure, error) {
+			return Section5(context.Background(), pop.Trace, cfg.source(), 0)
+		}},
+		{"20", func() ([]*Figure, error) {
+			f, err := Figure20(context.Background(), pop.Trace, PlatformConfig{
 				Apps: 12, Window: 30 * time.Minute, Invokers: 4, Seed: 1,
 			})
+			return []*Figure{f}, err
 		}},
-		{"ForecasterAblation", onTrace(ForecasterAblation)},
 	} {
 		b.Run(fig.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				f, err := fig.fn()
+				figs, err := fig.fn()
 				if err != nil {
 					b.Fatal(err)
 				}
-				if f == nil || f.ID == "" {
-					b.Fatal("empty figure")
+				for _, f := range figs {
+					if f == nil || f.ID == "" {
+						b.Fatal("empty figure")
+					}
 				}
 			}
 		})

@@ -3,12 +3,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"time"
 
-	"repro/internal/forecast"
-	"repro/internal/metrics"
-	"repro/internal/policy"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -89,57 +84,35 @@ func Figure12(pop *workload.Population) *Figure {
 	return f
 }
 
-// ForecasterAblation compares the hybrid policy's time-series path
-// across forecasters (ARIMA vs exponential smoothing vs mean) on the
-// always-cold metric of Figure 19 — the paper's "we can easily
-// replace ARIMA with another model" claim, quantified.
-func ForecasterAblation(tr *trace.Trace, workers int) *Figure {
+// figure19b compares the hybrid policy's time-series path across
+// forecasters (ARIMA vs exponential smoothing vs mean) on the
+// always-cold metric of Figure 19 — the paper's "we can easily replace
+// ARIMA with another model" claim, quantified.
+func figure19b(c cells) *Figure {
 	f := &Figure{
 		ID: "figure-19b", Title: "Forecaster ablation on the time-series path (extension)",
 	}
-	f.Table = [][]string{{"Forecaster", "Always-cold (%)", "Always-cold excl. 1-invocation (%)"}}
-
-	addRow := func(name string, cfg policy.HybridConfig) {
-		r := sim.Simulate(tr, policy.NewHybrid(cfg), sim.Options{Workers: workers})
-		f.Table = append(f.Table, []string{
-			name,
-			fmt.Sprintf("%.2f", 100*r.AlwaysColdFraction(false)),
-			fmt.Sprintf("%.2f", 100*r.AlwaysColdFraction(true)),
-		})
-	}
-	none := policy.DefaultHybridConfig()
-	none.DisableARIMA = true
-	addRow("none (standard fallback)", none)
-	for _, fc := range []forecast.Forecaster{forecast.ARIMA{}, forecast.ExpSmoothing{}, forecast.Mean{}} {
-		cfg := policy.DefaultHybridConfig()
-		cfg.Forecaster = fc
-		addRow(fc.Name(), cfg)
+	f.Table = [][]string{alwaysColdHeader("Forecaster")}
+	for _, v := range forecasters {
+		f.Table = append(f.Table, c.alwaysColdRow(v.label, v.spec))
 	}
 	f.AddNote("any reasonable forecaster recovers most of ARIMA's benefit on regular rare apps")
 	return f
 }
 
-// RangeSweep is an extension study: the full histogram-range /
+// figureRangeSweep is an extension study: the full histogram-range /
 // keep-alive grid as Pareto points, including sub-hour ranges the
 // paper does not plot, to locate the memory-optimal hybrid range.
-func RangeSweep(tr *trace.Trace, workers int) *Figure {
+func figureRangeSweep(c cells) *Figure {
 	f := &Figure{
 		ID: "extra-range-sweep", Title: "Hybrid histogram range sweep (extension)",
 		XLabel: "3rd-quartile app cold start (%)", YLabel: "normalized wasted memory (%)",
 	}
-	base := baseline10min(tr, workers)
-	f.Table = [][]string{{"Range", "ColdQ3 (%)", "WastedMem (% of fixed-10m)"}}
+	f.Table = [][]string{tradeoffHeader("Range")}
 	var pts []stats.Point
-	for _, rng := range []time.Duration{
-		30 * time.Minute, time.Hour, 2 * time.Hour, 4 * time.Hour, 8 * time.Hour,
-	} {
-		r := sim.Simulate(tr, hybridWithRange(rng), sim.Options{Workers: workers})
-		q3 := metrics.ThirdQuartileColdPercent(r)
-		wm := metrics.NormalizedWastedMemory(r, base)
-		pts = append(pts, stats.Point{X: q3, Y: wm})
-		f.Table = append(f.Table, []string{
-			rng.String(), fmt.Sprintf("%.2f", q3), fmt.Sprintf("%.2f", wm),
-		})
+	for _, v := range rangeSweep {
+		pts = append(pts, c.tradeoffPoint(v.spec))
+		f.Table = append(f.Table, c.tradeoffRow(v.label, v.spec))
 	}
 	f.Series = []Series{{Name: "hybrid range sweep", Points: pts}}
 	return f

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -34,8 +35,7 @@ func TestFigure12Gallery(t *testing.T) {
 }
 
 func TestForecasterAblation(t *testing.T) {
-	tr := evalTrace(t)
-	f := ForecasterAblation(tr, 0)
+	f := section5Figure(t, "figure-19b")
 	if len(f.Table) != 5 { // header + none + 3 forecasters
 		t.Fatalf("rows = %d", len(f.Table))
 	}
@@ -53,6 +53,12 @@ func TestForecasterAblation(t *testing.T) {
 			none = parse(row[2])
 		case "arima":
 			arima = parse(row[2])
+			// The arima row is the default hybrid: Figure 19's full
+			// hybrid row, value for value.
+			full := section5Figure(t, "figure-19").Table[3]
+			if !slices.Equal(row[1:], full[1:]) {
+				t.Errorf("arima row %v, Figure 19's full hybrid %v", row, full)
+			}
 		}
 	}
 	if arima > none {
@@ -61,8 +67,7 @@ func TestForecasterAblation(t *testing.T) {
 }
 
 func TestRangeSweep(t *testing.T) {
-	tr := evalTrace(t)
-	f := RangeSweep(tr, 0)
+	f := section5Figure(t, "extra-range-sweep")
 	if len(f.Table) != 6 {
 		t.Fatalf("rows = %d", len(f.Table))
 	}

@@ -1,10 +1,9 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation: the workload characterization (Figures 1–8 and
-// the Figure 2/3 tables) from a calibrated synthetic population, and
-// the policy evaluation (Figures 14–20) from cold-start simulations
-// and platform replays. Each FigureN function returns a Figure whose
-// series/tables mirror what the paper plots; cmd/experiments renders
-// them as text and EXPERIMENTS.md records paper-vs-measured.
+// 12) from a calibrated synthetic population, the policy evaluation
+// (Figures 14–19) as scenario grids run in one sweep, and the platform
+// experiment (Figure 20) as a replay. Each Figure's series, tables and
+// notes mirror what the paper plots; cmd/experiments renders them.
 package experiments
 
 import (

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"repro/internal/workload"
@@ -48,11 +49,30 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// workload returns the population's generator configuration.
+func (c Config) workload() workload.Config {
+	return workload.Config{
+		Seed:                 c.Seed,
+		NumApps:              c.NumApps,
+		Duration:             c.Duration,
+		MaxDailyRate:         c.MaxDailyRate,
+		MaxEventsPerFunction: c.MaxEventsPerFunction,
+	}
+}
+
+// source returns the gen: source spec that generates the population.
+// Floats print without exponents: a query string reads '+' as a space.
+func (c Config) source() string {
+	f := func(x float64) string { return strconv.FormatFloat(x, 'f', -1, 64) }
+	return fmt.Sprintf("gen:apps=%d&days=%s&seed=%d&maxrate=%s&maxevents=%d",
+		c.NumApps, f(c.Duration.Hours()/24), c.Seed, f(c.MaxDailyRate), c.MaxEventsPerFunction)
+}
+
 // RunAll regenerates every figure. Progress lines go to progress (may
-// be nil). Cancellation via ctx is honored between figures and inside
-// the platform replay; a canceled run returns ctx.Err() with no
-// figures. Progress lines carry per-figure wall-clock timers; the
-// figures themselves never read the clock.
+// be nil). Cancellation via ctx is honored between steps, inside the
+// §5.2 sweep and inside the platform replay; a canceled run returns
+// ctx.Err() with no figures. Progress lines carry per-step wall-clock
+// timers; the figures themselves never read the clock.
 func RunAll(ctx context.Context, cfg Config, progress io.Writer) ([]*Figure, error) {
 	cfg = cfg.withDefaults()
 	logf := func(format string, args ...any) {
@@ -62,89 +82,60 @@ func RunAll(ctx context.Context, cfg Config, progress io.Writer) ([]*Figure, err
 	}
 
 	logf("generating population: %d apps over %v (seed %d)", cfg.NumApps, cfg.Duration, cfg.Seed)
-	pop, err := workload.Generate(workload.Config{
-		Seed:                 cfg.Seed,
-		NumApps:              cfg.NumApps,
-		Duration:             cfg.Duration,
-		MaxDailyRate:         cfg.MaxDailyRate,
-		MaxEventsPerFunction: cfg.MaxEventsPerFunction,
-	})
+	pop, err := workload.Generate(cfg.workload())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generating workload: %w", err)
 	}
 	logf("population: %d apps, %d functions, %d invocations",
 		len(pop.Trace.Apps), pop.Trace.TotalFunctions(), pop.Trace.TotalInvocations())
 
-	var figs []*Figure
-	add := func(name string, fn func() *Figure) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		start := time.Now()
-		fig := fn()
-		logf("%s done in %v", name, time.Since(start).Round(time.Millisecond))
-		figs = append(figs, fig)
-		return nil
-	}
-
-	steps := []struct {
-		name string
-		fn   func() *Figure
-	}{
-		{"figure-01", func() *Figure { return Figure1(pop) }},
-		{"figure-02", func() *Figure { return Figure2(pop) }},
-		{"figure-03", func() *Figure { return Figure3(pop) }},
-		{"figure-04", func() *Figure { return Figure4(pop) }},
-		{"figure-05", func() *Figure { return Figure5(pop) }},
-		{"figure-06", func() *Figure { return Figure6(pop) }},
-		{"figure-07", func() *Figure { return Figure7(pop) }},
-		{"figure-08", func() *Figure { return Figure8(pop) }},
-		{"figure-12", func() *Figure { return Figure12(pop) }},
-	}
 	tr := pop.Trace
-	steps = append(steps, []struct {
+	one := func(fn func(*workload.Population) *Figure) func() ([]*Figure, error) {
+		return func() ([]*Figure, error) { return []*Figure{fn(pop)}, nil }
+	}
+	type step struct {
 		name string
-		fn   func() *Figure
-	}{
-		{"figure-14", func() *Figure { return Figure14(tr, cfg.Workers) }},
-		{"figure-15", func() *Figure { return Figure15(tr, cfg.Workers) }},
-		{"figure-16", func() *Figure { return Figure16(tr, cfg.Workers) }},
-		{"figure-17", func() *Figure { return Figure17(tr, cfg.Workers) }},
-		{"figure-18", func() *Figure { return Figure18(tr, cfg.Workers) }},
-		{"figure-19", func() *Figure { return Figure19(tr, cfg.Workers) }},
-		{"figure-19b", func() *Figure { return ForecasterAblation(tr, cfg.Workers) }},
-		{"extra-range-sweep", func() *Figure { return RangeSweep(tr, cfg.Workers) }},
-	}...)
-	for _, s := range steps {
-		if err := add(s.name, s.fn); err != nil {
-			return nil, err
-		}
+		fn   func() ([]*Figure, error)
 	}
-
+	steps := []step{
+		{"figure-01", one(Figure1)},
+		{"figure-02", one(Figure2)},
+		{"figure-03", one(Figure3)},
+		{"figure-04", one(Figure4)},
+		{"figure-05", one(Figure5)},
+		{"figure-06", one(Figure6)},
+		{"figure-07", one(Figure7)},
+		{"figure-08", one(Figure8)},
+		{"figure-12", one(Figure12)},
+		{"figures 14-19, 19b and extra-range-sweep", func() ([]*Figure, error) {
+			return Section5(ctx, tr, cfg.source(), cfg.Workers)
+		}},
+	}
 	if len(cfg.PolicySpecs) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		fig, err := PolicySweep(ctx, tr, cfg.PolicySpecs, cfg.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: policy sweep: %w", err)
-		}
-		logf("extra-policy-sweep done in %v", time.Since(start).Round(time.Millisecond))
-		figs = append(figs, fig)
+		steps = append(steps, step{"extra-policy-sweep", func() ([]*Figure, error) {
+			f, err := PolicySweep(ctx, tr, cfg.PolicySpecs, cfg.Workers)
+			return []*Figure{f}, err
+		}})
+	}
+	if !cfg.SkipPlatform {
+		steps = append(steps, step{"figure-20", func() ([]*Figure, error) {
+			f, err := Figure20(ctx, tr, cfg.Platform)
+			return []*Figure{f}, err
+		}})
 	}
 
-	if !cfg.SkipPlatform {
+	var figs []*Figure
+	for _, s := range steps {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		fig20, err := Figure20(ctx, tr, cfg.Platform)
+		fs, err := s.fn()
 		if err != nil {
-			return nil, fmt.Errorf("experiments: figure 20: %w", err)
+			return nil, fmt.Errorf("experiments: %s: %w", s.name, err)
 		}
-		logf("figure-20 done in %v", time.Since(start).Round(time.Millisecond))
-		figs = append(figs, fig20)
+		logf("%s done in %v", s.name, time.Since(start).Round(time.Millisecond))
+		figs = append(figs, fs...)
 	}
 	return figs, nil
 }

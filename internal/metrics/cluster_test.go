@@ -10,37 +10,6 @@ import (
 	"repro/internal/trace"
 )
 
-// TestNormalizedWastedMemoryMatchesSinkPath pins the satellite
-// unification: the batch facade is implemented on the streaming
-// sink's arithmetic and must match the direct formula bit for bit
-// (identical summation order).
-func TestNormalizedWastedMemoryMatchesSinkPath(t *testing.T) {
-	apps := fakeResults(300)
-	base := fakeResults(300)
-	r, b := batchResult(apps), batchResult(base)
-
-	got := NormalizedWastedMemory(r, b)
-	want := 100 * r.TotalWastedSeconds() / b.TotalWastedSeconds()
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("batch facade %v, direct formula %v (bits differ)", got, want)
-	}
-
-	// And against the explicitly streamed sink.
-	sink := NewWastedMemorySink()
-	for i, a := range apps {
-		sink.Consume(i, a)
-	}
-	if math.Float64bits(got) != math.Float64bits(sink.NormalizedTo(b.TotalWastedSeconds())) {
-		t.Errorf("facade and sink disagree")
-	}
-
-	// Zero baseline degrades to 0 on both paths.
-	empty := batchResult(nil)
-	if NormalizedWastedMemory(r, empty) != 0 {
-		t.Errorf("zero baseline must normalize to 0")
-	}
-}
-
 func TestSinkMerge(t *testing.T) {
 	apps := fakeResults(400)
 	whole := NewColdStartSink()

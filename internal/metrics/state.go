@@ -13,15 +13,18 @@ import (
 // process boundary bit-for-bit.
 
 // coldStartState is ColdStartSink's wire form. Bins are sparse: a real
-// distribution occupies a handful of the 10001 bins.
+// distribution occupies a handful of the 10001 bins. The always-cold
+// counters are omitted when zero.
 type coldStartState struct {
-	Bins  map[int]int64 `json:"bins,omitempty"`
-	Count int64         `json:"count"`
+	Bins       map[int]int64 `json:"bins,omitempty"`
+	Count      int64         `json:"count"`
+	AlwaysCold int64         `json:"always_cold,omitempty"`
+	Single     int64         `json:"single,omitempty"`
 }
 
 // MarshalState returns the sink's complete merge state.
 func (s *ColdStartSink) MarshalState() ([]byte, error) {
-	st := coldStartState{Count: s.count}
+	st := coldStartState{Count: s.count, AlwaysCold: s.alwaysCold, Single: s.single}
 	for b, n := range s.bins {
 		if n != 0 {
 			if st.Bins == nil {
@@ -39,7 +42,7 @@ func (s *ColdStartSink) UnmarshalState(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
 	}
-	*s = ColdStartSink{count: st.Count}
+	*s = ColdStartSink{count: st.Count, alwaysCold: st.AlwaysCold, single: st.Single}
 	// Order-invariant: each entry writes its own fixed bin index.
 	for b, n := range st.Bins {
 		if b < 0 || b >= coldBins {

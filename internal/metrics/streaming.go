@@ -1,3 +1,10 @@
+// Package metrics holds the sinks that reduce simulation outcomes to
+// the quantities the paper's evaluation reports: per-app cold-start
+// quantiles and always-cold shares, wasted memory, cluster cold-start
+// attribution and platform latency. Each is an incremental aggregate
+// that never stores all apps, so a constant-memory source yields a
+// constant-memory run, and merges exactly across shards. The per-app
+// sinks implement sim.ResultSink (sim.Run's sim.WithSink).
 package metrics
 
 import (
@@ -6,11 +13,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Streaming sinks: incremental aggregates over per-app outcomes that
-// never store all apps, so a constant-memory source (a streamed CSV, a
-// generator) yields a constant-memory end-to-end run. They implement
-// sim.ResultSink and plug into sim.Run via sim.WithSink.
-
 // coldBins is the fixed resolution of the streaming cold-start
 // distribution: percentages in [0, 100] quantized to 0.01 points
 // (10001 bins, ~80 KB), bounding any quantile read-out error at half
@@ -18,12 +20,17 @@ import (
 const coldBins = 10001
 
 // ColdStartSink incrementally aggregates the per-app cold-start
-// percentage distribution: a fixed-resolution histogram replaces the
-// sorted per-app slice the batch metrics use. Apps with zero
-// invocations are excluded, as in Result.ColdPercents.
+// percentage distribution: a fixed-resolution histogram replaces a
+// sorted per-app slice. Apps with zero invocations are excluded, as in
+// Result.ColdPercents. Beside the bins it counts the apps whose every
+// invocation was cold and the apps invoked exactly once (always cold:
+// nothing is resident before an app's first invocation), which Figure
+// 19's always-cold fractions read.
 type ColdStartSink struct {
-	bins  [coldBins]int64
-	count int64
+	bins       [coldBins]int64
+	count      int64
+	alwaysCold int64
+	single     int64
 }
 
 // NewColdStartSink returns an empty distribution sink.
@@ -43,6 +50,12 @@ func (s *ColdStartSink) Consume(_ int, r sim.AppResult) {
 	}
 	s.bins[b]++
 	s.count++
+	if r.ColdStarts == r.Invocations {
+		s.alwaysCold++
+	}
+	if r.Invocations == 1 {
+		s.single++
+	}
 }
 
 // Merge folds other's distribution into s. The bins are integer
@@ -54,6 +67,8 @@ func (s *ColdStartSink) Merge(other *ColdStartSink) {
 		s.bins[b] += n
 	}
 	s.count += other.count
+	s.alwaysCold += other.alwaysCold
+	s.single += other.single
 }
 
 // Quantile returns the p-th percentile (p in [0, 100]) of the
@@ -101,6 +116,22 @@ func (s *ColdStartSink) valuesAt(lo, hi int64) (loV, hiV float64) {
 // ThirdQuartile returns the 75th percentile — the paper's headline
 // metric — from the streamed distribution.
 func (s *ColdStartSink) ThirdQuartile() float64 { return s.Quantile(75) }
+
+// AlwaysColdFraction returns the fraction of invoked apps whose every
+// invocation was cold. With excludeSingleInvocation, apps invoked only
+// once — which no policy can help (§5.2, Figure 19) — are excluded
+// from both numerator and denominator.
+func (s *ColdStartSink) AlwaysColdFraction(excludeSingleInvocation bool) float64 {
+	cold, total := s.alwaysCold, s.count
+	if excludeSingleInvocation {
+		cold -= s.single
+		total -= s.single
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(cold) / float64(total)
+}
 
 // WastedMemorySink incrementally totals wasted memory time plus the
 // invocation and cold-start counters the evaluation normalizes by.
@@ -150,7 +181,7 @@ func (s *WastedMemorySink) Apps() int64 { return s.apps }
 
 // NormalizedTo returns the sink's wasted memory as a percentage of a
 // baseline total (the paper normalizes to the 10-minute fixed
-// policy), matching NormalizedWastedMemory on batch results.
+// policy).
 func (s *WastedMemorySink) NormalizedTo(baselineWastedSeconds float64) float64 {
 	if baselineWastedSeconds == 0 {
 		return 0

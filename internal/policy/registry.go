@@ -88,7 +88,8 @@ func buildNoUnload(*SpecParams) (Policy, error) { return NoUnloading{}, nil }
 //	arima     on/off — off disables the time-series path (Figure 19)
 //	arima-margin  forecast error allowance
 //	prewarm   on/off — off is the "no PW, KA:99th" Figure 17 variant
-//	forecaster    arima (default) or ses (exponential smoothing)
+//	forecaster    arima (default), ses (exponential smoothing) or mean
+//	          (the mean idle time, Figure 19b's baseline forecaster)
 //	exact     on/off — off acknowledges a departure from the paper's
 //	          semantics and is required by a nonzero refit; on its own
 //	          it changes nothing (kept so pre-PR-14 specs parse)
@@ -159,8 +160,10 @@ func buildHybrid(p *SpecParams) (Policy, error) {
 		// cfg.Forecaster nil selects the paper's default ARIMA search.
 	case "ses":
 		cfg.Forecaster = forecast.ExpSmoothing{}
+	case "mean":
+		cfg.Forecaster = forecast.Mean{}
 	default:
-		return nil, fmt.Errorf("parameter forecaster: unknown %q (arima, ses)", fc)
+		return nil, fmt.Errorf("parameter forecaster: unknown %q (arima, ses, mean)", fc)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err

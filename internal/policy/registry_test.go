@@ -83,12 +83,17 @@ func TestFromSpecHybridDefaultMatchesConstructor(t *testing.T) {
 }
 
 func TestFromSpecHybridForecaster(t *testing.T) {
-	pol, err := FromSpec("hybrid?forecaster=ses")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := pol.(*Hybrid).Config().Forecaster.(forecast.ExpSmoothing); !ok {
-		t.Fatalf("forecaster = %T", pol.(*Hybrid).Config().Forecaster)
+	for spec, want := range map[string]forecast.Forecaster{
+		"hybrid?forecaster=ses":  forecast.ExpSmoothing{},
+		"hybrid?forecaster=mean": forecast.Mean{},
+	} {
+		pol, err := FromSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pol.(*Hybrid).Config().Forecaster; got != want {
+			t.Fatalf("%s: forecaster = %T, want %T", spec, got, want)
+		}
 	}
 }
 

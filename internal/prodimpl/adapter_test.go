@@ -59,9 +59,14 @@ func TestAdapterInSimulatorComparableToHybrid(t *testing.T) {
 	hybrid := sim.Simulate(pop.Trace, policy.NewHybrid(policy.DefaultHybridConfig()), sim.Options{Workers: 1})
 	fixed := sim.Simulate(pop.Trace, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}, sim.Options{Workers: 1})
 
-	pq := metrics.ThirdQuartileColdPercent(prod)
-	hq := metrics.ThirdQuartileColdPercent(hybrid)
-	fq := metrics.ThirdQuartileColdPercent(fixed)
+	q3 := func(r *sim.Result) float64 {
+		cold := metrics.NewColdStartSink()
+		for i, a := range r.Apps {
+			cold.Consume(i, a)
+		}
+		return cold.ThirdQuartile()
+	}
+	pq, hq, fq := q3(prod), q3(hybrid), q3(fixed)
 	// The production variant must clearly beat fixed and track the
 	// plain hybrid (no ARIMA path, daily decay → small gap allowed).
 	if pq >= fq {

@@ -249,27 +249,3 @@ func (r *Result) TotalWastedSeconds() float64 {
 	}
 	return sum
 }
-
-// AlwaysColdFraction returns the fraction of apps whose every
-// invocation was cold. With excludeSingleInvocation, apps invoked only
-// once — which no policy can help (§5.2, Figure 19) — are excluded
-// from both numerator and denominator.
-func (r *Result) AlwaysColdFraction(excludeSingleInvocation bool) float64 {
-	var total, alwaysCold int
-	for _, a := range r.Apps {
-		if a.Invocations == 0 {
-			continue
-		}
-		if excludeSingleInvocation && a.Invocations == 1 {
-			continue
-		}
-		total++
-		if a.ColdStarts == a.Invocations {
-			alwaysCold++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(alwaysCold) / float64(total)
-}

@@ -279,27 +279,6 @@ func TestResultAggregates(t *testing.T) {
 	}
 }
 
-func TestAlwaysColdFraction(t *testing.T) {
-	tr := &trace.Trace{
-		Duration: time.Hour,
-		Apps: []*trace.App{
-			// Always cold, multi-invocation (gap > KA).
-			{ID: "a", Functions: []*trace.Function{{ID: "f1", Invocations: []float64{0, 2400}}}},
-			// Single invocation: always cold by definition.
-			{ID: "b", Functions: []*trace.Function{{ID: "f2", Invocations: []float64{0}}}},
-			// Warm after first.
-			{ID: "c", Functions: []*trace.Function{{ID: "f3", Invocations: []float64{0, 60}}}},
-		},
-	}
-	res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}, Options{})
-	if got := res.AlwaysColdFraction(false); math.Abs(got-2.0/3) > 1e-9 {
-		t.Fatalf("always-cold (all) = %v, want 2/3", got)
-	}
-	if got := res.AlwaysColdFraction(true); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("always-cold (excl single) = %v, want 1/2", got)
-	}
-}
-
 func TestSimulateDeterministicAcrossWorkerCounts(t *testing.T) {
 	var apps []*trace.App
 	for i := 0; i < 20; i++ {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -29,20 +28,24 @@ func TestEndToEndSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fixed := sim.Simulate(pop.Trace, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}, sim.Options{})
-	hybrid := sim.Simulate(pop.Trace, MustFromSpec("hybrid"), sim.Options{})
-
-	fixedInv, _ := totals(fixed)
-	hybridInv, _ := totals(hybrid)
-	if fixedInv != hybridInv {
+	run := func(spec string) (*ColdStartSink, *WastedMemorySink) {
+		cold, wasted := NewColdStartSink(), NewWastedMemorySink()
+		if _, err := Run(context.Background(), SourceFromTrace(pop.Trace), MustFromSpec(spec),
+			WithSink(cold), WithSink(wasted)); err != nil {
+			t.Fatal(err)
+		}
+		return cold, wasted
+	}
+	fixedCold, fixedWasted := run("fixed?ka=10m")
+	hybridCold, hybridWasted := run("hybrid")
+	if fixedWasted.TotalInvocations() != hybridWasted.TotalInvocations() {
 		t.Fatal("policies saw different invocation counts")
 	}
-	fq := metrics.ThirdQuartileColdPercent(fixed)
-	hq := metrics.ThirdQuartileColdPercent(hybrid)
+	fq, hq := fixedCold.ThirdQuartile(), hybridCold.ThirdQuartile()
 	if hq >= fq {
 		t.Fatalf("hybrid Q3 %.1f should beat fixed %.1f", hq, fq)
 	}
-	if nm := metrics.NormalizedWastedMemory(hybrid, fixed); nm <= 0 || nm > 200 {
+	if nm := hybridWasted.NormalizedTo(fixedWasted.TotalWastedSeconds()); nm <= 0 || nm > 200 {
 		t.Fatalf("normalized memory = %v", nm)
 	}
 }
