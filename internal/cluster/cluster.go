@@ -98,6 +98,10 @@ type Config struct {
 	// oblivious placements — the reference path the equivalence
 	// property tests compare the sharded path against.
 	forceGlobal bool
+	// epochs, when positive, fixes the number of equal-time epochs the
+	// stream is built in, so the small test corpora cross epoch
+	// boundaries (and the global path's producer handoff) too.
+	epochs int
 }
 
 // AppResult is the outcome for one application: the batch simulator's

@@ -335,16 +335,18 @@ func (e *engine) preassign() {
 	}
 }
 
-// runGlobal drives every node on one sequential shard holding the
-// whole merged stream — the only schedule under which a view-dependent
-// placement's residency reads are well-defined.
+// runGlobal drives every node on one sequential shard over the whole
+// merged stream — the only schedule under which a view-dependent
+// placement's residency reads are well-defined. The stream's epochs
+// are built on a producer goroutine into two reusable buffers, so
+// epoch k+1 is derived while the timeline consumes epoch k; the
+// timeline alone touches run state.
 func (e *engine) runGlobal(ctx context.Context) error {
 	all := make([]int32, len(e.states))
 	for ai := range all {
 		all[ai] = int32(ai)
 	}
 	sh := shard{e: e}
-	sh.buildStream(all)
 	// Timed cluster events enter the queue up front; cevent.app carries
 	// the event's Config.Events index, so equal-time events pop in
 	// spec order. Events past the horizon cannot be observed.
@@ -353,20 +355,54 @@ func (e *engine) runGlobal(ctx context.Context) error {
 			sh.q.push(cevent{t: ev.At, kind: evCluster, app: int32(idx)})
 		}
 	}
-	return sh.timeline(ctx)
+	var b streamBuilder
+	b.reset(e, all)
+	// Two buffers circulate: free → producer (build) → ready → timeline
+	// → free. Neither channel can block a send, so closing done is all
+	// it takes to stop the producer.
+	ready, free := make(chan []sev, 2), make(chan []sev, 2)
+	free <- nil
+	free <- nil
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 0; k < b.epochs; k++ {
+			select {
+			case buf := <-free:
+				ready <- b.epoch(buf, b.until(k))
+			case <-done:
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(done)
+		wg.Wait()
+	}()
+	for k := 0; k < b.epochs; k++ {
+		stream := <-ready
+		if err := sh.timeline(ctx, stream, b.until(k)); err != nil {
+			return err
+		}
+		free <- stream
+	}
+	return nil
 }
 
 // runSharded is the oblivious-placement fast path: every app is
 // pre-assigned and each node's timeline runs to completion
 // independently, workerCount at a time. Walks are produced per node
 // just in time — a worker computes its current node's walks, builds
-// that node's stream (buildStream), replays the timeline, and releases
-// the walks before stealing the next node. Only
-// O(workers × apps-per-node) walks are ever live, instead of O(apps);
-// everything else (assignment, per-app results) stays O(apps) scalars.
-// Node timelines share no mutable state (all cluster coupling is
-// per-node), so the results are bit-identical to runGlobal for any
-// worker count.
+// that node's stream epoch by epoch (streamBuilder, inline; one epoch
+// unless the node holds more than epochEntries invocations), replays
+// each epoch on the timeline, and releases the walks before stealing
+// the next node. Only O(workers × apps-per-node) walks are ever live,
+// instead of O(apps); everything else (assignment, per-app results)
+// stays O(apps) scalars. Node timelines share no mutable state (all
+// cluster coupling is per-node), so the results are bit-identical to
+// runGlobal for any worker count.
 func (e *engine) runSharded(ctx context.Context) error {
 	e.preassign()
 	counts := make([]int, len(e.nodes))
@@ -398,6 +434,8 @@ func (e *engine) runSharded(ctx context.Context) error {
 			defer wg.Done()
 			var sc kernel.Scratch
 			var walks []appWalk
+			var b streamBuilder
+			var stream []sev
 			sh := shard{e: e}
 			for {
 				n := int(next.Add(1) - 1)
@@ -416,9 +454,12 @@ func (e *engine) runSharded(ctx context.Context) error {
 				for wi, ai := range apps {
 					e.produceWalk(ai, &sc, &walks[wi])
 				}
-				sh.buildStream(apps)
+				b.reset(e, apps)
 				sh.reset()
-				errs[n] = sh.timeline(ctx)
+				for k := 0; k < b.epochs && errs[n] == nil; k++ {
+					stream = b.epoch(stream, b.until(k))
+					errs[n] = sh.timeline(ctx, stream, b.until(k))
+				}
 				e.releaseWalks(apps)
 			}
 		}()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -497,4 +498,46 @@ func TestEventFreeRunsUnchanged(t *testing.T) {
 	base := Simulate(tr, pol(), Config{Nodes: 3, NodeMemMB: 600})
 	empty := Simulate(tr, pol(), Config{Nodes: 3, NodeMemMB: 600, Events: []Event{}})
 	requireResultsEqual(t, "empty-events", empty, base)
+}
+
+// TestEventsOnEpochBoundaries: queued events exactly on an epoch
+// boundary wait for the next epoch and merge there by kind, so every
+// forced epoch count reproduces the single-epoch run bit for bit.
+//
+// Layout (2 nodes × 150 MB, exec times on, horizon 7200 s): app a
+// (100 MB) executes 3000–3600 on node 0 when node 0 drains at 3300, so
+// its memory flushes at 3600 — on the boundary of 2, 4, 8 and 64
+// epochs. Node 0 rejoins at 3600, and app b's first arrival at 3600
+// loads there before the flush frees a's memory: a failed load. Node 1
+// fails at 5400, also a boundary, before app c's first arrival at 5400
+// places it: c lands on node 0 and evicts b.
+func TestEventsOnEpochBoundaries(t *testing.T) {
+	tr := &trace.Trace{Duration: 7200 * time.Second, Apps: []*trace.App{
+		fn("a", 100, 600, 3000, 5000),
+		fn("b", 100, 0, 3600, 4000),
+		fn("c", 100, 0, 5400),
+	}}
+	pol := scriptPolicy{decisions: map[string][]policy.Decision{
+		"a": ka(10000, 2), "b": ka(10000, 2), "c": ka(10000, 1),
+	}}
+	run := func(epochs int) *Result {
+		return Simulate(tr, pol, Config{
+			Nodes: 2, NodeMemMB: 150, UseExecTime: true, epochs: epochs,
+			Placement: pinPlacement{m: map[string]int{"a": 0, "b": 0, "c": 1}},
+			Events: []Event{
+				{At: 3300, Kind: EventDrain, Node: 0},
+				{At: 3600, Kind: EventJoin, Node: 0},
+				{At: 5400, Kind: EventFail, Node: 1},
+			},
+		})
+	}
+	want := run(1)
+	a, b, c := want.Apps[0], want.Apps[1], want.Apps[2]
+	if want.NodeStats[0].FailedLoads != 1 || a.FailureColdStarts != 1 || b.Evictions != 1 || c.Node != 0 {
+		t.Fatalf("node 0 failed loads %d, a failure colds %d, b evictions %d, c on node %d; want 1/1/1/0",
+			want.NodeStats[0].FailedLoads, a.FailureColdStarts, b.Evictions, c.Node)
+	}
+	for _, n := range []int{2, 4, 7, 8, 64} {
+		requireResultsEqual(t, fmt.Sprintf("epochs=%d", n), run(n), want)
+	}
 }

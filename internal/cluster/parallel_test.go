@@ -83,13 +83,16 @@ func mustPlacement(t *testing.T, spec string) Placement {
 }
 
 // runBothPaths runs the same scenario on the sequential global
-// reference path and on the sharded path at several worker counts,
-// requiring bit-identical results. Placements carry per-run state
-// (binpack's Prepare), so each run builds its own from the spec.
-func runBothPaths(t *testing.T, label string, tr *trace.Trace, pol func() policy.Policy, cfg Config, placeSpec string) *Result {
+// reference path, built as one epoch, and on the sharded path at
+// several worker counts, requiring bit-identical results; each of
+// epochs then reruns both paths with the stream built in that many
+// epochs. Placements carry per-run state (binpack's Prepare), so each
+// run builds its own from the spec.
+func runBothPaths(t *testing.T, label string, tr *trace.Trace, pol func() policy.Policy, cfg Config, placeSpec string, epochs ...int) *Result {
 	t.Helper()
 	ref := cfg
 	ref.forceGlobal = true
+	ref.epochs = 1
 	ref.Placement = mustPlacement(t, placeSpec)
 	want := Simulate(tr, pol(), ref)
 	for _, workers := range []int{1, 5} {
@@ -98,6 +101,16 @@ func runBothPaths(t *testing.T, label string, tr *trace.Trace, pol func() policy
 		par.Placement = mustPlacement(t, placeSpec)
 		got := Simulate(tr, pol(), par)
 		requireResultsEqual(t, fmt.Sprintf("%s/workers=%d", label, workers), got, want)
+	}
+	for _, n := range epochs {
+		for _, global := range []bool{true, false} {
+			run := cfg
+			run.forceGlobal = global
+			run.epochs = n
+			run.Placement = mustPlacement(t, placeSpec)
+			got := Simulate(tr, pol(), run)
+			requireResultsEqual(t, fmt.Sprintf("%s/epochs=%d/global=%v", label, n, global), got, want)
+		}
 	}
 	return want
 }
@@ -163,7 +176,9 @@ func TestShardedMatchesGlobalGolden(t *testing.T) {
 
 // TestShardedMatchesGlobalRandomized fuzzes the same contract over
 // randomized finite-memory layouts: random workloads, node counts,
-// capacities, oblivious placements and exec-time handling.
+// capacities, oblivious placements and exec-time handling — and with
+// the stream built in 1, 2, 7 and 64 epochs on both paths, which
+// crosses epoch boundaries and the global path's producer handoff.
 func TestShardedMatchesGlobalRandomized(t *testing.T) {
 	rng := stats.NewRNG(1234)
 	places := []string{"hash", "hash?seed=9", "binpack", "binpack?order=invocations", "binpack?order=trace"}
@@ -188,7 +203,7 @@ func TestShardedMatchesGlobalRandomized(t *testing.T) {
 			pol = func() policy.Policy { return policy.FixedKeepAlive{KeepAlive: 20 * time.Minute} }
 		}
 		cfg := Config{Nodes: nodes, NodeMemMB: memMB, UseExecTime: exec}
-		res := runBothPaths(t, place, pop.Trace, pol, cfg, place)
+		res := runBothPaths(t, place, pop.Trace, pol, cfg, place, 1, 2, 7, 64)
 		if res.TotalEvictions() > 0 {
 			pressured++
 		}

@@ -2,12 +2,11 @@ package cluster
 
 // eventQueue is one shard's pending cluster events and drain flushes —
 // the events that depend on the run itself; every reload and unload is
-// derived into the stream instead (buildStream). It is a binary heap
+// derived into the stream instead (streamBuilder). It is a binary heap
 // over eventLess: a flush is never earlier than the last popped time,
 // but it may precede the pending minimum. On the sharded path it stays
 // empty. The zero value is an empty queue.
 type eventQueue struct {
-	n int // pending events
 	h []cevent
 }
 
@@ -16,13 +15,12 @@ func (q *eventQueue) push(ev cevent) {
 	if ev.kind != evCluster && ev.kind != evFlush {
 		panic("cluster: only cluster events and drain flushes are queued")
 	}
-	q.n++
 	heapPush(&q.h, ev)
 }
 
 // peek returns the earliest pending event without removing it.
 func (q *eventQueue) peek() (cevent, bool) {
-	if q.n == 0 {
+	if len(q.h) == 0 {
 		return cevent{}, false
 	}
 	return q.h[0], true
@@ -30,14 +28,12 @@ func (q *eventQueue) peek() (cevent, bool) {
 
 // pop removes the event the preceding peek returned.
 func (q *eventQueue) pop() {
-	q.n--
 	heapPop(&q.h)
 }
 
 // reset empties the queue, keeping its capacity for the worker's next
 // node.
 func (q *eventQueue) reset() {
-	q.n = 0
 	q.h = q.h[:0]
 }
 

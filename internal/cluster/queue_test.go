@@ -45,11 +45,11 @@ func TestEventQueueOrder(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		var pending []cevent
 		lastPopped := 0.0
-		for op := 0; op < 2000 || q.n > 0; op++ {
-			if q.n != len(pending) {
-				t.Fatalf("trial %d op %d: n = %d, want %d", trial, op, q.n, len(pending))
+		for op := 0; op < 2000 || len(q.h) > 0; op++ {
+			if len(q.h) != len(pending) {
+				t.Fatalf("trial %d op %d: len = %d, want %d", trial, op, len(q.h), len(pending))
 			}
-			if op < 2000 && (q.n == 0 || rng.Float64() < 0.55) {
+			if op < 2000 && (len(q.h) == 0 || rng.Float64() < 0.55) {
 				// Whole seconds near lastPopped so equal times are common;
 				// app is unique per push so eventLess never ties.
 				ev := cevent{
@@ -67,7 +67,7 @@ func TestEventQueueOrder(t *testing.T) {
 			}
 			got, ok := q.peek()
 			if !ok {
-				t.Fatalf("trial %d op %d: empty peek with %d pending", trial, op, q.n)
+				t.Fatalf("trial %d op %d: empty peek with %d pending", trial, op, len(q.h))
 			}
 			q.pop()
 			if got != pending[0] {
@@ -85,8 +85,8 @@ func TestEventQueueOrder(t *testing.T) {
 		q.push(cevent{t: 3, kind: evCluster, app: 2})
 		c := cap(q.h)
 		q.reset()
-		if q.n != 0 || len(q.h) != 0 || cap(q.h) != c {
-			t.Fatalf("trial %d: reset left n=%d len=%d cap=%d, want 0 0 %d", trial, q.n, len(q.h), cap(q.h), c)
+		if len(q.h) != 0 || cap(q.h) != c {
+			t.Fatalf("trial %d: reset left len=%d cap=%d, want 0 %d", trial, len(q.h), cap(q.h), c)
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // end is warm), and drain flushes last — the order realizes
 // kernel.Classify's inclusive boundaries, and lets a fail at t retire
 // a reload at t before it fires. Reloads, invocations and unloads are
-// a pure function of each app's walk: buildStream derives them into
+// a pure function of each app's walk: streamBuilder derives them into
 // the shard's stream. Only cluster events and flushes, which depend on
 // the run itself, go through the event queue.
 const (
@@ -61,20 +61,18 @@ type victimEntry struct {
 	vix      uint32
 }
 
-// shard drives one slice of the cluster: a stream, built by
-// buildStream in (time, kind, app) order from its apps' walks, holding
-// their invocations and every reload and unload their windows
-// prescribe, and the event queue of cluster events and drain flushes.
-// The sharded (oblivious-placement) path runs one shard per node; the
-// global (view-dependent) path runs a single shard spanning every
-// node. All per-node mechanics below are identical on both paths —
-// only the event interleaving across nodes differs, and that
+// shard drives one slice of the cluster: a stream, built epoch by
+// epoch by streamBuilder in (time, kind, app) order from its apps'
+// walks, holding their invocations and every reload and unload their
+// windows prescribe, and the event queue of cluster events and drain
+// flushes. The sharded (oblivious-placement) path runs one shard per
+// node; the global (view-dependent) path runs a single shard spanning
+// every node. All per-node mechanics below are identical on both paths
+// — only the event interleaving across nodes differs, and that
 // interleaving is unobservable node-locally.
 type shard struct {
 	e       *engine
-	stream  []sev
 	q       eventQueue   // cluster events and drain flushes (queue.go)
-	slots   []int32      // buildStream scratch: per-slot counts, then offsets
 	flushes []drainFlush // pending drain-outs, indexed by evFlush events
 }
 
@@ -101,67 +99,151 @@ func cmpSev(a, b sev) int {
 	return int(a.app) - int(b.app)
 }
 
-// buildStream fills s.stream with the apps' invocations and derived
-// container events in cmpSev order: one pass counts them into nb
-// equal-width time buckets over [0, horizon], a second derives them
-// again and writes each straight into its bucket, and only each
-// bucket's handful is compared. The clamped bucket index is monotone
-// in t, so the stream is exactly the sorted one. Each bucket is three
-// slots — reloads, invocations, unloads — and every app's entries of
-// one kind are ascending, so the app-ordered scatter lands each
-// equal-time run (long on minute-lattice traces) already sorted. Both
-// buffers are reused across nodes; the cap bounds the counts' memory.
-func (s *shard) buildStream(apps []int32) {
-	states := s.e.states
+// epochEntries is the stream size one epoch aims at, estimated by its
+// invocations: 2^18 entries, 4 MiB of sev. Past it, a whole-horizon
+// stream's buckets hit their cap and hold dozens of entries each, and
+// its buffer grows with the trace.
+const epochEntries = 1 << 18
+
+// streamBuilder derives a shard's stream one epoch at a time: the
+// horizon is cut into equal-time epochs of about epochEntries
+// invocations, and each epoch's stream holds exactly the invocations and derived
+// container events inside [lo, hi), in cmpSev order, so the epochs'
+// concatenation is the whole run's stream. Each epoch is bucketed on
+// its own: one pass counts its entries into nb equal-width time
+// buckets over the epoch, a second derives them again and writes each
+// straight into its bucket, and only each bucket's handful is
+// compared. The clamped bucket index is monotone in t, so the epoch is
+// exactly sorted. Each bucket is three slots — reloads, invocations,
+// unloads — and every app's entries of one kind are ascending, so the
+// app-ordered scatter lands each equal-time run (long on minute-lattice
+// traces) already sorted.
+//
+// Every derived event lies inside its own window [t_i, t_{i+1}], so an
+// epoch needs, per app, only the invocations before its end and the
+// last one before its start: each app's cursor rests at its last
+// invocation before the previous epoch's end, and at most that one
+// invocation is scanned twice. The builder's buffers are reused across
+// epochs and nodes.
+type streamBuilder struct {
+	apps    []appCursor
+	slots   []int32 // per-slot counts, then offsets
+	horizon float64
+	lo      float64 // start of the next epoch (-Inf before the first)
+	epochs  int     // epochs of the equal-time partition
+	nb      int     // buckets per epoch
+}
+
+// appCursor is one app's place in its walk: inv is its last invocation
+// before the last built epoch's end (0 before the first), in decision
+// run run, which starts at invocation runStart.
+type appCursor struct {
+	w        *appWalk
+	ai       int32
+	run      int32
+	inv      int
+	runStart int
+}
+
+// reset points the builder at the apps' walks, before the first epoch,
+// and partitions the horizon into epochs (forced by Config.epochs in
+// tests).
+func (b *streamBuilder) reset(e *engine, apps []int32) {
+	b.apps = b.apps[:0]
 	n := 0
 	for _, ai := range apps {
-		n += len(states[ai].walk.times)
+		w := e.states[ai].walk
+		b.apps = append(b.apps, appCursor{w: w, ai: ai})
+		n += len(w.times)
 	}
-	nb := min(n/4+1, 1<<16)
-	s.slots = slices.Grow(s.slots[:0], 3*nb)[:3*nb]
-	clear(s.slots)
-	p := streamPass{slots: s.slots, last: float64(nb - 1), horizon: s.e.horizon}
-	if s.e.horizon > 0 {
-		p.scale = float64(nb) / s.e.horizon
+	b.horizon = e.horizon
+	b.lo = math.Inf(-1)
+	b.epochs = e.cfg.epochs
+	if b.epochs <= 0 {
+		b.epochs = max(1, (n+epochEntries-1)/epochEntries)
 	}
-	for _, ai := range apps {
-		p.app(ai, states[ai].walk)
+	b.nb = min(n/b.epochs/4+1, 1<<16)
+}
+
+// until returns the end of epoch k: an equal share of the horizon, and
+// +Inf for the last epoch, which also takes every entry past the
+// horizon.
+func (b *streamBuilder) until(k int) float64 {
+	if k >= b.epochs-1 {
+		return math.Inf(1)
+	}
+	return b.horizon * float64(k+1) / float64(b.epochs)
+}
+
+// epoch builds the stream of the next epoch, [lo, hi), into buf's
+// storage and returns it; the following epoch starts at hi.
+func (b *streamBuilder) epoch(buf []sev, hi float64) []sev {
+	nb := b.nb
+	b.slots = slices.Grow(b.slots[:0], 3*nb)[:3*nb]
+	clear(b.slots)
+	// Buckets span the epoch clipped to [0, horizon]; the clamp files
+	// anything outside into the end buckets.
+	from, to := max(b.lo, 0), min(hi, b.horizon)
+	p := streamPass{slots: b.slots, lo: b.lo, hi: hi, from: from, last: float64(nb - 1), horizon: b.horizon}
+	if to > from {
+		p.scale = float64(nb) / (to - from)
+	}
+	for k := range b.apps {
+		p.app(&b.apps[k])
 	}
 	var start int32
-	for k, c := range s.slots {
-		s.slots[k] = start
+	for k, c := range b.slots {
+		b.slots[k] = start
 		start += c
 	}
 	// Scatter: slots[k] advances from slot k's start to its end.
-	s.stream = slices.Grow(s.stream[:0], int(start))[:start]
-	p.out, p.place = s.stream, true
-	for _, ai := range apps {
-		p.app(ai, states[ai].walk)
-	}
-	lo := int32(0)
-	for k := 2; k < len(s.slots); k += 3 {
-		if hi := s.slots[k]; hi-lo > 1 {
-			slices.SortFunc(s.stream[lo:hi], cmpSev)
+	out := slices.Grow(buf[:0], int(start))[:start]
+	p.out, p.place = out, true
+	for k := range b.apps {
+		c := &b.apps[k]
+		i, run, runStart := p.app(c)
+		if i > c.inv {
+			// Rest on the last invocation before hi: its window may
+			// still derive events at or past hi.
+			i--
+			for i < runStart {
+				run--
+				runStart -= int(c.w.runs[run].N)
+			}
+			c.inv, c.run, c.runStart = i, int32(run), runStart
 		}
-		lo = s.slots[k]
 	}
+	begin := int32(0)
+	for k := 2; k < len(b.slots); k += 3 {
+		if end := b.slots[k]; end-begin > 1 {
+			slices.SortFunc(out[begin:end], cmpSev)
+		}
+		begin = b.slots[k]
+	}
+	b.lo = hi
+	return out
 }
 
-// streamPass is one of buildStream's two passes over the walks: the
-// count pass bumps each entry's slot count, the scatter pass (place)
-// writes the entry at its slot's cursor and advances it.
+// streamPass is one of an epoch's two passes over the walks: the count
+// pass bumps each entry's slot count, the scatter pass (place) writes
+// the entry at its slot's cursor and advances it. Entries outside the
+// epoch [lo, hi) are skipped.
 type streamPass struct {
-	slots                []int32
-	out                  []sev
-	place                bool
-	scale, last, horizon float64
+	slots                      []int32
+	out                        []sev
+	place                      bool
+	lo, hi                     float64
+	from, scale, last, horizon float64
 }
 
-// put files one entry under its time bucket's slot for kind. The clamp
-// is two branches rather than min/max, whose NaN handling measured
-// ~15% slower over the whole pass.
+// put files one entry of the epoch under its time bucket's slot for
+// kind. The clamp is two branches rather than min/max, whose NaN
+// handling measured ~15% slower over the whole pass.
 func (p *streamPass) put(t float64, kind uint8, ai int32) {
-	x := t * p.scale
+	if t < p.lo || t >= p.hi {
+		return
+	}
+	x := (t - p.from) * p.scale
 	if x > p.last {
 		x = p.last
 	}
@@ -175,8 +257,9 @@ func (p *streamPass) put(t float64, kind uint8, ai int32) {
 	p.slots[k]++
 }
 
-// app feeds the pass one app's invocations and, after each, the
-// container events its window prescribes (schedule's residency plan):
+// app feeds the pass one app's invocations from its cursor up to the
+// epoch's end and, after each, the container events its window
+// prescribes (schedule's residency plan):
 //   - a keep-alive window unloads at end + KaSec;
 //   - a pre-warmed window unloads at the execution end (immediately,
 //     in schedule, when there is no execution time), reloads at
@@ -192,13 +275,18 @@ func (p *streamPass) put(t float64, kind uint8, ai int32) {
 // below half an ulp of end (for a 1 ns pre-warm, only past 2^24 s, or
 // 194 days, of trace) would sort before the invocation opening its
 // window, so it rounds to none.
-func (p *streamPass) app(ai int32, w *appWalk) {
+//
+// It returns the first invocation at or past hi, its decision run and
+// the run's first invocation.
+func (p *streamPass) app(c *appCursor) (i, run, runStart int) {
+	w, ai := c.w, c.ai
 	times, horizon := w.times, p.horizon
-	i := 0
-	for _, r := range w.runs {
-		d := r.D
+	i, run, runStart = c.inv, int(c.run), c.runStart
+	for i < len(times) && times[i] < p.hi {
+		d := w.runs[run].D
 		pw, ka := d.PreWarm.Seconds(), d.KeepAlive.Seconds()
-		for stop := i + int(r.N); i < stop; i++ {
+		runEnd := runStart + int(w.runs[run].N)
+		for ; i < runEnd && times[i] < p.hi; i++ {
 			t := times[i]
 			p.put(t, evInvoke, ai)
 			if d.Forever {
@@ -225,20 +313,27 @@ func (p *streamPass) app(ai int32, w *appWalk) {
 				}
 			}
 		}
+		if i == runEnd {
+			run, runStart = run+1, runEnd
+		}
 	}
+	return i, run, runStart
 }
 
-// timeline is the discrete-event loop: the shard's stream and its
-// event queue advance together in (time, kind) order. The queue is
-// empty on the sharded path.
-func (s *shard) timeline(ctx context.Context) error {
+// timeline is the discrete-event loop over one epoch: the epoch's
+// stream and the shard's event queue advance together in (time, kind)
+// order, and once the stream is drained, queued events before until
+// fire too. Every later epoch's entries lie at or past until, so an
+// event exactly at until waits for the next epoch, whose merge orders
+// it by kind. The queue is empty on the sharded path.
+func (s *shard) timeline(ctx context.Context, stream []sev, until float64) error {
 	si := 0
-	for steps := 0; si < len(s.stream) || s.q.n > 0; steps++ {
-		if steps&4095 == 4095 && ctx.Err() != nil {
-			return ctx.Err()
+	for steps := 0; si < len(stream) || len(s.q.h) > 0; steps++ {
+		if steps&4095 == 0 && ctx.Err() != nil {
+			return ctx.Err() // checked at each epoch's start, then every 4096 steps
 		}
-		if ev, ok := s.q.peek(); ok && (si >= len(s.stream) || ev.t < s.stream[si].t ||
-			(ev.t == s.stream[si].t && ev.kind < s.stream[si].kind)) {
+		if ev, ok := s.q.peek(); ok && (si >= len(stream) && ev.t < until ||
+			si < len(stream) && (ev.t < stream[si].t || (ev.t == stream[si].t && ev.kind < stream[si].kind))) {
 			s.q.pop()
 			if ev.kind == evCluster {
 				s.applyClusterEvent(int(ev.app), ev.t)
@@ -247,7 +342,10 @@ func (s *shard) timeline(ctx context.Context) error {
 			}
 			continue
 		}
-		en := s.stream[si]
+		if si >= len(stream) {
+			break // the queue's head waits for the next epoch
+		}
+		en := stream[si]
 		si++
 		switch en.kind {
 		case evInvoke:

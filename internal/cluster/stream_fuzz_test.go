@@ -8,16 +8,19 @@ import (
 )
 
 // FuzzBuildStream: for arbitrary per-app invocation times, exec times,
-// decision runs and horizon, buildStream's stream equals the
-// brute-force reference (refStream) entry by entry, and every derived
-// event sorts inside its own window — after the invocation opening it
-// and before the app's next arrival (checkStream). The input bytes are
-// read as a small program: app count, then per app its invocation
-// gaps, exec mode and run sequence, on a lattice of horizon/16 so that
-// arrivals, reloads and unloads collide; pre-warms of 1 ns and long
-// horizons reach the float-absorbed pre-warm that must not be derived.
-// The seed corpus under testdata/fuzz holds a lattice of ties, a
-// zero horizon, exec times past the horizon and an absorbed pre-warm.
+// decision runs and horizon, the stream builder's stream — whole, and
+// split into k epochs — equals the brute-force reference (refStream)
+// entry by entry, and every derived event sorts inside its own window
+// — after the invocation opening it and before the app's next arrival
+// (checkStream). The input bytes are read as a small program: app
+// count, then per app its invocation gaps, exec mode and run sequence,
+// on a lattice of horizon/16 so that arrivals, reloads and unloads
+// collide; pre-warms of 1 ns and long horizons reach the float-absorbed
+// pre-warm that must not be derived. The bytes left over pick k and
+// the epoch boundaries: lattice points, invocations inside a decision
+// run, and runs' ends (epochCuts). The seed corpus under testdata/fuzz
+// holds a lattice of ties, a zero horizon, exec times past the
+// horizon, an absorbed pre-warm, and multi-epoch splits.
 func FuzzBuildStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, horizon float64, data []byte) {
 		if !(horizon >= 0 && horizon <= 1e9) {
@@ -86,7 +89,7 @@ func FuzzBuildStream(f *testing.F) {
 				w.runs = append(w.runs, policy.DecisionRun{D: d, N: int32(n)})
 			}
 		}
-		sh, apps := streamShard(horizon, walks)
-		checkStream(t, sh, apps)
+		e, apps := streamEngine(horizon, walks)
+		checkStream(t, e, apps, epochCuts(walks, unit, horizon, 1+next()%8, next))
 	})
 }

@@ -94,9 +94,9 @@ func TestStreamingWalkMemory(t *testing.T) {
 	}
 }
 
-// streamShard builds a shard over synthetic walks: app i's walk is
+// streamEngine builds an engine over synthetic walks: app i's walk is
 // walks[i], whose times are sorted like every walk's.
-func streamShard(horizon float64, walks []appWalk) (*shard, []int32) {
+func streamEngine(horizon float64, walks []appWalk) (*engine, []int32) {
 	e := &engine{horizon: horizon, states: make([]appState, len(walks))}
 	apps := make([]int32, len(walks))
 	for i := range walks {
@@ -104,7 +104,7 @@ func streamShard(horizon float64, walks []appWalk) (*shard, []int32) {
 		e.states[i].walk = &walks[i]
 		apps[i] = int32(i)
 	}
-	return &shard{e: e}, apps
+	return e, apps
 }
 
 // refEntry is one entry of the reference stream, tagged with the
@@ -114,16 +114,16 @@ type refEntry struct {
 	window int
 }
 
-// refStream is the brute-force reference for buildStream: every
+// refStream is the brute-force reference for the stream builder: every
 // invocation plus, per window, the unloads and the reload the timeline
 // once pushed onto an event heap from schedule and reload — stepped
 // with the timeline's own RunCursor, kept when they can fire (before
 // the horizon and the app's next arrival, strictly for unloads; a
 // reload also strictly after its invocation) — all sorted by cmpSev.
-func refStream(sh *shard, apps []int32) []refEntry {
+func refStream(e *engine, apps []int32) []refEntry {
 	var out []refEntry
 	for _, ai := range apps {
-		w := sh.e.states[ai].walk
+		w := e.states[ai].walk
 		var cur kernel.RunCursor
 		var modes [policy.NumModes]int
 		cur.Reset(w.runs)
@@ -139,7 +139,7 @@ func refStream(sh *shard, apps []int32) []refEntry {
 				end = t + w.execs[i]
 			}
 			unload := func(at float64) {
-				if at < sh.e.horizon && at < next {
+				if at < e.horizon && at < next {
 					out = append(out, refEntry{sev{t: at, app: ai, kind: evUnload}, i})
 				}
 			}
@@ -151,7 +151,7 @@ func refStream(sh *shard, apps []int32) []refEntry {
 				if end > t {
 					unload(end)
 				}
-				if load := end + cur.PwSec; load > t && load < sh.e.horizon && load <= next {
+				if load := end + cur.PwSec; load > t && load < e.horizon && load <= next {
 					out = append(out, refEntry{sev{t: load, app: ai, kind: evReload}, i})
 					unload(load + cur.KaSec)
 				}
@@ -162,27 +162,59 @@ func refStream(sh *shard, apps []int32) []refEntry {
 	return out
 }
 
-// checkStream builds sh's stream over apps and compares it with the
-// reference entry by entry, then checks that every derived event sorts
-// strictly inside its own window: after the invocation opening it and
-// before the app's next arrival.
-func checkStream(t *testing.T, sh *shard, apps []int32) []refEntry {
+// buildEpochs builds the apps' stream in epochs ending at each of cuts
+// (ascending) and a last one at +Inf, checks that every epoch holds
+// only entries inside its own [lo, hi), and returns the epochs'
+// concatenation.
+func buildEpochs(t *testing.T, e *engine, apps []int32, cuts []float64) []sev {
 	t.Helper()
-	want := refStream(sh, apps)
-	sh.buildStream(apps)
-	if len(sh.stream) != len(want) {
-		t.Fatalf("stream has %d entries, want %d", len(sh.stream), len(want))
+	var b streamBuilder
+	b.reset(e, apps)
+	var all, buf []sev
+	lo := math.Inf(-1)
+	for _, hi := range append(slices.Clone(cuts), math.Inf(1)) {
+		buf = b.epoch(buf, hi)
+		for _, en := range buf {
+			if en.t < lo || en.t >= hi {
+				t.Fatalf("epoch [%v, %v) holds %+v", lo, hi, en)
+			}
+		}
+		all = append(all, buf...)
+		lo = hi
 	}
-	for i := range want {
-		if sh.stream[i] != want[i].sev {
-			t.Fatalf("stream[%d] = %+v, want %+v", i, sh.stream[i], want[i].sev)
+	return all
+}
+
+// checkStream builds the apps' stream — at the builder's own epoch
+// partition, and in epochs ending at each of cuts — and compares both
+// with the reference entry by entry, then checks that every derived
+// event sorts strictly inside its own window: after the invocation
+// opening it and before the app's next arrival.
+func checkStream(t *testing.T, e *engine, apps []int32, cuts []float64) []refEntry {
+	t.Helper()
+	want := refStream(e, apps)
+	var b streamBuilder
+	b.reset(e, apps)
+	own := make([]float64, b.epochs-1)
+	for k := range own {
+		own[k] = b.until(k)
+	}
+	for _, c := range [][]float64{own, cuts} {
+		got := buildEpochs(t, e, apps, c)
+		if len(got) != len(want) {
+			t.Fatalf("cuts %v: stream has %d entries, want %d", c, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i].sev {
+				t.Fatalf("cuts %v: stream[%d] = %+v, want %+v", c, i, got[i], want[i].sev)
+			}
 		}
 	}
 	for _, r := range want {
 		if r.kind == evInvoke {
 			continue
 		}
-		times := sh.e.states[r.app].walk.times
+		times := e.states[r.app].walk.times
 		opens := sev{t: times[r.window], app: r.app, kind: evInvoke}
 		if cmpSev(opens, r.sev) >= 0 {
 			t.Fatalf("%+v sorts before the invocation opening window %d (%+v)", r.sev, r.window, opens)
@@ -194,6 +226,37 @@ func checkStream(t *testing.T, sh *shard, apps []int32) []refEntry {
 		}
 	}
 	return want
+}
+
+// epochCuts picks k-1 epoch boundaries, sorted, each where the cursor
+// logic has an edge: a lattice point (a multiple of unit, where
+// arrivals and derived events collide), an invocation inside a
+// decision run, or a run's end — its last invocation, or the next
+// run's first. pick draws the choices.
+func epochCuts(walks []appWalk, unit, horizon float64, k int, pick func() int) []float64 {
+	var cuts []float64
+	for range k - 1 {
+		w := &walks[pick()%len(walks)]
+		c := pick() % 3
+		if c == 0 || len(w.times) == 0 {
+			cuts = append(cuts, unit*float64(pick()%(int(horizon/unit)+2)))
+			continue
+		}
+		r := pick() % len(w.runs)
+		first := 0
+		for _, run := range w.runs[:r] {
+			first += int(run.N)
+		}
+		i := first + int(w.runs[r].N) - 1 // the run's end
+		if c == 1 {
+			i = first + pick()%int(w.runs[r].N) // inside the run
+		} else if pick()%2 == 0 && i+1 < len(w.times) {
+			i++ // the next run's first
+		}
+		cuts = append(cuts, w.times[i])
+	}
+	slices.Sort(cuts)
+	return cuts
 }
 
 // withRuns gives each app a decision-run sequence over its invocations
@@ -235,14 +298,17 @@ func withRuns(rng *rand.Rand, unit float64, times [][]float64) []appWalk {
 	return walks
 }
 
-// TestBuildStreamOrder pins buildStream to the brute-force reference:
-// element by element, its stream equals every invocation plus every
-// derived reload and unload sorted with cmpSev, and every derived
-// event falls inside its own window. The shapes stress the bucketing —
-// one bucket holding everything, times on both ends of the horizon,
-// ties within and across apps (and between reloads, unloads and
-// arrivals), a zero horizon, streams shorter than the bucket count,
-// and streams long enough that the bucket cap binds.
+// TestBuildStreamOrder pins the stream builder to the brute-force
+// reference: element by element, its stream equals every invocation
+// plus every derived reload and unload sorted with cmpSev, and every
+// derived event falls inside its own window — built whole, and split
+// into k epochs whose boundaries land on lattice points, inside
+// decision runs and exactly at runs' ends. The shapes stress the
+// bucketing — one bucket holding everything, times on both ends of the
+// horizon, ties within and across apps (and between reloads, unloads
+// and arrivals), a zero horizon, streams shorter than the bucket count
+// — and one stream long enough that the builder's own partition has
+// several epochs.
 func TestBuildStreamOrder(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	// gen draws per-app invocation times from draw.
@@ -260,20 +326,23 @@ func TestBuildStreamOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		horizon, unit float64
+		k             int // epochs in the cut build
 		times         [][]float64
 	}{
-		{"random", h, 97, gen(50, 40, func() float64 { return rng.Float64() * h })},
-		{"one-instant", h, h / 6, gen(30, 20, func() float64 { return h / 3 })},
-		{"both-ends", h, h / 4, gen(20, 10, func() float64 { return float64(rng.IntN(2)) * h })},
-		{"ties", h, h / 8, gen(40, 30, func() float64 { return float64(rng.IntN(8)) * h / 8 })},
-		{"zero-horizon", 0, 1, gen(20, 10, func() float64 { return float64(rng.IntN(5)) })},
-		{"empty", h, 60, [][]float64{nil, nil}},
-		{"tiny", h, h / 2, [][]float64{{h}, {0, h / 2}}},
-		{"cap-binds", 86400, 600, gen(100, 3000, func() float64 { return rng.Float64() * 86400 })},
+		{"random", h, 97, 7, gen(50, 40, func() float64 { return rng.Float64() * h })},
+		{"one-instant", h, h / 6, 3, gen(30, 20, func() float64 { return h / 3 })},
+		{"both-ends", h, h / 4, 4, gen(20, 10, func() float64 { return float64(rng.IntN(2)) * h })},
+		{"ties", h, h / 8, 9, gen(40, 30, func() float64 { return float64(rng.IntN(8)) * h / 8 })},
+		{"zero-horizon", 0, 1, 3, gen(20, 10, func() float64 { return float64(rng.IntN(5)) })},
+		{"empty", h, 60, 2, [][]float64{nil, nil}},
+		{"tiny", h, h / 2, 2, [][]float64{{h}, {0, h / 2}}},
+		{"many-epochs", 86400, 600, 64, gen(100, 3000, func() float64 { return rng.Float64() * 86400 })},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sh, apps := streamShard(tc.horizon, withRuns(rng, tc.unit, tc.times))
-			want := checkStream(t, sh, apps)
+			walks := withRuns(rng, tc.unit, tc.times)
+			e, apps := streamEngine(tc.horizon, walks)
+			cuts := epochCuts(walks, tc.unit, tc.horizon, tc.k, func() int { return rng.IntN(1 << 20) })
+			want := checkStream(t, e, apps, cuts)
 			invs, events := 0, 0
 			for _, r := range want {
 				if r.kind == evInvoke {
@@ -282,8 +351,11 @@ func TestBuildStreamOrder(t *testing.T) {
 					events++
 				}
 			}
-			if tc.name == "cap-binds" && invs <= 4<<16 {
-				t.Fatalf("%d invocations: the bucket cap does not bind", invs)
+			if tc.name == "many-epochs" {
+				var b streamBuilder
+				if b.reset(e, apps); b.epochs < 2 {
+					t.Fatalf("%d invocations: the builder's own partition is one epoch", invs)
+				}
 			}
 			if tc.horizon > 0 && invs > 20 && events == 0 {
 				// A zero horizon is the one shape where nothing can fire.
@@ -294,8 +366,8 @@ func TestBuildStreamOrder(t *testing.T) {
 }
 
 // TestBuildStreamAllocs: a worker's next node of equal size reuses the
-// stream and bucket buffers, so the steady-state build allocates
-// nothing.
+// cursor, bucket and stream buffers, so building every epoch of a node
+// allocates nothing in steady state.
 func TestBuildStreamAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	times := make([][]float64, 200)
@@ -304,17 +376,27 @@ func TestBuildStreamAllocs(t *testing.T) {
 			times[i] = append(times[i], rng.Float64()*7200)
 		}
 	}
-	sh, apps := streamShard(7200, withRuns(rng, 120, times))
+	e, apps := streamEngine(7200, withRuns(rng, 120, times))
+	e.cfg.epochs = 5
 	first, second := apps[:100], apps[100:] // two nodes of 5000 invocations
-	sh.buildStream(first)
+	var b streamBuilder
+	var stream []sev
+	build := func(apps []int32) {
+		b.reset(e, apps)
+		for k := 0; k < b.epochs; k++ {
+			stream = b.epoch(stream, b.until(k))
+		}
+	}
+	build(first)
+	build(second)
 	node := 0
 	if a := testing.AllocsPerRun(20, func() {
 		if node++; node%2 == 0 {
-			sh.buildStream(first)
+			build(first)
 		} else {
-			sh.buildStream(second)
+			build(second)
 		}
 	}); a != 0 {
-		t.Errorf("buildStream allocates %v times per node in steady state, want 0", a)
+		t.Errorf("the stream builder allocates %v times per node of %d epochs in steady state, want 0", a, b.epochs)
 	}
 }
