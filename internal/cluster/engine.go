@@ -358,8 +358,8 @@ func (e *engine) runGlobal(ctx context.Context) error {
 	var b streamBuilder
 	b.reset(e, all)
 	// Two buffers circulate: free → producer (build) → ready → timeline
-	// → free. Neither channel can block a send, so closing done is all
-	// it takes to stop the producer.
+	// → free. Each channel has room for both, so no send can block, and
+	// closing done is all it takes to stop the producer.
 	ready, free := make(chan []sev, 2), make(chan []sev, 2)
 	free <- nil
 	free <- nil
