@@ -295,7 +295,7 @@ func (e *engine) initStates(tr *trace.Trace) {
 			MemoryMB:  st.memMB,
 		}
 		if fps != nil {
-			fps = append(fps, Footprint{ID: app.ID, MemMB: st.memMB, Invocations: st.res.Invocations})
+			fps = append(fps, Footprint{ID: app.ID, MemMB: st.memMB})
 		}
 	}
 	if fps != nil {
@@ -325,7 +325,7 @@ func (e *engine) preassign() {
 		if st.res.Invocations == 0 {
 			continue
 		}
-		node := e.place.Place(Footprint{ID: st.res.AppID, MemMB: st.memMB, Invocations: st.res.Invocations}, view)
+		node := e.place.Place(Footprint{ID: st.res.AppID, MemMB: st.memMB}, view)
 		if node < 0 || node >= len(e.nodes) {
 			panic("cluster: placement returned node out of range")
 		}

@@ -152,10 +152,10 @@ func TestShardedMatchesGlobalGolden(t *testing.T) {
 		place string
 	}{
 		{4, 900, "hash"},
-		{3, 600, "hash?seed=3"},
+		{3, 600, "hash"},
 		{4, 900, "binpack"},
-		{2, 1500, "binpack?order=invocations"},
-		{5, 0, "binpack?order=trace"}, // infinite: the no-pressure degenerate case
+		{2, 1500, "binpack"},
+		{5, 0, "binpack"}, // infinite: the no-pressure degenerate case
 	}
 	pressured := 0
 	for pi, pc := range pols {
@@ -181,7 +181,7 @@ func TestShardedMatchesGlobalGolden(t *testing.T) {
 // crosses epoch boundaries and the global path's producer handoff.
 func TestShardedMatchesGlobalRandomized(t *testing.T) {
 	rng := stats.NewRNG(1234)
-	places := []string{"hash", "hash?seed=9", "binpack", "binpack?order=invocations", "binpack?order=trace"}
+	places := []string{"hash", "binpack"}
 	caps := []float64{250, 400, 700, 1200}
 	pressured := 0
 	for it := 0; it < 6; it++ {

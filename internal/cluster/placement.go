@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"sort"
 
@@ -27,8 +25,6 @@ type Footprint struct {
 	// MemMB is the effective memory charge (after the default for apps
 	// with no memory row).
 	MemMB float64
-	// Invocations is the app's total invocation count.
-	Invocations int
 }
 
 // View exposes the cluster state a placement decision may consult.
@@ -78,12 +74,12 @@ type TracePreparer interface {
 // residency reads are well-defined. Results are bit-identical on both
 // paths (property-tested); only the wall clock differs.
 //
-// A custom RegisterPlacement implementation that reports
-// Oblivious() == true must honor the contract: during pre-assignment
-// the engine hands Place a View whose ResidentMB panics, so a
-// placement that claims obliviousness but reads residency fails loudly
-// instead of silently diverging. TestEveryObliviousPlacementRunsSharded
-// puts every registered placement that claims it through that view.
+// A placement that reports Oblivious() == true must honor the
+// contract: during pre-assignment the engine hands Place a View whose
+// ResidentMB panics, so a placement that claims obliviousness but
+// reads residency fails loudly instead of silently diverging.
+// TestEveryObliviousPlacementRunsSharded puts every registered
+// placement that claims it through that view.
 type Oblivious interface {
 	Placement
 	// Oblivious reports whether Place never consults View.ResidentMB.
@@ -111,33 +107,19 @@ func (v staticView) Up(int) bool { return true }
 
 // HashPlacement spreads apps by a stable hash of their ID: stateless,
 // coordination-free, and what a consistent-hashing front end degrades
-// to. It ignores load, so skewed app sizes skew nodes. A non-zero
-// Seed is mixed into the hash, giving an ensemble of independent
-// spreads for sensitivity sweeps ("hash?seed=3").
-type HashPlacement struct {
-	Seed uint64
-}
+// to. It ignores load, so skewed app sizes skew nodes.
+type HashPlacement struct{}
 
 // Name implements Placement.
-func (p HashPlacement) Name() string {
-	if p.Seed == 0 {
-		return "hash"
-	}
-	return fmt.Sprintf("hash?seed=%d", p.Seed)
-}
+func (HashPlacement) Name() string { return "hash" }
 
 // Oblivious implements Oblivious: the hash reads only the app ID and
 // the node count.
 func (HashPlacement) Oblivious() bool { return true }
 
 // Place implements Placement.
-func (p HashPlacement) Place(app Footprint, view View) int {
+func (HashPlacement) Place(app Footprint, view View) int {
 	h := fnv.New64a()
-	if p.Seed != 0 {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], p.Seed)
-		h.Write(b[:])
-	}
 	h.Write([]byte(app.ID))
 	return int(h.Sum64() % uint64(view.NumNodes()))
 }
@@ -184,39 +166,18 @@ func (LeastLoadedPlacement) Replace(app Footprint, from int, view View) int {
 	return best
 }
 
-// Bin-packing sort orders ("binpack?order=..."): which footprint
-// dimension first-fit-decreasing sorts on.
-const (
-	// BinPackBySize packs largest memory footprint first (default).
-	BinPackBySize = "size"
-	// BinPackByInvocations packs most-invoked apps first — spreads the
-	// hot apps before the big ones, a latency-oriented variant.
-	BinPackByInvocations = "invocations"
-	// BinPackByTrace packs in trace order (no sort) — pure first-fit,
-	// the weakest static baseline.
-	BinPackByTrace = "trace"
-)
-
 // BinPackPlacement assigns offline by first-fit decreasing: apps
-// sorted by Order (largest memory first by default) are packed onto
-// the first node whose static assignment still fits the capacity;
-// when nothing fits, the least-assigned node takes the overflow. It
-// needs the whole trace up front (TracePreparer) and models a planner
-// with global knowledge — the strongest static baseline against the
-// online policies.
+// sorted largest memory first are packed onto the first node whose
+// static assignment still fits the capacity; when nothing fits, the
+// least-assigned node takes the overflow. It needs the whole trace up
+// front (TracePreparer) and models a planner with global knowledge —
+// the strongest static baseline against the online policies.
 type BinPackPlacement struct {
-	// Order selects the first-fit sort key (BinPackBySize when empty).
-	Order  string
 	assign map[string]int
 }
 
 // Name implements Placement.
-func (p *BinPackPlacement) Name() string {
-	if p.Order == "" || p.Order == BinPackBySize {
-		return "binpack"
-	}
-	return fmt.Sprintf("binpack?order=%s", p.Order)
-}
+func (*BinPackPlacement) Name() string { return "binpack" }
 
 // Prepare implements TracePreparer.
 func (p *BinPackPlacement) Prepare(apps []Footprint, nodes int, capacityMB float64) {
@@ -224,20 +185,10 @@ func (p *BinPackPlacement) Prepare(apps []Footprint, nodes int, capacityMB float
 	for i := range order {
 		order[i] = i
 	}
-	// Largest-first on the configured key; ties keep trace order for
-	// determinism.
-	switch p.Order {
-	case BinPackByInvocations:
-		sort.SliceStable(order, func(a, b int) bool {
-			return apps[order[a]].Invocations > apps[order[b]].Invocations
-		})
-	case BinPackByTrace:
-		// Trace order: no sort.
-	default:
-		sort.SliceStable(order, func(a, b int) bool {
-			return apps[order[a]].MemMB > apps[order[b]].MemMB
-		})
-	}
+	// Largest first; ties keep trace order for determinism.
+	sort.SliceStable(order, func(a, b int) bool {
+		return apps[order[a]].MemMB > apps[order[b]].MemMB
+	})
 	assigned := make([]float64, nodes)
 	p.assign = make(map[string]int, len(apps))
 	for _, i := range order {
@@ -277,50 +228,18 @@ func (p *BinPackPlacement) Place(app Footprint, view View) int {
 	return HashPlacement{}.Place(app, view)
 }
 
-// The placement registry mirrors the policy registry: specs are
-//
-//	name?key=value&key=value
-//
-// ("binpack?order=invocations", "hash?seed=3"), with bare names
-// selecting the defaults, so binaries and examples configure
-// placements through one parsed-spec path. Unknown names and unknown
-// keys are errors.
+// The placement registry mirrors the policy registry: binaries and
+// examples select placements by name ("hash", "least-loaded",
+// "binpack") through one parsed-spec path. Unknown names and any
+// parameter are errors.
+var placementReg = spec.NewRegistry("cluster: unknown placement", "cluster: placement spec", map[string]func(*spec.Params) (Placement, error){
+	"hash":         func(*spec.Params) (Placement, error) { return HashPlacement{}, nil },
+	"least-loaded": func(*spec.Params) (Placement, error) { return LeastLoadedPlacement{}, nil },
+	"binpack":      func(*spec.Params) (Placement, error) { return &BinPackPlacement{}, nil },
+})
 
-// PlacementBuilder constructs a placement from a spec's parameters.
-type PlacementBuilder func(p *spec.Params) (Placement, error)
-
-var placementReg = spec.NewRegistry[Placement]("cluster: unknown placement", "cluster: placement spec")
-
-// RegisterPlacement adds a named placement builder. Registering a
-// duplicate name panics (programming error).
-func RegisterPlacement(name string, b PlacementBuilder) { placementReg.Register(name, b) }
-
-// NewPlacement builds a registered placement from a spec ("hash",
-// "binpack?order=invocations"). Bare names select the defaults.
+// NewPlacement builds a registered placement from its name.
 func NewPlacement(s string) (Placement, error) { return placementReg.New(s) }
 
 // PlacementNames returns the registered placement names, sorted.
 func PlacementNames() []string { return placementReg.Names() }
-
-func init() {
-	RegisterPlacement("hash", func(p *spec.Params) (Placement, error) {
-		seed, err := p.Uint64("seed", 0)
-		if err != nil {
-			return nil, err
-		}
-		return HashPlacement{Seed: seed}, nil
-	})
-	RegisterPlacement("least-loaded", func(*spec.Params) (Placement, error) {
-		return LeastLoadedPlacement{}, nil
-	})
-	RegisterPlacement("binpack", func(p *spec.Params) (Placement, error) {
-		order := p.String("order", BinPackBySize)
-		switch order {
-		case BinPackBySize, BinPackByInvocations, BinPackByTrace:
-		default:
-			return nil, fmt.Errorf("parameter order: unknown %q (%s, %s, %s)",
-				order, BinPackBySize, BinPackByInvocations, BinPackByTrace)
-		}
-		return &BinPackPlacement{Order: order}, nil
-	})
-}

@@ -145,9 +145,7 @@ func TestObliviousMarks(t *testing.T) {
 		oblivious bool
 	}{
 		{HashPlacement{}, true},
-		{HashPlacement{Seed: 3}, true},
 		{&BinPackPlacement{}, true},
-		{&BinPackPlacement{Order: BinPackByInvocations}, true},
 		{LeastLoadedPlacement{}, false},
 	} {
 		o, ok := tc.place.(Oblivious)

@@ -482,7 +482,7 @@ func (s *shard) load(ai int32, t float64) bool {
 	if !st.placed {
 		// Global path only: view-dependent placements choose the node
 		// at the app's first load, observing live residency.
-		app := Footprint{ID: st.res.AppID, MemMB: st.memMB, Invocations: st.res.Invocations}
+		app := Footprint{ID: st.res.AppID, MemMB: st.memMB}
 		node := e.place.Place(app, e)
 		if node < 0 || node >= len(e.nodes) {
 			panic("cluster: placement returned node out of range")
@@ -700,7 +700,7 @@ func (s *shard) replaceApp(ai int32) {
 	if st.inv >= len(st.walk.times) {
 		return // no future arrivals: nothing to migrate
 	}
-	app := Footprint{ID: st.res.AppID, MemMB: st.memMB, Invocations: st.res.Invocations}
+	app := Footprint{ID: st.res.AppID, MemMB: st.memMB}
 	var node int
 	if rp, ok := e.place.(Replacer); ok {
 		node = rp.Replace(app, int(st.node), e)

@@ -4,31 +4,30 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"time"
 )
 
 // The binary encoding backs the production implementation's hourly
-// database backups (§6): a fixed header (version, config) followed by
-// varint-encoded bin counts and the OOB counter. A 240-bin histogram
-// with small counts encodes to a few hundred bytes; in memory its dense
-// form is 960 bytes of uint32 counters (and the small form, before the
-// ninth in-bounds observation, no bin array at all). Either form
-// encodes the same bytes, and Decode returns the dense form.
+// database backups (§6): a fixed header (version, bin count, cutoff
+// percentiles) followed by varint-encoded bin counts and the OOB
+// counter. A 240-bin histogram with small counts encodes to a few
+// hundred bytes; in memory its dense form is 960 bytes of uint32
+// counters (and the small form, before the ninth in-bounds
+// observation, no bin array at all). Either form encodes the same
+// bytes, and Decode returns the dense form.
 
-const encodingVersion = 1
+// encodingVersion is 2: version 1 also carried the bin width and the
+// margin, so its bytes would misread as this layout.
+const encodingVersion = 2
 
 // Encode serializes the histogram (configuration and counters). The
-// percentiles are stored in hundredths and the margin in
-// ten-thousandths, rounded to nearest, so any config with that many
-// decimals decodes to itself.
+// percentiles are stored in hundredths, rounded to nearest, so any
+// config with that many decimals decodes to itself.
 func (h *Histogram) Encode() []byte {
 	buf := make([]byte, 0, 64+h.cfg.NumBins)
 	buf = binary.AppendUvarint(buf, encodingVersion)
-	buf = binary.AppendUvarint(buf, uint64(h.cfg.BinWidth))
 	buf = binary.AppendUvarint(buf, uint64(h.cfg.NumBins))
 	buf = binary.AppendUvarint(buf, uint64(math.Round(h.cfg.HeadPercentile*100)))
 	buf = binary.AppendUvarint(buf, uint64(math.Round(h.cfg.TailPercentile*100)))
-	buf = binary.AppendUvarint(buf, uint64(math.Round(h.cfg.Margin*10000)))
 	buf = binary.AppendUvarint(buf, uint64(h.oob))
 	for i := 0; i < h.cfg.NumBins; i++ {
 		buf = binary.AppendUvarint(buf, uint64(h.Count(i)))
@@ -56,18 +55,16 @@ func Decode(data []byte) (*Histogram, error) {
 	if version != encodingVersion {
 		return nil, fmt.Errorf("ithist: unsupported encoding version %d", version)
 	}
-	var vals [5]uint64
+	var vals [3]uint64
 	for i := range vals {
 		if vals[i], err = read(); err != nil {
 			return nil, err
 		}
 	}
 	cfg := Config{
-		BinWidth:       time.Duration(vals[0]),
-		NumBins:        int(vals[1]),
-		HeadPercentile: float64(vals[2]) / 100,
-		TailPercentile: float64(vals[3]) / 100,
-		Margin:         float64(vals[4]) / 10000,
+		NumBins:        int(vals[0]),
+		HeadPercentile: float64(vals[1]) / 100,
+		TailPercentile: float64(vals[2]) / 100,
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("ithist: decoded invalid config: %w", err)

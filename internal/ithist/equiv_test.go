@@ -27,7 +27,7 @@ func bruteWindows(h *Histogram) (preWarm, keepAlive time.Duration, ok bool) {
 	}
 	headBin := h.percentileBin(h.cfg.HeadPercentile)
 	tailBin := h.percentileBin(h.cfg.TailPercentile)
-	pw, ka := marginWindows(h.cfg, headBin, tailBin)
+	pw, ka := marginWindows(h.cfg.NumBins, headBin, tailBin)
 	return pw, ka, true
 }
 
@@ -51,9 +51,9 @@ func randomIT(r *stats.RNG, rng time.Duration) time.Duration {
 func TestWindowsMatchesBruteForce(t *testing.T) {
 	cfgs := []Config{
 		DefaultConfig(),
-		{BinWidth: time.Minute, NumBins: 60, HeadPercentile: 5, TailPercentile: 99, Margin: 0.10},
-		{BinWidth: 30 * time.Second, NumBins: 17, HeadPercentile: 0, TailPercentile: 100, Margin: 0},
-		{BinWidth: time.Minute, NumBins: 240, HeadPercentile: 50, TailPercentile: 50, Margin: 0.25},
+		{NumBins: 60, HeadPercentile: 5, TailPercentile: 99},
+		{NumBins: 17, HeadPercentile: 0, TailPercentile: 100},
+		{NumBins: 240, HeadPercentile: 50, TailPercentile: 50},
 	}
 	check := func(seed uint64) bool {
 		r := stats.NewRNG(seed)
@@ -187,8 +187,8 @@ func TestDecideSeqMatchesStepwise(t *testing.T) {
 			h := New(tc.cfg)
 			if tc.preload > 0 {
 				src := New(tc.cfg)
-				src.Observe(3 * tc.cfg.BinWidth)
-				src.Observe(17 * tc.cfg.BinWidth)
+				src.Observe(3 * BinWidth)
+				src.Observe(17 * BinWidth)
 				if err := h.Merge(src, float64(tc.preload)); err != nil {
 					t.Fatal(err)
 				}
@@ -200,7 +200,7 @@ func TestDecideSeqMatchesStepwise(t *testing.T) {
 			n := 100 + r.Intn(200)
 			idles := make([]time.Duration, n)
 			for i := range idles {
-				idles[i] = randomIT(r, tc.cfg.BinWidth*time.Duration(tc.cfg.NumBins))
+				idles[i] = randomIT(r, BinWidth*time.Duration(tc.cfg.NumBins))
 			}
 
 			batch := fresh()
@@ -299,14 +299,14 @@ func TestObserveAllocs(t *testing.T) {
 func TestSmallFormMatchesDense(t *testing.T) {
 	cfgs := []Config{
 		DefaultConfig(),
-		{BinWidth: time.Minute, NumBins: 10, HeadPercentile: 5, TailPercentile: 99, Margin: 0.10},
-		{BinWidth: 30 * time.Second, NumBins: 17, HeadPercentile: 0, TailPercentile: 100, Margin: 0},
-		{BinWidth: time.Minute, NumBins: 240, HeadPercentile: 2.5, TailPercentile: 50, Margin: 0.25},
+		{NumBins: 10, HeadPercentile: 5, TailPercentile: 99},
+		{NumBins: 17, HeadPercentile: 0, TailPercentile: 100},
+		{NumBins: 240, HeadPercentile: 2.5, TailPercentile: 50},
 	}
 	// idles draws a sequence crossing the promotion point: all in one
 	// bin, from two or three bins, or spread with OOB and negative idles.
 	idles := func(r *stats.RNG, cfg Config) []time.Duration {
-		rng := cfg.BinWidth * time.Duration(cfg.NumBins)
+		rng := BinWidth * time.Duration(cfg.NumBins)
 		seq := make([]time.Duration, r.Intn(3*smallCap))
 		bins := []time.Duration{
 			time.Duration(r.Float64() * float64(rng)),

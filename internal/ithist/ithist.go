@@ -35,11 +35,19 @@ import (
 	"time"
 )
 
+// The bin width and the window margin are fixed by §4.2; only the
+// range (NumBins) and the cutoff percentiles are configuration.
+const (
+	// BinWidth is the width of one bin: the paper's 1 minute.
+	BinWidth = time.Minute
+	// Margin widens the windows for error tolerance: the pre-warming
+	// window shrinks by Margin and the keep-alive window grows by it.
+	Margin = 0.10
+)
+
 // Config parameterizes the histogram. The zero value is invalid; use
 // DefaultConfig.
 type Config struct {
-	// BinWidth is the width of one bin. The paper uses 1 minute.
-	BinWidth time.Duration
 	// NumBins is the number of bins; BinWidth*NumBins is the histogram
 	// range (the paper's default is 240 bins = 4 hours).
 	NumBins int
@@ -47,29 +55,20 @@ type Config struct {
 	HeadPercentile float64
 	// TailPercentile selects the keep-alive window (default 99).
 	TailPercentile float64
-	// Margin widens the windows for error tolerance (default 0.10):
-	// the pre-warming window shrinks by Margin and the keep-alive
-	// window grows by Margin.
-	Margin float64
 }
 
-// DefaultConfig returns the paper's default parameters: 1-minute bins,
-// 4-hour range, 5th/99th percentile cutoffs, 10% margin.
+// DefaultConfig returns the paper's default parameters: a 4-hour
+// range and 5th/99th percentile cutoffs.
 func DefaultConfig() Config {
 	return Config{
-		BinWidth:       time.Minute,
 		NumBins:        240,
 		HeadPercentile: 5,
 		TailPercentile: 99,
-		Margin:         0.10,
 	}
 }
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.BinWidth <= 0 {
-		return fmt.Errorf("ithist: BinWidth must be positive, got %v", c.BinWidth)
-	}
 	if c.NumBins <= 0 {
 		return fmt.Errorf("ithist: NumBins must be positive, got %d", c.NumBins)
 	}
@@ -81,9 +80,6 @@ func (c Config) Validate() error {
 	}
 	if c.HeadPercentile > c.TailPercentile {
 		return fmt.Errorf("ithist: head %v > tail %v", c.HeadPercentile, c.TailPercentile)
-	}
-	if c.Margin < 0 || c.Margin >= 1 {
-		return fmt.Errorf("ithist: Margin %v out of [0,1)", c.Margin)
 	}
 	return nil
 }
@@ -140,7 +136,7 @@ type Histogram struct {
 	// Pads the struct to 192 B, three whole cache lines: a histogram
 	// is written on every observation, and pools hand neighbouring
 	// ones to different goroutines, which must not share a line.
-	_ [16]byte
+	_ [32]byte
 }
 
 // New creates a histogram with the given configuration. It panics on
@@ -191,7 +187,7 @@ func (h *Histogram) Config() Config { return h.cfg }
 
 // Range returns the histogram's covered duration (BinWidth * NumBins).
 func (h *Histogram) Range() time.Duration {
-	return h.cfg.BinWidth * time.Duration(h.cfg.NumBins)
+	return BinWidth * time.Duration(h.cfg.NumBins)
 }
 
 // Observe records one idle time. ITs at or beyond the range (or
@@ -208,13 +204,7 @@ func (h *Histogram) Range() time.Duration {
 func (h *Histogram) Observe(it time.Duration) {
 	idx := -1
 	if it >= 0 {
-		if h.cfg.BinWidth == time.Minute {
-			// Constant divisor lets the compiler avoid a hardware divide
-			// on the common path (the paper's 1-minute bins).
-			idx = int(it / time.Minute)
-		} else {
-			idx = int(it / h.cfg.BinWidth)
-		}
+		idx = int(it / BinWidth)
 	}
 	var oldC int64
 	switch {
@@ -460,26 +450,26 @@ func (h *Histogram) Windows() (preWarm, keepAlive time.Duration, ok bool) {
 // computeWindows derives the memoized window pair from the cursor bins.
 func (h *Histogram) computeWindows() {
 	h.winHead, h.winTail = h.head.bin, h.tail.bin
-	h.winPreWarm, h.winKeepAlive = marginWindows(h.cfg, h.head.bin, h.tail.bin)
+	h.winPreWarm, h.winKeepAlive = marginWindows(h.cfg.NumBins, h.head.bin, h.tail.bin)
 }
 
-// marginWindows derives the window pair from the percentile bins (the
-// §4.2 rounding and margin rules; see Windows).
-func marginWindows(cfg Config, headBin, tailBin int) (preWarm, keepAlive time.Duration) {
+// marginWindows derives the window pair from the percentile bins of a
+// numBins histogram (the §4.2 rounding and margin rules; see Windows).
+func marginWindows(numBins, headBin, tailBin int) (preWarm, keepAlive time.Duration) {
 	// Round head down, tail up, to whole-bin edges.
-	head := time.Duration(headBin) * cfg.BinWidth
-	tail := time.Duration(tailBin+1) * cfg.BinWidth
+	head := time.Duration(headBin) * BinWidth
+	tail := time.Duration(tailBin+1) * BinWidth
 
 	// Apply the margin: pre-warm earlier, keep alive longer.
-	preWarm = time.Duration(float64(head) * (1 - cfg.Margin))
-	tailM := time.Duration(float64(tail) * (1 + cfg.Margin))
-	if r := cfg.BinWidth * time.Duration(cfg.NumBins); tailM > r {
+	preWarm = time.Duration(float64(head) * (1 - Margin))
+	tailM := time.Duration(float64(tail) * (1 + Margin))
+	if r := BinWidth * time.Duration(numBins); tailM > r {
 		// Never promise a keep-alive beyond the histogram's knowledge.
 		tailM = r
 	}
 	keepAlive = tailM - preWarm
-	if keepAlive < cfg.BinWidth {
-		keepAlive = cfg.BinWidth
+	if keepAlive < BinWidth {
+		keepAlive = BinWidth
 	}
 	return preWarm, keepAlive
 }

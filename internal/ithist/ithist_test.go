@@ -25,13 +25,11 @@ func TestDefaultConfig(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{BinWidth: 0, NumBins: 10},
-		{BinWidth: time.Minute, NumBins: 0},
-		{BinWidth: time.Minute, NumBins: 10, HeadPercentile: -1},
-		{BinWidth: time.Minute, NumBins: 10, TailPercentile: 101},
-		{BinWidth: time.Minute, NumBins: 10, HeadPercentile: 50, TailPercentile: 40},
-		{BinWidth: time.Minute, NumBins: 10, Margin: 1},
-		{BinWidth: time.Minute, NumBins: 10, Margin: -0.1},
+		{NumBins: 0},
+		{NumBins: -1},
+		{NumBins: 10, HeadPercentile: -1},
+		{NumBins: 10, TailPercentile: 101},
+		{NumBins: 10, HeadPercentile: 50, TailPercentile: 40},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -153,25 +151,6 @@ func TestWindowsTailClampedToRange(t *testing.T) {
 	}
 }
 
-func TestWindowsZeroMargin(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Margin = 0
-	h := New(cfg)
-	for i := 0; i < 10; i++ {
-		h.Observe(30 * time.Minute)
-	}
-	pw, ka, ok := h.Windows()
-	if !ok {
-		t.Fatal("expected windows")
-	}
-	if pw != 30*time.Minute {
-		t.Fatalf("preWarm = %v, want 30m", pw)
-	}
-	if ka != time.Minute {
-		t.Fatalf("keepAlive = %v, want 1m (single bin)", ka)
-	}
-}
-
 func TestReset(t *testing.T) {
 	h := defaultHist()
 	h.Observe(time.Minute)
@@ -212,9 +191,7 @@ func TestPercentileBinProperty(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := stats.NewRNG(seed)
 		bin := r.Intn(240)
-		cfg := DefaultConfig()
-		cfg.Margin = 0
-		h := New(cfg)
+		h := defaultHist()
 		for i := 0; i < 20; i++ {
 			h.Observe(time.Duration(bin)*time.Minute + 15*time.Second)
 		}
@@ -222,7 +199,7 @@ func TestPercentileBinProperty(t *testing.T) {
 		if !ok {
 			return false
 		}
-		wantPW := time.Duration(bin) * time.Minute
+		wantPW := time.Duration(float64(time.Duration(bin)*time.Minute) * (1 - Margin))
 		wantEnd := time.Duration(bin+1) * time.Minute
 		if wantEnd > h.Range() {
 			wantEnd = h.Range()
@@ -240,7 +217,7 @@ func TestPercentileBinProperty(t *testing.T) {
 func fillBin(t *testing.T, h *Histogram, bin int, n int64) {
 	t.Helper()
 	src := New(h.cfg)
-	src.Observe(time.Duration(bin) * h.cfg.BinWidth)
+	src.Observe(time.Duration(bin) * BinWidth)
 	if err := h.Merge(src, float64(n)); err != nil {
 		t.Fatal(err)
 	}

@@ -63,8 +63,6 @@ func (h *Histogram) DecideSeq(idles []time.Duration, minObs int64, oobThr, cvThr
 
 func (h *Histogram) decideSeq(idles []time.Duration, minObs, nI, thrI, pHead, pTail, oobQ int64, runs []WindowRun) []WindowRun {
 	counts := h.counts
-	binW := h.cfg.BinWidth
-	binIsMinute := binW == time.Minute
 	total, oob := h.total, h.oob
 	sumSq := h.sumSq
 	tsq := total * total
@@ -123,12 +121,7 @@ func (h *Histogram) decideSeq(idles []time.Duration, minObs, nI, thrI, pHead, pT
 			// so one unsigned bounds test routes both OOB cases; the
 			// sign bit of idx-bin-1 bumps the cursor prefix counts
 			// without data-dependent branches.
-			var idx int
-			if binIsMinute {
-				idx = int(it/time.Minute) | int(it>>63)
-			} else {
-				idx = int(it/binW) | int(it>>63)
-			}
+			idx := int(it/BinWidth) | int(it>>63)
 			if uint(idx) >= uint(len(counts)) {
 				oob++
 			} else {
@@ -186,7 +179,7 @@ func (h *Histogram) decideSeq(idles []time.Duration, minObs, nI, thrI, pHead, pT
 				tail.walk(counts, float64(tT))
 			}
 			if winHead != head.bin || winTail != tail.bin {
-				pw, ka := marginWindows(h.cfg, head.bin, tail.bin)
+				pw, ka := marginWindows(int(nI), head.bin, tail.bin)
 				// Bump the run key only when the window values change:
 				// distinct cursor bins can margin-round to identical
 				// windows, which belong to one run.

@@ -123,7 +123,7 @@ func TestSeqOnPreObservedAppFallsBack(t *testing.T) {
 // are ones the batch kernel's integer forms cannot represent, where
 // NextWindowsSeq must take the per-call walk itself.
 func TestSeqMatchesStepwiseDecisions(t *testing.T) {
-	for _, spec := range []string{"hybrid", "hybrid?cv=0.5", "hybrid?oob=0.3", "hybrid?head=2.5", "hybrid?bins=2048"} {
+	for _, spec := range []string{"hybrid", "hybrid?cv=0.5", "hybrid?head=2.5", "hybrid?range=2048m"} {
 		p := MustFromSpec(spec)
 		t.Run(spec, func(t *testing.T) { testSeqMatchesStepwise(t, p) })
 	}

@@ -15,6 +15,14 @@ const (
 	// MinObservations is the minimum number of recorded ITs before the
 	// histogram may be trusted at all.
 	MinObservations = 2
+	// OOBThreshold is the fraction of out-of-bounds ITs above which
+	// the policy switches to the ARIMA path ("too many OOB ITs",
+	// Figure 10).
+	OOBThreshold = 0.5
+	// ARIMAMargin is the forecast error allowance: the pre-warm window
+	// is the prediction minus the margin, and the keep-alive window
+	// spans the margin on both sides of it (§4.2).
+	ARIMAMargin = 0.15
 	// ARIMAMinSamples is the minimum IT count before fitting ARIMA.
 	ARIMAMinSamples = 4
 	// ARIMAMaxSeries caps the retained IT series length (oldest
@@ -25,21 +33,13 @@ const (
 // HybridConfig parameterizes the hybrid histogram policy. The zero
 // value is invalid; start from DefaultHybridConfig.
 type HybridConfig struct {
-	// Histogram configures the per-app idle-time histogram (bins,
-	// range, cutoff percentiles, margin).
+	// Histogram configures the per-app idle-time histogram (range and
+	// cutoff percentiles).
 	Histogram ithist.Config
 	// CVThreshold is the minimum bin-count coefficient of variation
 	// for the histogram to be considered representative (the paper
 	// selects 2; Figure 18).
 	CVThreshold float64
-	// OOBThreshold is the fraction of out-of-bounds ITs above which
-	// the policy switches to the ARIMA path ("too many OOB ITs",
-	// Figure 10).
-	OOBThreshold float64
-	// ARIMAMargin is the forecast error allowance (default 0.15): the
-	// pre-warm window is the prediction minus the margin, and the
-	// keep-alive window spans the margin on both sides of it (§4.2).
-	ARIMAMargin float64
 	// DisableARIMA turns the time-series path off; apps with OOB-heavy
 	// IT distributions fall back to the standard keep-alive (used for
 	// the Figure 19 ablation).
@@ -63,15 +63,12 @@ type HybridConfig struct {
 	RefitInterval time.Duration
 }
 
-// DefaultHybridConfig returns the paper's defaults: 4-hour 1-minute
-// histogram with [5,99] cutoffs and 10% margin, CV threshold 2, 50%
-// OOB threshold, 15% ARIMA margin.
+// DefaultHybridConfig returns the paper's defaults: 4-hour histogram
+// with [5,99] cutoffs and CV threshold 2.
 func DefaultHybridConfig() HybridConfig {
 	return HybridConfig{
-		Histogram:    ithist.DefaultConfig(),
-		CVThreshold:  2,
-		OOBThreshold: 0.5,
-		ARIMAMargin:  0.15,
+		Histogram:   ithist.DefaultConfig(),
+		CVThreshold: 2,
 	}
 }
 
@@ -82,12 +79,6 @@ func (c HybridConfig) Validate() error {
 	}
 	if c.CVThreshold < 0 {
 		return fmt.Errorf("policy: CVThreshold %v negative", c.CVThreshold)
-	}
-	if c.OOBThreshold <= 0 || c.OOBThreshold > 1 {
-		return fmt.Errorf("policy: OOBThreshold %v out of (0,1]", c.OOBThreshold)
-	}
-	if c.ARIMAMargin <= 0 || c.ARIMAMargin >= 1 {
-		return fmt.Errorf("policy: ARIMAMargin %v out of (0,1)", c.ARIMAMargin)
 	}
 	if c.RefitInterval < 0 {
 		return fmt.Errorf("policy: RefitInterval %v negative", c.RefitInterval)
@@ -112,7 +103,7 @@ func NewHybrid(cfg HybridConfig) *Hybrid {
 // Name implements Policy.
 func (p *Hybrid) Name() string {
 	h := p.cfg.Histogram
-	name := fmt.Sprintf("hybrid-%s[%g,%g]", h.BinWidth*time.Duration(h.NumBins),
+	name := fmt.Sprintf("hybrid-%s[%g,%g]", ithist.BinWidth*time.Duration(h.NumBins),
 		h.HeadPercentile, h.TailPercentile)
 	if p.cfg.DisableARIMA {
 		name += "-noarima"
@@ -315,7 +306,7 @@ func (a *hybridApp) NextWindowsSeq(idles []time.Duration, runs []DecisionRun) []
 	// path, which handles both.
 	batched := false
 	if a.obsSeen == 0 {
-		a.wruns, batched = a.hist.DecideSeq(idles, MinObservations, a.cfg.OOBThreshold, a.cfg.CVThreshold, a.wruns[:0])
+		a.wruns, batched = a.hist.DecideSeq(idles, MinObservations, OOBThreshold, a.cfg.CVThreshold, a.wruns[:0])
 	}
 	if !batched {
 		for _, idle := range idles[1:] {
@@ -437,7 +428,7 @@ func (a *hybridApp) rebuildRing(observed []time.Duration) {
 // decide runs the Figure 10 regime selection on the current state.
 func (a *hybridApp) decide() Decision {
 	total := a.hist.Total() + a.hist.OutOfBounds()
-	if total >= MinObservations && a.hist.OOBHeavy(a.cfg.OOBThreshold) {
+	if total >= MinObservations && a.hist.OOBHeavy(OOBThreshold) {
 		if d, ok := a.arimaDecision(); ok {
 			return d
 		}
@@ -464,9 +455,9 @@ func (a *hybridApp) standard() Decision {
 }
 
 // arimaDecision fits the per-app forecast model on the IT series and
-// converts the next-IT prediction into windows with the configured
-// margin: pre-warm = pred*(1-margin), keep-alive = 2*margin*pred
-// (margin on each side of the prediction).
+// converts the next-IT prediction into windows with ARIMAMargin:
+// pre-warm = pred*(1-margin), keep-alive = 2*margin*pred (margin on
+// each side of the prediction).
 func (a *hybridApp) arimaDecision() (Decision, bool) {
 	if a.cfg.DisableARIMA || len(a.its) < ARIMAMinSamples {
 		return Decision{}, false
@@ -508,11 +499,10 @@ func (a *hybridApp) forecaster() forecast.Forecaster {
 // 2*margin*pred (margin on each side of the prediction).
 func (a *hybridApp) arimaWindows(predMinutes float64) Decision {
 	pred := time.Duration(predMinutes * float64(time.Minute))
-	m := a.cfg.ARIMAMargin
-	pw := time.Duration(float64(pred) * (1 - m))
-	ka := time.Duration(float64(pred) * 2 * m)
-	if ka < a.cfg.Histogram.BinWidth {
-		ka = a.cfg.Histogram.BinWidth
+	pw := time.Duration(float64(pred) * (1 - ARIMAMargin))
+	ka := time.Duration(float64(pred) * 2 * ARIMAMargin)
+	if ka < ithist.BinWidth {
+		ka = ithist.BinWidth
 	}
 	return Decision{PreWarm: pw, KeepAlive: ka, Mode: ModeARIMA}
 }

@@ -24,10 +24,8 @@ func TestHybridConfigValidation(t *testing.T) {
 	bad := []HybridConfig{
 		mk(func(c *HybridConfig) { c.Histogram.NumBins = 0 }),
 		mk(func(c *HybridConfig) { c.CVThreshold = -1 }),
-		mk(func(c *HybridConfig) { c.OOBThreshold = 0 }),
-		mk(func(c *HybridConfig) { c.OOBThreshold = 1.5 }),
-		mk(func(c *HybridConfig) { c.ARIMAMargin = 0 }),
-		mk(func(c *HybridConfig) { c.ARIMAMargin = 1 }),
+		mk(func(c *HybridConfig) { c.Histogram.TailPercentile = 101 }),
+		mk(func(c *HybridConfig) { c.RefitInterval = -time.Minute }),
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -246,11 +244,10 @@ func TestHybridCustomRange(t *testing.T) {
 }
 
 func TestHybridWindowsWithCustomCutoffs(t *testing.T) {
-	// [0,100] cutoffs with margin 0: windows must cover min..max ITs.
+	// [0,100] cutoffs: windows must cover min..max ITs.
 	cfg := DefaultHybridConfig()
 	cfg.Histogram.HeadPercentile = 0
 	cfg.Histogram.TailPercentile = 100
-	cfg.Histogram.Margin = 0
 	cfg.CVThreshold = 0.5
 	a := NewHybrid(cfg).NewApp("app")
 	first := true
@@ -263,8 +260,8 @@ func TestHybridWindowsWithCustomCutoffs(t *testing.T) {
 	if d.Mode != ModeHistogram {
 		t.Fatalf("mode = %v", d.Mode)
 	}
-	if d.PreWarm != 10*time.Minute {
-		t.Fatalf("preWarm = %v, want 10m", d.PreWarm)
+	if d.PreWarm != 9*time.Minute {
+		t.Fatalf("preWarm = %v, want 9m (10m less the 10%% margin)", d.PreWarm)
 	}
 	if d.PreWarm+d.KeepAlive < 13*time.Minute {
 		t.Fatalf("coverage ends at %v, want >= 13m", d.PreWarm+d.KeepAlive)

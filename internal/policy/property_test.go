@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/ithist"
 	"repro/internal/stats"
 )
 
@@ -15,7 +16,7 @@ import (
 // the margins allow.
 func TestHybridDecisionInvariants(t *testing.T) {
 	cfg := DefaultHybridConfig()
-	maxCover := time.Duration(float64(cfg.Histogram.BinWidth)*float64(cfg.Histogram.NumBins)*(1+cfg.Histogram.Margin)) + time.Minute
+	maxCover := time.Duration(float64(ithist.BinWidth)*float64(cfg.Histogram.NumBins)*(1+ithist.Margin)) + time.Minute
 	check := func(seed uint64) bool {
 		r := stats.NewRNG(seed)
 		a := NewHybrid(cfg).NewApp("app")
@@ -36,7 +37,7 @@ func TestHybridDecisionInvariants(t *testing.T) {
 			if d.Forever {
 				return false
 			}
-			if d.PreWarm < 0 || d.KeepAlive < cfg.Histogram.BinWidth {
+			if d.PreWarm < 0 || d.KeepAlive < ithist.BinWidth {
 				return false
 			}
 			switch d.Mode {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/forecast"
+	"repro/internal/ithist"
 	"repro/internal/spec"
 )
 
@@ -22,20 +23,16 @@ import (
 // component registry (placements, trace sources, metric sinks) via
 // internal/spec.
 
-// SpecParams carries a spec's parsed parameters to a Builder. Typed
+// SpecParams carries a spec's parsed parameters to a builder. Typed
 // accessors record which keys were consumed; FromSpec rejects specs
 // with leftover (misspelled) keys afterwards.
 type SpecParams = spec.Params
 
-// Builder constructs a policy from a spec's parameters.
-type Builder func(p *SpecParams) (Policy, error)
-
-var registry = spec.NewRegistry[Policy]("policy: unknown policy", "policy: spec")
-
-// Register adds a named policy builder. Downstream users extend the
-// spec language with their own policies the same way the built-ins
-// are wired. Registering a duplicate name panics (programming error).
-func Register(name string, b Builder) { registry.Register(name, b) }
+var registry = spec.NewRegistry("policy: unknown policy", "policy: spec", map[string]func(*SpecParams) (Policy, error){
+	"fixed":    buildFixed,
+	"nounload": buildNoUnload,
+	"hybrid":   buildHybrid,
+})
 
 // SpecNames returns the registered policy names, sorted.
 func SpecNames() []string { return registry.Names() }
@@ -51,14 +48,6 @@ func MustFromSpec(spec string) Policy {
 		panic(err)
 	}
 	return pol
-}
-
-// Built-in policies.
-func init() {
-	Register("fixed", buildFixed)
-	Register("nounload", buildNoUnload)
-	Register("no-unloading", buildNoUnload)
-	Register("hybrid", buildHybrid)
 }
 
 // buildFixed builds the provider baseline: fixed?ka=10m.
@@ -77,16 +66,12 @@ func buildNoUnload(*SpecParams) (Policy, error) { return NoUnloading{}, nil }
 
 // buildHybrid builds the paper's hybrid histogram policy. Keys:
 //
-//	range     histogram range (duration; NumBins = range / binwidth)
-//	binwidth  histogram bin width (duration, default 1m)
-//	bins      histogram bin count (overrides range)
+//	range     histogram range, a positive whole number of minutes (one
+//	          1-minute bin each; default 4h)
 //	head      pre-warm cutoff percentile
 //	tail      keep-alive cutoff percentile
-//	margin    window widening fraction
 //	cv        representativeness (CV) threshold
-//	oob       out-of-bounds fraction switching to the forecast path
 //	arima     on/off — off disables the time-series path (Figure 19)
-//	arima-margin  forecast error allowance
 //	prewarm   on/off — off is the "no PW, KA:99th" Figure 17 variant
 //	forecaster    arima (default), ses (exponential smoothing) or mean
 //	          (the mean idle time, Figure 19b's baseline forecaster)
@@ -98,38 +83,21 @@ func buildNoUnload(*SpecParams) (Policy, error) { return NoUnloading{}, nil }
 //	          mandates; nonzero requires exact=off
 func buildHybrid(p *SpecParams) (Policy, error) {
 	cfg := DefaultHybridConfig()
-	binWidth, err := p.Duration("binwidth", cfg.Histogram.BinWidth)
+	histRange, err := p.Duration("range", ithist.BinWidth*time.Duration(cfg.Histogram.NumBins))
 	if err != nil {
 		return nil, err
 	}
-	cfg.Histogram.BinWidth = binWidth
-	if histRange, err := p.Duration("range", 0); err != nil {
-		return nil, err
-	} else if histRange > 0 {
-		if binWidth <= 0 {
-			return nil, fmt.Errorf("parameter binwidth: must be positive, got %v", binWidth)
-		}
-		cfg.Histogram.NumBins = int(histRange / binWidth)
+	if histRange <= 0 || histRange%ithist.BinWidth != 0 {
+		return nil, fmt.Errorf("parameter range: must be a positive whole number of minutes, got %v", histRange)
 	}
-	if cfg.Histogram.NumBins, err = p.Int("bins", cfg.Histogram.NumBins); err != nil {
-		return nil, err
-	}
+	cfg.Histogram.NumBins = int(histRange / ithist.BinWidth)
 	if cfg.Histogram.HeadPercentile, err = p.Float("head", cfg.Histogram.HeadPercentile); err != nil {
 		return nil, err
 	}
 	if cfg.Histogram.TailPercentile, err = p.Float("tail", cfg.Histogram.TailPercentile); err != nil {
 		return nil, err
 	}
-	if cfg.Histogram.Margin, err = p.Float("margin", cfg.Histogram.Margin); err != nil {
-		return nil, err
-	}
 	if cfg.CVThreshold, err = p.Float("cv", cfg.CVThreshold); err != nil {
-		return nil, err
-	}
-	if cfg.OOBThreshold, err = p.Float("oob", cfg.OOBThreshold); err != nil {
-		return nil, err
-	}
-	if cfg.ARIMAMargin, err = p.Float("arima-margin", cfg.ARIMAMargin); err != nil {
 		return nil, err
 	}
 	arimaOn, err := p.Bool("arima", true)

@@ -31,19 +31,17 @@ func TestFromSpecFixed(t *testing.T) {
 }
 
 func TestFromSpecNoUnload(t *testing.T) {
-	for _, spec := range []string{"nounload", "no-unloading"} {
-		pol, err := FromSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := pol.(NoUnloading); !ok {
-			t.Fatalf("%s built %T", spec, pol)
-		}
+	pol, err := FromSpec("nounload")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := pol.(NoUnloading); !ok {
+		t.Fatalf("nounload built %T", pol)
 	}
 }
 
 func TestFromSpecHybrid(t *testing.T) {
-	pol, err := FromSpec("hybrid?range=2h&cv=5&head=1&tail=95&margin=0.2&oob=0.3&arima-margin=0.25&arima=off&prewarm=off")
+	pol, err := FromSpec("hybrid?range=2h&cv=5&head=1&tail=95&arima=off&prewarm=off")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +54,6 @@ func TestFromSpecHybrid(t *testing.T) {
 		t.Fatalf("bins = %d", cfg.Histogram.NumBins)
 	}
 	if cfg.CVThreshold != 5 || cfg.Histogram.HeadPercentile != 1 || cfg.Histogram.TailPercentile != 95 {
-		t.Fatalf("cfg = %+v", cfg)
-	}
-	if cfg.Histogram.Margin != 0.2 || cfg.OOBThreshold != 0.3 || cfg.ARIMAMargin != 0.25 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 	if !cfg.DisableARIMA || !cfg.DisablePreWarm {
@@ -112,8 +107,13 @@ func TestFromSpecErrors(t *testing.T) {
 		{"hybrid?exact=maybe", "invalid boolean"},
 		{"hybrid?refit=1m", "requires exact=off"},
 		{"hybrid?exact=off&refit=-1m", "non-negative"},
-		{"hybrid?bins=0", "NumBins"},
-		{"hybrid?range=4h&binwidth=0s", "binwidth"},
+		{"hybrid?range=90s", "parameter range"},
+		{"hybrid?range=30s", "parameter range"},
+		{"hybrid?range=0", "parameter range"},
+		{"hybrid?range=-1h", "parameter range"},
+		{"hybrid?range=4h&bins=10", "unknown parameters [bins]"},
+		// The whole hybrid vocabulary.
+		{"hybrid?x=1", "(known: [arima cv exact forecaster head prewarm range refit tail])"},
 		{"nounload?ka=1m", "unknown parameters [ka]"},
 		{"fixed?ka=10m&ka2=3", "unknown parameters [ka2]"},
 	}
@@ -127,38 +127,6 @@ func TestFromSpecErrors(t *testing.T) {
 			t.Errorf("spec %q: error %q missing %q", c.spec, err, c.wantSub)
 		}
 	}
-}
-
-func TestRegisterCustomAndDuplicate(t *testing.T) {
-	Register("test-custom", func(p *SpecParams) (Policy, error) {
-		ka, err := p.Duration("ka", time.Minute)
-		if err != nil {
-			return nil, err
-		}
-		return FixedKeepAlive{KeepAlive: ka}, nil
-	})
-	pol, err := FromSpec("test-custom?ka=90s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pol.(FixedKeepAlive).KeepAlive != 90*time.Second {
-		t.Fatalf("custom ka = %v", pol.(FixedKeepAlive).KeepAlive)
-	}
-	found := false
-	for _, n := range SpecNames() {
-		if n == "test-custom" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("test-custom not listed in SpecNames")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	Register("test-custom", func(*SpecParams) (Policy, error) { return NoUnloading{}, nil })
 }
 
 func TestMustFromSpecPanics(t *testing.T) {

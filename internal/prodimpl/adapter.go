@@ -3,6 +3,7 @@ package prodimpl
 import (
 	"time"
 
+	"repro/internal/ithist"
 	"repro/internal/policy"
 )
 
@@ -67,7 +68,7 @@ func (a *adapterApp) NextWindows(idle time.Duration, first bool) policy.Decision
 	agg := a.parent.mgr.Aggregate(a.app, a.now)
 	standard := policy.Decision{
 		PreWarm: 0,
-		KeepAlive: a.parent.cfg.Histogram.BinWidth *
+		KeepAlive: ithist.BinWidth *
 			time.Duration(a.parent.cfg.Histogram.NumBins),
 		Mode: policy.ModeStandard,
 	}

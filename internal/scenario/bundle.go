@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"os"
 
 	"repro/internal/serve"
@@ -31,13 +30,4 @@ func (f *bundleFactory) Open() (trace.Source, func() error, error) {
 		return nil, nil, err
 	}
 	return src, file.Close, nil
-}
-
-func init() {
-	RegisterSource("bundle", func(rest string) (SourceFactory, error) {
-		if rest == "" {
-			return nil, fmt.Errorf("want bundle:path")
-		}
-		return &bundleFactory{path: rest}, nil
-	})
 }

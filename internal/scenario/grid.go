@@ -43,7 +43,7 @@ type Grid struct {
 
 // Axis is one list-valued field of a grid.
 type Axis struct {
-	// Key is a scenario field key ("policy", "cluster.mem", "seed").
+	// Key is a scenario field key ("policy", "cluster.mem", "source").
 	Key string `json:"key"`
 	// Values are the field values the axis sweeps, in order.
 	Values []string `json:"values"`

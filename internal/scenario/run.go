@@ -85,10 +85,9 @@ type runOptions struct {
 }
 
 // WithFixedTrace supplies an already-materialized trace to every
-// cell, overriding the cells' Source specs (the Seed field is ignored
-// too). This is how callers that hold a trace in memory — the
-// experiment harness, tests — drive the scenario path without a
-// serializable source. Each function's Invocations must be ascending
+// cell, overriding the cells' Source specs. This is how callers that
+// hold a trace in memory — the experiment harness, tests — drive the
+// scenario path without a serializable source. Each function's Invocations must be ascending
 // (trace.Trace.Validate checks it): an app's invocation order is merged
 // from those lists, not re-sorted. Cells share the trace concurrently.
 func WithFixedTrace(tr *trace.Trace) Option {

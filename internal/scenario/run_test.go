@@ -243,9 +243,8 @@ func TestRunScenarioErrors(t *testing.T) {
 		{"source=" + smallGen + "; policy=hybrid; sinks=util", "requires a cluster scenario"},
 		{"source=" + smallGen + "; policy=hybrid; sinks=nosuch", `unknown sink "nosuch"`},
 		{"source=" + smallGen + "; policy=hybrid; cluster.nodes=2; cluster.place=spread", `unknown placement "spread"`},
-		{"source=" + smallGen + "; policy=hybrid; cluster.nodes=2; cluster.place=binpack?order=alpha", "parameter order"},
+		{"source=" + smallGen + "; policy=hybrid; cluster.nodes=2; cluster.place=binpack?order=size", "unknown parameters [order]"},
 		{"source=csv:/does/not/exist.csv; policy=hybrid", "no such file"},
-		{"source=csv:x.csv; policy=hybrid; seed=7", "not seedable"},
 	}
 	for _, c := range cases {
 		_, err := RunScenario(ctx, mustParse(t, c.spec))
@@ -255,28 +254,6 @@ func TestRunScenarioErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("scenario %q: error %q missing %q", c.spec, err, c.wantSub)
-		}
-	}
-}
-
-// TestSeedOverride pins that Scenario.Seed re-seeds generator sources
-// (including through a shard wrapper) and matches the explicit spec.
-func TestSeedOverride(t *testing.T) {
-	ctx := context.Background()
-	overridden, err := RunScenario(ctx, mustParse(t,
-		"source=gen:apps=40&days=1&seed=3&maxrate=300&maxevents=800; policy=fixed?ka=10m; seed=9"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit, err := RunScenario(ctx, mustParse(t,
-		"source=gen:apps=40&days=1&seed=9&maxrate=300&maxevents=800; policy=fixed?ka=10m"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := metricsOf(t, overridden), metricsOf(t, explicit)
-	for name, w := range want {
-		if got[name] != w {
-			t.Errorf("metric %s = %v, want %v", name, got[name], w)
 		}
 	}
 }

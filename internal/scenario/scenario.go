@@ -4,7 +4,7 @@
 // from a compact text grammar or JSON (ParseGrid, as a 1-cell grid),
 // prints back canonically (ParseGrid / Scenario.String round-trip),
 // and is built entirely from component registries (policy specs,
-// placement specs, source specs, sink specs), so every binary, example
+// placement names, source specs, sink specs), so every binary, example
 // and experiment drives the system through one declarative path
 // instead of per-flag plumbing. On top of it, Grid expands list-valued
 // fields into the cells of a sweep and RunSweep executes them (see
@@ -13,8 +13,11 @@
 // The text grammar is semicolon-separated field assignments:
 //
 //	source=gen:apps=400&seed=7; policy=hybrid?cv=2; cluster.nodes=8;
-//	cluster.mem=4096; cluster.place=binpack?order=invocations;
-//	sinks=coldstart,waste; workers=4; shard=0/4; exectime=on; seed=9
+//	cluster.mem=4096; cluster.place=binpack; sinks=coldstart,waste;
+//	workers=4; shard=0/4; exectime=on
+//
+// A seed sweep is a source axis:
+// source=[gen:apps=400&seed=1,gen:apps=400&seed=2].
 //
 // Unknown field keys, malformed values and unknown component names
 // are errors — a typo fails fast instead of silently simulating the
@@ -64,10 +67,6 @@ type Scenario struct {
 	// ExecTime makes invocations occupy their function's average
 	// execution time (§3.4 idle-time semantics).
 	ExecTime bool `json:"exectime,omitempty"`
-	// Seed overrides the source's seed (generator sources only),
-	// letting a sweep grid over seeds without rewriting the source
-	// spec. 0 keeps the source's own seed.
-	Seed uint64 `json:"seed,omitempty"`
 }
 
 // ClusterSpec describes the simulated cluster of a cluster scenario.
@@ -76,8 +75,8 @@ type ClusterSpec struct {
 	Nodes int `json:"nodes"`
 	// NodeMemMB is the per-node memory capacity in MB (0 = infinite).
 	NodeMemMB float64 `json:"mem,omitempty"`
-	// Placement is a placement registry spec ("hash", "least-loaded",
-	// "binpack?order=size"); empty selects "hash".
+	// Placement is a placement registry name ("hash", "least-loaded",
+	// "binpack"); empty selects "hash".
 	Placement string `json:"place,omitempty"`
 	// MemCSV is an optional per-app memory table (AzurePublicDataset
 	// schema) applied before the run; apps it does not cover charge
@@ -104,7 +103,7 @@ func (c *ClusterSpec) placement() string {
 var scenarioKeys = []string{
 	"source", "policy",
 	"cluster.nodes", "cluster.mem", "cluster.place", "cluster.memcsv", "cluster.events",
-	"sinks", "workers", "shard", "exectime", "seed",
+	"sinks", "workers", "shard", "exectime",
 }
 
 // parseScenarioJSON decodes the JSON form, rejecting unknown fields.
@@ -179,12 +178,6 @@ func (sc *Scenario) set(key, val string) error {
 		default:
 			return fmt.Errorf("scenario: exectime: invalid boolean %q", val)
 		}
-	case "seed":
-		n, err := strconv.ParseUint(val, 10, 64)
-		if err != nil {
-			return fmt.Errorf("scenario: seed: want an unsigned integer, got %q", val)
-		}
-		sc.Seed = n
 	default:
 		return fmt.Errorf("scenario: unknown field %q (fields: %s)", key, strings.Join(scenarioKeys, ", "))
 	}
@@ -320,9 +313,6 @@ func (sc Scenario) String() string {
 	}
 	if sc.ExecTime {
 		add("exectime", "on")
-	}
-	if sc.Seed != 0 {
-		add("seed", strconv.FormatUint(sc.Seed, 10))
 	}
 	return strings.Join(parts, "; ")
 }

@@ -29,10 +29,10 @@ func TestScenarioRoundTrip(t *testing.T) {
 		"source=gen:apps=400&seed=7; policy=hybrid",
 		"source=csv:trace/invocations.csv; policy=fixed?ka=20m",
 		"source=gen:apps=100; policy=hybrid?cv=2&range=4h; sinks=coldstart,waste; workers=4",
-		"source=gen:apps=50; policy=nounload; shard=1/4; exectime=on; seed=9",
+		"source=gen:apps=50; policy=nounload; shard=1/4; exectime=on",
 		"source=gen:apps=50; policy=fixed?ka=10m; shard=*/3",
 		"source=shard:1/4 of csv:big.csv; policy=hybrid",
-		"source=gen:apps=80; policy=hybrid; cluster.nodes=8; cluster.mem=4096; cluster.place=binpack?order=invocations",
+		"source=gen:apps=80; policy=hybrid; cluster.nodes=8; cluster.mem=4096; cluster.place=binpack",
 		"source=gen:apps=80; policy=hybrid; cluster.nodes=2; cluster.memcsv=mem.csv; sinks=coldstart?q=50:75:99,attribution",
 		"source=gen:apps=80; policy=hybrid; cluster.nodes=4; cluster.mem=2048; cluster.events=fail@36h:node=3,join@48h:node=3,drain@60h:node=0,resize@72h:node=1&mem=2048",
 		"source=gen:apps=20&mode=ramp&rps0=10&rps1=20&step=5; policy=hybrid",
@@ -68,11 +68,11 @@ func TestScenarioTextJSONAgree(t *testing.T) {
 			`{"source": "gen:apps=400&seed=7", "policy": "hybrid?cv=2"}`,
 		},
 		{
-			"source=csv:inv.csv; policy=fixed?ka=10m; cluster.nodes=8; cluster.mem=4096; cluster.place=binpack; sinks=coldstart,waste; workers=2; shard=0/2; exectime=on; seed=3",
+			"source=csv:inv.csv; policy=fixed?ka=10m; cluster.nodes=8; cluster.mem=4096; cluster.place=binpack; sinks=coldstart,waste; workers=2; shard=0/2; exectime=on",
 			`{"source": "csv:inv.csv", "policy": "fixed?ka=10m",
 			  "cluster": {"nodes": 8, "mem": 4096, "place": "binpack"},
 			  "sinks": ["coldstart", "waste"], "workers": 2, "shard": "0/2",
-			  "exectime": true, "seed": 3}`,
+			  "exectime": true}`,
 		},
 		{
 			// JSON cluster section without nodes normalizes to 1 node,
@@ -130,7 +130,8 @@ func TestScenarioParseErrors(t *testing.T) {
 		{"shard=5/4", "want i/n or */n"},
 		{"shard=*/0", "want i/n or */n"},
 		{"exectime=maybe", "invalid boolean"},
-		{"seed=-1", "seed"},
+		{"seed=9", `unknown field "seed"`},
+		{`{"seed": 9}`, `unknown field "seed"`},
 		{`{"source": "gen:", "polcy": "hybrid"}`, "polcy"},
 		{`{"cluster": {"nodes": -1}}`, "cluster.nodes"},
 		{"cluster.nodes=2; cluster.events=boom@1h:node=0", "cluster.events"},

@@ -54,14 +54,16 @@ type clusterObserver interface {
 	ObserveCluster(r *cluster.Result)
 }
 
-// SinkBuilder constructs a sink from a spec's parameters.
-type SinkBuilder func(p *spec.Params) (Sink, error)
-
-var sinkReg = spec.NewRegistry[Sink]("scenario: unknown sink", "scenario: sink spec")
-
-// RegisterSink adds a named sink builder. Registering a duplicate
-// name panics (programming error).
-func RegisterSink(name string, b SinkBuilder) { sinkReg.Register(name, b) }
+var sinkReg = spec.NewRegistry("scenario: unknown sink", "scenario: sink spec", map[string]func(*spec.Params) (Sink, error){
+	"coldstart": buildColdStartSink,
+	"waste": func(*spec.Params) (Sink, error) {
+		return &wasteScenarioSink{WastedMemorySink: metrics.NewWastedMemorySink()}, nil
+	},
+	"attribution": func(*spec.Params) (Sink, error) {
+		return &attributionScenarioSink{ClusterAttributionSink: metrics.NewClusterAttributionSink()}, nil
+	},
+	"util": func(*spec.Params) (Sink, error) { return &utilScenarioSink{}, nil },
+})
 
 // NewSink builds a registered sink from a spec ("coldstart?q=50:75").
 func NewSink(s string) (Sink, error) { return sinkReg.New(s) }
@@ -213,28 +215,19 @@ func (s *utilScenarioSink) UnmarshalState(data []byte) error {
 	return nil
 }
 
-func init() {
-	RegisterSink("coldstart", func(p *spec.Params) (Sink, error) {
-		qs, err := p.Floats("q", []float64{50, 75})
-		if err != nil {
-			return nil, err
+// buildColdStartSink builds "coldstart?q=50:75:99": the quantiles of
+// the per-app cold-start percentage to report (default 50 and 75).
+func buildColdStartSink(p *spec.Params) (Sink, error) {
+	qs, err := p.Floats("q", []float64{50, 75})
+	if err != nil {
+		return nil, err
+	}
+	for _, q := range qs {
+		if q < 0 || q > 100 {
+			return nil, fmt.Errorf("parameter q: percentile %g out of [0, 100]", q)
 		}
-		for _, q := range qs {
-			if q < 0 || q > 100 {
-				return nil, fmt.Errorf("parameter q: percentile %g out of [0, 100]", q)
-			}
-		}
-		return &coldStartScenarioSink{ColdStartSink: metrics.NewColdStartSink(), quantiles: qs}, nil
-	})
-	RegisterSink("waste", func(*spec.Params) (Sink, error) {
-		return &wasteScenarioSink{WastedMemorySink: metrics.NewWastedMemorySink()}, nil
-	})
-	RegisterSink("attribution", func(*spec.Params) (Sink, error) {
-		return &attributionScenarioSink{ClusterAttributionSink: metrics.NewClusterAttributionSink()}, nil
-	})
-	RegisterSink("util", func(*spec.Params) (Sink, error) {
-		return &utilScenarioSink{}, nil
-	})
+	}
+	return &coldStartScenarioSink{ColdStartSink: metrics.NewColdStartSink(), quantiles: qs}, nil
 }
 
 // Interface conformance: the runner attaches sinks by capability.

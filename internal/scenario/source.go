@@ -41,12 +41,6 @@ type SourceFactory interface {
 	Open() (trace.Source, func() error, error)
 }
 
-// seedable is implemented by factories whose randomness can be
-// re-seeded (generator sources); Scenario.Seed uses it.
-type seedable interface {
-	withSeed(seed uint64) SourceFactory
-}
-
 // lazyOpener is implemented by factories that can also produce a
 // one-at-a-time streaming source without materializing anything.
 // Shard wrappers prefer it: streaming the inner source and collecting
@@ -57,30 +51,41 @@ type lazyOpener interface {
 	openLazy() (trace.Source, func() error, error)
 }
 
-// SourceBuilder constructs a source factory from the spec's rest (the
-// text after "name:").
-type SourceBuilder func(rest string) (SourceFactory, error)
+// sourceReg maps a scheme name to the builder of its factory from the
+// spec's rest (the text after "name:"). It is filled in init, not by
+// its declaration, because the shard builder calls NewSource, which
+// reads it.
+var sourceReg map[string]func(rest string) (SourceFactory, error)
 
-var (
-	sourceMu  sync.RWMutex
-	sourceReg = map[string]SourceBuilder{}
-)
-
-// RegisterSource adds a named source builder. Registering a duplicate
-// name panics (programming error).
-func RegisterSource(name string, b SourceBuilder) {
-	sourceMu.Lock()
-	defer sourceMu.Unlock()
-	if _, dup := sourceReg[name]; dup {
-		panic(fmt.Sprintf("scenario: RegisterSource(%q) called twice", name))
+func init() {
+	sourceReg = map[string]func(string) (SourceFactory, error){
+		"csv": func(rest string) (SourceFactory, error) {
+			if rest == "" {
+				return nil, fmt.Errorf("want csv:path")
+			}
+			return &csvFactory{path: rest}, nil
+		},
+		"tracec": func(rest string) (SourceFactory, error) {
+			if rest == "" {
+				return nil, fmt.Errorf("want tracec:path")
+			}
+			return &tracecFactory{path: rest}, nil
+		},
+		"gen": func(rest string) (SourceFactory, error) {
+			return spec.Build(rest, buildGen)
+		},
+		"shard": buildShard,
+		"bundle": func(rest string) (SourceFactory, error) {
+			if rest == "" {
+				return nil, fmt.Errorf("want bundle:path")
+			}
+			return &bundleFactory{path: rest}, nil
+		},
 	}
-	sourceReg[name] = b
 }
 
 // SourceNames returns the registered source scheme names, sorted.
 func SourceNames() []string {
-	sourceMu.RLock()
-	defer sourceMu.RUnlock()
 	names := make([]string, 0, len(sourceReg))
 	// Map order is discarded by the sort below.
 	for n := range sourceReg {
@@ -94,9 +99,7 @@ func SourceNames() []string {
 // "gen:apps=400", "shard:1/4 of <spec>").
 func NewSource(s string) (SourceFactory, error) {
 	name, rest, _ := strings.Cut(s, ":")
-	sourceMu.RLock()
 	b, ok := sourceReg[name]
-	sourceMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("scenario: unknown source %q (registered: %v)", name, SourceNames())
 	}
@@ -225,12 +228,6 @@ func (f *genFactory) openLazy() (trace.Source, func() error, error) {
 	return src, func() error { return nil }, nil
 }
 
-func (f *genFactory) withSeed(seed uint64) SourceFactory {
-	cfg := f.cfg
-	cfg.Seed = seed
-	return &genFactory{cfg: cfg}
-}
-
 // shardFactory restricts an inner factory to one interleaved shard.
 // For lazily-streamable inners the selected shard is collected once
 // (memory stays at the shard's size) and shared across opens.
@@ -305,49 +302,21 @@ func (f *shardFactory) openLazy() (trace.Source, func() error, error) {
 	return trace.Shard(src, f.i, f.n), release, nil
 }
 
-func (f *shardFactory) withSeed(seed uint64) SourceFactory {
-	s, ok := f.inner.(seedable)
+// buildShard builds "shard:i/n of <source spec>".
+func buildShard(rest string) (SourceFactory, error) {
+	designator, innerSpec, ok := strings.Cut(rest, " of ")
 	if !ok {
-		return nil
+		return nil, fmt.Errorf("want shard:i/n of <source spec>")
 	}
-	inner := s.withSeed(seed)
-	if inner == nil {
-		return nil
+	i, n, err := trace.ParseShard(strings.TrimSpace(designator))
+	if err != nil {
+		return nil, err
 	}
-	return &shardFactory{inner: inner, i: f.i, n: f.n}
-}
-
-func init() {
-	RegisterSource("csv", func(rest string) (SourceFactory, error) {
-		if rest == "" {
-			return nil, fmt.Errorf("want csv:path")
-		}
-		return &csvFactory{path: rest}, nil
-	})
-	RegisterSource("tracec", func(rest string) (SourceFactory, error) {
-		if rest == "" {
-			return nil, fmt.Errorf("want tracec:path")
-		}
-		return &tracecFactory{path: rest}, nil
-	})
-	RegisterSource("gen", func(rest string) (SourceFactory, error) {
-		return spec.Build(rest, buildGen)
-	})
-	RegisterSource("shard", func(rest string) (SourceFactory, error) {
-		designator, innerSpec, ok := strings.Cut(rest, " of ")
-		if !ok {
-			return nil, fmt.Errorf("want shard:i/n of <source spec>")
-		}
-		i, n, err := trace.ParseShard(strings.TrimSpace(designator))
-		if err != nil {
-			return nil, err
-		}
-		inner, err := NewSource(strings.TrimSpace(innerSpec))
-		if err != nil {
-			return nil, err
-		}
-		return &shardFactory{inner: inner, i: i, n: n}, nil
-	})
+	inner, err := NewSource(strings.TrimSpace(innerSpec))
+	if err != nil {
+		return nil, err
+	}
+	return &shardFactory{inner: inner, i: i, n: n}, nil
 }
 
 // buildGen builds the synthetic-generation source from "gen:"'s query.
@@ -401,25 +370,12 @@ func buildGen(p *spec.Params) (SourceFactory, error) {
 	return &genFactory{cfg: cfg}, nil
 }
 
-// sourceForScenario resolves sc's source factory with the seed
-// override applied. The canonical factory spec keys the sweep
-// engine's source sharing: equal keys mean equal traces.
+// sourceForScenario resolves sc's source factory. The canonical
+// factory spec keys the sweep engine's source sharing: equal keys mean
+// equal traces.
 func sourceForScenario(sc Scenario) (SourceFactory, error) {
 	if sc.Source == "" {
 		return nil, fmt.Errorf("scenario: missing source (and no fixed trace supplied)")
 	}
-	f, err := NewSource(sc.Source)
-	if err != nil {
-		return nil, err
-	}
-	if sc.Seed != 0 {
-		s, ok := f.(seedable)
-		if !ok {
-			return nil, fmt.Errorf("scenario: seed=%d set but source %q is not seedable", sc.Seed, sc.Source)
-		}
-		if f = s.withSeed(sc.Seed); f == nil {
-			return nil, fmt.Errorf("scenario: seed=%d set but source %q is not seedable", sc.Seed, sc.Source)
-		}
-	}
-	return f, nil
+	return NewSource(sc.Source)
 }

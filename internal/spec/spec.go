@@ -4,8 +4,8 @@
 //	name?key=value&key=value
 //
 // with URL query syntax after the name — "hybrid?cv=2&range=4h" for a
-// policy, "binpack?order=invocations" for a placement,
-// "coldstart?q=50:75:99" for a metrics sink. Params carries the parsed
+// policy, "coldstart?q=50:75:99" for a metrics sink, a bare "binpack"
+// for a placement. Params carries the parsed
 // parameters to a builder with typed accessors that record which keys
 // were consumed, and Build — the only way to a Params — rejects specs
 // with leftover (misspelled) keys, so a typo fails fast instead of
@@ -18,7 +18,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -26,37 +25,23 @@ import (
 // ("policy", "placement", "sink"). New is the only place a component
 // spec is taken apart, so every registry rejects unknown names and
 // leftover keys the same way, and no builder can be reached around
-// the leftover-key check.
+// the leftover-key check. The table is fixed when the registry is
+// built.
 type Registry[T any] struct {
 	unknown, badSpec string // error prefixes
-
-	mu       sync.RWMutex
-	builders map[string]func(*Params) (T, error)
+	builders         map[string]func(*Params) (T, error)
 }
 
-// NewRegistry returns an empty registry whose errors start with the
-// given prefixes: unknown for an unregistered name ("cluster: unknown
-// placement"), badSpec for a spec that fails to build ("cluster:
-// placement spec").
-func NewRegistry[T any](unknown, badSpec string) *Registry[T] {
-	return &Registry[T]{unknown: unknown, badSpec: badSpec, builders: map[string]func(*Params) (T, error){}}
-}
-
-// Register adds a named builder. Registering a duplicate name panics
-// (programming error).
-func (r *Registry[T]) Register(name string, b func(*Params) (T, error)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.builders[name]; dup {
-		panic(fmt.Sprintf("%s %q registered twice", r.badSpec, name))
-	}
-	r.builders[name] = b
+// NewRegistry returns the registry of builders whose errors start with
+// the given prefixes: unknown for an unregistered name ("cluster:
+// unknown placement"), badSpec for a spec that fails to build
+// ("cluster: placement spec").
+func NewRegistry[T any](unknown, badSpec string, builders map[string]func(*Params) (T, error)) *Registry[T] {
+	return &Registry[T]{unknown: unknown, badSpec: badSpec, builders: builders}
 }
 
 // Names returns the registered names, sorted.
 func (r *Registry[T]) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	names := make([]string, 0, len(r.builders))
 	for n := range r.builders {
 		names = append(names, n)
@@ -69,9 +54,7 @@ func (r *Registry[T]) Names() []string {
 // "hybrid" over the query "cv=2"; a spec without '?' is all name).
 func (r *Registry[T]) New(s string) (T, error) {
 	name, query, _ := strings.Cut(s, "?")
-	r.mu.RLock()
 	b, ok := r.builders[name]
-	r.mu.RUnlock()
 	if !ok {
 		var zero T
 		return zero, fmt.Errorf("%s %q (registered: %v)", r.unknown, name, r.Names())

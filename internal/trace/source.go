@@ -107,8 +107,8 @@ func (s *shardSource) Next() (*App, error) {
 }
 
 // ParseShard parses an "i/n" shard designator (as taken by the
-// tracegen and coldsim -shard flags) into Shard arguments, rejecting
-// trailing garbage and out-of-range layouts.
+// scenario shard= field and the shard: source spec) into Shard
+// arguments, rejecting trailing garbage and out-of-range layouts.
 func ParseShard(s string) (i, n int, err error) {
 	lhs, rhs, ok := strings.Cut(s, "/")
 	if ok {
