@@ -40,6 +40,13 @@ func main() {
 		policies = flag.String("policies", "", "comma-separated policy specs for an extra sweep (e.g. 'hybrid?cv=5,fixed?ka=30m')")
 	)
 	flag.Parse()
+	// The generator and the platform replay read a zero as "use the
+	// default", so a zero here would silently run 1000 apps, 7 days, 68
+	// replay apps or 8 replay hours.
+	if *apps <= 0 || !(*days > 0) || *platApps <= 0 || !(*platHrs > 0) {
+		log.Fatalf("-apps, -days, -platform-apps and -platform-hours must be positive, got %d, %v, %d, %v",
+			*apps, *days, *platApps, *platHrs)
+	}
 
 	cfg := experiments.Config{
 		Seed:         *seed,

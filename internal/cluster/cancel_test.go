@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,7 +15,7 @@ import (
 
 // hookPlacement is least-loaded that runs hook on its at-th Place
 // call: apps are placed at their first load, so the hook fires
-// mid-stream on the global path.
+// mid-stream in a one-part run.
 type hookPlacement struct {
 	LeastLoadedPlacement
 	calls *int
@@ -44,44 +46,77 @@ func (c *failingCtx) Err() error {
 	return nil
 }
 
-// TestGlobalRunStopsProducer: a global-path run stopped mid-stream —
-// cancelled, or failed by a timeline error — returns that error, and
-// its stream producer is gone by the time it returns, at every epoch
-// count.
+// timelineStop runs stop from inside the n-th ctx check a shard's
+// timeline makes: a sharded run places every app before any timeline
+// starts, so this is how its stop lands while a part's timeline runs.
+type timelineStop struct {
+	context.Context
+	n    atomic.Int64
+	stop func()
+}
+
+func (c *timelineStop) Err() error {
+	if pc, _, _, ok := runtime.Caller(1); ok &&
+		strings.HasSuffix(runtime.FuncForPC(pc).Name(), ".(*shard).timeline") && c.n.Add(-1) == 0 {
+		c.stop()
+	}
+	return c.Context.Err()
+}
+
+// TestGlobalRunStopsProducer: a run stopped mid-stream — cancelled, or
+// failed by a timeline error — returns that error, and its stream
+// producers and walk goroutines are gone by the time it returns, at
+// every epoch count. The one-part (least-loaded) run is stopped from a
+// placement at an app's first load, the per-node (hash) run from its
+// second timeline check.
 func TestGlobalRunStopsProducer(t *testing.T) {
 	tr := testPopulation(t)
-	for _, epochs := range []int{1, 2, 7, 64} {
-		for _, cancelled := range []bool{true, false} {
-			baseline := runtime.NumGoroutine()
-			var ctx context.Context
-			var stop func()
-			var want error
-			if cancelled {
-				ctx, stop = context.WithCancel(context.Background())
-				want = context.Canceled
-			} else {
-				fc := &failingCtx{Context: context.Background()}
-				ctx, stop, want = fc, func() { fc.failed.Store(true) }, errTimeline
-			}
-			calls := 0
-			cfg := Config{
-				Nodes: 3, NodeMemMB: 600, epochs: epochs,
-				Placement: hookPlacement{calls: &calls, at: len(tr.Apps) / 2, hook: stop},
-			}
-			_, err := runEngine(ctx, tr, policy.NewHybrid(policy.DefaultHybridConfig()), cfg)
-			if !errors.Is(err, want) {
-				t.Fatalf("epochs=%d: run returned %v, want %v", epochs, err, want)
-			}
-			if calls < len(tr.Apps)/2 {
-				t.Fatalf("epochs=%d: the run stopped after %d placements, before the hook", epochs, calls)
-			}
-			// A goroutine that has returned may take a moment to leave
-			// the count.
-			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
-				if time.Now().After(deadline) {
-					t.Fatalf("epochs=%d: %d goroutines after the run, %d before", epochs, runtime.NumGoroutine(), baseline)
+	cases := []struct {
+		place  string
+		epochs []int
+	}{
+		{"least-loaded", []int{1, 2, 7, 64}},
+		{"hash", []int{1, 7}},
+	}
+	for _, c := range cases {
+		for _, epochs := range c.epochs {
+			for _, cancelled := range []bool{true, false} {
+				label := fmt.Sprintf("%s/epochs=%d/cancelled=%v", c.place, epochs, cancelled)
+				baseline := runtime.NumGoroutine()
+				var ctx context.Context
+				var stop func()
+				var want error
+				if cancelled {
+					ctx, stop = context.WithCancel(context.Background())
+					want = context.Canceled
+				} else {
+					fc := &failingCtx{Context: context.Background()}
+					ctx, stop, want = fc, func() { fc.failed.Store(true) }, errTimeline
 				}
-				time.Sleep(time.Millisecond)
+				cfg := Config{Nodes: 3, NodeMemMB: 600, Workers: 2, epochs: epochs}
+				calls := 0
+				ts := &timelineStop{Context: ctx, stop: stop}
+				if c.place == "hash" {
+					ts.n.Store(2)
+					ctx = ts
+				} else {
+					cfg.Placement = hookPlacement{calls: &calls, at: len(tr.Apps) / 2, hook: stop}
+				}
+				_, err := runEngine(ctx, tr, policy.NewHybrid(policy.DefaultHybridConfig()), cfg)
+				if !errors.Is(err, want) {
+					t.Fatalf("%s: run returned %v, want %v", label, err, want)
+				}
+				if c.place == "hash" && ts.n.Load() > 0 || c.place != "hash" && calls < len(tr.Apps)/2 {
+					t.Fatalf("%s: the run stopped before the hook", label)
+				}
+				// A goroutine that has returned may take a moment to
+				// leave the count.
+				for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s: %d goroutines after the run, %d before", label, runtime.NumGoroutine(), baseline)
+					}
+					time.Sleep(time.Millisecond)
+				}
 			}
 		}
 	}

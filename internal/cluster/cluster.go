@@ -17,23 +17,20 @@
 // sim.Simulate, app by app (pinned by golden tests), and every
 // difference a finite run shows is attributable to capacity.
 //
-// The engine is sharded by node. All cluster coupling — pressure,
-// eviction, keep-alive expiry, pre-warm reloads — is per-node, so once
-// an app's (sticky) node is known its timeline interacts with nothing
-// off that node. The coordinator (engine.go) streams decision walks
-// just in time — each walk is produced as its node's simulation first
-// needs it and released when the node finishes with it, so only
-// O(workers × apps-per-node) walks are live at once regardless of
-// trace size — and the node-local event core (shard.go) replays one
-// node's
-// invocations and container events against its own event queue,
-// resident accounting and victim index. Placements that never consult
-// live residency (the Oblivious contract in placement.go — hash,
-// binpack) are pre-assigned up front and node timelines run
-// independently, Config.Workers at a time; view-dependent placements
-// (least-loaded) run one global shard so their residency reads happen
-// in global time order. Both paths are bit-identical — the split
-// changes the schedule, never the arithmetic.
+// A run is a list of independent parts, all driven the same way
+// (engine.go): a worker produces a part's decision walks, replays the
+// part's invocations and container events against its own event
+// queue, resident accounting and victim index (shard.go), and releases
+// the walks, so only the running parts' walks are live at once. All
+// cluster coupling — pressure, eviction, keep-alive expiry, pre-warm
+// reloads — is per-node, so once every app's (sticky) node is known,
+// each node is a part of its own: placements that never consult live
+// residency (the Oblivious contract in placement.go — hash, binpack)
+// are pre-assigned up front and node parts run Config.Workers at a
+// time. View-dependent placements (least-loaded) and cluster events
+// run one part holding every node, so residency reads happen in global
+// time order. Both splits are bit-identical — the split changes the
+// schedule, never the arithmetic.
 //
 // Timeline semantics: container events (pre-warm reloads, keep-alive
 // expiries) and invocations are processed in per-node time order; at
@@ -55,7 +52,7 @@
 // FailureColdStarts. Displaced apps are re-placed on surviving nodes
 // (the Replacer hook, or a deterministic next-up fallback); because
 // re-placement observes live cluster state, event-bearing runs always
-// use the sequential global path, and event-free runs are untouched.
+// run as one part, and event-free runs are untouched.
 package cluster
 
 import (
@@ -80,27 +77,26 @@ type Config struct {
 	// container is not evictable while executing.
 	UseExecTime bool
 	// Workers bounds the simulation parallelism (default GOMAXPROCS):
-	// per-app decision walks are streamed Workers wide just ahead of
-	// the node timelines that consume them, and with an Oblivious
-	// placement the per-node timelines run Workers wide too.
-	// View-dependent placements (least-loaded) keep the timeline on one
-	// sequential global shard. Results never depend on Workers.
+	// up to Workers parts run at once, and each part's decision walks
+	// are produced Workers/parts wide (at least one), so a one-part
+	// run — view-dependent placement or cluster events — walks Workers
+	// wide before its sequential timeline. Results never depend on
+	// Workers.
 	Workers int
 	// Events are timed cluster incidents (node fail/drain/join/resize)
 	// applied during the run; see ParseEvents for the grammar. A non-
 	// empty event list creates cross-node coupling (displaced apps are
 	// re-placed against live cluster state), so event-bearing runs
-	// always take the sequential global path. Event node indices must
-	// be < Nodes.
+	// always run as one part. Event node indices must be < Nodes.
 	Events []Event
 
-	// forceGlobal pins the run to the sequential global shard even for
-	// oblivious placements — the reference path the equivalence
-	// property tests compare the sharded path against.
+	// forceGlobal runs an oblivious placement as one part holding every
+	// node — the reference the equivalence property tests compare the
+	// per-node split against.
 	forceGlobal bool
-	// epochs, when positive, fixes the number of equal-time epochs the
-	// stream is built in, so the small test corpora cross epoch
-	// boundaries (and the global path's producer handoff) too.
+	// epochs, when positive, fixes the number of equal-time epochs each
+	// part's stream is built in, so the small test corpora cross epoch
+	// boundaries (and the producer handoff) too.
 	epochs int
 }
 
@@ -163,35 +159,6 @@ type Result struct {
 	NodeStats []NodeStats
 }
 
-// Sink consumes per-app cluster outcomes in trace order (the cluster
-// counterpart of sim.ResultSink, carrying the eviction attribution).
-type Sink interface {
-	Consume(index int, r AppResult)
-}
-
-// runCfg is the resolved option set of one Run call.
-type runCfg struct {
-	sinks  []sim.ResultSink
-	csinks []Sink
-}
-
-// Option configures Run.
-type Option func(*runCfg)
-
-// WithSink attaches a sim.ResultSink: the streaming aggregates built
-// for sim.Run (cold-start distributions, wasted-memory totals)
-// consume a cluster run unchanged, fed the embedded sim.AppResult per
-// app in trace order.
-func WithSink(s sim.ResultSink) Option {
-	return func(c *runCfg) { c.sinks = append(c.sinks, s) }
-}
-
-// WithClusterSink attaches a cluster-aware sink receiving the full
-// AppResult (eviction attribution included).
-func WithClusterSink(s Sink) Option {
-	return func(c *runCfg) { c.csinks = append(c.csinks, s) }
-}
-
 // Simulate runs pol over tr on the configured cluster. Invalid
 // configurations (an event targeting a node outside the cluster)
 // panic; Run returns them as errors instead.
@@ -203,39 +170,17 @@ func Simulate(tr *trace.Trace, pol policy.Policy, cfg Config) *Result {
 	return res
 }
 
-// Run is the source- and sink-plumbed entry point: src is materialized
+// Run is the source-fed, cancelable entry point: src is materialized
 // (the timeline needs the whole workload to order events globally —
-// cluster runs are O(apps) memory, unlike sim.Run's streaming path),
-// the cluster is simulated under ctx, and per-app outcomes are drained
-// to the sinks in trace order. The *Result is always returned.
-func Run(ctx context.Context, src trace.Source, pol policy.Policy, cfg Config, opts ...Option) (*Result, error) {
-	var rc runCfg
-	for _, o := range opts {
-		o(&rc)
-	}
+// cluster runs are O(apps) memory, unlike sim.Run's streaming path)
+// and the cluster is simulated under ctx. Per-app outcomes are in the
+// Result, in trace order.
+func Run(ctx context.Context, src trace.Source, pol policy.Policy, cfg Config) (*Result, error) {
 	tr, err := trace.Collect(src)
 	if err != nil {
 		return nil, err
 	}
-	res, err := simulate(ctx, tr, pol, cfg)
-	if err != nil {
-		return nil, err
-	}
-	info := sim.RunInfo{Policy: res.Policy, HorizonSeconds: res.HorizonSeconds}
-	for _, s := range rc.sinks {
-		if st, ok := s.(sim.RunStarter); ok {
-			st.Begin(info)
-		}
-	}
-	for i, a := range res.Apps {
-		for _, s := range rc.sinks {
-			s.Consume(i, a.AppResult)
-		}
-		for _, s := range rc.csinks {
-			s.Consume(i, a)
-		}
-	}
-	return res, nil
+	return simulate(ctx, tr, pol, cfg)
 }
 
 // Result helpers.

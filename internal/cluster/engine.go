@@ -42,10 +42,10 @@ func (w *appWalk) bytes() int64 {
 }
 
 // appState is one app's runtime state on the timeline. Exactly one
-// shard ever touches an app's state (the shard driving its node), so
-// the sharded path needs no synchronization around it.
+// shard ever touches an app's state (the shard running its part), so
+// parts need no synchronization around it.
 type appState struct {
-	walk    *appWalk // live while the app's node is running (see produceWalk)
+	walk    *appWalk // live while the app's part is running (see produceWalk)
 	cur     kernel.RunCursor
 	res     AppResult
 	memMB   float64
@@ -94,10 +94,10 @@ type engine struct {
 	nodes   []nodeState
 
 	// Streaming-precompute accounting: bytes of decision walks
-	// currently materialized and the peak across the run. On the
-	// sharded path walks are produced per node just in time, so the
-	// peak is O(workers × apps-per-node) — constant in total app count
-	// at fixed per-node density (pinned by TestStreamingWalkMemory).
+	// currently materialized and the peak across the run. Walks are
+	// produced per part and released with it, so a sharded run peaks at
+	// O(workers × apps-per-node) — constant in total app count at fixed
+	// per-node density (pinned by TestStreamingWalkMemory).
 	walkLive atomic.Int64
 	walkPeak atomic.Int64
 }
@@ -147,53 +147,26 @@ func runEngine(ctx context.Context, tr *trace.Trace, pol policy.Policy, cfg Conf
 		pol:     pol,
 	}
 	e.initStates(tr)
-	var err error
-	if e.sharded() {
-		err = e.runSharded(ctx)
-	} else {
-		if err = e.precomputeAll(ctx); err != nil {
-			return nil, err
-		}
-		err = e.runGlobal(ctx)
-	}
-	if err != nil {
+	if err := e.run(ctx); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// sharded reports whether the run takes the per-node parallel path:
-// the placement must be oblivious (pre-assignable without observing
-// live residency), no cluster events may be configured (displacement
-// re-placement couples nodes at event time), and the reference global
-// path not forced.
-func (e *engine) sharded() bool {
-	if e.cfg.forceGlobal || len(e.cfg.Events) > 0 {
-		return false
+// workers resolves Config.Workers (default GOMAXPROCS).
+func (e *engine) workers() int {
+	if e.cfg.Workers > 0 {
+		return e.cfg.Workers
 	}
-	o, ok := e.place.(Oblivious)
-	return ok && o.Oblivious()
-}
-
-// workerCount resolves Config.Workers against an upper bound.
-func (e *engine) workerCount(limit int) int {
-	w := e.cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > limit {
-		w = limit
-	}
-	return w
+	return runtime.GOMAXPROCS(0)
 }
 
 // produceWalk runs the shared kernel over one app into wk and wires it
 // to the app's state: idle times, batch decisions (released back to
 // the policy pool), and exec times, copied out of the worker-local
-// scratch. Both paths call exactly this per app — a walk depends only
-// on the app and the policy, never on when or where it is produced, so
-// just-in-time production is bit-identical to the old up-front
-// materialization.
+// scratch. A walk depends only on the app and the policy, never on
+// when or where it is produced, so producing it per part is
+// bit-identical to producing every walk up front.
 func (e *engine) produceWalk(ai int32, sc *kernel.Scratch, wk *appWalk) {
 	times, execs, runs := sc.Walk(e.pol, e.tr.Apps[ai], e.cfg.UseExecTime)
 	*wk = appWalk{times: times}
@@ -222,7 +195,7 @@ func (e *engine) produceWalk(ai int32, sc *kernel.Scratch, wk *appWalk) {
 	}
 }
 
-// releaseWalks drops a completed node's walks: the cursors keep their
+// releaseWalks drops a completed part's walks: the cursors keep their
 // final decision (finish books trailing windows from the value fields
 // alone), the run and exec copies go back to the collector.
 func (e *engine) releaseWalks(apps []int32) {
@@ -237,39 +210,6 @@ func (e *engine) releaseWalks(apps []int32) {
 		st.cur.ReleaseRuns()
 	}
 	e.walkLive.Add(-freed)
-}
-
-// precomputeAll materializes every walk up front — the global path's
-// requirement: one sequential shard interleaves all apps, so no walk
-// can be released before the end of the run.
-func (e *engine) precomputeAll(ctx context.Context) error {
-	n := len(e.tr.Apps)
-	if n == 0 {
-		return ctx.Err()
-	}
-	walks := make([]appWalk, n)
-	workers := e.workerCount(n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sc kernel.Scratch
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				e.produceWalk(int32(i), &sc, &walks[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
 }
 
 // initStates builds the runtime state: per-app states, per-node
@@ -313,13 +253,30 @@ func (e *engine) initStates(tr *trace.Trace) {
 	}
 }
 
-// preassign places every app with invocations before the run
-// (oblivious path only). Place sees the static cluster shape but not
-// live residency — the static view's ResidentMB panics, enforcing the
-// Oblivious contract on custom placements. Apps with no invocations
-// never load and keep Node == -1, exactly as on the lazy global path.
-func (e *engine) preassign() {
+// parts splits the run into independent parts, each a list of app
+// indices. A run is split into one part per node when the placement is
+// oblivious (pre-assignable without observing live residency) and no
+// cluster events are configured (displacement re-placement couples
+// nodes at event time): every app with invocations is placed up front,
+// and node timelines share no mutable state. Place then sees the
+// static cluster shape but not live residency — the static view's
+// ResidentMB panics, enforcing the Oblivious contract on custom
+// placements — and apps with no invocations never load and keep
+// Node == -1, exactly as when placed at first load. Any other run (or
+// forceGlobal) is a single part holding every app, so view-dependent
+// placements and cluster events observe live state in global time
+// order. The split changes the schedule, never the arithmetic.
+func (e *engine) parts() [][]int32 {
+	o, ok := e.place.(Oblivious)
+	if e.cfg.forceGlobal || len(e.cfg.Events) > 0 || !ok || !o.Oblivious() {
+		all := make([]int32, len(e.states))
+		for ai := range all {
+			all[ai] = int32(ai)
+		}
+		return [][]int32{all}
+	}
 	view := staticView{nodes: len(e.nodes)}
+	byNode := make([][]int32, len(e.nodes))
 	for ai := range e.states {
 		st := &e.states[ai]
 		if st.res.Invocations == 0 {
@@ -332,37 +289,117 @@ func (e *engine) preassign() {
 		st.placed = true
 		st.node = int32(node)
 		st.res.Node = node
+		byNode[node] = append(byNode[node], int32(ai))
 	}
+	return byNode
 }
 
-// runGlobal drives every node on one sequential shard over the whole
-// merged stream — the only schedule under which a view-dependent
-// placement's residency reads are well-defined. The stream's epochs
-// are built on a producer goroutine into two reusable buffers, so
-// epoch k+1 is derived while the timeline consumes epoch k; the
-// timeline alone touches run state.
-func (e *engine) runGlobal(ctx context.Context) error {
-	all := make([]int32, len(e.states))
-	for ai := range all {
-		all[ai] = int32(ai)
+// run simulates every part: min(workers, parts) workers take parts
+// from a shared cursor, and each part's walks are produced on
+// workers/parts goroutines (at least one), so a single-part run walks
+// every app workers wide. A worker stops at its first error; run
+// returns the first error in part order.
+func (e *engine) run(ctx context.Context) error {
+	parts := e.parts()
+	w := e.workers()
+	walkers := max(1, w/len(parts))
+	errs := make([]error, len(parts))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(w, len(parts)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := shard{e: e}
+			for {
+				p := int(next.Add(1) - 1)
+				if p >= len(parts) {
+					return
+				}
+				if errs[p] = s.runPart(ctx, parts[p], walkers); errs[p] != nil {
+					return
+				}
+			}
+		}()
 	}
-	sh := shard{e: e}
-	// Timed cluster events enter the queue up front; cevent.app carries
-	// the event's Config.Events index, so equal-time events pop in
-	// spec order. Events past the horizon cannot be observed.
-	for idx, ev := range e.cfg.Events {
-		if ev.At <= e.horizon {
-			sh.q.push(cevent{t: ev.At, kind: evCluster, app: int32(idx)})
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	var b streamBuilder
-	b.reset(e, all)
-	// Two buffers circulate: free → producer (build) → ready → timeline
-	// → free. Each channel has room for both, so no send can block, and
-	// closing done is all it takes to stop the producer.
+	return nil
+}
+
+// runPart simulates one part to the horizon: it produces the part's
+// walks, queues the timed cluster events, replays the stream, and
+// releases the walks, so only the running parts' walks are ever live.
+func (s *shard) runPart(ctx context.Context, apps []int32, walkers int) error {
+	e := s.e
+	s.flushes = s.flushes[:0]
+	err := s.produceWalks(ctx, apps, walkers)
+	if err == nil {
+		// cevent.app carries the event's Config.Events index, so
+		// equal-time events pop in spec order. Events past the horizon
+		// cannot be observed.
+		for idx, ev := range e.cfg.Events {
+			if ev.At <= e.horizon {
+				s.q.push(cevent{t: ev.At, kind: evCluster, app: int32(idx)})
+			}
+		}
+		err = s.replay(ctx, apps)
+	}
+	e.releaseWalks(apps)
+	return err
+}
+
+// produceWalks runs the shared kernel over the part's apps on walkers
+// goroutines, each with its own scratch; the worker's own goroutine is
+// the first of them.
+func (s *shard) produceWalks(ctx context.Context, apps []int32, walkers int) error {
+	if cap(s.walks) < len(apps) {
+		s.walks = make([]appWalk, len(apps))
+	}
+	s.walks = s.walks[:len(apps)]
+	for len(s.scratch) < walkers {
+		s.scratch = append(s.scratch, new(kernel.Scratch))
+	}
+	var next atomic.Int64
+	walk := func(sc *kernel.Scratch) {
+		for ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= len(apps) {
+				return
+			}
+			s.e.produceWalk(apps[i], sc, &s.walks[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for _, sc := range s.scratch[1:walkers] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			walk(sc)
+		}()
+	}
+	walk(s.scratch[0])
+	wg.Wait()
+	return ctx.Err()
+}
+
+// replay runs the part's timeline epoch by epoch. The epochs are built
+// on a producer goroutine into the shard's two buffers, so epoch k+1 is
+// derived while the timeline consumes epoch k; the timeline alone
+// touches run state.
+func (s *shard) replay(ctx context.Context, apps []int32) error {
+	b := &s.b
+	b.reset(s.e, apps)
+	// The buffers circulate: free → producer (build) → ready →
+	// timeline → free. Each channel has room for both, so no send can
+	// block, and closing done is all it takes to stop the producer.
 	ready, free := make(chan []sev, 2), make(chan []sev, 2)
-	free <- nil
-	free <- nil
+	free <- s.bufs[0]
+	free <- s.bufs[1]
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -383,92 +420,17 @@ func (e *engine) runGlobal(ctx context.Context) error {
 	}()
 	for k := 0; k < b.epochs; k++ {
 		stream := <-ready
-		if err := sh.timeline(ctx, stream, b.until(k)); err != nil {
+		if err := s.timeline(ctx, stream, b.until(k)); err != nil {
 			return err
 		}
 		free <- stream
 	}
-	return nil
-}
-
-// runSharded is the oblivious-placement fast path: every app is
-// pre-assigned and each node's timeline runs to completion
-// independently, workerCount at a time. Walks are produced per node
-// just in time — a worker computes its current node's walks, builds
-// that node's stream epoch by epoch (streamBuilder, inline; one epoch
-// unless the node holds more than epochEntries invocations), replays
-// each epoch on the timeline, and releases the walks before stealing
-// the next node. Only O(workers × apps-per-node) walks are ever live,
-// instead of O(apps); everything else (assignment, per-app results)
-// stays O(apps) scalars. Node timelines share no mutable state (all
-// cluster coupling is per-node), so the results are bit-identical to
-// runGlobal for any worker count.
-func (e *engine) runSharded(ctx context.Context) error {
-	e.preassign()
-	counts := make([]int, len(e.nodes))
-	for ai := range e.states {
-		if st := &e.states[ai]; st.placed {
-			counts[st.node]++
-		}
-	}
-	appsByNode := make([][]int32, len(e.nodes))
-	for n, c := range counts {
-		appsByNode[n] = make([]int32, 0, c)
-	}
-	for ai := range e.states {
-		if st := &e.states[ai]; st.placed {
-			appsByNode[st.node] = append(appsByNode[st.node], int32(ai))
-		}
-	}
-
-	workers := e.workerCount(len(e.nodes))
-	if workers <= 0 {
-		return ctx.Err()
-	}
-	var next atomic.Int64
-	errs := make([]error, len(e.nodes))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sc kernel.Scratch
-			var walks []appWalk
-			var b streamBuilder
-			var stream []sev
-			sh := shard{e: e}
-			for {
-				n := int(next.Add(1) - 1)
-				if n >= len(e.nodes) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[n] = err
-					continue
-				}
-				apps := appsByNode[n]
-				if cap(walks) < len(apps) {
-					walks = make([]appWalk, len(apps))
-				}
-				walks = walks[:len(apps)]
-				for wi, ai := range apps {
-					e.produceWalk(ai, &sc, &walks[wi])
-				}
-				b.reset(e, apps)
-				sh.reset()
-				for k := 0; k < b.epochs && errs[n] == nil; k++ {
-					stream = b.epoch(stream, b.until(k))
-					errs[n] = sh.timeline(ctx, stream, b.until(k))
-				}
-				e.releaseWalks(apps)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	// Both buffers are back in free. The larger goes out first next
+	// part: a run of one-epoch parts then reuses it alone instead of
+	// alternating between the two and growing both.
+	s.bufs[0], s.bufs[1] = <-free, <-free
+	if cap(s.bufs[1]) > cap(s.bufs[0]) {
+		s.bufs[0], s.bufs[1] = s.bufs[1], s.bufs[0]
 	}
 	return nil
 }
@@ -514,7 +476,7 @@ func (e *engine) finish(polName string) *Result {
 }
 
 // View implementation (view-dependent placement decisions observe the
-// live engine on the global path).
+// live engine from a one-part run).
 
 // NumNodes implements View.
 func (e *engine) NumNodes() int { return len(e.nodes) }

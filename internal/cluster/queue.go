@@ -1,13 +1,19 @@
 package cluster
 
+import "slices"
+
 // eventQueue is one shard's pending cluster events and drain flushes —
 // the events that depend on the run itself; every reload and unload is
-// derived into the stream instead (streamBuilder). It is a binary heap
-// over eventLess: a flush is never earlier than the last popped time,
-// but it may precede the pending minimum. On the sharded path it stays
-// empty. The zero value is an empty queue.
+// derived into the stream instead (streamBuilder). It holds only the
+// configured incidents plus one flush per container a drain finds
+// executing, so it is a slice kept sorted latest-first under eventLess:
+// the earliest event is the tail. A flush is never earlier than the
+// last popped time, but it may precede the pending minimum. In a
+// sharded run it stays empty. A completed part leaves it drained (its
+// last epoch runs to +Inf) and a worker stops at its first failed part,
+// so every part starts with it empty. The zero value is an empty queue.
 type eventQueue struct {
-	h []cevent
+	evs []cevent
 }
 
 // push enqueues ev, which must be an evCluster or evFlush event.
@@ -15,61 +21,27 @@ func (q *eventQueue) push(ev cevent) {
 	if ev.kind != evCluster && ev.kind != evFlush {
 		panic("cluster: only cluster events and drain flushes are queued")
 	}
-	heapPush(&q.h, ev)
+	i, _ := slices.BinarySearchFunc(q.evs, ev, func(a, b cevent) int {
+		switch {
+		case eventLess(b, a):
+			return -1
+		case eventLess(a, b):
+			return 1
+		}
+		return 0
+	})
+	q.evs = slices.Insert(q.evs, i, ev)
 }
 
 // peek returns the earliest pending event without removing it.
 func (q *eventQueue) peek() (cevent, bool) {
-	if len(q.h) == 0 {
+	if len(q.evs) == 0 {
 		return cevent{}, false
 	}
-	return q.h[0], true
+	return q.evs[len(q.evs)-1], true
 }
 
 // pop removes the event the preceding peek returned.
 func (q *eventQueue) pop() {
-	heapPop(&q.h)
-}
-
-// reset empties the queue, keeping its capacity for the worker's next
-// node.
-func (q *eventQueue) reset() {
-	q.h = q.h[:0]
-}
-
-func heapPush(h *[]cevent, ev cevent) {
-	*h = append(*h, ev)
-	hs := *h
-	i := len(hs) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(hs[i], hs[parent]) {
-			break
-		}
-		hs[i], hs[parent] = hs[parent], hs[i]
-		i = parent
-	}
-}
-
-func heapPop(h *[]cevent) {
-	hs := *h
-	n := len(hs) - 1
-	hs[0] = hs[n]
-	*h = hs[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && eventLess(hs[l], hs[small]) {
-			small = l
-		}
-		if r < n && eventLess(hs[r], hs[small]) {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		hs[i], hs[small] = hs[small], hs[i]
-		i = small
-	}
+	q.evs = q.evs[:len(q.evs)-1]
 }

@@ -28,8 +28,8 @@ func TestEventQueueHoldsOnlyRunEvents(t *testing.T) {
 // pushes and pops — pushes land at, before and after the last popped
 // time, with ties on time and kind — and checks it against a slice
 // kept sorted by eventLess: every pop returns the earliest pending
-// event, and a final drain returns everything pushed. reset must leave
-// an empty queue that keeps its capacity.
+// event, and a final drain returns everything pushed, leaving the
+// queue empty for the next trial.
 func TestEventQueueOrder(t *testing.T) {
 	cmp := func(a, b cevent) int {
 		switch {
@@ -45,11 +45,11 @@ func TestEventQueueOrder(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		var pending []cevent
 		lastPopped := 0.0
-		for op := 0; op < 2000 || len(q.h) > 0; op++ {
-			if len(q.h) != len(pending) {
-				t.Fatalf("trial %d op %d: len = %d, want %d", trial, op, len(q.h), len(pending))
+		for op := 0; op < 2000 || len(q.evs) > 0; op++ {
+			if len(q.evs) != len(pending) {
+				t.Fatalf("trial %d op %d: len = %d, want %d", trial, op, len(q.evs), len(pending))
 			}
-			if op < 2000 && (len(q.h) == 0 || rng.Float64() < 0.55) {
+			if op < 2000 && (len(q.evs) == 0 || rng.Float64() < 0.55) {
 				// Whole seconds near lastPopped so equal times are common;
 				// app is unique per push so eventLess never ties.
 				ev := cevent{
@@ -67,7 +67,7 @@ func TestEventQueueOrder(t *testing.T) {
 			}
 			got, ok := q.peek()
 			if !ok {
-				t.Fatalf("trial %d op %d: empty peek with %d pending", trial, op, len(q.h))
+				t.Fatalf("trial %d op %d: empty peek with %d pending", trial, op, len(q.evs))
 			}
 			q.pop()
 			if got != pending[0] {
@@ -78,15 +78,6 @@ func TestEventQueueOrder(t *testing.T) {
 		}
 		if _, ok := q.peek(); ok {
 			t.Fatalf("trial %d: drained queue still peeks an event", trial)
-		}
-
-		// Abandon a non-empty queue, as a cancelled node does.
-		q.push(cevent{t: 5, kind: evFlush, app: 1})
-		q.push(cevent{t: 3, kind: evCluster, app: 2})
-		c := cap(q.h)
-		q.reset()
-		if len(q.h) != 0 || cap(q.h) != c {
-			t.Fatalf("trial %d: reset left len=%d cap=%d, want 0 %d", trial, len(q.h), cap(q.h), c)
 		}
 	}
 }

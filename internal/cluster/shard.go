@@ -61,26 +61,24 @@ type victimEntry struct {
 	vix      uint32
 }
 
-// shard drives one slice of the cluster: a stream, built epoch by
-// epoch by streamBuilder in (time, kind, app) order from its apps'
-// walks, holding their invocations and every reload and unload their
-// windows prescribe, and the event queue of cluster events and drain
-// flushes. The sharded (oblivious-placement) path runs one shard per
-// node; the global (view-dependent) path runs a single shard spanning
-// every node. All per-node mechanics below are identical on both paths
-// — only the event interleaving across nodes differs, and that
-// interleaving is unobservable node-locally.
+// shard is one worker of the run (engine.run) and everything it
+// reuses from part to part: the part's walks and the scratch that
+// produces them, the streamBuilder and its two stream buffers, and the
+// event queue of cluster events and drain flushes. Its timeline replays
+// the part's stream, built epoch by epoch in (time, kind, app) order
+// from the part's walks and holding their invocations and every reload
+// and unload their windows prescribe. A part is one node of a sharded
+// run or every node of any other run; the per-node mechanics below are
+// the same either way — only the interleaving across nodes differs,
+// and that is unobservable node-locally.
 type shard struct {
 	e       *engine
-	q       eventQueue   // cluster events and drain flushes (queue.go)
-	flushes []drainFlush // pending drain-outs, indexed by evFlush events
-}
-
-// reset prepares a worker-owned shard for its next node, keeping the
-// queue's buffer capacity.
-func (s *shard) reset() {
-	s.flushes = s.flushes[:0]
-	s.q.reset()
+	q       eventQueue        // cluster events and drain flushes (queue.go)
+	flushes []drainFlush      // pending drain-outs, indexed by evFlush events
+	walks   []appWalk         // the current part's walks
+	scratch []*kernel.Scratch // one per walk goroutine
+	b       streamBuilder
+	bufs    [2][]sev // the stream buffers, larger first between parts
 }
 
 // cmpSev orders a stream by (time, kind, app) — eventLess's order.
@@ -124,7 +122,7 @@ const epochEntries = 1 << 18
 // last one before its start: each app's cursor rests at its last
 // invocation before the previous epoch's end, and at most that one
 // invocation is scanned twice. The builder's buffers are reused across
-// epochs and nodes.
+// epochs and parts.
 type streamBuilder struct {
 	apps    []appCursor
 	slots   []int32 // per-slot counts, then offsets
@@ -325,10 +323,10 @@ func (p *streamPass) app(c *appCursor) (i, run, runStart int) {
 // order, and once the stream is drained, queued events before until
 // fire too. Every later epoch's entries lie at or past until, so an
 // event exactly at until waits for the next epoch, whose merge orders
-// it by kind. The queue is empty on the sharded path.
+// it by kind. The queue stays empty in a sharded run.
 func (s *shard) timeline(ctx context.Context, stream []sev, until float64) error {
 	si := 0
-	for steps := 0; si < len(stream) || len(s.q.h) > 0; steps++ {
+	for steps := 0; si < len(stream) || len(s.q.evs) > 0; steps++ {
 		if steps&4095 == 0 && ctx.Err() != nil {
 			return ctx.Err() // checked at each epoch's start, then every 4096 steps
 		}
@@ -480,8 +478,9 @@ func (s *shard) load(ai int32, t float64) bool {
 	e := s.e
 	st := &e.states[ai]
 	if !st.placed {
-		// Global path only: view-dependent placements choose the node
-		// at the app's first load, observing live residency.
+		// One-part runs only (a sharded run pre-assigns every app):
+		// view-dependent placements choose the node at the app's first
+		// load, observing live residency.
 		app := Footprint{ID: st.res.AppID, MemMB: st.memMB}
 		node := e.place.Place(app, e)
 		if node < 0 || node >= len(e.nodes) {

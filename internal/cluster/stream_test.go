@@ -44,7 +44,7 @@ func uniformTrace(apps int) *trace.Trace {
 // decision walks.
 func walkPeakFor(t *testing.T, apps, nodes int, global bool) int64 {
 	t.Helper()
-	// One worker makes the peak deterministic: the sharded path then
+	// One worker makes the peak deterministic: a sharded run then
 	// holds exactly one node's walks at a time, so the measurement is
 	// the contract itself rather than a scheduling-dependent snapshot
 	// of how many workers happened to overlap (with W workers the
@@ -55,17 +55,18 @@ func walkPeakFor(t *testing.T, apps, nodes int, global bool) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if live := e.walkLive.Load(); !global && live != 0 {
-		t.Fatalf("sharded run left %d walk bytes live after completion", live)
+	if live := e.walkLive.Load(); live != 0 {
+		t.Fatalf("global=%v: run left %d walk bytes live after completion", global, live)
 	}
 	return e.walkPeak.Load()
 }
 
-// TestStreamingWalkMemory pins the streaming-precompute contract: on
-// the sharded path, peak live walk memory is constant in total app
-// count at fixed per-node density (walks are produced and released per
-// node, O(workers × apps-per-node) live at once), while the global
-// path — which must hold every walk — grows linearly. A regression
+// TestStreamingWalkMemory pins the streaming-precompute contract: in a
+// sharded run, peak live walk memory is constant in total app count at
+// fixed per-node density (walks are produced and released per node,
+// O(workers × apps-per-node) live at once), while a one-part run —
+// which must hold every walk until its timeline ends — grows linearly.
+// Either way every walk is released by the end of the run. A regression
 // that re-materializes all walks up front turns the 4× run's peak into
 // ~4× the 1× run's and fails the bound.
 func TestStreamingWalkMemory(t *testing.T) {
@@ -84,7 +85,7 @@ func TestStreamingWalkMemory(t *testing.T) {
 		t.Errorf("sharded walk peak grew with app count: %d bytes at 400 apps, %d at 1600 (want <= 2x: one node's walks live at a time)", small, big)
 	}
 
-	// Sensitivity check: the same measurement on the global path must
+	// Sensitivity check: the same measurement on a one-part run must
 	// see the O(apps) materialization, or the bound above proves
 	// nothing.
 	gSmall := walkPeakFor(t, 400, 400/appsPerNode, true)

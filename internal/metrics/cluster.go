@@ -15,9 +15,9 @@ import (
 // cluster app outcomes stream past: eviction-induced (an
 // infinite-memory run would have served the arrival warm),
 // failure-induced (a chaos event killed or drained the container) vs
-// policy-induced (the keep-alive window genuinely missed). It
-// implements cluster.Sink and plugs into cluster.Run via
-// cluster.WithClusterSink.
+// policy-induced (the keep-alive window genuinely missed). The
+// scenario runner feeds it a cluster run's per-app outcomes in trace
+// order (the "attribution" sink).
 type ClusterAttributionSink struct {
 	apps          int64
 	invocations   int64
@@ -30,7 +30,7 @@ type ClusterAttributionSink struct {
 // NewClusterAttributionSink returns an empty attribution sink.
 func NewClusterAttributionSink() *ClusterAttributionSink { return &ClusterAttributionSink{} }
 
-// Consume implements cluster.Sink.
+// Consume adds one app's cluster outcome.
 func (s *ClusterAttributionSink) Consume(_ int, r cluster.AppResult) {
 	s.apps++
 	s.invocations += int64(r.Invocations)

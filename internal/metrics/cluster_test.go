@@ -94,8 +94,9 @@ func TestClusterAttributionSink(t *testing.T) {
 	}
 }
 
-// TestClusterSinksThroughRun wires both sink kinds through
-// cluster.Run and cross-checks them against the returned result.
+// TestClusterSinksThroughRun feeds both sink kinds a cluster.Run's
+// per-app outcomes, as the scenario runner does, and cross-checks them
+// against the returned result's totals.
 func TestClusterSinksThroughRun(t *testing.T) {
 	appA := &trace.App{ID: "a", MemoryMB: 150, Functions: []*trace.Function{
 		{ID: "fa", Invocations: []float64{0, 200, 400}},
@@ -108,10 +109,13 @@ func TestClusterSinksThroughRun(t *testing.T) {
 	wasted := NewWastedMemorySink()
 	res, err := cluster.Run(t.Context(), trace.NewTraceSource(tr),
 		policy.FixedKeepAlive{KeepAlive: 600 * time.Second},
-		cluster.Config{Nodes: 1, NodeMemMB: 200},
-		cluster.WithClusterSink(attr), cluster.WithSink(wasted))
+		cluster.Config{Nodes: 1, NodeMemMB: 200})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, a := range res.Apps {
+		attr.Consume(i, a)
+		wasted.Consume(i, a.AppResult)
 	}
 	if int(attr.coldStarts) != res.TotalColdStarts() {
 		t.Errorf("attribution sink cold %d, result %d", attr.coldStarts, res.TotalColdStarts())

@@ -457,32 +457,25 @@ func runUnit(ctx context.Context, u unit) (unitResult, error) {
 			return unitResult{}, err
 		}
 	}
-	var clOpts []cluster.Option
-	var observers []clusterObserver
-	for _, cs := range sinks {
-		attached := false
-		if rs, ok := cs.Sink.(sim.ResultSink); ok {
-			clOpts = append(clOpts, cluster.WithSink(rs))
-			attached = true
-		}
-		if csnk, ok := cs.Sink.(cluster.Sink); ok {
-			clOpts = append(clOpts, cluster.WithClusterSink(csnk))
-			attached = true
-		}
-		if obs, ok := cs.Sink.(clusterObserver); ok {
-			observers = append(observers, obs)
-			attached = true
-		}
-		if !attached {
-			return unitResult{}, fmt.Errorf("scenario: sink %q consumes neither app nor cluster outcomes", cs.Spec)
-		}
-	}
-	clRes, err := cluster.Run(ctx, trace.NewTraceSource(tr), pol, cfg, clOpts...)
+	clRes, err := cluster.Run(ctx, trace.NewTraceSource(tr), pol, cfg)
 	if err != nil {
 		return unitResult{}, err
 	}
-	for _, obs := range observers {
-		obs.ObserveCluster(clRes)
+	for _, cs := range sinks {
+		switch s := cs.Sink.(type) {
+		case sim.ResultSink:
+			for i, a := range clRes.Apps {
+				s.Consume(i, a.AppResult)
+			}
+		case clusterSink:
+			for i, a := range clRes.Apps {
+				s.Consume(i, a)
+			}
+		case clusterObserver:
+			s.ObserveCluster(clRes)
+		default:
+			return unitResult{}, fmt.Errorf("scenario: sink %q consumes neither app nor cluster outcomes", cs.Spec)
+		}
 	}
 	res.nodes = make([]NodeSummary, len(clRes.NodeStats))
 	for n, ns := range clRes.NodeStats {

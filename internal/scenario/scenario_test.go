@@ -167,6 +167,10 @@ func TestSourceSpecErrors(t *testing.T) {
 		{"csv:", "want csv:path"},
 		{"gen:apps=ten", "parameter apps"},
 		{"gen:apps=10&foo=1", "unknown parameters [foo]"},
+		{"gen:apps=0&days=1", "parameter apps"},
+		{"gen:apps=20&days=0", "parameter days"},
+		{"gen:apps=20&maxrate=0", "parameter maxrate"},
+		{"gen:apps=20&maxevents=0", "parameter maxevents"},
 		{"shard:1/4", "want shard:i/n of"},
 		{"shard:4/4 of gen:apps=10", "invalid shard"},
 		{"shard:0/2 of cvs:x", `unknown source "cvs"`},

@@ -25,12 +25,12 @@ type Metric struct {
 	Value float64 `json:"value"`
 }
 
-// Sink is a scenario metric sink. Implementations additionally
-// implement sim.ResultSink (per-app batch outcomes), cluster.Sink
-// (cluster outcomes with eviction attribution), and/or
-// clusterObserver (whole-run cluster statistics); the runner attaches
-// whichever interfaces the run kind supports and rejects sinks that
-// need a cluster on batch scenarios.
+// Sink is a scenario metric sink. Each implementation also implements
+// one of sim.ResultSink (per-app batch outcomes), clusterSink (per-app
+// cluster outcomes with eviction attribution) or clusterObserver
+// (whole-run cluster statistics); the runner feeds each sink through
+// the one it implements and rejects sinks that need a cluster on batch
+// scenarios.
 type Sink interface {
 	// Spec returns the canonical spec the sink was built from.
 	Spec() string
@@ -47,9 +47,14 @@ type Sink interface {
 	UnmarshalState([]byte) error
 }
 
-// clusterObserver is the optional Sink extension for whole-run
-// cluster statistics (node utilization) that per-app consumption
-// cannot see.
+// clusterSink is the Sink extension for per-app cluster outcomes: the
+// runner feeds it a cluster run's Result.Apps in trace order.
+type clusterSink interface {
+	Consume(index int, r cluster.AppResult)
+}
+
+// clusterObserver is the Sink extension for whole-run cluster
+// statistics (node utilization) that per-app consumption cannot see.
 type clusterObserver interface {
 	ObserveCluster(r *cluster.Result)
 }
@@ -234,6 +239,6 @@ func buildColdStartSink(p *spec.Params) (Sink, error) {
 var (
 	_ sim.ResultSink  = (*coldStartScenarioSink)(nil)
 	_ sim.ResultSink  = (*wasteScenarioSink)(nil)
-	_ cluster.Sink    = (*attributionScenarioSink)(nil)
+	_ clusterSink     = (*attributionScenarioSink)(nil)
 	_ clusterObserver = (*utilScenarioSink)(nil)
 )

@@ -341,6 +341,21 @@ func buildGen(p *spec.Params) (SourceFactory, error) {
 	if cfg.MaxEventsPerFunction, err = p.Int("maxevents", 200000); err != nil {
 		return nil, err
 	}
+	// workload.Config reads a zero as "use the default": an explicit
+	// zero must fail here, not run the default.
+	for _, f := range []struct {
+		key string
+		v   float64
+	}{
+		{"apps", float64(apps)},
+		{"days", days},
+		{"maxrate", cfg.MaxDailyRate},
+		{"maxevents", float64(cfg.MaxEventsPerFunction)},
+	} {
+		if !(f.v > 0) {
+			return nil, fmt.Errorf("parameter %s: must be positive, got %v", f.key, f.v)
+		}
+	}
 	// Shaped arrival modes ("mode=ramp&rps0=10&rps1=20&step=5",
 	// "mode=burst&rps0=2&rps1=50", "mode=diurnal&rps0=1&rps1=30");
 	// workload.Config.Validate rejects shaped parameters without a

@@ -190,8 +190,8 @@ func (c *RunCursor) Reset(runs []policy.DecisionRun) {
 // ReleaseRuns drops the cursor's backing run slice while keeping the
 // decision fields (D, PwSec, KaSec) valid — exactly what trailing-
 // window accounting reads after a walk is complete. The cluster
-// engine's streaming precompute calls it when an app's timeline
-// finishes, so completed apps pin no walk memory; Step after release
+// engine calls it when the part holding an app finishes, so completed
+// parts pin no walk memory; Step after release
 // is a programming error (the cursor has nothing left to step to).
 func (c *RunCursor) ReleaseRuns() { c.runs = nil }
 

@@ -10,59 +10,30 @@ import (
 	"repro/internal/trace"
 )
 
-// RunInfo describes the run a sink is attached to.
-type RunInfo struct {
-	// Policy is the policy's report name.
-	Policy string
-	// HorizonSeconds is the trace horizon.
-	HorizonSeconds float64
-}
-
 // ResultSink consumes per-app outcomes as the engine produces them.
 // index is the 0-based position of the app in the source's sequence.
 // Run serializes Consume calls (no locking needed inside sinks) and
 // makes them in ascending index order on every path, so even
 // order-sensitive aggregates (float sums) repeat to the last bit.
-//
-// Sinks that also want the run's metadata additionally implement
-// RunStarter.
 type ResultSink interface {
 	Consume(index int, r AppResult)
 }
 
-// RunStarter is an optional ResultSink extension: Begin is called once
-// per run, before the first Consume.
-type RunStarter interface {
-	Begin(info RunInfo)
-}
-
-// Collector is the default collecting sink: it materializes the
-// classic *Result (per-app outcomes in source order). Memory grows
-// with the number of apps — for constant-memory streaming runs use
-// the incremental sinks in internal/metrics instead.
-type Collector struct {
+// collector is the sink Run installs when none is attached: it
+// materializes the classic *Result (per-app outcomes in source order).
+// Memory grows with the number of apps — for constant-memory streaming
+// runs attach the incremental sinks in internal/metrics instead.
+type collector struct {
 	res Result
 }
 
-// NewCollector returns an empty collecting sink.
-func NewCollector() *Collector { return &Collector{} }
-
-// Begin implements RunStarter.
-func (c *Collector) Begin(info RunInfo) {
-	c.res.Policy = info.Policy
-	c.res.HorizonSeconds = info.HorizonSeconds
-}
-
 // Consume implements ResultSink.
-func (c *Collector) Consume(index int, r AppResult) {
+func (c *collector) Consume(index int, r AppResult) {
 	for index >= len(c.res.Apps) {
 		c.res.Apps = append(c.res.Apps, AppResult{})
 	}
 	c.res.Apps[index] = r
 }
-
-// Result returns the collected outcomes (source order).
-func (c *Collector) Result() *Result { return &c.res }
 
 // runConfig is the resolved option set of one Run call.
 type runConfig struct {
@@ -99,8 +70,8 @@ func WithSink(s ResultSink) Option {
 // app's outcome to the configured sinks. It is the superset of
 // Simulate: context-cancelable, source-fed, and sink-draining.
 //
-//   - With no WithSink option, a Collector is installed and its
-//     *Result — identical to Simulate's — is returned.
+//   - With no WithSink option, Run collects every app's outcome and
+//     returns a *Result identical to Simulate's.
 //   - With explicit sinks, Run returns (nil, nil) on success; the
 //     caller reads aggregates out of its sinks. Nothing per-app is
 //     retained, so a constant-memory source (StreamInvocationsCSV, a
@@ -114,16 +85,10 @@ func Run(ctx context.Context, src trace.Source, pol policy.Policy, opts ...Optio
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var collector *Collector
+	var c *collector
 	if len(cfg.sinks) == 0 {
-		collector = NewCollector()
-		cfg.sinks = []ResultSink{collector}
-	}
-	info := RunInfo{Policy: pol.Name(), HorizonSeconds: src.Horizon().Seconds()}
-	for _, s := range cfg.sinks {
-		if st, ok := s.(RunStarter); ok {
-			st.Begin(info)
-		}
+		c = &collector{res: Result{Policy: pol.Name(), HorizonSeconds: src.Horizon().Seconds()}}
+		cfg.sinks = []ResultSink{c}
 	}
 
 	// In-memory sources upgrade to the batch work-stealing walk (see
@@ -135,8 +100,8 @@ func Run(ctx context.Context, src trace.Source, pol policy.Policy, opts ...Optio
 	} else if err := runStream(ctx, src, pol, cfg); err != nil {
 		return nil, err
 	}
-	if collector != nil {
-		return collector.Result(), nil
+	if c != nil {
+		return &c.res, nil
 	}
 	return nil, nil
 }

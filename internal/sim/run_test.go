@@ -91,12 +91,9 @@ func TestRunMatchesSimulate(t *testing.T) {
 
 // recordingSink checks every app arrives exactly once with its index.
 type recordingSink struct {
-	seen  map[int]AppResult
-	began int
-	info  RunInfo
+	seen map[int]AppResult
 }
 
-func (s *recordingSink) Begin(info RunInfo) { s.began++; s.info = info }
 func (s *recordingSink) Consume(i int, r AppResult) {
 	if _, dup := s.seen[i]; dup {
 		panic("duplicate index")
@@ -121,12 +118,6 @@ func TestRunSinksReceiveEveryApp(t *testing.T) {
 		}
 		if res != nil {
 			t.Fatal("explicit sink should disable the default collector")
-		}
-		if sink.began != 1 {
-			t.Fatalf("Begin called %d times", sink.began)
-		}
-		if sink.info.Policy != want.Policy || sink.info.HorizonSeconds != want.HorizonSeconds {
-			t.Fatalf("RunInfo = %+v", sink.info)
 		}
 		if len(sink.seen) != len(want.Apps) {
 			t.Fatalf("sink saw %d apps, want %d", len(sink.seen), len(want.Apps))
@@ -198,13 +189,12 @@ func TestRunEmptySource(t *testing.T) {
 
 // TestCollectorOutOfOrder pins index-addressed growth.
 func TestCollectorOutOfOrder(t *testing.T) {
-	c := NewCollector()
-	c.Begin(RunInfo{Policy: "p", HorizonSeconds: 60})
+	var c collector
 	c.Consume(2, AppResult{AppID: "c"})
 	c.Consume(0, AppResult{AppID: "a"})
 	c.Consume(1, AppResult{AppID: "b"})
-	res := c.Result()
-	if res.Policy != "p" || len(res.Apps) != 3 {
+	res := c.res
+	if len(res.Apps) != 3 {
 		t.Fatalf("collector: %+v", res)
 	}
 	for i, want := range []string{"a", "b", "c"} {
