@@ -53,7 +53,9 @@ type appState struct {
 	execEnd float64 // container unevictable before this
 	inv     int     // next invocation index
 	node    int32
-	vix     uint32 // version of the latest victim-index entry
+	// pos is the container's slot in its node's victim index while it
+	// is resident on a finite run: i for victims[i], ^i for parked[i].
+	pos int32
 	// Current window residency.
 	resident bool
 	dead     bool // evicted or load-failed: cold next arrival
@@ -69,14 +71,16 @@ type appState struct {
 // nodeState is one node's runtime state: resident accounting, the
 // victim index, and the published stats.
 type nodeState struct {
-	residentMB  float64
-	lastT       float64
-	capMB       float64       // live capacity (+Inf when infinite; resize events mutate)
-	down        bool          // failed or drained out of service
-	residentCnt int           // containers resident now (finite runs)
-	victims     []victimEntry // min-heap on (unloadAt, app), lazily invalidated
-	parked      []victimEntry // candidates found executing: min-heap on (execEnd, app), lazily invalidated
-	stats       NodeStats
+	residentMB float64
+	lastT      float64
+	capMB      float64 // live capacity (+Inf when infinite; resize events mutate)
+	down       bool    // failed or drained out of service
+	// The victim index holds one entry per resident container (finite
+	// runs): victims keyed by (unloadAt, app), and parked keyed by
+	// (execEnd, app) for containers a selection found executing.
+	victims victimHeap
+	parked  victimHeap
+	stats   NodeStats
 }
 
 // engine is one cluster simulation in flight: the resolved
@@ -249,6 +253,7 @@ func (e *engine) initStates(tr *trace.Trace) {
 	e.nodes = make([]nodeState, e.cfg.Nodes)
 	for i := range e.nodes {
 		e.nodes[i].capMB = e.capMB
+		e.nodes[i].parked.mask = ^0
 		e.nodes[i].stats.UtilSeries = make([]float64, minutes)
 	}
 }

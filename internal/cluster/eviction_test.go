@@ -121,7 +121,8 @@ func TestEvictionRestoresAfterExecution(t *testing.T) {
 // keeps exactly K entries.
 func TestParkedEntriesStayParked(t *testing.T) {
 	const k, idle = 5, 6
-	s, nd := newVictimNode(k + idle)
+	s := newVictimNodes(k+idle, 1)
+	nd := &s.e.nodes[0]
 	for ai := int32(0); ai < k; ai++ {
 		loadVictim(s, ai, 0, 1000, float64(10+ai)) // executing until 1000
 	}
@@ -129,25 +130,25 @@ func TestParkedEntriesStayParked(t *testing.T) {
 		loadVictim(s, ai, 0, 0, float64(100+ai))
 	}
 	for sel := 0; sel < idle; sel++ {
-		n := len(nd.victims)
+		n := len(nd.victims.ents)
 		now := float64(50 + sel)
 		got := s.pickVictim(nd, now)
 		if want := int32(k + sel); got != want {
 			t.Fatalf("selection %d: victim %d, want %d", sel, got, want)
 		}
 		s.evict(got, now)
-		if len(nd.parked) != k {
-			t.Fatalf("selection %d: %d parked entries, want %d", sel, len(nd.parked), k)
+		if len(nd.parked.ents) != k {
+			t.Fatalf("selection %d: %d parked entries, want %d", sel, len(nd.parked.ents), k)
 		}
-		if sel > 0 && len(nd.victims) != n-1 {
-			t.Fatalf("selection %d: victim heap %d -> %d, want one pop", sel, n, len(nd.victims))
+		if sel > 0 && len(nd.victims.ents) != n-1 {
+			t.Fatalf("selection %d: victim heap %d -> %d, want one pop", sel, n, len(nd.victims.ents))
 		}
 	}
-	if got := s.pickVictim(nd, 999); got != -1 || len(nd.parked) != k {
-		t.Fatalf("only executing containers left: victim %d with %d parked, want -1 with %d", got, len(nd.parked), k)
+	if got := s.pickVictim(nd, 999); got != -1 || len(nd.parked.ents) != k {
+		t.Fatalf("only executing containers left: victim %d with %d parked, want -1 with %d", got, len(nd.parked.ents), k)
 	}
-	if got := s.pickVictim(nd, 1000); got != 0 || len(nd.parked) != 0 {
-		t.Fatalf("at the executions' end: victim %d with %d parked, want 0 with 0", got, len(nd.parked))
+	if got := s.pickVictim(nd, 1000); got != 0 || len(nd.parked.ents) != 0 {
+		t.Fatalf("at the executions' end: victim %d with %d parked, want 0 with 0", got, len(nd.parked.ents))
 	}
 }
 

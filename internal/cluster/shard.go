@@ -50,15 +50,12 @@ type sev struct {
 	kind uint8
 }
 
-// victimEntry is one candidate in a node's victim index: the app's
-// container ordered by scheduled expiry (by execution end while it
-// sits in the parked heap). Entries are never updated in place — each
-// refresh pushes a new entry with a bumped per-app version
-// (appState.vix) and older entries die lazily on pop.
+// victimEntry is one resident container's entry in its node's victim
+// index: key is its scheduled expiry in victims, its execution end in
+// parked.
 type victimEntry struct {
-	unloadAt float64
-	app      int32
-	vix      uint32
+	key float64
+	app int32
 }
 
 // shard is one worker of the run (engine.run) and everything it
@@ -460,15 +457,23 @@ func (s *shard) reload(ai int32, t float64) {
 }
 
 // setExpiry records the container's scheduled expiry and, on finite
-// runs, refreshes its victim-index entry while resident. Every write
-// of unloadAt for a resident container goes through here, so the
-// latest index entry always carries the live expiry.
+// runs, re-keys its victim-index entry in place while resident: a
+// parked entry moves back to victims, since its execution end may have
+// moved too. Every write of unloadAt for a resident container goes
+// through here, so its entry always carries the live expiry.
 func (s *shard) setExpiry(ai int32, st *appState, unloadAt float64) {
 	st.unloadAt = unloadAt
-	if s.e.finite && st.resident {
-		st.vix++
-		s.pushVictim(&s.e.nodes[st.node], victimEntry{unloadAt: unloadAt, app: ai, vix: st.vix})
+	if !s.e.finite || !st.resident {
+		return
 	}
+	states, nd := s.e.states, &s.e.nodes[st.node]
+	if st.pos < 0 {
+		nd.parked.remove(states, int(^st.pos))
+		nd.victims.push(states, victimEntry{key: unloadAt, app: ai})
+		return
+	}
+	nd.victims.ents[st.pos].key = unloadAt
+	nd.victims.fix(states, int(st.pos))
 }
 
 // load makes the app resident on its node at time t, evicting idle
@@ -520,35 +525,30 @@ func (s *shard) load(ai int32, t float64) bool {
 
 // pickVictim selects the idle resident container closest to its own
 // expiry (ties to the lowest app index) — the cheapest reclaim, since
-// its remaining keep-alive had the least predicted value. The victim
-// index pops candidates in (unloadAt, app) order; stale entries
-// (superseded windows, departed containers) are discarded, and
-// containers mid-execution move to the node's parked heap, keyed by
-// execEnd, until their execution ends — they stay resident and may be
-// victims later. A live entry's execEnd never changes without a vix
-// bump and t is monotone per shard, so every idle live entry is in
-// victims when the choice is made. Returns -1 when nothing is
-// evictable.
+// its remaining keep-alive had the least predicted value. Parked
+// containers whose execution has ended by t move back to victims
+// first; then executing containers at the head of victims move to
+// parked, keyed by execution end — they stay resident and may be
+// victims later. A parked entry's key is its container's execEnd
+// (setExpiry moves it out whenever an invocation extends it), and t is
+// monotone per shard, so every idle container is in victims when the
+// head is read. The head stays indexed: the caller evicts it. Returns
+// -1 when nothing is evictable.
 func (s *shard) pickVictim(nd *nodeState, t float64) int32 {
-	for len(nd.parked) > 0 && nd.parked[0].unloadAt <= t {
-		ent := nd.parked[0]
-		heapPopVictim(&nd.parked)
-		if st := &s.e.states[ent.app]; st.resident && ent.vix == st.vix {
-			s.pushVictim(nd, victimEntry{unloadAt: st.unloadAt, app: ent.app, vix: ent.vix})
-		}
+	states := s.e.states
+	for len(nd.parked.ents) > 0 && nd.parked.ents[0].key <= t {
+		ai := nd.parked.ents[0].app
+		nd.parked.remove(states, 0)
+		nd.victims.push(states, victimEntry{key: states[ai].unloadAt, app: ai})
 	}
-	for len(nd.victims) > 0 {
-		ent := nd.victims[0]
-		heapPopVictim(&nd.victims)
-		st := &s.e.states[ent.app]
-		if !st.resident || ent.vix != st.vix {
-			continue // stale
+	for len(nd.victims.ents) > 0 {
+		ai := nd.victims.ents[0].app
+		st := &states[ai]
+		if st.execEnd <= t {
+			return ai
 		}
-		if st.execEnd > t {
-			heapPushVictim(&nd.parked, victimEntry{unloadAt: st.execEnd, app: ent.app, vix: ent.vix})
-			continue
-		}
-		return ent.app // the caller evicts it now
+		nd.victims.remove(states, 0)
+		nd.parked.push(states, victimEntry{key: st.execEnd, app: ai})
 	}
 	return -1
 }
@@ -630,6 +630,7 @@ func (s *shard) drainNode(node int, t float64) {
 				// Detach the app now; the node-level memory frees when
 				// the in-flight execution ends. No waste: the idle
 				// segment never starts.
+				s.unindex(nd, st)
 				st.resident = false
 				s.flushes = append(s.flushes, drainFlush{node: int32(node), memMB: st.memMB})
 				s.q.push(cevent{t: st.execEnd, kind: evFlush, app: int32(len(s.flushes) - 1)})
@@ -670,9 +671,6 @@ func (s *shard) applyFlush(idx int, t float64) {
 	nd.residentMB -= f.memMB
 	if nd.residentMB < 0 {
 		nd.residentMB = 0 // float dust
-	}
-	if s.e.finite {
-		nd.residentCnt--
 	}
 }
 
@@ -737,8 +735,10 @@ func (e *engine) nextUp(n int) int {
 }
 
 // addResident and removeResident keep the node's resident-memory
-// integral exact: the utilization series advances to t at the old
-// level before the level changes.
+// integral exact — the utilization series advances to t at the old
+// level before the level changes — and add or remove the container's
+// victim-index entry. A loading container enters victims with no
+// expiry; schedule or reload sets it before any selection.
 func (s *shard) addResident(ai int32, t float64) {
 	e := s.e
 	st := &e.states[ai]
@@ -748,10 +748,10 @@ func (s *shard) addResident(ai int32, t float64) {
 	if nd.residentMB > nd.stats.PeakResidentMB {
 		nd.stats.PeakResidentMB = nd.residentMB
 	}
-	if e.finite {
-		nd.residentCnt++
-	}
 	st.resident = true
+	if e.finite {
+		nd.victims.push(e.states, victimEntry{key: math.Inf(1), app: ai})
+	}
 }
 
 func (s *shard) removeResident(ai int32, t float64) {
@@ -763,10 +763,20 @@ func (s *shard) removeResident(ai int32, t float64) {
 	if nd.residentMB < 0 {
 		nd.residentMB = 0 // float dust
 	}
-	if e.finite {
-		nd.residentCnt--
-	}
+	s.unindex(nd, st)
 	st.resident = false
+}
+
+// unindex removes a departing resident container's victim-index entry.
+func (s *shard) unindex(nd *nodeState, st *appState) {
+	if !s.e.finite {
+		return
+	}
+	if st.pos < 0 {
+		nd.parked.remove(s.e.states, int(^st.pos))
+	} else {
+		nd.victims.remove(s.e.states, int(st.pos))
+	}
 }
 
 // advance accumulates the node's resident level over [lastT, t),
@@ -811,79 +821,89 @@ func eventLess(a, b cevent) bool {
 	return a.app < b.app
 }
 
-// Victim index heaps: victims is ordered by (unloadAt, app), parked by
-// (execEnd, app) — both keys live in victimEntry.unloadAt. Stale entries
-// are tolerated and skipped on pop; pushVictim compacts the index when
-// stale entries outnumber the live containers, keeping its size
-// O(resident) regardless of window churn.
+// victimArity is the victim heaps' branching factor.
+const victimArity = 4
+
+// victimHeap is one of a node's two victim-index heaps: a victimArity-ary
+// min-heap in victimLess order. Every write of an entry records its
+// slot in its app's pos, xor mask (0 for victims, ^0 for parked), so
+// any entry can be re-keyed or removed in place.
+type victimHeap struct {
+	ents []victimEntry
+	mask int32
+}
 
 func victimLess(a, b victimEntry) bool {
-	if a.unloadAt != b.unloadAt {
-		return a.unloadAt < b.unloadAt
+	if a.key != b.key {
+		return a.key < b.key
 	}
 	return a.app < b.app
 }
 
-func (s *shard) pushVictim(nd *nodeState, ent victimEntry) {
-	if len(nd.victims) >= 64 && len(nd.victims) > 3*nd.residentCnt {
-		s.compactVictims(nd)
-	}
-	heapPushVictim(&nd.victims, ent)
+// set writes ent into slot i and records the slot on its app.
+func (h *victimHeap) set(states []appState, i int, ent victimEntry) {
+	h.ents[i] = ent
+	states[ent.app].pos = int32(i) ^ h.mask
 }
 
-func heapPushVictim(h *[]victimEntry, ent victimEntry) {
-	*h = append(*h, ent)
-	hs := *h
-	i := len(hs) - 1
+func (h *victimHeap) push(states []appState, ent victimEntry) {
+	h.ents = append(h.ents, ent)
+	h.up(states, len(h.ents)-1)
+}
+
+// remove deletes slot i: the last entry takes its place and sifts
+// whichever way its key says.
+func (h *victimHeap) remove(states []appState, i int) {
+	n := len(h.ents) - 1
+	last := h.ents[n]
+	h.ents = h.ents[:n]
+	if i < n {
+		h.ents[i] = last
+		h.fix(states, i)
+	}
+}
+
+// fix restores the heap order around slot i after its key changed.
+func (h *victimHeap) fix(states []appState, i int) {
+	if i > 0 && victimLess(h.ents[i], h.ents[(i-1)/victimArity]) {
+		h.up(states, i)
+	} else {
+		h.down(states, i)
+	}
+}
+
+func (h *victimHeap) up(states []appState, i int) {
+	ent := h.ents[i]
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !victimLess(hs[i], hs[parent]) {
+		p := (i - 1) / victimArity
+		if !victimLess(ent, h.ents[p]) {
 			break
 		}
-		hs[i], hs[parent] = hs[parent], hs[i]
-		i = parent
+		h.set(states, i, h.ents[p])
+		i = p
 	}
+	h.set(states, i, ent)
 }
 
-func heapPopVictim(h *[]victimEntry) {
-	hs := *h
-	n := len(hs) - 1
-	hs[0] = hs[n]
-	*h = hs[:n]
-	siftDownVictim(hs[:n], 0)
-}
-
-func siftDownVictim(h []victimEntry, i int) {
-	n := len(h)
+func (h *victimHeap) down(states []appState, i int) {
+	ents := h.ents
+	ent := ents[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && victimLess(h[l], h[small]) {
-			small = l
+		c := victimArity*i + 1
+		if c >= len(ents) {
+			break
 		}
-		if r < n && victimLess(h[r], h[small]) {
-			small = r
+		m := c
+		for k := c + 1; k < min(c+victimArity, len(ents)); k++ {
+			if victimLess(ents[k], ents[m]) {
+				m = k
+			}
 		}
-		if small == i {
-			return
+		if !victimLess(ents[m], ent) {
+			break
 		}
-		h[i], h[small] = h[small], h[i]
-		i = small
+		h.set(states, i, ents[m])
+		i = m
 	}
-}
-
-// compactVictims drops stale entries in place and re-heapifies: an
-// entry is live iff its app is resident and it is the app's latest.
-func (s *shard) compactVictims(nd *nodeState) {
-	live := nd.victims[:0]
-	for _, ent := range nd.victims {
-		st := &s.e.states[ent.app]
-		if st.resident && ent.vix == st.vix {
-			live = append(live, ent)
-		}
-	}
-	nd.victims = live
-	for i := len(live)/2 - 1; i >= 0; i-- {
-		siftDownVictim(live, i)
-	}
+	h.set(states, i, ent)
 }

@@ -7,22 +7,39 @@ import (
 	"repro/internal/stats"
 )
 
-// newVictimNode returns a shard driving one finite node over apps
-// placed, non-resident 1 MB apps, for tests that exercise the victim
+// nextPlacement places every app on node 0 and moves a displaced app to
+// the node after the one it leaves, so fail and drain steps carry apps
+// across nodes.
+type nextPlacement struct{}
+
+func (nextPlacement) Name() string              { return "next" }
+func (nextPlacement) Place(Footprint, View) int { return 0 }
+func (nextPlacement) Replace(_ Footprint, from int, v View) int {
+	return (from + 1) % v.NumNodes()
+}
+
+// newVictimNodes returns a shard driving finite nodes over apps placed
+// round-robin, non-resident 1 MB apps with an arrival still ahead (so a
+// displacement re-places them), for tests that exercise the victim
 // index directly instead of through a trace.
-func newVictimNode(apps int) (*shard, *nodeState) {
-	e := &engine{finite: true, horizon: math.Inf(1), states: make([]appState, apps), nodes: make([]nodeState, 1)}
+func newVictimNodes(apps, nodes int) *shard {
+	e := &engine{finite: true, horizon: math.Inf(1), place: nextPlacement{},
+		states: make([]appState, apps), nodes: make([]nodeState, nodes)}
+	walk := &appWalk{times: []float64{0}}
 	for ai := range e.states {
 		st := &e.states[ai]
-		st.placed, st.memMB = true, 1
+		st.placed, st.node, st.memMB, st.walk = true, int32(ai%nodes), 1, walk
 	}
-	e.nodes[0].capMB = math.Inf(1)
-	return &shard{e: e}, &e.nodes[0]
+	for n := range e.nodes {
+		e.nodes[n].capMB = math.Inf(1)
+		e.nodes[n].parked.mask = ^0
+	}
+	return &shard{e: e}
 }
 
 // loadVictim makes app ai resident at t with the given execution end
 // and expiry, the way invoke and schedule do: residency first, then the
-// expiry write that indexes it.
+// expiry write that keys its entry.
 func loadVictim(s *shard, ai int32, t, execEnd, unloadAt float64) {
 	st := &s.e.states[ai]
 	st.loadedAt = t
@@ -31,136 +48,255 @@ func loadVictim(s *shard, ai int32, t, execEnd, unloadAt float64) {
 	s.setExpiry(ai, st, unloadAt)
 }
 
-// TestPickVictimMatchesScan drives one node's victim index through
-// random loads, expiry refreshes, execution extensions (each one a new
-// expiry write, so a vix bump, as in invoke), natural unloads and
-// evictions, under a monotone clock that often lands exactly on an
-// execution end. Every pickVictim must return what a linear scan of
-// the node's apps returns: the minimum (unloadAt, app) among resident
-// containers whose execution has ended by t, or -1 when none is idle.
-// After each selection no (app, vix) sits in both heaps, every
-// resident app's current entry sits in exactly one, and every live
-// parked entry's execution is still running.
-func TestPickVictimMatchesScan(t *testing.T) {
-	const apps = 24
-	rng := stats.NewRNG(11)
-	s, nd := newVictimNode(apps)
-	states := s.e.states
-	now := 0.0
-	var selections, evictions, parkedLive, compactions int
-	for step := 0; step < 16000; step++ {
-		ai := int32(rng.Intn(apps))
-		st := &states[ai]
-		op := rng.Intn(12)
-		if op >= 10 && step/400%2 == 1 {
-			// Quiet stretches without pressure let stale entries pile up,
-			// so pushVictim's compaction runs between selections.
-			op = 7
-		}
-		switch {
-		case op < 3:
-			// Advance the clock: a whole-second step (possibly zero), or
-			// exactly onto the soonest running execution's end.
-			next := now + float64(rng.Intn(4))
-			if rng.Bool(0.5) {
-				for i := range states {
-					if states[i].resident && states[i].execEnd > now && states[i].execEnd < next {
-						next = states[i].execEnd
-					}
-				}
-			}
-			now = next
-		case op < 8:
-			// An arrival: load if needed, maybe a new execution, then
-			// the window's expiry. Whole seconds so expiries tie often.
-			execEnd := st.execEnd
-			if rng.Bool(0.6) {
-				execEnd = max(execEnd, now+float64(1+rng.Intn(20)))
-			}
-			unloadAt := now + float64(rng.Intn(40))
-			if rng.Bool(0.1) {
-				unloadAt = math.Inf(1)
-			}
-			n := len(nd.victims)
-			if st.resident {
-				st.execEnd = execEnd
-				s.setExpiry(ai, st, unloadAt)
-			} else {
-				loadVictim(s, ai, now, execEnd, unloadAt)
-			}
-			if len(nd.victims) <= n {
-				compactions++
-			}
-		case op < 10:
-			if st.resident {
-				s.removeResident(ai, now) // natural expiry
-			}
-		default:
-			want := int32(-1)
-			for i := range states {
-				c := &states[i]
-				if !c.resident || c.execEnd > now {
-					continue
-				}
-				if want < 0 || c.unloadAt < states[want].unloadAt {
-					want = int32(i)
-				}
-			}
-			got := s.pickVictim(nd, now)
-			selections++
-			if got != want {
-				t.Fatalf("step %d t=%v: pickVictim = %d, scan = %d", step, now, got, want)
-			}
-			if got >= 0 {
-				s.evict(got, now)
-				evictions++
-			}
-			parkedLive += checkVictimHeaps(t, s, nd, now)
-		}
-	}
-	if selections < 1000 || evictions == 0 || parkedLive == 0 || compactions == 0 {
-		t.Fatalf("weak drive: %d selections, %d evictions, %d live parked sightings, %d compactions",
-			selections, evictions, parkedLive, compactions)
-	}
-	t.Logf("%d selections, %d evictions, %d live parked sightings, %d compactions",
-		selections, evictions, parkedLive, compactions)
+// victimScript applies one victim-index operation per step, each
+// through the engine's own code and its choices read from next, and
+// checks the index after every step (checkVictimIndex); a selection
+// must also return what a linear scan of its node returns.
+type victimScript struct {
+	t    *testing.T
+	s    *shard
+	now  float64
+	next func(n int) int // a choice in [0, n)
+	last []int32         // the node each app was last loaded on, -1 before
+
+	selections, evictions, parkedLive, detaches, moves int
 }
 
-// checkVictimHeaps asserts the index invariants after a selection at t
-// and returns the number of live parked entries.
-func checkVictimHeaps(t *testing.T, s *shard, nd *nodeState, now float64) int {
+func newVictimScript(t *testing.T, s *shard, next func(int) int) *victimScript {
+	d := &victimScript{t: t, s: s, next: next, last: make([]int32, len(s.e.states))}
+	for ai := range d.last {
+		d.last[ai] = -1
+	}
+	return d
+}
+
+// step runs one operation: a clock advance (often exactly onto the
+// soonest running execution's end), an arrival (a load or an expiry
+// refresh, maybe extending the execution, as in invoke), a natural
+// unload, a selection plus eviction on one node, a node fail, drain or
+// join, or the displacement of an idle app to another node. Times are
+// whole seconds, so expiries and execution ends tie often.
+func (d *victimScript) step() {
+	s, e := d.s, d.s.e
+	ai := int32(d.next(len(e.states)))
+	st := &e.states[ai]
+	node := d.next(len(e.nodes))
+	switch op := d.next(21); {
+	case op < 3:
+		next := d.now + float64(d.next(4))
+		if d.next(2) == 1 {
+			for i := range e.states {
+				if c := &e.states[i]; c.resident && c.execEnd > d.now && c.execEnd < next {
+					next = c.execEnd
+				}
+			}
+		}
+		d.now = next
+	case op < 10:
+		execEnd := st.execEnd
+		if d.next(5) < 3 {
+			execEnd = max(execEnd, d.now+float64(1+d.next(20)))
+		}
+		unloadAt := d.now + float64(d.next(40))
+		if d.next(10) == 0 {
+			unloadAt = math.Inf(1)
+		}
+		if st.resident {
+			st.execEnd = execEnd
+			s.setExpiry(ai, st, unloadAt)
+			break
+		}
+		if !st.placed {
+			// Every node was down at the app's displacement: place it
+			// anew, as load does.
+			if st.node = int32(e.nextUp(0)); st.node < 0 {
+				break
+			}
+			st.placed = true
+		}
+		if d.last[ai] >= 0 && d.last[ai] != st.node {
+			d.moves++
+		}
+		d.last[ai] = st.node
+		loadVictim(s, ai, d.now, execEnd, unloadAt)
+	case op < 12:
+		if st.resident {
+			s.removeResident(ai, d.now)
+		}
+	case op < 16:
+		nd := &e.nodes[node]
+		want := int32(-1)
+		for i := range e.states {
+			c := &e.states[i]
+			if !c.resident || int(c.node) != node || c.execEnd > d.now {
+				continue
+			}
+			if want < 0 || c.unloadAt < e.states[want].unloadAt {
+				want = int32(i)
+			}
+		}
+		got := s.pickVictim(nd, d.now)
+		d.selections++
+		if got != want {
+			d.t.Fatalf("t=%v node %d: pickVictim = %d, scan = %d", d.now, node, got, want)
+		}
+		if got >= 0 {
+			s.evict(got, d.now)
+			d.evictions++
+		}
+		for _, ent := range nd.parked.ents {
+			if ent.key <= d.now {
+				d.t.Fatalf("t=%v node %d: parked entry of app %d keyed %v, not after the selection", d.now, node, ent.app, ent.key)
+			}
+			d.parkedLive++
+		}
+	case op == 16:
+		if st.placed && !st.resident {
+			s.displace(ai)
+		}
+	case op == 17:
+		s.failNode(node, d.now)
+	case op == 18:
+		for i := range e.states {
+			if c := &e.states[i]; c.resident && int(c.node) == node && c.execEnd > d.now {
+				d.detaches++ // detached at once, its memory flushed later
+			}
+		}
+		s.drainNode(node, d.now)
+	default:
+		e.nodes[node].down = false
+	}
+	checkVictimIndex(d.t, s, d.now)
+}
+
+// TestPickVictimMatchesScan drives two nodes' victim indexes through
+// random loads, expiry refreshes, execution extensions, natural
+// unloads, evictions, fails, drains and displacements, under a
+// monotone clock, so apps leave one node's index and are re-indexed on
+// the other. Every pickVictim must return what a linear scan of its
+// node's apps returns — the minimum (unloadAt, app) among resident
+// containers whose execution has ended by t, or -1 when none is idle —
+// and after every operation the index holds exactly one entry per
+// resident container, at the slot its app records (checkVictimIndex).
+func TestPickVictimMatchesScan(t *testing.T) {
+	rng := stats.NewRNG(11)
+	d := newVictimScript(t, newVictimNodes(24, 2), rng.Intn)
+	for range 16000 {
+		d.step()
+	}
+	if d.selections < 1000 || d.evictions == 0 || d.parkedLive == 0 || d.detaches == 0 || d.moves == 0 {
+		t.Fatalf("weak drive: %d selections, %d evictions, %d live parked sightings, %d drain detaches, %d cross-node reloads",
+			d.selections, d.evictions, d.parkedLive, d.detaches, d.moves)
+	}
+	t.Logf("%d selections, %d evictions, %d live parked sightings, %d drain detaches, %d cross-node reloads",
+		d.selections, d.evictions, d.parkedLive, d.detaches, d.moves)
+}
+
+// FuzzVictimIndex: the input bytes are the victimScript's choices, one
+// byte each, over one or two nodes and up to eight apps; the oracle is
+// the linear scan and the index invariant it checks after every step.
+// The seed corpus under testdata/fuzz holds a tie-heavy selection run
+// on one node and a fail / drain / displace run across two.
+func FuzzVictimIndex(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 4096 {
+			return
+		}
+		s := newVictimNodes(1+int(data[0])%8, 1+int(data[1])%2)
+		data = data[2:]
+		d := newVictimScript(t, s, func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b) % n
+		})
+		for len(data) > 0 {
+			d.step()
+		}
+	})
+}
+
+// checkVictimIndex asserts the victim index invariant at t: every entry
+// belongs to a container resident on the entry's node, sits at the
+// slot its app's pos records, carries the live key (unloadAt in
+// victims, execEnd in parked) and respects heap order, and every
+// resident container has exactly one entry.
+func checkVictimIndex(t *testing.T, s *shard, now float64) {
 	t.Helper()
-	type key struct {
-		app int32
-		vix uint32
-	}
-	inVictims := make(map[key]bool, len(nd.victims))
-	indexed := make(map[int32]int) // live entries per app, both heaps
-	for _, ent := range nd.victims {
-		inVictims[key{ent.app, ent.vix}] = true
-		if st := &s.e.states[ent.app]; st.resident && ent.vix == st.vix {
-			indexed[ent.app]++
+	entries := make([]int, len(s.e.states))
+	for n := range s.e.nodes {
+		nd := &s.e.nodes[n]
+		for _, h := range []*victimHeap{&nd.victims, &nd.parked} {
+			for i, ent := range h.ents {
+				st := &s.e.states[ent.app]
+				if !st.resident || int(st.node) != n {
+					t.Fatalf("t=%v node %d: entry of app %d, resident %v on node %d", now, n, ent.app, st.resident, st.node)
+				}
+				if st.pos != int32(i)^h.mask {
+					t.Fatalf("t=%v node %d: app %d at slot %d (mask %d) records pos %d", now, n, ent.app, i, h.mask, st.pos)
+				}
+				key := st.unloadAt
+				if h == &nd.parked {
+					key = st.execEnd
+				}
+				if ent.key != key {
+					t.Fatalf("t=%v node %d: app %d keyed %v, live key %v", now, n, ent.app, ent.key, key)
+				}
+				if p := (i - 1) / victimArity; i > 0 && victimLess(ent, h.ents[p]) {
+					t.Fatalf("t=%v node %d: slot %d sorts before its parent %d", now, n, i, p)
+				}
+				entries[ent.app]++
+			}
 		}
-	}
-	live := 0
-	for _, ent := range nd.parked {
-		if inVictims[key{ent.app, ent.vix}] {
-			t.Fatalf("t=%v: entry (app %d, vix %d) in both heaps", now, ent.app, ent.vix)
-		}
-		st := &s.e.states[ent.app]
-		if !st.resident || ent.vix != st.vix {
-			continue
-		}
-		if ent.unloadAt <= now {
-			t.Fatalf("t=%v: live parked entry of app %d keyed %v, not after the selection", now, ent.app, ent.unloadAt)
-		}
-		indexed[ent.app]++
-		live++
 	}
 	for ai := range s.e.states {
-		if s.e.states[ai].resident && indexed[int32(ai)] != 1 {
-			t.Fatalf("t=%v: resident app %d has %d live index entries, want 1", now, ai, indexed[int32(ai)])
+		if s.e.states[ai].resident && entries[ai] != 1 {
+			t.Fatalf("t=%v: resident app %d has %d index entries, want 1", now, ai, entries[ai])
 		}
 	}
-	return live
+}
+
+// TestVictimIndexAllocs pins the victim index's steady state at zero
+// allocations: once a node's heaps have grown to its app count, expiry
+// refreshes, execution extensions, selections, evictions and reloads
+// only re-key, move and remove entries in place.
+func TestVictimIndexAllocs(t *testing.T) {
+	const apps = 64
+	s := newVictimNodes(apps, 1)
+	nd := &s.e.nodes[0]
+	// Grow both heaps to apps entries: every app loads executing, one
+	// selection parks them all, and each leaves.
+	for ai := range int32(apps) {
+		loadVictim(s, ai, 0, 1, 10)
+	}
+	if v := s.pickVictim(nd, 0); v != -1 || len(nd.parked.ents) != apps {
+		t.Fatalf("warm-up: victim %d with %d parked, want -1 with %d", v, len(nd.parked.ents), apps)
+	}
+	for ai := range int32(apps) {
+		s.removeResident(ai, 0)
+	}
+	rng := stats.NewRNG(5)
+	now := 1.0
+	round := func() {
+		now++
+		for range 8 {
+			ai := int32(rng.Intn(apps))
+			st := &s.e.states[ai]
+			execEnd := max(st.execEnd, now+float64(rng.Intn(3)))
+			if !st.resident {
+				loadVictim(s, ai, now, execEnd, now+float64(rng.Intn(100)))
+				continue
+			}
+			st.execEnd = execEnd
+			s.setExpiry(ai, st, now+float64(rng.Intn(100)))
+		}
+		if v := s.pickVictim(nd, now); v >= 0 {
+			s.evict(v, now)
+		}
+	}
+	if a := testing.AllocsPerRun(2000, round); a != 0 {
+		t.Fatalf("%v allocs per round, want 0", a)
+	}
 }
