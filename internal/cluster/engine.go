@@ -53,8 +53,8 @@ type appState struct {
 	execEnd float64 // container unevictable before this
 	inv     int     // next invocation index
 	node    int32
-	// pos is the container's slot in its node's victim index while it
-	// is resident on a finite run: i for victims[i], ^i for parked[i].
+	// pos is the app's slot in its node's victim index while indexed:
+	// i for victims[i], ^i for parked[i].
 	pos int32
 	// Current window residency.
 	resident bool
@@ -63,9 +63,14 @@ type appState struct {
 	// (vs eviction/pressure): it selects the cold-start attribution
 	// class at the next arrival. Meaningless while !dead.
 	deadByFail bool
-	loadedAt   float64 // start of the idle-loaded segment
-	unloadAt   float64 // scheduled expiry (+Inf for forever)
-	placed     bool
+	// indexed: the app has an entry in its node's victim index (finite
+	// runs) — every resident app, and an unloaded app whose victims
+	// entry is left as a tombstone until a pick pops it, a load revives
+	// it or a displacement removes it.
+	indexed  bool
+	loadedAt float64 // start of the idle-loaded segment
+	unloadAt float64 // scheduled expiry (+Inf for forever)
+	placed   bool
 }
 
 // nodeState is one node's runtime state: resident accounting, the
@@ -75,9 +80,13 @@ type nodeState struct {
 	lastT      float64
 	capMB      float64 // live capacity (+Inf when infinite; resize events mutate)
 	down       bool    // failed or drained out of service
-	// The victim index holds one entry per resident container (finite
-	// runs): victims keyed by (unloadAt, app), and parked keyed by
-	// (execEnd, app) for containers a selection found executing.
+	// The victim index holds at most one entry per app placed here
+	// (finite runs). victims is keyed by (unloadAt, app), lazily: a
+	// resident container's stored key is a lower bound of its live
+	// expiry, and an unloaded container's entry stays as a tombstone;
+	// pickVictim settles both when they reach the root. parked is keyed
+	// exactly by (execEnd, app), for resident containers a selection
+	// found executing.
 	victims victimHeap
 	parked  victimHeap
 	stats   NodeStats

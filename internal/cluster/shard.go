@@ -50,8 +50,9 @@ type sev struct {
 	kind uint8
 }
 
-// victimEntry is one resident container's entry in its node's victim
-// index: key is its scheduled expiry in victims, its execution end in
+// victimEntry is one app's entry in its node's victim index: key is a
+// lower bound of its scheduled expiry in victims (any key for a
+// tombstone, an unloaded container's entry), its execution end in
 // parked.
 type victimEntry struct {
 	key float64
@@ -457,10 +458,12 @@ func (s *shard) reload(ai int32, t float64) {
 }
 
 // setExpiry records the container's scheduled expiry and, on finite
-// runs, re-keys its victim-index entry in place while resident: a
-// parked entry moves back to victims, since its execution end may have
-// moved too. Every write of unloadAt for a resident container goes
-// through here, so its entry always carries the live expiry.
+// runs, keeps its victims key a lower bound of it while resident: an
+// earlier expiry re-keys the entry and sifts it up, a later one leaves
+// the key stale-low for pickVictim to settle. A parked entry moves
+// back to victims, since its execution end may have moved too. Every
+// write of unloadAt for a resident container goes through here, so no
+// stored key is ever above its container's live expiry.
 func (s *shard) setExpiry(ai int32, st *appState, unloadAt float64) {
 	st.unloadAt = unloadAt
 	if !s.e.finite || !st.resident {
@@ -472,8 +475,10 @@ func (s *shard) setExpiry(ai int32, st *appState, unloadAt float64) {
 		nd.victims.push(states, victimEntry{key: unloadAt, app: ai})
 		return
 	}
-	nd.victims.ents[st.pos].key = unloadAt
-	nd.victims.fix(states, int(st.pos))
+	if unloadAt < nd.victims.ents[st.pos].key {
+		nd.victims.ents[st.pos].key = unloadAt
+		nd.victims.up(states, int(st.pos))
+	}
 }
 
 // load makes the app resident on its node at time t, evicting idle
@@ -527,13 +532,17 @@ func (s *shard) load(ai int32, t float64) bool {
 // expiry (ties to the lowest app index) — the cheapest reclaim, since
 // its remaining keep-alive had the least predicted value. Parked
 // containers whose execution has ended by t move back to victims
-// first; then executing containers at the head of victims move to
-// parked, keyed by execution end — they stay resident and may be
-// victims later. A parked entry's key is its container's execEnd
-// (setExpiry moves it out whenever an invocation extends it), and t is
-// monotone per shard, so every idle container is in victims when the
-// head is read. The head stays indexed: the caller evicts it. Returns
-// -1 when nothing is evictable.
+// first, keyed by their live expiry. Then the root of victims is
+// settled until it is a victim: a tombstone (unloaded container) is
+// popped, a stale key is raised to its container's live expiry and
+// sifted down, and an executing container moves to parked, keyed by
+// execution end — it stays resident and may be a victim later. A
+// parked entry's key is its container's execEnd (setExpiry moves it
+// out whenever an invocation extends it), and t is monotone per shard,
+// so every idle container is in victims when the root is read; every
+// stored key is at most its container's live key, so a settled root is
+// the minimum (unloadAt, app) among them. The root stays indexed: the
+// caller evicts it. Returns -1 when nothing is evictable.
 func (s *shard) pickVictim(nd *nodeState, t float64) int32 {
 	states := s.e.states
 	for len(nd.parked.ents) > 0 && nd.parked.ents[0].key <= t {
@@ -542,13 +551,22 @@ func (s *shard) pickVictim(nd *nodeState, t float64) int32 {
 		nd.victims.push(states, victimEntry{key: states[ai].unloadAt, app: ai})
 	}
 	for len(nd.victims.ents) > 0 {
-		ai := nd.victims.ents[0].app
+		root := &nd.victims.ents[0]
+		ai := root.app
 		st := &states[ai]
-		if st.execEnd <= t {
+		switch {
+		case !st.resident:
+			st.indexed = false
+			nd.victims.remove(states, 0)
+		case root.key < st.unloadAt:
+			root.key = st.unloadAt
+			nd.victims.down(states, 0)
+		case st.execEnd > t:
+			nd.victims.remove(states, 0)
+			nd.parked.push(states, victimEntry{key: st.execEnd, app: ai})
+		default:
 			return ai
 		}
-		nd.victims.remove(states, 0)
-		nd.parked.push(states, victimEntry{key: st.execEnd, app: ai})
 	}
 	return -1
 }
@@ -627,10 +645,10 @@ func (s *shard) drainNode(node int, t float64) {
 		if st.resident {
 			nd.stats.FailureUnloads++
 			if st.execEnd > t {
-				// Detach the app now; the node-level memory frees when
-				// the in-flight execution ends. No waste: the idle
-				// segment never starts.
-				s.unindex(nd, st)
+				// Detach the app now (displace removes its index
+				// entry); the node-level memory frees when the
+				// in-flight execution ends. No waste: the idle segment
+				// never starts.
 				st.resident = false
 				s.flushes = append(s.flushes, drainFlush{node: int32(node), memMB: st.memMB})
 				s.q.push(cevent{t: st.execEnd, kind: evFlush, app: int32(len(s.flushes) - 1)})
@@ -675,14 +693,16 @@ func (s *shard) applyFlush(idx int, t float64) {
 }
 
 // displace kills a displaced app's current window with failure
-// attribution (first cause wins) and re-places the app on a
-// surviving node.
+// attribution (first cause wins), removes its victim-index entry —
+// the tombstone of its unloaded container, so an entry only ever sits
+// on its app's own node — and re-places the app on a surviving node.
 func (s *shard) displace(ai int32) {
 	st := &s.e.states[ai]
 	if !st.dead {
 		st.dead = true
 		st.deadByFail = true
 	}
+	s.unindex(&s.e.nodes[st.node], st)
 	s.replaceApp(ai)
 }
 
@@ -736,9 +756,14 @@ func (e *engine) nextUp(n int) int {
 
 // addResident and removeResident keep the node's resident-memory
 // integral exact — the utilization series advances to t at the old
-// level before the level changes — and add or remove the container's
-// victim-index entry. A loading container enters victims with no
-// expiry; schedule or reload sets it before any selection.
+// level before the level changes — and keep the container's
+// victim-index entry. A loading container revives its app's tombstone,
+// whose stored key is still a valid lower bound in heap order, or else
+// enters victims with no expiry; schedule or reload sets the expiry
+// (and lowers the key to it) before any selection. An unloading
+// container leaves its victims entry as a tombstone for pickVictim,
+// addResident or displace to settle; a parked entry is removed at
+// once, since parked keys are exact.
 func (s *shard) addResident(ai int32, t float64) {
 	e := s.e
 	st := &e.states[ai]
@@ -749,7 +774,8 @@ func (s *shard) addResident(ai int32, t float64) {
 		nd.stats.PeakResidentMB = nd.residentMB
 	}
 	st.resident = true
-	if e.finite {
+	if e.finite && !st.indexed {
+		st.indexed = true
 		nd.victims.push(e.states, victimEntry{key: math.Inf(1), app: ai})
 	}
 }
@@ -763,15 +789,19 @@ func (s *shard) removeResident(ai int32, t float64) {
 	if nd.residentMB < 0 {
 		nd.residentMB = 0 // float dust
 	}
-	s.unindex(nd, st)
+	if st.pos < 0 {
+		s.unindex(nd, st)
+	}
 	st.resident = false
 }
 
-// unindex removes a departing resident container's victim-index entry.
+// unindex removes the app's victim-index entry, if it has one: a
+// parked entry, a victims entry or a tombstone.
 func (s *shard) unindex(nd *nodeState, st *appState) {
-	if !s.e.finite {
+	if !st.indexed {
 		return
 	}
+	st.indexed = false
 	if st.pos < 0 {
 		nd.parked.remove(s.e.states, int(^st.pos))
 	} else {

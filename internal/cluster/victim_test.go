@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -51,7 +52,11 @@ func loadVictim(s *shard, ai int32, t, execEnd, unloadAt float64) {
 // victimScript applies one victim-index operation per step, each
 // through the engine's own code and its choices read from next, and
 // checks the index after every step (checkVictimIndex); a selection
-// must also return what a linear scan of its node returns.
+// must also return what a linear scan of its node returns. The counts
+// record which paths the drive reached, each observed before the step
+// that takes it: stale roots re-keyed and tombstones popped by a
+// selection, tombstones revived by a load, and tombstones removed by a
+// displacement.
 type victimScript struct {
 	t    *testing.T
 	s    *shard
@@ -60,6 +65,36 @@ type victimScript struct {
 	last []int32         // the node each app was last loaded on, -1 before
 
 	selections, evictions, parkedLive, detaches, moves int
+	rekeys, pops, revives, displacedTombstones         int
+}
+
+// lazyEntries counts a node's victims entries that a selection would
+// settle: stale keys (below a resident container's live expiry) and
+// tombstones (unloaded containers).
+func lazyEntries(s *shard, nd *nodeState) (stale, tombstones int) {
+	for _, ent := range nd.victims.ents {
+		switch st := &s.e.states[ent.app]; {
+		case !st.resident:
+			tombstones++
+		case ent.key < st.unloadAt:
+			stale++
+		}
+	}
+	return stale, tombstones
+}
+
+// indexedOn counts the indexed apps placed on node. A fail or drain
+// unloads or detaches each resident one, leaving a tombstone, and then
+// displaces every app placed there, so it removes this many
+// tombstones.
+func indexedOn(s *shard, node int) int {
+	n := 0
+	for i := range s.e.states {
+		if c := &s.e.states[i]; c.placed && int(c.node) == node && c.indexed {
+			n++
+		}
+	}
+	return n
 }
 
 func newVictimScript(t *testing.T, s *shard, next func(int) int) *victimScript {
@@ -117,6 +152,9 @@ func (d *victimScript) step() {
 		if d.last[ai] >= 0 && d.last[ai] != st.node {
 			d.moves++
 		}
+		if st.indexed {
+			d.revives++
+		}
 		d.last[ai] = st.node
 		loadVictim(s, ai, d.now, execEnd, unloadAt)
 	case op < 12:
@@ -135,8 +173,15 @@ func (d *victimScript) step() {
 				want = int32(i)
 			}
 		}
+		stale, tombstones := lazyEntries(s, nd)
 		got := s.pickVictim(nd, d.now)
 		d.selections++
+		// A selection creates neither (unparked entries carry their
+		// live expiry, and a stale root is re-keyed before it can be
+		// parked), so the drops are its re-keys and pops.
+		staleAfter, tombstonesAfter := lazyEntries(s, nd)
+		d.rekeys += stale - staleAfter
+		d.pops += tombstones - tombstonesAfter
 		if got != want {
 			d.t.Fatalf("t=%v node %d: pickVictim = %d, scan = %d", d.now, node, got, want)
 		}
@@ -152,11 +197,16 @@ func (d *victimScript) step() {
 		}
 	case op == 16:
 		if st.placed && !st.resident {
+			if st.indexed {
+				d.displacedTombstones++
+			}
 			s.displace(ai)
 		}
 	case op == 17:
+		d.displacedTombstones += indexedOn(s, node)
 		s.failNode(node, d.now)
 	case op == 18:
+		d.displacedTombstones += indexedOn(s, node)
 		for i := range e.states {
 			if c := &e.states[i]; c.resident && int(c.node) == node && c.execEnd > d.now {
 				d.detaches++ // detached at once, its memory flushed later
@@ -176,27 +226,35 @@ func (d *victimScript) step() {
 // the other. Every pickVictim must return what a linear scan of its
 // node's apps returns — the minimum (unloadAt, app) among resident
 // containers whose execution has ended by t, or -1 when none is idle —
-// and after every operation the index holds exactly one entry per
-// resident container, at the slot its app records (checkVictimIndex).
+// and after every operation the index holds at most one entry per app,
+// one for every resident container, on its node, at the slot its app
+// records, keyed no later than its live expiry (checkVictimIndex). The
+// drive must reach every lazy path: stale roots re-keyed, tombstones
+// popped, revived and displaced.
 func TestPickVictimMatchesScan(t *testing.T) {
 	rng := stats.NewRNG(11)
 	d := newVictimScript(t, newVictimNodes(24, 2), rng.Intn)
 	for range 16000 {
 		d.step()
 	}
-	if d.selections < 1000 || d.evictions == 0 || d.parkedLive == 0 || d.detaches == 0 || d.moves == 0 {
-		t.Fatalf("weak drive: %d selections, %d evictions, %d live parked sightings, %d drain detaches, %d cross-node reloads",
-			d.selections, d.evictions, d.parkedLive, d.detaches, d.moves)
+	drive := fmt.Sprintf("%d selections, %d evictions, %d live parked sightings, %d drain detaches, %d cross-node reloads, "+
+		"%d stale re-keys, %d tombstone pops, %d revives, %d displaced tombstones",
+		d.selections, d.evictions, d.parkedLive, d.detaches, d.moves, d.rekeys, d.pops, d.revives, d.displacedTombstones)
+	if d.selections < 1000 || d.evictions == 0 || d.parkedLive == 0 || d.detaches == 0 || d.moves == 0 ||
+		d.rekeys == 0 || d.pops == 0 || d.revives == 0 || d.displacedTombstones == 0 {
+		t.Fatalf("weak drive: %s", drive)
 	}
-	t.Logf("%d selections, %d evictions, %d live parked sightings, %d drain detaches, %d cross-node reloads",
-		d.selections, d.evictions, d.parkedLive, d.detaches, d.moves)
+	t.Log(drive)
 }
 
 // FuzzVictimIndex: the input bytes are the victimScript's choices, one
 // byte each, over one or two nodes and up to eight apps; the oracle is
 // the linear scan and the index invariant it checks after every step.
 // The seed corpus under testdata/fuzz holds a tie-heavy selection run
-// on one node and a fail / drain / displace run across two.
+// on one node, a fail / drain / displace run across two, a run on one
+// node that revives and pops tombstones and re-keys a stale root, and
+// one whose tombstones are displaced by a fail, a drain and a lone
+// displacement across two.
 func FuzzVictimIndex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 || len(data) > 4096 {
@@ -218,11 +276,14 @@ func FuzzVictimIndex(f *testing.F) {
 	})
 }
 
-// checkVictimIndex asserts the victim index invariant at t: every entry
-// belongs to a container resident on the entry's node, sits at the
-// slot its app's pos records, carries the live key (unloadAt in
-// victims, execEnd in parked) and respects heap order, and every
-// resident container has exactly one entry.
+// checkVictimIndex asserts the victim index invariant at t: every
+// entry belongs to an indexed app placed on the entry's node, sits at
+// the slot its app's pos records and respects heap order; a parked
+// entry's container is resident and keyed exactly by its execEnd; a
+// victims entry of a resident container is keyed at or below its
+// unloadAt, and any other victims entry is a tombstone of an unloaded
+// one. An indexed app has exactly one entry, any other app none, and
+// every resident app is indexed.
 func checkVictimIndex(t *testing.T, s *shard, now float64) {
 	t.Helper()
 	entries := make([]int, len(s.e.states))
@@ -231,29 +292,33 @@ func checkVictimIndex(t *testing.T, s *shard, now float64) {
 		for _, h := range []*victimHeap{&nd.victims, &nd.parked} {
 			for i, ent := range h.ents {
 				st := &s.e.states[ent.app]
-				if !st.resident || int(st.node) != n {
-					t.Fatalf("t=%v node %d: entry of app %d, resident %v on node %d", now, n, ent.app, st.resident, st.node)
+				if !st.indexed || !st.placed || int(st.node) != n {
+					t.Fatalf("t=%v node %d: entry of app %d, indexed %v, placed %v on node %d", now, n, ent.app, st.indexed, st.placed, st.node)
 				}
 				if st.pos != int32(i)^h.mask {
 					t.Fatalf("t=%v node %d: app %d at slot %d (mask %d) records pos %d", now, n, ent.app, i, h.mask, st.pos)
 				}
-				key := st.unloadAt
-				if h == &nd.parked {
-					key = st.execEnd
-				}
-				if ent.key != key {
-					t.Fatalf("t=%v node %d: app %d keyed %v, live key %v", now, n, ent.app, ent.key, key)
-				}
 				if p := (i - 1) / victimArity; i > 0 && victimLess(ent, h.ents[p]) {
 					t.Fatalf("t=%v node %d: slot %d sorts before its parent %d", now, n, i, p)
+				}
+				switch {
+				case h == &nd.parked && (!st.resident || ent.key != st.execEnd):
+					t.Fatalf("t=%v node %d: parked app %d (resident %v) keyed %v, execEnd %v", now, n, ent.app, st.resident, ent.key, st.execEnd)
+				case h == &nd.victims && st.resident && ent.key > st.unloadAt:
+					t.Fatalf("t=%v node %d: app %d keyed %v, above its expiry %v", now, n, ent.app, ent.key, st.unloadAt)
 				}
 				entries[ent.app]++
 			}
 		}
 	}
 	for ai := range s.e.states {
-		if s.e.states[ai].resident && entries[ai] != 1 {
-			t.Fatalf("t=%v: resident app %d has %d index entries, want 1", now, ai, entries[ai])
+		st := &s.e.states[ai]
+		want := 0
+		if st.indexed {
+			want = 1
+		}
+		if entries[ai] != want || st.resident && !st.indexed {
+			t.Fatalf("t=%v: app %d (resident %v, indexed %v) has %d index entries", now, ai, st.resident, st.indexed, entries[ai])
 		}
 	}
 }
@@ -261,7 +326,8 @@ func checkVictimIndex(t *testing.T, s *shard, now float64) {
 // TestVictimIndexAllocs pins the victim index's steady state at zero
 // allocations: once a node's heaps have grown to its app count, expiry
 // refreshes, execution extensions, selections, evictions and reloads
-// only re-key, move and remove entries in place.
+// only re-key, move and remove entries in place, leave keys stale and
+// entries as tombstones, or revive them.
 func TestVictimIndexAllocs(t *testing.T) {
 	const apps = 64
 	s := newVictimNodes(apps, 1)
