@@ -76,12 +76,12 @@ type Config struct {
 	// execution time instead of 0 (§3.4 idle-time semantics). A
 	// container is not evictable while executing.
 	UseExecTime bool
-	// Workers bounds the simulation parallelism (default GOMAXPROCS):
-	// up to Workers parts run at once, and each part's decision walks
-	// are produced Workers/parts wide (at least one), so a one-part
-	// run — view-dependent placement or cluster events — walks Workers
-	// wide before its sequential timeline. Results never depend on
-	// Workers.
+	// Workers bounds the simulation parallelism (default and cap:
+	// GOMAXPROCS): up to Workers parts run at once, and each part's
+	// decision walks are produced Workers/parts wide (at least one),
+	// so a one-part run — view-dependent placement or cluster events —
+	// walks Workers wide before its sequential timeline. Results never
+	// depend on Workers.
 	Workers int
 	// Events are timed cluster incidents (node fail/drain/join/resize)
 	// applied during the run; see ParseEvents for the grammar. A non-

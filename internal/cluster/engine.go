@@ -166,12 +166,14 @@ func runEngine(ctx context.Context, tr *trace.Trace, pol policy.Policy, cfg Conf
 	return e, nil
 }
 
-// workers resolves Config.Workers (default GOMAXPROCS).
+// workers resolves Config.Workers: GOMAXPROCS by default and at most,
+// since outcomes do not depend on the count and every worker holds a
+// scratch and a walker.
 func (e *engine) workers() int {
-	if e.cfg.Workers > 0 {
-		return e.cfg.Workers
+	if p := runtime.GOMAXPROCS(0); e.cfg.Workers <= 0 || e.cfg.Workers > p {
+		return p
 	}
-	return runtime.GOMAXPROCS(0)
+	return e.cfg.Workers
 }
 
 // produceWalk runs the shared kernel over one app into wk and wires it

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -231,4 +232,19 @@ func TestViewDependentPlacementStaysSequential(t *testing.T) {
 	base := Simulate(pop.Trace, pol(), Config{Nodes: 3, NodeMemMB: 500, Placement: LeastLoadedPlacement{}, Workers: 1})
 	wide := Simulate(pop.Trace, pol(), Config{Nodes: 3, NodeMemMB: 500, Placement: LeastLoadedPlacement{}, Workers: 8})
 	requireResultsEqual(t, "least-loaded", wide, base)
+}
+
+// TestWorkersResolve pins the default and the cap without starting a
+// worker: results never depend on the count, so nothing past
+// GOMAXPROCS is honored (each worker holds a scratch and a walker).
+func TestWorkersResolve(t *testing.T) {
+	p := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ in, want int }{
+		{0, p}, {-3, p}, {1, 1}, {p, p}, {p + 1, p}, {math.MaxInt, p},
+	} {
+		e := &engine{cfg: Config{Workers: c.in}}
+		if got := e.workers(); got != c.want {
+			t.Errorf("Workers %d resolved to %d, want %d", c.in, got, c.want)
+		}
+	}
 }

@@ -407,9 +407,7 @@ func runUnit(ctx context.Context, u unit) (unitResult, error) {
 	}
 	defer release()
 	if u.shardI >= 0 {
-		if src, err = shardOf(src, u.shardI, u.shardN); err != nil {
-			return unitResult{}, err
-		}
+		src = trace.Shard(src, u.shardI, u.shardN)
 	}
 
 	res := unitResult{policyName: pol.Name(), sinks: sinks}
@@ -493,23 +491,6 @@ func runUnit(ctx context.Context, u unit) (unitResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// shardOf restricts src to its i-th of n interleaved shards, keeping
-// in-memory sources on the deterministic batch path (see
-// shardFactory.Open for the same rule on source specs).
-func shardOf(src trace.Source, i, n int) (trace.Source, error) {
-	if n <= 1 {
-		return src, nil
-	}
-	if tr := trace.BatchTrace(src); tr != nil {
-		sh, err := trace.Collect(trace.Shard(trace.NewTraceSource(tr), i, n))
-		if err != nil {
-			return nil, err
-		}
-		return trace.NewTraceSource(sh), nil
-	}
-	return trace.Shard(src, i, n), nil
 }
 
 // applyMemCSV applies a per-app memory table to a private copy of tr

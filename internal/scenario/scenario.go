@@ -55,10 +55,10 @@ type Scenario struct {
 	// "attribution", "util"). Empty selects the defaults: coldstart and
 	// waste, plus attribution and util on cluster runs.
 	Sinks []string `json:"sinks,omitempty"`
-	// Workers bounds per-run simulation parallelism (0 = GOMAXPROCS):
-	// the batch engine's app walkers, and on cluster runs the workers
-	// running parts (one per node for oblivious placements) and the
-	// walk goroutines within each. Results never depend on it.
+	// Workers bounds per-run simulation parallelism (0 = GOMAXPROCS,
+	// and never more): the simulator's app walkers, and on cluster runs
+	// the workers running parts (one per node for oblivious placements)
+	// and the walk goroutines within each. Results never depend on it.
 	Workers int `json:"workers,omitempty"`
 	// Shard restricts the run to the i-th of n interleaved app shards
 	// ("1/4"), or fans out over all n shards and merges their sinks

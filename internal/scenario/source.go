@@ -151,8 +151,7 @@ func (f *tracecFactory) Open() (trace.Source, func() error, error) {
 
 // genFactory generates the configured synthetic population per open.
 // It materializes the trace (once, lazily) and hands out in-memory
-// sources, so every consumer takes the deterministic batch fast path
-// and repeated opens don't regenerate.
+// sources, so repeated opens don't regenerate.
 type genFactory struct {
 	cfg  workload.Config
 	once sync.Once
@@ -245,9 +244,8 @@ func (f *shardFactory) Spec() string {
 
 func (f *shardFactory) Open() (trace.Source, func() error, error) {
 	// Lazily-streamable inners (generators) are streamed and only the
-	// selected shard is collected — memory stays at the shard's size,
-	// and the materialized result keeps consumers on the deterministic
-	// batch fast path.
+	// selected shard is collected, once — memory stays at the shard's
+	// size, and repeated opens don't regenerate.
 	if lazy, ok := f.inner.(lazyOpener); ok {
 		f.once.Do(func() {
 			src, release, err := lazy.openLazy()
@@ -268,17 +266,6 @@ func (f *shardFactory) Open() (trace.Source, func() error, error) {
 	src, release, err := f.inner.Open()
 	if err != nil {
 		return nil, nil, err
-	}
-	// Shards of in-memory sources materialize (a pointer-level walk) so
-	// consumers keep the deterministic batch fast path; streaming
-	// inners stay streaming.
-	if tr := trace.BatchTrace(src); tr != nil {
-		shardTr, err := trace.Collect(trace.Shard(trace.NewTraceSource(tr), f.i, f.n))
-		if err != nil {
-			release()
-			return nil, nil, err
-		}
-		return trace.NewTraceSource(shardTr), release, nil
 	}
 	return trace.Shard(src, f.i, f.n), release, nil
 }

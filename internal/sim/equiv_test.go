@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -107,21 +108,8 @@ func TestBatchPathMatchesStepwisePath(t *testing.T) {
 	}
 }
 
-// TestLargestFirstOrderingIsInvisible verifies scheduling order and
-// worker count do not leak into results.
-func TestLargestFirstOrderingIsInvisible(t *testing.T) {
-	tr := multiFnTrace(99)
-	base := Simulate(tr, policy.NewHybrid(policy.DefaultHybridConfig()), Options{Workers: 1})
-	for w := 2; w <= 8; w++ {
-		got := Simulate(tr, policy.NewHybrid(policy.DefaultHybridConfig()), Options{Workers: w})
-		if !resultsEqual(base, got) {
-			t.Fatalf("results differ at Workers=%d", w)
-		}
-	}
-}
-
-// TestWorkersGuard exercises the tiny-trace guard (more workers than
-// apps) and the empty trace.
+// TestWorkersGuard runs more workers than apps (and than GOMAXPROCS
+// on most machines) and the empty trace.
 func TestWorkersGuard(t *testing.T) {
 	tr := multiFnTrace(7)
 	res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: time.Minute}, Options{Workers: 64})
@@ -131,5 +119,19 @@ func TestWorkersGuard(t *testing.T) {
 	empty := &trace.Trace{Duration: time.Hour}
 	if got := Simulate(empty, policy.NoUnloading{}, Options{Workers: 8}); len(got.Apps) != 0 {
 		t.Fatalf("empty trace produced %d apps", len(got.Apps))
+	}
+}
+
+// TestResolveWorkers pins the default and the cap without starting a
+// worker: results never depend on the count, so nothing past
+// GOMAXPROCS is honored.
+func TestResolveWorkers(t *testing.T) {
+	p := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ in, want int }{
+		{0, p}, {-3, p}, {1, 1}, {p, p}, {p + 1, p}, {math.MaxInt, p},
+	} {
+		if got := resolveWorkers(c.in); got != c.want {
+			t.Errorf("resolveWorkers(%d) = %d, want %d", c.in, got, c.want)
+		}
 	}
 }

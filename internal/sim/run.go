@@ -13,8 +13,8 @@ import (
 // ResultSink consumes per-app outcomes as the engine produces them.
 // index is the 0-based position of the app in the source's sequence.
 // Run serializes Consume calls (no locking needed inside sinks) and
-// makes them in ascending index order on every path, so even
-// order-sensitive aggregates (float sums) repeat to the last bit.
+// makes them in ascending index order, so even order-sensitive
+// aggregates (float sums) repeat to the last bit.
 type ResultSink interface {
 	Consume(index int, r AppResult)
 }
@@ -46,7 +46,7 @@ type runConfig struct {
 type Option func(*runConfig)
 
 // WithWorkers bounds the number of apps simulated concurrently
-// (default GOMAXPROCS, capped at the number of apps).
+// (default and cap: GOMAXPROCS).
 func WithWorkers(n int) Option {
 	return func(c *runConfig) { c.opt.Workers = n }
 }
@@ -60,8 +60,8 @@ func WithExecTime(enabled bool) Option {
 
 // WithSink attaches a ResultSink; may be repeated to fan results out
 // to several sinks. Attaching any sink disables the default collector
-// (Run then returns a nil *Result), keeping streaming runs free of
-// per-app storage.
+// (Run then returns a nil *Result), so a streaming run keeps no
+// per-app result slice.
 func WithSink(s ResultSink) Option {
 	return func(c *runConfig) { c.sinks = append(c.sinks, s) }
 }
@@ -73,13 +73,12 @@ func WithSink(s ResultSink) Option {
 //   - With no WithSink option, Run collects every app's outcome and
 //     returns a *Result identical to Simulate's.
 //   - With explicit sinks, Run returns (nil, nil) on success; the
-//     caller reads aggregates out of its sinks. Nothing per-app is
-//     retained, so a constant-memory source (StreamInvocationsCSV, a
-//     generator) yields a constant-memory run.
-//
-// Sources backed by an in-memory trace (trace.NewTraceSource) are
-// detected and dispatched to the batch work-stealing walk; outcomes
-// are identical either way, app by app.
+//     caller reads aggregates out of its sinks. The only per-app
+//     outcomes held are those in the reorder buffer (apps that
+//     finished behind a slower, lower-indexed app), so over a
+//     constant-memory source (StreamInvocationsCSV, a generator) the
+//     run's memory grows with the apps the other workers finish while
+//     one slow app walks, not with the number of apps.
 func Run(ctx context.Context, src trace.Source, pol policy.Policy, opts ...Option) (*Result, error) {
 	var cfg runConfig
 	for _, o := range opts {
@@ -90,14 +89,7 @@ func Run(ctx context.Context, src trace.Source, pol policy.Policy, opts ...Optio
 		c = &collector{res: Result{Policy: pol.Name(), HorizonSeconds: src.Horizon().Seconds()}}
 		cfg.sinks = []ResultSink{c}
 	}
-
-	// In-memory sources upgrade to the batch work-stealing walk (see
-	// trace.BatchTrace for the partially-consumed-source contract).
-	if tr := trace.BatchTrace(src); tr != nil {
-		if err := runBatch(ctx, tr, pol, cfg); err != nil {
-			return nil, err
-		}
-	} else if err := runStream(ctx, src, pol, cfg); err != nil {
+	if err := runStream(ctx, src, pol, cfg); err != nil {
 		return nil, err
 	}
 	if c != nil {
@@ -106,19 +98,15 @@ func Run(ctx context.Context, src trace.Source, pol policy.Policy, opts ...Optio
 	return nil, nil
 }
 
-// runBatch simulates an in-memory trace on the work-stealing fast
-// path, then drains the per-app outcomes to the sinks in app order.
-func runBatch(ctx context.Context, tr *trace.Trace, pol policy.Policy, cfg runConfig) error {
-	res, err := simulateCtx(ctx, tr, pol, cfg.opt)
-	if err != nil {
-		return err
+// resolveWorkers resolves the Workers option: GOMAXPROCS by default
+// and at most. Outcomes do not depend on the count, and each worker
+// costs a goroutine, a channel slot and a scratch arena, so workers
+// past the CPUs the runtime schedules on buy nothing.
+func resolveWorkers(n int) int {
+	if p := runtime.GOMAXPROCS(0); n <= 0 || n > p {
+		return p
 	}
-	for i, a := range res.Apps {
-		for _, s := range cfg.sinks {
-			s.Consume(i, a)
-		}
-	}
-	return nil
+	return n
 }
 
 // runStream simulates a one-at-a-time source: a producer goroutine
@@ -126,12 +114,9 @@ func runBatch(ctx context.Context, tr *trace.Trace, pol policy.Policy, cfg runCo
 // O(workers), and workers push outcomes to the sinks under a mutex.
 // Outcomes that finish ahead of a slower, lower-indexed app wait in a
 // reorder buffer rather than blocking their worker, so the sinks see
-// ascending index order, exactly as runBatch feeds them.
+// ascending index order.
 func runStream(ctx context.Context, src trace.Source, pol policy.Policy, cfg runConfig) error {
-	workers := cfg.opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := resolveWorkers(cfg.opt.Workers)
 	horizon := src.Horizon().Seconds()
 
 	type item struct {

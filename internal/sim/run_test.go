@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -10,15 +12,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-// opaqueSource hides a TraceSource's Trace method, forcing Run onto
-// the true streaming path.
-type opaqueSource struct {
-	src trace.Source
-}
-
-func (s opaqueSource) Horizon() time.Duration    { return s.src.Horizon() }
-func (s opaqueSource) Next() (*trace.App, error) { return s.src.Next() }
 
 func runPopulation(t testing.TB) *trace.Trace {
 	t.Helper()
@@ -49,42 +42,35 @@ func sameResults(t *testing.T, name string, got, want *Result) {
 	}
 }
 
-// TestRunMatchesSimulate is the streaming-equals-batch property test:
-// for several policies, worker counts and exec-time settings, Run over
-// a streaming source and Run over a trace source both reproduce
-// Simulate's results exactly, app by app.
+// TestRunMatchesSimulate pins the option plumbing: for several
+// policies, worker counts and exec-time settings, Run with options
+// reproduces a single-worker Simulate with the matching Options
+// exactly, app by app.
 func TestRunMatchesSimulate(t *testing.T) {
 	tr := runPopulation(t)
 	cases := []struct {
-		name string
-		pol  func() policy.Policy
-		opts []Option
-		opt  Options
+		name     string
+		pol      func() policy.Policy
+		opts     []Option
+		execTime bool
 	}{
 		{"fixed", func() policy.Policy { return policy.FixedKeepAlive{KeepAlive: 10 * time.Minute} },
-			nil, Options{}},
+			nil, false},
 		{"nounload-4workers", func() policy.Policy { return policy.NoUnloading{} },
-			[]Option{WithWorkers(4)}, Options{Workers: 4}},
+			[]Option{WithWorkers(4)}, false},
 		{"hybrid", func() policy.Policy { return policy.NewHybrid(policy.DefaultHybridConfig()) },
-			nil, Options{}},
+			nil, false},
 		{"hybrid-exectime-3workers", func() policy.Policy { return policy.NewHybrid(policy.DefaultHybridConfig()) },
-			[]Option{WithExecTime(true), WithWorkers(3)}, Options{UseExecTime: true, Workers: 3}},
+			[]Option{WithExecTime(true), WithWorkers(3)}, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want := Simulate(tr, c.pol(), c.opt)
-
-			batch, err := Run(context.Background(), trace.NewTraceSource(tr), c.pol(), c.opts...)
+			want := Simulate(tr, c.pol(), Options{Workers: 1, UseExecTime: c.execTime})
+			got, err := Run(context.Background(), trace.NewTraceSource(tr), c.pol(), c.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameResults(t, "batch-source", batch, want)
-
-			stream, err := Run(context.Background(), opaqueSource{trace.NewTraceSource(tr)}, c.pol(), c.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, "stream-source", stream, want)
+			sameResults(t, "run", got, want)
 		})
 	}
 }
@@ -106,27 +92,69 @@ func TestRunSinksReceiveEveryApp(t *testing.T) {
 	pol := policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}
 	want := Simulate(tr, pol, Options{})
 
-	for _, streaming := range []bool{false, true} {
-		var src trace.Source = trace.NewTraceSource(tr)
-		if streaming {
-			src = opaqueSource{src}
+	sink := &recordingSink{seen: map[int]AppResult{}}
+	res, err := Run(context.Background(), trace.NewTraceSource(tr), pol, WithSink(sink), WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != nil {
+		t.Fatal("explicit sink should disable the default collector")
+	}
+	if len(sink.seen) != len(want.Apps) {
+		t.Fatalf("sink saw %d apps, want %d", len(sink.seen), len(want.Apps))
+	}
+	for i, wa := range want.Apps {
+		if sink.seen[i] != wa {
+			t.Fatalf("app %d differs", i)
 		}
-		sink := &recordingSink{seen: map[int]AppResult{}}
-		res, err := Run(context.Background(), src, pol, WithSink(sink), WithWorkers(4))
-		if err != nil {
+	}
+}
+
+// orderedSink records outcomes and the first index that is not its
+// predecessor + 1 (Run serializes Consume, so no lock is needed).
+type orderedSink struct {
+	got []AppResult
+	bad int // first out-of-order index, or -1
+}
+
+func (s *orderedSink) Consume(i int, r AppResult) {
+	if i != len(s.got) && s.bad < 0 {
+		s.bad = i
+	}
+	s.got = append(s.got, r)
+}
+
+// TestRunSinksSeeAscendingIndices pins the reorder buffer: app 0
+// dwarfs hundreds of tiny apps, so at several workers the tiny apps
+// finish while app 0 is still walking, and their outcomes must wait.
+// The sink must still see indices 0, 1, 2, … and outcomes equal to a
+// single-worker run.
+func TestRunSinksSeeAscendingIndices(t *testing.T) {
+	// Four workers even where fewer CPUs would cap the count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	big := make([]float64, 100_000)
+	for i := range big {
+		big[i] = float64(i)
+	}
+	tr := &trace.Trace{Duration: 48 * time.Hour, Apps: []*trace.App{{ID: "big",
+		Functions: []*trace.Function{{ID: "big", Invocations: big}}}}}
+	for a := 0; a < 400; a++ {
+		id := fmt.Sprintf("tiny%d", a)
+		tr.Apps = append(tr.Apps, &trace.App{ID: id, Functions: []*trace.Function{{ID: id,
+			Invocations: []float64{float64(a), float64(a) + 900, float64(a) + 5000}}}})
+	}
+	pol := func() policy.Policy { return policy.NewHybrid(policy.DefaultHybridConfig()) }
+	want := Simulate(tr, pol(), Options{Workers: 1})
+	for _, w := range []int{1, 4} {
+		sink := &orderedSink{bad: -1}
+		if _, err := Run(context.Background(), trace.NewTraceSource(tr), pol(), WithSink(sink), WithWorkers(w)); err != nil {
 			t.Fatal(err)
 		}
-		if res != nil {
-			t.Fatal("explicit sink should disable the default collector")
+		if sink.bad >= 0 {
+			t.Fatalf("workers=%d: sink saw index %d out of order", w, sink.bad)
 		}
-		if len(sink.seen) != len(want.Apps) {
-			t.Fatalf("sink saw %d apps, want %d", len(sink.seen), len(want.Apps))
-		}
-		for i, wa := range want.Apps {
-			if sink.seen[i] != wa {
-				t.Fatalf("streaming=%v: app %d differs", streaming, i)
-			}
-		}
+		sameResults(t, fmt.Sprintf("workers=%d", w), &Result{Policy: want.Policy,
+			HorizonSeconds: want.HorizonSeconds, Apps: sink.got}, want)
 	}
 }
 
@@ -135,18 +163,12 @@ func TestRunCancellation(t *testing.T) {
 	pol := policy.NewHybrid(policy.DefaultHybridConfig())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, streaming := range []bool{false, true} {
-		var src trace.Source = trace.NewTraceSource(tr)
-		if streaming {
-			src = opaqueSource{src}
-		}
-		res, err := Run(ctx, src, pol, WithWorkers(2))
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("streaming=%v: err = %v, want context.Canceled", streaming, err)
-		}
-		if res != nil {
-			t.Fatalf("streaming=%v: canceled run returned a result", streaming)
-		}
+	res, err := Run(ctx, trace.NewTraceSource(tr), pol, WithWorkers(2))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Fatal("canceled run returned a result")
 	}
 }
 
@@ -178,7 +200,7 @@ func TestRunSourceErrorPropagates(t *testing.T) {
 
 func TestRunEmptySource(t *testing.T) {
 	empty := trace.NewTraceSource(&trace.Trace{Duration: time.Hour})
-	res, err := Run(context.Background(), opaqueSource{empty}, policy.NoUnloading{})
+	res, err := Run(context.Background(), empty, policy.NoUnloading{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,9 +226,9 @@ func TestCollectorOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestRunPartiallyConsumedTraceSource pins that the batch fast path
-// honors apps already taken via Next: only the remainder simulates,
-// matching what any streaming source would yield.
+// TestRunPartiallyConsumedTraceSource pins that Run starts wherever
+// the source stands: apps already taken via Next are not simulated,
+// and the remainder is indexed from 0.
 func TestRunPartiallyConsumedTraceSource(t *testing.T) {
 	tr := runPopulation(t)
 	pol := policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}
@@ -231,8 +253,8 @@ func TestRunPartiallyConsumedTraceSource(t *testing.T) {
 			t.Fatalf("app %d differs from full-run app %d", i, i+skip)
 		}
 	}
-	// The batch path consumed the source.
+	// Run consumed the source.
 	if _, err := src.Next(); err == nil {
-		t.Fatal("source not drained after batch Run")
+		t.Fatal("source not drained after Run")
 	}
 }

@@ -10,21 +10,17 @@
 // wasted memory is reported in seconds. Exec-time-aware simulation is
 // available as an extension (Options.UseExecTime).
 //
-// The walk is organized for throughput: apps are scheduled
-// largest-first over a work-stealing atomic counter (no channel
-// handoff per app, no idle goroutines on tiny traces), each worker
-// owns a scratch arena reused across apps, and per-app policy state is
-// recycled through policy.Releasable, so repeated Simulate calls — the
+// Run is the one driver: a producer goroutine pulls apps from the
+// source into a bounded channel, workers walk them, and a reorder
+// buffer hands outcomes to the sinks in app order. Each worker owns a
+// scratch arena reused across apps, and per-app policy state is
+// recycled through policy.Releasable, so repeated runs — the
 // Figures 14–19 sweeps run dozens of policy configurations — reach a
 // steady state that allocates almost nothing.
 package sim
 
 import (
 	"context"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/policy"
 	"repro/internal/sim/kernel"
@@ -34,7 +30,7 @@ import (
 // Options configures a simulation run.
 type Options struct {
 	// Workers is the number of apps simulated concurrently
-	// (default: GOMAXPROCS, capped at the number of apps).
+	// (default and cap: GOMAXPROCS).
 	Workers int
 	// UseExecTime makes invocations occupy their function's average
 	// execution time instead of 0. Idle times then measure from
@@ -72,120 +68,18 @@ type Result struct {
 }
 
 // arena is per-worker scratch reused across apps (and, because workers
-// are created per Simulate call with pooled policy state, effectively
-// across Simulate calls too). It is the shared walk kernel's buffer
-// set; the cluster engine owns its own.
+// are created per Run call with pooled policy state, effectively
+// across runs too). It is the shared walk kernel's buffer set; the
+// cluster engine owns its own.
 type arena = kernel.Scratch
 
-// Simulate runs pol over tr and returns per-app outcomes. Apps are
-// independent, so they are simulated in parallel; results preserve
-// tr.Apps order and are deterministic. Simulate is the batch
-// entrypoint; Run is the context-cancelable, sink-feeding superset.
+// Simulate runs pol over tr and returns per-app outcomes in tr.Apps
+// order; results are deterministic. It is Run over an in-memory trace
+// with the default collector.
 func Simulate(tr *trace.Trace, pol policy.Policy, opt Options) *Result {
-	res, _ := simulateCtx(context.Background(), tr, pol, opt)
+	res, _ := Run(context.Background(), trace.NewTraceSource(tr), pol,
+		WithWorkers(opt.Workers), WithExecTime(opt.UseExecTime))
 	return res
-}
-
-// simulateCtx is the batch engine: the work-stealing parallel walk
-// over an in-memory trace, checking ctx once per work claim (one app
-// or chunk, never mid-app) so cancellation costs nothing measurable.
-func simulateCtx(ctx context.Context, tr *trace.Trace, pol policy.Policy, opt Options) (*Result, error) {
-	n := len(tr.Apps)
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		// Don't spin idle goroutines on tiny traces.
-		workers = n
-	}
-	res := &Result{
-		Policy:         pol.Name(),
-		HorizonSeconds: tr.Duration.Seconds(),
-		Apps:           make([]AppResult, n),
-	}
-	if n == 0 {
-		return res, nil
-	}
-
-	// Schedule the largest apps first. App sizes in the dataset are
-	// heavily skewed (§3), so a naive in-order walk can leave one huge
-	// app to a single worker at the end of the run; claiming the
-	// giants first bounds that tail at the size of the largest app.
-	// Sizes are precomputed once: the comparator runs O(n log n) times.
-	sizes := make([]int32, n)
-	for i, app := range tr.Apps {
-		sizes[i] = int32(app.TotalInvocations())
-	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if sizes[order[a]] != sizes[order[b]] {
-			return sizes[order[a]] > sizes[order[b]]
-		}
-		return order[a] < order[b]
-	})
-
-	runOne := func(ar *arena, idx int32) {
-		res.Apps[idx] = simulateApp(ar, tr.Apps[idx], pol, res.HorizonSeconds, opt)
-	}
-
-	if workers == 1 {
-		var ar arena
-		for _, idx := range order {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			runOne(&ar, idx)
-		}
-		return res, nil
-	}
-
-	// Work stealing over an atomic cursor with tapered chunking: the
-	// head of the queue holds the heavy apps (largest-first order), so
-	// those are claimed one at a time — batching them would serialize
-	// the very giants the sort spreads out — while claims grow toward
-	// the light tail to amortize the atomic.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var ar arena
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				pos := next.Load()
-				if pos >= int64(n) {
-					return
-				}
-				chunk := pos / int64(4*workers)
-				if chunk < 1 {
-					chunk = 1
-				}
-				start := next.Add(chunk) - chunk
-				if start >= int64(n) {
-					return
-				}
-				end := start + chunk
-				if end > int64(n) {
-					end = int64(n)
-				}
-				for i := start; i < end; i++ {
-					runOne(&ar, order[i])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // simulateApp walks one app's invocations through the shared kernel:

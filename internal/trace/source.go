@@ -26,9 +26,7 @@ type Source interface {
 }
 
 // TraceSource adapts a fully materialized *Trace to the Source
-// interface. Engines may type-assert for the Trace method to recover
-// the batch fast path (work-stealing parallel walk over an indexable
-// app slice).
+// interface, yielding its apps in order like any other source.
 type TraceSource struct {
 	tr  *Trace
 	pos int
@@ -49,21 +47,6 @@ func (s *TraceSource) Next() (*App, error) {
 	s.pos++
 	return app, nil
 }
-
-// Trace returns the not-yet-yielded remainder of the backing trace,
-// letting consumers with a batch fast path (sim.Run) bypass the
-// one-at-a-time walk without re-processing apps already taken via
-// Next. Callers that switch to the batch path must call Drain so the
-// source reflects the consumption.
-func (s *TraceSource) Trace() *Trace {
-	if s.pos == 0 {
-		return s.tr
-	}
-	return &Trace{Duration: s.tr.Duration, Apps: s.tr.Apps[s.pos:]}
-}
-
-// Drain marks every app consumed, as after a batch walk of Trace().
-func (s *TraceSource) Drain() { s.pos = len(s.tr.Apps) }
 
 // shardSource restricts a source to an interleaved shard.
 type shardSource struct {
@@ -123,39 +106,12 @@ func ParseShard(s string) (i, n int, err error) {
 	return i, n, nil
 }
 
-// batchSource is the contract an in-memory-backed source exposes so
-// engines with a batch fast path can bypass the one-at-a-time walk:
-// Trace returns the not-yet-yielded remainder and Drain records that
-// the batch consumer took it, so a partially-Next'ed source behaves
-// identically on either path.
-type batchSource interface {
-	Trace() *Trace
-	Drain()
-}
-
-// BatchTrace returns the in-memory trace behind src — the remainder
-// not yet yielded by Next — and marks it consumed, or nil when src is
-// not batch-backed. It is the single implementation of the fast-path
-// handoff contract shared by the simulation engines.
-func BatchTrace(src Source) *Trace {
-	bs, ok := src.(batchSource)
-	if !ok {
-		return nil
-	}
-	tr := bs.Trace()
-	bs.Drain()
-	return tr
-}
-
 // Collect drains src into a materialized *Trace. It is the inverse of
 // NewTraceSource, useful when a streaming producer (a CSV stream, a
 // shard, a generator) must feed a consumer that needs the whole trace.
-// The trace behind a batch-backed source comes back as BatchTrace
-// returns it, not copied, so callers must not mutate it.
+// The apps themselves are not copied: the result shares them with
+// whatever backs src, so callers must not mutate them.
 func Collect(src Source) (*Trace, error) {
-	if tr := BatchTrace(src); tr != nil {
-		return tr, nil
-	}
 	tr := &Trace{Duration: src.Horizon()}
 	for {
 		app, err := src.Next()

@@ -120,33 +120,6 @@ func TestCollectRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceSourcePartialConsumption pins the batch-upgrade contract:
-// Trace() exposes only the unyielded remainder, and Drain marks it
-// consumed.
-func TestTraceSourcePartialConsumption(t *testing.T) {
-	tr := sourceTrace(5)
-	src := NewTraceSource(tr)
-	if src.Trace() != tr {
-		t.Fatal("pristine source should expose the backing trace itself")
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := src.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rest := src.Trace()
-	if rest.Duration != tr.Duration || len(rest.Apps) != 3 {
-		t.Fatalf("remainder: %d apps over %v", len(rest.Apps), rest.Duration)
-	}
-	if rest.Apps[0] != tr.Apps[2] {
-		t.Fatal("remainder does not start at the first unyielded app")
-	}
-	src.Drain()
-	if _, err := src.Next(); err != io.EOF {
-		t.Fatalf("after Drain: %v, want io.EOF", err)
-	}
-}
-
 func TestParseShard(t *testing.T) {
 	good := []struct {
 		in   string

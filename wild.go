@@ -62,8 +62,8 @@ type (
 	TraceSource = trace.Source
 )
 
-// SourceFromTrace adapts an in-memory trace. Run detects this source
-// and takes its batch work-stealing fast path. Each function's
+// SourceFromTrace adapts an in-memory trace; Run walks it like any
+// other source, one app at a time in trace order. Each function's
 // Invocations must be ascending (trace.Trace.Validate checks it): an
 // app's invocation order is merged from those lists, not re-sorted.
 func SourceFromTrace(tr *Trace) TraceSource { return trace.NewTraceSource(tr) }
