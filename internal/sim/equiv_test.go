@@ -108,6 +108,20 @@ func TestBatchPathMatchesStepwisePath(t *testing.T) {
 	}
 }
 
+// TestLargestFirstOrderingIsInvisible verifies that the order in which
+// workers finish multi-function apps of uneven sizes, and the worker
+// count, do not leak into results.
+func TestLargestFirstOrderingIsInvisible(t *testing.T) {
+	tr := multiFnTrace(99)
+	base := Simulate(tr, policy.NewHybrid(policy.DefaultHybridConfig()), Options{Workers: 1})
+	for w := 2; w <= 8; w++ {
+		got := Simulate(tr, policy.NewHybrid(policy.DefaultHybridConfig()), Options{Workers: w})
+		if !resultsEqual(base, got) {
+			t.Fatalf("results differ at Workers=%d", w)
+		}
+	}
+}
+
 // TestWorkersGuard runs more workers than apps (and than GOMAXPROCS
 // on most machines) and the empty trace.
 func TestWorkersGuard(t *testing.T) {

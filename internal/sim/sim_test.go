@@ -298,16 +298,6 @@ func TestSimulateDeterministicAcrossWorkerCounts(t *testing.T) {
 				i, r1.Apps[i], r8.Apps[i])
 		}
 	}
-
-	// Multi-function apps of uneven sizes under the hybrid policy.
-	mixed := multiFnTrace(99)
-	base := Simulate(mixed, policy.NewHybrid(policy.DefaultHybridConfig()), Options{Workers: 1})
-	for w := 2; w <= 8; w++ {
-		got := Simulate(mixed, policy.NewHybrid(policy.DefaultHybridConfig()), Options{Workers: w})
-		if !resultsEqual(base, got) {
-			t.Fatalf("results differ at Workers=%d", w)
-		}
-	}
 }
 
 func TestSimultaneousInvocations(t *testing.T) {
