@@ -313,8 +313,7 @@ func refineCSS(ctx *fitCtx, x []float64, ar, ma []float64) ([]float64, []float64
 		}
 		return cssRSS(ctx.resid, x, theta[:p], theta[p:])
 	}
-	before := css(params)
-	refined, after := stats.NelderMead(css, params, stats.NelderMeadOptions{MaxIter: 300, Tol: 1e-10})
+	refined, after, before := stats.NelderMead(css, params, stats.NelderMeadOptions{MaxIter: 300, Tol: 1e-10})
 	if after < before && !math.IsInf(after, 1) {
 		return refined[:p], refined[p:]
 	}

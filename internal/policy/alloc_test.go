@@ -67,7 +67,7 @@ func TestNextWindowsSeqSteadyStateAllocs(t *testing.T) {
 	a := p.NewApp("app").(*hybridApp)
 	runs = a.NextWindowsSeq(idles, runs[:0])
 	allocs := testing.AllocsPerRun(200, func() {
-		a.reset(a.cfg)
+		a.reset(a.pol)
 		runs = a.NextWindowsSeq(idles, runs[:0])
 	})
 	if allocs != 0 {

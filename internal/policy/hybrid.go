@@ -89,6 +89,10 @@ func (c HybridConfig) Validate() error {
 // Hybrid is the paper's hybrid histogram policy.
 type Hybrid struct {
 	cfg HybridConfig
+	// fc is the forecaster the time-series path asks: cfg.Forecaster,
+	// the default ARIMA search when that is nil, or a memo of the
+	// default handed over by ShareForecasts.
+	fc forecast.Forecaster
 }
 
 // NewHybrid constructs the policy, panicking on invalid configuration
@@ -97,7 +101,29 @@ func NewHybrid(cfg HybridConfig) *Hybrid {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Hybrid{cfg: cfg}
+	fc := cfg.Forecaster
+	if fc == nil {
+		fc = defaultForecaster
+	}
+	return &Hybrid{cfg: cfg, fc: fc}
+}
+
+// NewForecastMemo returns an empty memo of the paper's default ARIMA
+// forecaster, the one ShareForecasts expects.
+func NewForecastMemo() *forecast.Memo { return forecast.NewMemo(defaultForecaster) }
+
+// ShareForecasts makes p's time-series path fit through memo, which
+// must come from NewForecastMemo, if p is a hybrid policy on the
+// default forecaster with the time-series path on; any other policy, or
+// a nil memo, is left alone. Every decision is unchanged: the memo only
+// replays fits of series it has already seen. Call it before p makes
+// its first app.
+func ShareForecasts(p Policy, memo *forecast.Memo) {
+	h, ok := p.(*Hybrid)
+	if !ok || memo == nil || h.cfg.Forecaster != nil || h.cfg.DisableARIMA {
+		return
+	}
+	h.fc = memo
 }
 
 // Name implements Policy.
@@ -135,13 +161,13 @@ func (p *Hybrid) NewApp(string) AppPolicy {
 	if v := hybridAppPool.Get(); v != nil {
 		a := v.(*hybridApp)
 		if a.hist.Config() == p.cfg.Histogram {
-			a.reset(&p.cfg)
+			a.reset(p)
 			return a
 		}
 		// Incompatible histogram shape: drop it and build fresh.
 	}
 	a := &hybridApp{hist: ithist.New(p.cfg.Histogram)}
-	a.reset(&p.cfg)
+	a.reset(p)
 	return a
 }
 
@@ -152,7 +178,7 @@ var defaultForecaster forecast.Forecaster = forecast.ARIMA{
 }
 
 type hybridApp struct {
-	cfg  *HybridConfig // the policy's, shared by all its apps
+	pol  *Hybrid // shared by all the policy's apps
 	hist *ithist.Histogram
 
 	// its is the retained idle-time series feeding the forecaster: a
@@ -205,8 +231,8 @@ type hybridApp struct {
 }
 
 // reset prepares a fresh or recycled app for a new lifetime.
-func (a *hybridApp) reset(cfg *HybridConfig) {
-	a.cfg = cfg
+func (a *hybridApp) reset(pol *Hybrid) {
+	a.pol = pol
 	a.hist.Reset()
 	a.its = a.its[:0]
 	a.itsHead = 0
@@ -306,7 +332,7 @@ func (a *hybridApp) NextWindowsSeq(idles []time.Duration, runs []DecisionRun) []
 	// path, which handles both.
 	batched := false
 	if a.obsSeen == 0 {
-		a.wruns, batched = a.hist.DecideSeq(idles, MinObservations, OOBThreshold, a.cfg.CVThreshold, a.wruns[:0])
+		a.wruns, batched = a.hist.DecideSeq(idles, MinObservations, OOBThreshold, a.pol.cfg.CVThreshold, a.wruns[:0])
 	}
 	if !batched {
 		for _, idle := range idles[1:] {
@@ -315,7 +341,7 @@ func (a *hybridApp) NextWindowsSeq(idles []time.Duration, runs []DecisionRun) []
 		return append(acc.runs, DecisionRun{D: acc.cur, N: acc.curN})
 	}
 	standard := a.standard()
-	disablePW := a.cfg.DisablePreWarm
+	disablePW := a.pol.cfg.DisablePreWarm
 	// The batch advances the refit clock solely across forecast-path
 	// (OOB) observations: the fit is only consulted there, and fitAt is
 	// stamped from the same clock, so skipped stretches cancel out of
@@ -387,10 +413,10 @@ func (r *runAcc) emit(d Decision, n int32) {
 // minutes-series re-derivation and the fit. With RefitInterval 0 the
 // gate never holds and every invocation refits (§4.2).
 func (a *hybridApp) arimaDecisionAt(idles []time.Duration, j int, clk time.Duration) (Decision, bool) {
-	if a.cfg.DisableARIMA || j < ARIMAMinSamples {
+	if a.pol.cfg.DisableARIMA || j < ARIMAMinSamples {
 		return Decision{}, false
 	}
-	if !a.fitValid || clk-a.fitAt >= a.cfg.RefitInterval {
+	if !a.fitValid || clk-a.fitAt >= a.pol.cfg.RefitInterval {
 		lo := 1
 		if m := j - ARIMAMaxSeries + 1; m > lo {
 			lo = m
@@ -403,7 +429,7 @@ func (a *hybridApp) arimaDecisionAt(idles []time.Duration, j int, clk time.Durat
 		for k := range s {
 			s[k] = idles[lo+k].Minutes()
 		}
-		a.fitPred, a.fitOK = a.forecaster().PredictNext(s)
+		a.fitPred, a.fitOK = a.pol.fc.PredictNext(s)
 		a.fitAt = clk
 		a.fitValid = true
 	}
@@ -434,14 +460,14 @@ func (a *hybridApp) decide() Decision {
 		}
 		return a.standard()
 	}
-	if total < MinObservations || a.hist.CVBelow(a.cfg.CVThreshold) {
+	if total < MinObservations || a.hist.CVBelow(a.pol.cfg.CVThreshold) {
 		return a.standard()
 	}
 	pw, ka, ok := a.hist.Windows()
 	if !ok {
 		return a.standard()
 	}
-	if a.cfg.DisablePreWarm {
+	if a.pol.cfg.DisablePreWarm {
 		// Keep the app loaded from execution end through the tail.
 		return Decision{PreWarm: 0, KeepAlive: pw + ka, Mode: ModeHistogram}
 	}
@@ -459,7 +485,7 @@ func (a *hybridApp) standard() Decision {
 // pre-warm = pred*(1-margin), keep-alive = 2*margin*pred (margin on
 // each side of the prediction).
 func (a *hybridApp) arimaDecision() (Decision, bool) {
-	if a.cfg.DisableARIMA || len(a.its) < ARIMAMinSamples {
+	if a.pol.cfg.DisableARIMA || len(a.its) < ARIMAMinSamples {
 		return Decision{}, false
 	}
 	// The paper rebuilds the model after every invocation of an
@@ -470,10 +496,10 @@ func (a *hybridApp) arimaDecision() (Decision, bool) {
 	// observed idle time is reused (and the minutes series not
 	// re-derived) even after new observations.
 	if !a.fitValid || a.fitSeen != a.obsSeen {
-		if a.fitValid && a.clock-a.fitAt < a.cfg.RefitInterval {
+		if a.fitValid && a.clock-a.fitAt < a.pol.cfg.RefitInterval {
 			a.fitSeen = a.obsSeen
 		} else {
-			a.fitPred, a.fitOK = a.forecaster().PredictNext(a.seriesMinutes())
+			a.fitPred, a.fitOK = a.pol.fc.PredictNext(a.seriesMinutes())
 			a.fitSeen = a.obsSeen
 			a.fitAt = a.clock
 			a.fitValid = true
@@ -483,15 +509,6 @@ func (a *hybridApp) arimaDecision() (Decision, bool) {
 		return Decision{}, false
 	}
 	return a.arimaWindows(a.fitPred), true
-}
-
-// forecaster returns the configured forecaster or the paper's default
-// ARIMA order search.
-func (a *hybridApp) forecaster() forecast.Forecaster {
-	if a.cfg.Forecaster != nil {
-		return a.cfg.Forecaster
-	}
-	return defaultForecaster
 }
 
 // arimaWindows converts a next-IT prediction (in minutes) into the

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cluster"
+	"repro/internal/forecast"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -152,9 +153,11 @@ type unitResult struct {
 // materialized trace (sources are deterministic, so sharing changes
 // nothing but work). A cell with Shard "*/n" fans out into n shard
 // runs — scheduled on the same pool — whose sinks are merged in shard
-// order via their exact Merges. Every cell's execution is exactly
-// RunScenario's, so a sweep's results are bit-identical to running
-// each expanded scenario sequentially.
+// order via their exact Merges. Cells whose hybrid policy uses the
+// default ARIMA forecaster share one forecast memo, so each distinct
+// idle-time series is fitted once per sweep. Every cell's execution is
+// exactly RunScenario's, so a sweep's results are bit-identical to
+// running each expanded scenario sequentially.
 func RunSweep(ctx context.Context, cells []Scenario, opts ...Option) (*SweepReport, error) {
 	var o runOptions
 	for _, opt := range opts {
@@ -197,7 +200,13 @@ func RunSweep(ctx context.Context, cells []Scenario, opts ...Option) (*SweepRepo
 		return nil, err
 	}
 
-	results, err := runUnits(ctx, units, 0, runUnit)
+	// One forecast memo per sweep: every cell on the default ARIMA
+	// forecaster fits each distinct idle-time series once, and the
+	// memo is dropped with the sweep.
+	memo := newForecastMemo()
+	results, err := runUnits(ctx, units, 0, func(ctx context.Context, u unit) (unitResult, error) {
+		return runUnit(ctx, u, memo)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -380,14 +389,20 @@ func sinkSpecsFor(sc Scenario) ([]string, error) {
 	return []string{"coldstart", "waste"}, nil
 }
 
-// runUnit executes one unit: fresh policy, fresh sinks, one
-// simulation (batch or cluster).
-func runUnit(ctx context.Context, u unit) (unitResult, error) {
+// newForecastMemo makes each sweep's forecast memo; tests swap it for
+// one that counts the fits.
+var newForecastMemo = policy.NewForecastMemo
+
+// runUnit executes one unit: fresh policy (fitting through the
+// sweep's forecast memo), fresh sinks, one simulation (batch or
+// cluster).
+func runUnit(ctx context.Context, u unit, memo *forecast.Memo) (unitResult, error) {
 	sc := u.sc
 	pol, err := policy.FromSpec(sc.Policy)
 	if err != nil {
 		return unitResult{}, err
 	}
+	policy.ShareForecasts(pol, memo)
 	specs, err := sinkSpecsFor(sc)
 	if err != nil {
 		return unitResult{}, err

@@ -12,16 +12,19 @@ type NelderMeadOptions struct {
 	Step    float64 // initial simplex step per coordinate (default 0.1)
 }
 
-// NelderMead minimizes f starting from x0 and returns the best point
-// and its value. It never evaluates f outside what the caller's f
-// tolerates; f may return +Inf to reject a region.
+// NelderMead minimizes f starting from x0 and returns the best point,
+// its value, and f(x0). The best value never exceeds f(x0), so a
+// caller that keeps the result only on improvement compares against
+// the third return instead of evaluating the start point again. It
+// never evaluates f outside what the caller's f tolerates; f may
+// return +Inf to reject a region.
 //
 // f must not retain the slice it is handed: candidate points are
 // written into a small set of rotating buffers (the optimizer runs in
 // the simulator's per-invocation ARIMA refit, where a fresh allocation
 // per trial point dominated the profile). The returned slice is owned
 // by the caller.
-func NelderMead(f func([]float64) float64, x0 []float64, opt NelderMeadOptions) ([]float64, float64) {
+func NelderMead(f func([]float64) float64, x0 []float64, opt NelderMeadOptions) (best []float64, bestV, startV float64) {
 	if opt.MaxIter == 0 {
 		opt.MaxIter = 400
 	}
@@ -33,7 +36,8 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NelderMeadOptions) 
 	}
 	n := len(x0)
 	if n == 0 {
-		return nil, f(nil)
+		v := f(nil)
+		return nil, v, v
 	}
 
 	type vertex struct {
@@ -43,6 +47,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NelderMeadOptions) 
 	simplex := make([]vertex, n+1)
 	base := append([]float64(nil), x0...)
 	simplex[0] = vertex{x: base, v: f(base)}
+	startV = simplex[0].v
 	for i := 0; i < n; i++ {
 		x := append([]float64(nil), x0...)
 		if x[i] != 0 {
@@ -156,7 +161,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NelderMeadOptions) 
 		}
 	}
 	sortSimplex()
-	return simplex[0].x, simplex[0].v
+	return simplex[0].x, simplex[0].v, startV
 }
 
 // LSScratch holds reusable buffers for the least-squares routines, so

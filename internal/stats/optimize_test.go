@@ -9,12 +9,15 @@ func TestNelderMeadQuadratic(t *testing.T) {
 	f := func(x []float64) float64 {
 		return (x[0]-3)*(x[0]-3) + (x[1]+2)*(x[1]+2) + 5
 	}
-	x, v := NelderMead(f, []float64{0, 0}, NelderMeadOptions{MaxIter: 500})
+	x, v, v0 := NelderMead(f, []float64{0, 0}, NelderMeadOptions{MaxIter: 500})
 	if math.Abs(x[0]-3) > 1e-3 || math.Abs(x[1]+2) > 1e-3 {
 		t.Fatalf("minimum at %v, want (3,-2)", x)
 	}
 	if math.Abs(v-5) > 1e-5 {
 		t.Fatalf("value = %v, want 5", v)
+	}
+	if v0 != 18 {
+		t.Fatalf("start value = %v, want f(0,0) = 18", v0)
 	}
 }
 
@@ -24,7 +27,7 @@ func TestNelderMeadRosenbrock(t *testing.T) {
 		b := x[1] - x[0]*x[0]
 		return a*a + 100*b*b
 	}
-	x, _ := NelderMead(f, []float64{-1.2, 1}, NelderMeadOptions{MaxIter: 5000, Tol: 1e-14})
+	x, _, _ := NelderMead(f, []float64{-1.2, 1}, NelderMeadOptions{MaxIter: 5000, Tol: 1e-14})
 	if math.Abs(x[0]-1) > 0.01 || math.Abs(x[1]-1) > 0.01 {
 		t.Fatalf("Rosenbrock minimum at %v, want (1,1)", x)
 	}
@@ -38,17 +41,17 @@ func TestNelderMeadRejectsInfRegions(t *testing.T) {
 		}
 		return (x[0] - 4) * (x[0] - 4)
 	}
-	x, _ := NelderMead(f, []float64{1}, NelderMeadOptions{})
+	x, _, _ := NelderMead(f, []float64{1}, NelderMeadOptions{})
 	if math.Abs(x[0]-4) > 1e-3 {
 		t.Fatalf("minimum at %v, want 4", x[0])
 	}
 }
 
 func TestNelderMeadEmptyInput(t *testing.T) {
-	called := false
-	f := func(x []float64) float64 { called = true; return 7 }
-	_, v := NelderMead(f, nil, NelderMeadOptions{})
-	if !called || v != 7 {
+	calls := 0
+	f := func(x []float64) float64 { calls++; return 7 }
+	_, v, v0 := NelderMead(f, nil, NelderMeadOptions{})
+	if calls != 1 || v != 7 || v0 != 7 {
 		t.Fatal("empty input should evaluate f once")
 	}
 }
