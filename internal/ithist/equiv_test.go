@@ -168,7 +168,7 @@ func TestDecideSeqMatchesStepwise(t *testing.T) {
 		name          string
 		cfg           Config
 		oobThr, cvThr float64
-		preload       int64 // per-bin count merged into two bins first
+		preload       int64 // per-bin count filled into two bins first
 		batched       bool
 	}{
 		{"default", DefaultConfig(), 0.5, 2, 0, true},
@@ -186,12 +186,8 @@ func TestDecideSeqMatchesStepwise(t *testing.T) {
 		fresh := func() *Histogram {
 			h := New(tc.cfg)
 			if tc.preload > 0 {
-				src := New(tc.cfg)
-				src.Observe(3 * BinWidth)
-				src.Observe(17 * BinWidth)
-				if err := h.Merge(src, float64(tc.preload)); err != nil {
-					t.Fatal(err)
-				}
+				fillBin(h, 3, tc.preload)
+				fillBin(h, 17, tc.preload)
 			}
 			return h
 		}

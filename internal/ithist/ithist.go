@@ -72,10 +72,10 @@ func (c Config) Validate() error {
 	if c.NumBins <= 0 {
 		return fmt.Errorf("ithist: NumBins must be positive, got %d", c.NumBins)
 	}
-	if c.HeadPercentile < 0 || c.HeadPercentile > 100 {
+	if !(c.HeadPercentile >= 0 && c.HeadPercentile <= 100) {
 		return fmt.Errorf("ithist: HeadPercentile %v out of [0,100]", c.HeadPercentile)
 	}
-	if c.TailPercentile < 0 || c.TailPercentile > 100 {
+	if !(c.TailPercentile >= 0 && c.TailPercentile <= 100) {
 		return fmt.Errorf("ithist: TailPercentile %v out of [0,100]", c.TailPercentile)
 	}
 	if c.HeadPercentile > c.TailPercentile {
@@ -475,9 +475,9 @@ func marginWindows(numBins, headBin, tailBin int) (preWarm, keepAlive time.Durat
 }
 
 // invalidateCursors drops the percentile cursors and the window memo
-// after a bulk mutation of the counts (Reset, Decode, Merge; Observe
-// only handles single-count increments). The next consultation
-// relocates them by scan.
+// when the counts are cleared (New, Reset; Observe only handles
+// single-count increments). The next consultation relocates them by
+// scan.
 func (h *Histogram) invalidateCursors() {
 	h.head = cursor{bin: -1}
 	h.tail = cursor{bin: -1}

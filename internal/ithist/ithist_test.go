@@ -30,6 +30,8 @@ func TestConfigValidation(t *testing.T) {
 		{NumBins: 10, HeadPercentile: -1},
 		{NumBins: 10, TailPercentile: 101},
 		{NumBins: 10, HeadPercentile: 50, TailPercentile: 40},
+		{NumBins: 10, HeadPercentile: math.NaN(), TailPercentile: 99},
+		{NumBins: 10, TailPercentile: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -211,17 +213,21 @@ func TestPercentileBinProperty(t *testing.T) {
 	}
 }
 
-// fillBin drives bin's count up by n, as n observations there would,
-// through one weighted Merge: the cap sits billions of Observe calls
-// away.
-func fillBin(t *testing.T, h *Histogram, bin int, n int64) {
-	t.Helper()
-	src := New(h.cfg)
-	src.Observe(time.Duration(bin) * BinWidth)
-	if err := h.Merge(src, float64(n)); err != nil {
-		t.Fatal(err)
-	}
+// fillBin adds n to bin's count, as n observations there would, by
+// writing the count, T and S directly: the cap sits billions of
+// Observe calls away.
+func fillBin(h *Histogram, bin int, n int64) {
+	counts := h.dense()
+	c := int64(counts[bin])
+	counts[bin] = uint32(c + n)
+	h.total += n
+	h.sumSq += (c+n)*(c+n) - c*c
+	h.invalidateCursors()
 }
+
+// fillOOB adds n to the out-of-bounds count, as n out-of-bounds
+// observations would.
+func fillOOB(h *Histogram, n int64) { h.oob += n }
 
 // checkRecount compares T, S and the synced cursors with a brute-force
 // recount of the bins, S in big integers so that a wrapped S cannot
@@ -251,16 +257,16 @@ func checkRecount(t *testing.T, h *Histogram) {
 	}
 }
 
-// TestSaturation drives one bin to the cap (SEMANTICS.md, Saturation)
-// and checks that no later Observe or Merge wraps T or S: past the cap
-// an observation is not recorded, and a merge is clamped.
+// TestSaturation drives one bin, and then oob, to the cap
+// (SEMANTICS.md, Saturation) and checks that no later Observe wraps T,
+// S or T + oob: past the cap an observation is not recorded.
 func TestSaturation(t *testing.T) {
 	h := New(DefaultConfig())
 	for i := 0; i < 20; i++ {
 		h.Observe(3 * time.Minute)
 		h.Windows() // keep the cursors synced, so later walks start from them
 	}
-	fillBin(t, h, 3, maxCount-21)
+	fillBin(h, 3, maxCount-21)
 	checkRecount(t, h)
 	h.Observe(3 * time.Minute) // the last count that fits
 	if h.Count(3) != maxCount || h.Total() != maxCount {
@@ -278,36 +284,15 @@ func TestSaturation(t *testing.T) {
 		t.Fatal("CVBelow at the cap: want CV between 15 and 16")
 	}
 
-	// A merge into a saturated histogram adds nothing; into a nearly
-	// full one, bins fill in ascending order up to the cap.
-	fillBin(t, h, 200, 5)
-	if h.Count(200) != 0 {
-		t.Fatal("merge into a saturated histogram was recorded")
-	}
-	g := New(DefaultConfig())
-	fillBin(t, g, 100, maxCount/2)
-	src := New(g.cfg)
-	src.Observe(50 * time.Minute)
-	src.Observe(150 * time.Minute)
-	if err := g.Merge(src, maxCount/2+10); err != nil {
-		t.Fatal(err)
-	}
-	if g.Count(50) != maxCount-maxCount/2 || g.Count(150) != 0 || g.Total() != maxCount {
-		t.Fatalf("clamped merge: bins 50, 100, 150 = %d, %d, %d", g.Count(50), g.Count(100), g.Count(150))
-	}
-	checkRecount(t, g)
-
 	// oob saturates the same way, so T + oob cannot wrap either.
-	src = New(g.cfg)
-	src.Observe(-time.Second)
-	if err := g.Merge(src, math.MaxFloat64); err != nil {
-		t.Fatal(err)
+	fillOOB(h, maxCount-1)
+	h.Observe(5 * time.Hour) // the last out-of-bounds count that fits
+	h.Observe(-time.Second)
+	if h.OutOfBounds() != maxCount || h.Total()+h.OutOfBounds() < 0 {
+		t.Fatalf("oob = %d, want the cap %d", h.OutOfBounds(), maxCount)
 	}
-	g.Observe(5 * time.Hour)
-	if g.OutOfBounds() != maxCount || g.Total()+g.OutOfBounds() < 0 {
-		t.Fatalf("oob = %d, want the cap %d", g.OutOfBounds(), maxCount)
-	}
-	if !g.OOBHeavy(0.49) || g.OOBHeavy(0.5) {
+	checkRecount(t, h)
+	if !h.OOBHeavy(0.49) || h.OOBHeavy(0.5) {
 		t.Fatal("OOBHeavy at the cap: an even split is not above 0.5")
 	}
 }

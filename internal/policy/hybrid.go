@@ -77,8 +77,8 @@ func (c HybridConfig) Validate() error {
 	if err := c.Histogram.Validate(); err != nil {
 		return err
 	}
-	if c.CVThreshold < 0 {
-		return fmt.Errorf("policy: CVThreshold %v negative", c.CVThreshold)
+	if !(c.CVThreshold >= 0) {
+		return fmt.Errorf("policy: CVThreshold %v is not >= 0", c.CVThreshold)
 	}
 	if c.RefitInterval < 0 {
 		return fmt.Errorf("policy: RefitInterval %v negative", c.RefitInterval)

@@ -24,6 +24,7 @@ func TestHybridConfigValidation(t *testing.T) {
 	bad := []HybridConfig{
 		mk(func(c *HybridConfig) { c.Histogram.NumBins = 0 }),
 		mk(func(c *HybridConfig) { c.CVThreshold = -1 }),
+		mk(func(c *HybridConfig) { c.CVThreshold = math.NaN() }),
 		mk(func(c *HybridConfig) { c.Histogram.TailPercentile = 101 }),
 		mk(func(c *HybridConfig) { c.RefitInterval = -time.Minute }),
 	}

@@ -102,6 +102,10 @@ func TestFromSpecErrors(t *testing.T) {
 		{"fixed?ka=bogus", "parameter ka"},
 		{"fixed?ka=-5m", "must be positive"},
 		{"hybrid?cv=abc", "parameter cv"},
+		// NaN fails every range check, so it is refused at parse time.
+		{"hybrid?head=NaN", "parameter head: NaN"},
+		{"hybrid?tail=NaN", "parameter tail: NaN"},
+		{"hybrid?cv=NaN", "parameter cv: NaN"},
 		{"hybrid?arima=maybe", "invalid boolean"},
 		{"hybrid?forecaster=lstm", "unknown \"lstm\""},
 		{"hybrid?exact=maybe", "invalid boolean"},

@@ -193,6 +193,8 @@ func TestSinkSpecErrors(t *testing.T) {
 		{"coldstarts", `unknown sink "coldstarts"`},
 		{"coldstart?quant=75", "unknown parameters [quant]"},
 		{"coldstart?q=101", "out of [0, 100]"},
+		{"coldstart?q=NaN", "parameter q: NaN"},
+		{"coldstart?q=50:nan", "parameter q: NaN"},
 		{"waste?x=1", "unknown parameters [x]"},
 	}
 	for _, c := range cases {
@@ -351,6 +353,7 @@ func TestShapedGenSpecCanonical(t *testing.T) {
 		{"gen:apps=10&mode=spike", "unknown Mode"},
 		{"gen:apps=10&rps0=5", "without Mode"},
 		{"gen:apps=10&mode=ramp&rps0=5&rps1=1", "RPS0 <= RPS1"},
+		{"gen:apps=3&mode=ramp&rps0=NaN&rps1=2&step=1", "parameter rps0: NaN"},
 	} {
 		if _, err := NewSource(bad.spec); err == nil || !strings.Contains(err.Error(), bad.wantSub) {
 			t.Errorf("NewSource(%q) = %v, want error containing %q", bad.spec, err, bad.wantSub)

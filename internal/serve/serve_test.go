@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/policy"
-	"repro/internal/prodimpl"
 	"repro/internal/serve"
 	"repro/internal/stats"
 )
@@ -82,8 +81,7 @@ func script(seed uint64, apps, events int) []arrival {
 // behavior to the policy contract: for any interleaved multi-app
 // arrival stream, every Decide returns exactly what a fresh per-app
 // NextWindows walk with the same idle-time bookkeeping would return —
-// across policy families (histogram, fixed, no-unload, the §6
-// production adapter).
+// across policy families (histogram, fixed, no-unload).
 func TestControllerMatchesPolicyWalk(t *testing.T) {
 	pols := map[string]func() policy.Policy{
 		"hybrid": func() policy.Policy { return mustPolicy(t, "hybrid") },
@@ -92,7 +90,6 @@ func TestControllerMatchesPolicyWalk(t *testing.T) {
 		},
 		"fixed":    func() policy.Policy { return mustPolicy(t, "fixed?ka=10m") },
 		"nounload": func() policy.Policy { return mustPolicy(t, "nounload") },
-		"prod":     func() policy.Policy { return prodimpl.NewPolicyAdapter(prodimpl.DefaultConfig()) },
 	}
 	for name, mk := range pols {
 		t.Run(name, func(t *testing.T) {

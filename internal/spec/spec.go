@@ -14,6 +14,7 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"net/url"
 	"sort"
 	"strconv"
@@ -119,15 +120,23 @@ func (p *Params) Duration(key string, def time.Duration) (time.Duration, error) 
 	return d, nil
 }
 
-// Float returns the named float parameter, or def when absent.
+// Float returns the named float parameter, or def when absent. A NaN
+// is rejected, since it passes every range check written with < and >.
 func (p *Params) Float(key string, def float64) (float64, error) {
 	s, ok := p.take(key)
 	if !ok {
 		return def, nil
 	}
+	return parseFloat(key, s)
+}
+
+func parseFloat(key, s string) (float64, error) {
 	f, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return 0, fmt.Errorf("parameter %s: %w", key, err)
+	}
+	if math.IsNaN(f) {
+		return 0, fmt.Errorf("parameter %s: NaN is not a number", key)
 	}
 	return f, nil
 }
@@ -184,9 +193,10 @@ func (p *Params) String(key, def string) string {
 }
 
 // Floats returns the named parameter parsed as a float list, or def
-// when absent. Elements separate on ':' or ',' — ':' is the canonical
-// form, since commas already separate list fields in the scenario
-// text grammar ("sinks=coldstart?q=50:75:99,waste").
+// when absent; like Float, it rejects a NaN element. Elements separate
+// on ':' or ',' — ':' is the canonical form, since commas already
+// separate list fields in the scenario text grammar
+// ("sinks=coldstart?q=50:75:99,waste").
 func (p *Params) Floats(key string, def []float64) ([]float64, error) {
 	s, ok := p.take(key)
 	if !ok {
@@ -198,9 +208,9 @@ func (p *Params) Floats(key string, def []float64) ([]float64, error) {
 	}
 	out := make([]float64, 0, len(parts))
 	for _, part := range parts {
-		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		f, err := parseFloat(key, strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("parameter %s: %w", key, err)
+			return nil, err
 		}
 		out = append(out, f)
 	}

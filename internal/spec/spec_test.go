@@ -1,7 +1,9 @@
 package spec
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -70,5 +72,30 @@ func TestAccessorsStillConsume(t *testing.T) {
 	}
 	if left := p.Unused(); len(left) != 0 {
 		t.Errorf("Unused() = %v, want empty", left)
+	}
+}
+
+// TestFloatRejectsNaN pins that a NaN read from a spec is an error in
+// both float accessors (it would pass every builder's range check),
+// while a NaN default, which callers use to mark "absent", is returned.
+func TestFloatRejectsNaN(t *testing.T) {
+	for _, q := range []string{"f=NaN", "f=nan", "l=NaN", "l=1:nan"} {
+		p, err := parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err = p.Float("f", 0); err == nil {
+			_, err = p.Floats("l", nil)
+		}
+		if err == nil || !strings.Contains(err.Error(), "NaN is not") {
+			t.Errorf("%q: error %v, want one naming NaN", q, err)
+		}
+	}
+	p, err := parse("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err := p.Float("mem", math.NaN()); err != nil || !math.IsNaN(f) {
+		t.Errorf("absent key with a NaN default = %v, %v", f, err)
 	}
 }
