@@ -43,7 +43,10 @@ import (
 	"os/signal"
 	"strings"
 
-	wild "repro"
+	"repro/internal/cluster"
+	"repro/internal/policy"
+	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 // defaultScenario is what a bare coldsim runs.
@@ -56,7 +59,7 @@ const baselineSpec = "fixed?ka=10m"
 func main() {
 	// A coldsim spawned by -fanout serves as a sweep worker and exits
 	// inside this call; ordinary invocations fall through.
-	wild.MaybeRunScenarioWorker()
+	scenario.MaybeRunWorker()
 
 	log.SetFlags(0)
 	log.SetPrefix("coldsim: ")
@@ -64,7 +67,7 @@ func main() {
 	var (
 		scenarioFlag = flag.String("scenario", defaultScenario,
 			fmt.Sprintf("scenario or sweep grid (text grammar, JSON, or @file.json; policies: %v; placements: %v)",
-				wild.PolicySpecs(), wild.PlacementNames()))
+				policy.SpecNames(), cluster.PlacementNames()))
 		format = flag.String("format", "table", "output format: table, csv or json")
 		fanout = flag.Int("fanout", 0,
 			"run each cell as n shard worker processes (rewrites unsharded cells to shard=*/n)")
@@ -88,7 +91,7 @@ func main() {
 	// -fanout n: unsharded cells become n-way shard fan-outs, and every
 	// unit runs in its own worker process (results are bit-identical to
 	// the in-process sweep).
-	var run sweepFunc = wild.RunSweep
+	var run sweepFunc = scenario.RunSweep
 	if *fanout > 0 {
 		for i := range cells {
 			if cells[i].Shard == "" {
@@ -96,8 +99,8 @@ func main() {
 			}
 		}
 		n := *fanout
-		run = func(ctx context.Context, cs []wild.Scenario, opts ...wild.ScenarioOption) (*wild.SweepReport, error) {
-			return wild.RunSweepProcs(ctx, cs, n, opts...)
+		run = func(ctx context.Context, cs []scenario.Scenario, opts ...scenario.Option) (*scenario.SweepReport, error) {
+			return scenario.RunSweepProcs(ctx, cs, n, opts...)
 		}
 	}
 
@@ -115,7 +118,7 @@ func main() {
 }
 
 // runFormat runs the sweep and writes the report in the -format named.
-func runFormat(ctx context.Context, format string, cells []wild.Scenario, run sweepFunc) error {
+func runFormat(ctx context.Context, format string, cells []scenario.Scenario, run sweepFunc) error {
 	switch format {
 	case "table":
 		return runTable(ctx, cells, run)
@@ -131,7 +134,7 @@ func runFormat(ctx context.Context, format string, cells []wild.Scenario, run sw
 // printed on its own stderr line first, so the cell can be re-run in
 // isolation (coldsim -scenario '<that string>').
 func fatal(err error) {
-	var cellErr *wild.ScenarioCellError
+	var cellErr *scenario.CellError
 	if errors.As(err, &cellErr) {
 		fmt.Fprintf(os.Stderr, "coldsim: failing cell: %s\n", cellErr.Scenario)
 	}
@@ -139,25 +142,25 @@ func fatal(err error) {
 }
 
 // resolveGrid parses the sweep grid from -scenario, inline or @file.
-func resolveGrid(scenarioArg string) (wild.ScenarioGrid, error) {
+func resolveGrid(scenarioArg string) (scenario.Grid, error) {
 	if path, ok := strings.CutPrefix(scenarioArg, "@"); ok {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return wild.ScenarioGrid{}, err
+			return scenario.Grid{}, err
 		}
 		scenarioArg = string(data)
 	}
-	return wild.ParseGrid(scenarioArg)
+	return scenario.ParseGrid(scenarioArg)
 }
 
 // sweepFunc is RunSweep or its -fanout process form.
-type sweepFunc func(context.Context, []wild.Scenario, ...wild.ScenarioOption) (*wild.SweepReport, error)
+type sweepFunc func(context.Context, []scenario.Scenario, ...scenario.Option) (*scenario.SweepReport, error)
 
 // runTable renders the human table: one row per cell, wasted memory
 // normalized to the fixed-10-minute baseline of the cell's group (all
 // assignments but the policy). Baseline cells missing from the sweep
 // run implicitly and are not printed.
-func runTable(ctx context.Context, cells []wild.Scenario, run sweepFunc) error {
+func runTable(ctx context.Context, cells []scenario.Scenario, run sweepFunc) error {
 	visible := len(cells)
 	cells = append(cells, missingBaselines(cells)...)
 
@@ -177,7 +180,7 @@ func runTable(ctx context.Context, cells []wild.Scenario, run sweepFunc) error {
 	}
 	warnMemoryDefaults(rep.Cells[:visible])
 
-	labels := wild.ScenarioLabels(scenariosOf(rep))[:visible]
+	labels := scenario.Labels(scenariosOf(rep))[:visible]
 	cols := displayColumns(rep)
 	fmt.Printf("sweep: %d cells\n\n", visible)
 	widthLabel := len("cell")
@@ -203,7 +206,7 @@ func runTable(ctx context.Context, cells []wild.Scenario, run sweepFunc) error {
 
 // runRaw writes the machine-readable report (format "csv" or "json")
 // to w.
-func runRaw(ctx context.Context, format string, cells []wild.Scenario, run sweepFunc, w io.Writer) error {
+func runRaw(ctx context.Context, format string, cells []scenario.Scenario, run sweepFunc, w io.Writer) error {
 	rep, err := run(ctx, cells)
 	if err != nil {
 		return err
@@ -217,12 +220,12 @@ func runRaw(ctx context.Context, format string, cells []wild.Scenario, run sweep
 
 // warnMemoryDefaults logs, for every output format, which cells
 // charged apps the default footprint instead of a measured one.
-func warnMemoryDefaults(cells []*wild.ScenarioResult) {
+func warnMemoryDefaults(cells []*scenario.CellResult) {
 	warnedNoTable := map[string]bool{}
 	for _, c := range cells {
 		if c.MemDefaulted > 0 {
 			log.Printf("warning: %s: %d apps missing from the memory table; charged the %d MB default",
-				c.Scenario, c.MemDefaulted, int(wild.DefaultAppMemoryMB))
+				c.Scenario, c.MemDefaulted, int(trace.DefaultAppMemoryMB))
 		}
 		// CSV invocation tables carry no memory column at all: a
 		// cluster run without cluster.memcsv charges every app the
@@ -231,21 +234,21 @@ func warnMemoryDefaults(cells []*wild.ScenarioResult) {
 			strings.HasPrefix(c.Scenario.Source, "csv:") && !warnedNoTable[c.Scenario.Source] {
 			warnedNoTable[c.Scenario.Source] = true
 			log.Printf("warning: no cluster.memcsv table for %s; every app charged the %d MB default",
-				c.Scenario.Source, int(wild.DefaultAppMemoryMB))
+				c.Scenario.Source, int(trace.DefaultAppMemoryMB))
 		}
 	}
 }
 
 // missingBaselines returns one hidden fixed-10m baseline cell per
 // group of cells (same assignments but the policy) that lacks one.
-func missingBaselines(cells []wild.Scenario) []wild.Scenario {
+func missingBaselines(cells []scenario.Scenario) []scenario.Scenario {
 	have := map[string]bool{}
 	for _, sc := range cells {
 		if sc.Policy == baselineSpec {
 			have[groupKey(sc)] = true
 		}
 	}
-	var extra []wild.Scenario
+	var extra []scenario.Scenario
 	added := map[string]bool{}
 	for _, sc := range cells {
 		key := groupKey(sc)
@@ -262,13 +265,13 @@ func missingBaselines(cells []wild.Scenario) []wild.Scenario {
 
 // groupKey identifies a cell's normalization group: its canonical
 // string with the policy assignment blanked.
-func groupKey(sc wild.Scenario) string {
+func groupKey(sc scenario.Scenario) string {
 	sc.Policy = ""
 	return sc.String()
 }
 
-func scenariosOf(rep *wild.SweepReport) []wild.Scenario {
-	out := make([]wild.Scenario, len(rep.Cells))
+func scenariosOf(rep *scenario.SweepReport) []scenario.Scenario {
+	out := make([]scenario.Scenario, len(rep.Cells))
 	for i, c := range rep.Cells {
 		out[i] = c.Scenario
 	}
@@ -278,7 +281,7 @@ func scenariosOf(rep *wild.SweepReport) []wild.Scenario {
 // displayColumns selects the table columns from the report's metric
 // union: raw totals are suppressed in favor of the normalized
 // wasted-memory column, everything else passes through.
-func displayColumns(rep *wild.SweepReport) []string {
+func displayColumns(rep *scenario.SweepReport) []string {
 	suppress := map[string]bool{
 		"apps": true, "invocations": true, "cold_starts": true,
 		"eviction_cold_starts": true, "failure_cold_starts": true,
@@ -299,7 +302,7 @@ func displayColumns(rep *wild.SweepReport) []string {
 
 // cellValue renders one table cell; "-" marks metrics the cell's
 // sinks do not produce.
-func cellValue(c *wild.ScenarioResult, col string, baseWaste map[string]float64) string {
+func cellValue(c *scenario.CellResult, col string, baseWaste map[string]float64) string {
 	if col == "wasted(%)" {
 		w, ok := c.Metric("wasted_seconds")
 		if !ok {

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	wild "repro"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -30,7 +30,7 @@ func TestDefaultScenario(t *testing.T) {
 		t.Fatalf("cells = %d, want %d", len(cells), len(wantPolicies))
 	}
 	for i, c := range cells {
-		want := wild.Scenario{
+		want := scenario.Scenario{
 			Source: "gen:apps=400&days=7&seed=42&maxrate=2000&maxevents=20000",
 			Policy: wantPolicies[i],
 		}
@@ -43,7 +43,7 @@ func TestDefaultScenario(t *testing.T) {
 // TestMissingBaselines pins the implicit-baseline injection the
 // normalized wasted-memory column relies on.
 func TestMissingBaselines(t *testing.T) {
-	g, err := wild.ParseGrid("source=gen:apps=10; policy=[nounload,hybrid]; cluster.nodes=2; cluster.mem=[0,1024]")
+	g, err := scenario.ParseGrid("source=gen:apps=10; policy=[nounload,hybrid]; cluster.nodes=2; cluster.mem=[0,1024]")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestMissingBaselines(t *testing.T) {
 		}
 	}
 	// A sweep that already includes the baseline gets no extras.
-	g2, err := wild.ParseGrid("source=gen:apps=10; policy=[fixed?ka=10m,hybrid]")
+	g2, err := scenario.ParseGrid("source=gen:apps=10; policy=[fixed?ka=10m,hybrid]")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRawFormatsWarnOnDefaultedMemory(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	g, err := wild.ParseGrid("source=csv:" + path + "; policy=fixed?ka=10m; cluster.nodes=1; cluster.mem=1024")
+	g, err := scenario.ParseGrid("source=csv:" + path + "; policy=fixed?ka=10m; cluster.nodes=1; cluster.mem=1024")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRawFormatsWarnOnDefaultedMemory(t *testing.T) {
 	var logged, out bytes.Buffer
 	log.SetOutput(&logged)
 	defer log.SetOutput(os.Stderr)
-	if err := runRaw(context.Background(), "csv", cells, wild.RunSweep, &out); err != nil {
+	if err := runRaw(context.Background(), "csv", cells, scenario.RunSweep, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(logged.String(), "no cluster.memcsv table for csv:"+path) {

@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	wild "repro"
+	"repro/internal/scenario"
 )
 
 // TestProfiles runs a small sweep under -cpuprofile and -memprofile and
@@ -24,7 +24,7 @@ func TestProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := wild.ParseGrid("source=gen:apps=60&days=1&seed=3; policy=[fixed?ka=10m,hybrid]")
+	g, err := scenario.ParseGrid("source=gen:apps=60&days=1&seed=3; policy=[fixed?ka=10m,hybrid]")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runErr := runRaw(context.Background(), "csv", cells, wild.RunSweep, io.Discard)
+	runErr := runRaw(context.Background(), "csv", cells, scenario.RunSweep, io.Discard)
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}

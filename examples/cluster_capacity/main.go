@@ -18,7 +18,7 @@ import (
 	"fmt"
 	"log"
 
-	wild "repro"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -28,16 +28,16 @@ func main() {
 	policies := []string{"hybrid", "fixed?ka=10m"}
 	capacities := []string{"512", "1024", "2048", "4096", "8192", "0"} // MB per node; 0 = infinite
 
-	cells, err := wild.ScenarioGrid{
-		Base: wild.Scenario{
+	cells, err := scenario.Grid{
+		Base: scenario.Scenario{
 			Source: "gen:apps=200&days=1&seed=21",
-			Cluster: &wild.ScenarioCluster{
+			Cluster: &scenario.ClusterSpec{
 				Nodes:     nodes,
 				Placement: "least-loaded",
 			},
 			Sinks: []string{"coldstart?q=50:75:99", "waste", "attribution", "util"},
 		},
-		Axes: []wild.ScenarioAxis{
+		Axes: []scenario.Axis{
 			{Key: "policy", Values: policies},
 			{Key: "cluster.mem", Values: capacities},
 		},
@@ -45,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := wild.RunSweep(context.Background(), cells)
+	rep, err := scenario.RunSweep(context.Background(), cells)
 	if err != nil {
 		log.Fatal(err)
 	}

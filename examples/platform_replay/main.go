@@ -12,9 +12,10 @@ import (
 	"os/signal"
 	"time"
 
-	wild "repro"
-
+	"repro/internal/platform"
+	"repro/internal/policy"
 	"repro/internal/replay"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -23,7 +24,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	pop, err := wild.Generate(wild.WorkloadConfig{
+	pop, err := workload.Generate(workload.Config{
 		Seed:                 11,
 		NumApps:              150,
 		Duration:             24 * time.Hour,
@@ -38,9 +39,9 @@ func main() {
 	sel := replay.SelectMidPopularity(pop.Trace, 24, 1)
 	window := 2 * time.Hour
 
-	run := func(pol wild.Policy) *wild.ReplayReport {
-		rep, err := wild.ReplayContext(ctx, wild.PlatformConfig{NumInvokers: 4}, pol, sel,
-			wild.ReplayOptions{Limit: window, UseExecTime: true})
+	run := func(pol policy.Policy) *replay.Report {
+		rep, err := replay.Replay(ctx, platform.Config{NumInvokers: 4}, pol, sel,
+			replay.Options{Limit: window, UseExecTime: true})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -48,10 +49,10 @@ func main() {
 	}
 
 	fmt.Printf("replaying %d apps for %v of trace time...\n\n", len(sel.Apps), window)
-	fixed := run(wild.MustFromSpec("fixed?ka=10m"))
-	hybrid := run(wild.MustFromSpec("hybrid"))
+	fixed := run(policy.MustFromSpec("fixed?ka=10m"))
+	hybrid := run(policy.MustFromSpec("hybrid"))
 
-	show := func(name string, r *wild.ReplayReport) {
+	show := func(name string, r *replay.Report) {
 		var cold, inv int
 		for _, a := range r.Apps {
 			cold += a.ColdStarts

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"log"
 
-	wild "repro"
+	"repro/internal/scenario"
 )
 
 const source = "gen:apps=300&days=3&seed=7"
@@ -50,14 +50,14 @@ func main() {
 			}
 		}
 	}
-	cells, err := wild.ScenarioGrid{
-		Base: wild.Scenario{Source: source, Sinks: []string{"coldstart", "waste"}},
-		Axes: []wild.ScenarioAxis{{Key: "policy", Values: policyAxis}},
+	cells, err := scenario.Grid{
+		Base: scenario.Scenario{Source: source, Sinks: []string{"coldstart", "waste"}},
+		Axes: []scenario.Axis{{Key: "policy", Values: policyAxis}},
 	}.Scenarios()
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := wild.RunSweep(context.Background(), cells)
+	rep, err := scenario.RunSweep(context.Background(), cells)
 	if err != nil {
 		log.Fatal(err)
 	}

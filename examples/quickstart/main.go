@@ -13,14 +13,18 @@ import (
 	"log"
 	"time"
 
-	wild "repro"
+	"repro/internal/metrics"
+	"repro/internal/policy"
+	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func main() {
 	log.SetFlags(0)
 	ctx := context.Background()
 
-	pop, err := wild.Generate(wild.WorkloadConfig{
+	pop, err := workload.Generate(workload.Config{
 		Seed:     1,
 		NumApps:  300,
 		Duration: 3 * 24 * time.Hour,
@@ -34,12 +38,12 @@ func main() {
 
 	// One streaming pass per policy: the cold-start distribution and
 	// wasted-memory totals accumulate incrementally in sinks.
-	run := func(spec string) (*wild.ColdStartSink, *wild.WastedMemorySink, string) {
-		pol := wild.MustFromSpec(spec)
-		cold := wild.NewColdStartSink()
-		wasted := wild.NewWastedMemorySink()
-		if _, err := wild.Run(ctx, wild.SourceFromTrace(pop.Trace), pol,
-			wild.WithSink(cold), wild.WithSink(wasted)); err != nil {
+	run := func(spec string) (*metrics.ColdStartSink, *metrics.WastedMemorySink, string) {
+		pol := policy.MustFromSpec(spec)
+		cold := metrics.NewColdStartSink()
+		wasted := metrics.NewWastedMemorySink()
+		if _, err := sim.Run(ctx, trace.NewTraceSource(pop.Trace), pol,
+			sim.WithSink(cold), sim.WithSink(wasted)); err != nil {
 			log.Fatal(err)
 		}
 		return cold, wasted, pol.Name()

@@ -32,7 +32,7 @@ func main() {
 		}
 		// Characterization needs the whole population, so the streamed
 		// apps are collected; simulation-only consumers would instead
-		// pass the source straight to wild.Run and stay constant-memory.
+		// pass the source straight to sim.Run and stay constant-memory.
 		src, err := trace.StreamInvocationsCSV(f)
 		if err != nil {
 			log.Fatal(err)

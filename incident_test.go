@@ -160,7 +160,7 @@ func TestIncidentGoldensParse(t *testing.T) {
 
 // readIncident parses one incident scenario file: a 1-cell grid, no
 // axes and no extra cells.
-func readIncident(t *testing.T, path string) Scenario {
+func readIncident(t *testing.T, path string) scenario.Scenario {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -13,22 +15,22 @@ import (
 
 // TestShardedStreamingRunMergesToWhole is the streaming counterpart
 // of TestEndToEndStreamingAPI's shard sum: the n interleaved shards
-// of a streaming source, each run through Run with incremental sinks,
+// of a streaming source, each run through sim.Run with incremental sinks,
 // must merge to the unsharded run's aggregates — integer counters and the
 // binned cold-start distribution exactly, the float waste total up to
 // summation order. This is the contract multi-process scale-out
 // relies on: n processes each simulate one shard and a reducer merges
 // their sinks.
 func TestShardedStreamingRunMergesToWhole(t *testing.T) {
-	cfg := WorkloadConfig{
+	cfg := workload.Config{
 		Seed: 77, NumApps: 120, Duration: 12 * time.Hour,
 		MaxDailyRate: 500, MaxEventsPerFunction: 1500,
 	}
 	ctx := context.Background()
 
-	runSinks := func(src TraceSource) (*ColdStartSink, *WastedMemorySink) {
-		cold, wasted := NewColdStartSink(), NewWastedMemorySink()
-		if _, err := Run(ctx, src, MustFromSpec("hybrid"), WithSink(cold), WithSink(wasted)); err != nil {
+	runSinks := func(src trace.Source) (*metrics.ColdStartSink, *metrics.WastedMemorySink) {
+		cold, wasted := metrics.NewColdStartSink(), metrics.NewWastedMemorySink()
+		if _, err := sim.Run(ctx, src, policy.MustFromSpec("hybrid"), sim.WithSink(cold), sim.WithSink(wasted)); err != nil {
 			t.Fatal(err)
 		}
 		return cold, wasted
@@ -41,7 +43,7 @@ func TestShardedStreamingRunMergesToWhole(t *testing.T) {
 	wholeCold, wholeWasted := runSinks(wholeSrc)
 
 	for _, n := range []int{2, 3, 5} {
-		mergedCold, mergedWasted := NewColdStartSink(), NewWastedMemorySink()
+		mergedCold, mergedWasted := metrics.NewColdStartSink(), metrics.NewWastedMemorySink()
 		for i := 0; i < n; i++ {
 			src, err := workload.NewSource(cfg)
 			if err != nil {
@@ -72,11 +74,11 @@ func TestShardedStreamingRunMergesToWhole(t *testing.T) {
 	}
 
 	// Cross-check the streamed whole against the batch pipeline.
-	pop, err := Generate(cfg)
+	pop, err := workload.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := sim.Simulate(pop.Trace, MustFromSpec("hybrid"), sim.Options{})
+	batch := sim.Simulate(pop.Trace, policy.MustFromSpec("hybrid"), sim.Options{})
 	if _, cold := totals(batch); wholeWasted.TotalColdStarts() != int64(cold) {
 		t.Errorf("streamed cold starts %d, batch %d", wholeWasted.TotalColdStarts(), cold)
 	}

@@ -8,7 +8,10 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/metrics"
+	"repro/internal/platform"
 	"repro/internal/policy"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -17,7 +20,7 @@ import (
 // TestEndToEndSimulation runs the batch pipeline end to end: generate,
 // simulate two policies, compare metrics.
 func TestEndToEndSimulation(t *testing.T) {
-	pop, err := Generate(WorkloadConfig{
+	pop, err := workload.Generate(workload.Config{
 		Seed: 5, NumApps: 120, Duration: 48 * time.Hour,
 		MaxDailyRate: 1000, MaxEventsPerFunction: 5000,
 	})
@@ -28,10 +31,10 @@ func TestEndToEndSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(spec string) (*ColdStartSink, *WastedMemorySink) {
-		cold, wasted := NewColdStartSink(), NewWastedMemorySink()
-		if _, err := Run(context.Background(), SourceFromTrace(pop.Trace), MustFromSpec(spec),
-			WithSink(cold), WithSink(wasted)); err != nil {
+	run := func(spec string) (*metrics.ColdStartSink, *metrics.WastedMemorySink) {
+		cold, wasted := metrics.NewColdStartSink(), metrics.NewWastedMemorySink()
+		if _, err := sim.Run(context.Background(), trace.NewTraceSource(pop.Trace), policy.MustFromSpec(spec),
+			sim.WithSink(cold), sim.WithSink(wasted)); err != nil {
 			t.Fatal(err)
 		}
 		return cold, wasted
@@ -62,7 +65,7 @@ func collectCSV(r io.Reader) (*trace.Trace, error) {
 
 // totals sums a batch result's invocations and cold starts over its
 // apps.
-func totals(r *SimResult) (invocations, coldStarts int) {
+func totals(r *sim.Result) (invocations, coldStarts int) {
 	for _, a := range r.Apps {
 		invocations += a.Invocations
 		coldStarts += a.ColdStarts
@@ -74,7 +77,7 @@ func totals(r *SimResult) (invocations, coldStarts int) {
 // dataset CSV codec and re-simulates; minute-binned cold starts for the fixed
 // policy must be close (binning loses only sub-minute detail).
 func TestEndToEndCSVRoundTrip(t *testing.T) {
-	pop, err := Generate(WorkloadConfig{
+	pop, err := workload.Generate(workload.Config{
 		Seed: 6, NumApps: 40, Duration: 6 * time.Hour,
 		MaxDailyRate: 500, MaxEventsPerFunction: 1000,
 	})
@@ -106,17 +109,17 @@ func TestEndToEndCSVRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEndToEndPlatform runs a tiny platform replay through the facade.
+// TestEndToEndPlatform runs a tiny platform replay in virtual time.
 func TestEndToEndPlatform(t *testing.T) {
-	pop, err := Generate(WorkloadConfig{
+	pop, err := workload.Generate(workload.Config{
 		Seed: 7, NumApps: 30, Duration: time.Hour,
 		MaxDailyRate: 300, MaxEventsPerFunction: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReplayContext(context.Background(), PlatformConfig{NumInvokers: 2},
-		MustFromSpec("hybrid"), pop.Trace, ReplayOptions{Limit: 20 * time.Minute})
+	rep, err := replay.Replay(context.Background(), platform.Config{NumInvokers: 2},
+		policy.MustFromSpec("hybrid"), pop.Trace, replay.Options{Limit: 20 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +158,11 @@ func TestRunExperimentsFacade(t *testing.T) {
 // TestEndToEndStreamingAPI exercises the streaming surface: registry
 // specs, generator sources, shards, and streaming sinks.
 func TestEndToEndStreamingAPI(t *testing.T) {
-	cfg := WorkloadConfig{
+	cfg := workload.Config{
 		Seed: 9, NumApps: 40, Duration: 12 * time.Hour,
 		MaxDailyRate: 300, MaxEventsPerFunction: 500,
 	}
-	pop, err := Generate(cfg)
+	pop, err := workload.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +177,7 @@ func TestEndToEndStreamingAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(context.Background(), src, MustFromSpec("hybrid?range=1h"))
+	got, err := sim.Run(context.Background(), src, policy.MustFromSpec("hybrid?range=1h"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,13 +195,13 @@ func TestEndToEndStreamingAPI(t *testing.T) {
 	var wastedTotal float64
 	var appTotal int64
 	for i := 0; i < n; i++ {
-		wasted := NewWastedMemorySink()
+		wasted := metrics.NewWastedMemorySink()
 		shardSrc, err := workload.NewSource(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(context.Background(), trace.Shard(shardSrc, i, n),
-			MustFromSpec("hybrid?range=1h"), WithSink(wasted)); err != nil {
+		if _, err := sim.Run(context.Background(), trace.Shard(shardSrc, i, n),
+			policy.MustFromSpec("hybrid?range=1h"), sim.WithSink(wasted)); err != nil {
 			t.Fatal(err)
 		}
 		wastedTotal += wasted.TotalWastedSeconds()
