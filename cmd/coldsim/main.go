@@ -220,21 +220,20 @@ func runRaw(ctx context.Context, format string, cells []scenario.Scenario, run s
 
 // warnMemoryDefaults logs, for every output format, which cells
 // charged apps the default footprint instead of a measured one.
+// Identical lines (a policy sweep over one source) print once.
 func warnMemoryDefaults(cells []*scenario.CellResult) {
-	warnedNoTable := map[string]bool{}
+	seen := map[string]bool{}
 	for _, c := range cells {
-		if c.MemDefaulted > 0 {
-			log.Printf("warning: %s: %d apps missing from the memory table; charged the %d MB default",
-				c.Scenario, c.MemDefaulted, int(trace.DefaultAppMemoryMB))
+		if c.MemDefaulted == 0 {
+			continue
 		}
-		// CSV invocation tables carry no memory column at all: a
-		// cluster run without cluster.memcsv charges every app the
-		// default, which should be visible.
-		if c.Scenario.Cluster != nil && c.Scenario.Cluster.MemCSV == "" &&
-			strings.HasPrefix(c.Scenario.Source, "csv:") && !warnedNoTable[c.Scenario.Source] {
-			warnedNoTable[c.Scenario.Source] = true
-			log.Printf("warning: no cluster.memcsv table for %s; every app charged the %d MB default",
-				c.Scenario.Source, int(trace.DefaultAppMemoryMB))
+		msg := fmt.Sprintf("%s: %d apps missing from the memory table", c.Scenario, c.MemDefaulted)
+		if c.Scenario.Cluster.MemCSV == "" {
+			msg = fmt.Sprintf("no cluster.memcsv table for %s; %d apps carry no memory data", c.Scenario.Source, c.MemDefaulted)
+		}
+		if !seen[msg] {
+			seen[msg] = true
+			log.Printf("warning: %s; charged the %d MB default", msg, int(trace.DefaultAppMemoryMB))
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
@@ -74,16 +75,18 @@ func TestMissingBaselines(t *testing.T) {
 	}
 }
 
-// TestRawFormatsWarnOnDefaultedMemory: a csv: cluster cell without
-// cluster.memcsv charges every app the default footprint, and the
-// machine-readable formats must say so on stderr like the table does
-// (stdout stays the bare report).
+// TestRawFormatsWarnOnDefaultedMemory: a cluster cell without
+// cluster.memcsv over a source with no memory data (a dataset CSV, a
+// captured bundle, a shard of either) charges every app the default
+// footprint, and the machine-readable formats must say so on stderr
+// like the table does (stdout stays the bare report).
 func TestRawFormatsWarnOnDefaultedMemory(t *testing.T) {
 	tr := &trace.Trace{Duration: 10 * time.Minute, Apps: []*trace.App{
 		{ID: "a", Owner: "o", Functions: []*trace.Function{{ID: "fa", Invocations: []float64{0, 200, 400}}}},
 		{ID: "b", Owner: "o", Functions: []*trace.Function{{ID: "fb", Invocations: []float64{100, 300}}}},
 	}}
-	path := filepath.Join(t.TempDir(), "inv.csv")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "inv.csv")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -94,25 +97,43 @@ func TestRawFormatsWarnOnDefaultedMemory(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	g, err := scenario.ParseGrid("source=csv:" + path + "; policy=fixed?ka=10m; cluster.nodes=1; cluster.mem=1024")
-	if err != nil {
+	epoch := time.Unix(0, 0).UTC()
+	rec := serve.NewRecorder(epoch)
+	rec.Record("a", "fa", epoch.Add(time.Minute))
+	rec.Record("b", "fb", epoch.Add(2*time.Minute))
+	bundle := filepath.Join(dir, "incident.bundle")
+	if f, err = os.Create(bundle); err != nil {
 		t.Fatal(err)
 	}
-	cells, err := g.Scenarios()
-	if err != nil {
+	if err := rec.WriteBundle(f, "test", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	var logged, out bytes.Buffer
-	log.SetOutput(&logged)
-	defer log.SetOutput(os.Stderr)
-	if err := runRaw(context.Background(), "csv", cells, scenario.RunSweep, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(logged.String(), "no cluster.memcsv table for csv:"+path) {
-		t.Fatalf("-format csv logged %q, want the no-memory-table warning", logged.String())
-	}
-	if !strings.HasPrefix(out.String(), "scenario,") || strings.Contains(out.String(), "warning") {
-		t.Fatalf("stdout = %q, want the bare CSV report", out.String())
+	for _, source := range []string{"csv:" + path, "bundle:" + bundle, "shard:0/2 of csv:" + path} {
+		g, err := scenario.ParseGrid("source=" + source + "; policy=fixed?ka=10m; cluster.nodes=1; cluster.mem=1024")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, err := g.Scenarios()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var logged, out bytes.Buffer
+		log.SetOutput(&logged)
+		err = runRaw(context.Background(), "csv", cells, scenario.RunSweep, &out)
+		log.SetOutput(os.Stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(logged.String(), "no cluster.memcsv table for "+source) {
+			t.Errorf("%s: -format csv logged %q, want the no-memory-table warning", source, logged.String())
+		}
+		if !strings.HasPrefix(out.String(), "scenario,") || strings.Contains(out.String(), "warning") {
+			t.Errorf("%s: stdout = %q, want the bare CSV report", source, out.String())
+		}
 	}
 }

@@ -67,6 +67,17 @@ func main() {
 		}
 	}
 
+	// -out is opened before the run, so a bad path fails before the
+	// work rather than after it.
+	w := os.Stdout
+	if *out != "" {
+		f, err := os.Create(*out)
+		if err != nil {
+			log.Fatal(err)
+		}
+		w = f
+	}
+
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -76,19 +87,19 @@ func main() {
 		log.Fatal(err)
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		w = f
+	_, err = fmt.Fprintf(w, "Serverless in the Wild — regenerated evaluation (%d apps, %v days, seed %d)\nrun time: %v\n\n",
+		*apps, *days, *seed, time.Since(start).Round(time.Second))
+	if err == nil {
+		err = experiments.RenderAll(figs, w)
 	}
-	fmt.Fprintf(w, "Serverless in the Wild — regenerated evaluation (%d apps, %v days, seed %d)\n",
-		*apps, *days, *seed)
-	fmt.Fprintf(w, "run time: %v\n\n", time.Since(start).Round(time.Second))
-	experiments.RenderAll(figs, w)
+	if *out != "" {
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *out != "" {
 		fmt.Printf("report written to %s\n", *out)
 	}

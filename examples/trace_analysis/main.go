@@ -80,5 +80,7 @@ func main() {
 		experiments.Figure8(pop),
 	}
 	fmt.Println()
-	experiments.RenderAll(figs, os.Stdout)
+	if err := experiments.RenderAll(figs, os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -36,6 +37,39 @@ func checkFigure(t *testing.T, f *Figure, wantSeries int) {
 	f.Render(&buf)
 	if !strings.Contains(buf.String(), f.ID) {
 		t.Fatalf("%s: render missing ID", f.ID)
+	}
+}
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct{ n int }
+
+var errFull = errors.New("no space left on device")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestRenderAllReportsWriteErrors: a report written to a full disk
+// must fail, whether the first write fails or one mid-report does.
+func TestRenderAllReportsWriteErrors(t *testing.T) {
+	figs := []*Figure{
+		{ID: "figure-a", Title: "A", Table: [][]string{{"x", "y"}, {"1", "2"}}},
+		{ID: "figure-b", Title: "B", Notes: []string{strings.Repeat("n", 10000)}},
+	}
+	var buf bytes.Buffer
+	if err := RenderAll(figs, &buf); err != nil || buf.Len() == 0 {
+		t.Fatalf("bytes.Buffer: err = %v after %d bytes", err, buf.Len())
+	}
+	for _, n := range []int{0, 40, buf.Len() - 1} {
+		if err := RenderAll(figs, &failAfter{n: n}); !errors.Is(err, errFull) {
+			t.Errorf("writer failing after %d of %d bytes: err = %v, want %v", n, buf.Len(), err, errFull)
+		}
 	}
 }
 

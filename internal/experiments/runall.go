@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -140,9 +141,12 @@ func RunAll(ctx context.Context, cfg Config, progress io.Writer) ([]*Figure, err
 	return figs, nil
 }
 
-// RenderAll writes every figure to w.
-func RenderAll(figs []*Figure, w io.Writer) {
+// RenderAll writes every figure to w and returns the first write
+// error (a bufio.Writer keeps it and drops every later write).
+func RenderAll(figs []*Figure, w io.Writer) error {
+	bw := bufio.NewWriter(w)
 	for _, f := range figs {
-		f.Render(w)
+		f.Render(bw)
 	}
+	return bw.Flush()
 }

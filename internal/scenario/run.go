@@ -36,8 +36,9 @@ type CellResult struct {
 	// Nodes holds per-node aggregates for cluster cells (nil on batch
 	// cells), surfaced in the JSON report alongside the summary metrics.
 	Nodes []NodeSummary
-	// MemDefaulted counts apps charged the default memory because the
-	// cluster.memcsv table did not cover them (0 without a table).
+	// MemDefaulted counts the apps of a cluster cell charged the
+	// default memory: apps the cluster.memcsv table did not cover, or,
+	// without a table, apps whose source carries no memory value.
 	MemDefaulted int
 }
 
@@ -452,6 +453,14 @@ func runUnit(ctx context.Context, u unit, memo *forecast.Memo) (unitResult, erro
 		tr, res.defaulted, err = applyMemCSV(tr, sc.Cluster.MemCSV)
 		if err != nil {
 			return unitResult{}, err
+		}
+	} else {
+		// The cluster engine charges each app without memory data the
+		// default.
+		for _, app := range tr.Apps {
+			if app.MemoryMB <= 0 {
+				res.defaulted++
+			}
 		}
 	}
 	place, err := cluster.NewPlacement(sc.Cluster.placement())

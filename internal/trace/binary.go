@@ -280,6 +280,9 @@ func (s *BinarySource) app() (*App, error) {
 	if err != nil {
 		return nil, err
 	}
+	if !validMemoryMB(memMB) {
+		return nil, fmt.Errorf("trace: app %s: memory %v MB is not a finite value >= 0", id, memMB)
+	}
 	nfns, err := s.uvarint("function count")
 	if err != nil {
 		return nil, err

@@ -14,9 +14,10 @@ import (
 )
 
 // FuzzBinarySource holds the WILDTRC1 decoder to its contract on any
-// bytes: an error, or a trace whose every function list is ascending
-// within [0, horizon] — the order App.InvocationTimes merges without
-// re-sorting — and that survives a WriteBinary round trip. The mmap
+// bytes: an error, or a trace whose every memory value is finite and
+// >= 0, whose every function list is ascending within [0, horizon] —
+// the order App.InvocationTimes merges without re-sorting — and that
+// survives a WriteBinary round trip. The mmap
 // path (OpenBinaryFile) decodes the same bytes through the same code.
 func FuzzBinarySource(f *testing.F) {
 	tr := genTrace(f, workload.Config{Seed: 11, NumApps: 4, Duration: 2 * time.Hour,
@@ -49,6 +50,9 @@ func FuzzBinarySource(f *testing.F) {
 		}
 		horizon := got.Duration.Seconds()
 		for _, app := range got.Apps {
+			if !(app.MemoryMB >= 0) || math.IsInf(app.MemoryMB, 1) {
+				t.Fatalf("app %q: decoded memory %v MB, want finite and >= 0", app.ID, app.MemoryMB)
+			}
 			for _, fn := range app.Functions {
 				for i, ts := range fn.Invocations {
 					if !(ts >= 0 && ts <= horizon) || i > 0 && ts < fn.Invocations[i-1] {

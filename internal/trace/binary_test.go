@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -300,6 +301,21 @@ func TestBinaryCorrupt(t *testing.T) {
 		} {
 			if _, err := decodeAll(data); err == nil {
 				t.Fatalf("wrapping run %s accepted", name)
+			}
+		}
+	})
+	t.Run("bad memory", func(t *testing.T) {
+		// A NaN, infinite or negative memory value must fail naming the
+		// app, not reach a cluster's resident-MB accounting.
+		for _, mb := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -500} {
+			bad := &trace.Trace{Duration: tr.Duration, Apps: []*trace.App{tr.Apps[0].Clone()}}
+			bad.Apps[0].MemoryMB = mb
+			var buf bytes.Buffer
+			if err := trace.WriteBinary(&buf, bad); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := decodeAll(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "app a") {
+				t.Errorf("memory %v: err = %v, want an error naming app a", mb, err)
 			}
 		}
 	})

@@ -6,6 +6,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 )
@@ -124,11 +125,16 @@ func formatMillis(seconds float64) string {
 // would place and evict them for free.
 const DefaultAppMemoryMB = 170
 
+// validMemoryMB reports whether mb, read from outside the program, is
+// a usable memory value: finite and >= 0 (0 means "no data").
+func validMemoryMB(mb float64) bool { return mb >= 0 && !math.IsInf(mb, 1) }
+
 // ApplyMemoryCSVDefault parses a memory table and fills MemoryMB on
-// the matching apps of tr; unknown apps are ignored. Apps of tr still
-// carrying MemoryMB == 0 after the table is applied (no row, or a zero
-// row) are charged DefaultAppMemoryMB instead, and the count of such
-// defaulted apps is returned so callers can surface the data gap.
+// the matching apps of tr; unknown apps are ignored, and a matching
+// row whose value is NaN, infinite or negative is an error. Apps of tr
+// still carrying MemoryMB == 0 after the table is applied (no row, or
+// a zero row) are charged DefaultAppMemoryMB instead, and the count of
+// such defaulted apps is returned so callers can surface the data gap.
 func ApplyMemoryCSVDefault(r io.Reader, tr *Trace) (defaulted int, err error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -161,6 +167,9 @@ func ApplyMemoryCSVDefault(r io.Reader, tr *Trace) (defaulted int, err error) {
 		mb, err := strconv.ParseFloat(rec[col["AverageAllocatedMb"]], 64)
 		if err != nil {
 			return 0, fmt.Errorf("trace: memory line %d: %w", line, err)
+		}
+		if !validMemoryMB(mb) {
+			return 0, fmt.Errorf("trace: memory line %d: %v MB is not a finite value >= 0", line, mb)
 		}
 		app.MemoryMB = mb
 	}

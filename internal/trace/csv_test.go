@@ -197,6 +197,28 @@ func TestApplyMemoryCSVDefault(t *testing.T) {
 	}
 }
 
+// TestApplyMemoryRejectsBadValues: a NaN row used to poison a node's
+// resident-MB comparisons, and a negative one was silently charged the
+// default without being counted. Both are errors naming the line; a
+// zero row still means "no data" and takes the default.
+func TestApplyMemoryRejectsBadValues(t *testing.T) {
+	for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "-500", "-0.01"} {
+		table := "HashOwner,HashApp,SampleCount,AverageAllocatedMb\n" +
+			"own1,app1,10,512\n" +
+			"own2,app2,10," + v + "\n"
+		_, err := ApplyMemoryCSVDefault(strings.NewReader(table), sampleTrace())
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("value %q: err = %v, want an error naming line 3", v, err)
+		}
+	}
+	table := "HashOwner,HashApp,SampleCount,AverageAllocatedMb\nown2,app2,10,0\n"
+	tr := sampleTrace()
+	defaulted, err := ApplyMemoryCSVDefault(strings.NewReader(table), tr)
+	if err != nil || tr.Apps[1].MemoryMB != DefaultAppMemoryMB || defaulted != 1 {
+		t.Fatalf("zero row: defaulted=%d memory=%v err=%v, want 1, the default, nil", defaulted, tr.Apps[1].MemoryMB, err)
+	}
+}
+
 func TestApplyMemoryMissingColumn(t *testing.T) {
 	if _, err := ApplyMemoryCSVDefault(strings.NewReader("X,Y\n"), sampleTrace()); err == nil {
 		t.Fatal("expected error for missing columns")
