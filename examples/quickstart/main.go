@@ -1,6 +1,6 @@
 // Quickstart: generate a calibrated workload, simulate the paper's
 // hybrid histogram policy against the 10-minute fixed keep-alive
-// through the streaming Run API, and print the headline comparison
+// through the streaming sim.Run API, and print the headline comparison
 // (3rd-quartile cold starts and wasted memory normalized to the fixed
 // baseline). Policies come from the registry's spec language; results
 // flow through streaming sinks, so the same code handles traces too
