@@ -18,11 +18,11 @@ import (
 func TestClusterGoldenEquivalence(t *testing.T) {
 	pop := goldenPopulation(t)
 	for _, sc := range goldenScenarios() {
-		want := sim.Simulate(pop.Trace, sc.pol, sc.opt)
+		want := sim.Simulate(pop.Trace, sc.pol, sim.WithExecTime(sc.exec))
 		got := cluster.Simulate(pop.Trace, sc.pol, cluster.Config{
 			Nodes:       1,
 			NodeMemMB:   0, // infinite
-			UseExecTime: sc.opt.UseExecTime,
+			UseExecTime: sc.exec,
 		})
 		if got.Policy != want.Policy {
 			t.Errorf("%s: policy %q want %q", sc.name, got.Policy, want.Policy)

@@ -65,7 +65,7 @@ func TestDeterminismByReexecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := "source=csv:" + csvPath + "; policy=[fixed?ka=10m,hybrid?range=10m]; workers=4; sinks=coldstart,waste"
+	stream := "source=csv:" + csvPath + "; policy=[fixed?ka=10m,hybrid?range=10m]; sinks=coldstart,waste"
 	cases = append(cases, detCase{"csv-stream", stream, sweepJSON(t, stream, scenario.WithFixedTrace(mem))})
 
 	// The sharded cluster path, pinned absolutely: every incident above

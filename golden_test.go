@@ -54,11 +54,14 @@ func goldenPopulation(t *testing.T) *workload.Population {
 	return pop
 }
 
-func goldenScenarios() []struct {
+// goldenCase is one pinned simulation of the golden population.
+type goldenCase struct {
 	name string
 	pol  policy.Policy
-	opt  sim.Options
-} {
+	exec bool
+}
+
+func goldenScenarios() []goldenCase {
 	smallHist := policy.DefaultHybridConfig()
 	smallHist.Histogram.NumBins = 60
 	smallHist.DisablePreWarm = true
@@ -68,22 +71,18 @@ func goldenScenarios() []struct {
 	// boundary behavior.
 	tinyHist := policy.DefaultHybridConfig()
 	tinyHist.Histogram.NumBins = 10
-	return []struct {
-		name string
-		pol  policy.Policy
-		opt  sim.Options
-	}{
-		{"fixed-10m", policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}, sim.Options{}},
-		{"no-unloading", policy.NoUnloading{}, sim.Options{}},
-		{"hybrid-default", policy.NewHybrid(policy.DefaultHybridConfig()), sim.Options{}},
-		{"hybrid-exectime", policy.NewHybrid(policy.DefaultHybridConfig()), sim.Options{UseExecTime: true}},
-		{"hybrid-1h-nopw-exectime", policy.NewHybrid(smallHist), sim.Options{UseExecTime: true}},
-		{"hybrid-10m-range", policy.NewHybrid(tinyHist), sim.Options{}},
+	return []goldenCase{
+		{"fixed-10m", policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}, false},
+		{"no-unloading", policy.NoUnloading{}, false},
+		{"hybrid-default", policy.NewHybrid(policy.DefaultHybridConfig()), false},
+		{"hybrid-exectime", policy.NewHybrid(policy.DefaultHybridConfig()), true},
+		{"hybrid-1h-nopw-exectime", policy.NewHybrid(smallHist), true},
+		{"hybrid-10m-range", policy.NewHybrid(tinyHist), false},
 	}
 }
 
-func captureScenario(name string, tr *trace.Trace, pol policy.Policy, opt sim.Options) goldenScenario {
-	res := sim.Simulate(tr, pol, opt)
+func captureScenario(name string, tr *trace.Trace, pol policy.Policy, exec bool) goldenScenario {
+	res := sim.Simulate(tr, pol, sim.WithExecTime(exec))
 	sc := goldenScenario{
 		Name:        name,
 		Policy:      res.Policy,
@@ -111,7 +110,7 @@ func TestSimulateGolden(t *testing.T) {
 	pop := goldenPopulation(t)
 	var got goldenFile
 	for _, sc := range goldenScenarios() {
-		got.Scenarios = append(got.Scenarios, captureScenario(sc.name, pop.Trace, sc.pol, sc.opt))
+		got.Scenarios = append(got.Scenarios, captureScenario(sc.name, pop.Trace, sc.pol, sc.exec))
 	}
 
 	path := filepath.Join("testdata", "golden_sim.json")

@@ -62,7 +62,7 @@ func TestIncidentCorpusInvariant(t *testing.T) {
 				Events:      events,
 			})
 			want := sim.Simulate(tr, policy.MustFromSpec(sc.Policy),
-				sim.Options{UseExecTime: sc.ExecTime})
+				sim.WithExecTime(sc.ExecTime))
 
 			if len(got.Apps) != len(want.Apps) {
 				t.Fatalf("%d cluster apps, %d sim apps", len(got.Apps), len(want.Apps))

@@ -70,6 +70,7 @@ func (c *timelineStop) Err() error {
 // placement at an app's first load, the per-node (hash) run from its
 // second timeline check.
 func TestGlobalRunStopsProducer(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	tr := testPopulation(t)
 	cases := []struct {
 		place  string
@@ -93,7 +94,7 @@ func TestGlobalRunStopsProducer(t *testing.T) {
 					fc := &failingCtx{Context: context.Background()}
 					ctx, stop, want = fc, func() { fc.failed.Store(true) }, errTimeline
 				}
-				cfg := Config{Nodes: 3, NodeMemMB: 600, Workers: 2, epochs: epochs}
+				cfg := Config{Nodes: 3, NodeMemMB: 600, epochs: epochs}
 				calls := 0
 				ts := &timelineStop{Context: ctx, stop: stop}
 				if c.place == "hash" {

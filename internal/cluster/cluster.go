@@ -26,8 +26,8 @@
 // reloads — is per-node, so once every app's (sticky) node is known,
 // each node is a part of its own: placements that never consult live
 // residency (the Oblivious contract in placement.go — hash, binpack)
-// are pre-assigned up front and node parts run Config.Workers at a
-// time. View-dependent placements (least-loaded) and cluster events
+// are pre-assigned up front and node parts run GOMAXPROCS at a time.
+// View-dependent placements (least-loaded) and cluster events
 // run one part holding every node, so residency reads happen in global
 // time order. Both splits are bit-identical — the split changes the
 // schedule, never the arithmetic.
@@ -76,13 +76,6 @@ type Config struct {
 	// execution time instead of 0 (§3.4 idle-time semantics). A
 	// container is not evictable while executing.
 	UseExecTime bool
-	// Workers bounds the simulation parallelism (default and cap:
-	// GOMAXPROCS): up to Workers parts run at once, and each part's
-	// decision walks are produced Workers/parts wide (at least one),
-	// so a one-part run — view-dependent placement or cluster events —
-	// walks Workers wide before its sequential timeline. Results never
-	// depend on Workers.
-	Workers int
 	// Events are timed cluster incidents (node fail/drain/join/resize)
 	// applied during the run; see ParseEvents for the grammar. A non-
 	// empty event list creates cross-node coupling (displaced apps are
@@ -121,9 +114,6 @@ type AppResult struct {
 	// have served warm: the window covered the arrival, but the
 	// container was lost to a node failure or drain (Config.Events).
 	FailureColdStarts int
-	// WastedMBSeconds is WastedSeconds weighted by the app's memory
-	// (eviction already truncated the underlying window time).
-	WastedMBSeconds float64
 }
 
 // NodeStats aggregates one node's run.
@@ -141,9 +131,6 @@ type NodeStats struct {
 	PeakResidentMB float64
 	// ResidentMBSeconds integrates resident memory over the horizon.
 	ResidentMBSeconds float64
-	// UtilSeries is the mean resident MB per minute of the horizon —
-	// the per-node utilization time series.
-	UtilSeries []float64
 }
 
 // Result is the outcome of one cluster simulation.

@@ -61,7 +61,7 @@ func TestInfiniteCapacityMatchesSimulate(t *testing.T) {
 		{"4-node-binpack", 4, &BinPackPlacement{}},
 	}
 	for _, pc := range pols {
-		want := sim.Simulate(tr, pc.pol(), sim.Options{UseExecTime: pc.exec})
+		want := sim.Simulate(tr, pc.pol(), sim.WithExecTime(pc.exec))
 		for _, ly := range layouts {
 			got := Simulate(tr, pc.pol(), Config{
 				Nodes: ly.nodes, NodeMemMB: 0, Placement: ly.place, UseExecTime: pc.exec,
@@ -97,7 +97,7 @@ func TestInfiniteCapacityMatchesSimulate(t *testing.T) {
 func TestFiniteCapacityInvariants(t *testing.T) {
 	tr := testPopulation(t)
 	pol := func() policy.Policy { return policy.NewHybrid(policy.DefaultHybridConfig()) }
-	want := sim.Simulate(tr, pol(), sim.Options{})
+	want := sim.Simulate(tr, pol())
 	got := Simulate(tr, pol(), Config{Nodes: 2, NodeMemMB: 600})
 	if got.TotalEvictions() == 0 {
 		t.Fatal("expected memory pressure at 600 MB/node; tighten the test capacity")
@@ -198,14 +198,6 @@ func TestEvictionPingPong(t *testing.T) {
 	if ns.ResidentMBSeconds != 150*1000 {
 		t.Errorf("resident integral %v, want 150000", ns.ResidentMBSeconds)
 	}
-	if len(ns.UtilSeries) != 17 { // ceil(1000/60)
-		t.Fatalf("util series length %d, want 17", len(ns.UtilSeries))
-	}
-	for m, mb := range ns.UtilSeries {
-		if mb != 150 {
-			t.Errorf("minute %d: mean resident %v MB, want 150", m, mb)
-		}
-	}
 }
 
 // TestAppLargerThanNode: an app that cannot fit on any node executes
@@ -252,16 +244,5 @@ func TestDefaultMemoryCharge(t *testing.T) {
 	}
 	if res.NodeStats[0].PeakResidentMB != trace.DefaultAppMemoryMB {
 		t.Errorf("peak %v MB, want %v", res.NodeStats[0].PeakResidentMB, trace.DefaultAppMemoryMB)
-	}
-}
-
-// TestWastedMBSecondsWeighting pins the memory weighting of waste.
-func TestWastedMBSecondsWeighting(t *testing.T) {
-	tr := pingPongTrace()
-	res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: 600 * time.Second}, Config{Nodes: 1, NodeMemMB: 200})
-	for _, a := range res.Apps {
-		if a.WastedMBSeconds != a.WastedSeconds*a.MemoryMB {
-			t.Errorf("app %s: WastedMBSeconds %v != %v * %v", a.AppID, a.WastedMBSeconds, a.WastedSeconds, a.MemoryMB)
-		}
 	}
 }

@@ -166,16 +166,6 @@ func runEngine(ctx context.Context, tr *trace.Trace, pol policy.Policy, cfg Conf
 	return e, nil
 }
 
-// workers resolves Config.Workers: GOMAXPROCS by default and at most,
-// since outcomes do not depend on the count and every worker holds a
-// scratch and a walker.
-func (e *engine) workers() int {
-	if p := runtime.GOMAXPROCS(0); e.cfg.Workers <= 0 || e.cfg.Workers > p {
-		return p
-	}
-	return e.cfg.Workers
-}
-
 // produceWalk runs the shared kernel over one app into wk and wires it
 // to the app's state: idle times, batch decisions (released back to
 // the policy pool), and exec times, copied out of the worker-local
@@ -257,15 +247,10 @@ func (e *engine) initStates(tr *trace.Trace) {
 		e.place.(TracePreparer).Prepare(fps, e.cfg.Nodes, e.capMB)
 	}
 
-	minutes := int(math.Ceil(e.horizon / 60))
-	if minutes < 1 && e.horizon > 0 {
-		minutes = 1
-	}
 	e.nodes = make([]nodeState, e.cfg.Nodes)
 	for i := range e.nodes {
 		e.nodes[i].capMB = e.capMB
 		e.nodes[i].parked.mask = ^0
-		e.nodes[i].stats.UtilSeries = make([]float64, minutes)
 	}
 }
 
@@ -310,14 +295,15 @@ func (e *engine) parts() [][]int32 {
 	return byNode
 }
 
-// run simulates every part: min(workers, parts) workers take parts
+// run simulates every part: min(GOMAXPROCS, parts) workers take parts
 // from a shared cursor, and each part's walks are produced on
-// workers/parts goroutines (at least one), so a single-part run walks
-// every app workers wide. A worker stops at its first error; run
-// returns the first error in part order.
+// GOMAXPROCS/parts goroutines (at least one), so a single-part run
+// walks every app GOMAXPROCS wide. Outcomes do not depend on either
+// count. A worker stops at its first error; run returns the first
+// error in part order.
 func (e *engine) run(ctx context.Context) error {
 	parts := e.parts()
-	w := e.workers()
+	w := runtime.GOMAXPROCS(0)
 	walkers := max(1, w/len(parts))
 	errs := make([]error, len(parts))
 	var next atomic.Int64
@@ -472,20 +458,11 @@ func (e *engine) finish(polName string) *Result {
 			st.res.WastedSeconds += kernel.TrailingWaste(
 				st.cur.D, st.cur.PwSec, st.cur.KaSec, st.prevEnd, e.horizon)
 		}
-		st.res.WastedMBSeconds = st.res.WastedSeconds * st.memMB
 		res.Apps[i] = st.res
 	}
 	for i := range e.nodes {
 		nd := &e.nodes[i]
 		nd.advance(e.horizon, e.horizon)
-		// Normalize the series from MB·s to mean MB per bin (the last
-		// bin may cover less than a minute).
-		for b := range nd.stats.UtilSeries {
-			width := math.Min(60, e.horizon-float64(b)*60)
-			if width > 0 {
-				nd.stats.UtilSeries[b] /= width
-			}
-		}
 		res.NodeStats[i] = nd.stats
 	}
 	return res

@@ -451,7 +451,7 @@ func TestLeastLoadedReplace(t *testing.T) {
 func TestEventsInvariantRandomized(t *testing.T) {
 	tr := testPopulation(t)
 	pol := func() policy.Policy { return policy.NewHybrid(policy.DefaultHybridConfig()) }
-	want := sim.Simulate(tr, pol(), sim.Options{})
+	want := sim.Simulate(tr, pol())
 	got := Simulate(tr, pol(), Config{
 		Nodes: 3, NodeMemMB: 600,
 		Events: []Event{

@@ -37,8 +37,7 @@ func requireResultsEqual(t *testing.T, label string, got, want *Result) {
 			math.Float64bits(g.MemoryMB) != math.Float64bits(w.MemoryMB) ||
 			g.Evictions != w.Evictions ||
 			g.EvictionColdStarts != w.EvictionColdStarts ||
-			g.FailureColdStarts != w.FailureColdStarts ||
-			math.Float64bits(g.WastedMBSeconds) != math.Float64bits(w.WastedMBSeconds) {
+			g.FailureColdStarts != w.FailureColdStarts {
 			mismatches++
 			if mismatches <= 5 {
 				t.Errorf("%s app %s: got %+v want %+v", label, w.AppID, g, w)
@@ -58,17 +57,6 @@ func requireResultsEqual(t *testing.T, label string, got, want *Result) {
 			math.Float64bits(g.PeakResidentMB) != math.Float64bits(w.PeakResidentMB) ||
 			math.Float64bits(g.ResidentMBSeconds) != math.Float64bits(w.ResidentMBSeconds) {
 			t.Errorf("%s node %d: got %+v want %+v", label, n, g, w)
-			continue
-		}
-		if len(g.UtilSeries) != len(w.UtilSeries) {
-			t.Errorf("%s node %d: util series length %d want %d", label, n, len(g.UtilSeries), len(w.UtilSeries))
-			continue
-		}
-		for b := range w.UtilSeries {
-			if math.Float64bits(g.UtilSeries[b]) != math.Float64bits(w.UtilSeries[b]) {
-				t.Errorf("%s node %d minute %d: util %v want %v", label, n, b, g.UtilSeries[b], w.UtilSeries[b])
-				break
-			}
 		}
 	}
 }
@@ -98,9 +86,8 @@ func runBothPaths(t *testing.T, label string, tr *trace.Trace, pol func() policy
 	want := Simulate(tr, pol(), ref)
 	for _, workers := range []int{1, 5} {
 		par := cfg
-		par.Workers = workers
 		par.Placement = mustPlacement(t, placeSpec)
-		got := Simulate(tr, pol(), par)
+		got := simulateAt(workers, tr, pol(), par)
 		requireResultsEqual(t, fmt.Sprintf("%s/workers=%d", label, workers), got, want)
 	}
 	for _, n := range epochs {
@@ -215,8 +202,8 @@ func TestShardedMatchesGlobalRandomized(t *testing.T) {
 }
 
 // TestViewDependentPlacementStaysSequential: least-loaded reads live
-// residency, so it must keep the global path regardless of Workers —
-// and the worker count must not change its results.
+// residency, so it must keep the global path regardless of the worker
+// count — and the count must not change its results.
 func TestViewDependentPlacementStaysSequential(t *testing.T) {
 	pop, err := workload.Generate(workload.Config{
 		Seed: 21, NumApps: 40, Duration: 12 * time.Hour,
@@ -229,22 +216,14 @@ func TestViewDependentPlacementStaysSequential(t *testing.T) {
 		t.Fatal("least-loaded must not advertise the oblivious contract")
 	}
 	pol := func() policy.Policy { return policy.NewHybrid(policy.DefaultHybridConfig()) }
-	base := Simulate(pop.Trace, pol(), Config{Nodes: 3, NodeMemMB: 500, Placement: LeastLoadedPlacement{}, Workers: 1})
-	wide := Simulate(pop.Trace, pol(), Config{Nodes: 3, NodeMemMB: 500, Placement: LeastLoadedPlacement{}, Workers: 8})
+	cfg := Config{Nodes: 3, NodeMemMB: 500, Placement: LeastLoadedPlacement{}}
+	base := simulateAt(1, pop.Trace, pol(), cfg)
+	wide := simulateAt(8, pop.Trace, pol(), cfg)
 	requireResultsEqual(t, "least-loaded", wide, base)
 }
 
-// TestWorkersResolve pins the default and the cap without starting a
-// worker: results never depend on the count, so nothing past
-// GOMAXPROCS is honored (each worker holds a scratch and a walker).
-func TestWorkersResolve(t *testing.T) {
-	p := runtime.GOMAXPROCS(0)
-	for _, c := range []struct{ in, want int }{
-		{0, p}, {-3, p}, {1, 1}, {p, p}, {p + 1, p}, {math.MaxInt, p},
-	} {
-		e := &engine{cfg: Config{Workers: c.in}}
-		if got := e.workers(); got != c.want {
-			t.Errorf("Workers %d resolved to %d, want %d", c.in, got, c.want)
-		}
-	}
+// simulateAt runs Simulate on procs workers (GOMAXPROCS sizes the pool).
+func simulateAt(procs int, tr *trace.Trace, pol policy.Policy, cfg Config) *Result {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return Simulate(tr, pol, cfg)
 }

@@ -69,7 +69,7 @@ type TracePreparer interface {
 // The engine runs oblivious placements on the parallel per-node path:
 // every app is pre-assigned before the run, the invocation stream is
 // sharded per node, and node timelines execute independently,
-// Config.Workers at a time. View-dependent placements keep the
+// GOMAXPROCS at a time. View-dependent placements keep the
 // sequential global timeline — the only schedule under which their
 // residency reads are well-defined. Results are bit-identical on both
 // paths (property-tested); only the wall clock differs.

@@ -810,7 +810,7 @@ func (s *shard) unindex(nd *nodeState, st *appState) {
 }
 
 // advance accumulates the node's resident level over [lastT, t),
-// clamped at the horizon, into the integral and the per-minute series.
+// clamped at the horizon, into the integral.
 func (nd *nodeState) advance(t, horizon float64) {
 	from, to := nd.lastT, t
 	if to > horizon {
@@ -818,20 +818,6 @@ func (nd *nodeState) advance(t, horizon float64) {
 	}
 	if to > from && nd.residentMB > 0 {
 		nd.stats.ResidentMBSeconds += nd.residentMB * (to - from)
-		bins := nd.stats.UtilSeries
-		for b := int(from / 60); b < len(bins); b++ {
-			lo, hi := float64(b)*60, float64(b+1)*60
-			if lo < from {
-				lo = from
-			}
-			if hi > to {
-				hi = to
-			}
-			bins[b] += nd.residentMB * (hi - lo)
-			if hi >= to {
-				break
-			}
-		}
 	}
 	if t > nd.lastT {
 		nd.lastT = t

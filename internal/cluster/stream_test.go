@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -44,12 +45,13 @@ func uniformTrace(apps int) *trace.Trace {
 // decision walks.
 func walkPeakFor(t *testing.T, apps, nodes int, global bool) int64 {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// One worker makes the peak deterministic: a sharded run then
 	// holds exactly one node's walks at a time, so the measurement is
 	// the contract itself rather than a scheduling-dependent snapshot
 	// of how many workers happened to overlap (with W workers the
 	// legitimate peak floats anywhere between 1 and W+1 nodes' worth).
-	cfg := Config{Nodes: nodes, NodeMemMB: 4096, UseExecTime: true, Workers: 1, forceGlobal: global}
+	cfg := Config{Nodes: nodes, NodeMemMB: 4096, UseExecTime: true, forceGlobal: global}
 	e, err := runEngine(context.Background(), uniformTrace(apps),
 		policy.NewHybrid(policy.DefaultHybridConfig()), cfg)
 	if err != nil {

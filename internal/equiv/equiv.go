@@ -191,7 +191,7 @@ func CountFlips(a, b []policy.DecisionRun) (flips, total int64) {
 // reports the divergence: per-invocation decision flips (from the
 // batch decision streams, app by app) and the end-metric deltas from
 // two full simulations.
-func CompareTrace(name string, tr *trace.Trace, base, variant policy.Policy, opt sim.Options) *Report {
+func CompareTrace(name string, tr *trace.Trace, base, variant policy.Policy, execTime bool) *Report {
 	rep := &Report{Name: name}
 	var sb, sv kernel.Scratch
 	for _, app := range tr.Apps {
@@ -200,7 +200,7 @@ func CompareTrace(name string, tr *trace.Trace, base, variant policy.Policy, opt
 			continue
 		}
 		var execs []float64
-		if opt.UseExecTime {
+		if execTime {
 			execs = sb.ExecSeconds(app)
 		}
 		idles := sb.IdleTimes(times, execs)
@@ -213,8 +213,8 @@ func CompareTrace(name string, tr *trace.Trace, base, variant policy.Policy, opt
 		rep.Invocations += total
 	}
 
-	resB := sim.Simulate(tr, base, opt)
-	resV := sim.Simulate(tr, variant, opt)
+	resB := sim.Simulate(tr, base, sim.WithExecTime(execTime))
+	resV := sim.Simulate(tr, variant, sim.WithExecTime(execTime))
 	rep.fillMetrics(resB, resV)
 	return rep
 }
@@ -223,8 +223,8 @@ func CompareTrace(name string, tr *trace.Trace, base, variant policy.Policy, opt
 // and metric comparison is identical (policy decisions do not depend
 // on cluster state), and additionally the cold-start attribution
 // totals of both policies are captured from two cluster simulations.
-func CompareCluster(name string, tr *trace.Trace, base, variant policy.Policy, cfg cluster.Config, opt sim.Options) *Report {
-	rep := CompareTrace(name, tr, base, variant, opt)
+func CompareCluster(name string, tr *trace.Trace, base, variant policy.Policy, cfg cluster.Config, execTime bool) *Report {
+	rep := CompareTrace(name, tr, base, variant, execTime)
 	rep.HasCluster = true
 	rep.AttrBase = clusterAttr(cluster.Simulate(tr, base, cfg))
 	rep.AttrVariant = clusterAttr(cluster.Simulate(tr, variant, cfg))

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/policy"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -118,7 +117,7 @@ func TestCompareTraceRefit(t *testing.T) {
 	refitCfg.RefitInterval = time.Minute
 	refit := policy.NewHybrid(refitCfg)
 
-	rep := CompareTrace("synth", tr, base, refit, sim.Options{})
+	rep := CompareTrace("synth", tr, base, refit, false)
 	if want := int64(430); rep.Invocations != want {
 		t.Errorf("compared %d invocations, want %d", rep.Invocations, want)
 	}
@@ -126,7 +125,7 @@ func TestCompareTraceRefit(t *testing.T) {
 		t.Errorf("synthetic corpus out of tolerance: %v", err)
 	}
 
-	self := CompareTrace("self", tr, base, policy.NewHybrid(policy.DefaultHybridConfig()), sim.Options{})
+	self := CompareTrace("self", tr, base, policy.NewHybrid(policy.DefaultHybridConfig()), false)
 	if self.Flips != 0 {
 		t.Errorf("base vs base flipped %d decisions", self.Flips)
 	}

@@ -91,11 +91,11 @@ var section5 = []evalFigure{
 
 // Section5 regenerates the §5.2 simulation figures (14–19, 19b and the
 // range sweep) over tr, running the grids' distinct policies as one
-// sweep; workers bounds each cell's parallelism (0 = GOMAXPROCS). src
-// is the gen: source spec that generates tr: each figure prints its
-// grid over src as a note, so `coldsim -scenario` reruns the figure.
-func Section5(ctx context.Context, tr *trace.Trace, src string, workers int) ([]*Figure, error) {
-	c, err := runGrid(ctx, scenario.Scenario{Sinks: evalSinks, Workers: workers},
+// sweep. src is the gen: source spec that generates tr: each figure
+// prints its grid over src as a note, so `coldsim -scenario` reruns
+// the figure.
+func Section5(ctx context.Context, tr *trace.Trace, src string) ([]*Figure, error) {
+	c, err := runGrid(ctx, scenario.Scenario{Sinks: evalSinks},
 		section5Policies(), scenario.WithFixedTrace(tr))
 	if err != nil {
 		return nil, err
@@ -331,12 +331,12 @@ func figure19(c cells) *Figure {
 // baseline — the Figure 15 plane for user-supplied policies. The specs
 // become a policy axis after the baseline, run by the same grid sweep
 // as the §5.2 figures.
-func PolicySweep(ctx context.Context, tr *trace.Trace, specs []string, workers int) (*Figure, error) {
+func PolicySweep(ctx context.Context, tr *trace.Trace, specs []string) (*Figure, error) {
 	f := &Figure{
 		ID: "extra-policy-sweep", Title: "Custom policy sweep (registry specs)",
 		XLabel: "3rd-quartile app cold start (%)", YLabel: "normalized wasted memory (%)",
 	}
-	c, err := runGrid(ctx, scenario.Scenario{Sinks: evalSinks, Workers: workers},
+	c, err := runGrid(ctx, scenario.Scenario{Sinks: evalSinks},
 		append([]string{baseline}, specs...), scenario.WithFixedTrace(tr))
 	if err != nil {
 		return nil, err

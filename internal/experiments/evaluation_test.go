@@ -34,7 +34,7 @@ func evalTrace(t *testing.T) *trace.Trace {
 // renderSection5 runs the §5.2 figures over evalTrace and renders them.
 func renderSection5(t *testing.T) ([]*Figure, []byte) {
 	t.Helper()
-	figs, err := Section5(context.Background(), evalTrace(t), evalConfig.source(), 0)
+	figs, err := Section5(context.Background(), evalTrace(t), evalConfig.source())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,7 +209,7 @@ func BenchmarkFigures(b *testing.B) {
 		{"4", onPop(Figure4)}, {"5", onPop(Figure5)}, {"6", onPop(Figure6)},
 		{"7", onPop(Figure7)}, {"8", onPop(Figure8)}, {"12", onPop(Figure12)},
 		{"Section5", func() ([]*Figure, error) {
-			return Section5(context.Background(), pop.Trace, cfg.source(), 0)
+			return Section5(context.Background(), pop.Trace, cfg.source())
 		}},
 		{"20", func() ([]*Figure, error) {
 			f, err := Figure20(context.Background(), pop.Trace, PlatformConfig{

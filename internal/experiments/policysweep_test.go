@@ -22,7 +22,7 @@ func sweepTrace(t *testing.T) *workload.Population {
 
 func TestPolicySweep(t *testing.T) {
 	pop := sweepTrace(t)
-	fig, err := PolicySweep(context.Background(), pop.Trace, []string{"fixed?ka=30m", "hybrid?range=1h", "nounload"}, 0)
+	fig, err := PolicySweep(context.Background(), pop.Trace, []string{"fixed?ka=30m", "hybrid?range=1h", "nounload"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestPolicySweep(t *testing.T) {
 
 func TestPolicySweepBadSpec(t *testing.T) {
 	pop := sweepTrace(t)
-	if _, err := PolicySweep(context.Background(), pop.Trace, []string{"hybrid?cv=notanumber"}, 0); err == nil {
+	if _, err := PolicySweep(context.Background(), pop.Trace, []string{"hybrid?cv=notanumber"}); err == nil {
 		t.Fatal("bad spec accepted")
 	}
 }

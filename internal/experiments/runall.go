@@ -22,8 +22,6 @@ type Config struct {
 	// MaxDailyRate / MaxEventsPerFunction bound realized trace size.
 	MaxDailyRate         float64
 	MaxEventsPerFunction int
-	// Workers bounds simulation parallelism (0 = GOMAXPROCS).
-	Workers int
 	// SkipPlatform disables the Figure 20 platform replay.
 	SkipPlatform bool
 	// Platform configures Figure 20.
@@ -109,12 +107,12 @@ func RunAll(ctx context.Context, cfg Config, progress io.Writer) ([]*Figure, err
 		{"figure-08", one(Figure8)},
 		{"figure-12", one(Figure12)},
 		{"figures 14-19, 19b and extra-range-sweep", func() ([]*Figure, error) {
-			return Section5(ctx, tr, cfg.source(), cfg.Workers)
+			return Section5(ctx, tr, cfg.source())
 		}},
 	}
 	if len(cfg.PolicySpecs) > 0 {
 		steps = append(steps, step{"extra-policy-sweep", func() ([]*Figure, error) {
-			f, err := PolicySweep(ctx, tr, cfg.PolicySpecs, cfg.Workers)
+			f, err := PolicySweep(ctx, tr, cfg.PolicySpecs)
 			return []*Figure{f}, err
 		}})
 	}

@@ -144,7 +144,7 @@ func TestAlwaysColdFraction(t *testing.T) {
 			{ID: "d", Functions: []*trace.Function{{ID: "f4"}}},
 		},
 	}
-	res := sim.Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}, sim.Options{})
+	res := sim.Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
 	whole := NewColdStartSink()
 	shards := []*ColdStartSink{NewColdStartSink(), NewColdStartSink()}
 	for i, a := range res.Apps {

@@ -137,6 +137,7 @@ type unit struct {
 	shardI   int // -1 when unsharded
 	shardN   int
 	open     openFn
+	mem      trace.MemoryTable // the cell's cluster.memcsv table, if any
 }
 
 // unitResult is what one executed unit contributes to its cell.
@@ -215,14 +216,16 @@ func RunSweep(ctx context.Context, cells []Scenario, opts ...Option) (*SweepRepo
 }
 
 // expandUnits expands cells into schedulable units (shard fan-out),
-// validating every component spec up front: a typo in any cell fails
-// here, before any cell simulates. opens may be nil when the caller
-// executes units elsewhere (process fan-out).
+// validating every component spec and memory table up front: a typo or
+// a bad table row in any cell fails here, before any cell simulates.
+// opens may be nil when the caller executes units elsewhere (process
+// fan-out).
 func expandUnits(cells []Scenario, opens []openFn) ([]unit, [][]int, error) {
 	var units []unit
 	unitsPerCell := make([][]int, len(cells))
+	mems := map[string]trace.MemoryTable{}
 	for ci, sc := range cells {
-		if err := validateCell(sc); err != nil {
+		if err := validateCell(sc, mems); err != nil {
 			return nil, nil, &CellError{Index: ci, Scenario: sc, Err: err}
 		}
 		var open openFn
@@ -230,6 +233,9 @@ func expandUnits(cells []Scenario, opens []openFn) ([]unit, [][]int, error) {
 			open = opens[ci]
 		}
 		add := func(u unit) {
+			if sc.Cluster != nil {
+				u.mem = mems[sc.Cluster.MemCSV]
+			}
 			unitsPerCell[ci] = append(unitsPerCell[ci], len(units))
 			units = append(units, u)
 		}
@@ -333,9 +339,10 @@ func assembleReport(cells []Scenario, unitsPerCell [][]int, results []unitResult
 }
 
 // validateCell builds (and discards) every component spec of a cell —
-// policy, sinks, placement — and checks the memory table exists, so a
-// sweep fails fast on any typo instead of mid-run.
-func validateCell(sc Scenario) error {
+// policy, sinks, placement, events — so a sweep fails fast on any typo
+// instead of mid-run. It reads and validates the cell's memory table
+// into mems unless mems already holds it, so each is read once.
+func validateCell(sc Scenario, mems map[string]trace.MemoryTable) error {
 	if sc.Policy == "" {
 		return fmt.Errorf("scenario: missing policy")
 	}
@@ -359,8 +366,13 @@ func validateCell(sc Scenario) error {
 		if _, err := cluster.NewPlacement(sc.Cluster.placement()); err != nil {
 			return err
 		}
-		if sc.Cluster.MemCSV != "" {
-			if _, err := os.Stat(sc.Cluster.MemCSV); err != nil {
+		if path := sc.Cluster.MemCSV; path != "" && mems[path] == nil {
+			f, err := os.Open(path)
+			if err != nil {
+				return fmt.Errorf("scenario: cluster.memcsv: %w", err)
+			}
+			defer f.Close()
+			if mems[path], err = trace.ReadMemoryCSV(f); err != nil {
 				return fmt.Errorf("scenario: cluster.memcsv: %w", err)
 			}
 		}
@@ -428,7 +440,7 @@ func runUnit(ctx context.Context, u unit, memo *forecast.Memo) (unitResult, erro
 
 	res := unitResult{policyName: pol.Name(), sinks: sinks}
 	if sc.Cluster == nil {
-		simOpts := []sim.Option{sim.WithWorkers(sc.Workers), sim.WithExecTime(sc.ExecTime)}
+		simOpts := []sim.Option{sim.WithExecTime(sc.ExecTime)}
 		for _, cs := range sinks {
 			rs, ok := cs.Sink.(sim.ResultSink)
 			if !ok {
@@ -449,11 +461,8 @@ func runUnit(ctx context.Context, u unit, memo *forecast.Memo) (unitResult, erro
 	if err != nil {
 		return unitResult{}, err
 	}
-	if sc.Cluster.MemCSV != "" {
-		tr, res.defaulted, err = applyMemCSV(tr, sc.Cluster.MemCSV)
-		if err != nil {
-			return unitResult{}, err
-		}
+	if u.mem != nil {
+		tr, res.defaulted = applyMem(tr, u.mem)
 	} else {
 		// The cluster engine charges each app without memory data the
 		// default.
@@ -472,7 +481,6 @@ func runUnit(ctx context.Context, u unit, memo *forecast.Memo) (unitResult, erro
 		NodeMemMB:   sc.Cluster.NodeMemMB,
 		Placement:   place,
 		UseExecTime: sc.ExecTime,
-		Workers:     sc.Workers,
 	}
 	if sc.Cluster.Events != "" {
 		if cfg.Events, err = cluster.ParseEvents(sc.Cluster.Events); err != nil {
@@ -517,23 +525,14 @@ func runUnit(ctx context.Context, u unit, memo *forecast.Memo) (unitResult, erro
 	return res, nil
 }
 
-// applyMemCSV applies a per-app memory table to a private copy of tr
+// applyMem applies a per-app memory table to a private copy of tr
 // (the original may be shared across sweep cells).
-func applyMemCSV(tr *trace.Trace, path string) (*trace.Trace, int, error) {
+func applyMem(tr *trace.Trace, mem trace.MemoryTable) (*trace.Trace, int) {
 	clone := &trace.Trace{Duration: tr.Duration, Apps: make([]*trace.App, len(tr.Apps))}
 	for i, a := range tr.Apps {
 		clone.Apps[i] = a.Clone()
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	defaulted, err := trace.ApplyMemoryCSVDefault(f, clone)
-	if err != nil {
-		return nil, 0, err
-	}
-	return clone, defaulted, nil
+	return clone, mem.Apply(clone)
 }
 
 // SweepReport is the outcome of a sweep: one CellResult per expanded

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/forecast"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -245,6 +248,7 @@ func TestRunScenarioErrors(t *testing.T) {
 		{"source=" + smallGen + "; policy=hybrid; cluster.nodes=2; cluster.place=spread", `unknown placement "spread"`},
 		{"source=" + smallGen + "; policy=hybrid; cluster.nodes=2; cluster.place=binpack?order=size", "unknown parameters [order]"},
 		{"source=csv:/does/not/exist.csv; policy=hybrid", "no such file"},
+		{"source=" + smallGen + "; policy=hybrid; cluster.memcsv=/does/not/exist.csv", "no such file"},
 	}
 	for _, c := range cases {
 		_, err := RunScenario(ctx, mustParse(t, c.spec))
@@ -422,6 +426,27 @@ func TestCellErrorIdentifiesFailingCell(t *testing.T) {
 	_, err = RunScenario(ctx, cells[1])
 	if !errors.As(err, &cellErr) || cellErr.Index != 0 {
 		t.Errorf("RunScenario error %v: want *CellError with Index 0", err)
+	}
+}
+
+// TestMemCSVCheckedBeforeAnyCellRuns: a cluster.memcsv table is read
+// and validated up front, so a bad row fails the sweep before any cell
+// simulates, even when the app it names lies outside the cell's shard.
+func TestMemCSVCheckedBeforeAnyCellRuns(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mem.csv")
+	table := "HashOwner,HashApp,SampleCount,AverageAllocatedMb\no,a,2,NaN\no,b,2,256\n"
+	if err := os.WriteFile(path, []byte(table), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	defer func(orig func() *forecast.Memo) { newForecastMemo = orig }(newForecastMemo)
+	newForecastMemo = func() *forecast.Memo { t.Error("the sweep started running cells"); return nil }
+	// Shard 1/2 holds only app b; the NaN row names app a.
+	tr := &trace.Trace{Duration: time.Hour, Apps: []*trace.App{{ID: "a"}, {ID: "b"}}}
+	sc := mustParse(t, "policy=hybrid; cluster.nodes=1; cluster.memcsv="+path+"; shard=1/2")
+	_, err := RunSweep(context.Background(), []Scenario{sc}, WithFixedTrace(tr))
+	var cellErr *CellError
+	if !errors.As(err, &cellErr) || !strings.Contains(err.Error(), "memory line 2") {
+		t.Fatalf("err = %v, want a *CellError naming memory line 2", err)
 	}
 }
 

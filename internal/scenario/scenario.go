@@ -14,7 +14,7 @@
 //
 //	source=gen:apps=400&seed=7; policy=hybrid?cv=2; cluster.nodes=8;
 //	cluster.mem=4096; cluster.place=binpack; sinks=coldstart,waste;
-//	workers=4; shard=0/4; exectime=on
+//	shard=0/4; exectime=on
 //
 // A seed sweep is a source axis:
 // source=[gen:apps=400&seed=1,gen:apps=400&seed=2].
@@ -55,11 +55,6 @@ type Scenario struct {
 	// "attribution", "util"). Empty selects the defaults: coldstart and
 	// waste, plus attribution and util on cluster runs.
 	Sinks []string `json:"sinks,omitempty"`
-	// Workers bounds per-run simulation parallelism (0 = GOMAXPROCS,
-	// and never more): the simulator's app walkers, and on cluster runs
-	// the workers running parts (one per node for oblivious placements)
-	// and the walk goroutines within each. Results never depend on it.
-	Workers int `json:"workers,omitempty"`
 	// Shard restricts the run to the i-th of n interleaved app shards
 	// ("1/4"), or fans out over all n shards and merges their sinks
 	// ("*/4"). Empty runs the whole source.
@@ -103,7 +98,7 @@ func (c *ClusterSpec) placement() string {
 var scenarioKeys = []string{
 	"source", "policy",
 	"cluster.nodes", "cluster.mem", "cluster.place", "cluster.memcsv", "cluster.events",
-	"sinks", "workers", "shard", "exectime",
+	"sinks", "shard", "exectime",
 }
 
 // parseScenarioJSON decodes the JSON form, rejecting unknown fields.
@@ -161,12 +156,6 @@ func (sc *Scenario) set(key, val string) error {
 		sc.ensureCluster().Events = cluster.EventsString(evs)
 	case "sinks":
 		sc.Sinks = strings.Split(val, ",")
-	case "workers":
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("scenario: workers: want a non-negative integer, got %q", val)
-		}
-		sc.Workers = n
 	case "shard":
 		sc.Shard = val
 	case "exectime":
@@ -228,9 +217,6 @@ func (sc *Scenario) normalize() error {
 		}
 	}
 	sc.Sinks = sinks
-	if sc.Workers < 0 {
-		return fmt.Errorf("scenario: workers: want a non-negative integer, got %d", sc.Workers)
-	}
 	if c := sc.Cluster; c != nil {
 		if c.Nodes == 0 {
 			c.Nodes = 1
@@ -304,9 +290,6 @@ func (sc Scenario) String() string {
 	}
 	if len(sc.Sinks) > 0 {
 		add("sinks", strings.Join(sc.Sinks, ","))
-	}
-	if sc.Workers > 0 {
-		add("workers", strconv.Itoa(sc.Workers))
 	}
 	if sc.Shard != "" {
 		add("shard", sc.Shard)

@@ -28,7 +28,7 @@ func TestScenarioRoundTrip(t *testing.T) {
 	specs := []string{
 		"source=gen:apps=400&seed=7; policy=hybrid",
 		"source=csv:trace/invocations.csv; policy=fixed?ka=20m",
-		"source=gen:apps=100; policy=hybrid?cv=2&range=4h; sinks=coldstart,waste; workers=4",
+		"source=gen:apps=100; policy=hybrid?cv=2&range=4h; sinks=coldstart,waste",
 		"source=gen:apps=50; policy=nounload; shard=1/4; exectime=on",
 		"source=gen:apps=50; policy=fixed?ka=10m; shard=*/3",
 		"source=shard:1/4 of csv:big.csv; policy=hybrid",
@@ -68,10 +68,10 @@ func TestScenarioTextJSONAgree(t *testing.T) {
 			`{"source": "gen:apps=400&seed=7", "policy": "hybrid?cv=2"}`,
 		},
 		{
-			"source=csv:inv.csv; policy=fixed?ka=10m; cluster.nodes=8; cluster.mem=4096; cluster.place=binpack; sinks=coldstart,waste; workers=2; shard=0/2; exectime=on",
+			"source=csv:inv.csv; policy=fixed?ka=10m; cluster.nodes=8; cluster.mem=4096; cluster.place=binpack; sinks=coldstart,waste; shard=0/2; exectime=on",
 			`{"source": "csv:inv.csv", "policy": "fixed?ka=10m",
 			  "cluster": {"nodes": 8, "mem": 4096, "place": "binpack"},
-			  "sinks": ["coldstart", "waste"], "workers": 2, "shard": "0/2",
+			  "sinks": ["coldstart", "waste"], "shard": "0/2",
 			  "exectime": true}`,
 		},
 		{
@@ -121,11 +121,10 @@ func TestScenarioParseErrors(t *testing.T) {
 		{"source=gen:apps=10; polcy=hybrid", `unknown field "polcy"`},
 		{"cluster.nods=8", `unknown field "cluster.nods"`},
 		{"policy=hybrid; policy=fixed", `duplicate field "policy"`},
-		{"workers", "want key=value"},
+		{"shard", "want key=value"},
 		{"cluster.nodes=zero", "cluster.nodes"},
 		{"cluster.nodes=-2", "cluster.nodes"},
 		{"cluster.mem=-5", "cluster.mem"},
-		{"workers=-1", "workers"},
 		{"shard=4", "want i/n or */n"},
 		{"shard=5/4", "want i/n or */n"},
 		{"shard=*/0", "want i/n or */n"},
@@ -140,7 +139,6 @@ func TestScenarioParseErrors(t *testing.T) {
 		// The JSON form is held to the text form's rules (normalize
 		// validates both), and neither takes what String cannot render.
 		{`{"cluster": {"mem": -5}}`, "cluster.mem"},
-		{`{"workers": -3}`, "workers"},
 		{"cluster.mem=NaN", "cluster.mem"},
 		{"cluster.mem=Inf", "cluster.mem"},
 		{`{"source": "csv:a;b"}`, "separates fields"},

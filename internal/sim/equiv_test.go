@@ -92,11 +92,12 @@ func TestBatchPathMatchesStepwisePath(t *testing.T) {
 	check := func(seed uint64) bool {
 		tr := multiFnTrace(seed)
 		for pi, p := range pols {
-			for _, opt := range []Options{{Workers: 1}, {Workers: 3}, {Workers: 1, UseExecTime: true}} {
-				batch := Simulate(tr, p, opt)
-				step := Simulate(tr, stepOnly{p}, opt)
+			for i, procs := range []int{1, 3, 1} {
+				exec := i == 2 // the last single-worker run adds exec times
+				batch := simulateAt(procs, tr, p, WithExecTime(exec))
+				step := simulateAt(procs, tr, stepOnly{p}, WithExecTime(exec))
 				if !resultsEqual(batch, step) {
-					t.Logf("seed %d policy %d opts %+v: batch and stepwise results differ", seed, pi, opt)
+					t.Logf("seed %d policy %d workers %d exec %v: batch and stepwise results differ", seed, pi, procs, exec)
 					return false
 				}
 			}
@@ -113,39 +114,31 @@ func TestBatchPathMatchesStepwisePath(t *testing.T) {
 // count, do not leak into results.
 func TestLargestFirstOrderingIsInvisible(t *testing.T) {
 	tr := multiFnTrace(99)
-	base := Simulate(tr, policy.NewHybrid(policy.DefaultHybridConfig()), Options{Workers: 1})
+	base := simulateAt(1, tr, policy.NewHybrid(policy.DefaultHybridConfig()))
 	for w := 2; w <= 8; w++ {
-		got := Simulate(tr, policy.NewHybrid(policy.DefaultHybridConfig()), Options{Workers: w})
+		got := simulateAt(w, tr, policy.NewHybrid(policy.DefaultHybridConfig()))
 		if !resultsEqual(base, got) {
-			t.Fatalf("results differ at Workers=%d", w)
+			t.Fatalf("results differ at %d workers", w)
 		}
 	}
 }
 
-// TestWorkersGuard runs more workers than apps (and than GOMAXPROCS
-// on most machines) and the empty trace.
+// TestWorkersGuard runs more workers than apps and the empty trace.
 func TestWorkersGuard(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
 	tr := multiFnTrace(7)
-	res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: time.Minute}, Options{Workers: 64})
+	res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: time.Minute})
 	if len(res.Apps) != len(tr.Apps) {
 		t.Fatalf("apps = %d, want %d", len(res.Apps), len(tr.Apps))
 	}
 	empty := &trace.Trace{Duration: time.Hour}
-	if got := Simulate(empty, policy.NoUnloading{}, Options{Workers: 8}); len(got.Apps) != 0 {
+	if got := Simulate(empty, policy.NoUnloading{}); len(got.Apps) != 0 {
 		t.Fatalf("empty trace produced %d apps", len(got.Apps))
 	}
 }
 
-// TestResolveWorkers pins the default and the cap without starting a
-// worker: results never depend on the count, so nothing past
-// GOMAXPROCS is honored.
-func TestResolveWorkers(t *testing.T) {
-	p := runtime.GOMAXPROCS(0)
-	for _, c := range []struct{ in, want int }{
-		{0, p}, {-3, p}, {1, 1}, {p, p}, {p + 1, p}, {math.MaxInt, p},
-	} {
-		if got := resolveWorkers(c.in); got != c.want {
-			t.Errorf("resolveWorkers(%d) = %d, want %d", c.in, got, c.want)
-		}
-	}
+// simulateAt runs Simulate on procs workers (GOMAXPROCS sizes the pool).
+func simulateAt(procs int, tr *trace.Trace, pol policy.Policy, opts ...Option) *Result {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return Simulate(tr, pol, opts...)
 }

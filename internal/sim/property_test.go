@@ -43,7 +43,7 @@ func TestSimInvariants(t *testing.T) {
 	check := func(seed uint64) bool {
 		tr := randomTrace(seed)
 		for _, p := range pols {
-			res := Simulate(tr, p, Options{Workers: 1})
+			res := Simulate(tr, p)
 			a := res.Apps[0]
 			if a.ColdStarts < 0 || a.ColdStarts > a.Invocations {
 				return false
@@ -74,13 +74,13 @@ func TestSimInvariants(t *testing.T) {
 func TestNoUnloadingIsColdLowerBound(t *testing.T) {
 	check := func(seed uint64) bool {
 		tr := randomTrace(seed)
-		nu := Simulate(tr, policy.NoUnloading{}, Options{Workers: 1})
+		nu := Simulate(tr, policy.NoUnloading{})
 		for _, p := range []policy.Policy{
 			policy.FixedKeepAlive{KeepAlive: time.Minute},
 			policy.FixedKeepAlive{KeepAlive: 2 * time.Hour},
 			policy.NewHybrid(policy.DefaultHybridConfig()),
 		} {
-			res := Simulate(tr, p, Options{Workers: 1})
+			res := Simulate(tr, p)
 			if res.Apps[0].ColdStarts < nu.Apps[0].ColdStarts {
 				return false
 			}
@@ -101,7 +101,7 @@ func TestFixedKeepAliveMonotone(t *testing.T) {
 		prevCold := 1 << 30
 		prevWaste := -1.0
 		for _, ka := range kas {
-			res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: ka}, Options{Workers: 1})
+			res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: ka})
 			if res.Apps[0].ColdStarts > prevCold {
 				return false
 			}
@@ -126,7 +126,7 @@ func TestWastedTimeConservation(t *testing.T) {
 	check := func(seed uint64) bool {
 		tr := randomTrace(seed)
 		times := tr.Apps[0].Functions[0].Invocations
-		res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}, Options{Workers: 1})
+		res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
 		if len(times) == 0 {
 			return res.Apps[0].WastedSeconds == 0
 		}

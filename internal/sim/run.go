@@ -37,25 +37,18 @@ func (c *collector) Consume(index int, r AppResult) {
 
 // runConfig is the resolved option set of one Run call.
 type runConfig struct {
-	opt   Options
-	sinks []ResultSink
+	execTime bool
+	sinks    []ResultSink
 }
 
-// Option configures Run (functional options over the former
-// sim.Options struct).
+// Option configures Run and Simulate.
 type Option func(*runConfig)
-
-// WithWorkers bounds the number of apps simulated concurrently
-// (default and cap: GOMAXPROCS).
-func WithWorkers(n int) Option {
-	return func(c *runConfig) { c.opt.Workers = n }
-}
 
 // WithExecTime makes invocations occupy their function's average
 // execution time instead of 0; idle times then measure from execution
 // end, exactly as the paper defines IT (§3.4).
 func WithExecTime(enabled bool) Option {
-	return func(c *runConfig) { c.opt.UseExecTime = enabled }
+	return func(c *runConfig) { c.execTime = enabled }
 }
 
 // WithSink attaches a ResultSink; may be repeated to fan results out
@@ -98,25 +91,14 @@ func Run(ctx context.Context, src trace.Source, pol policy.Policy, opts ...Optio
 	return nil, nil
 }
 
-// resolveWorkers resolves the Workers option: GOMAXPROCS by default
-// and at most. Outcomes do not depend on the count, and each worker
-// costs a goroutine, a channel slot and a scratch arena, so workers
-// past the CPUs the runtime schedules on buy nothing.
-func resolveWorkers(n int) int {
-	if p := runtime.GOMAXPROCS(0); n <= 0 || n > p {
-		return p
-	}
-	return n
-}
-
 // runStream simulates a one-at-a-time source: a producer goroutine
 // pulls apps, a bounded channel caps the apps in flight at
-// O(workers), and workers push outcomes to the sinks under a mutex.
-// Outcomes that finish ahead of a slower, lower-indexed app wait in a
-// reorder buffer rather than blocking their worker, so the sinks see
-// ascending index order.
+// O(workers), and GOMAXPROCS workers push outcomes to the sinks under
+// a mutex (outcomes do not depend on the count). Outcomes that finish
+// ahead of a slower, lower-indexed app wait in a reorder buffer rather
+// than blocking their worker, so the sinks see ascending index order.
 func runStream(ctx context.Context, src trace.Source, pol policy.Policy, cfg runConfig) error {
-	workers := resolveWorkers(cfg.opt.Workers)
+	workers := runtime.GOMAXPROCS(0)
 	horizon := src.Horizon().Seconds()
 
 	type item struct {
@@ -154,7 +136,7 @@ func runStream(ctx context.Context, src trace.Source, pol policy.Policy, cfg run
 			defer wg.Done()
 			var ar arena
 			for it := range ch {
-				r := simulateApp(&ar, it.app, pol, horizon, cfg.opt)
+				r := simulateApp(&ar, it.app, pol, horizon, cfg.execTime)
 				mu.Lock()
 				if it.idx != next {
 					early[it.idx] = r

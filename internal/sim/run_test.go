@@ -44,29 +44,30 @@ func sameResults(t *testing.T, name string, got, want *Result) {
 
 // TestRunMatchesSimulate pins the option plumbing: for several
 // policies, worker counts and exec-time settings, Run with options
-// reproduces a single-worker Simulate with the matching Options
-// exactly, app by app.
+// reproduces a single-worker Simulate with the matching exec-time
+// setting exactly, app by app.
 func TestRunMatchesSimulate(t *testing.T) {
 	tr := runPopulation(t)
 	cases := []struct {
 		name     string
 		pol      func() policy.Policy
-		opts     []Option
+		procs    int
 		execTime bool
 	}{
 		{"fixed", func() policy.Policy { return policy.FixedKeepAlive{KeepAlive: 10 * time.Minute} },
-			nil, false},
+			0, false},
 		{"nounload-4workers", func() policy.Policy { return policy.NoUnloading{} },
-			[]Option{WithWorkers(4)}, false},
+			4, false},
 		{"hybrid", func() policy.Policy { return policy.NewHybrid(policy.DefaultHybridConfig()) },
-			nil, false},
+			0, false},
 		{"hybrid-exectime-3workers", func() policy.Policy { return policy.NewHybrid(policy.DefaultHybridConfig()) },
-			[]Option{WithExecTime(true), WithWorkers(3)}, true},
+			3, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want := Simulate(tr, c.pol(), Options{Workers: 1, UseExecTime: c.execTime})
-			got, err := Run(context.Background(), trace.NewTraceSource(tr), c.pol(), c.opts...)
+			want := simulateAt(1, tr, c.pol(), WithExecTime(c.execTime))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs)) // 0 keeps the default
+			got, err := Run(context.Background(), trace.NewTraceSource(tr), c.pol(), WithExecTime(c.execTime))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,10 +91,11 @@ func (s *recordingSink) Consume(i int, r AppResult) {
 func TestRunSinksReceiveEveryApp(t *testing.T) {
 	tr := runPopulation(t)
 	pol := policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}
-	want := Simulate(tr, pol, Options{})
+	want := Simulate(tr, pol)
 
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	sink := &recordingSink{seen: map[int]AppResult{}}
-	res, err := Run(context.Background(), trace.NewTraceSource(tr), pol, WithSink(sink), WithWorkers(4))
+	res, err := Run(context.Background(), trace.NewTraceSource(tr), pol, WithSink(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +132,6 @@ func (s *orderedSink) Consume(i int, r AppResult) {
 // The sink must still see indices 0, 1, 2, … and outcomes equal to a
 // single-worker run.
 func TestRunSinksSeeAscendingIndices(t *testing.T) {
-	// Four workers even where fewer CPUs would cap the count.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	big := make([]float64, 100_000)
 	for i := range big {
 		big[i] = float64(i)
@@ -144,11 +144,11 @@ func TestRunSinksSeeAscendingIndices(t *testing.T) {
 			Invocations: []float64{float64(a), float64(a) + 900, float64(a) + 5000}}}})
 	}
 	pol := func() policy.Policy { return policy.NewHybrid(policy.DefaultHybridConfig()) }
-	want := Simulate(tr, pol(), Options{Workers: 1})
+	want := simulateAt(1, tr, pol())
 	for _, w := range []int{1, 4} {
 		sink := &orderedSink{bad: -1}
-		if _, err := Run(context.Background(), trace.NewTraceSource(tr), pol(), WithSink(sink), WithWorkers(w)); err != nil {
-			t.Fatal(err)
+		if simulateAt(w, tr, pol(), WithSink(sink)) != nil {
+			t.Fatal("explicit sink should disable the default collector")
 		}
 		if sink.bad >= 0 {
 			t.Fatalf("workers=%d: sink saw index %d out of order", w, sink.bad)
@@ -163,7 +163,8 @@ func TestRunCancellation(t *testing.T) {
 	pol := policy.NewHybrid(policy.DefaultHybridConfig())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, trace.NewTraceSource(tr), pol, WithWorkers(2))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	res, err := Run(ctx, trace.NewTraceSource(tr), pol)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -192,7 +193,8 @@ func TestRunSourceErrorPropagates(t *testing.T) {
 	tr := runPopulation(t)
 	wantErr := errors.New("disk on fire")
 	src := &failingSource{src: trace.NewTraceSource(tr), after: 5, err: wantErr}
-	_, err := Run(context.Background(), src, policy.NoUnloading{}, WithWorkers(3))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	_, err := Run(context.Background(), src, policy.NoUnloading{})
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want %v", err, wantErr)
 	}
@@ -232,7 +234,7 @@ func TestCollectorOutOfOrder(t *testing.T) {
 func TestRunPartiallyConsumedTraceSource(t *testing.T) {
 	tr := runPopulation(t)
 	pol := policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}
-	full := Simulate(tr, pol, Options{})
+	full := Simulate(tr, pol)
 
 	src := trace.NewTraceSource(tr)
 	const skip = 3

@@ -8,7 +8,7 @@
 // makes the wasted-memory accounting a conservative worst case, and
 // all applications are assumed to use the same amount of memory, so
 // wasted memory is reported in seconds. Exec-time-aware simulation is
-// available as an extension (Options.UseExecTime).
+// available as an extension (WithExecTime).
 //
 // Run is the one driver: a producer goroutine pulls apps from the
 // source into a bounded channel, workers walk them, and a reorder
@@ -26,17 +26,6 @@ import (
 	"repro/internal/sim/kernel"
 	"repro/internal/trace"
 )
-
-// Options configures a simulation run.
-type Options struct {
-	// Workers is the number of apps simulated concurrently
-	// (default and cap: GOMAXPROCS).
-	Workers int
-	// UseExecTime makes invocations occupy their function's average
-	// execution time instead of 0. Idle times then measure from
-	// execution end, exactly as the paper defines IT (§3.4).
-	UseExecTime bool
-}
 
 // AppResult is the outcome for one application.
 type AppResult struct {
@@ -75,10 +64,10 @@ type arena = kernel.Scratch
 
 // Simulate runs pol over tr and returns per-app outcomes in tr.Apps
 // order; results are deterministic. It is Run over an in-memory trace
-// with the default collector.
-func Simulate(tr *trace.Trace, pol policy.Policy, opt Options) *Result {
-	res, _ := Run(context.Background(), trace.NewTraceSource(tr), pol,
-		WithWorkers(opt.Workers), WithExecTime(opt.UseExecTime))
+// with the default collector; opts are Run's (a WithSink makes it
+// return nil).
+func Simulate(tr *trace.Trace, pol policy.Policy, opts ...Option) *Result {
+	res, _ := Run(context.Background(), trace.NewTraceSource(tr), pol, opts...)
 	return res
 }
 
@@ -86,10 +75,10 @@ func Simulate(tr *trace.Trace, pol policy.Policy, opt Options) *Result {
 // idle times, batch decisions, then the Figure 9 classification (see
 // kernel.Classify for the window semantics). The first invocation is
 // always cold (§5.1).
-func simulateApp(ar *arena, app *trace.App, pol policy.Policy, horizon float64, opt Options) AppResult {
+func simulateApp(ar *arena, app *trace.App, pol policy.Policy, horizon float64, execTime bool) AppResult {
 	// Pass 1: idle times; pass 2: decisions as run-length-encoded
 	// spans (one batch call when the policy supports it).
-	times, execs, runs := ar.Walk(pol, app, opt.UseExecTime)
+	times, execs, runs := ar.Walk(pol, app, execTime)
 	n := len(times)
 	res := AppResult{AppID: app.ID, Invocations: n}
 	if n == 0 {

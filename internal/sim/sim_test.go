@@ -24,7 +24,7 @@ func mkTrace(horizon time.Duration, times ...float64) *trace.Trace {
 
 func TestFirstInvocationAlwaysCold(t *testing.T) {
 	tr := mkTrace(time.Hour, 100)
-	res := Simulate(tr, policy.NoUnloading{}, Options{})
+	res := Simulate(tr, policy.NoUnloading{})
 	if res.Apps[0].ColdStarts != 1 || res.Apps[0].Invocations != 1 {
 		t.Fatalf("result = %+v", res.Apps[0])
 	}
@@ -32,7 +32,7 @@ func TestFirstInvocationAlwaysCold(t *testing.T) {
 
 func TestNoUnloadingOnlyFirstCold(t *testing.T) {
 	tr := mkTrace(time.Hour, 0, 600, 1200, 3599)
-	res := Simulate(tr, policy.NoUnloading{}, Options{})
+	res := Simulate(tr, policy.NoUnloading{})
 	if res.Apps[0].ColdStarts != 1 {
 		t.Fatalf("cold = %d, want 1", res.Apps[0].ColdStarts)
 	}
@@ -45,7 +45,7 @@ func TestNoUnloadingOnlyFirstCold(t *testing.T) {
 func TestFixedKeepAliveWarmWithinWindow(t *testing.T) {
 	// 10-min keep-alive, invocations 5 min apart: only first cold.
 	tr := mkTrace(time.Hour, 0, 300, 600, 900)
-	res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}, Options{})
+	res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
 	a := res.Apps[0]
 	if a.ColdStarts != 1 {
 		t.Fatalf("cold = %d, want 1", a.ColdStarts)
@@ -59,7 +59,7 @@ func TestFixedKeepAliveWarmWithinWindow(t *testing.T) {
 func TestFixedKeepAliveColdBeyondWindow(t *testing.T) {
 	// 10-min keep-alive, invocations 20 min apart: all cold.
 	tr := mkTrace(time.Hour, 0, 1200, 2400)
-	res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}, Options{})
+	res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
 	a := res.Apps[0]
 	if a.ColdStarts != 3 {
 		t.Fatalf("cold = %d, want 3", a.ColdStarts)
@@ -73,7 +73,7 @@ func TestFixedKeepAliveColdBeyondWindow(t *testing.T) {
 func TestFixedKeepAliveBoundaryInclusive(t *testing.T) {
 	// Invocation exactly at the window end counts warm.
 	tr := mkTrace(time.Hour, 0, 600)
-	res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}, Options{})
+	res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
 	if res.Apps[0].ColdStarts != 1 {
 		t.Fatalf("cold = %d, want 1 (boundary warm)", res.Apps[0].ColdStarts)
 	}
@@ -82,7 +82,7 @@ func TestFixedKeepAliveBoundaryInclusive(t *testing.T) {
 func TestTrailingWindowCappedAtHorizon(t *testing.T) {
 	// Last invocation at 3500s with a 600s keep-alive: only 100s fit.
 	tr := mkTrace(time.Hour, 3500)
-	res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}, Options{})
+	res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
 	if math.Abs(res.Apps[0].WastedSeconds-100) > 1e-6 {
 		t.Fatalf("wasted = %v, want 100", res.Apps[0].WastedSeconds)
 	}
@@ -107,7 +107,7 @@ func TestPreWarmHit(t *testing.T) {
 	// PW 10min, KA 5min. Invocations 12 min apart: warm (middle
 	// scenario of Figure 9), wasting only 2 min per gap.
 	tr := mkTrace(time.Hour, 0, 720, 1440)
-	res := Simulate(tr, prewarmPolicy{pw: 10 * time.Minute, ka: 5 * time.Minute}, Options{})
+	res := Simulate(tr, prewarmPolicy{pw: 10 * time.Minute, ka: 5 * time.Minute})
 	a := res.Apps[0]
 	if a.ColdStarts != 1 {
 		t.Fatalf("cold = %d, want 1", a.ColdStarts)
@@ -122,7 +122,7 @@ func TestPreWarmTooLateIsCold(t *testing.T) {
 	// Invocation before the pre-warm window elapses: cold, no waste
 	// (bottom-left scenario of Figure 9).
 	tr := mkTrace(time.Hour, 0, 300)
-	res := Simulate(tr, prewarmPolicy{pw: 10 * time.Minute, ka: 5 * time.Minute}, Options{})
+	res := Simulate(tr, prewarmPolicy{pw: 10 * time.Minute, ka: 5 * time.Minute})
 	a := res.Apps[0]
 	if a.ColdStarts != 2 {
 		t.Fatalf("cold = %d, want 2", a.ColdStarts)
@@ -138,7 +138,7 @@ func TestPreWarmExpiredIsCold(t *testing.T) {
 	// Invocation after pre-warm + keep-alive: cold, full KA wasted
 	// (bottom-right scenario of Figure 9).
 	tr := mkTrace(2*time.Hour, 0, 3600)
-	res := Simulate(tr, prewarmPolicy{pw: 10 * time.Minute, ka: 5 * time.Minute}, Options{})
+	res := Simulate(tr, prewarmPolicy{pw: 10 * time.Minute, ka: 5 * time.Minute})
 	a := res.Apps[0]
 	if a.ColdStarts != 2 {
 		t.Fatalf("cold = %d, want 2", a.ColdStarts)
@@ -152,13 +152,13 @@ func TestPreWarmExpiredIsCold(t *testing.T) {
 func TestPreWarmBoundaries(t *testing.T) {
 	// Invocation exactly at load time: warm with zero waste for the gap.
 	tr := mkTrace(time.Hour, 0, 600)
-	res := Simulate(tr, prewarmPolicy{pw: 10 * time.Minute, ka: 5 * time.Minute}, Options{})
+	res := Simulate(tr, prewarmPolicy{pw: 10 * time.Minute, ka: 5 * time.Minute})
 	if res.Apps[0].ColdStarts != 1 {
 		t.Fatalf("cold = %d, want 1 (arrival at load instant warm)", res.Apps[0].ColdStarts)
 	}
 	// Exactly at window end: warm.
 	tr2 := mkTrace(time.Hour, 0, 900)
-	res2 := Simulate(tr2, prewarmPolicy{pw: 10 * time.Minute, ka: 5 * time.Minute}, Options{})
+	res2 := Simulate(tr2, prewarmPolicy{pw: 10 * time.Minute, ka: 5 * time.Minute})
 	if res2.Apps[0].ColdStarts != 1 {
 		t.Fatalf("cold = %d, want 1 (arrival at window end warm)", res2.Apps[0].ColdStarts)
 	}
@@ -167,7 +167,7 @@ func TestPreWarmBoundaries(t *testing.T) {
 func TestTrailingPreWarmBeyondHorizonNoWaste(t *testing.T) {
 	// Load would happen after the horizon: no memory cost.
 	tr := mkTrace(10*time.Minute, 300)
-	res := Simulate(tr, prewarmPolicy{pw: 20 * time.Minute, ka: 5 * time.Minute}, Options{})
+	res := Simulate(tr, prewarmPolicy{pw: 20 * time.Minute, ka: 5 * time.Minute})
 	if res.Apps[0].WastedSeconds != 0 {
 		t.Fatalf("wasted = %v, want 0", res.Apps[0].WastedSeconds)
 	}
@@ -175,7 +175,7 @@ func TestTrailingPreWarmBeyondHorizonNoWaste(t *testing.T) {
 
 func TestEmptyAppNoResults(t *testing.T) {
 	tr := mkTrace(time.Hour)
-	res := Simulate(tr, policy.NoUnloading{}, Options{})
+	res := Simulate(tr, policy.NoUnloading{})
 	a := res.Apps[0]
 	if a.Invocations != 0 || a.ColdStarts != 0 || a.WastedSeconds != 0 {
 		t.Fatalf("empty app result = %+v", a)
@@ -196,8 +196,8 @@ func TestHybridBeatsFixedOnPeriodicApp(t *testing.T) {
 	}
 	tr := mkTrace(horizon, times...)
 
-	fixed := Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}, Options{})
-	hybrid := Simulate(tr, policy.NewHybrid(policy.DefaultHybridConfig()), Options{})
+	fixed := Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
+	hybrid := Simulate(tr, policy.NewHybrid(policy.DefaultHybridConfig()))
 
 	if fixed.Apps[0].ColdStarts != len(times) {
 		t.Fatalf("fixed cold = %d, want all %d", fixed.Apps[0].ColdStarts, len(times))
@@ -219,7 +219,7 @@ func TestModeCountsAttribution(t *testing.T) {
 		times = append(times, ts)
 	}
 	tr := mkTrace(24*time.Hour, times...)
-	res := Simulate(tr, policy.NewHybrid(policy.DefaultHybridConfig()), Options{})
+	res := Simulate(tr, policy.NewHybrid(policy.DefaultHybridConfig()))
 	mc := res.Apps[0].ModeCounts
 	if mc[policy.ModeStandard] == 0 {
 		t.Fatal("expected some standard decisions while learning")
@@ -241,8 +241,8 @@ func TestUseExecTimeAffectsIdleAndWaste(t *testing.T) {
 	tr.Apps[0].Functions[0].ExecStats.AvgSeconds = 60
 	p := policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}
 
-	noExec := Simulate(tr, p, Options{})
-	withExec := Simulate(tr, p, Options{UseExecTime: true})
+	noExec := Simulate(tr, p)
+	withExec := Simulate(tr, p, WithExecTime(true))
 	// With exec time, the first window starts at 60s, so only 540s of
 	// idle-in-memory accrues before the warm hit at 600.
 	if math.Abs(noExec.Apps[0].WastedSeconds-(600+600)) > 1e-6 {
@@ -262,7 +262,7 @@ func TestResultAggregates(t *testing.T) {
 			{ID: "c", Functions: []*trace.Function{{ID: "f3"}}},
 		},
 	}
-	res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}, Options{})
+	res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: 10 * time.Minute})
 	var inv, cold int
 	for _, a := range res.Apps {
 		inv += a.Invocations
@@ -290,8 +290,8 @@ func TestSimulateDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	tr := &trace.Trace{Duration: time.Hour, Apps: apps}
 	p := policy.FixedKeepAlive{KeepAlive: 10 * time.Minute}
-	r1 := Simulate(tr, p, Options{Workers: 1})
-	r8 := Simulate(tr, p, Options{Workers: 8})
+	r1 := simulateAt(1, tr, p)
+	r8 := simulateAt(8, tr, p)
 	for i := range r1.Apps {
 		if r1.Apps[i] != r8.Apps[i] {
 			t.Fatalf("app %d differs across worker counts: %+v vs %+v",
@@ -303,7 +303,7 @@ func TestSimulateDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestSimultaneousInvocations(t *testing.T) {
 	// Two invocations at the same instant with PW=0 policy: second warm.
 	tr := mkTrace(time.Hour, 100, 100)
-	res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: time.Minute}, Options{})
+	res := Simulate(tr, policy.FixedKeepAlive{KeepAlive: time.Minute})
 	if res.Apps[0].ColdStarts != 1 {
 		t.Fatalf("cold = %d, want 1", res.Apps[0].ColdStarts)
 	}

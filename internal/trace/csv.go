@@ -129,57 +129,66 @@ const DefaultAppMemoryMB = 170
 // a usable memory value: finite and >= 0 (0 means "no data").
 func validMemoryMB(mb float64) bool { return mb >= 0 && !math.IsInf(mb, 1) }
 
-// ApplyMemoryCSVDefault parses a memory table and fills MemoryMB on
-// the matching apps of tr; unknown apps are ignored, and a matching
-// row whose value is NaN, infinite or negative is an error. Apps of tr
-// still carrying MemoryMB == 0 after the table is applied (no row, or
-// a zero row) are charged DefaultAppMemoryMB instead, and the count of
-// such defaulted apps is returned so callers can surface the data gap.
-func ApplyMemoryCSVDefault(r io.Reader, tr *Trace) (defaulted int, err error) {
+// MemoryTable maps app IDs to their allocated memory in MB, as read
+// by ReadMemoryCSV.
+type MemoryTable map[string]float64
+
+// ReadMemoryCSV parses a memory table (the AverageAllocatedMb column
+// by HashApp). Every row must hold a finite value >= 0, whichever app
+// it names; a later row for the same app replaces an earlier one.
+func ReadMemoryCSV(r io.Reader) (MemoryTable, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	header, err := cr.Read()
 	if err != nil {
-		return 0, fmt.Errorf("trace: reading memory header: %w", err)
+		return nil, fmt.Errorf("trace: reading memory header: %w", err)
 	}
 	col := indexColumns(header)
 	for _, need := range []string{"HashApp", "AverageAllocatedMb"} {
 		if _, ok := col[need]; !ok {
-			return 0, fmt.Errorf("trace: memory header missing %s", need)
+			return nil, fmt.Errorf("trace: memory header missing %s", need)
 		}
 	}
-	apps := make(map[string]*App)
-	for _, app := range tr.Apps {
-		apps[app.ID] = app
-	}
+	appCol, mbCol := col["HashApp"], col["AverageAllocatedMb"]
+	table := MemoryTable{}
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			break
+			return table, nil
 		}
 		if err != nil {
-			return 0, fmt.Errorf("trace: reading memory line %d: %w", line, err)
+			return nil, fmt.Errorf("trace: reading memory line %d: %w", line, err)
 		}
-		app, ok := apps[rec[col["HashApp"]]]
-		if !ok {
-			continue
+		if len(rec) <= max(appCol, mbCol) {
+			return nil, fmt.Errorf("trace: memory line %d: %d fields, want %d", line, len(rec), len(header))
 		}
-		mb, err := strconv.ParseFloat(rec[col["AverageAllocatedMb"]], 64)
+		mb, err := strconv.ParseFloat(rec[mbCol], 64)
 		if err != nil {
-			return 0, fmt.Errorf("trace: memory line %d: %w", line, err)
+			return nil, fmt.Errorf("trace: memory line %d: %w", line, err)
 		}
 		if !validMemoryMB(mb) {
-			return 0, fmt.Errorf("trace: memory line %d: %v MB is not a finite value >= 0", line, mb)
+			return nil, fmt.Errorf("trace: memory line %d: %v MB is not a finite value >= 0", line, mb)
 		}
-		app.MemoryMB = mb
+		table[rec[appCol]] = mb
 	}
+}
+
+// Apply fills MemoryMB on the apps of tr the table names; apps it does
+// not name keep theirs. Apps still carrying MemoryMB == 0 afterwards
+// (no row and no value of their own, or a zero row) are charged
+// DefaultAppMemoryMB instead, and the count of such defaulted apps is
+// returned so callers can surface the data gap.
+func (m MemoryTable) Apply(tr *Trace) (defaulted int) {
 	for _, app := range tr.Apps {
+		if mb, ok := m[app.ID]; ok {
+			app.MemoryMB = mb
+		}
 		if app.MemoryMB == 0 {
 			app.MemoryMB = DefaultAppMemoryMB
 			defaulted++
 		}
 	}
-	return defaulted, nil
+	return defaulted
 }
 
 func indexColumns(header []string) map[string]int {

@@ -149,7 +149,7 @@ func TestMemoryCSVRoundTrip(t *testing.T) {
 	for _, app := range fresh.Apps {
 		app.MemoryMB = 0
 	}
-	if defaulted, err := ApplyMemoryCSVDefault(&buf, fresh); err != nil || defaulted != 0 {
+	if defaulted, err := applyMemory(&buf, fresh); err != nil || defaulted != 0 {
 		t.Fatalf("defaulted=%d err=%v", defaulted, err)
 	}
 	if fresh.Apps[0].MemoryMB != 170.5 {
@@ -169,7 +169,7 @@ func TestApplyMemoryCSVDefault(t *testing.T) {
 	for _, app := range tr.Apps {
 		app.MemoryMB = 0
 	}
-	defaulted, err := ApplyMemoryCSVDefault(strings.NewReader(csvData), tr)
+	defaulted, err := applyMemory(strings.NewReader(csvData), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,37 +192,49 @@ func TestApplyMemoryCSVDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := buf.String()
-	if defaulted, err = ApplyMemoryCSVDefault(strings.NewReader(table), tr); err != nil || defaulted != 0 {
+	if defaulted, err = applyMemory(strings.NewReader(table), tr); err != nil || defaulted != 0 {
 		t.Fatalf("full table: defaulted=%d err=%v", defaulted, err)
 	}
 }
 
 // TestApplyMemoryRejectsBadValues: a NaN row used to poison a node's
 // resident-MB comparisons, and a negative one was silently charged the
-// default without being counted. Both are errors naming the line; a
-// zero row still means "no data" and takes the default.
+// default without being counted. Both are errors naming the line, as
+// is a row too short to hold the value; a zero row still means "no
+// data" and takes the default.
 func TestApplyMemoryRejectsBadValues(t *testing.T) {
 	for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "-500", "-0.01"} {
 		table := "HashOwner,HashApp,SampleCount,AverageAllocatedMb\n" +
 			"own1,app1,10,512\n" +
 			"own2,app2,10," + v + "\n"
-		_, err := ApplyMemoryCSVDefault(strings.NewReader(table), sampleTrace())
+		_, err := ReadMemoryCSV(strings.NewReader(table))
 		if err == nil || !strings.Contains(err.Error(), "line 3") {
 			t.Errorf("value %q: err = %v, want an error naming line 3", v, err)
 		}
 	}
+	if _, err := ReadMemoryCSV(strings.NewReader("HashOwner,HashApp,SampleCount,AverageAllocatedMb\nown2,app2\n")); err == nil ||
+		!strings.Contains(err.Error(), "line 2") {
+		t.Errorf("short row: err = %v, want an error naming line 2", err)
+	}
 	table := "HashOwner,HashApp,SampleCount,AverageAllocatedMb\nown2,app2,10,0\n"
 	tr := sampleTrace()
-	defaulted, err := ApplyMemoryCSVDefault(strings.NewReader(table), tr)
+	defaulted, err := applyMemory(strings.NewReader(table), tr)
 	if err != nil || tr.Apps[1].MemoryMB != DefaultAppMemoryMB || defaulted != 1 {
 		t.Fatalf("zero row: defaulted=%d memory=%v err=%v, want 1, the default, nil", defaulted, tr.Apps[1].MemoryMB, err)
 	}
 }
 
 func TestApplyMemoryMissingColumn(t *testing.T) {
-	if _, err := ApplyMemoryCSVDefault(strings.NewReader("X,Y\n"), sampleTrace()); err == nil {
+	if _, err := ReadMemoryCSV(strings.NewReader("X,Y\n")); err == nil {
 		t.Fatal("expected error for missing columns")
 	}
+}
+
+// applyMemory reads a memory table and applies it to tr (which is
+// not to be read after an error).
+func applyMemory(r io.Reader, tr *Trace) (int, error) {
+	table, err := ReadMemoryCSV(r)
+	return table.Apply(tr), err
 }
 
 func TestSortAppsByID(t *testing.T) {

@@ -46,7 +46,7 @@ func TestRefitEquivGolden(t *testing.T) {
 			continue // fixed / no-unloading never fit a forecast
 		}
 		t.Run(sc.name, func(t *testing.T) {
-			rep := equiv.CompareTrace(sc.name, pop.Trace, sc.pol, refitHybrid(hp.Config()), sc.opt)
+			rep := equiv.CompareTrace(sc.name, pop.Trace, sc.pol, refitHybrid(hp.Config()), sc.exec)
 			t.Logf("%s: %d/%d flips (%.4f%%), cold deltas %v, waste %.3f%%",
 				sc.name, rep.Flips, rep.Invocations, rep.FlipRate()*100, rep.ColdDeltas(), rep.WastePct)
 			if err := rep.Check(equiv.DefaultTolerances()); err != nil {
@@ -92,7 +92,7 @@ func TestRefitEquivIncidents(t *testing.T) {
 			}
 			rep := equiv.CompareCluster(name, tr,
 				policy.MustFromSpec(sc.Policy), policy.MustFromSpec(refitSpec(sc.Policy)),
-				cfg, sim.Options{UseExecTime: sc.ExecTime})
+				cfg, sc.ExecTime)
 			t.Logf("%s: %d/%d flips, cold deltas %v, waste %.3f%%, attr base %+v refit %+v",
 				name, rep.Flips, rep.Invocations, rep.ColdDeltas(), rep.WastePct, rep.AttrBase, rep.AttrVariant)
 			if err := rep.Check(equiv.DefaultTolerances()); err != nil {
@@ -122,8 +122,7 @@ func TestRefitZeroMatchesPerInvocationRefit(t *testing.T) {
 	for _, spec := range []string{"hybrid?exact=off&refit=0", "hybrid?exact=off"} {
 		rep := equiv.CompareTrace(spec, tr,
 			policy.NewHybrid(policy.DefaultHybridConfig()),
-			policy.MustFromSpec(spec),
-			sim.Options{})
+			policy.MustFromSpec(spec), false)
 		if rep.Invocations != 60 {
 			t.Fatalf("%s: compared %d invocations, want 60", spec, rep.Invocations)
 		}
@@ -159,7 +158,7 @@ func TestRefitClusterAttributionInvariant(t *testing.T) {
 		UseExecTime: sc.ExecTime,
 		Events:      events,
 	})
-	want := sim.Simulate(tr, pol, sim.Options{UseExecTime: sc.ExecTime})
+	want := sim.Simulate(tr, pol, sim.WithExecTime(sc.ExecTime))
 	if len(got.Apps) != len(want.Apps) {
 		t.Fatalf("%d cluster apps, %d sim apps", len(got.Apps), len(want.Apps))
 	}

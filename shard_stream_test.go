@@ -78,7 +78,7 @@ func TestShardedStreamingRunMergesToWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := sim.Simulate(pop.Trace, policy.MustFromSpec("hybrid"), sim.Options{})
+	batch := sim.Simulate(pop.Trace, policy.MustFromSpec("hybrid"))
 	if _, cold := totals(batch); wholeWasted.TotalColdStarts() != int64(cold) {
 		t.Errorf("streamed cold starts %d, batch %d", wholeWasted.TotalColdStarts(), cold)
 	}

@@ -89,6 +89,16 @@ func TestUnknownKeyErrorsListKnownKeys(t *testing.T) {
 			wantKnown:   []string{"source", "policy", "shard", "exectime"},
 		},
 		{
+			name: "scenario-workers",
+			build: func() error {
+				_, err := scenario.ParseGrid("source=gen:apps=3; policy=hybrid; workers=2")
+				return err
+			},
+			wantUnknown: `unknown field "workers"`,
+			listing:     "fields:",
+			wantKnown:   []string{"source", "policy", "cluster.nodes", "sinks", "shard", "exectime"},
+		},
+		{
 			name: "cluster.events",
 			build: func() error {
 				_, err := cluster.ParseEvents("resize@1h:node=1&mem=512&nod=2")

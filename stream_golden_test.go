@@ -33,13 +33,13 @@ func TestStreamingRunMatchesBatchSimulate(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			want := sim.Simulate(batchTrace, sc.pol, sc.opt)
+			want := sim.Simulate(batchTrace, sc.pol, sim.WithExecTime(sc.exec))
 
 			src, err := trace.StreamInvocationsCSV(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := []sim.Option{sim.WithExecTime(sc.opt.UseExecTime)}
+			opts := []sim.Option{sim.WithExecTime(sc.exec)}
 			got, err := sim.Run(context.Background(), src, freshPolicy(sc.pol), opts...)
 			if err != nil {
 				t.Fatal(err)

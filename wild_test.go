@@ -95,8 +95,8 @@ func TestEndToEndCSVRoundTrip(t *testing.T) {
 	if back.TotalInvocations() != pop.Trace.TotalInvocations() {
 		t.Fatal("invocation count changed in round trip")
 	}
-	orig := sim.Simulate(pop.Trace, policy.FixedKeepAlive{KeepAlive: 30 * time.Minute}, sim.Options{})
-	rt := sim.Simulate(back, policy.FixedKeepAlive{KeepAlive: 30 * time.Minute}, sim.Options{})
+	orig := sim.Simulate(pop.Trace, policy.FixedKeepAlive{KeepAlive: 30 * time.Minute})
+	rt := sim.Simulate(back, policy.FixedKeepAlive{KeepAlive: 30 * time.Minute})
 	_, oc := totals(orig)
 	_, rc := totals(rt)
 	diff := oc - rc
@@ -170,7 +170,7 @@ func TestEndToEndStreamingAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sim.Simulate(pop.Trace, pol, sim.Options{})
+	want := sim.Simulate(pop.Trace, pol)
 
 	// Generator source, no sinks: identical to batch Simulate.
 	src, err := workload.NewSource(cfg)
