@@ -14,6 +14,7 @@ package arima
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/stats"
@@ -23,10 +24,10 @@ import (
 type Model struct {
 	P, D, Q int
 
-	// AR coefficients (phi), length P, applied to the differenced,
-	// mean-centered series.
+	// AR coefficients (phi), length P (nil when P is 0), applied to
+	// the differenced, mean-centered series.
 	AR []float64
-	// MA coefficients (theta), length Q.
+	// MA coefficients (theta), length Q (nil when Q is 0).
 	MA []float64
 	// Mean of the differenced series (the model's intercept is
 	// Mean*(1-sum(AR))).
@@ -45,10 +46,13 @@ var ErrTooShort = errors.New("arima: series too short")
 
 // fitCtx is the reusable scratch arena for one fitting (or
 // forecasting) operation. The estimators run on every invocation of an
-// ARIMA-managed app, so the per-fit buffers (differenced series,
-// centered series, innovations, residuals, OLS design matrix) are
-// pooled instead of reallocated; the arithmetic they carry is
-// unchanged.
+// ARIMA-managed app, so everything a fit touches is pooled instead of
+// reallocated: the differenced and centered series, innovations,
+// residuals, the OLS design matrix and solution, the Nelder–Mead
+// simplex, the best candidate's coefficients and the forecast
+// recursion's buffers. A warm search and one-step forecast
+// (FitForecastNext) allocate nothing; Fit allocates only the model it
+// returns. The arithmetic the buffers carry is unchanged.
 type fitCtx struct {
 	diff     []float64
 	centered []float64
@@ -56,11 +60,15 @@ type fitCtx struct {
 	resid    []float64
 	ext      []float64
 	extEps   []float64
+	lasts    []float64
 	params   []float64
 	rows     [][]float64
 	rowBuf   []float64
 	ys       []float64
+	bestAR   []float64
+	bestMA   []float64
 	ls       stats.LSScratch
+	nm       stats.NelderMeadScratch
 }
 
 var fitCtxPool = sync.Pool{New: func() any { return new(fitCtx) }}
@@ -128,8 +136,10 @@ func needObs(p, d, q int) int {
 var errSingular = errors.New("arima: fit failed (singular)")
 
 // fitARMA fits ARMA(p,q) to the centered d-times-differenced series.
-// The caller has already length-gated the series against needObs.
-func fitARMA(ctx *fitCtx, centered []float64, mean float64, p, d, q int) (*Model, error) {
+// The caller has already length-gated the series against needObs. The
+// candidate's AR and MA alias ctx's least-squares or Nelder–Mead
+// scratch and are valid until the next fit in ctx.
+func fitARMA(ctx *fitCtx, centered []float64, mean float64, p, d, q int) (Model, error) {
 	var ar, ma []float64
 	var ok bool
 	switch {
@@ -138,12 +148,12 @@ func fitARMA(ctx *fitCtx, centered []float64, mean float64, p, d, q int) (*Model
 	case q == 0:
 		ar, ok = fitAR(ctx, centered, p)
 		if !ok {
-			return nil, errSingular
+			return Model{}, errSingular
 		}
 	default:
 		ar, ma, ok = hannanRissanen(ctx, centered, p, q)
 		if !ok {
-			return nil, errSingular
+			return Model{}, errSingular
 		}
 		ar, ma = refineCSS(ctx, centered, ar, ma)
 	}
@@ -162,7 +172,7 @@ func fitARMA(ctx *fitCtx, centered []float64, mean float64, p, d, q int) (*Model
 	k := float64(p + q + 1) // +1 for the mean
 	aic := n*math.Log(sigma2) + 2*k
 
-	return &Model{
+	return Model{
 		P: p, D: d, Q: q,
 		AR: ar, MA: ma,
 		Mean:   mean,
@@ -183,15 +193,46 @@ type Options struct {
 // compared on the same footing by AIC of the differenced fit plus a
 // penalty discouraging unnecessary differencing on short series.
 func Fit(series []float64, opt Options) (*Model, error) {
+	ctx := getFitCtx()
+	defer putFitCtx(ctx)
+	best, err := ctx.search(series, opt)
+	if err != nil {
+		return nil, err
+	}
+	best.AR = owned(best.AR)
+	best.MA = owned(best.MA)
+	best.series = slices.Clone(series)
+	return &best, nil
+}
+
+// FitForecastNext is Fit followed by the model's ForecastNext, bit for
+// bit, without materializing the model: the search and the forecast
+// share one pooled fitCtx, so a warm call allocates nothing. It is the
+// per-invocation refit of an ARIMA-managed app (§4.2).
+func FitForecastNext(series []float64, opt Options) (float64, error) {
+	ctx := getFitCtx()
+	defer putFitCtx(ctx)
+	best, err := ctx.search(series, opt)
+	if err != nil {
+		return 0, err
+	}
+	var fc [1]float64
+	ctx.forecast(&best, fc[:])
+	return fc[0], nil
+}
+
+// search runs Fit's order search in c. The returned model's AR and MA
+// alias c's best-candidate buffers and its series aliases series, so
+// it is valid only while c is held and series is unchanged.
+func (c *fitCtx) search(series []float64, opt Options) (Model, error) {
 	if opt.MaxP == 0 {
 		opt.MaxP = 3
 	}
 	if opt.MaxQ == 0 {
 		opt.MaxQ = 2
 	}
-	ctx := getFitCtx()
-	defer putFitCtx(ctx)
-	var best *Model
+	var best Model
+	found := false
 	for d := 0; d <= opt.MaxD; d++ {
 		// Difference, de-mean and length-gate once per differencing
 		// level rather than once per (p,q) candidate.
@@ -199,10 +240,10 @@ func Fit(series []float64, opt Options) (*Model, error) {
 		if lenW < 2 || lenW < needObs(0, d, 0) {
 			continue
 		}
-		w := ctx.differenceInto(series, d)
+		w := c.differenceInto(series, d)
 		mean := stats.Mean(w)
-		ctx.centered = grow(ctx.centered, len(w))
-		centered := ctx.centered
+		c.centered = grow(c.centered, len(w))
+		centered := c.centered
 		for i, v := range w {
 			centered[i] = v - mean
 		}
@@ -211,21 +252,36 @@ func Fit(series []float64, opt Options) (*Model, error) {
 				if lenW < needObs(p, d, q) {
 					continue
 				}
-				m, err := fitARMA(ctx, centered, mean, p, d, q)
+				m, err := fitARMA(c, centered, mean, p, d, q)
 				if err != nil {
 					continue
 				}
-				if best == nil || m.AIC < best.AIC {
+				if !found || m.AIC < best.AIC {
+					// The candidate's coefficients live in scratch the
+					// next candidate overwrites.
+					found = true
+					c.bestAR = append(c.bestAR[:0], m.AR...)
+					c.bestMA = append(c.bestMA[:0], m.MA...)
 					best = m
+					best.AR, best.MA = c.bestAR, c.bestMA
 				}
 			}
 		}
 	}
-	if best == nil {
-		return nil, ErrTooShort
+	if !found {
+		return Model{}, ErrTooShort
 	}
-	best.series = append([]float64(nil), series...)
+	best.series = series
 	return best, nil
+}
+
+// owned returns a caller-owned copy of scratch coefficients, nil when
+// there are none.
+func owned(xs []float64) []float64 {
+	if len(xs) == 0 {
+		return nil
+	}
+	return slices.Clone(xs)
 }
 
 // fitAR estimates AR(p) coefficients by OLS on lagged values.
@@ -313,7 +369,7 @@ func refineCSS(ctx *fitCtx, x []float64, ar, ma []float64) ([]float64, []float64
 		}
 		return cssRSS(ctx.resid, x, theta[:p], theta[p:])
 	}
-	refined, after, before := stats.NelderMead(css, params, stats.NelderMeadOptions{MaxIter: 300, Tol: 1e-10})
+	refined, after, before := stats.NelderMead(&ctx.nm, css, params, stats.NelderMeadOptions{MaxIter: 300, Tol: 1e-10})
 	if after < before && !math.IsInf(after, 1) {
 		return refined[:p], refined[p:]
 	}
@@ -441,11 +497,29 @@ func (m *Model) Forecast(h int) []float64 {
 	}
 	ctx := getFitCtx()
 	defer putFitCtx(ctx)
+	fc := make([]float64, h)
+	ctx.forecast(m, fc)
+	return fc
+}
+
+// ForecastNext returns the one-step-ahead forecast.
+func (m *Model) ForecastNext() float64 {
+	ctx := getFitCtx()
+	defer putFitCtx(ctx)
+	var fc [1]float64
+	ctx.forecast(m, fc[:])
+	return fc[0]
+}
+
+// forecast writes m's next len(fc) values of its original series into
+// fc, using c's buffers for the recursion.
+func (c *fitCtx) forecast(m *Model, fc []float64) {
 	// Build the difference pyramid to recover integration constants,
 	// differencing in place one level at a time.
-	lasts := make([]float64, m.D)
-	ctx.diff = grow(ctx.diff, len(m.series))
-	cur := ctx.diff
+	c.lasts = grow(c.lasts, m.D)
+	lasts := c.lasts
+	c.diff = grow(c.diff, len(m.series))
+	cur := c.diff
 	copy(cur, m.series)
 	ln := len(m.series)
 	for i := 0; i < m.D; i++ {
@@ -457,22 +531,22 @@ func (m *Model) Forecast(h int) []float64 {
 	}
 	cur = cur[:ln]
 	// cur is now the d-times differenced series.
-	ctx.centered = grow(ctx.centered, ln)
-	centered := ctx.centered
+	c.centered = grow(c.centered, ln)
+	centered := c.centered
 	for i, v := range cur {
 		centered[i] = v - m.Mean
 	}
-	ctx.resid = grow(ctx.resid, ln)
-	eps := residualsInto(ctx.resid, centered, m.AR, m.MA)
+	c.resid = grow(c.resid, ln)
+	eps := residualsInto(c.resid, centered, m.AR, m.MA)
 
 	// Iterate forward; future innovations are zero.
-	ctx.ext = grow(ctx.ext, ln+h)
-	extended := ctx.ext[:ln]
+	h := len(fc)
+	c.ext = grow(c.ext, ln+h)
+	extended := c.ext[:ln]
 	copy(extended, centered)
-	ctx.extEps = grow(ctx.extEps, ln+h)
-	extEps := ctx.extEps[:ln]
+	c.extEps = grow(c.extEps, ln+h)
+	extEps := c.extEps[:ln]
 	copy(extEps, eps)
-	fc := make([]float64, h)
 	for step := 0; step < h; step++ {
 		t := len(extended)
 		pred := 0.0
@@ -499,12 +573,6 @@ func (m *Model) Forecast(h int) []float64 {
 			fc[i] = cum
 		}
 	}
-	return fc
-}
-
-// ForecastNext returns the one-step-ahead forecast.
-func (m *Model) ForecastNext() float64 {
-	return m.Forecast(1)[0]
 }
 
 func maxInt(a, b int) int {

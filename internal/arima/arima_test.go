@@ -53,8 +53,9 @@ func fitOrder(series []float64, p, d, q int) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	m.AR, m.MA = owned(m.AR), owned(m.MA) // they alias ctx
 	m.series = append([]float64(nil), series...)
-	return m, nil
+	return &m, nil
 }
 
 // genAR produces a synthetic AR(1) series with the given coefficient.

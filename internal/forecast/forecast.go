@@ -50,13 +50,14 @@ type ARIMA struct {
 // Name implements Forecaster.
 func (ARIMA) Name() string { return "arima" }
 
-// PredictNext implements Forecaster.
+// PredictNext implements Forecaster. It fits and forecasts in one
+// pooled arima scratch and allocates nothing once that is warm.
 func (f ARIMA) PredictNext(series []float64) (float64, bool) {
-	model, err := arima.Fit(series, f.Options)
+	pred, err := arima.FitForecastNext(series, f.Options)
 	if err != nil {
 		return 0, false
 	}
-	return usable(model.ForecastNext())
+	return usable(pred)
 }
 
 // usable passes a prediction through only if it is finite and

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -66,6 +67,43 @@ func TestSweepCancellation(t *testing.T) {
 			t.Fatalf("worker processes left after RunSweepProcs returned: %v", kids)
 		}
 	})
+}
+
+// TestSweepWalkersExitAfterCancel: two batch cells stream CSVs from
+// FIFOs through the sweep's shared walkers; the sweep is cancelled
+// after each has been handed apps and before either source ends.
+// RunSweep must return ctx.Err() and leave no goroutine behind.
+func TestSweepWalkersExitAfterCancel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	fifos := []string{makeFIFO(t), makeFIFO(t)}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	base := runtime.NumGoroutine()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := RunSweep(ctx, []Scenario{
+			{Source: "csv:" + fifos[0], Policy: "hybrid"},
+			{Source: "csv:" + fifos[1], Policy: "fixed?ka=10m"},
+		})
+		errc <- err
+	}()
+	var ws []*os.File
+	for _, fifo := range fifos {
+		w := openWriter(t, fifo, errc)
+		w.WriteString("HashOwner,HashApp,HashFunction,Trigger,1\n")
+		for a := 0; a < 50; a++ {
+			w.WriteString("o,a" + strconv.Itoa(a) + ",f,http,1\n")
+		}
+		ws = append(ws, w)
+	}
+	cancel()
+	for _, w := range ws {
+		w.Close()
+	}
+	if err := <-errc; err != ctx.Err() {
+		t.Fatalf("RunSweep = %v, want %v", err, ctx.Err())
+	}
+	goroutinesBackTo(t, base)
 }
 
 func makeFIFO(t *testing.T) string {

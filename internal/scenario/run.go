@@ -157,7 +157,9 @@ type unitResult struct {
 // runs — scheduled on the same pool — whose sinks are merged in shard
 // order via their exact Merges. Cells whose hybrid policy uses the
 // default ARIMA forecaster share one forecast memo, so each distinct
-// idle-time series is fitted once per sweep. Every cell's execution is
+// idle-time series is fitted once per sweep, and batch cells share one
+// set of GOMAXPROCS walkers, so the sweep builds its walk scratch once
+// rather than once per cell. Every cell's execution is
 // exactly RunScenario's, so a sweep's results are bit-identical to
 // running each expanded scenario sequentially.
 func RunSweep(ctx context.Context, cells []Scenario, opts ...Option) (*SweepReport, error) {
@@ -204,11 +206,15 @@ func RunSweep(ctx context.Context, cells []Scenario, opts ...Option) (*SweepRepo
 
 	// One forecast memo per sweep: every cell on the default ARIMA
 	// forecaster fits each distinct idle-time series once, and the
-	// memo is dropped with the sweep.
+	// memo is dropped with the sweep. One walker set per sweep: every
+	// batch unit walks its apps on it, and it stops once the last unit
+	// has returned.
 	memo := newForecastMemo()
+	walkers := sim.NewWalkers()
 	results, err := runUnits(ctx, units, 0, func(ctx context.Context, u unit) (unitResult, error) {
-		return runUnit(ctx, u, memo)
+		return runUnit(ctx, u, memo, walkers)
 	})
+	walkers.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -407,9 +413,9 @@ func sinkSpecsFor(sc Scenario) ([]string, error) {
 var newForecastMemo = policy.NewForecastMemo
 
 // runUnit executes one unit: fresh policy (fitting through the
-// sweep's forecast memo), fresh sinks, one simulation (batch or
-// cluster).
-func runUnit(ctx context.Context, u unit, memo *forecast.Memo) (unitResult, error) {
+// sweep's forecast memo), fresh sinks, one simulation (batch on the
+// sweep's walkers, or cluster).
+func runUnit(ctx context.Context, u unit, memo *forecast.Memo, walkers *sim.Walkers) (unitResult, error) {
 	sc := u.sc
 	pol, err := policy.FromSpec(sc.Policy)
 	if err != nil {
@@ -448,7 +454,7 @@ func runUnit(ctx context.Context, u unit, memo *forecast.Memo) (unitResult, erro
 			}
 			simOpts = append(simOpts, sim.WithSink(rs))
 		}
-		if _, err := sim.Run(ctx, src, pol, simOpts...); err != nil {
+		if _, err := walkers.Run(ctx, src, pol, simOpts...); err != nil {
 			return unitResult{}, err
 		}
 		return res, nil

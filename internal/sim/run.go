@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/policy"
+	"repro/internal/sim/kernel"
 	"repro/internal/trace"
 )
 
@@ -61,7 +62,9 @@ func WithSink(s ResultSink) Option {
 
 // Run simulates pol over the apps yielded by src, streaming each
 // app's outcome to the configured sinks. It is the superset of
-// Simulate: context-cancelable, source-fed, and sink-draining.
+// Simulate: context-cancelable, source-fed, and sink-draining. It
+// walks the apps on a walker set of its own; a sweep that runs many
+// policies shares one set through Walkers.Run instead.
 //
 //   - With no WithSink option, Run collects every app's outcome and
 //     returns a *Result identical to Simulate's.
@@ -70,9 +73,72 @@ func WithSink(s ResultSink) Option {
 //     outcomes held are those in the reorder buffer (apps that
 //     finished behind a slower, lower-indexed app), so over a
 //     constant-memory source (StreamInvocationsCSV, a generator) the
-//     run's memory grows with the apps the other workers finish while
+//     run's memory grows with the apps the other walkers finish while
 //     one slow app walks, not with the number of apps.
 func Run(ctx context.Context, src trace.Source, pol policy.Policy, opts ...Option) (*Result, error) {
+	w := NewWalkers()
+	defer w.Close()
+	return w.Run(ctx, src, pol, opts...)
+}
+
+// Walkers is a set of GOMAXPROCS walker goroutines that walk apps for
+// any number of concurrent runs. Each walker owns one kernel.Scratch
+// for the set's whole life, so the walk buffers a sweep grows for its
+// first cells serve every later cell: a sweep of many policies builds
+// GOMAXPROCS scratches, not GOMAXPROCS per cell. Outcomes do not
+// depend on which walker walks an app, so they are the same as with a
+// set per run.
+type Walkers struct {
+	jobs chan job
+	wg   sync.WaitGroup
+}
+
+// job is one app of one run, handed to whichever walker is free.
+type job struct {
+	r   *run
+	idx int
+	app *trace.App
+}
+
+// newScratch builds one walker's scratch; tests swap it to count the
+// scratches a sweep builds.
+var newScratch = func() *kernel.Scratch { return new(kernel.Scratch) }
+
+// NewWalkers starts a set of GOMAXPROCS walkers. The caller must Close
+// it once every Run through it has returned.
+func NewWalkers() *Walkers {
+	n := runtime.GOMAXPROCS(0)
+	w := &Walkers{jobs: make(chan job, n)}
+	w.wg.Add(n)
+	for i := 0; i < n; i++ {
+		go w.walk()
+	}
+	return w
+}
+
+// Close stops the walkers and waits for them to exit. No Run through
+// the set may be in progress or start afterwards.
+func (w *Walkers) Close() {
+	close(w.jobs)
+	w.wg.Wait()
+}
+
+// walk is the walker loop: it walks each job's app on the walker's
+// scratch and hands the outcome to the job's run.
+func (w *Walkers) walk() {
+	defer w.wg.Done()
+	sc := newScratch()
+	for j := range w.jobs {
+		r := j.r
+		r.finish(j.idx, simulateApp(sc, j.app, r.pol, r.horizon, r.execTime))
+	}
+}
+
+// Run is the package-level Run on w's walkers. Any number of Runs may
+// share the set concurrently; each keeps its own reorder buffer, so
+// its sinks see its apps' indices in ascending order as they would on
+// a set of their own.
+func (w *Walkers) Run(ctx context.Context, src trace.Source, pol policy.Policy, opts ...Option) (*Result, error) {
 	var cfg runConfig
 	for _, o := range opts {
 		o(&cfg)
@@ -82,7 +148,7 @@ func Run(ctx context.Context, src trace.Source, pol policy.Policy, opts ...Optio
 		c = &collector{res: Result{Policy: pol.Name(), HorizonSeconds: src.Horizon().Seconds()}}
 		cfg.sinks = []ResultSink{c}
 	}
-	if err := runStream(ctx, src, pol, cfg); err != nil {
+	if err := w.stream(ctx, src, pol, cfg); err != nil {
 		return nil, err
 	}
 	if c != nil {
@@ -91,74 +157,85 @@ func Run(ctx context.Context, src trace.Source, pol policy.Policy, opts ...Optio
 	return nil, nil
 }
 
-// runStream simulates a one-at-a-time source: a producer goroutine
-// pulls apps, a bounded channel caps the apps in flight at
-// O(workers), and GOMAXPROCS workers push outcomes to the sinks under
-// a mutex (outcomes do not depend on the count). Outcomes that finish
-// ahead of a slower, lower-indexed app wait in a reorder buffer rather
-// than blocking their worker, so the sinks see ascending index order.
-func runStream(ctx context.Context, src trace.Source, pol policy.Policy, cfg runConfig) error {
-	workers := runtime.GOMAXPROCS(0)
-	horizon := src.Horizon().Seconds()
+// run is the state one Run shares with the walkers: its policy and
+// options, the count of its apps still in flight, and the reorder
+// buffer in front of its sinks.
+type run struct {
+	pol      policy.Policy
+	horizon  float64
+	execTime bool
+	sinks    []ResultSink
+	inFlight sync.WaitGroup // apps handed to the walkers, not yet finished
 
-	type item struct {
-		idx int
-		app *trace.App
-	}
-	ch := make(chan item, workers)
-	var srcErr error
-	go func() {
-		defer close(ch)
-		for i := 0; ; i++ {
-			app, err := src.Next()
-			if err == io.EOF {
-				return
+	mu    sync.Mutex // serializes sink access and guards next, early
+	next  int        // the index the sinks consume next
+	early map[int]AppResult
+}
+
+// finish delivers one walked app: straight to the sinks when it is the
+// next index (then draining any outcomes it unblocks), otherwise into
+// the reorder buffer.
+func (r *run) finish(idx int, res AppResult) {
+	r.mu.Lock()
+	if idx != r.next {
+		r.early[idx] = res
+	} else {
+		for ok := true; ok; {
+			for _, s := range r.sinks {
+				s.Consume(r.next, res)
 			}
-			if err != nil {
-				srcErr = err
-				return
-			}
-			select {
-			case ch <- item{idx: i, app: app}:
-			case <-ctx.Done():
-				return
+			r.next++
+			if res, ok = r.early[r.next]; ok {
+				delete(r.early, r.next)
 			}
 		}
-	}()
-
-	var mu sync.Mutex // serializes sink access and guards next, early
-	next := 0         // the index the sinks consume next
-	early := map[int]AppResult{}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var ar arena
-			for it := range ch {
-				r := simulateApp(&ar, it.app, pol, horizon, cfg.execTime)
-				mu.Lock()
-				if it.idx != next {
-					early[it.idx] = r
-					mu.Unlock()
-					continue
-				}
-				for ok := true; ok; {
-					for _, s := range cfg.sinks {
-						s.Consume(next, r)
-					}
-					next++
-					if r, ok = early[next]; ok {
-						delete(early, next)
-					}
-				}
-				mu.Unlock()
-			}
-		}()
 	}
-	wg.Wait()
+	r.mu.Unlock()
+	r.inFlight.Done()
+}
+
+// stream simulates a one-at-a-time source: the calling goroutine pulls
+// apps and hands them to the walkers, whose bounded job channel caps
+// the apps in flight at O(GOMAXPROCS) across every run sharing the
+// set. Outcomes that finish ahead of a slower, lower-indexed app wait
+// in the run's reorder buffer rather than blocking their walker, so
+// the sinks see ascending index order. stream returns only after every
+// app it handed out has finished — on EOF, on cancellation and on a
+// source error alike — so no walker touches the run's sinks after Run
+// returns.
+func (w *Walkers) stream(ctx context.Context, src trace.Source, pol policy.Policy, cfg runConfig) error {
+	r := &run{
+		pol:      pol,
+		horizon:  src.Horizon().Seconds(),
+		execTime: cfg.execTime,
+		sinks:    cfg.sinks,
+		early:    map[int]AppResult{},
+	}
+	srcErr := r.feed(ctx, src, w.jobs)
+	r.inFlight.Wait()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	return srcErr
+}
+
+// feed hands src's apps to jobs in order until the source ends, fails
+// or ctx is done, and returns the source's error, if any.
+func (r *run) feed(ctx context.Context, src trace.Source, jobs chan<- job) error {
+	for i := 0; ; i++ {
+		app, err := src.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		r.inFlight.Add(1)
+		select {
+		case jobs <- job{r: r, idx: i, app: app}:
+		case <-ctx.Done():
+			r.inFlight.Done()
+			return nil
+		}
+	}
 }

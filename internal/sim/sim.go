@@ -10,13 +10,15 @@
 // wasted memory is reported in seconds. Exec-time-aware simulation is
 // available as an extension (WithExecTime).
 //
-// Run is the one driver: a producer goroutine pulls apps from the
-// source into a bounded channel, workers walk them, and a reorder
-// buffer hands outcomes to the sinks in app order. Each worker owns a
-// scratch arena reused across apps, and per-app policy state is
-// recycled through policy.Releasable, so repeated runs — the
-// Figures 14–19 sweeps run dozens of policy configurations — reach a
-// steady state that allocates almost nothing.
+// Run is the one driver: the caller's goroutine pulls apps from the
+// source into a bounded channel, a set of walkers walks them, and a
+// reorder buffer hands outcomes to the sinks in app order. Each walker
+// owns a kernel.Scratch reused across apps and, when runs share one
+// set (Walkers.Run; scenario.RunSweep makes one set per sweep), across
+// runs too; per-app policy state is recycled through
+// policy.Releasable. So repeated runs — the Figures 14–19 sweeps run
+// dozens of policy configurations — reach a steady state that
+// allocates almost nothing.
 package sim
 
 import (
@@ -56,12 +58,6 @@ type Result struct {
 	Apps           []AppResult
 }
 
-// arena is per-worker scratch reused across apps (and, because workers
-// are created per Run call with pooled policy state, effectively
-// across runs too). It is the shared walk kernel's buffer set; the
-// cluster engine owns its own.
-type arena = kernel.Scratch
-
 // Simulate runs pol over tr and returns per-app outcomes in tr.Apps
 // order; results are deterministic. It is Run over an in-memory trace
 // with the default collector; opts are Run's (a WithSink makes it
@@ -75,10 +71,14 @@ func Simulate(tr *trace.Trace, pol policy.Policy, opts ...Option) *Result {
 // idle times, batch decisions, then the Figure 9 classification (see
 // kernel.Classify for the window semantics). The first invocation is
 // always cold (§5.1).
-func simulateApp(ar *arena, app *trace.App, pol policy.Policy, horizon float64, execTime bool) AppResult {
+//
+// sc is the walker's scratch: the shared walk kernel's buffer set,
+// which the walker keeps for its set's whole life (the cluster engine
+// owns its own).
+func simulateApp(sc *kernel.Scratch, app *trace.App, pol policy.Policy, horizon float64, execTime bool) AppResult {
 	// Pass 1: idle times; pass 2: decisions as run-length-encoded
 	// spans (one batch call when the policy supports it).
-	times, execs, runs := ar.Walk(pol, app, execTime)
+	times, execs, runs := sc.Walk(pol, app, execTime)
 	n := len(times)
 	res := AppResult{AppID: app.ID, Invocations: n}
 	if n == 0 {

@@ -12,6 +12,20 @@ type NelderMeadOptions struct {
 	Step    float64 // initial simplex step per coordinate (default 0.1)
 }
 
+// NelderMeadScratch holds the simplex and trial-point buffers of one
+// NelderMead call, so a hot caller (the per-invocation ARIMA refit)
+// reuses them across calls. The zero value is ready.
+type NelderMeadScratch struct {
+	simplex []nmVertex
+	buf     []float64
+}
+
+// nmVertex is one simplex vertex and its objective value.
+type nmVertex struct {
+	x []float64
+	v float64
+}
+
 // NelderMead minimizes f starting from x0 and returns the best point,
 // its value, and f(x0). The best value never exceeds f(x0), so a
 // caller that keeps the result only on improvement compares against
@@ -19,12 +33,13 @@ type NelderMeadOptions struct {
 // never evaluates f outside what the caller's f tolerates; f may
 // return +Inf to reject a region.
 //
-// f must not retain the slice it is handed: candidate points are
-// written into a small set of rotating buffers (the optimizer runs in
-// the simulator's per-invocation ARIMA refit, where a fresh allocation
-// per trial point dominated the profile). The returned slice is owned
-// by the caller.
-func NelderMead(f func([]float64) float64, x0 []float64, opt NelderMeadOptions) (best []float64, bestV, startV float64) {
+// The simplex and trial points live in s (may be nil; the arithmetic
+// is identical, only allocation behavior differs), so a call with a
+// warm scratch allocates nothing. f must not retain the slice it is
+// handed: candidate points are written into a small set of rotating
+// buffers. The returned slice aliases s and is valid until s is next
+// used; with a nil s it is owned by the caller.
+func NelderMead(s *NelderMeadScratch, f func([]float64) float64, x0 []float64, opt NelderMeadOptions) (best []float64, bestV, startV float64) {
 	if opt.MaxIter == 0 {
 		opt.MaxIter = 400
 	}
@@ -39,23 +54,33 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NelderMeadOptions) 
 		v := f(nil)
 		return nil, v, v
 	}
-
-	type vertex struct {
-		x []float64
-		v float64
+	if s == nil {
+		s = new(NelderMeadScratch)
 	}
-	simplex := make([]vertex, n+1)
-	base := append([]float64(nil), x0...)
-	simplex[0] = vertex{x: base, v: f(base)}
+
+	// n+1 vertices plus the centroid and two candidates, carved from
+	// one flat buffer.
+	if cap(s.simplex) < n+1 {
+		s.simplex = make([]nmVertex, n+1)
+	}
+	simplex := s.simplex[:n+1]
+	if cap(s.buf) < (n+4)*n {
+		s.buf = make([]float64, (n+4)*n)
+	}
+	vec := func(i int) []float64 { return s.buf[i*n : (i+1)*n : (i+1)*n] }
+	base := vec(0)
+	copy(base, x0)
+	simplex[0] = nmVertex{x: base, v: f(base)}
 	startV = simplex[0].v
 	for i := 0; i < n; i++ {
-		x := append([]float64(nil), x0...)
+		x := vec(i + 1)
+		copy(x, x0)
 		if x[i] != 0 {
 			x[i] *= 1 + opt.Step
 		} else {
 			x[i] = opt.Step
 		}
-		simplex[i+1] = vertex{x: x, v: f(x)}
+		simplex[i+1] = nmVertex{x: x, v: f(x)}
 	}
 
 	const (
@@ -66,8 +91,8 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NelderMeadOptions) 
 	)
 
 	// Scratch vectors. When a candidate is accepted into the simplex it
-	// swaps storage with the evicted worst vertex, so each iteration
-	// allocates nothing.
+	// swaps storage with the evicted worst vertex, so the n+4 vectors
+	// above are all the storage a call uses.
 	//
 	// sortSimplex is insertion sort, the exact algorithm sort.Slice
 	// applies to slices this small (n+1 <= dims+1), so the ordering —
@@ -80,12 +105,12 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NelderMeadOptions) 
 			}
 		}
 	}
-	centroid := make([]float64, n)
-	cand := make([]float64, n)  // reflection candidate
-	cand2 := make([]float64, n) // expansion/contraction candidate
+	centroid := vec(n + 1)
+	cand := vec(n + 2)  // reflection candidate
+	cand2 := vec(n + 3) // expansion/contraction candidate
 	accept := func(x []float64, v float64) []float64 {
 		old := simplex[n].x
-		simplex[n] = vertex{x: x, v: v}
+		simplex[n] = nmVertex{x: x, v: v}
 		return old
 	}
 
@@ -166,16 +191,17 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NelderMeadOptions) 
 
 // LSScratch holds reusable buffers for the least-squares routines, so
 // hot callers (the per-invocation ARIMA refit) avoid re-allocating the
-// small normal-equation and elimination matrices on every fit. The
-// zero value is ready; a nil *LSScratch falls back to fresh
-// allocations. Results are always freshly allocated — only internal
-// workspace is reused.
+// small normal-equation and elimination matrices, and the solution, on
+// every fit. The zero value is ready; a nil *LSScratch falls back to
+// fresh allocations. A solution returned through a scratch aliases it
+// and is valid until the scratch is next used.
 type LSScratch struct {
 	xtx    [][]float64
 	xtxBuf []float64
 	xty    []float64
 	aug    [][]float64
 	augBuf []float64
+	x      []float64
 }
 
 // matrix returns a rows x cols matrix backed by buf, zeroed when asked.
@@ -200,10 +226,10 @@ func lsMatrix(hdrs *[][]float64, buf *[]float64, rows, cols int, zero bool) [][]
 }
 
 // SolveLinearInto solves A x = b by Gaussian elimination with partial
-// pivoting, with workspace drawn from s (may be nil; the arithmetic is
-// identical, only allocation behavior differs). A is row-major n x n
-// and is not modified. It returns false if the system is singular (to
-// working precision).
+// pivoting, with workspace and the solution drawn from s (may be nil;
+// the arithmetic is identical, only allocation behavior differs). A is
+// row-major n x n and is not modified. It returns false if the system
+// is singular (to working precision).
 func SolveLinearInto(s *LSScratch, a [][]float64, b []float64) ([]float64, bool) {
 	n := len(b)
 	if len(a) != n {
@@ -245,7 +271,15 @@ func SolveLinearInto(s *LSScratch, a [][]float64, b []float64) ([]float64, bool)
 			}
 		}
 	}
-	x := make([]float64, n)
+	var x []float64
+	if s != nil {
+		if cap(s.x) < n {
+			s.x = make([]float64, n)
+		}
+		x = s.x[:n]
+	} else {
+		x = make([]float64, n)
+	}
 	for i := n - 1; i >= 0; i-- {
 		sum := m[i][n]
 		for j := i + 1; j < n; j++ {
@@ -257,9 +291,9 @@ func SolveLinearInto(s *LSScratch, a [][]float64, b []float64) ([]float64, bool)
 }
 
 // OLSInto fits y = X beta by ordinary least squares via the normal
-// equations (X'X) beta = X'y, with workspace drawn from s (may be nil;
-// the arithmetic — including the accumulation order of the normal
-// equations — is identical, only allocation behavior differs). X is
+// equations (X'X) beta = X'y, with workspace and beta drawn from s (may
+// be nil; the arithmetic — including the accumulation order of the
+// normal equations — is identical, only allocation behavior differs). X is
 // row-major with one row per observation. It returns false if X'X is
 // singular.
 func OLSInto(s *LSScratch, x [][]float64, y []float64) ([]float64, bool) {
