@@ -108,6 +108,9 @@ var newScratch = func() *kernel.Scratch { return new(kernel.Scratch) }
 // it once every Run through it has returned.
 func NewWalkers() *Walkers {
 	n := runtime.GOMAXPROCS(0)
+	// One queued app per walker keeps every walker busy while the
+	// feeding runs pull their next apps, and bounds the apps in flight
+	// across all runs at 2·GOMAXPROCS.
 	w := &Walkers{jobs: make(chan job, n)}
 	w.wg.Add(n)
 	for i := 0; i < n; i++ {

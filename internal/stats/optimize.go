@@ -92,7 +92,7 @@ func NelderMead(s *NelderMeadScratch, f func([]float64) float64, x0 []float64, o
 
 	// Scratch vectors. When a candidate is accepted into the simplex it
 	// swaps storage with the evicted worst vertex, so the n+4 vectors
-	// above are all the storage a call uses.
+	// carved from s are all the storage a call uses.
 	//
 	// sortSimplex is insertion sort, the exact algorithm sort.Slice
 	// applies to slices this small (n+1 <= dims+1), so the ordering —
