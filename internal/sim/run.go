@@ -151,8 +151,23 @@ func (w *Walkers) Run(ctx context.Context, src trace.Source, pol policy.Policy, 
 		c = &collector{res: Result{Policy: pol.Name(), HorizonSeconds: src.Horizon().Seconds()}}
 		cfg.sinks = []ResultSink{c}
 	}
-	if err := w.stream(ctx, src, pol, cfg); err != nil {
+	r := &run{
+		pol:      pol,
+		horizon:  src.Horizon().Seconds(),
+		execTime: cfg.execTime,
+		sinks:    cfg.sinks,
+		early:    map[int]AppResult{},
+	}
+	srcErr := r.feed(ctx, src, w.jobs)
+	// Every app handed out finishes before Run returns — on EOF, on
+	// cancellation and on a source error alike — so no walker touches
+	// the run's sinks afterwards.
+	r.inFlight.Wait()
+	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if srcErr != nil {
+		return nil, srcErr
 	}
 	if c != nil {
 		return &c.res, nil
@@ -197,33 +212,13 @@ func (r *run) finish(idx int, res AppResult) {
 	r.inFlight.Done()
 }
 
-// stream simulates a one-at-a-time source: the calling goroutine pulls
-// apps and hands them to the walkers, whose bounded job channel caps
-// the apps in flight at O(GOMAXPROCS) across every run sharing the
-// set. Outcomes that finish ahead of a slower, lower-indexed app wait
-// in the run's reorder buffer rather than blocking their walker, so
-// the sinks see ascending index order. stream returns only after every
-// app it handed out has finished — on EOF, on cancellation and on a
-// source error alike — so no walker touches the run's sinks after Run
-// returns.
-func (w *Walkers) stream(ctx context.Context, src trace.Source, pol policy.Policy, cfg runConfig) error {
-	r := &run{
-		pol:      pol,
-		horizon:  src.Horizon().Seconds(),
-		execTime: cfg.execTime,
-		sinks:    cfg.sinks,
-		early:    map[int]AppResult{},
-	}
-	srcErr := r.feed(ctx, src, w.jobs)
-	r.inFlight.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return srcErr
-}
-
-// feed hands src's apps to jobs in order until the source ends, fails
-// or ctx is done, and returns the source's error, if any.
+// feed pulls src's apps one at a time on the calling goroutine and
+// hands them to the walkers in order, until the source ends, fails or
+// ctx is done; it returns the source's error, if any. The walkers'
+// bounded job channel caps the apps in flight at O(GOMAXPROCS) across
+// every run sharing the set, and outcomes that finish ahead of a
+// slower, lower-indexed app wait in the run's reorder buffer rather
+// than blocking their walker, so the sinks see ascending index order.
 func (r *run) feed(ctx context.Context, src trace.Source, jobs chan<- job) error {
 	for i := 0; ; i++ {
 		app, err := src.Next()
