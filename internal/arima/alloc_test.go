@@ -8,9 +8,9 @@ package arima
 import "testing"
 
 // TestFitAllocs pins, over every tenth series of the bit-pin corpus,
-// that a warm search allocates nothing: Fit's only
-// allocations are the model it returns (the Model, AR, MA and the
-// series copy), and FitForecastNext and ForecastNext allocate none.
+// that a warm search allocates nothing: Fit's only allocations are the
+// model it returns (the Model, AR, MA and the series copy), and
+// FitForecastNext and ForecastNext allocate none.
 func TestFitAllocs(t *testing.T) {
 	for _, opt := range pinOptions {
 		for i, xs := range pinSeries() {
