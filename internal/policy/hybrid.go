@@ -93,6 +93,15 @@ type Hybrid struct {
 	// the default ARIMA search when that is nil, or a memo of the
 	// default handed over by ShareForecasts.
 	fc forecast.Forecaster
+	// apps recycles the policy's per-app state across NewApp/Release
+	// cycles (sim walks hundreds of thousands of apps per policy; a
+	// recycled app reuses its histogram and ring-buffer backing instead
+	// of allocating them again: 384 B for an app whose histogram is
+	// still in its small form, plus the 960 B bin array once it is
+	// dense). It is per policy, so every pooled state has the policy's
+	// histogram shape: a walker that walks each app under several
+	// hybrid configurations in turn reuses each one's states.
+	apps sync.Pool
 }
 
 // NewHybrid constructs the policy, panicking on invalid configuration
@@ -146,27 +155,13 @@ func (p *Hybrid) Name() string {
 // Config returns the policy configuration.
 func (p *Hybrid) Config() HybridConfig { return p.cfg }
 
-// hybridAppPool recycles per-app policy state across NewApp/Release
-// cycles (sim walks hundreds of thousands of apps per policy sweep; a
-// recycled app reuses its histogram and ring-buffer backing instead of
-// allocating them again: 384 B for an app whose histogram is still in
-// its small form, plus the 960 B bin array once it is dense).
-var hybridAppPool sync.Pool
-
-// NewApp implements Policy. If a previously Released app with the same
-// histogram configuration is pooled, its backing state is reused.
+// NewApp implements Policy. If an app of this policy was Released
+// since, its backing state is reused.
 func (p *Hybrid) NewApp(string) AppPolicy {
-	// A pooled app with an incompatible histogram shape is deliberately
-	// dropped (below) rather than re-pooled.
-	if v := hybridAppPool.Get(); v != nil {
-		a := v.(*hybridApp)
-		if a.hist.Config() == p.cfg.Histogram {
-			a.reset(p)
-			return a
-		}
-		// Incompatible histogram shape: drop it and build fresh.
+	a, _ := p.apps.Get().(*hybridApp)
+	if a == nil {
+		a = &hybridApp{hist: ithist.New(p.cfg.Histogram)}
 	}
-	a := &hybridApp{hist: ithist.New(p.cfg.Histogram)}
 	a.reset(p)
 	return a
 }
@@ -243,9 +238,10 @@ func (a *hybridApp) reset(pol *Hybrid) {
 	a.fitAt = 0
 }
 
-// Release implements Releasable: the app's state returns to the pool
-// for a future NewApp. The caller must not use the app afterwards.
-func (a *hybridApp) Release() { hybridAppPool.Put(a) }
+// Release implements Releasable: the app's state returns to its
+// policy's pool for a future NewApp. The caller must not use the app
+// afterwards.
+func (a *hybridApp) Release() { a.pol.apps.Put(a) }
 
 // pushIT records one idle time in the ring buffer. The buffer grows
 // geometrically to its fixed capacity, then overwrites the oldest

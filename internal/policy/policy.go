@@ -86,8 +86,8 @@ type Policy interface {
 // recycled through an internal pool. Callers that are finished with an
 // app (e.g. the simulator after walking one application's trace) may
 // call Release exactly once and must not use the value afterwards;
-// a subsequent NewApp on the same policy configuration may then reuse
-// the backing state instead of allocating.
+// a subsequent NewApp on the same policy may then reuse the backing
+// state instead of allocating.
 //
 // The batch engines never hold an AppPolicy: kernel.Scratch.Walk
 // acquires, walks and releases in one call. serve.Controller is the

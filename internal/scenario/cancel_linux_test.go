@@ -69,10 +69,11 @@ func TestSweepCancellation(t *testing.T) {
 	})
 }
 
-// TestSweepWalkersExitAfterCancel: two batch cells stream CSVs from
-// FIFOs through the sweep's shared walkers; the sweep is cancelled
-// after each has been handed apps and before either source ends.
-// RunSweep must return ctx.Err() and leave no goroutine behind.
+// TestSweepWalkersExitAfterCancel: two groups of batch cells — three
+// cells on one FIFO, one on another — stream CSVs through the sweep's
+// shared walkers; the sweep is cancelled after each group has been
+// handed apps and before either source ends. RunSweep must return
+// ctx.Err() and leave no goroutine behind.
 func TestSweepWalkersExitAfterCancel(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	fifos := []string{makeFIFO(t), makeFIFO(t)}
@@ -84,6 +85,8 @@ func TestSweepWalkersExitAfterCancel(t *testing.T) {
 		_, err := RunSweep(ctx, []Scenario{
 			{Source: "csv:" + fifos[0], Policy: "hybrid"},
 			{Source: "csv:" + fifos[1], Policy: "fixed?ka=10m"},
+			{Source: "csv:" + fifos[0], Policy: "fixed?ka=10m", ExecTime: true},
+			{Source: "csv:" + fifos[0], Policy: "hybrid?arima=off"},
 		})
 		errc <- err
 	}()

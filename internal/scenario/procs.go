@@ -121,8 +121,9 @@ func RunSweepProcs(ctx context.Context, cells []Scenario, procs int, opts ...Opt
 		return nil, err
 	}
 
-	results, err := runUnits(ctx, units, procs, func(ctx context.Context, u unit) (unitResult, error) {
-		return runProcUnit(ctx, exe, u)
+	results, err := runUnits(ctx, units, singletons(len(units)), procs, func(ctx context.Context, g []unit) ([]unitResult, error) {
+		res, err := runProcUnit(ctx, exe, g[0])
+		return []unitResult{res}, err
 	})
 	if err != nil {
 		return nil, err

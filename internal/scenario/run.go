@@ -151,17 +151,22 @@ type unitResult struct {
 // RunSweep executes the expanded cells of a grid concurrently over a
 // GOMAXPROCS-wide worker pool and returns the per-cell sink summaries.
 //
-// Cells with byte-identical resolved source specs share one
-// materialized trace (sources are deterministic, so sharing changes
-// nothing but work). A cell with Shard "*/n" fans out into n shard
-// runs — scheduled on the same pool — whose sinks are merged in shard
-// order via their exact Merges. Cells whose hybrid policy uses the
-// default ARIMA forecaster share one forecast memo, so each distinct
-// idle-time series is fitted once per sweep, and batch cells share one
-// set of GOMAXPROCS walkers, so the sweep builds its walk scratch once
-// rather than once per cell. Every cell's execution is
-// exactly RunScenario's, so a sweep's results are bit-identical to
-// running each expanded scenario sequentially.
+// Cells with byte-identical resolved source specs share one source
+// factory (sources are deterministic, so sharing changes nothing but
+// work): generator sources materialize one trace, and the batch cells
+// that read one source with one shard selection run as one group —
+// the group opens and decodes its source once, in one pass on the
+// sweep's walkers, and each app is walked under every cell of the
+// group by one walker. Cluster cells run on their own, each opening
+// its source. A cell with Shard "*/n" fans out into n shard runs —
+// scheduled on the same pool — whose sinks are merged in shard order
+// via their exact Merges. Cells whose hybrid policy uses the default
+// ARIMA forecaster share one forecast memo, so each distinct idle-time
+// series is fitted once per sweep, and all batch groups share one set
+// of GOMAXPROCS walkers, so the sweep builds its walk scratch once
+// rather than once per cell. Every cell's outcome is exactly
+// RunScenario's, so a sweep's results are bit-identical to running
+// each expanded scenario sequentially.
 func RunSweep(ctx context.Context, cells []Scenario, opts ...Option) (*SweepReport, error) {
 	var o runOptions
 	for _, opt := range opts {
@@ -173,8 +178,10 @@ func RunSweep(ctx context.Context, cells []Scenario, opts ...Option) (*SweepRepo
 
 	// Resolve one source factory per distinct resolved spec; identical
 	// sources share the factory (and so, for generator sources, the
-	// one materialized trace).
+	// one materialized trace). keys stays empty under a fixed trace:
+	// every cell reads it.
 	opens := make([]openFn, len(cells))
+	keys := make([]string, len(cells))
 	if o.fixedTrace != nil {
 		tr := o.fixedTrace
 		for i := range cells {
@@ -195,7 +202,7 @@ func RunSweep(ctx context.Context, cells []Scenario, opts ...Option) (*SweepRepo
 			} else {
 				factories[key] = f
 			}
-			opens[i] = f.Open
+			opens[i], keys[i] = f.Open, key
 		}
 	}
 
@@ -207,12 +214,12 @@ func RunSweep(ctx context.Context, cells []Scenario, opts ...Option) (*SweepRepo
 	// One forecast memo per sweep: every cell on the default ARIMA
 	// forecaster fits each distinct idle-time series once, and the
 	// memo is dropped with the sweep. One walker set per sweep: every
-	// batch unit walks its apps on it, and it stops once the last unit
-	// has returned.
+	// batch group walks its apps on it, and it stops once the last
+	// group has returned.
 	memo := newForecastMemo()
 	walkers := sim.NewWalkers()
-	results, err := runUnits(ctx, units, 0, func(ctx context.Context, u unit) (unitResult, error) {
-		return runUnit(ctx, u, memo, walkers)
+	results, err := runUnits(ctx, units, groupUnits(units, keys), 0, func(ctx context.Context, g []unit) ([]unitResult, error) {
+		return runGroup(ctx, g, memo, walkers)
 	})
 	walkers.Close()
 	if err != nil {
@@ -264,18 +271,47 @@ func expandUnits(cells []Scenario, opens []openFn) ([]unit, [][]int, error) {
 	return units, unitsPerCell, nil
 }
 
-// runUnits executes every unit with run on at most workers goroutines
-// (0 = GOMAXPROCS), in the pool both sweep paths share: workers take
-// the next unit off an atomic cursor until the units run out or ctx is
-// done. It returns ctx.Err() when the context ended, otherwise the
-// first failed unit's error (in unit order) as a CellError.
-func runUnits(ctx context.Context, units []unit, workers int, run func(context.Context, unit) (unitResult, error)) ([]unitResult, error) {
+// groupUnits gathers the batch units that read one source (equal
+// keys[cell]) with one shard selection into one group, and makes each
+// cluster unit a group of its own. Groups come in the order of their
+// first units, and list their units in unit order.
+func groupUnits(units []unit, keys []string) [][]int {
+	type groupKey struct {
+		src            string
+		shardI, shardN int
+	}
+	var groups [][]int
+	at := map[groupKey]int{}
+	for i, u := range units {
+		if u.sc.Cluster != nil {
+			groups = append(groups, []int{i})
+			continue
+		}
+		k := groupKey{keys[u.cell], u.shardI, u.shardN}
+		if g, ok := at[k]; ok {
+			groups[g] = append(groups[g], i)
+			continue
+		}
+		at[k] = len(groups)
+		groups = append(groups, []int{i})
+	}
+	return groups
+}
+
+// runUnits executes every group of units with run on at most workers
+// goroutines (0 = GOMAXPROCS), in the pool both sweep paths share:
+// workers take the next group off an atomic cursor until the groups
+// run out or ctx is done. run returns one result per unit of its
+// group; runUnits returns them in unit order. It returns ctx.Err()
+// when the context ended, otherwise the first failed group's error (in
+// group order) as a CellError naming the group's first unit's cell.
+func runUnits(ctx context.Context, units []unit, groups [][]int, workers int, run func(context.Context, []unit) ([]unitResult, error)) ([]unitResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(units))
+	workers = min(workers, len(groups))
 	results := make([]unitResult, len(units))
-	errs := make([]error, len(units))
+	errs := make([]error, len(groups))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -283,16 +319,22 @@ func runUnits(ctx context.Context, units []unit, workers int, run func(context.C
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				i := int(next.Add(1) - 1)
-				if i >= len(units) {
+				gi := int(next.Add(1) - 1)
+				if gi >= len(groups) {
 					return
 				}
-				res, err := run(ctx, units[i])
+				g := make([]unit, len(groups[gi]))
+				for k, ui := range groups[gi] {
+					g[k] = units[ui]
+				}
+				res, err := run(ctx, g)
 				if err != nil {
-					errs[i] = &CellError{Index: units[i].cell, Scenario: units[i].sc, Err: err}
+					errs[gi] = &CellError{Index: g[0].cell, Scenario: g[0].sc, Err: err}
 					continue
 				}
-				results[i] = res
+				for k, ui := range groups[gi] {
+					results[ui] = res[k]
+				}
 			}
 		}()
 	}
@@ -306,6 +348,15 @@ func runUnits(ctx context.Context, units []unit, workers int, run func(context.C
 		}
 	}
 	return results, nil
+}
+
+// singletons makes each of n units a group of its own.
+func singletons(n int) [][]int {
+	groups := make([][]int, n)
+	for i := range groups {
+		groups[i] = []int{i}
+	}
+	return groups
 }
 
 // assembleReport merges the executed units back into per-cell results:
@@ -412,53 +463,96 @@ func sinkSpecsFor(sc Scenario) ([]string, error) {
 // one that counts the fits.
 var newForecastMemo = policy.NewForecastMemo
 
-// runUnit executes one unit: fresh policy (fitting through the
-// sweep's forecast memo), fresh sinks, one simulation (batch on the
-// sweep's walkers, or cluster).
-func runUnit(ctx context.Context, u unit, memo *forecast.Memo, walkers *sim.Walkers) (unitResult, error) {
-	sc := u.sc
+// runGroup executes one group (groupUnits): a cluster unit on its
+// own, or batch units that read one source in one pass on the sweep's
+// walkers, each with a fresh policy (fitting through the sweep's
+// forecast memo) and fresh sinks. A one-unit group is a plain run.
+func runGroup(ctx context.Context, g []unit, memo *forecast.Memo, walkers *sim.Walkers) ([]unitResult, error) {
+	if g[0].sc.Cluster != nil {
+		res, err := runClusterUnit(ctx, g[0], memo)
+		if err != nil {
+			return nil, err
+		}
+		return []unitResult{res}, nil
+	}
+	results := make([]unitResult, len(g))
+	runs := make([]sim.PolicyRun, len(g))
+	for i, u := range g {
+		pol, sinks, err := newUnitRun(u.sc, memo)
+		if err != nil {
+			return nil, err
+		}
+		opts := []sim.Option{sim.WithExecTime(u.sc.ExecTime)}
+		for _, cs := range sinks {
+			rs, ok := cs.Sink.(sim.ResultSink)
+			if !ok {
+				return nil, fmt.Errorf("scenario: sink %q requires a cluster scenario", cs.Spec)
+			}
+			opts = append(opts, sim.WithSink(rs))
+		}
+		runs[i] = sim.PolicyRun{Policy: pol, Options: opts}
+		results[i] = unitResult{policyName: pol.Name(), sinks: sinks}
+	}
+	src, release, err := openUnit(g[0])
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	if _, err := walkers.RunAll(ctx, src, runs); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// newUnitRun builds a unit's fresh policy, fitting through the sweep's
+// forecast memo, and its fresh sinks.
+func newUnitRun(sc Scenario, memo *forecast.Memo) (policy.Policy, []CellSink, error) {
 	pol, err := policy.FromSpec(sc.Policy)
 	if err != nil {
-		return unitResult{}, err
+		return nil, nil, err
 	}
 	policy.ShareForecasts(pol, memo)
 	specs, err := sinkSpecsFor(sc)
 	if err != nil {
-		return unitResult{}, err
+		return nil, nil, err
 	}
 	sinks := make([]CellSink, len(specs))
 	for i, s := range specs {
 		built, err := NewSink(s)
 		if err != nil {
-			return unitResult{}, err
+			return nil, nil, err
 		}
 		sinks[i] = CellSink{Spec: s, Sink: built}
 	}
+	return pol, sinks, nil
+}
 
+// openUnit opens a unit's source, restricted to its shard.
+func openUnit(u unit) (trace.Source, func() error, error) {
 	src, release, err := u.open()
+	if err != nil {
+		return nil, nil, err
+	}
+	if u.shardI >= 0 {
+		src = trace.Shard(src, u.shardI, u.shardN)
+	}
+	return src, release, nil
+}
+
+// runClusterUnit executes one cluster unit: fresh policy and sinks
+// (newUnitRun) over the whole (shard of the) workload.
+func runClusterUnit(ctx context.Context, u unit, memo *forecast.Memo) (unitResult, error) {
+	sc := u.sc
+	pol, sinks, err := newUnitRun(sc, memo)
+	if err != nil {
+		return unitResult{}, err
+	}
+	src, release, err := openUnit(u)
 	if err != nil {
 		return unitResult{}, err
 	}
 	defer release()
-	if u.shardI >= 0 {
-		src = trace.Shard(src, u.shardI, u.shardN)
-	}
-
 	res := unitResult{policyName: pol.Name(), sinks: sinks}
-	if sc.Cluster == nil {
-		simOpts := []sim.Option{sim.WithExecTime(sc.ExecTime)}
-		for _, cs := range sinks {
-			rs, ok := cs.Sink.(sim.ResultSink)
-			if !ok {
-				return unitResult{}, fmt.Errorf("scenario: sink %q requires a cluster scenario", cs.Spec)
-			}
-			simOpts = append(simOpts, sim.WithSink(rs))
-		}
-		if _, err := walkers.Run(ctx, src, pol, simOpts...); err != nil {
-			return unitResult{}, err
-		}
-		return res, nil
-	}
 
 	// Cluster run: the timeline needs the whole (shard of the)
 	// workload; the memory table, when present, applies to a private

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -40,7 +41,12 @@ func metricsOf(t *testing.T, c *CellResult) map[string]float64 {
 // expanded scenario sequentially through RunScenario — batch cells,
 // cluster cells, and sharded cells (both a single shard and a
 // fanned-out "*/3" cell whose per-shard sinks merge via the exact
-// sink Merges).
+// sink Merges). The streamed subtests read the same population from a
+// CSV and a WILDTRC1 file, where the batch cells on one source with
+// one shard selection run as one group decoding the file once: two
+// default-ARIMA hybrids, exec-time cells mixed with exec-time-off ones,
+// and a group of shard=1/3 cells, next to a cluster cell that opens
+// the file on its own.
 func TestRunSweepMatchesSequential(t *testing.T) {
 	g, err := ParseGrid("source=" + smallGen + "; policy=[fixed?ka=10m,fixed?ka=1h,hybrid?arima=off]")
 	if err != nil {
@@ -61,13 +67,59 @@ func TestRunSweepMatchesSequential(t *testing.T) {
 		"source=" + smallGen + "; policy=fixed?ka=10m; cluster.nodes=2; cluster.mem=400; shard=*/2",
 	}
 	for _, s := range extra {
-		sc, err := parseCell(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cells = append(cells, sc)
+		cells = append(cells, mustParse(t, s))
 	}
+	t.Run("gen", func(t *testing.T) { sweepMatchesSequential(t, cells) })
 
+	// Three days, so the default-ARIMA hybrids reach the time-series
+	// path (and share fits through the sweep's memo).
+	fac, err := NewSource("gen:apps=40&days=3&seed=3&maxrate=300&maxevents=800")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _, err := fac.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Collect(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		scheme string
+		write  func(io.Writer, *trace.Trace) error
+	}{{"csv", trace.WriteInvocationsCSV}, {"tracec", trace.WriteBinary}} {
+		t.Run(f.scheme, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := f.write(&buf, tr); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "trace")
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			source := "source=" + f.scheme + ":" + path + "; "
+			var cells []Scenario
+			for _, s := range []string{
+				"policy=hybrid",
+				"policy=fixed?ka=10m; exectime=on",
+				"policy=hybrid?range=30m",
+				"policy=hybrid?arima=off",
+				"policy=hybrid; exectime=on; shard=1/3",
+				"policy=fixed?ka=1h; shard=1/3",
+				"policy=hybrid?range=2h; cluster.nodes=2; cluster.mem=400",
+			} {
+				cells = append(cells, mustParse(t, source+s))
+			}
+			sweepMatchesSequential(t, cells)
+		})
+	}
+}
+
+// sweepMatchesSequential fails unless RunSweep over cells gives every
+// cell exactly the metrics and policy name RunScenario gives it alone.
+func sweepMatchesSequential(t *testing.T, cells []Scenario) {
+	t.Helper()
 	ctx := context.Background()
 	sweep, err := RunSweep(ctx, cells)
 	if err != nil {
@@ -98,40 +150,51 @@ func TestRunSweepMatchesSequential(t *testing.T) {
 }
 
 // TestRunUnitsBound pins the sweep pool both sweep paths share: at
-// most workers units run at once, and 1, 2 or 3 workers over the same
-// units return the same results in unit order.
+// most workers groups run at once, and 1, 2 or 3 workers over the same
+// groups — single units, and units gathered out of order — return the
+// same results in unit order.
 func TestRunUnitsBound(t *testing.T) {
 	units := make([]unit, 12)
 	for i := range units {
 		units[i] = unit{cell: i / 3, shardIdx: i % 3}
 	}
-	var want []unitResult
-	for workers := 1; workers <= 3; workers++ {
-		var running, peak atomic.Int64
-		got, err := runUnits(context.Background(), units, workers, func(_ context.Context, u unit) (unitResult, error) {
-			n := running.Add(1)
-			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
-			}
-			runtime.Gosched()
-			running.Add(-1)
-			return unitResult{policyName: fmt.Sprintf("cell %d shard %d", u.cell, u.shardIdx), defaulted: u.cell}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p := peak.Load(); p > int64(workers) {
-			t.Errorf("%d workers: %d units ran at once", workers, p)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%d workers: results %v, want %v", workers, got, want)
-		}
+	strided := make([][]int, 4)
+	for i := range units {
+		strided[i%4] = append(strided[i%4], i)
 	}
-	if len(want) != len(units) || want[4].policyName != "cell 1 shard 1" {
-		t.Fatalf("results %v are not in unit order", want)
+	for _, groups := range [][][]int{singletons(len(units)), strided} {
+		var want []unitResult
+		for workers := 1; workers <= 3; workers++ {
+			var running, peak atomic.Int64
+			got, err := runUnits(context.Background(), units, groups, workers, func(_ context.Context, g []unit) ([]unitResult, error) {
+				n := running.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				runtime.Gosched()
+				running.Add(-1)
+				res := make([]unitResult, len(g))
+				for k, u := range g {
+					res[k] = unitResult{policyName: fmt.Sprintf("cell %d shard %d", u.cell, u.shardIdx), defaulted: u.cell}
+				}
+				return res, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := peak.Load(); p > int64(workers) {
+				t.Errorf("%d groups, %d workers: %d groups ran at once", len(groups), workers, p)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%d groups, %d workers: results %v, want %v", len(groups), workers, got, want)
+			}
+		}
+		if len(want) != len(units) || want[4].policyName != "cell 1 shard 1" || want[11].policyName != "cell 3 shard 2" {
+			t.Fatalf("%d groups: results %v are not in unit order", len(groups), want)
+		}
 	}
 }
 
@@ -426,6 +489,22 @@ func TestCellErrorIdentifiesFailingCell(t *testing.T) {
 	_, err = RunScenario(ctx, cells[1])
 	if !errors.As(err, &cellErr) || cellErr.Index != 0 {
 		t.Errorf("RunScenario error %v: want *CellError with Index 0", err)
+	}
+
+	// A source failing mid-file fails every cell of the group reading
+	// it; the error names the group's first cell, as it would name the
+	// first of those cells run one by one.
+	broken := "source=csv:" + brokenCSV(t) + "; "
+	cells = []Scenario{
+		mustParse(t, "source="+smallGen+"; policy=fixed?ka=10m"),
+		mustParse(t, broken+"policy=hybrid"),
+		mustParse(t, "source="+smallGen+"; policy=hybrid"),
+		mustParse(t, broken+"policy=fixed?ka=10m; exectime=on"),
+		mustParse(t, broken+"policy=hybrid?arima=off"),
+	}
+	_, err = RunSweep(ctx, cells)
+	if !errors.As(err, &cellErr) || cellErr.Index != 1 || !strings.Contains(err.Error(), "not contiguous") {
+		t.Errorf("broken-CSV group: err %v, want a *CellError with Index 1 for the reappearing app", err)
 	}
 }
 

@@ -46,12 +46,34 @@ func TestSweepWalkersExitAfterCleanSweep(t *testing.T) {
 	goroutinesBackTo(t, base)
 }
 
-// TestSweepWalkersExitAfterSourceFailure: every cell streams a CSV
-// whose first app reappears halfway through, so each unit's source
-// fails mid-run with apps in flight on the shared walkers. RunSweep
-// must report the failure and leave no goroutine behind.
+// TestSweepWalkersExitAfterSourceFailure: six cells stream one CSV
+// whose first app reappears halfway through, as one group behind a
+// cell on another source, so the group's source fails mid-run with
+// apps in flight on the shared walkers. RunSweep must report the
+// failure as a *CellError naming the group's first cell and leave no
+// goroutine behind.
 func TestSweepWalkersExitAfterSourceFailure(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	path := brokenCSV(t)
+	cells := append(mustGrid(t, "source="+smallGen+"; policy=hybrid"),
+		mustGrid(t, "source=csv:"+path+"; "+sixPolicies)...)
+	base := runtime.NumGoroutine()
+	_, err := RunSweep(context.Background(), cells)
+	var cellErr *CellError
+	if !errors.As(err, &cellErr) || !strings.Contains(err.Error(), "not contiguous") {
+		t.Fatalf("err = %v, want a *CellError for the reappearing app", err)
+	}
+	if cellErr.Index != 1 {
+		t.Errorf("CellError.Index = %d, want 1 (the failing group's first cell)", cellErr.Index)
+	}
+	goroutinesBackTo(t, base)
+}
+
+// brokenCSV writes an invocations CSV whose first app reappears
+// halfway through, so a reader streaming it fails mid-file with "not
+// contiguous", and returns its path.
+func brokenCSV(t *testing.T) string {
+	t.Helper()
 	pop, err := workload.Generate(workload.Config{
 		Seed: 9, NumApps: 80, Duration: 24 * time.Hour,
 		MaxDailyRate: 300, MaxEventsPerFunction: 800,
@@ -70,15 +92,7 @@ func TestSweepWalkersExitAfterSourceFailure(t *testing.T) {
 	if err := os.WriteFile(path, []byte(strings.Join(bad, "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	cells := mustGrid(t, "source=csv:"+path+"; "+sixPolicies)
-	base := runtime.NumGoroutine()
-	_, err = RunSweep(context.Background(), cells)
-	var cellErr *CellError
-	if !errors.As(err, &cellErr) || !strings.Contains(err.Error(), "not contiguous") {
-		t.Fatalf("err = %v, want a *CellError for the reappearing app", err)
-	}
-	goroutinesBackTo(t, base)
+	return path
 }
 
 func mustGrid(t *testing.T, s string) []Scenario {

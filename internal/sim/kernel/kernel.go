@@ -49,12 +49,21 @@ func (s *Scratch) Walk(pol policy.Policy, app *trace.App, useExec bool) (times, 
 	if useExec {
 		execs = s.ExecSeconds(app)
 	}
-	ap := pol.NewApp(app.ID)
-	runs = s.DecideRuns(ap, s.IdleTimes(times, execs))
+	return times, execs, s.Decide(pol, app.ID, s.IdleTimes(times, execs))
+}
+
+// Decide acquires the app's policy state, takes its decisions over
+// idles (DecideRuns) and hands pooled state (policy.Releasable) back
+// before returning. A caller walking one app under several policies
+// computes idles once and calls Decide per policy; runs aliases the
+// scratch like DecideRuns' result.
+func (s *Scratch) Decide(pol policy.Policy, appID string, idles []time.Duration) []policy.DecisionRun {
+	ap := pol.NewApp(appID)
+	runs := s.DecideRuns(ap, idles)
 	if r, ok := ap.(policy.Releasable); ok {
 		r.Release()
 	}
-	return times, execs, runs
+	return runs
 }
 
 // ExecSeconds fills the scratch exec buffer with per-invocation

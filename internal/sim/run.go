@@ -5,6 +5,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"time"
 
 	"repro/internal/policy"
 	"repro/internal/sim/kernel"
@@ -64,7 +65,7 @@ func WithSink(s ResultSink) Option {
 // app's outcome to the configured sinks. It is the superset of
 // Simulate: context-cancelable, source-fed, and sink-draining. It
 // walks the apps on a walker set of its own; a sweep that runs many
-// policies shares one set through Walkers.Run instead.
+// policies shares one set through Walkers.RunAll instead.
 //
 //   - With no WithSink option, Run collects every app's outcome and
 //     returns a *Result identical to Simulate's.
@@ -82,9 +83,10 @@ func Run(ctx context.Context, src trace.Source, pol policy.Policy, opts ...Optio
 }
 
 // Walkers is a set of GOMAXPROCS walker goroutines that walk apps for
-// any number of concurrent runs. Each walker owns one kernel.Scratch
-// for the set's whole life, so the walk buffers a sweep grows for its
-// first cells serve every later cell: a sweep of many policies builds
+// any number of concurrent passes. Each walker owns one kernel.Scratch
+// for the set's whole life (two once it walks a pass that mixes
+// exec-time settings), so the walk buffers a sweep grows for its first
+// cells serve every later cell: a sweep of many policies builds
 // GOMAXPROCS scratches, not GOMAXPROCS per cell. Outcomes do not
 // depend on which walker walks an app, so they are the same as with a
 // set per run.
@@ -93,9 +95,10 @@ type Walkers struct {
 	wg   sync.WaitGroup
 }
 
-// job is one app of one run, handed to whichever walker is free.
+// job is one app of one pass, handed to whichever walker is free; that
+// walker walks the app under every run of the pass.
 type job struct {
-	r   *run
+	p   *pass
 	idx int
 	app *trace.App
 }
@@ -109,8 +112,9 @@ var newScratch = func() *kernel.Scratch { return new(kernel.Scratch) }
 func NewWalkers() *Walkers {
 	n := runtime.GOMAXPROCS(0)
 	// One queued app per walker keeps every walker busy while the
-	// feeding runs pull their next apps, and bounds the apps in flight
-	// across all runs at 2·GOMAXPROCS.
+	// feeding passes pull their next apps, and bounds the apps in
+	// flight across all passes at 2·GOMAXPROCS, however many runs each
+	// pass carries.
 	w := &Walkers{jobs: make(chan job, n)}
 	w.wg.Add(n)
 	for i := 0; i < n; i++ {
@@ -126,68 +130,128 @@ func (w *Walkers) Close() {
 	w.wg.Wait()
 }
 
-// walk is the walker loop: it walks each job's app on the walker's
-// scratch and hands the outcome to the job's run.
+// walk is the walker loop: it walks each job's app under every run of
+// the job's pass and hands the outcomes to the runs. scs[0] serves the
+// runs with their pass's first exec-time setting, scs[1] (built on
+// first use) the others.
 func (w *Walkers) walk() {
 	defer w.wg.Done()
-	sc := newScratch()
+	scs := [2]*kernel.Scratch{newScratch()}
 	for j := range w.jobs {
-		r := j.r
-		r.finish(j.idx, simulateApp(sc, j.app, r.pol, r.horizon, r.execTime))
+		j.p.walk(&scs, j.idx, j.app)
 	}
 }
 
-// Run is the package-level Run on w's walkers. Any number of Runs may
-// share the set concurrently; each keeps its own reorder buffer, so
-// its sinks see its apps' indices in ascending order as they would on
-// a set of their own.
+// Run is the package-level Run on w's walkers: RunAll with one run.
 func (w *Walkers) Run(ctx context.Context, src trace.Source, pol policy.Policy, opts ...Option) (*Result, error) {
-	var cfg runConfig
-	for _, o := range opts {
-		o(&cfg)
+	res, err := w.RunAll(ctx, src, []PolicyRun{{Policy: pol, Options: opts}})
+	if err != nil {
+		return nil, err
 	}
-	var c *collector
-	if len(cfg.sinks) == 0 {
-		c = &collector{res: Result{Policy: pol.Name(), HorizonSeconds: src.Horizon().Seconds()}}
-		cfg.sinks = []ResultSink{c}
+	return res[0], nil
+}
+
+// PolicyRun is one policy and its Run options within a RunAll pass.
+type PolicyRun struct {
+	Policy  policy.Policy
+	Options []Option
+}
+
+// RunAll is Run for several policies over one source: it reads src
+// once and hands each app to one walker, which walks it under every
+// run in order — invocation order and idle times computed once per
+// exec-time setting, then each run's decisions and classification.
+// Its i-th result is what Run(ctx, src, runs[i].Policy,
+// runs[i].Options...) returns, bit for bit: each run keeps its own
+// reorder buffer, so its sinks see ascending app indices. Any number
+// of RunAll and Run calls may share the set concurrently.
+func (w *Walkers) RunAll(ctx context.Context, src trace.Source, runs []PolicyRun) ([]*Result, error) {
+	horizon := src.Horizon().Seconds()
+	p := &pass{horizon: horizon, runs: make([]*run, len(runs))}
+	cs := make([]*collector, len(runs))
+	for i, pr := range runs {
+		var cfg runConfig
+		for _, o := range pr.Options {
+			o(&cfg)
+		}
+		if len(cfg.sinks) == 0 {
+			cs[i] = &collector{res: Result{Policy: pr.Policy.Name(), HorizonSeconds: horizon}}
+			cfg.sinks = []ResultSink{cs[i]}
+		}
+		r := &run{pol: pr.Policy, execTime: cfg.execTime, sinks: cfg.sinks, early: map[int]AppResult{}}
+		if i > 0 && cfg.execTime != p.runs[0].execTime {
+			r.slot = 1
+		}
+		p.runs[i] = r
 	}
-	r := &run{
-		pol:      pol,
-		horizon:  src.Horizon().Seconds(),
-		execTime: cfg.execTime,
-		sinks:    cfg.sinks,
-		early:    map[int]AppResult{},
-	}
-	srcErr := r.feed(ctx, src, w.jobs)
-	// Every app handed out finishes before Run returns — on EOF, on
+	srcErr := p.feed(ctx, src, w.jobs)
+	// Every app handed out finishes before RunAll returns — on EOF, on
 	// cancellation and on a source error alike — so no walker touches
-	// the run's sinks afterwards.
-	r.inFlight.Wait()
+	// the runs' sinks afterwards.
+	p.inFlight.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if srcErr != nil {
 		return nil, srcErr
 	}
-	if c != nil {
-		return &c.res, nil
+	out := make([]*Result, len(runs))
+	for i, c := range cs {
+		if c != nil {
+			out[i] = &c.res
+		}
 	}
-	return nil, nil
+	return out, nil
 }
 
-// run is the state one Run shares with the walkers: its policy and
-// options, the count of its apps still in flight, and the reorder
+// pass is the state one RunAll shares with the walkers: its runs and
+// the count of its apps still in flight.
+type pass struct {
+	horizon  float64
+	runs     []*run
+	inFlight sync.WaitGroup // apps handed to the walkers, not yet walked under every run
+}
+
+// run is one policy's share of a pass: its policy and options, the
+// walker scratch slot its exec-time setting uses, and the reorder
 // buffer in front of its sinks.
 type run struct {
 	pol      policy.Policy
-	horizon  float64
 	execTime bool
+	slot     int // 0 for the pass's first exec-time setting, 1 for the other
 	sinks    []ResultSink
-	inFlight sync.WaitGroup // apps handed to the walkers, not yet finished
 
 	mu    sync.Mutex // serializes sink access and guards next, early
 	next  int        // the index the sinks consume next
 	early map[int]AppResult
+}
+
+// walk walks one app under every run of the pass, in run order, on
+// the walker's scratches: the invocation order once, exec and idle
+// times once per scratch slot, then each run's decisions and
+// classification.
+func (p *pass) walk(scs *[2]*kernel.Scratch, idx int, app *trace.App) {
+	times := app.InvocationTimes()
+	var execs [2][]float64
+	var idles [2][]time.Duration
+	var have [2]bool
+	for _, r := range p.runs {
+		sc := scs[r.slot]
+		if sc == nil {
+			sc = newScratch()
+			scs[r.slot] = sc
+		}
+		if !have[r.slot] {
+			if r.execTime {
+				execs[r.slot] = sc.ExecSeconds(app)
+			}
+			idles[r.slot] = sc.IdleTimes(times, execs[r.slot])
+			have[r.slot] = true
+		}
+		runs := sc.Decide(r.pol, app.ID, idles[r.slot])
+		r.finish(idx, classify(app.ID, times, execs[r.slot], runs, p.horizon))
+	}
+	p.inFlight.Done()
 }
 
 // finish delivers one walked app: straight to the sinks when it is the
@@ -209,17 +273,17 @@ func (r *run) finish(idx int, res AppResult) {
 		}
 	}
 	r.mu.Unlock()
-	r.inFlight.Done()
 }
 
 // feed pulls src's apps one at a time on the calling goroutine and
-// hands them to the walkers in order, until the source ends, fails or
-// ctx is done; it returns the source's error, if any. The walkers'
-// bounded job channel caps the apps in flight at O(GOMAXPROCS) across
-// every run sharing the set, and outcomes that finish ahead of a
-// slower, lower-indexed app wait in the run's reorder buffer rather
-// than blocking their walker, so the sinks see ascending index order.
-func (r *run) feed(ctx context.Context, src trace.Source, jobs chan<- job) error {
+// hands each to the walkers once, in order, until the source ends,
+// fails or ctx is done; it returns the source's error, if any. The
+// walkers' bounded job channel caps the apps in flight at
+// O(GOMAXPROCS) across every pass sharing the set — per app, not per
+// run of an app — and outcomes that finish ahead of a slower,
+// lower-indexed app wait in their run's reorder buffer rather than
+// blocking their walker, so the sinks see ascending index order.
+func (p *pass) feed(ctx context.Context, src trace.Source, jobs chan<- job) error {
 	for i := 0; ; i++ {
 		app, err := src.Next()
 		if err == io.EOF {
@@ -228,11 +292,11 @@ func (r *run) feed(ctx context.Context, src trace.Source, jobs chan<- job) error
 		if err != nil {
 			return err
 		}
-		r.inFlight.Add(1)
+		p.inFlight.Add(1)
 		select {
-		case jobs <- job{r: r, idx: i, app: app}:
+		case jobs <- job{p: p, idx: i, app: app}:
 		case <-ctx.Done():
-			r.inFlight.Done()
+			p.inFlight.Done()
 			return nil
 		}
 	}

@@ -12,13 +12,16 @@
 //
 // Run is the one driver: the caller's goroutine pulls apps from the
 // source into a bounded channel, a set of walkers walks them, and a
-// reorder buffer hands outcomes to the sinks in app order. Each walker
-// owns a kernel.Scratch reused across apps and, when runs share one
-// set (Walkers.Run; scenario.RunSweep makes one set per sweep), across
-// runs too; per-app policy state is recycled through
-// policy.Releasable. So repeated runs — the Figures 14–19 sweeps run
-// dozens of policy configurations — reach a steady state that
-// allocates almost nothing.
+// reorder buffer hands outcomes to the sinks in app order. Walkers.RunAll
+// runs several policies in one pass: the source is read once, and the
+// walker that takes an app walks it under every policy, computing its
+// idle times once (scenario.RunSweep runs the batch cells that read
+// one source this way). Each walker owns a kernel.Scratch reused
+// across apps and, when passes share one set (scenario.RunSweep makes
+// one set per sweep), across passes too; per-app policy state is
+// recycled through policy.Releasable. So repeated runs — the Figures
+// 14–19 sweeps run dozens of policy configurations — reach a steady
+// state that allocates almost nothing.
 package sim
 
 import (
@@ -67,27 +70,21 @@ func Simulate(tr *trace.Trace, pol policy.Policy, opts ...Option) *Result {
 	return res
 }
 
-// simulateApp walks one app's invocations through the shared kernel:
-// idle times, batch decisions, then the Figure 9 classification (see
+// classify is the Figure 9 classification of one walked app: its
+// invocation order (times), exec times (nil for the paper's default
+// zero) and the decisions as run-length-encoded spans (see
 // kernel.Classify for the window semantics). The first invocation is
 // always cold (§5.1).
-//
-// sc is the walker's scratch: the shared walk kernel's buffer set,
-// which the walker keeps for its set's whole life (the cluster engine
-// owns its own).
-func simulateApp(sc *kernel.Scratch, app *trace.App, pol policy.Policy, horizon float64, execTime bool) AppResult {
-	// Pass 1: idle times; pass 2: decisions as run-length-encoded
-	// spans (one batch call when the policy supports it).
-	times, execs, runs := sc.Walk(pol, app, execTime)
+func classify(appID string, times, execs []float64, runs []policy.DecisionRun, horizon float64) AppResult {
 	n := len(times)
-	res := AppResult{AppID: app.ID, Invocations: n}
+	res := AppResult{AppID: appID, Invocations: n}
 	if n == 0 {
 		return res
 	}
 
-	// Pass 3: classify arrivals against the previous decision and
-	// accumulate wasted memory time. Mode counts and the
-	// window-to-seconds conversions are per run, not per invocation.
+	// Classify arrivals against the previous decision and accumulate
+	// wasted memory time. Mode counts and the window-to-seconds
+	// conversions are per run, not per invocation.
 	res.ColdStarts = 1 // the first invocation is always cold (§5.1)
 	var cur kernel.RunCursor
 	cur.Reset(runs)

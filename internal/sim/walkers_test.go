@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -132,5 +133,75 @@ func TestWalkersRunWaitsForItsApps(t *testing.T) {
 		if len(sink.got) != after || sink.bad >= 0 {
 			t.Fatalf("after %d apps: sink saw %d (first out of order %d)", after, len(sink.got), sink.bad)
 		}
+	}
+}
+
+// countGate closes gate once its policy has made at apps.
+type countGate struct {
+	policy.Policy
+	made *atomic.Int64
+	at   int64
+	gate chan struct{}
+}
+
+func (c countGate) NewApp(id string) policy.AppPolicy {
+	if c.made.Add(1) == c.at {
+		close(c.gate)
+	}
+	return c.Policy.NewApp(id)
+}
+
+// TestWalkersRunAllMatchesRun runs four policies in one pass, exec
+// time on for two of them, so walkers hold idle times for both
+// settings at once. App 0 is held in its first run until every other
+// app has been walked under the last run, so all later outcomes of
+// every run wait in reorder buffers. Each run's sink must still see 0,
+// 1, 2, … and exactly what Simulate gives its policy alone, and the
+// pass must build at most two scratches per walker.
+func TestWalkersRunAllMatchesRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	tr := runPopulation(t)
+	hybrid := func() policy.Policy { return policy.NewHybrid(policy.DefaultHybridConfig()) }
+	fixed := func() policy.Policy { return policy.FixedKeepAlive{KeepAlive: 10 * time.Minute} }
+	cases := []struct {
+		pol  func() policy.Policy
+		exec bool
+	}{{hybrid, false}, {fixed, true}, {hybrid, true}, {fixed, false}}
+	built, restore := CountScratches()
+	defer restore()
+
+	w := NewWalkers()
+	defer w.Close()
+	gate := make(chan struct{})
+	runs := make([]PolicyRun, len(cases))
+	sinks := make([]*orderedSink, len(cases))
+	for i, c := range cases {
+		pol := c.pol()
+		switch i {
+		case 0:
+			pol = gatedPolicy{Policy: pol, slow: tr.Apps[0].ID, gate: gate}
+		case len(cases) - 1:
+			pol = countGate{Policy: pol, made: new(atomic.Int64), at: int64(len(tr.Apps) - 1), gate: gate}
+		}
+		sinks[i] = &orderedSink{bad: -1}
+		runs[i] = PolicyRun{Policy: pol, Options: []Option{WithExecTime(c.exec), WithSink(sinks[i])}}
+	}
+	res, err := w.RunAll(context.Background(), trace.NewTraceSource(tr), runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := built.Load(); n > 8 {
+		t.Fatalf("a pass mixing exec-time settings built %d scratches on 4 walkers, want at most 8", n)
+	}
+	for i, c := range cases {
+		if res[i] != nil {
+			t.Errorf("run %d: result %v with a sink attached, want nil", i, res[i])
+		}
+		want := simulateAt(1, tr, c.pol(), WithExecTime(c.exec))
+		if sinks[i].bad >= 0 {
+			t.Fatalf("run %d: sink saw index %d out of order", i, sinks[i].bad)
+		}
+		sameResults(t, fmt.Sprintf("run %d", i), &Result{Policy: want.Policy,
+			HorizonSeconds: want.HorizonSeconds, Apps: sinks[i].got}, want)
 	}
 }
