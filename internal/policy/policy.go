@@ -89,8 +89,9 @@ type Policy interface {
 // a subsequent NewApp on the same policy may then reuse the backing
 // state instead of allocating.
 //
-// The batch engines never hold an AppPolicy: kernel.Scratch.Walk
-// acquires, walks and releases in one call. serve.Controller is the
+// The batch engines never hold an AppPolicy: kernel.Scratch.Decide
+// (which Scratch.Walk calls) acquires, decides and releases in one
+// call. serve.Controller is the
 // one long-lived owner and hands its entries back in Release.
 type Releasable interface {
 	Release()

@@ -125,11 +125,12 @@ func (e *CellError) Error() string {
 
 func (e *CellError) Unwrap() error { return e.Err }
 
-// openFn opens a fresh, full (unsharded) source for one run.
+// openFn opens a fresh, full (unsharded) source for one group's pass
+// or one cluster unit.
 type openFn func() (trace.Source, func() error, error)
 
-// unit is one schedulable run: a cell, or one shard of a fanned-out
-// cell.
+// unit is one run: a cell, or one shard of a fanned-out cell. The
+// sweep pool schedules units in groups (groupUnits).
 type unit struct {
 	cell     int
 	shardIdx int // position among the cell's units

@@ -225,10 +225,10 @@ type countingApp struct {
 func (a *countingApp) Release() { a.pol.released++ }
 
 // TestWalkReleasesEveryAppExactlyOnce pins the pool-hygiene contract
-// where it now lives: Walk is the only place the batch engines
-// (internal/sim, internal/cluster) acquire per-app policy state, and
-// it hands each acquisition back exactly once — the zero-invocation
-// app included — with and without exec times.
+// where it now lives: Decide, which Walk calls, is the only place the
+// batch engines (internal/sim, internal/cluster) acquire per-app policy
+// state, and it hands each acquisition back exactly once — the
+// zero-invocation app included — with and without exec times.
 func TestWalkReleasesEveryAppExactlyOnce(t *testing.T) {
 	apps := []*trace.App{
 		{ID: "busy", Functions: []*trace.Function{
